@@ -130,15 +130,22 @@ class LabeledFreeComplex:
         self.diff = diff
         self.name = name
         self._strand_cache: dict = {}
+        # the one index: tag -> label per degree, for the checks below,
+        # find_label and degree_of
+        self._by_tag: dict[int, dict[tuple, BasisLabel]] = {}
         for i, lbls in self.basis.items():
-            if len(set(l.tag for l in lbls)) != len(lbls):
+            by_tag = {l.tag: l for l in lbls}
+            if len(by_tag) != len(lbls):
                 raise ComplexError(f"duplicate tags in degree {i}")
+            self._by_tag[i] = by_tag
         for i, cols in diff.items():
+            cols_in = self._by_tag.get(i, {})
+            rows_in = self._by_tag.get(i - 1, {})
             for c, col in cols.items():
-                if c not in set(self.basis.get(i, ())):
+                if cols_in.get(c.tag) != c:
                     raise ComplexError(f"differential column {c} not in degree {i} basis")
                 for r in col:
-                    if r not in set(self.basis.get(i - 1, ())):
+                    if rows_in.get(r.tag) != r:
                         raise ComplexError(
                             f"differential row {r} not in degree {i-1} basis"
                         )
@@ -183,16 +190,16 @@ class LabeledFreeComplex:
         return out
 
     def find_label(self, tag: tuple, degree: int | None = None) -> BasisLabel:
-        degs = [degree] if degree is not None else list(self.degrees())
+        degs = [degree] if degree is not None else self.degrees()
         for i in degs:
-            for l in self.labels(i):
-                if l.tag == tag:
-                    return l
+            l = self._by_tag.get(i, {}).get(tag)
+            if l is not None:
+                return l
         raise ComplexError(f"no label with tag {tag}")
 
     def degree_of(self, label: BasisLabel) -> int:
         for i in self.degrees():
-            if label in self.basis.get(i, ()):
+            if self._by_tag.get(i, {}).get(label.tag) == label:
                 return i
         raise ComplexError(f"label {label} not in complex")
 

@@ -14,10 +14,10 @@ generator strings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 from typing import Iterable, Iterator, Sequence
 
 
@@ -185,11 +185,6 @@ def parse_monomial(ring: VariableSet, text: str) -> Monomial:
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     a._check_ring(b)
     return Monomial(a.ring, tuple(max(x, y) for x, y in zip(a.exponents, b.exponents)))
-
-
-def monomial_gcd(a: Monomial, b: Monomial) -> Monomial:
-    a._check_ring(b)
-    return Monomial(a.ring, tuple(min(x, y) for x, y in zip(a.exponents, b.exponents)))
 
 
 def monomial_divide(a: Monomial, b: Monomial) -> Monomial:
@@ -502,66 +497,6 @@ def minimalize(ideal: MonomialIdeal) -> MonomialIdeal:
         if not redundant:
             kept.append(g)
     return MonomialIdeal(ideal.ring, tuple(kept))
-
-
-def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    if a.ring != b.ring:
-        raise PolyError("ideals over different rings")
-    return minimalize(MonomialIdeal(a.ring, a.generators + b.generators))
-
-
-def ideal_intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """I cap J for monomial ideals: generated by pairwise lcms."""
-    if a.ring != b.ring:
-        raise PolyError("ideals over different rings")
-    gens = tuple(monomial_lcm(f, g) for f in a.generators for g in b.generators)
-    return minimalize(MonomialIdeal(a.ring, gens))
-
-
-def ideal_colon_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
-    """(I : m) = (g / gcd(g, m) for g in G(I)), then minimalize."""
-    gens = tuple(monomial_divide(g, monomial_gcd(g, m)) for g in ideal.generators)
-    return minimalize(MonomialIdeal(ideal.ring, gens))
-
-
-def ideal_colon(ideal: MonomialIdeal, other: "MonomialIdeal | Monomial") -> MonomialIdeal:
-    """(I : J) = intersection over generators g of J of (I : g).
-
-    (I : (1)) = I, so the unit ideal is allowed on the right.
-    """
-    if isinstance(other, Monomial):
-        return ideal_colon_monomial(ideal, other)
-    if other.is_zero():
-        raise PolyError("colon by the zero ideal")
-    parts = [ideal_colon_monomial(ideal, g) for g in other.generators]
-    out = parts[0]
-    for p in parts[1:]:
-        out = ideal_intersection(out, p)
-    return out
-
-
-def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    if a.ring != b.ring:
-        raise PolyError("ideals over different rings")
-    return minimalize(
-        MonomialIdeal(a.ring, tuple(f * g for f in a.generators for g in b.generators))
-    )
-
-
-def monomials_up_to_degree(ring: VariableSet, d: int) -> Iterator[Monomial]:
-    """All monomials of total degree <= d in the active variables."""
-    act = [i for i, a in enumerate(ring.active) if a]
-
-    def rec(pos: int, remaining: int, exps: list[int]):
-        if pos == len(act):
-            yield Monomial(ring, tuple(exps))
-            return
-        for e in range(remaining + 1):
-            exps[act[pos]] = e
-            yield from rec(pos + 1, remaining - e, exps)
-        exps[act[pos]] = 0
-
-    yield from rec(0, d, [0] * len(ring))
 
 
 def squarefree_monomials(ring: VariableSet) -> Iterator[Monomial]:

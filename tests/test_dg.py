@@ -2,11 +2,19 @@
 a deliberately sign-broken product caught by the Leibniz check, exact
 submodule membership with rational witnesses, dg-ideal closure, and unit-pivot
 quotients (including the 5-cycle whose matching sources are a dg ideal
-without being superset-closed)."""
+without being superset-closed).
+
+`dense_dg_check` keeps the exhaustive pair/triple loop as the reference the
+sparse `dg_check` must reproduce report for report, on honest and tampered
+structures."""
+
+import json
+from functools import partialmethod
 
 import pytest
 
 from dgres import (
+    BasisLabel,
     DGError,
     DGStructure,
     Element,
@@ -15,9 +23,12 @@ from dgres import (
     SpanGenerator,
     SubmoduleSpan,
     VariableSet,
+    build_cone_resolution,
+    build_family,
     complexes_equal,
     dg_check,
     dg_ideal_closure,
+    edge_ideal,
     lyubeznik_matching,
     lyubeznik_resolution,
     parse_polynomial,
@@ -30,7 +41,9 @@ from dgres import (
     taylor_resolution,
     validate_matching,
 )
-from dgres.classify import C5_MATCHING
+from dgres.classify import C4_MATCHING, C5_MATCHING
+from dgres.complexes import tag_to_json
+from dgres.dg import DGReport, _homogeneous_product_ok
 from dgres.morse import is_superset_closed, matching_sources, matching_targets
 
 RING3 = VariableSet(("x", "y", "z"))
@@ -349,3 +362,263 @@ class TestFiveCycle:
         assert ok
         report = dg_check(q.structure)
         assert report.ok, report.to_json()
+
+
+# ---------------------------------------------------------------------------
+# the dense reference
+
+
+def dense_dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
+    """The dense reference: exact arithmetic on every basis pair and triple."""
+    cx = dg.complex
+    report = DGReport()
+    labels = dg.all_labels()
+    degree = {l: cx.degree_of(l) for l in labels}
+    top = cx.top_degree()
+    one = dg.unit
+
+    for a in labels:
+        left = dg.basis_product(one, a)
+        right = dg.basis_product(a, one)
+        want = Element.basis(cx, a, degree[a])
+        if not (left - want).is_zero():
+            report.record("unital", {"a": tag_to_json(a.tag), "got": str(left)})
+        if not (right - want).is_zero():
+            report.record("unital", {"a": tag_to_json(a.tag), "got": str(right)})
+
+    for a in labels:
+        for b in labels:
+            prod = dg.basis_product(a, b)
+            report.checked_pairs += 1
+            dab = degree[a] + degree[b]
+            if not prod.is_zero():
+                if prod.degree != dab:
+                    report.record(
+                        "degree",
+                        {"a": tag_to_json(a.tag), "b": tag_to_json(b.tag), "got_degree": prod.degree},
+                    )
+                if dab > top:
+                    report.record(
+                        "closure",
+                        {"a": tag_to_json(a.tag), "b": tag_to_json(b.tag), "detail": "product beyond top degree"},
+                    )
+                if not _homogeneous_product_ok(a, b, prod):
+                    report.record(
+                        "homogeneous",
+                        {"a": tag_to_json(a.tag), "b": tag_to_json(b.tag), "got": str(prod)},
+                    )
+            # graded commutativity, both orientations computed directly
+            ba = dg.basis_product(b, a)
+            sign = -1 if (degree[a] * degree[b]) % 2 else 1
+            if not (prod - ba.scale(sign)).is_zero():
+                report.record(
+                    "graded_commutativity",
+                    {
+                        "a": tag_to_json(a.tag),
+                        "b": tag_to_json(b.tag),
+                        "ab": str(prod),
+                        "ba": str(ba),
+                    },
+                )
+            # Leibniz: d(ab) = d(a) b + (-1)^{|a|} a d(b)
+            ea = Element.basis(cx, a, degree[a])
+            eb = Element.basis(cx, b, degree[b])
+            lhs = prod.diff()
+            rhs = dg.multiply(ea.diff(), eb) + dg.multiply(ea, eb.diff()).scale(
+                -1 if degree[a] % 2 else 1
+            )
+            if not (lhs - rhs).is_zero():
+                report.record(
+                    "leibniz",
+                    {
+                        "a": tag_to_json(a.tag),
+                        "b": tag_to_json(b.tag),
+                        "d_ab": str(lhs),
+                        "da_b_plus_a_db": str(rhs),
+                    },
+                )
+        if degree[a] % 2 == 1:
+            sq = dg.basis_product(a, a)
+            if not sq.is_zero():
+                report.record("odd_squares", {"a": tag_to_json(a.tag), "a2": str(sq)})
+
+    if triples:
+        for a in labels:
+            for b in labels:
+                ab = dg.basis_product(a, b)
+                for c in labels:
+                    report.checked_triples += 1
+                    bc = dg.basis_product(b, c)
+                    if ab.is_zero() and bc.is_zero():
+                        continue
+                    ec = Element.basis(cx, c, degree[c])
+                    lhs = dg.multiply(ab, ec)
+                    ea = Element.basis(cx, a, degree[a])
+                    rhs = dg.multiply(ea, bc)
+                    if not (lhs - rhs).is_zero():
+                        report.record(
+                            "associativity",
+                            {
+                                "a": tag_to_json(a.tag),
+                                "b": tag_to_json(b.tag),
+                                "c": tag_to_json(c.tag),
+                                "ab_c": str(lhs),
+                                "a_bc": str(rhs),
+                            },
+                        )
+    return report
+
+
+def matching_quotient(ideal, matching) -> DGStructure:
+    """The Taylor dg algebra modulo the span of a Morse matching's sources."""
+    dg = taylor_dg_structure(ideal)
+    sources = matching_sources(matching)
+    span = span_from_matching_sources(dg.complex, sources)
+    prefer = {("e",) + tuple(t) for _, t in matching} | {
+        ("e",) + tuple(s) for s in sources
+    }
+    return quotient_dg(dg, span, prefer_eliminate=prefer).structure
+
+
+def tampered(dg: DGStructure, product) -> DGStructure:
+    """A fresh structure on the same complex; `product(a, b, honest)` gets
+    the honest product and returns the stored one."""
+    return DGStructure(dg.complex, lambda a, b: product(a, b, dg.product_fn(a, b)))
+
+
+@pytest.fixture
+def uncapped(monkeypatch):
+    """Keep every failure witness, so the comparison covers all of them."""
+    monkeypatch.setattr(DGReport, "record", partialmethod(DGReport.record, cap=10**9))
+
+
+def assert_matches_dense(dg: DGStructure) -> DGReport:
+    """Sparse and dense reports agree byte for byte, each on a fresh product
+    cache, so both also call the product function themselves."""
+    sparse = dg_check(DGStructure(dg.complex, dg.product_fn))
+    dense = dense_dg_check(DGStructure(dg.complex, dg.product_fn))
+    assert json.dumps(sparse.to_json()) == json.dumps(dense.to_json())
+    n = len(dg.all_labels())
+    assert (sparse.checked_pairs, sparse.checked_triples) == (n * n, n**3)
+    return sparse
+
+
+def label(dg: DGStructure, *idx) -> BasisLabel:
+    return dg.complex.find_label(("e",) + idx, degree=len(idx))
+
+
+def constant(dg: DGStructure, degree: int, lbl: BasisLabel, c=1) -> Element:
+    return Element(dg.complex, degree, {lbl: Polynomial.constant(dg.complex.ring, c)})
+
+
+def lyubeznik_d3_quotient() -> DGStructure:
+    """The double star L(2,2,0), a diameter-3 tree, central edge first."""
+    I = edge_ideal(build_family("L(2,2,0)"))
+    central = I.ring.variable("x") * I.ring.variable("y")
+    I = I.reorder([str(central)] + [str(g) for g in I.generators if g != central])
+    return matching_quotient(I, lyubeznik_matching(I))
+
+
+def cycle_quotient(n: int) -> DGStructure:
+    """C4 or C5, generators along the cycle, with its explicit matching."""
+    names = ("x", "y", "z", "u", "v")[:n]
+    gens = [f"{a}*{b}" for a, b in zip(names, names[1:] + names[:1])]
+    I = ideal(VariableSet(names), *gens)
+    return matching_quotient(I, C4_MATCHING if n == 4 else C5_MATCHING)
+
+
+STRUCTURES = {
+    "taylor": lambda: taylor_dg_structure(
+        ideal(VariableSet(("x", "y", "z", "w")), "x*w", "y*z", "x*z", "x*y")
+    ),
+    "cone": lambda: build_cone_resolution(build_family("T4(2;1,1)")).dg,
+    "lyubeznik-d3": lyubeznik_d3_quotient,
+    "morse-c4": lambda: cycle_quotient(4),
+    "morse-c5": lambda: cycle_quotient(5),
+}
+
+
+@pytest.mark.usefixtures("uncapped")
+class TestDenseOracle:
+    def test_taylor_corpus(self, corpus):
+        for I in corpus:
+            assert assert_matches_dense(taylor_dg_structure(I)).ok
+
+    @pytest.mark.parametrize("name", list(STRUCTURES))
+    def test_structure(self, name):
+        assert assert_matches_dense(STRUCTURES[name]()).ok
+
+    @pytest.mark.parametrize("name", list(STRUCTURES))
+    def test_one_product_sign_flipped(self, name):
+        dg = STRUCTURES[name]()
+        a, b = dg.complex.labels(1)[:2]
+
+        def flip(x, y, honest):
+            return honest.scale(-1) if (x, y) == (a, b) else honest
+
+        report = assert_matches_dense(tampered(dg, flip))
+        assert {"graded_commutativity", "leibniz"} <= set(report.failures)
+
+    def test_associativity_broken_beside_a_zero_side(self, taylor_fixture_ideal):
+        # e0*e1 stored as 0: on (e0, e1, c) the side (ab)c is structurally
+        # zero and only a(bc) reaches the triple; on (a, e0, e1) it is the
+        # other way round
+        dg = taylor_dg_structure(taylor_fixture_ideal)
+        e0, e1 = label(dg, 0), label(dg, 1)
+
+        def drop(x, y, honest):
+            return Element.zero(dg.complex, 2) if {x, y} == {e0, e1} else honest
+
+        report = assert_matches_dense(tampered(dg, drop))
+        assoc = report.failures["associativity"]
+        assert any(w["ab_c"] == "0" and w["a_bc"] != "0" for w in assoc)
+        assert any(w["a_bc"] == "0" and w["ab_c"] != "0" for w in assoc)
+
+    @pytest.mark.parametrize(
+        "planted, pair",
+        [
+            # e01*e01 made nonzero: d(e01)*e01 and e01*d(e01) stay zero, so
+            # only the product ab itself reaches the pair
+            ([((0, 1), (0, 1), 1)], (["e", 0, 1], ["e", 0, 1])),
+            # e1*e012 made nonzero: for (e01, e012) the product ab and every
+            # a*l with l in supp(db) stay zero, so only d(a)*b, through
+            # l = e1, reaches the pair
+            ([((1,), (0, 1, 2), 1), ((0, 1, 2), (1,), -1)], (["e", 0, 1], ["e", 0, 1, 2])),
+        ],
+    )
+    def test_leibniz_broken_through_one_term(self, taylor_fixture_ideal, planted, pair):
+        dg = taylor_dg_structure(taylor_fixture_ideal)
+        top = label(dg, 0, 1, 2, 3)
+        table = {(label(dg, *x), label(dg, *y)): c for x, y, c in planted}
+
+        def plant(x, y, honest):
+            c = table.get((x, y))
+            return honest if c is None else constant(dg, 4, top, c)
+
+        report = assert_matches_dense(tampered(dg, plant))
+        assert pair in [(w["a"], w["b"]) for w in report.failures["leibniz"]]
+
+
+def test_label_outside_the_basis_keeps_all_partners(taylor_fixture_ideal, uncapped):
+    """e0*e01 is stored as a label the complex does not have, whose only
+    nonzero partner is e3.  No stored row covers that label, and e0*(e01*e3)
+    is 0, so the sparse check finds the triples (e0, e01, e3) and
+    (e01, e0, e3) only by trying every partner of the outside label."""
+    dg = taylor_dg_structure(taylor_fixture_ideal)
+    e0, e3, e01 = label(dg, 0), label(dg, 3), label(dg, 0, 1)
+    top = label(dg, 0, 1, 2, 3)
+    ghost = BasisLabel(("ghost",), e01.multidegree * e0.multidegree)
+
+    def product(x, y):
+        if ghost in (x, y):
+            if (x, y) == (ghost, e3):
+                return constant(dg, 4, top)
+            return Element.zero(dg.complex, 4)
+        if {x, y} == {e0, e01}:
+            return constant(dg, 3, ghost)
+        return dg.product_fn(x, y)
+
+    report = assert_matches_dense(DGStructure(dg.complex, product))
+    triples = [(w["a"], w["b"], w["c"]) for w in report.failures["associativity"]]
+    assert (["e", 0], ["e", 0, 1], ["e", 3]) in triples
+    assert (["e", 0, 1], ["e", 0], ["e", 3]) in triples
