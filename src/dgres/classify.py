@@ -67,7 +67,7 @@ from .taylor import taylor_dg_structure, taylor_resolution
 VERSION = "0.1.0"
 
 # size guards: above these the expensive checks are recorded as skipped
-STRAND_VAR_CAP = 12  # is_resolution_of enumerates 2^vars strands
+STRAND_VAR_CAP = 14  # is_resolution_of enumerates 2^vars strands
 TRIPLE_LABEL_CAP = 220  # dg_check associativity/Leibniz on triples
 
 

@@ -25,6 +25,7 @@ import json
 import sys
 
 from .classify import (
+    STRAND_VAR_CAP,
     VERSION,
     UnsupportedGraphError,
     classify,
@@ -205,7 +206,7 @@ def _complex_result(cx: LabeledFreeComplex, ideal: MonomialIdeal | None) -> dict
         "verify": rep.to_json(),
         "is_minimal": cx.is_minimal(),
     }
-    if ideal is not None and len(ideal.ring.active_names()) <= 12:
+    if ideal is not None and len(ideal.ring.active_names()) <= STRAND_VAR_CAP:
         ok, res = cx.is_resolution_of(ideal)
         out["is_resolution"] = {"ok": ok, **({} if ok else {"detail": res})}
     return out

@@ -13,9 +13,13 @@ entry by entry and reports the failures by (degree, row tag, col tag).
 Strands: for a monomial b, the labels whose multidegree divides b span a
 subcomplex; evaluating entries at x=1 gives a complex of Q-vector spaces
 whose homology computes the multigraded pieces Tor-style.  This is how
-`is_resolution_of` and `graded_betti` work.  For complexes whose label
-multidegrees are all squarefree, vanishing on all squarefree strands is
-conclusive; `is_resolution_of` records whether that hypothesis held.
+`is_resolution_of` works.  The first strand call indexes the complex once
+(`strands.StrandIndex`: labels grouped by multidegree, differentials
+evaluated at x=1); a strand's groups then take a few integer operations to
+find, strands with the same groups share one computation, and ranks are
+exact sparse ranks.  For complexes whose label multidegrees are all
+squarefree, vanishing on all squarefree strands is conclusive;
+`is_resolution_of` records whether that hypothesis held.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .poly import (
     parse_polynomial,
     squarefree_monomials,
 )
+from .strands import Divisors, StrandIndex, scalar_columns
 
 
 class ComplexError(ValueError):
@@ -130,6 +135,7 @@ class LabeledFreeComplex:
         self.diff = diff
         self.name = name
         self._strand_cache: dict = {}
+        self._strand_index: StrandIndex | None = None  # built by the first strand call
         # the one index: tag -> label per degree, for the checks below,
         # find_label and degree_of
         self._by_tag: dict[int, dict[tuple, BasisLabel]] = {}
@@ -263,44 +269,39 @@ class LabeledFreeComplex:
 
     # -- strands and homology ----------------------------------------------
 
+    def _strand(self, b: Monomial) -> tuple[StrandIndex, int]:
+        """The strand index and the bitset of its groups in the b-strand."""
+        if self._strand_index is None:
+            self._strand_index = StrandIndex(self)
+        index = self._strand_index
+        return index, index.groups.of(b)
+
     def strand_labels(self, b: Monomial) -> dict[int, list[BasisLabel]]:
         """Labels whose multidegree divides b (componentwise, multiplicity
         counts: x^2 does not divide x)."""
+        index, key = self._strand(b)
         return {
-            i: [l for l in self.labels(i) if l.multidegree.divides(b)]
-            for i in self.degrees()
+            i: [self.labels(i)[k] for k in pos]
+            for i, pos in enumerate(index.positions(key))
         }
 
     def strand_homology(self, b: Monomial) -> tuple[int, ...]:
         """Dimensions of the homology of the b-strand, degree 0..top."""
-        strand = self.strand_labels(b)
-        key = tuple(
-            tuple(l.tag for l in strand.get(i, ())) for i in self.degrees()
-        )
+        index, key = self._strand(b)
         cached = self._strand_cache.get(key)
         if cached is not None:
             return cached
-        dims = []
-        ranks = {}
-        for i in self.degrees():
-            if i == 0:
-                continue
-            rows = strand.get(i - 1, [])
-            cols = strand.get(i, [])
-            if not rows or not cols:
-                ranks[i] = 0
-                continue
-            mat = [
-                [self.entry(i, r, c).eval_ones() for c in cols] for r in rows
-            ]
-            ranks[i] = linalg.rank(mat)
-        top = self.top_degree()
-        for i in self.degrees():
-            n_i = len(strand.get(i, []))
-            r_i = ranks.get(i, 0)  # rank of d_i on the strand
-            r_ip1 = ranks.get(i + 1, 0) if i + 1 <= top else 0
-            dims.append(n_i - r_i - r_ip1)
-        out = tuple(dims)
+        pos = index.positions(key)
+        ranks = [0] * (len(pos) + 1)  # ranks[i]: rank of d_i on the strand
+        for i in range(1, len(pos)):
+            rows, cols = pos[i - 1], pos[i]
+            if rows and cols:
+                keep = set(rows)
+                ranks[i] = linalg.rank(
+                    {r: v for r, v in index.columns[i][c].items() if r in keep}
+                    for c in cols
+                )
+        out = tuple(len(p) - ranks[i] - ranks[i + 1] for i, p in enumerate(pos))
         self._strand_cache[key] = out
         return out
 
@@ -342,10 +343,11 @@ class LabeledFreeComplex:
         report["d1_plus_minus_generators"] = d1_ok
 
         report["labels_squarefree"] = self.labels_squarefree()
+        generators = Divisors(ideal.generators, ideal.ring)
         failures = []
         for b in squarefree_monomials(self.ring):
             h = self.strand_homology(b)
-            want_h0 = 0 if ideal.contains_monomial(b) else 1
+            want_h0 = 0 if generators.of(b) else 1
             if h[0] != want_h0:
                 failures.append({"strand": str(b), "H": list(h), "H0_expected": want_h0})
                 continue
@@ -627,11 +629,9 @@ def graded_betti(F: LabeledFreeComplex) -> dict[tuple[int, str], int]:
             rows = by_deg.get(i - 1, [])
             cols = by_deg.get(i, [])
             if rows and cols:
-                mat = [
-                    [F.entry(i, r, c).constant_coefficient() for c in cols]
-                    for r in rows
-                ]
-                ranks[i] = linalg.rank(mat)
+                ranks[i] = linalg.rank(
+                    scalar_columns(F, i, rows, cols, Polynomial.constant_coefficient)
+                )
             else:
                 ranks[i] = 0
         for i in degs:

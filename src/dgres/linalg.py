@@ -1,13 +1,15 @@
-"""Exact linear algebra over the rationals (fractions.Fraction).
+"""Exact linear algebra over the rationals.
 
-Dense row-list matrices; sizes here are small (hundreds at most), so plain
-fraction-pivot Gaussian elimination is fine and keeps everything exact.
+`rank` takes sparse columns ({row: value}, values int or Fraction) and
+eliminates with the lowest row as pivot, keeping integer entries as ints
+while the pivots are +-1.  `solve` works on dense row-list matrices through
+fraction-pivot Gauss-Jordan elimination (`rref`); its systems are small.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Matrix = list[list[Fraction]]
 
@@ -55,29 +57,34 @@ def rref(mat: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     return a, pivots
 
 
-def rank(mat: Sequence[Sequence]) -> int:
-    if not mat or not mat[0]:
-        return 0
-    _, pivots = rref(mat)
+def rank(columns: Iterable[dict]) -> int:
+    """Rank over Q of the matrix with the given sparse columns.
+
+    Each column maps row keys (any ordered keys) to nonzero int or Fraction
+    values; the inputs are not modified.  A column is reduced against the
+    stored pivot columns at its lowest row until that row is new (a pivot)
+    or the column vanishes.  A +-1 pivot is its own inverse, so integer
+    columns stay integral; any other pivot is inverted as a Fraction.
+    """
+    pivots: dict = {}  # row -> (reduced column, inverse of its entry there)
+    for col in columns:
+        col = dict(col)
+        while col:
+            low = max(col)
+            hit = pivots.get(low)
+            if hit is None:
+                v = col[low]
+                pivots[low] = (col, v if v in (1, -1) else 1 / Fraction(v))
+                break
+            pcol, inv = hit
+            f = col[low] * inv
+            for r, v in pcol.items():
+                w = col.get(r, 0) - f * v
+                if w:
+                    col[r] = w
+                else:
+                    del col[r]
     return len(pivots)
-
-
-def nullspace(mat: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column."""
-    a = _check(mat)
-    if not a:
-        return []
-    cols = len(a[0])
-    R, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
-        basis.append(v)
-    return basis
 
 
 def solve(mat: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
@@ -97,30 +104,3 @@ def solve(mat: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
     for r, pc in enumerate(pivots):
         x[pc] = R[r][cols]
     return x
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    a = _check(a)
-    b = _check(b)
-    if not a or not b:
-        return []
-    n, k = len(a), len(a[0])
-    if len(b) != k:
-        raise ValueError("dimension mismatch")
-    m = len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                row = out[i]
-                for j in range(m):
-                    if bt[j]:
-                        row[j] += c * bt[j]
-    return out

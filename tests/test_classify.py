@@ -12,10 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgres import cycle_graph, edge_ideal, path_graph, t4_tree, taylor_resolution, total_betti
+from dgres import (
+    MonomialIdeal,
+    VariableSet,
+    cycle_graph,
+    edge_ideal,
+    path_graph,
+    t4_tree,
+    taylor_resolution,
+    total_betti,
+)
 from dgres.classify import (
     CITED_FACTS,
     UnsupportedGraphError,
+    _resolution_summary,
     cascade_representation,
     cascade_shadow_bound,
     classify,
@@ -319,3 +329,27 @@ class TestUnsupported:
             classify(
                 Graph.build(("a", "b", "c", "d"), (("a", "b"), ("c", "d")))
             )
+
+
+class TestStrandCap:
+    """The strand sweep runs up to 14 active variables and is recorded as
+    skipped above that."""
+
+    @staticmethod
+    def spread_ideal(nvars: int) -> MonomialIdeal:
+        # four generators that together use every variable
+        names = [f"x{k}" for k in range(nvars)]
+        return MonomialIdeal.from_strings(
+            VariableSet(tuple(names)), ["*".join(names[k::4]) for k in range(4)]
+        )
+
+    def test_fourteen_variables_checked(self):
+        I = self.spread_ideal(14)
+        assert _resolution_summary(taylor_resolution(I), I) == {"checked": True, "ok": True}
+
+    def test_fifteen_variables_skipped(self):
+        I = self.spread_ideal(15)
+        assert _resolution_summary(taylor_resolution(I), I) == {
+            "checked": False,
+            "reason": "ring too large for strand sweep",
+        }

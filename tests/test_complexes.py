@@ -17,19 +17,29 @@ from dgres import (
     MonomialIdeal,
     Polynomial,
     VariableSet,
+    build_cone_resolution,
+    build_family,
     complexes_equal,
     desuspend_truncation,
     equal_up_to_basis_scaling,
     graded_betti,
+    lyubeznik_matching,
     lyubeznik_resolution,
     mapping_cone,
+    morse_reduce,
     multiplication_map,
     parse_monomial,
+    quotient_dg,
+    span_from_matching_sources,
     squarefree_monomials,
+    taylor_dg_structure,
     taylor_resolution,
     tensor_complex,
     total_betti,
 )
+from dgres.classify import C5_MATCHING
+from dgres.linalg import rref
+from dgres.morse import matching_sources
 
 RING3 = VariableSet(("x", "y", "z"))
 RING4 = VariableSet(("x", "y", "z", "w"))
@@ -533,3 +543,194 @@ class TestComparisons:
         assert not complexes_equal(F, G)
         ok, _ = equal_up_to_basis_scaling(F, G)
         assert not ok
+
+
+# ---------------------------------------------------------------------------
+# the strand sweep against the dense reference
+
+
+def dense_strand_labels(F, b):
+    """Reference: scan every label with Monomial.divides."""
+    return {i: [l for l in F.labels(i) if l.multidegree.divides(b)] for i in F.degrees()}
+
+
+def dense_strand_homology(F, b):
+    """Reference: dense Fraction strand matrices through `entry()` and
+    `eval_ones()`, ranks from Gauss-Jordan elimination."""
+    strand = dense_strand_labels(F, b)
+    ranks = {}
+    for i in F.degrees():
+        rows, cols = strand.get(i - 1, []), strand[i]
+        if i and rows and cols:
+            mat = [[F.entry(i, r, c).eval_ones() for c in cols] for r in rows]
+            ranks[i] = len(rref(mat)[1])
+    return tuple(
+        len(strand[i]) - ranks.get(i, 0) - ranks.get(i + 1, 0) for i in F.degrees()
+    )
+
+
+def dense_is_resolution_of(F, I):
+    """Reference `is_resolution_of`: the same report, with the strands of
+    `dense_strand_homology` and H_0 decided by `contains_monomial`."""
+    report = {}
+    ver = F.verify()
+    report["complex_ok"] = ver.ok
+    if not ver.ok:
+        report["verify"] = ver.to_json()
+        return False, report
+    gens = sorted(str(g) for g in I.generators)
+    report["degree1_matches_generators"] = gens == sorted(
+        str(l.multidegree) for l in F.labels(1)
+    )
+    d1_ok = True
+    unit = F.labels(0)[0]
+    for c in F.labels(1):
+        entries = [(r, p) for r, p in F.column(1, c).items() if not p.is_zero()]
+        if len(entries) != 1:
+            d1_ok = False
+            continue
+        r, p = entries[0]
+        if r != unit or not p.is_monomial_multiple():
+            d1_ok = False
+            continue
+        m, coef = p.single_term()
+        if m != c.multidegree or coef not in (1, -1):
+            d1_ok = False
+    report["d1_plus_minus_generators"] = d1_ok
+    report["labels_squarefree"] = F.labels_squarefree()
+    failures = []
+    for b in squarefree_monomials(F.ring):
+        h = dense_strand_homology(F, b)
+        want_h0 = 0 if I.contains_monomial(b) else 1
+        if h[0] != want_h0:
+            failures.append({"strand": str(b), "H": list(h), "H0_expected": want_h0})
+            continue
+        if any(h[1:]):
+            failures.append({"strand": str(b), "H": list(h)})
+    report["strand_failures"] = failures
+    ok = report["degree1_matches_generators"] and d1_ok and not failures
+    report["ok"] = ok
+    return ok, report
+
+
+def fresh(F):
+    """A copy with an empty strand cache and no strand index."""
+    return LabeledFreeComplex(F.ring, F.basis, F.diff, name=F.name)
+
+
+def assert_strands_match_dense(F, I, strands=None):
+    """Strand labels and homology on every given strand (default: every
+    squarefree one), and the whole `is_resolution_of` report, equal the
+    dense reference's."""
+    G = fresh(F)
+    for b in strands or list(squarefree_monomials(F.ring)):
+        assert G.strand_labels(b) == dense_strand_labels(F, b), str(b)
+        assert G.strand_homology(b) == dense_strand_homology(F, b), str(b)
+    sparse = json.dumps(fresh(F).is_resolution_of(I))
+    assert sparse == json.dumps(dense_is_resolution_of(F, I))
+    return json.loads(sparse)[1]
+
+
+def unit_and_fraction_entries(exact: bool):
+    """Over Q[x]: d(a) = 2x, d(b) = x/2 and d(c) = a - 4b, or d(c) = 0 when
+    not `exact`.  The strand ranks pivot on 2 and -4, so they run through
+    Fraction inverses."""
+    ring = VariableSet(("x",))
+    x = ring.variable("x")
+    u, a, b = BasisLabel(("u",), ring.one()), BasisLabel(("a",), x), BasisLabel(("b",), x)
+    c = BasisLabel(("c",), x)
+    dc = {a: poly(ring, "1"), b: poly(ring, "-4")} if exact else {}
+    F = LabeledFreeComplex(
+        ring,
+        {0: [u], 1: [a, b], 2: [c]},
+        {1: {a: {u: poly(ring, "2*x")}, b: {u: poly(ring, "1/2*x")}}, 2: {c: dc}},
+    )
+    return F, ideal(ring, "x")
+
+
+class TestStrandsMatchDense:
+    def test_corpus_taylor_lyubeznik_morse(self, corpus):
+        for I in corpus:
+            T = taylor_resolution(I)
+            for F in (T, lyubeznik_resolution(I), morse_reduce(T, lyubeznik_matching(I))):
+                assert assert_strands_match_dense(F, I)["ok"]
+
+    def test_c5_morse_quotient(self, c5_ideal):
+        dg = taylor_dg_structure(c5_ideal)
+        sources = matching_sources(C5_MATCHING)
+        span = span_from_matching_sources(dg.complex, sources)
+        prefer = {("e",) + tuple(t) for _, t in C5_MATCHING} | {
+            ("e",) + tuple(s) for s in sources
+        }
+        F = quotient_dg(dg, span, prefer_eliminate=prefer).structure.complex
+        assert F.ranks() == (1, 5, 5, 1)
+        assert assert_strands_match_dense(F, c5_ideal)["ok"]
+
+    def test_diameter_four_cone(self):
+        res = build_cone_resolution(build_family("T4(2;1,1)"))
+        assert assert_strands_match_dense(res.cone, res.decomposition.ideal_total)["ok"]
+
+    def test_truncated_koszul(self):
+        I = ideal(RING3, "x", "y", "z")
+        F = taylor_resolution(I)
+        truncated = LabeledFreeComplex(
+            RING3,
+            {i: F.labels(i) for i in range(3)},
+            {i: {c: F.column(i, c) for c in F.labels(i)} for i in (1, 2)},
+        )
+        report = assert_strands_match_dense(truncated, I)
+        assert report["strand_failures"] == [{"strand": "x*y*z", "H": [0, 0, 1]}]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_fraction_pivots(self, exact):
+        F, I = unit_and_fraction_entries(exact)
+        assert F.verify().ok
+        report = assert_strands_match_dense(F, I)
+        x = I.ring.variable("x")
+        assert fresh(F).strand_homology(x) == ((0, 0, 0) if exact else (0, 1, 1))
+        assert not report["degree1_matches_generators"]
+        assert report["strand_failures"] == ([] if exact else [{"strand": "x", "H": [0, 1, 1]}])
+
+    def test_multiplicity(self):
+        ring = VariableSet(("x",))
+        unit = BasisLabel(("u",), ring.one())
+        x2 = ring.variable("x") * ring.variable("x")
+        sq = BasisLabel(("s",), x2)
+        F = LabeledFreeComplex(
+            ring, {0: [unit], 1: [sq]}, {1: {sq: {unit: poly(ring, "x^2")}}}
+        )
+        assert_strands_match_dense(F, ideal(ring, "x^2"), [ring.variable("x"), x2])
+        assert fresh(F).strand_homology(ring.variable("x")) == (1, 0)
+        assert fresh(F).strand_homology(x2) == (0, 0)
+
+    def test_tensor_square_strands(self):
+        # non-squarefree labels x^2 among squarefree ones
+        ring = VariableSet(("x", "y"))
+        F = tensor_complex(taylor_resolution(ideal(ring, "x")), taylor_resolution(ideal(ring, "x", "y")))
+        strands = list(squarefree_monomials(ring)) + [parse_monomial(ring, m) for m in ("x^2", "x^2*y", "x*y^2")]
+        assert_strands_match_dense(F, ideal(ring, "x", "y"), strands)
+
+    def test_entries_outside_the_strand_are_ignored(self):
+        # d(c) = b with c at x and b at y is not homogeneous: the x-strand
+        # holds c but not b, so that entry is not part of its matrix
+        ring = VariableSet(("x", "y"))
+        x, y = ring.variable("x"), ring.variable("y")
+        u, a, b = BasisLabel(("u",), ring.one()), BasisLabel(("a",), x), BasisLabel(("b",), y)
+        c = BasisLabel(("c",), x)
+        F = LabeledFreeComplex(
+            ring,
+            {0: [u], 1: [a, b], 2: [c]},
+            {1: {a: {u: poly(ring, "x")}, b: {u: poly(ring, "y")}}, 2: {c: {b: poly(ring, "1")}}},
+        )
+        assert not F.verify().ok
+        assert_strands_match_dense(F, ideal(ring, "x", "y"))
+        assert fresh(F).strand_homology(x) == (0, 0, 1)
+
+    def test_strand_of_another_ring_rejected(self):
+        from dgres import PolyError
+
+        F = taylor_resolution(ideal(RING3, "x", "y"))
+        with pytest.raises(PolyError):
+            F.strand_homology(RING4.variable("x"))
+        with pytest.raises(PolyError):
+            F.is_resolution_of(ideal(RING4, "x", "y"))
