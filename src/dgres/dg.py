@@ -13,22 +13,37 @@ Commutativity, squares, and Leibniz are checked on both orientations /
 directly from the stored products, not derived from one another.
 
 Every pair and triple is decided and counted (`checked_pairs` = n^2,
-`checked_triples` = n^3), but exact arithmetic runs only where a stored
-product can be nonzero.  Unitality, degree, closure, homogeneity,
-commutativity and odd squares read all n^2 products.  Leibniz runs on
-(a, b) only if ab != 0, or l*b != 0 for some l in supp(d a), or a*l != 0
-for some l in supp(d b); associativity runs on (a, b, c) only if l*c != 0
-for some l in supp(ab), or a*l != 0 for some l in supp(bc).  Everywhere else
-both sides are 0.  A label outside the basis that occurs in a product has
-no stored row, so every partner of it is checked.  Candidates are visited in
-label order, so failure witnesses come out as a loop over all of them
-would record them.
+`checked_triples` = n^3), but arithmetic runs only where a stored product
+can be nonzero.  Unitality, degree, closure, homogeneity, commutativity and
+odd squares read all n^2 products.  Leibniz runs on (a, b) only if ab != 0,
+or l*b != 0 for some l in supp(d a), or a*l != 0 for some l in supp(d b);
+associativity runs on (a, b, c) only if l*c != 0 for some l in supp(ab), or
+a*l != 0 for some l in supp(bc).  Everywhere else both sides are 0.  A
+label outside the basis that occurs in a product has no stored row, so
+every partner of it is checked.  Candidates are visited in label order, so
+failure witnesses come out as a loop over all of them would record them.
+
+Scalar tables.  Homogeneity fixes every monomial: a term of e_a e_b on e_l
+is c*(m_a m_b / m_l), and an entry of d(e_a) on e_r is c*(m_a / m_r).  So
+`dg_check` stores each nonzero product and each d(e_a) as a table
+{label position: c} (an int where c is integral), and both sides of a
+commutativity, Leibniz or associativity identity are tables over one
+multidegree, equal exactly when the elements are.  A pair or triple is
+decided on tables only if every product and differential it reads is a
+table: each coefficient a single term with exactly the implied monomial, on
+a basis label of the expected degree.  Otherwise (a coefficient with two
+terms or another monomial, a label outside the basis) it is decided by
+`Element`/`Polynomial` arithmetic.  Witness strings always come from that
+arithmetic, which also reruns wherever two tables disagree, so a report is
+the same as one computed in Polynomials throughout.
 
 `SubmoduleSpan` + `submodule_membership` decide membership of a homogeneous
 element in a multigraded submodule spanned by finitely many homogeneous
 elements: in each multidegree b a generator g contributes the single
 monomial multiple (b / mdeg g) * g, so membership is a rational linear
-solve and the witness is an exact coefficient list.
+solve and the witness is an exact coefficient list.  A span computes each
+generator's multidegree once and indexes the generators by degree.
+`dg_ideal_closure` forms each product e_u * g from tables as above.
 
 `quotient_dg` forms the quotient of a dg algebra by a dg ideal given as a
 span, by per-degree elimination with unit pivots, optionally over a smaller
@@ -42,17 +57,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
-from .complexes import (
-    BasisLabel,
-    ComplexError,
-    LabeledFreeComplex,
-    VecT,
-    tag_to_json,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-)
-from .poly import Monomial, PolyError, Polynomial, monomial_divide
+from .complexes import BasisLabel, LabeledFreeComplex, VecT, tag_to_json, vec_add, vec_scale
+from .poly import Monomial, Polynomial, monomial_divide
 
 
 class DGError(ValueError):
@@ -204,28 +210,80 @@ def _homogeneous_product_ok(a: BasisLabel, b: BasisLabel, prod: Element) -> bool
     return True
 
 
+_ZERO: dict = {}  # the table of a zero element; never written to
+
+
+class _Tables:
+    """A structure's labels by position, with their degrees, and elements as
+    scalar tables.  The table of el, given the multidegree `want` and the
+    homological degree `deg` it should have, is {position of l: c} when
+    el = sum c*(want/m_l) e_l over basis labels l of degree deg, and
+    otherwise the positions of its labels, None for a label outside the
+    basis (a support list)."""
+
+    def __init__(self, dg: DGStructure):
+        self.dg, self.labels, self.pos = dg, dg.all_labels(), {}
+        for i, l in enumerate(self.labels):
+            self.pos.setdefault(l, i)
+        self.degree = [dg.complex.degree_of(l) for l in self.labels]
+
+    def of(self, el: Element, want: Monomial, deg: int) -> dict | list:
+        out = {}
+        for l, p in el.coords.items():
+            k, terms = self.pos.get(l), list(p.terms.items())
+            if (
+                k is None or self.degree[k] != deg or el.degree != deg or len(terms) != 1
+                or terms[0][0] * l.multidegree != want
+            ):
+                return [self.pos.get(l) for l in el.coords]
+            c = terms[0][1]
+            out[k] = c.numerator if c.denominator == 1 else c
+        return out
+
+    def product(self, i: int, j: int) -> dict | list:
+        """The table of labels[i] * labels[j]."""
+        a, b = self.labels[i], self.labels[j]
+        prod = self.dg.basis_product(a, b)
+        if prod.is_zero():
+            return _ZERO
+        return self.of(prod, a.multidegree * b.multidegree, self.degree[i] + self.degree[j])
+
+
+def _scalar(*tables: dict | list) -> bool:
+    return all(type(t) is dict for t in tables)
+
+
+def _combine(terms: Iterable[tuple]) -> dict | None:
+    """The table of sum c*t over the pairs (c, t), or None if some t is a
+    support list."""
+    out: dict = {}
+    for c, t in terms:
+        if type(t) is list:
+            return None
+        for k, x in t.items():
+            s = out.pop(k, 0) + c * x
+            if s:
+                out[k] = s
+    return out
+
+
 def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
     """Verify the dg-algebra axioms exhaustively on basis pairs/triples.
 
     Every pair and triple is decided and counted; exact arithmetic runs only
-    where some stored product can be nonzero (see the module docstring).
+    where some stored product can be nonzero, on scalar tables where the
+    products allow it (see the module docstring).
     """
     cx = dg.complex
     report = DGReport()
-    labels = dg.all_labels()
+    tables = _Tables(dg)
+    labels, degree = tables.labels, tables.degree
     n = len(labels)
-    pos: dict[BasisLabel, int] = {}
-    for i, l in enumerate(labels):
-        pos.setdefault(l, i)
-    degree = [cx.degree_of(l) for l in labels]
     basis = [Element.basis(cx, l, d) for l, d in zip(labels, degree)]
     dbasis = [e.diff() for e in basis]
-    # rows of the differential are basis labels of one degree lower, so
-    # they sit before their column in label order
-    dsupp = [[pos[l] for l in e.coords] for e in dbasis]
-    # nz[i][j]: support of labels[i] * labels[j] as positions, None for a
-    # label outside the basis; only nonzero products are entered
-    nz: list[dict[int, list[int | None]]] = []
+    dtab = [tables.of(e, l.multidegree, d - 1) for e, l, d in zip(dbasis, labels, degree)]
+    # tab[i][j]: the table of labels[i] * labels[j], nonzero products only
+    tab = [{j: t for j in range(n) if (t := tables.product(i, j))} for i in range(n)]
     top = cx.top_degree()
     one = dg.unit
 
@@ -239,14 +297,13 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
             report.record("unital", {"a": tag_to_json(a.tag), "got": str(right)})
 
     for i, a in enumerate(labels):
-        row: dict[int, list[int | None]] = {}
-        nz.append(row)
+        row = tab[i]
         for j, b in enumerate(labels):
-            prod = dg.basis_product(a, b)
             report.checked_pairs += 1
             dab = degree[i] + degree[j]
-            if not prod.is_zero():
-                row[j] = [pos.get(l) for l in prod.coords]
+            ab = row.get(j, _ZERO)
+            if ab:
+                prod = dg.basis_product(a, b)
                 if prod.degree != dab:
                     report.record(
                         "degree",
@@ -257,47 +314,46 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
                         "closure",
                         {"a": tag_to_json(a.tag), "b": tag_to_json(b.tag), "detail": "product beyond top degree"},
                     )
-                if not _homogeneous_product_ok(a, b, prod):
+                if type(ab) is list and not _homogeneous_product_ok(a, b, prod):
                     report.record(
                         "homogeneous",
                         {"a": tag_to_json(a.tag), "b": tag_to_json(b.tag), "got": str(prod)},
                     )
             # graded commutativity, both orientations computed directly
-            ba = dg.basis_product(b, a)
+            ba = tab[j].get(i, _ZERO)
             sign = -1 if (degree[i] * degree[j]) % 2 else 1
-            if not (prod - ba.scale(sign)).is_zero():
-                report.record(
-                    "graded_commutativity",
-                    {
-                        "a": tag_to_json(a.tag),
-                        "b": tag_to_json(b.tag),
-                        "ab": str(prod),
-                        "ba": str(ba),
-                    },
-                )
+            if not _scalar(ab, ba) or ab != _combine([(sign, ba)]):
+                prod, eba = dg.basis_product(a, b), dg.basis_product(b, a)
+                if not (prod - eba.scale(sign)).is_zero():
+                    report.record(
+                        "graded_commutativity",
+                        {"a": tag_to_json(a.tag), "b": tag_to_json(b.tag), "ab": str(prod), "ba": str(eba)},
+                    )
             # Leibniz: d(ab) = d(a) b + (-1)^{|a|} a d(b); both sides are 0
             # unless ab, some l*b with l in supp(da), or some a*l with l in
-            # supp(db) is nonzero.  dsupp[i] points at rows of nz before i,
-            # which are full, and dsupp[j] at entries of this row before j.
-            if (
-                j in row
-                or any(j in nz[k] for k in dsupp[i])
-                or any(k in row for k in dsupp[j])
-            ):
-                lhs = prod.diff()
-                rhs = dg.multiply(dbasis[i], basis[j]) + dg.multiply(
-                    basis[i], dbasis[j]
-                ).scale(-1 if degree[i] % 2 else 1)
-                if not (lhs - rhs).is_zero():
-                    report.record(
-                        "leibniz",
-                        {
-                            "a": tag_to_json(a.tag),
-                            "b": tag_to_json(b.tag),
-                            "d_ab": str(lhs),
-                            "da_b_plus_a_db": str(rhs),
-                        },
+            # supp(db) is nonzero
+            if j in row or any(j in tab[k] for k in dtab[i]) or any(k in row for k in dtab[j]):
+                s = -1 if degree[i] % 2 else 1
+                lhs = rhs = None
+                if _scalar(ab, dtab[i], dtab[j]):
+                    lhs = _combine((c, dtab[l]) for l, c in ab.items())
+                    rhs = _combine(
+                        [(c, tab[k].get(j, _ZERO)) for k, c in dtab[i].items()]
+                        + [(s * c, row.get(k, _ZERO)) for k, c in dtab[j].items()]
                     )
+                if lhs is None or lhs != rhs:
+                    lhs = dg.basis_product(a, b).diff()
+                    rhs = dg.multiply(dbasis[i], basis[j]) + dg.multiply(basis[i], dbasis[j]).scale(s)
+                    if not (lhs - rhs).is_zero():
+                        report.record(
+                            "leibniz",
+                            {
+                                "a": tag_to_json(a.tag),
+                                "b": tag_to_json(b.tag),
+                                "d_ab": str(lhs),
+                                "da_b_plus_a_db": str(rhs),
+                            },
+                        )
         if degree[i] % 2 == 1:
             sq = dg.basis_product(a, a)
             if not sq.is_zero():
@@ -305,39 +361,43 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
 
     if triples:
         for i, a in enumerate(labels):
+            row = tab[i]
             for j, b in enumerate(labels):
                 report.checked_triples += n
                 # (ab)c = a(bc) is 0 = 0 unless some l in supp(ab) has
                 # l*c != 0 or some l in supp(bc) has a*l != 0.  A label
                 # outside the basis has no row to consult: all its partners
                 # are checked.
+                ab = row.get(j, _ZERO)
                 cands: set[int] = set()
-                for k in nz[i].get(j, ()):
+                for k in ab:
                     if k is None:
                         cands = set(range(n))
                         break
-                    cands.update(nz[k])
-                for c, supp in nz[j].items():
-                    if c not in cands and any(k is None or k in nz[i] for k in supp):
+                    cands.update(tab[k])
+                for c, supp in tab[j].items():
+                    if c not in cands and any(k is None or k in row for k in supp):
                         cands.add(c)
-                if not cands:
-                    continue
-                ab = dg.basis_product(a, b)
                 for k in sorted(cands):
-                    c = labels[k]
-                    lhs = dg.multiply(ab, basis[k])
-                    rhs = dg.multiply(basis[i], dg.basis_product(b, c))
-                    if not (lhs - rhs).is_zero():
-                        report.record(
-                            "associativity",
-                            {
-                                "a": tag_to_json(a.tag),
-                                "b": tag_to_json(b.tag),
-                                "c": tag_to_json(c.tag),
-                                "ab_c": str(lhs),
-                                "a_bc": str(rhs),
-                            },
-                        )
+                    bc = tab[j].get(k, _ZERO)
+                    lhs = rhs = None
+                    if _scalar(ab, bc):
+                        lhs = _combine((c, tab[l].get(k, _ZERO)) for l, c in ab.items())
+                        rhs = _combine((c, row.get(l, _ZERO)) for l, c in bc.items())
+                    if lhs is None or lhs != rhs:
+                        lhs = dg.multiply(dg.basis_product(a, b), basis[k])
+                        rhs = dg.multiply(basis[i], dg.basis_product(b, labels[k]))
+                        if not (lhs - rhs).is_zero():
+                            report.record(
+                                "associativity",
+                                {
+                                    "a": tag_to_json(a.tag),
+                                    "b": tag_to_json(b.tag),
+                                    "c": tag_to_json(labels[k].tag),
+                                    "ab_c": str(lhs),
+                                    "a_bc": str(rhs),
+                                },
+                            )
     return report
 
 
@@ -357,12 +417,20 @@ class SubmoduleSpan:
     def __init__(self, cx: LabeledFreeComplex, generators: Sequence[SpanGenerator]):
         self.complex = cx
         self.generators = list(generators)
-        for g in self.generators:
-            if g.element.multidegree() is None and not g.element.is_zero():
+        # each generator's multidegree (None when it is zero), computed once,
+        # and the positions of the nonzero generators per homological degree
+        self.multidegrees: list[Monomial | None] = []
+        self._of_degree: dict[int, list[int]] = {}
+        for k, g in enumerate(self.generators):
+            md = g.element.multidegree()
+            if md is None and not g.element.is_zero():
                 raise DGError(f"span generator {g.gen_id} is not multigraded")
+            self.multidegrees.append(md)
+            if md is not None:
+                self._of_degree.setdefault(g.element.degree, []).append(k)
 
     def by_degree(self, i: int) -> list[SpanGenerator]:
-        return [g for g in self.generators if g.element.degree == i and not g.element.is_zero()]
+        return [self.generators[k] for k in self._of_degree.get(i, ())]
 
 
 def submodule_membership(
@@ -380,11 +448,8 @@ def submodule_membership(
     b = element.multidegree()
     if b is None:
         raise DGError("membership needs a multigraded element")
-    cands = [
-        g
-        for g in span.by_degree(element.degree)
-        if g.element.multidegree() is not None and g.element.multidegree().divides(b)
-    ]
+    found = [k for k in span._of_degree.get(element.degree, ()) if span.multidegrees[k].divides(b)]
+    cands = [span.generators[k] for k in found]
     # row space: all labels appearing anywhere
     rows: list[BasisLabel] = []
     seen = set()
@@ -414,9 +479,9 @@ def submodule_membership(
     if sol is None:
         return False, None
     witness = []
-    for g, c in zip(cands, sol):
+    for g, k, c in zip(cands, found, sol):
         if c:
-            mult = monomial_divide(b, g.element.multidegree())
+            mult = monomial_divide(b, span.multidegrees[k])
             witness.append(
                 {
                     "gen": tag_to_json(g.gen_id),
@@ -467,12 +532,30 @@ def dg_ideal_closure(
                 raise DGError(
                     f"span is not closed under the differential at generator {g.gen_id}"
                 )
-    for u in dg.all_labels():
-        eu = Element.basis(dg.complex, u)
-        for g in span.generators:
-            prod = dg.multiply(eu, g.element)
-            if prod.is_zero():
+    cx = dg.complex
+    tables = _Tables(dg)
+    labels, degree = tables.labels, tables.degree
+    gens = [
+        (g, md, tables.of(g.element, md, g.element.degree))
+        for g, md in zip(span.generators, span.multidegrees)
+    ]
+    support = {l for _, _, gtab in gens if _scalar(gtab) for l in gtab}
+    for i, u in enumerate(labels):
+        row = {l: tables.product(i, l) for l in support}
+        for g, md, gtab in gens:
+            scalars = _combine((c, row[l]) for l, c in gtab.items()) if _scalar(gtab) else None
+            if scalars is None:
+                prod = dg.multiply(Element.basis(cx, u, degree[i]), g.element)
+                if prod.is_zero():
+                    continue
+            elif not scalars:
                 continue
+            else:  # the product has multidegree b = m_u * mdeg(g)
+                b = u.multidegree * md
+                prod = Element(cx, degree[i] + g.element.degree, {
+                    labels[k]: Polynomial.monomial(monomial_divide(b, labels[k].multidegree), c)
+                    for k, c in scalars.items()
+                })
             ok, witness = submodule_membership(span, prod)
             entry = {
                 "factor": tag_to_json(u.tag),

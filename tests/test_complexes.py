@@ -488,6 +488,23 @@ class TestBetti:
         assert F.ranks() == (1, 4, 6, 4, 1)
         assert total_betti(F) == (1, 4, 4, 1)
 
+    def test_constant_entry_outside_the_multidegree_is_ignored(self):
+        # d(c) = a is a constant entry, but c has multidegree y and a has x:
+        # F tensor k splits by multidegree, so in degree y the column of c
+        # has no entry and every label survives
+        ring = VariableSet(("x", "y"))
+        unit = BasisLabel(("u",), ring.one())
+        a = BasisLabel(("a",), ring.variable("x"))
+        b = BasisLabel(("b",), ring.variable("y"))
+        c = BasisLabel(("c",), ring.variable("y"))
+        F = LabeledFreeComplex(
+            ring,
+            {0: [unit], 1: [a, b], 2: [c]},
+            {2: {c: {a: Polynomial.constant(ring, 1)}}},
+        )
+        assert graded_betti(F) == {(0, "1"): 1, (1, "x"): 1, (1, "y"): 1, (2, "y"): 1}
+        assert total_betti(F) == (1, 2, 1)
+
 
 class TestComparisons:
     def _scale_label(self, F, tag, c):

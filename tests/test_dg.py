@@ -6,9 +6,13 @@ without being superset-closed).
 
 `dense_dg_check` keeps the exhaustive pair/triple loop as the reference the
 sparse `dg_check` must reproduce report for report, on honest and tampered
-structures."""
+structures, including those whose products or differentials are not scalar
+multiples of the implied monomials.  `dense_dg_ideal_closure` does the same
+for `dg_ideal_closure`, with Polynomial products and multidegrees recomputed
+on every membership call."""
 
 import json
+from fractions import Fraction
 from functools import partialmethod
 
 import pytest
@@ -18,6 +22,7 @@ from dgres import (
     DGError,
     DGStructure,
     Element,
+    LabeledFreeComplex,
     MonomialIdeal,
     Polynomial,
     SpanGenerator,
@@ -44,7 +49,9 @@ from dgres import (
 from dgres.classify import C4_MATCHING, C5_MATCHING
 from dgres.complexes import tag_to_json
 from dgres.dg import DGReport, _homogeneous_product_ok
+from dgres.linalg import solve
 from dgres.morse import is_superset_closed, matching_sources, matching_targets
+from dgres.poly import monomial_divide
 
 RING3 = VariableSet(("x", "y", "z"))
 
@@ -538,6 +545,68 @@ STRUCTURES = {
 }
 
 
+def reshaped_product(ideal, reshape) -> DGStructure:
+    """The Taylor structure with e0*e1 and e1*e0 each replaced by
+    reshape(coefficient) on the same labels, so graded commutativity still
+    holds."""
+    dg = taylor_dg_structure(ideal)
+    pair = {label(dg, 0), label(dg, 1)}
+
+    def product(x, y, honest):
+        if {x, y} != pair:
+            return honest
+        return Element(dg.complex, 2, {l: reshape(p) for l, p in honest.coords.items()})
+
+    return tampered(dg, product)
+
+
+def two_term_product(ideal) -> DGStructure:
+    x = ideal.ring.variable("x")
+    return reshaped_product(ideal, lambda p: p + p * x)
+
+
+def product_off_by_a_variable(ideal) -> DGStructure:
+    x = ideal.ring.variable("x")
+    return reshaped_product(ideal, lambda p: p * x)
+
+
+def inhomogeneous_differential(ideal) -> DGStructure:
+    """The Taylor product on a copy of the Taylor complex whose entry of
+    d(e01) on e0, -yz, is replaced by 1 - yz."""
+    T = taylor_resolution(ideal)
+    diff = {i: {c: dict(col) for c, col in cols.items()} for i, cols in T.diff.items()}
+    e01, e0 = T.find_label(("e", 0, 1), degree=2), T.find_label(("e", 0), degree=1)
+    diff[2][e01][e0] = diff[2][e01][e0] + Polynomial.constant(T.ring, 1)
+    return taylor_dg_structure(ideal, LabeledFreeComplex(T.ring, T.basis, diff))
+
+
+def outside_label_product(ideal) -> DGStructure:
+    """e0*e01 stored on a label the complex does not have (see
+    test_label_outside_the_basis_keeps_all_partners)."""
+    dg = taylor_dg_structure(ideal)
+    e0, e3, e01 = label(dg, 0), label(dg, 3), label(dg, 0, 1)
+    top = label(dg, 0, 1, 2, 3)
+    ghost = BasisLabel(("ghost",), e01.multidegree * e0.multidegree)
+
+    def product(x, y):
+        if ghost in (x, y):
+            return constant(dg, 4, top) if (x, y) == (ghost, e3) else Element.zero(dg.complex, 4)
+        if {x, y} == {e0, e01}:
+            return constant(dg, 3, ghost)
+        return dg.product_fn(x, y)
+
+    return DGStructure(dg.complex, product)
+
+
+# structures that force the Polynomial path, with failures each must report
+POLYNOMIAL_PATH = {
+    "two-term-product": (two_term_product, {"homogeneous", "leibniz", "associativity"}),
+    "product-off-by-a-variable": (product_off_by_a_variable, {"homogeneous", "leibniz", "associativity"}),
+    "inhomogeneous-differential": (inhomogeneous_differential, {"leibniz"}),
+    "outside-label-product": (outside_label_product, {"associativity"}),
+}
+
+
 @pytest.mark.usefixtures("uncapped")
 class TestDenseOracle:
     def test_taylor_corpus(self, corpus):
@@ -598,6 +667,29 @@ class TestDenseOracle:
         report = assert_matches_dense(tampered(dg, plant))
         assert pair in [(w["a"], w["b"]) for w in report.failures["leibniz"]]
 
+    @pytest.mark.parametrize("case", list(POLYNOMIAL_PATH))
+    def test_polynomial_path(self, taylor_fixture_ideal, case):
+        make, axioms = POLYNOMIAL_PATH[case]
+        report = assert_matches_dense(make(taylor_fixture_ideal))
+        assert axioms <= set(report.failures)
+
+    def test_product_of_another_degree(self):
+        # e0*e1 = e01 stored as an element of degree 3: in Polynomial
+        # arithmetic d(ab) reads column e01 of d_3, which does not exist, so
+        # Leibniz fails although d(e01) = d(e0) e1 - e0 d(e1).  Pairs only:
+        # a triple would add elements of degrees 2 and 3, which raises.
+        dg = taylor_dg_structure(ideal(RING3, "x", "y"))
+        pair = {label(dg, 0), label(dg, 1)}
+
+        def shifted(x, y, honest):
+            return Element(dg.complex, 3, honest.coords) if {x, y} == pair else honest
+
+        dg = tampered(dg, shifted)
+        sparse = dg_check(DGStructure(dg.complex, dg.product_fn), triples=False)
+        dense = dense_dg_check(DGStructure(dg.complex, dg.product_fn), triples=False)
+        assert json.dumps(sparse.to_json()) == json.dumps(dense.to_json())
+        assert {"degree", "leibniz"} <= set(sparse.failures)
+
 
 def test_label_outside_the_basis_keeps_all_partners(taylor_fixture_ideal, uncapped):
     """e0*e01 is stored as a label the complex does not have, whose only
@@ -622,3 +714,148 @@ def test_label_outside_the_basis_keeps_all_partners(taylor_fixture_ideal, uncapp
     triples = [(w["a"], w["b"], w["c"]) for w in report.failures["associativity"]]
     assert (["e", 0], ["e", 0, 1], ["e", 3]) in triples
     assert (["e", 0, 1], ["e", 0], ["e", 3]) in triples
+
+
+# ---------------------------------------------------------------------------
+# the dense reference for dg-ideal closure
+
+
+def dense_submodule_membership(span: SubmoduleSpan, element: Element):
+    """Membership with every generator's multidegree recomputed per call."""
+    if element.is_zero():
+        return True, []
+    b = element.multidegree()
+    if b is None:
+        raise DGError("membership needs a multigraded element")
+    cands = [
+        g
+        for g in span.generators
+        if g.element.degree == element.degree
+        and not g.element.is_zero()
+        and g.element.multidegree() is not None
+        and g.element.multidegree().divides(b)
+    ]
+    rows: list[BasisLabel] = []
+    seen = set()
+    for g in cands:
+        for l in g.element.coords:
+            if l not in seen:
+                seen.add(l)
+                rows.append(l)
+    for l in element.coords:
+        if l not in seen:
+            seen.add(l)
+            rows.append(l)
+    mat = []
+    for l in rows:
+        mat.append([
+            g.element.coords[l].single_term()[1] if l in g.element.coords else Fraction(0)
+            for g in cands
+        ])
+    rhs = []
+    for l in rows:
+        p = element.coords.get(l)
+        rhs.append(p.single_term()[1] if p is not None else Fraction(0))
+    sol = solve(mat, rhs) if cands else (None if any(rhs) else [])
+    if sol is None:
+        return False, None
+    witness = []
+    for g, c in zip(cands, sol):
+        if c:
+            mult = monomial_divide(b, g.element.multidegree())
+            witness.append(
+                {"gen": tag_to_json(g.gen_id), "coefficient": str(c), "monomial_multiple": str(mult)}
+            )
+    return True, witness
+
+
+def dense_dg_ideal_closure(dg: DGStructure, span: SubmoduleSpan, require_boundary_closed: bool = True):
+    """Every product e_u * g formed in Polynomials."""
+    report: dict = {"boundary_closed": True, "products": [], "failures": []}
+    for g in span.generators:
+        ok, _ = dense_submodule_membership(span, g.element.diff())
+        if not ok:
+            report["boundary_closed"] = False
+            if require_boundary_closed:
+                raise DGError(f"span is not closed under the differential at generator {g.gen_id}")
+    for u in dg.all_labels():
+        eu = Element.basis(dg.complex, u)
+        for g in span.generators:
+            prod = dg.multiply(eu, g.element)
+            if prod.is_zero():
+                continue
+            ok, witness = dense_submodule_membership(span, prod)
+            entry = {"factor": tag_to_json(u.tag), "gen": tag_to_json(g.gen_id), "product": str(prod)}
+            if ok:
+                entry["witness"] = witness
+                report["products"].append(entry)
+            else:
+                report["failures"].append(entry)
+    report["ok"] = report["boundary_closed"] and not report["failures"]
+    return report["ok"], report
+
+
+def assert_closure_matches_dense(dg: DGStructure, span: SubmoduleSpan, **kw) -> dict:
+    """The full reports agree: products with their witnesses, failures and
+    boundary_closed, each side on a fresh product cache."""
+    ok, report = dg_ideal_closure(DGStructure(dg.complex, dg.product_fn), span, **kw)
+    dense_ok, dense = dense_dg_ideal_closure(DGStructure(dg.complex, dg.product_fn), span, **kw)
+    assert ok == dense_ok
+    assert json.dumps(report) == json.dumps(dense)
+    return report
+
+
+def matching_span(dg: DGStructure, matching) -> SubmoduleSpan:
+    return span_from_matching_sources(dg.complex, matching_sources(matching))
+
+
+class TestClosureDenseOracle:
+    def test_lyubeznik_spans_of_the_corpus(self, corpus):
+        for I in corpus:
+            dg = taylor_dg_structure(I)
+            assert assert_closure_matches_dense(dg, matching_span(dg, lyubeznik_matching(I)))["ok"]
+
+    def test_lyubeznik_spans_in_reversed_order(self, corpus):
+        for I in corpus:
+            I = I.reorder(list(range(len(I.generators)))[::-1])
+            dg = taylor_dg_structure(I)
+            assert assert_closure_matches_dense(dg, matching_span(dg, lyubeznik_matching(I)))["ok"]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_cycle_morse_spans(self, n):
+        names = ("x", "y", "z", "u", "v")[:n]
+        I = ideal(VariableSet(names), *[f"{a}*{b}" for a, b in zip(names, names[1:] + names[:1])])
+        dg = taylor_dg_structure(I)
+        report = assert_closure_matches_dense(dg, matching_span(dg, C4_MATCHING if n == 4 else C5_MATCHING))
+        assert report["ok"]
+
+    def test_c5_span(self, dg5):
+        report = assert_closure_matches_dense(dg5, matching_span(dg5, C5_MATCHING))
+        assert len(report["products"]) == 155
+
+    def test_principal_span_not_an_ideal(self):
+        dg = taylor_dg_structure(ideal(RING3, "x", "y", "z"))
+        report = assert_closure_matches_dense(dg, span_from_matching_sources(dg.complex, [(0, 1)]))
+        assert report["boundary_closed"] and report["failures"]
+
+    def test_span_not_closed_under_the_differential(self):
+        dg = taylor_dg_structure(ideal(RING3, "x", "y", "z"))
+        e01 = Element.basis(dg.complex, dg.complex.find_label(("e", 0, 1)))
+        bare = SubmoduleSpan(dg.complex, [SpanGenerator(("e", 0, 1), e01)])
+        report = assert_closure_matches_dense(dg, bare, require_boundary_closed=False)
+        assert not report["boundary_closed"]
+
+    @pytest.mark.parametrize("case", ["product-off-by-a-variable", "outside-label-product"])
+    def test_polynomial_path(self, taylor_fixture_ideal, case):
+        # the span of e01 and d(e01) reads the tampered products e0*e1 and
+        # e0*e01
+        dg = POLYNOMIAL_PATH[case][0](taylor_fixture_ideal)
+        report = assert_closure_matches_dense(dg, span_from_matching_sources(dg.complex, [(0, 1)]))
+        assert report["products"] and report["failures"]
+
+    def test_product_with_two_terms_is_refused(self, taylor_fixture_ideal):
+        dg = two_term_product(taylor_fixture_ideal)
+        span = span_from_matching_sources(dg.complex, [(0, 1)])
+        for closure in (dg_ideal_closure, dense_dg_ideal_closure):
+            with pytest.raises(DGError, match="multigraded"):
+                closure(DGStructure(dg.complex, dg.product_fn), span)
