@@ -40,18 +40,23 @@ the same as one computed in Polynomials throughout.
 `SubmoduleSpan` + `submodule_membership` decide membership of a homogeneous
 element in a multigraded submodule spanned by finitely many homogeneous
 elements: in each multidegree b a generator g contributes the single
-monomial multiple (b / mdeg g) * g, so membership is a rational linear
-solve and the witness is an exact coefficient list.  A span computes each
-generator's multidegree once and indexes the generators by degree.
-`dg_ideal_closure` forms each product e_u * g from tables as above.
+monomial multiple (b / mdeg g) * g, so membership is a sparse rational
+linear solve (`linalg.solve` on the coefficient columns) and the witness is
+an exact coefficient list.  A span computes each generator's multidegree
+once and indexes the generators by degree.  `dg_ideal_closure` forms each
+product e_u * g from tables as above.
 
-`quotient_dg` forms the quotient of a dg algebra by a dg ideal given as a
-span, by per-degree elimination with unit pivots, optionally over a smaller
-ring (kill_vars), preferring to eliminate caller-designated labels.
+`Elimination` forms the quotient of a complex by the span of some of its
+elements, by per-degree elimination with unit pivots, optionally over a
+smaller ring (kill variables).  `quotient_dg` wraps it for a dg algebra and
+a dg ideal given as a span, preferring to eliminate caller-designated
+labels; `morse.morse_reduce` uses it with each pivot fixed to a matched
+target.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -62,7 +67,9 @@ from .poly import Monomial, Polynomial, monomial_divide
 
 
 class DGError(ValueError):
-    pass
+    """`witness`, when set, lists the generators left without a unit pivot."""
+
+    witness: list | None = None
 
 
 @dataclass
@@ -213,6 +220,11 @@ def _homogeneous_product_ok(a: BasisLabel, b: BasisLabel, prod: Element) -> bool
 _ZERO: dict = {}  # the table of a zero element; never written to
 
 
+def _exact(c: Fraction) -> int | Fraction:
+    """c as an int when it is integral, for the integer path of `linalg`."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class _Tables:
     """A structure's labels by position, with their degrees, and elements as
     scalar tables.  The table of el, given the multidegree `want` and the
@@ -236,8 +248,7 @@ class _Tables:
                 or terms[0][0] * l.multidegree != want
             ):
                 return [self.pos.get(l) for l in el.coords]
-            c = terms[0][1]
-            out[k] = c.numerator if c.denominator == 1 else c
+            out[k] = _exact(terms[0][1])
         return out
 
     def product(self, i: int, j: int) -> dict | list:
@@ -429,9 +440,6 @@ class SubmoduleSpan:
             if md is not None:
                 self._of_degree.setdefault(g.element.degree, []).append(k)
 
-    def by_degree(self, i: int) -> list[SpanGenerator]:
-        return [self.generators[k] for k in self._of_degree.get(i, ())]
-
 
 def submodule_membership(
     span: SubmoduleSpan, element: Element
@@ -449,33 +457,14 @@ def submodule_membership(
     if b is None:
         raise DGError("membership needs a multigraded element")
     found = [k for k in span._of_degree.get(element.degree, ()) if span.multidegrees[k].divides(b)]
+    # scalar columns {row position: coefficient}, one row per label met
+    rows: dict[BasisLabel, int] = {}
+
+    def column(el: Element) -> dict:
+        return {rows.setdefault(l, len(rows)): _exact(p.single_term()[1]) for l, p in el.coords.items()}
+
     cands = [span.generators[k] for k in found]
-    # row space: all labels appearing anywhere
-    rows: list[BasisLabel] = []
-    seen = set()
-    for g in cands:
-        for l in g.element.coords:
-            if l not in seen:
-                seen.add(l)
-                rows.append(l)
-    for l in element.coords:
-        if l not in seen:
-            seen.add(l)
-            rows.append(l)
-    # scalar matrix: coefficient of each label inside each generator
-    mat = []
-    for l in rows:
-        mat.append([
-            g.element.coords.get(l, Polynomial.zero(span.complex.ring)).single_term()[1]
-            if l in g.element.coords
-            else Fraction(0)
-            for g in cands
-        ])
-    rhs = []
-    for l in rows:
-        p = element.coords.get(l)
-        rhs.append(p.single_term()[1] if p is not None else Fraction(0))
-    sol = linalg.solve(mat, rhs) if cands else (None if any(rhs) else [])
+    sol = linalg.solve([column(g.element) for g in cands], column(element))
     if sol is None:
         return False, None
     witness = []
@@ -575,6 +564,151 @@ def dg_ideal_closure(
 # quotients
 
 
+def _kill(vec: VecT, kill_names: tuple[str, ...]) -> VecT:
+    """A copy of vec with the named variables set to 0 and no zero entry."""
+    out = {}
+    for l, p in vec.items():
+        q = p.substitute_zero(kill_names) if kill_names else p
+        if not q.is_zero():
+            out[l] = q
+    return out
+
+
+class Elimination:
+    """The quotient of a complex by the span of some of its elements, by
+    unit-pivot elimination.
+
+    Generators are (gen_id, homological degree, coordinates, pivot), pivot a
+    basis label or None.  Per degree, in the given order, each generator is
+    reduced by the rules found so far (and by setting `kill` to zero, which
+    is how a quotient over the smaller ring Q/<kill> is formed) and then
+    eliminated at a label with a nonzero *constant* coefficient c, giving the
+    rule pivot = -(rest)/c.  That label is the given pivot; without one, the
+    least by tag string among the candidates in `prefer`, or else among all.
+    A generator without its pivot waits for the next pass; when a whole pass
+    makes no progress the quotient is not free, and DGError is raised with
+    `witness`: each waiting generator and its entry at the would-be pivot.
+    A rule's right-hand side holds pivots of later rules only.
+    """
+
+    def __init__(
+        self,
+        cx: LabeledFreeComplex,
+        generators: Iterable[tuple[tuple, int, VecT, BasisLabel | None]],
+        kill: Sequence[str] = (),
+        prefer: Iterable[tuple] = (),
+    ):
+        self.source, self.kill = cx, tuple(kill)
+        prefer = set(prefer)
+        # rules[i]: (pivot, rhs) in elimination order; _at[i]: pivot -> index
+        self.rules: dict[int, list[tuple[BasisLabel, VecT]]] = {}
+        self._at: dict[int, dict[BasisLabel, int]] = {}
+        by_degree: dict[int, list] = {}
+        for gen_id, i, vec, pivot in generators:
+            by_degree.setdefault(i, []).append((gen_id, vec, pivot))
+        for i in sorted(by_degree):
+            rules = self.rules[i] = []
+            at = self._at[i] = {}
+            queue = by_degree[i]
+            while queue:
+                retry, waiting = [], []
+                for gen in queue:
+                    gen_id, vec, pivot = gen
+                    vec = self.substitute(vec, i)
+                    if not vec:
+                        continue
+                    if pivot is None:
+                        units = [l for l, p in vec.items() if p.is_nonzero_constant()]
+                        pool = [l for l in units if l.tag in prefer] or units or list(vec)
+                        pivot = min(pool, key=lambda l: str(l.tag))
+                    entry = vec.get(pivot)
+                    if entry is None or not entry.is_nonzero_constant():
+                        retry.append(gen)
+                        waiting.append({
+                            "gen": tag_to_json(gen_id),
+                            "pivot": tag_to_json(pivot.tag),
+                            "entry": str(entry or 0),
+                        })
+                        continue
+                    del vec[pivot]
+                    at[pivot] = len(rules)
+                    rules.append((pivot, vec_scale(vec, Fraction(-1) / entry.constant_coefficient())))
+                if len(retry) == len(queue):
+                    err = DGError(f"no unit pivot in degree {i}: quotient is not a free complex")
+                    err.witness = waiting
+                    raise err
+                queue = retry
+            if not rules:
+                del self.rules[i], self._at[i]
+        self.survivors = {
+            i: [l for l in cx.labels(i) if l not in self._at.get(i, ())] for i in cx.degrees()
+        }
+
+    def substitute(self, vec: VecT, i: int) -> VecT:
+        """vec in degree i with the kill variables set to 0 and every pivot
+        replaced by its rule.  Taking the pivots in rule order replaces each
+        at most once."""
+        out = _kill(vec, self.kill)
+        at, rules = self._at.get(i), self.rules.get(i)
+        if not at:
+            return out
+        heap = [at[l] for l in out if l in at]
+        heapq.heapify(heap)
+        while heap:
+            pivot, rhs = rules[heapq.heappop(heap)]
+            p = out.pop(pivot, None)
+            if p is None:
+                continue
+            for l, q in rhs.items():
+                s = out.get(l)
+                if s is None:
+                    if l in at:
+                        heapq.heappush(heap, at[l])
+                    out[l] = p * q
+                else:
+                    s = s + p * q
+                    if s.is_zero():
+                        del out[l]
+                    else:
+                        out[l] = s
+        return out
+
+    def quotient(self, name: str) -> tuple[LabeledFreeComplex, Callable[[VecT, int], VecT]]:
+        """The quotient complex on the survivors, over Q/<kill>, and the
+        projection of a degree-i vector onto it."""
+        cx, kill, survivors = self.source, self.kill, self.survivors
+        ring = cx.ring.deactivate(kill) if kill else cx.ring
+
+        def relabel(l: BasisLabel) -> BasisLabel:
+            if not kill:
+                return l
+            exps = l.multidegree.exponents
+            for nm in kill:
+                if exps[cx.ring.index(nm)]:
+                    raise DGError(
+                        f"surviving label {l} has multidegree divisible by {nm}; "
+                        "the span does not kill everything it must"
+                    )
+            return BasisLabel(l.tag, Monomial(ring, exps))
+
+        new_labels = {l: relabel(l) for i in cx.degrees() for l in survivors[i]}
+
+        def project(vec: VecT, i: int) -> VecT:
+            out = {}
+            for l, p in self.substitute(vec, i).items():
+                q = p.reinterpret(ring) if kill else p
+                if not q.is_zero():
+                    out[new_labels[l]] = q
+            return out
+
+        basis = {i: [new_labels[l] for l in survivors[i]] for i in cx.degrees() if survivors[i]}
+        diff: dict[int, dict[BasisLabel, VecT]] = {}
+        for i in cx.degrees():
+            if i and survivors[i]:
+                diff[i] = {new_labels[l]: project(cx.column(i, l), i - 1) for l in survivors[i]}
+        return LabeledFreeComplex(ring, basis, diff, name=name), project
+
+
 @dataclass
 class QuotientDG:
     structure: DGStructure
@@ -594,17 +728,6 @@ class QuotientDG:
         }
 
 
-def _kill(vec: VecT, kill_names: tuple[str, ...]) -> VecT:
-    if not kill_names:
-        return dict(vec)
-    out = {}
-    for l, p in vec.items():
-        q = p.substitute_zero(kill_names)
-        if not q.is_zero():
-            out[l] = q
-    return out
-
-
 def quotient_dg(
     dg: DGStructure,
     span: SubmoduleSpan,
@@ -614,133 +737,39 @@ def quotient_dg(
 ) -> QuotientDG:
     """Quotient of a dg algebra by the dg ideal spanned by `span`.
 
-    Per homological degree, each span generator is reduced by the rules
-    found so far (and by setting kill_vars to zero, which is how a quotient
-    over the smaller ring Q/<kill_vars> is formed); a basis label with a
-    nonzero *constant* coefficient is chosen as the pivot and eliminated.
-    Labels whose tags are in `prefer_eliminate` are preferred as pivots, so
-    callers can steer the surviving basis (e.g. to the Morse-critical
-    cells).  Generators with no unit pivot go to a retry queue; if a full
-    pass makes no progress the quotient is not free and we raise.
+    The span's generators are eliminated per degree by `Elimination`, over
+    Q/<kill_vars> when kill_vars are given.  Labels whose tags are in
+    `prefer_eliminate` are preferred as pivots, so callers can steer the
+    surviving basis (e.g. to the Morse-critical cells).  Products of
+    survivors are projected onto the quotient.
     """
     cx = dg.complex
-    kill = tuple(kill_vars)
-    prefer = set(prefer_eliminate)
-    rules_order: dict[int, list[tuple[BasisLabel, VecT]]] = {}
-    rules_map: dict[int, dict[BasisLabel, VecT]] = {}
-
-    def substitute(vec: VecT, i: int) -> VecT:
-        rmap = rules_map.get(i, {})
-        out = _kill(vec, kill)
-        # each substitution only introduces labels from later rules, so a
-        # bounded number of passes reaches a fixpoint
-        for _ in range(len(rmap) + 1):
-            hit = [l for l in out if l in rmap]
-            if not hit:
-                return out
-            for l in hit:
-                p = out.pop(l)
-                out = vec_add(out, _kill({k: p * q for k, q in rmap[l].items()}, kill))
-        raise DGError("rule substitution did not terminate")
-
-    for i in sorted({g.element.degree for g in span.generators}):
-        queue = list(span.by_degree(i))
-        while queue:
-            progressed = False
-            retry = []
-            for g in queue:
-                vec = substitute(dict(g.element.coords), i)
-                if not vec:
-                    progressed = True
-                    continue
-                pivots = [l for l, p in vec.items() if p.is_nonzero_constant()]
-                if not pivots:
-                    retry.append(g)
-                    continue
-                preferred = [l for l in pivots if l.tag in prefer]
-                pool = preferred or pivots
-                pivot = min(pool, key=lambda l: str(l.tag))
-                c = vec[pivot].constant_coefficient()
-                rhs = vec_scale({l: p for l, p in vec.items() if l != pivot}, Fraction(-1, 1) / c)
-                rules_order.setdefault(i, []).append((pivot, rhs))
-                rules_map.setdefault(i, {})[pivot] = rhs
-                progressed = True
-            if retry and not progressed:
-                raise DGError(
-                    f"no unit pivot in degree {i}: quotient is not a free complex"
-                )
-            queue = retry
-        # normalize: back-substitute so every rule rhs is rule-free
-        if i in rules_order:
-            for pivot, rhs in reversed(rules_order[i]):
-                rules_map[i][pivot] = substitute(rhs, i)
-
+    elim = Elimination(
+        cx,
+        ((g.gen_id, g.element.degree, g.element.coords, None) for g in span.generators),
+        kill_vars,
+        prefer_eliminate,
+    )
     # boundary closure consistency: every generator's boundary must vanish in
     # the quotient, otherwise the span was not a subcomplex
     for g in span.generators:
         dv = g.element.diff()
-        if substitute(dict(dv.coords), dv.degree):
+        if elim.substitute(dv.coords, dv.degree):
             raise DGError(
                 f"span not a subcomplex: boundary of {g.gen_id} survives the quotient"
             )
-
-    dead = {i: set(l for l, _ in rules) for i, rules in rules_order.items()}
-    ring = cx.ring.deactivate(kill) if kill else cx.ring
-
-    def relabel(l: BasisLabel) -> BasisLabel:
-        if not kill:
-            return l
-        exps = l.multidegree.exponents
-        for nm in kill:
-            if exps[cx.ring.index(nm)]:
-                raise DGError(
-                    f"surviving label {l} has multidegree divisible by {nm}; "
-                    "the span does not kill everything it must"
-                )
-        return BasisLabel(l.tag, Monomial(ring, exps))
-
-    survivors = {
-        i: [l for l in cx.labels(i) if l not in dead.get(i, set())]
-        for i in cx.degrees()
-    }
-    new_labels = {l: relabel(l) for i in cx.degrees() for l in survivors[i]}
-
-    def push(vec: VecT) -> VecT:
-        out = {}
-        for l, p in vec.items():
-            q = p.reinterpret(ring) if kill else p
-            if not q.is_zero():
-                out[new_labels[l]] = q
-        return out
-
-    basis = {i: [new_labels[l] for l in survivors[i]] for i in cx.degrees() if survivors[i]}
-    one = Polynomial.constant(cx.ring, 1)
-    diff: dict[int, dict[BasisLabel, VecT]] = {}
-    for i in cx.degrees():
-        if i == 0:
-            continue
-        cols = {}
-        for l in survivors.get(i, []):
-            img = substitute(cx.apply_diff(i, {l: one}), i - 1)
-            cols[new_labels[l]] = push(img)
-        if cols:
-            diff[i] = cols
-    qcx = LabeledFreeComplex(ring, basis, diff, name=name or f"{dg.name}/span")
-
-    back = {v: k for k, v in new_labels.items()}
+    name = name or f"{dg.name}/span"
+    qcx, project = elim.quotient(name)
+    back = {new: old for i in cx.degrees() for old, new in zip(elim.survivors[i], qcx.labels(i))}
 
     def qproduct(a: BasisLabel, b: BasisLabel) -> Element:
         prod = dg.basis_product(back[a], back[b])
         if prod.is_zero():
             return Element.zero(qcx, qcx.degree_of(a) + qcx.degree_of(b))
-        vec = substitute(dict(prod.coords), prod.degree)
-        return Element(qcx, prod.degree, push(vec))
-
-    structure = DGStructure(qcx, qproduct, name=name or f"{dg.name}/span")
+        return Element(qcx, prod.degree, project(prod.coords, prod.degree))
 
     def project_fn(el: Element) -> Element:
-        vec = substitute(dict(el.coords), el.degree)
-        return Element(qcx, el.degree, push(vec))
+        return Element(qcx, el.degree, project(el.coords, el.degree))
 
     rules_json = {
         str(i): [
@@ -753,12 +782,12 @@ def quotient_dg(
             }
             for piv, rhs in rules
         ]
-        for i, rules in rules_order.items()
+        for i, rules in elim.rules.items()
     }
     return QuotientDG(
-        structure,
-        {i: [(l, r) for l, r in rules] for i, rules in rules_order.items()},
-        survivors,
+        DGStructure(qcx, qproduct, name=name),
+        {i: list(rules) for i, rules in elim.rules.items()},
+        elim.survivors,
         rules_json,
         project_fn,
     )

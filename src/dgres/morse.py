@@ -7,9 +7,11 @@ touch homological degrees 0 and 1).
 
 A Morse matching is a set A of arcs no two of which share an endpoint such
 that reversing the arcs of A leaves the digraph acyclic.  `morse_reduce`
-cancels the matched pairs one at a time by exact unit-pivot elimination,
-producing the induced smaller complex on the unmatched (critical) cells; a
-Morse matching guarantees this terminates.
+forms the induced smaller complex on the unmatched (critical) cells as the
+quotient of the Taylor complex by the span of e_sigma and d(e_sigma) over
+the matched pairs (sigma, tau), each d(e_sigma) eliminated at its target
+tau with the unit-pivot elimination of `dg.Elimination`; a Morse matching
+guarantees every pivot is a unit.
 
 `lyubeznik_matching` implements the matching A(<) of Batzies-Welker:
 M(sigma) is the smallest generator u_q dividing lcm{u in sigma : u > u_q},
@@ -21,18 +23,20 @@ directly; the two constructions are cross-checked in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import BasisLabel, LabeledFreeComplex, VecT
-from .poly import MonomialIdeal, Polynomial, PolyError, lcm_of
+from .complexes import BasisLabel, ComplexError, LabeledFreeComplex, VecT
+from .dg import DGError, Elimination
+from .poly import MonomialIdeal, Polynomial, lcm_of
 
 Arc = tuple[tuple[int, ...], tuple[int, ...]]  # (source subset, target subset)
 
 
 class MorseError(ValueError):
-    pass
+    """`witness`, when set, lists the matched pairs left waiting."""
+
+    witness: list | None = None
 
 
 MAX_GRAPH_GENERATORS = 20
@@ -258,91 +262,42 @@ def lyubeznik_resolution(ideal: MonomialIdeal, order=None) -> LabeledFreeComplex
 def morse_reduce(
     T: LabeledFreeComplex, matching, tag_prefix: str = "e"
 ) -> LabeledFreeComplex:
-    """Cancel the matched pairs of a Morse matching by unit-pivot Gaussian
-    elimination, one pair at a time.
+    """The Morse complex of a matching: T modulo the span of e_sigma and
+    d(e_sigma) over the matched pairs (sigma, tau), each d(e_sigma) pivoted
+    on its matched target tau (`dg.Elimination`).
 
-    Pairs are processed by decreasing homological degree of the source and
-    lexicographic order of the source subset; a pair whose current pivot
-    entry is not a nonzero rational is deferred, and if a whole pass defers
-    everything we raise (cannot happen for an acyclic matching).  Each
-    cancellation of (tau, sigma) with pivot c = <d sigma, tau> updates the
-    remaining degree-|tau| differential entries by
-
-        d'(tau', sigma') = d(tau', sigma') - d(tau', sigma) d(tau, sigma') / c,
-
-    drops the sigma-component of the degree-|sigma|+1 differential, and
-    deletes both basis elements.  Critical cells keep their labels, so the
-    result can be compared against subcomplex constructions label by label.
+    Pairs are taken by homological degree of the source and lexicographic
+    order of the source tag.  Eliminating (sigma, tau) with pivot
+    c = <d sigma, tau>, as reduced by the pairs before it, replaces tau by
+    -(d sigma - c tau)/c and sigma by 0; a pair whose pivot entry is not a
+    nonzero rational waits for the next pass, and if a whole pass makes no
+    progress MorseError is raised, with the waiting pairs and their pivot
+    entries as `witness` (cannot happen for an acyclic matching).  Critical
+    cells keep their labels, so the result can be compared against
+    subcomplex constructions label by label.
     """
-    # mutable copy of the differential, column-major by label
-    basis: dict[int, list[BasisLabel]] = {i: list(T.labels(i)) for i in T.degrees()}
-    diff: dict[int, dict[BasisLabel, VecT]] = {
-        i: {c: dict(T.column(i, c)) for c in T.labels(i)} for i in T.degrees() if i > 0
-    }
-    bytag: dict[tuple, BasisLabel] = {
-        l.tag: l for i in T.degrees() for l in T.labels(i)
-    }
-    degree_of = {l: i for i in T.degrees() for l in T.labels(i)}
+    def cell(v) -> BasisLabel | None:
+        try:
+            return T.find_label((tag_prefix,) + tuple(v))
+        except ComplexError:
+            return None
 
     pairs = []
     for s, t in matching:
-        st, tt = (tag_prefix,) + tuple(s), (tag_prefix,) + tuple(t)
-        if st not in bytag or tt not in bytag:
+        sigma, tau = cell(s), cell(t)
+        if sigma is None or tau is None:
             raise MorseError(f"matched pair ({s},{t}) not in the complex")
-        pairs.append((bytag[st], bytag[tt]))
-    pairs.sort(key=lambda p: (-degree_of[p[0]], str(p[0].tag)))
-
-    def cancel(sigma: BasisLabel, tau: BasisLabel) -> bool:
-        i = degree_of[sigma]
-        col_sigma = diff[i].get(sigma, {})
-        pivot = col_sigma.get(tau)
-        if pivot is None or not pivot.is_nonzero_constant():
-            return False
-        c = pivot.constant_coefficient()
-        # fill-in on the remaining degree-i columns
-        dsigma_rest = {r: p for r, p in col_sigma.items() if r != tau and not p.is_zero()}
-        for sp in basis[i]:
-            if sp is sigma:
-                continue
-            col = diff[i].get(sp, {})
-            hit = col.get(tau)
-            if hit is None or hit.is_zero():
-                continue
-            f = hit * (Fraction(-1) / c)
-            for r, p in dsigma_rest.items():
-                acc = col.get(r, Polynomial.zero(T.ring)) + f * p
-                if acc.is_zero():
-                    col.pop(r, None)
-                else:
-                    col[r] = acc
-            col.pop(tau, None)
-        # drop the sigma-row of the degree-(i+1) differential
-        for col in diff.get(i + 1, {}).values():
-            col.pop(sigma, None)
-        # delete the pair
-        basis[i].remove(sigma)
-        basis[i - 1].remove(tau)
-        diff[i].pop(sigma, None)
-        diff.get(i - 1, {}).pop(tau, None)
-        return True
-
-    queue = pairs
-    while queue:
-        retry = []
-        progressed = False
-        for sigma, tau in queue:
-            if cancel(sigma, tau):
-                progressed = True
-            else:
-                retry.append((sigma, tau))
-        if retry and not progressed:
-            raise MorseError("stuck: no matched pair has a unit pivot (matching not acyclic?)")
-        queue = retry
-
-    basis_out = {i: lbls for i, lbls in basis.items() if lbls}
-    diff_out = {
-        i: {c: {r: p for r, p in col.items() if not p.is_zero()} for c, col in cols.items()}
-        for i, cols in diff.items()
-        if basis_out.get(i)
-    }
-    return LabeledFreeComplex(T.ring, basis_out, diff_out, name=f"morse({T.name})")
+        pairs.append((T.degree_of(sigma), sigma, tau, [list(s), list(t)]))
+    pairs.sort(key=lambda p: (p[0], str(p[1].tag)))
+    one = Polynomial.constant(T.ring, 1)
+    # in each degree: first the sources there, each set to 0, then d(e_sigma)
+    # for the pairs whose target lies there
+    generators = [(sigma.tag, i, {sigma: one}, sigma) for i, sigma, _, _ in pairs]
+    generators += [(pair, i - 1, T.column(i, sigma), tau) for i, sigma, tau, pair in pairs]
+    try:
+        elim = Elimination(T, generators)
+    except DGError as exc:
+        err = MorseError("stuck: no matched pair has a unit pivot (matching not acyclic?)")
+        err.witness = exc.witness
+        raise err from None
+    return elim.quotient(f"morse({T.name})")[0]

@@ -38,8 +38,9 @@ from dgres import (
     total_betti,
 )
 from dgres.classify import C5_MATCHING
-from dgres.linalg import rref
 from dgres.morse import matching_sources
+
+from dense_linalg import rref
 
 RING3 = VariableSet(("x", "y", "z"))
 RING4 = VariableSet(("x", "y", "z", "w"))

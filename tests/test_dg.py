@@ -49,9 +49,10 @@ from dgres import (
 from dgres.classify import C4_MATCHING, C5_MATCHING
 from dgres.complexes import tag_to_json
 from dgres.dg import DGReport, _homogeneous_product_ok
-from dgres.linalg import solve
 from dgres.morse import is_superset_closed, matching_sources, matching_targets
 from dgres.poly import monomial_divide
+
+from dense_linalg import solve
 
 RING3 = VariableSet(("x", "y", "z"))
 
@@ -292,8 +293,9 @@ class TestQuotient:
         dg = taylor_dg_structure(I, T)
         e0 = T.find_label(("e", 0))
         gen = SpanGenerator(("g",), Element(T, 1, {e0: parse_polynomial(RING3, "x")}))
-        with pytest.raises(DGError):
+        with pytest.raises(DGError, match="^no unit pivot in degree 1") as exc:
             quotient_dg(dg, SubmoduleSpan(T, [gen]))
+        assert exc.value.witness == [{"gen": ["g"], "pivot": ["e", 0], "entry": "x"}]
 
     def test_non_subcomplex_span_raises(self):
         I = ideal(RING3, "x", "y", "z")
@@ -689,6 +691,33 @@ class TestDenseOracle:
         dense = dense_dg_check(DGStructure(dg.complex, dg.product_fn), triples=False)
         assert json.dumps(sparse.to_json()) == json.dumps(dense.to_json())
         assert {"degree", "leibniz"} <= set(sparse.failures)
+
+    def test_one_label_in_two_degrees(self):
+        # u (tag and multidegree xy) is a basis label of degrees 1 and 2.
+        # a, b and u in degree 1 are cycles, d(u) = y*a in degree 2, and
+        # ab = u in degree 2, so Leibniz fails on (a, b): d(ab) = y*a, but
+        # d(a) b - a d(b) = 0.  A table that placed ab on the degree-1 copy
+        # of u would read d(ab) = 0 and miss that failure.
+        ring = VariableSet(("x", "y"))
+        one, x, y = ring.one(), ring.variable("x"), ring.variable("y")
+        unit, a, b = BasisLabel(("1",), one), BasisLabel(("a",), x), BasisLabel(("b",), y)
+        u = BasisLabel(("u",), x * y)
+        cx = LabeledFreeComplex(
+            ring,
+            {0: [unit], 1: [a, b, u], 2: [u]},
+            {1: {a: {}, b: {}, u: {}}, 2: {u: {a: Polynomial.monomial(y)}}},
+        )
+
+        def product(p, q):
+            if p == unit or q == unit:
+                return Element.basis(cx, q if p == unit else p)
+            if (p, q) in ((a, b), (b, a)):
+                return constant(dg, 2, u, 1 if p == a else -1)
+            return Element.zero(cx, cx.degree_of(p) + cx.degree_of(q))
+
+        dg = DGStructure(cx, product)
+        report = assert_matches_dense(dg)
+        assert [(w["a"], w["b"]) for w in report.failures["leibniz"]] == [(["a"], ["b"]), (["b"], ["a"])]
 
 
 def test_label_outside_the_basis_keeps_all_partners(taylor_fixture_ideal, uncapped):

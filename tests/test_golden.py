@@ -9,15 +9,23 @@ as `json.dumps(cert.to_json(), indent=2)`, and the sha256 of the plain
 concatenation of the 30 texts is fixed.  A refactor of any layer a
 certificate rests on (Taylor, Lyubeznik/Morse, dg checks, cones, pruning,
 strands) must leave it unchanged.
+
+Five command-line outputs are pinned the same way, as the sha256 of stdout
+plus the exit code, run in-process through `cli.main`: `reduce` along the
+Lyubeznik matching and along a matching file, `dgcheck --structure
+quotient`, `prune --dg` and `lyubeznik`.  They gate the Morse and quotient
+eliminations.
 """
 
 import hashlib
 import json
 
 import networkx as nx
+import pytest
 
 from dgres import cycle_graph
 from dgres.classify import classify
+from dgres.cli import main
 from dgres.combin import Graph
 
 GOLDEN_SHA256 = "5e2929514b907fd71c8d97d01b756b8789313d7e5faabebb5aaa84672ce2f69e"
@@ -39,3 +47,53 @@ def test_certificates_of_small_trees_and_cycles():
     assert len(graphs) == 30
     text = "".join(json.dumps(classify(g).to_json(), indent=2) for g in graphs)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
+
+
+# ---------------------------------------------------------------------------
+# command-line outputs: sha256 of stdout and the exit code, run in-process
+
+C5 = ["--family", "C5", "--order", "0,2,3,4,1"]
+WHISKER = ["--vars", "x,y,x1,y1,z1", "--gens", "x*y,y*z1,x*z1,x*x1,y*y1"]
+# the minimizing C5 matching of tests/test_cli.py, for the order above
+C5_MATCHING = [
+    [[0, 1, 2, 4], [0, 2, 4]], [[0, 1, 2], [0, 2]], [[0, 1, 3, 4], [0, 1, 3]],
+    [[0, 1, 4], [1, 4]], [[0, 1, 2, 3, 4], [0, 1, 2, 3]], [[2, 3, 4], [2, 4]],
+    [[0, 3, 4], [0, 3]], [[0, 2, 3, 4], [0, 2, 3]], [[1, 2, 3], [1, 3]],
+    [[1, 2, 3, 4], [1, 2, 4]],
+]
+
+CLI_GOLDEN = {
+    # Morse reduction along the Lyubeznik matching (not minimal here, so the
+    # elimination has fill-in) and along a minimizing C5 matching
+    "reduce-lyubeznik": (
+        ["reduce"] + C5,
+        0, "a9683f9e0a0245631ef81bba442eca550b085db2457af7b75eaf5fc86b2fe8dc",
+    ),
+    "reduce-matching-file": (
+        ["reduce"] + C5 + ["--matching-file", "{matching}"],
+        0, "1d01f874055f60346e87c4665d45d7b9c4ce4d01a3903c2a12c2a493861dd363",
+    ),
+    "dgcheck-quotient": (
+        ["dgcheck", "--structure", "quotient"] + C5 + ["--matching-file", "{matching}"],
+        0, "ef6e8b4519de53a3aae2feaa139589adac27b4c70763c9db01b20b960e0ec2d9",
+    ),
+    "prune-dg": (
+        ["prune", "--kill", "y1", "--dg"] + WHISKER,
+        0, "5bc12c25e7f71b263465a11ccecb84987d9271ff44245ecd86eb478822c39fe9",
+    ),
+    "lyubeznik": (
+        ["lyubeznik"] + C5,
+        0, "e15000400d79c8a8e13376c69a6414f9e347cd2113a363722f44ffb532781f82",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_GOLDEN))
+def test_cli_output_pinned(case, tmp_path, capsys):
+    argv, code, digest = CLI_GOLDEN[case]
+    matching = tmp_path / "matching.json"
+    matching.write_text(json.dumps(C5_MATCHING))
+    argv = [a.replace("{matching}", str(matching)) for a in argv]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -295,5 +295,10 @@ class TestValidateMatching:
         assert not report["incident"]
         assert not report["acyclic"]
         assert not report["ok"]
-        with pytest.raises(MorseError):
+        with pytest.raises(MorseError, match="^stuck: no matched pair") as exc:
             morse_reduce(taylor_resolution(I), matching)
+        # (012, 02) and (013, 01) are cancelled first; they cancel the entry
+        # of d(e023) on e03 to 0
+        assert exc.value.witness == [
+            {"gen": [[0, 2, 3], [0, 3]], "pivot": ["e", 0, 3], "entry": "0"}
+        ]
