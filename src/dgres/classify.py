@@ -56,7 +56,6 @@ from .morse import (
     lyubeznik_matching,
     lyubeznik_resolution,
     matching_sources,
-    morse_reduce,
     taylor_graph,
     validate_matching,
 )
@@ -254,7 +253,7 @@ def _taylor_minimal_evidence(ideal: MonomialIdeal) -> tuple[dict, list[int]]:
         drop.append({"dropped": str(g), "lcm_without": str(m), "full_lcm_kept": str(m) != str(full)})
     if gens and not all(d["full_lcm_kept"] for d in drop):
         raise GraphError("Taylor resolution is not minimal; wrong branch")
-    dgT = taylor_dg_structure(ideal)
+    dgT = taylor_dg_structure(ideal, T)
     evidence = {
         "kind": "taylor-minimal",
         "ranks": list(T.ranks()),
@@ -307,34 +306,36 @@ def _lyubeznik_evidence(ideal: MonomialIdeal, order: list[str]) -> tuple[dict, l
 
 
 def _morse_quotient_evidence(ideal: MonomialIdeal, matching) -> tuple[dict, list[int]]:
-    """Explicit Morse matching evidence: validity, minimal reduction,
-    dg-ideal closure with witnesses, and a fully checked quotient."""
+    """Explicit Morse matching evidence: validity, dg-ideal closure with
+    witnesses, and a fully checked quotient.  `morse_reduce` is the quotient
+    by the same span, so the quotient complex is the Morse complex up to a
+    change of basis, and gives its ranks, minimality, resolution and Betti
+    numbers, which do not depend on the basis."""
     tg = taylor_graph(ideal)
     val = validate_matching(tg, matching)
     if not val["ok"]:
         raise GraphError(f"invalid matching: {val}")
     dgT = taylor_dg_structure(ideal)
-    T = dgT.complex
-    reduced = morse_reduce(T, matching)
-    if not reduced.is_minimal():
-        raise GraphError("Morse reduction is not minimal")
-    closed, witness = is_superset_closed(ideal, matching)
     sources = matching_sources(matching)
-    span = span_from_matching_sources(T, sources)
-    ok, closure = dg_ideal_closure(dgT, span)
-    if not ok:
-        raise GraphError("matching span is not a dg ideal")
+    span = span_from_matching_sources(dgT.complex, sources)
     prefer = {("e",) + tuple(t) for _, t in matching} | {
         ("e",) + tuple(s) for s in sources
     }
     q = quotient_dg(dgT, span, prefer_eliminate=prefer)
+    reduced = q.structure.complex
+    if not reduced.is_minimal():
+        raise GraphError("Morse reduction is not minimal")
+    closed, witness = is_superset_closed(ideal, matching)
+    ok, closure = dg_ideal_closure(dgT, span)
+    if not ok:
+        raise GraphError("matching span is not a dg ideal")
     evidence = {
         "kind": "morse-quotient",
         "matching": [[list(s), list(t)] for s, t in matching],
         "matching_valid": val,
         "superset_closed": closed,
         "ranks": list(reduced.ranks()),
-        "quotient_ranks": list(q.structure.complex.ranks()),
+        "quotient_ranks": list(reduced.ranks()),
         "resolution": _resolution_summary(reduced, ideal),
         "dg_check": _dg_check_summary(q.structure),
         "closure_products_checked": len(closure["products"]),

@@ -4,37 +4,44 @@ A `LabeledFreeComplex` is a chain complex of free Q-modules concentrated in
 degrees 0..top, each free module carrying an ordered basis of `BasisLabel`s
 (a hashable tag plus a monomial multidegree).  Differentials are stored
 column-sparse: for each degree i >= 1 and basis label c of degree i, a dict
-row-label -> Polynomial.
+row label -> entry, without zeros.
 
-Multigraded homogeneity means every entry in column c / row r is a rational
-multiple of the monomial m_c / m_r.  `verify` checks d^2 = 0 and homogeneity
-entry by entry and reports the failures by (degree, row tag, col tag).
+Multigraded homogeneity means the entry in column c / row r is c*(m_c/m_r)
+for a rational c, so it is stored as c alone (an int when integral) and the
+monomial is implied by the labels.  The one fallback is an entry not of that
+form, which only a hand-built inhomogeneous complex has: it stays a
+`Polynomial` in the same dict.  The constructor accepts Polynomial entries
+and stores each homogeneous one as its c; `entry`, `column`, `matrix`,
+`apply_diff` and `to_json` build Polynomials from c and the labels.
+`verify` reports the Polynomial entries as homogeneity failures and checks
+d^2 = 0 on the coefficients, by (degree, row tag, col tag).
 
 Strands: for a monomial b, the labels whose multidegree divides b span a
 subcomplex; evaluating entries at x=1 gives a complex of Q-vector spaces
 whose homology computes the multigraded pieces Tor-style.  This is how
 `is_resolution_of` works.  The first strand call indexes the complex once
-(`strands.StrandIndex`: labels grouped by multidegree, differentials
-evaluated at x=1); a strand's groups then take a few integer operations to
-find, strands with the same groups share one computation, and ranks are
-exact sparse ranks.  For complexes whose label multidegrees are all
-squarefree, vanishing on all squarefree strands is conclusive;
-`is_resolution_of` records whether that hypothesis held.
+(`strands.StrandIndex`: labels grouped by multidegree, the coefficients as
+columns); a strand's groups then take a few integer operations to find,
+strands with the same groups share one computation, and ranks are exact
+sparse ranks.  For complexes whose label multidegrees are all squarefree,
+vanishing on all squarefree strands is conclusive; `is_resolution_of`
+records whether that hypothesis held.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from operator import add, le, sub
+from typing import Callable, Sequence
 
 from . import linalg
 from .poly import (
     Monomial,
     MonomialIdeal,
-    PolyError,
     Polynomial,
     VariableSet,
+    exact,
     monomial_divide,
     parse_monomial,
     parse_polynomial,
@@ -100,8 +107,37 @@ def vec_scale(a: VecT, c) -> VecT:
     return out
 
 
-def vec_is_zero(a: VecT) -> bool:
-    return all(p.is_zero() for p in a.values())
+def entry_polynomial(v, row: BasisLabel, col: BasisLabel) -> Polynomial:
+    """The stored entry v of column `col` on row `row` as a Polynomial:
+    c * (m_col / m_row) for a coefficient c, v itself for a Polynomial."""
+    if type(v) is Polynomial:
+        return v
+    cm = col.multidegree  # m_row divides it: the constructor checked that
+    return Polynomial.monomial(Monomial(cm.ring, tuple(map(sub, cm.exponents, row.multidegree.exponents))), v)
+
+
+def _stored(v, row: BasisLabel, col: BasisLabel):
+    """The stored form of the entry v: its coefficient c when it is
+    c * (m_col / m_row), else the Polynomial v; falsy when v is zero."""
+    rm, cm = row.multidegree, col.multidegree
+    if type(v) is Polynomial:
+        if len(v.terms) == 1:
+            [(m, c)] = v.terms.items()
+            if m.ring == cm.ring and tuple(map(add, m.exponents, rm.exponents)) == cm.exponents:
+                return exact(c)
+        return v
+    if type(v) is int or type(v) is Fraction:
+        if not all(map(le, rm.exponents, cm.exponents)):
+            raise ComplexError(f"coefficient entry {v} at ({row}, {col}): {rm} does not divide {cm}")
+        return exact(v)
+    raise ComplexError(f"differential entry {v!r} is neither a Polynomial nor a rational")
+
+
+def _add(x, y, row: BasisLabel, col: BasisLabel):
+    """The sum of two entries of column `col` on row `row`."""
+    if type(x) is Polynomial or type(y) is Polynomial:
+        return entry_polynomial(x, row, col) + entry_polynomial(y, row, col)
+    return x + y
 
 
 @dataclass
@@ -125,14 +161,15 @@ class LabeledFreeComplex:
         self,
         ring: VariableSet,
         basis: dict[int, Sequence[BasisLabel]],
-        diff: dict[int, dict[BasisLabel, VecT]],
+        diff: dict[int, dict[BasisLabel, dict]],
         name: str = "",
     ):
+        """`diff[i][c]` is the column of d_i at c, {row label: entry}, each
+        entry a Polynomial or a coefficient c of m_c / m_r."""
         self.ring = ring
         self.basis: dict[int, tuple[BasisLabel, ...]] = {
             i: tuple(lbls) for i, lbls in basis.items() if lbls
         }
-        self.diff = diff
         self.name = name
         self._strand_cache: dict = {}
         self._strand_index: StrandIndex | None = None  # built by the first strand call
@@ -144,17 +181,22 @@ class LabeledFreeComplex:
             if len(by_tag) != len(lbls):
                 raise ComplexError(f"duplicate tags in degree {i}")
             self._by_tag[i] = by_tag
+        self.diff: dict[int, dict[BasisLabel, dict]] = {}
         for i, cols in diff.items():
             cols_in = self._by_tag.get(i, {})
             rows_in = self._by_tag.get(i - 1, {})
+            stored = self.diff[i] = {}
             for c, col in cols.items():
                 if cols_in.get(c.tag) != c:
                     raise ComplexError(f"differential column {c} not in degree {i} basis")
-                for r in col:
+                out = stored[c] = {}
+                for r, v in col.items():
                     if rows_in.get(r.tag) != r:
                         raise ComplexError(
                             f"differential row {r} not in degree {i-1} basis"
                         )
+                    if v := _stored(v, r, c):
+                        out[r] = v
 
     # -- basic structure ---------------------------------------------------
 
@@ -174,10 +216,11 @@ class LabeledFreeComplex:
         return tuple(self.rank(i) for i in self.degrees())
 
     def entry(self, i: int, row: BasisLabel, col: BasisLabel) -> Polynomial:
-        return self.diff.get(i, {}).get(col, {}).get(row, Polynomial.zero(self.ring))
+        v = self.diff.get(i, {}).get(col, {}).get(row)
+        return Polynomial.zero(self.ring) if v is None else entry_polynomial(v, row, col)
 
     def column(self, i: int, col: BasisLabel) -> VecT:
-        return dict(self.diff.get(i, {}).get(col, {}))
+        return {r: entry_polynomial(v, r, col) for r, v in self.diff.get(i, {}).get(col, {}).items()}
 
     def matrix(self, i: int) -> list[list[Polynomial]]:
         rows = self.labels(i - 1)
@@ -188,7 +231,7 @@ class LabeledFreeComplex:
         out: VecT = {}
         for c, p in v.items():
             for r, q in self.diff.get(i, {}).get(c, {}).items():
-                s = out.get(r, Polynomial.zero(self.ring)) + p * q
+                s = out.get(r, Polynomial.zero(self.ring)) + p * entry_polynomial(q, r, c)
                 if s.is_zero():
                     out.pop(r, None)
                 else:
@@ -213,35 +256,35 @@ class LabeledFreeComplex:
 
     def verify(self) -> ComplexReport:
         report = ComplexReport(ok=True)
-        # homogeneity: entry in (row r, col c) must be a rational multiple of
-        # the monomial m_c / m_r
+        # homogeneity: a stored coefficient is c * (m_c / m_r) by
+        # construction, so the failures are the Polynomial entries
         for i in sorted(self.diff):
             for c, col in self.diff[i].items():
                 for r, p in col.items():
-                    if p.is_zero():
-                        continue
-                    bad = False
-                    if not r.multidegree.divides(c.multidegree):
-                        bad = True
-                    else:
-                        expected = monomial_divide(c.multidegree, r.multidegree)
-                        md = p.multidegree()
-                        bad = md != expected
-                    if bad:
+                    if type(p) is Polynomial:
                         report.homogeneity_failures.append(
                             (i, tag_to_json(r.tag), tag_to_json(c.tag), str(p))
                         )
-        # d^2 = 0
-        for i in self.degrees():
-            if i < 2:
-                continue
+        # d^2 = 0: the entry of d_{i-1} d_i e_c on e_s, as a coefficient of
+        # m_c / m_s while only coefficients take part
+        for i in range(2, self.top_degree() + 1):
+            cols, lower = self.diff.get(i, {}), self.diff.get(i - 1, {})
             for c in self.labels(i):
-                composite = self.apply_diff(i - 1, self.column(i, c))
-                for r, p in composite.items():
-                    if not p.is_zero():
-                        report.d2_failures.append(
-                            (i, tag_to_json(r.tag), tag_to_json(c.tag), str(p))
-                        )
+                composite: dict = {}
+                for r, v in cols.get(c, {}).items():
+                    for s, w in lower.get(r, {}).items():
+                        poly = type(v) is Polynomial or type(w) is Polynomial
+                        x = entry_polynomial(v, r, c) * entry_polynomial(w, s, r) if poly else v * w
+                        if s in composite:
+                            x = _add(composite[s], x, s, c)
+                        if x:
+                            composite[s] = x
+                        else:
+                            del composite[s]
+                for s, x in composite.items():
+                    report.d2_failures.append(
+                        (i, tag_to_json(s.tag), tag_to_json(c.tag), str(entry_polynomial(x, s, c)))
+                    )
         deg0 = self.labels(0)
         report.degree_zero_ok = (
             len(deg0) == 1 and deg0[0].multidegree.is_one()
@@ -254,13 +297,13 @@ class LabeledFreeComplex:
         return report
 
     def is_minimal(self) -> bool:
-        """No differential entry is a nonzero constant."""
-        for i in self.diff:
-            for col in self.diff[i].values():
-                for p in col.values():
-                    if p.is_nonzero_constant():
-                        return False
-        return True
+        """No differential entry is a nonzero constant: no coefficient joins
+        two labels of one multidegree, and no Polynomial entry is constant."""
+        return not any(
+            v.is_nonzero_constant() if type(v) is Polynomial
+            else r.multidegree.exponents == c.multidegree.exponents
+            for cols in self.diff.values() for c, col in cols.items() for r, v in col.items()
+        )
 
     def labels_squarefree(self) -> bool:
         return all(
@@ -325,21 +368,11 @@ class LabeledFreeComplex:
         deg1 = sorted(str(l.multidegree) for l in self.labels(1))
         report["degree1_matches_generators"] = gens == deg1
 
-        d1_ok = True
+        # the complex verified, so every entry is a coefficient, and the
+        # unit has multidegree 1: d(e_c) = +-m_c is the column {unit: +-1}
         unit = self.labels(0)[0]
-        for c in self.labels(1):
-            col = self.column(1, c)
-            entries = [(r, p) for r, p in col.items() if not p.is_zero()]
-            if len(entries) != 1:
-                d1_ok = False
-                continue
-            r, p = entries[0]
-            if r != unit or not p.is_monomial_multiple():
-                d1_ok = False
-                continue
-            m, coef = p.single_term()
-            if m != c.multidegree or coef not in (1, -1):
-                d1_ok = False
+        d1 = self.diff.get(1, {})
+        d1_ok = all(d1.get(c) in ({unit: 1}, {unit: -1}) for c in self.labels(1))
         report["d1_plus_minus_generators"] = d1_ok
 
         report["labels_squarefree"] = self.labels_squarefree()
@@ -387,26 +420,17 @@ class LabeledFreeComplex:
     @staticmethod
     def from_json(d: dict) -> "LabeledFreeComplex":
         ring = VariableSet.from_json(d["ring"])
-        basis: dict[int, list[BasisLabel]] = {}
-        for k, lbls in d["basis"].items():
-            basis[int(k)] = [
-                BasisLabel(tag_from_json(l["tag"]), parse_monomial(ring, l["multidegree"]))
-                for l in lbls
-            ]
-        diff: dict[int, dict[BasisLabel, VecT]] = {}
-        for k, mat in d.get("differentials", {}).items():
-            i = int(k)
-            rows = basis.get(i - 1, [])
-            cols = basis.get(i, [])
-            cdict: dict[BasisLabel, VecT] = {}
-            for ci, c in enumerate(cols):
-                col: VecT = {}
-                for ri, r in enumerate(rows):
-                    p = parse_polynomial(ring, mat[ri][ci])
-                    if not p.is_zero():
-                        col[r] = p
-                cdict[c] = col
-            diff[i] = cdict
+        basis = {
+            int(k): [BasisLabel(tag_from_json(l["tag"]), parse_monomial(ring, l["multidegree"])) for l in lbls]
+            for k, lbls in d["basis"].items()
+        }
+        diff = {
+            int(k): {
+                c: {r: parse_polynomial(ring, mat[ri][ci]) for ri, r in enumerate(basis.get(int(k) - 1, []))}
+                for ci, c in enumerate(basis.get(int(k), []))
+            }
+            for k, mat in d.get("differentials", {}).items()
+        }
         return LabeledFreeComplex(ring, basis, diff, name=d.get("name", ""))
 
 
@@ -442,12 +466,7 @@ class ChainMap:
     def apply(self, v: VecT) -> VecT:
         out: VecT = {}
         for s, p in v.items():
-            for t, q in self.entries.get(s, {}).items():
-                acc = out.get(t, Polynomial.zero(self.target.ring)) + p * q
-                if acc.is_zero():
-                    out.pop(t, None)
-                else:
-                    out[t] = acc
+            out = vec_add(out, {t: p * q for t, q in self.entries.get(s, {}).items()})
         return out
 
     def _verify(self):
@@ -475,7 +494,7 @@ class ChainMap:
             for s in self.source.labels(i):
                 lhs = self.target.apply_diff(i, self.apply({s: Polynomial.constant(self.source.ring, 1)}))
                 rhs = self.apply(self.source.apply_diff(i, {s: Polynomial.constant(self.source.ring, 1)}))
-                if not vec_is_zero(vec_add(lhs, vec_scale(rhs, -1))):
+                if vec_add(lhs, vec_scale(rhs, -1)):
                     raise ComplexError(f"chain map does not commute at {s}")
 
 
@@ -486,13 +505,11 @@ def desuspend_truncation(G: LabeledFreeComplex) -> LabeledFreeComplex:
     resolution.
     """
     basis = {i - 1: G.labels(i) for i in G.degrees() if i >= 1}
-    diff: dict[int, dict[BasisLabel, VecT]] = {}
-    for i in G.degrees():
-        if i < 2:
-            continue
-        diff[i - 1] = {
-            c: {r: -p for r, p in G.column(i, c).items()} for c in G.labels(i)
-        }
+    diff = {
+        i - 1: {c: {r: -v for r, v in G.diff.get(i, {}).get(c, {}).items()} for c in G.labels(i)}
+        for i in G.degrees()
+        if i >= 2
+    }
     return LabeledFreeComplex(G.ring, basis, diff, name=f"desusp({G.name})")
 
 
@@ -540,22 +557,16 @@ def mapping_cone(
         if row:
             basis[i] = row
 
-    def push_t(v: VecT) -> VecT:
-        return {tmap[t]: p for t, p in v.items() if not p.is_zero()}
-
-    def push_s(v: VecT) -> VecT:
-        return {smap[s]: p for s, p in v.items() if not p.is_zero()}
-
-    one = Polynomial.constant(ring, 1)
-    diff: dict[int, dict[BasisLabel, VecT]] = {}
+    # relabelling keeps m_c / m_r, so stored coefficients carry over
+    diff: dict[int, dict[BasisLabel, dict]] = {}
     for i in range(1, top + 1):
-        cols: dict[BasisLabel, VecT] = {}
+        cols: dict[BasisLabel, dict] = {}
+        dT, dS = T.diff.get(i, {}), S.diff.get(i - 1, {})
         for t in T.labels(i):
-            cols[tmap[t]] = push_t(T.apply_diff(i, {t: one}))
+            cols[tmap[t]] = {tmap[r]: v for r, v in dT.get(t, {}).items()}
         for s in S.labels(i - 1):
-            col = push_t(psi.apply({s: one}))
-            if i - 1 >= 1:
-                col = vec_add(col, push_s(vec_scale(S.apply_diff(i - 1, {s: one}), -1)))
+            col = {tmap[t]: p for t, p in psi.entries.get(s, {}).items()}
+            col.update((smap[r], -v) for r, v in dS.get(s, {}).items())
             cols[smap[s]] = col
         diff[i] = cols
     return LabeledFreeComplex(ring, basis, diff, name=name or f"cone({psi.source.name}->{psi.target.name})")
@@ -580,27 +591,21 @@ def tensor_complex(F: LabeledFreeComplex, G: LabeledFreeComplex) -> LabeledFreeC
                     row.append(l)
         if row:
             basis[n] = row
-    one = Polynomial.constant(ring, 1)
-    diff: dict[int, dict[BasisLabel, VecT]] = {}
+    # m_(a,b) / m_(r,b) = m_a / m_r, likewise for G: coefficients carry over
+    diff: dict[int, dict[BasisLabel, dict]] = {}
     for n in range(1, top + 1):
-        cols: dict[BasisLabel, VecT] = {}
+        cols: dict[BasisLabel, dict] = {}
         for i in range(n + 1):
+            dF, dG = F.diff.get(i, {}), G.diff.get(n - i, {})
+            sign = -1 if i % 2 else 1
             for a in F.labels(i):
                 for b in G.labels(n - i):
-                    col: VecT = {}
-                    if i >= 1:
-                        for r, p in F.apply_diff(i, {a: one}).items():
-                            col[pair[(r, b)]] = p
-                    if n - i >= 1:
-                        sign = Fraction(-1) if i % 2 else Fraction(1)
-                        for r, p in G.apply_diff(n - i, {b: one}).items():
-                            key = pair[(a, r)]
-                            q = col.get(key, Polynomial.zero(ring)) + p * sign
-                            if q.is_zero():
-                                col.pop(key, None)
-                            else:
-                                col[key] = q
-                    cols[pair[(a, b)]] = col
+                    ab = pair[(a, b)]
+                    col = {pair[(r, b)]: v for r, v in dF.get(a, {}).items()}
+                    for r, v in dG.get(b, {}).items():
+                        key = pair[(a, r)]
+                        col[key] = _add(col[key], sign * v, key, ab) if key in col else sign * v
+                    cols[ab] = col
         diff[n] = cols
     return LabeledFreeComplex(ring, basis, diff, name=f"{F.name}(x){G.name}")
 
@@ -615,7 +620,9 @@ def graded_betti(F: LabeledFreeComplex) -> dict[tuple[int, str], int]:
 
     Tensoring with k keeps only the constant differential entries, which
     connect labels of equal multidegree; the homology splits by exact label
-    multidegree.
+    multidegree.  Between labels of equal multidegree a homogeneous entry is
+    its stored coefficient (a Polynomial entry is read at x=1, as in the
+    strand sweep).
     """
     groups: dict[Monomial, dict[int, list[BasisLabel]]] = {}
     for i in F.degrees():
@@ -629,9 +636,7 @@ def graded_betti(F: LabeledFreeComplex) -> dict[tuple[int, str], int]:
             rows = by_deg.get(i - 1, [])
             cols = by_deg.get(i, [])
             if rows and cols:
-                ranks[i] = linalg.rank(
-                    scalar_columns(F, i, rows, cols, Polynomial.constant_coefficient)
-                )
+                ranks[i] = linalg.rank(scalar_columns(F, i, rows, cols))
             else:
                 ranks[i] = 0
         for i in degs:
@@ -655,6 +660,14 @@ def total_betti(F: LabeledFreeComplex) -> tuple[int, ...]:
 # comparisons
 
 
+def _term(row: BasisLabel, v, col: BasisLabel) -> tuple[Monomial | None, Fraction | None]:
+    """A stored entry as (monomial, coefficient), or (None, None) for a
+    Polynomial entry with more than one term."""
+    if type(v) is not Polynomial:
+        return monomial_divide(col.multidegree, row.multidegree), v
+    return v.single_term() if v.is_monomial_multiple() else (None, None)
+
+
 def complexes_equal(A: LabeledFreeComplex, B: LabeledFreeComplex) -> bool:
     """Exact equality: same tags in the same order, same differentials."""
     if A.degrees() != B.degrees():
@@ -666,14 +679,14 @@ def complexes_equal(A: LabeledFreeComplex, B: LabeledFreeComplex) -> bool:
             str(l.multidegree) for l in B.labels(i)
         ]:
             return False
+    # the multidegrees agree, so equal stored entries are equal entries
     for i in A.degrees():
         if i == 0:
             continue
+        da, db = A.diff.get(i, {}), B.diff.get(i, {})
         for ca, cb in zip(A.labels(i), B.labels(i)):
-            cola = A.column(i, ca)
-            colb = B.column(i, cb)
-            mapa = {r.tag: p for r, p in cola.items() if not p.is_zero()}
-            mapb = {r.tag: p for r, p in colb.items() if not p.is_zero()}
+            mapa = {r.tag: v for r, v in da.get(ca, {}).items()}
+            mapb = {r.tag: v for r, v in db.get(cb, {}).items()}
             if mapa != mapb:
                 return False
     return True
@@ -699,15 +712,14 @@ def equal_up_to_basis_scaling(
         if i == 0:
             continue
         for ca, cb in zip(A.labels(i), B.labels(i)):
-            cola = {r.tag: p for r, p in A.column(i, ca).items() if not p.is_zero()}
-            colb = {r.tag: p for r, p in B.column(i, cb).items() if not p.is_zero()}
+            cola = {r.tag: (r, v) for r, v in A.diff.get(i, {}).get(ca, {}).items()}
+            colb = {r.tag: (r, v) for r, v in B.diff.get(i, {}).get(cb, {}).items()}
             if set(cola) != set(colb):
                 return False, None
             scale = None
             for rt in cola:
-                pa, pb = cola[rt], colb[rt]
-                ma,ca_ = pa.single_term() if pa.is_monomial_multiple() else (None, None)
-                mb, cb_ = pb.single_term() if pb.is_monomial_multiple() else (None, None)
+                ma, ca_ = _term(*cola[rt], ca)
+                mb, cb_ = _term(*colb[rt], cb)
                 if ma is None or mb is None or ma != mb:
                     return False, None
                 # with a_l = eps_l b_l one has A(r,c) = (eps_c/eps_r) B(r,c)

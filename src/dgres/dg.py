@@ -24,9 +24,10 @@ every partner of it is checked.  Candidates are visited in label order, so
 failure witnesses come out as a loop over all of them would record them.
 
 Scalar tables.  Homogeneity fixes every monomial: a term of e_a e_b on e_l
-is c*(m_a m_b / m_l), and an entry of d(e_a) on e_r is c*(m_a / m_r).  So
-`dg_check` stores each nonzero product and each d(e_a) as a table
-{label position: c} (an int where c is integral), and both sides of a
+is c*(m_a m_b / m_l), and an entry of d(e_a) on e_r is c*(m_a / m_r), which
+the complex stores as c already.  So `dg_check` stores each nonzero product
+as a table {label position: c} (an int where c is integral), reads each
+d(e_a) off the stored column as one, and both sides of a
 commutativity, Leibniz or associativity identity are tables over one
 multidegree, equal exactly when the elements are.  A pair or triple is
 decided on tables only if every product and differential it reads is a
@@ -63,7 +64,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import linalg
 from .complexes import BasisLabel, LabeledFreeComplex, VecT, tag_to_json, vec_add, vec_scale
-from .poly import Monomial, Polynomial, monomial_divide
+from .poly import Monomial, Polynomial, exact, monomial_divide
 
 
 class DGError(ValueError):
@@ -220,11 +221,6 @@ def _homogeneous_product_ok(a: BasisLabel, b: BasisLabel, prod: Element) -> bool
 _ZERO: dict = {}  # the table of a zero element; never written to
 
 
-def _exact(c: Fraction) -> int | Fraction:
-    """c as an int when it is integral, for the integer path of `linalg`."""
-    return c.numerator if c.denominator == 1 else c
-
-
 class _Tables:
     """A structure's labels by position, with their degrees, and elements as
     scalar tables.  The table of el, given the multidegree `want` and the
@@ -248,7 +244,19 @@ class _Tables:
                 or terms[0][0] * l.multidegree != want
             ):
                 return [self.pos.get(l) for l in el.coords]
-            out[k] = _exact(terms[0][1])
+            out[k] = exact(terms[0][1])
+        return out
+
+    def diff(self, k: int) -> dict | list:
+        """The table of d(labels[k]), read off the stored coefficients."""
+        deg = self.degree[k]
+        col = self.dg.complex.diff.get(deg, {}).get(self.labels[k], {})
+        out = {}
+        for r, v in col.items():
+            j = self.pos.get(r)
+            if type(v) is Polynomial or j is None or self.degree[j] != deg - 1:
+                return [self.pos.get(r) for r in col]
+            out[j] = v
         return out
 
     def product(self, i: int, j: int) -> dict | list:
@@ -291,8 +299,7 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
     labels, degree = tables.labels, tables.degree
     n = len(labels)
     basis = [Element.basis(cx, l, d) for l, d in zip(labels, degree)]
-    dbasis = [e.diff() for e in basis]
-    dtab = [tables.of(e, l.multidegree, d - 1) for e, l, d in zip(dbasis, labels, degree)]
+    dtab = [tables.diff(k) for k in range(n)]
     # tab[i][j]: the table of labels[i] * labels[j], nonzero products only
     tab = [{j: t for j in range(n) if (t := tables.product(i, j))} for i in range(n)]
     top = cx.top_degree()
@@ -354,7 +361,7 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
                     )
                 if lhs is None or lhs != rhs:
                     lhs = dg.basis_product(a, b).diff()
-                    rhs = dg.multiply(dbasis[i], basis[j]) + dg.multiply(basis[i], dbasis[j]).scale(s)
+                    rhs = dg.multiply(basis[i].diff(), basis[j]) + dg.multiply(basis[i], basis[j].diff()).scale(s)
                     if not (lhs - rhs).is_zero():
                         report.record(
                             "leibniz",
@@ -461,7 +468,7 @@ def submodule_membership(
     rows: dict[BasisLabel, int] = {}
 
     def column(el: Element) -> dict:
-        return {rows.setdefault(l, len(rows)): _exact(p.single_term()[1]) for l, p in el.coords.items()}
+        return {rows.setdefault(l, len(rows)): exact(p.single_term()[1]) for l, p in el.coords.items()}
 
     cands = [span.generators[k] for k in found]
     sol = linalg.solve([column(g.element) for g in cands], column(element))
@@ -564,16 +571,6 @@ def dg_ideal_closure(
 # quotients
 
 
-def _kill(vec: VecT, kill_names: tuple[str, ...]) -> VecT:
-    """A copy of vec with the named variables set to 0 and no zero entry."""
-    out = {}
-    for l, p in vec.items():
-        q = p.substitute_zero(kill_names) if kill_names else p
-        if not q.is_zero():
-            out[l] = q
-    return out
-
-
 class Elimination:
     """The quotient of a complex by the span of some of its elements, by
     unit-pivot elimination.
@@ -648,7 +645,7 @@ class Elimination:
         """vec in degree i with the kill variables set to 0 and every pivot
         replaced by its rule.  Taking the pivots in rule order replaces each
         at most once."""
-        out = _kill(vec, self.kill)
+        out = {l: q for l, p in vec.items() if (q := p.substitute_zero(self.kill) if self.kill else p)}
         at, rules = self._at.get(i), self.rules.get(i)
         if not at:
             return out

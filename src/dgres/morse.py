@@ -17,8 +17,8 @@ guarantees every pivot is a unit.
 M(sigma) is the smallest generator u_q dividing lcm{u in sigma : u > u_q},
 matched via sigma <-> sigma + {M(sigma)}.  Its critical cells are exactly
 the subsets accepted by the classical Lyubeznik survivor rule, and
-`lyubeznik_resolution` builds that subcomplex of the Taylor complex
-directly; the two constructions are cross-checked in the tests.
+`lyubeznik_resolution` writes that subcomplex of the Taylor complex on the
+survivors alone; the two constructions are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import BasisLabel, ComplexError, LabeledFreeComplex, VecT
+from .complexes import BasisLabel, ComplexError, LabeledFreeComplex
 from .dg import DGError, Elimination
 from .poly import MonomialIdeal, Polynomial, lcm_of
+from .taylor import taylor_complex
 
 Arc = tuple[tuple[int, ...], tuple[int, ...]]  # (source subset, target subset)
 
@@ -225,34 +226,18 @@ def lyubeznik_resolution(ideal: MonomialIdeal, order=None) -> LabeledFreeComplex
     """The Lyubeznik subcomplex of the Taylor complex for the given order.
 
     The survivor sets are closed under subsets, so the Taylor differential
-    restricts to them; this builds that restriction directly.
+    restricts to them; this writes that restriction on the survivors alone
+    (`taylor.taylor_complex`), and a survivor with a facet that does not
+    survive raises MorseError.
     """
-    from .taylor import taylor_resolution
-
     if order is not None:
         ideal = ideal.reorder(order)
-    T = taylor_resolution(ideal)
     crit = lyubeznik_critical(ideal)
-    keep = {("e",) + U for size, Us in crit.items() for U in Us}
-    basis = {
-        i: [l for l in T.labels(i) if l.tag in keep] for i in T.degrees()
-    }
-    diff: dict[int, dict[BasisLabel, VecT]] = {}
-    for i in T.degrees():
-        if i == 0:
-            continue
-        cols = {}
-        for l in basis.get(i, []):
-            col = {
-                r: p for r, p in T.column(i, l).items() if r.tag in keep
-            }
-            # survivors are subset-closed, so nothing may be lost here
-            if len(col) != len([p for p in T.column(i, l).values() if not p.is_zero()]):
-                raise MorseError("survivor sets are not subset-closed; bad input order")
-            cols[l] = col
-        if cols:
-            diff[i] = cols
-    return LabeledFreeComplex(ideal.ring, basis, diff, name=f"Lyubeznik{ideal}")
+    faces = (U for size in sorted(crit) for U in crit[size])
+    try:
+        return taylor_complex(ideal, faces, f"Lyubeznik{ideal}")
+    except ComplexError:
+        raise MorseError("survivor sets are not subset-closed; bad input order") from None
 
 
 # ---------------------------------------------------------------------------

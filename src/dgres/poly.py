@@ -137,10 +137,6 @@ class Monomial:
     def is_squarefree(self) -> bool:
         return all(e <= 1 for e in self.exponents)
 
-    def support(self) -> "Monomial":
-        """Squarefree monomial on the same variables (radical)."""
-        return Monomial(self.ring, tuple(1 if e else 0 for e in self.exponents))
-
     def __str__(self) -> str:
         parts = []
         for name, e in zip(self.ring.names, self.exponents):
@@ -204,6 +200,11 @@ def lcm_of(ms: Iterable[Monomial], ring: VariableSet | None = None) -> Monomial:
     return reduce(monomial_lcm, ms)
 
 
+def exact(c: int | Fraction) -> int | Fraction:
+    """c as an int when it is integral (`linalg`'s integer path)."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
@@ -219,13 +220,9 @@ class Polynomial:
 
     def __init__(self, ring: VariableSet, terms: dict[Monomial, Fraction] | None = None):
         self.ring = ring
-        self.terms: dict[Monomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                c = _as_fraction(c)
-                if c:
-                    self.terms[m] = self.terms.get(m, Fraction(0)) + c
-            self.terms = {m: c for m, c in self.terms.items() if c}
+        self.terms: dict[Monomial, Fraction] = {
+            m: f for m, c in (terms or {}).items() if (f := _as_fraction(c))
+        }
 
     @staticmethod
     def zero(ring: VariableSet) -> "Polynomial":
@@ -238,11 +235,6 @@ class Polynomial:
     @staticmethod
     def constant(ring: VariableSet, c) -> "Polynomial":
         return Polynomial(ring, {ring.one(): _as_fraction(c)})
-
-    def copy(self) -> "Polynomial":
-        p = Polynomial(self.ring)
-        p.terms = dict(self.terms)
-        return p
 
     def is_zero(self) -> bool:
         return not self.terms

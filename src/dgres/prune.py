@@ -35,8 +35,8 @@ from .complexes import (
     BasisLabel,
     ComplexReport,
     LabeledFreeComplex,
-    VecT,
     complexes_equal,
+    entry_polynomial,
     tag_to_json,
 )
 from .dg import (
@@ -104,31 +104,40 @@ class PruneResult:
 def prune_complex(F: LabeledFreeComplex, znames) -> PruneResult:
     """Boocher's pruning loop, with a per-stage trace.
 
-    Surviving labels keep their tags; their multidegrees get the
-    Z-exponents stripped so the result is multigraded over Q/(Z).
+    Setting Z to zero kills a stored coefficient c of c * (m_c / m_r) iff
+    m_c / m_r has a Z-variable, which the labels decide (a Polynomial entry
+    loses its Z-terms).  Surviving labels keep their tags; their
+    multidegrees get the Z-exponents stripped so the result is multigraded
+    over Q/(Z), where a surviving coefficient keeps its meaning.
     """
     znames = tuple(znames)
+    idx = [F.ring.index(n) for n in znames]
     bases: dict[int, list[BasisLabel]] = {i: list(F.labels(i)) for i in F.degrees()}
-    diffs: dict[int, dict[BasisLabel, VecT]] = {
+    diffs: dict[int, dict[BasisLabel, dict]] = {
         i: {c: dict(col) for c, col in F.diff.get(i, {}).items()}
         for i in F.degrees()
         if i >= 1
     }
-    zero = Polynomial.zero(F.ring)
+
+    def substitute(r: BasisLabel, v, c: BasisLabel):
+        """The entry v of column c on row r with Z set to zero."""
+        if type(v) is Polynomial:
+            return v.substitute_zero(znames)
+        rm, cm = r.multidegree.exponents, c.multidegree.exponents
+        return v if all(cm[j] == rm[j] for j in idx) else 0
 
     def grid(rows, cols, mat) -> list[list[str]]:
-        return [[str(mat.get(c, {}).get(r, zero)) for c in cols] for r in rows]
+        cols = [(c, mat.get(c, {})) for c in cols]
+        return [
+            [str(entry_polynomial(v, r, c)) if (v := col.get(r)) else "0" for c, col in cols]
+            for r in rows
+        ]
 
     stages: list[PruneStage] = []
     for i in range(1, F.top_degree() + 1):
         cols = diffs.get(i, {})
-        for c in list(cols):
-            newcol: VecT = {}
-            for r, p in cols[c].items():
-                q = p.substitute_zero(znames)
-                if not q.is_zero():
-                    newcol[r] = q
-            cols[c] = newcol
+        for c, col in cols.items():
+            cols[c] = {r: w for r, v in col.items() if (w := substitute(r, v, c))}
         dead = [c for c in bases.get(i, []) if not cols.get(c)]
         deadset = set(dead)
         bases[i] = [c for c in bases[i] if c not in deadset]
@@ -136,7 +145,7 @@ def prune_complex(F: LabeledFreeComplex, znames) -> PruneResult:
             cols.pop(c, None)
         nxt = diffs.get(i + 1, {})
         for c2 in list(nxt):
-            nxt[c2] = {r: p for r, p in nxt[c2].items() if r not in deadset}
+            nxt[c2] = {r: v for r, v in nxt[c2].items() if r not in deadset}
         stages.append(
             PruneStage(
                 degree=i,
@@ -147,7 +156,6 @@ def prune_complex(F: LabeledFreeComplex, znames) -> PruneResult:
         )
 
     ring2 = F.ring.deactivate(znames)
-    idx = [F.ring.index(n) for n in znames]
 
     def strip(l: BasisLabel) -> BasisLabel:
         exps = list(l.multidegree.exponents)
@@ -159,7 +167,10 @@ def prune_complex(F: LabeledFreeComplex, znames) -> PruneResult:
     basis = {i: [newlab[l] for l in lbls] for i, lbls in bases.items() if lbls}
     diff = {
         i: {
-            newlab[c]: {newlab[r]: p.reinterpret(ring2) for r, p in col.items()}
+            newlab[c]: {
+                newlab[r]: v.reinterpret(ring2) if type(v) is Polynomial else v
+                for r, v in col.items()
+            }
             for c, col in cols.items()
         }
         for i, cols in diffs.items()

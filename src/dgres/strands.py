@@ -3,16 +3,17 @@
 `Divisors` decides which monomials of a fixed list divide b with a few
 integer operations; `StrandIndex` groups a complex's labels by multidegree
 and holds its differentials evaluated at x=1, as sparse columns for
-`linalg.rank`.
+`linalg.rank`.  At x=1 a homogeneous entry c * (m_c / m_r) is its stored
+coefficient c, so the columns are read off the stored differential; only a
+Polynomial entry, the fallback of an inhomogeneous complex, is evaluated.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import le
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .poly import Monomial, PolyError, Polynomial, VariableSet
+from .poly import Monomial, PolyError, Polynomial, VariableSet, exact
 
 if TYPE_CHECKING:
     from .complexes import BasisLabel, LabeledFreeComplex
@@ -51,20 +52,19 @@ def scalar_columns(
     i: int,
     rows: Sequence[BasisLabel],
     cols: Sequence[BasisLabel],
-    value: Callable[[Polynomial], Fraction],
-) -> list[dict[int, int | Fraction]]:
-    """The columns `cols` of d_i on the rows `rows`, as {row position:
-    value(entry)} without zeros; integral values become ints, which keeps
-    `linalg.rank` on its integer path."""
+) -> list[dict]:
+    """The columns `cols` of d_i on the rows `rows` at x=1, as {row
+    position: value} without zeros: the stored coefficient, or a Polynomial
+    entry's value at x=1 (an int when integral)."""
     row_of = {r: k for k, r in enumerate(rows)}
     d = F.diff.get(i, {})
     out = []
     for c in cols:
         col = {}
-        for r, p in d.get(c, {}).items():
+        for r, v in d.get(c, {}).items():
             k = row_of.get(r)
-            if k is not None and (v := value(p)):
-                col[k] = v.numerator if v.denominator == 1 else v
+            if k is not None and (v := exact(v.eval_ones()) if type(v) is Polynomial else v):
+                col[k] = v
         out.append(col)
     return out
 
@@ -83,9 +83,7 @@ class StrandIndex:
         ]
         self.groups = Divisors(list(number), cx.ring)
         self.columns = {
-            i: scalar_columns(cx, i, cx.labels(i - 1), cx.labels(i), Polynomial.eval_ones)
-            for i in cx.degrees()
-            if i
+            i: scalar_columns(cx, i, cx.labels(i - 1), cx.labels(i)) for i in cx.degrees() if i
         }
 
     def positions(self, groups: int) -> list[list[int]]:

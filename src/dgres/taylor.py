@@ -7,7 +7,9 @@ multidegree m_U = lcm(u_i : i in U).
 
 Differential (sign sigma(u, U) = #{v in U : v < u}):
 
-    d(e_U) = sum_{u in U} (-1)^{sigma(u,U)} (m_U / m_{U-u}) e_{U-u}
+    d(e_U) = sum_{u in U} (-1)^{sigma(u,U)} (m_U / m_{U-u}) e_{U-u},
+
+stored as the signs alone, the monomials implied by the labels (`complexes`).
 
 Multiplication (zero when the index sets meet; sigma(V, W) counts the pairs
 (v, w) in V x W with v > w):
@@ -22,9 +24,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .complexes import BasisLabel, LabeledFreeComplex, VecT
+from .complexes import BasisLabel, ComplexError, LabeledFreeComplex, VecT
 from .poly import (
     Monomial,
     MonomialIdeal,
@@ -32,15 +34,38 @@ from .poly import (
     Polynomial,
     lcm_of,
     monomial_divide,
+    monomial_lcm,
 )
 
 MAX_GENERATORS = 63  # subsets fit in an int bitmask
 
 
-def taylor_label(ideal: MonomialIdeal, indices: Sequence[int]) -> BasisLabel:
-    idx = tuple(sorted(indices))
-    m = lcm_of((ideal.generators[i] for i in idx), ideal.ring)
-    return BasisLabel(("e",) + idx, m)
+def taylor_complex(
+    ideal: MonomialIdeal, faces: Iterable[tuple[int, ...]], name: str
+) -> LabeledFreeComplex:
+    """The Taylor differential on `faces`, index tuples listed by size, as
+    labels in that order; each entry is its sign, m_U / m_{U-u} implied by
+    the labels.  Raises ComplexError when a facet of a face is missing."""
+    gens = ideal.generators
+    label: dict[tuple[int, ...], BasisLabel] = {}
+    basis: dict[int, list[BasisLabel]] = {}
+    diff: dict[int, dict[BasisLabel, dict]] = {}
+
+    def face(U: tuple[int, ...]) -> BasisLabel:
+        try:
+            return label[U]
+        except KeyError:
+            raise ComplexError(f"face {list(U)} is missing") from None
+
+    for U in faces:
+        m = monomial_lcm(face(U[:-1]).multidegree, gens[U[-1]]) if U else ideal.ring.one()
+        lab = label[U] = BasisLabel(("e",) + U, m)
+        basis.setdefault(len(U), []).append(lab)
+        if U:  # sigma(u, U) = #{v in U : v < u} is the position of u
+            diff.setdefault(len(U), {})[lab] = {
+                face(U[:pos] + U[pos + 1 :]): -1 if pos % 2 else 1 for pos in range(len(U))
+            }
+    return LabeledFreeComplex(ideal.ring, basis, diff, name=name)
 
 
 def taylor_resolution(
@@ -55,31 +80,8 @@ def taylor_resolution(
         raise PolyError(f"too many generators for the Taylor complex ({t} > {MAX_GENERATORS})")
     if not ideal.is_minimal_system():
         raise PolyError("generators are not a minimal system; minimalize first")
-    ring = ideal.ring
-    basis: dict[int, list[BasisLabel]] = {}
-    by_idx: dict[tuple[int, ...], BasisLabel] = {}
-    for size in range(t + 1):
-        row = []
-        for idx in combinations(range(t), size):
-            l = taylor_label(ideal, idx)
-            by_idx[idx] = l
-            row.append(l)
-        basis[size] = row
-    diff: dict[int, dict[BasisLabel, VecT]] = {}
-    for size in range(1, t + 1):
-        cols: dict[BasisLabel, VecT] = {}
-        for idx in combinations(range(t), size):
-            lab = by_idx[idx]
-            col: VecT = {}
-            for pos, u in enumerate(idx):
-                rest = idx[:pos] + idx[pos + 1 :]
-                sub = by_idx[rest]
-                coeff = monomial_divide(lab.multidegree, sub.multidegree)
-                sign = Fraction(-1) ** pos  # sigma(u, U) = #{v in U : v < u}
-                col[sub] = Polynomial.monomial(coeff, sign)
-            cols[lab] = col
-        diff[size] = cols
-    return LabeledFreeComplex(ring, basis, diff, name=f"Taylor{ideal}")
+    faces = (U for size in range(t + 1) for U in combinations(range(t), size))
+    return taylor_complex(ideal, faces, f"Taylor{ideal}")
 
 
 def taylor_sign(V: Sequence[int], W: Sequence[int]) -> int:
@@ -107,15 +109,15 @@ def taylor_product_label(
 def taylor_product(
     ideal: MonomialIdeal, T: LabeledFreeComplex, a: BasisLabel, b: BasisLabel
 ) -> VecT:
-    """Product of two Taylor basis labels inside the complex T."""
-    V = a.tag[1:]
-    W = b.tag[1:]
-    res = taylor_product_label(ideal, V, W)
-    if res is None:
+    """Product of two Taylor basis labels inside the complex T (built from
+    `ideal`); the multidegrees are read from a, b and the union label."""
+    V, W = a.tag[1:], b.tag[1:]
+    if set(V) & set(W):
         return {}
-    sign, coeff, union = res
+    union = tuple(sorted(V + W))
     lab = T.find_label(("e",) + union, degree=len(union))
-    return {lab: Polynomial.monomial(coeff, sign)}
+    coeff = monomial_divide(a.multidegree * b.multidegree, lab.multidegree)
+    return {lab: Polynomial.monomial(coeff, taylor_sign(V, W))}
 
 
 def taylor_dg_structure(

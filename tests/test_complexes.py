@@ -752,3 +752,110 @@ class TestStrandsMatchDense:
             F.strand_homology(RING4.variable("x"))
         with pytest.raises(PolyError):
             F.is_resolution_of(ideal(RING4, "x", "y"))
+
+
+# ---------------------------------------------------------------------------
+# stored entries: coefficients with implied monomials, Polynomial fallback
+
+
+def homogeneity_failure_complex():
+    """d(a) = y with a at x: the hand-built complex of
+    `TestVerify.test_homogeneity_failure_reported`."""
+    ring = VariableSet(("x", "y"))
+    unit, a = BasisLabel(("u",), ring.one()), BasisLabel(("a",), ring.variable("x"))
+    return LabeledFreeComplex(ring, {0: [unit], 1: [a]}, {1: {a: {unit: poly(ring, "y")}}}), ideal(ring, "x")
+
+
+def outside_the_strand_complex():
+    """d(c) = b with c at x and b at y: the hand-built complex of
+    `TestStrandsMatchDense.test_entries_outside_the_strand_are_ignored`."""
+    ring = VariableSet(("x", "y"))
+    x, y = ring.variable("x"), ring.variable("y")
+    u, a, b = BasisLabel(("u",), ring.one()), BasisLabel(("a",), x), BasisLabel(("b",), y)
+    c = BasisLabel(("c",), x)
+    F = LabeledFreeComplex(
+        ring,
+        {0: [u], 1: [a, b], 2: [c]},
+        {1: {a: {u: poly(ring, "x")}, b: {u: poly(ring, "y")}}, 2: {c: {b: poly(ring, "1")}}},
+    )
+    return F, ideal(ring, "x", "y")
+
+
+def round_trip_cases(c5_ideal):
+    I = ideal(RING4, "x*y", "y*z", "z*w", "x*w")
+    T = taylor_resolution(I)
+    dg = taylor_dg_structure(c5_ideal)
+    sources = matching_sources(C5_MATCHING)
+    prefer = {("e",) + tuple(t) for _, t in C5_MATCHING} | {("e",) + tuple(s) for s in sources}
+    morse = quotient_dg(dg, span_from_matching_sources(dg.complex, sources), prefer_eliminate=prefer)
+    res = build_cone_resolution(build_family("T4(2;1,1)"))
+    return {
+        "taylor": (T, I),
+        "lyubeznik": (lyubeznik_resolution(I), I),
+        "morse-quotient": (morse.structure.complex, c5_ideal),
+        "cone": (res.cone, res.decomposition.ideal_total),
+        "homogeneity-failure": homogeneity_failure_complex(),
+        "outside-the-strand": outside_the_strand_complex(),
+    }
+
+
+class TestStoredEntries:
+    def test_round_trip_through_the_constructor(self, c5_ideal):
+        # the stored differentials, passed back to the constructor, give the
+        # same complex with the same reports
+        for name, (F, I) in round_trip_cases(c5_ideal).items():
+            G = LabeledFreeComplex(F.ring, F.basis, F.diff, name=F.name)
+            assert complexes_equal(G, F), name
+            assert G.diff == F.diff, name
+            assert json.dumps(G.verify().to_json()) == json.dumps(F.verify().to_json()), name
+            assert json.dumps(G.is_resolution_of(I)) == json.dumps(fresh(F).is_resolution_of(I)), name
+
+    def test_both_fallbacks_stay_polynomials(self):
+        F, _ = homogeneity_failure_complex()
+        assert [type(v) for col in F.diff[1].values() for v in col.values()] == [Polynomial]
+        assert F.verify().homogeneity_failures == [(1, ["u"], ["a"], "y")]
+        F, _ = outside_the_strand_complex()
+        c = F.find_label(("c",))
+        assert F.diff[2][c] == {F.find_label(("b",)): poly(F.ring, "1")}
+        assert [type(v) for v in F.diff[1][F.find_label(("a",))].values()] == [int]
+
+    def test_homogeneous_polynomials_stored_as_coefficients(self):
+        F, _ = unit_and_fraction_entries(True)
+        u, a, b = F.labels(0)[0], *F.labels(1)
+        c = F.labels(2)[0]
+        assert F.diff[1][a] == {u: 2} and type(F.diff[1][a][u]) is int
+        assert F.diff[1][b] == {u: Fraction(1, 2)}
+        assert F.diff[2][c] == {a: 1, b: -4}
+        # the API boundary gives the Polynomials back
+        assert F.entry(1, u, b) == poly(F.ring, "1/2*x")
+        assert F.column(2, c) == {a: poly(F.ring, "1"), b: poly(F.ring, "-4")}
+
+    def test_zero_entries_dropped(self):
+        ring = VariableSet(("x",))
+        u, a = BasisLabel(("u",), ring.one()), BasisLabel(("a",), ring.variable("x"))
+        F = LabeledFreeComplex(ring, {0: [u], 1: [a]}, {1: {a: {u: Polynomial.zero(ring)}}})
+        assert F.diff == {1: {a: {}}}
+        G = LabeledFreeComplex(ring, {0: [u], 1: [a]}, {1: {a: {u: Fraction(0)}}})
+        assert G.diff == {1: {a: {}}}
+
+    def test_coefficient_needs_a_monomial_quotient(self):
+        # a coefficient stands for c * (m_c / m_r), so m_r must divide m_c
+        ring = VariableSet(("x", "y"))
+        u, a = BasisLabel(("u",), ring.one()), BasisLabel(("a",), ring.variable("x"))
+        b = BasisLabel(("b",), ring.variable("y"))
+        with pytest.raises(ComplexError):
+            LabeledFreeComplex(ring, {0: [u], 1: [a], 2: [b]}, {2: {b: {a: 1}}})
+        with pytest.raises(ComplexError):
+            LabeledFreeComplex(ring, {0: [u], 1: [a]}, {1: {a: {u: 1.0}}})
+
+    def test_d2_with_a_polynomial_entry(self):
+        # d(e01) = (1 - y) e0 + x e1, so d^2(e01) = (1 - y) x + x y = x:
+        # the composite mixes the Polynomial entry with coefficients
+        ring = VariableSet(("x", "y"))
+        T = taylor_resolution(ideal(ring, "x", "y"))
+        e01, e0 = T.find_label(("e", 0, 1)), T.find_label(("e", 0))
+        diff = {i: {c: T.column(i, c) for c in T.labels(i)} for i in (1, 2)}
+        diff[2][e01][e0] = T.entry(2, e0, e01) + Polynomial.constant(ring, 1)
+        report = LabeledFreeComplex(ring, T.basis, diff).verify()
+        assert report.d2_failures == [(2, ["e"], ["e", 0, 1], "x")]
+        assert report.homogeneity_failures == [(2, ["e", 0], ["e", 0, 1], "-y + 1")]

@@ -48,7 +48,7 @@ from dgres import (
 )
 from dgres.classify import C4_MATCHING, C5_MATCHING
 from dgres.complexes import tag_to_json
-from dgres.dg import DGReport, _homogeneous_product_ok
+from dgres.dg import DGReport, _homogeneous_product_ok, _Tables
 from dgres.morse import is_superset_closed, matching_sources, matching_targets
 from dgres.poly import monomial_divide
 
@@ -578,7 +578,7 @@ def inhomogeneous_differential(ideal) -> DGStructure:
     T = taylor_resolution(ideal)
     diff = {i: {c: dict(col) for c, col in cols.items()} for i, cols in T.diff.items()}
     e01, e0 = T.find_label(("e", 0, 1), degree=2), T.find_label(("e", 0), degree=1)
-    diff[2][e01][e0] = diff[2][e01][e0] + Polynomial.constant(T.ring, 1)
+    diff[2][e01][e0] = T.entry(2, e0, e01) + Polynomial.constant(T.ring, 1)
     return taylor_dg_structure(ideal, LabeledFreeComplex(T.ring, T.basis, diff))
 
 
@@ -718,6 +718,26 @@ class TestDenseOracle:
         dg = DGStructure(cx, product)
         report = assert_matches_dense(dg)
         assert [(w["a"], w["b"]) for w in report.failures["leibniz"]] == [(["a"], ["b"]), (["b"], ["a"])]
+
+
+def test_differential_table_of_a_label_in_two_degrees():
+    # u (tag and multidegree xy) is a label of degrees 1 and 2, and
+    # d(w) = u lands on the degree-2 copy; the first position of u is
+    # the degree-1 copy, so the table of d(w) is a support list and
+    # Element arithmetic decides wherever it is read
+    ring = VariableSet(("x", "y"))
+    x, y = ring.variable("x"), ring.variable("y")
+    unit, a = BasisLabel(("1",), ring.one()), BasisLabel(("a",), x)
+    u, w = BasisLabel(("u",), x * y), BasisLabel(("w",), x * y)
+    cx = LabeledFreeComplex(
+        ring,
+        {0: [unit], 1: [a, u], 2: [u], 3: [w]},
+        {2: {u: {a: Polynomial.monomial(y)}}, 3: {w: {u: Polynomial.constant(ring, 1)}}},
+    )
+    tables = _Tables(DGStructure(cx, lambda p, q: Element.zero(cx, 0)))
+    assert tables.labels == [unit, a, u, u, w]
+    assert tables.diff(4) == [2]
+    assert tables.diff(1) == {}
 
 
 def test_label_outside_the_basis_keeps_all_partners(taylor_fixture_ideal, uncapped):

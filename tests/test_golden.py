@@ -10,11 +10,13 @@ concatenation of the 30 texts is fixed.  A refactor of any layer a
 certificate rests on (Taylor, Lyubeznik/Morse, dg checks, cones, pruning,
 strands) must leave it unchanged.
 
-Five command-line outputs are pinned the same way, as the sha256 of stdout
+Nine command-line outputs are pinned the same way, as the sha256 of stdout
 plus the exit code, run in-process through `cli.main`: `reduce` along the
 Lyubeznik matching and along a matching file, `dgcheck --structure
-quotient`, `prune --dg` and `lyubeznik`.  They gate the Morse and quotient
-eliminations.
+quotient`, `prune --dg` and `lyubeznik` gate the Morse and quotient
+eliminations; `taylor`, `betti`, `prune` without `--dg` (every stage
+matrix) and `cone4` print differential entries as Polynomial strings, which
+gates how complexes store them.
 """
 
 import hashlib
@@ -84,6 +86,22 @@ CLI_GOLDEN = {
     "lyubeznik": (
         ["lyubeznik"] + C5,
         0, "e15000400d79c8a8e13376c69a6414f9e347cd2113a363722f44ffb532781f82",
+    ),
+    "taylor": (
+        ["taylor"] + WHISKER,
+        0, "ba7de40032188a8639665fba4c011189bab0d18ce134f5762db6756e85d88a11",
+    ),
+    "betti": (
+        ["betti"] + WHISKER,
+        0, "8f5a05e5f6c347da1170d6c98d5ef4434f732a8c1ae4f5b04264b3f60dfe6027",
+    ),
+    "prune-stages": (
+        ["prune", "--kill", "y1"] + WHISKER,
+        0, "30ccc9983be46991165109bc097a2aa300caaab6e8e5f6a9ca6476e703a4ddc7",
+    ),
+    "cone4": (
+        ["cone4", "--family", "T4(2;1,2)"],
+        0, "3b9a2ce65be92eba41fccb43858588bf9edf10d5298773dd0585a0a55933df8c",
     ),
 }
 
