@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Time the path-ideal scale cases and check their ranks.
+
+For the edge ideals of the paths P12 and P14 this builds, in order, the
+Taylor resolution, the Lyubeznik resolution, the Lyubeznik matching and
+the Morse reduction of the Taylor resolution along that matching.  Each
+stage is timed in the reference-kernel units (`ref`) of
+`perfbench/meter.py`, which correct for the host's drifting speed, and in
+seconds.  The ranks of the three complexes and the number of matched
+pairs are checked against frozen values; the Morse complex must have the
+Lyubeznik ranks.
+
+Prints one JSON line and exits nonzero when a check fails.  Run from a
+dgres checkout:
+
+    PYTHONPATH=src python3 scripts/scale_cases.py
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from meter import Meter  # noqa: E402
+
+from dgres import (  # noqa: E402
+    build_family,
+    edge_ideal,
+    lyubeznik_matching,
+    lyubeznik_resolution,
+    morse_reduce,
+    taylor_resolution,
+)
+
+# ranks of the Taylor and Lyubeznik (= Morse) complexes, and matched pairs
+FROZEN = {
+    "P12": {
+        "taylor": [1, 12, 66, 220, 495, 792, 924, 792, 495, 220, 66, 12, 1],
+        "lyubeznik": [1, 12, 65, 210, 450, 672, 714, 540, 285, 100, 21, 2],
+        "pairs": 512,
+    },
+    "P14": {
+        "taylor": [1, 14, 91, 364, 1001, 2002, 3003, 3432, 3003, 2002, 1001, 364, 91, 14, 1],
+        "lyubeznik": [1, 14, 90, 352, 935, 1782, 2508, 2640, 2079, 1210, 506, 144, 25, 2],
+        "pairs": 2048,
+    },
+}
+
+
+def run_case(name: str) -> dict:
+    ideal = edge_ideal(build_family(name))
+    with Meter() as meter:
+        T = meter.call("taylor_resolution", taylor_resolution, ideal)
+        L = meter.call("lyubeznik_resolution", lyubeznik_resolution, ideal)
+        matching = meter.call("lyubeznik_matching", lyubeznik_matching, ideal)
+        M = meter.call("morse_reduce", morse_reduce, T, matching)
+    frozen = FROZEN[name]
+    got = {
+        "taylor": list(T.ranks()),
+        "lyubeznik": list(L.ranks()),
+        "morse": list(M.ranks()),
+        "pairs": len(matching),
+    }
+    want = {**frozen, "morse": frozen["lyubeznik"]}
+    stages = [k for k in meter.ref if k != "pass"]
+    return {
+        "ok": got == want,
+        **({} if got == want else {"got": got, "want": want}),
+        "ref": {k: round(meter.ref[k], 1) for k in stages},
+        "seconds": {k: round(meter.seconds[k], 3) for k in stages},
+    }
+
+
+def main() -> int:
+    cases = {name: run_case(name) for name in FROZEN}
+    ok = all(case["ok"] for case in cases.values())
+    print(json.dumps({"ok": ok, "cases": cases}, sort_keys=True))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -41,6 +41,7 @@ from .poly import (
     MonomialIdeal,
     Polynomial,
     VariableSet,
+    _monomial,
     exact,
     monomial_divide,
     parse_monomial,
@@ -54,12 +55,19 @@ class ComplexError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasisLabel:
-    """A named basis element with a monomial multidegree."""
+    """A named basis element with a monomial multidegree; hashed once."""
 
     tag: tuple
     multidegree: Monomial
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.tag, self.multidegree)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{_tag_str(self.tag)}[{self.multidegree}]"
@@ -113,7 +121,7 @@ def entry_polynomial(v, row: BasisLabel, col: BasisLabel) -> Polynomial:
     if type(v) is Polynomial:
         return v
     cm = col.multidegree  # m_row divides it: the constructor checked that
-    return Polynomial.monomial(Monomial(cm.ring, tuple(map(sub, cm.exponents, row.multidegree.exponents))), v)
+    return Polynomial.monomial(_monomial(cm.ring, tuple(map(sub, cm.exponents, row.multidegree.exponents))), v)
 
 
 def _stored(v, row: BasisLabel, col: BasisLabel):

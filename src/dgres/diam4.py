@@ -306,8 +306,8 @@ def _cone_product_fn(dec, cone):
     def product(a: BasisLabel, b: BasisLabel) -> Element:
         ka, va = a.tag[0], a.tag[1:]
         kb, vb = b.tag[0], b.tag[1:]
-        da = cone.degree_of(a)
-        db = cone.degree_of(b)
+        da = len(va) + (ka == "S")  # F_V, G_W in degree |V|, |W|; S_W in |W| + 1
+        db = len(vb) + (kb == "S")
         deg = da + db
         # unit action
         if ka == "F" and not va:

@@ -24,11 +24,11 @@ survivors alone; the two constructions are cross-checked in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .complexes import BasisLabel, ComplexError, LabeledFreeComplex
 from .dg import DGError, Elimination
-from .poly import MonomialIdeal, Polynomial, lcm_of
+from .poly import MonomialIdeal, Polynomial, lcm_of, monomial_lcm
 from .taylor import taylor_complex
 
 Arc = tuple[tuple[int, ...], tuple[int, ...]]  # (source subset, target subset)
@@ -170,15 +170,21 @@ def is_superset_closed(ideal: MonomialIdeal, matching) -> tuple[bool, dict | Non
 # the Batzies-Welker matching A(<)
 
 
-def _min_divisor_index(ideal: MonomialIdeal, sigma: frozenset[int]) -> int | None:
-    """M(sigma): least q with u_q | lcm{u_j in sigma : j > q}, else None."""
+def _suffix_lcms(gens, members) -> list:
+    """lcm(gens[members[p:]]) for each position p, one lcm per member."""
+    return list(accumulate([gens[j] for j in reversed(members)], monomial_lcm))[::-1]
+
+
+def _min_divisor_index(ideal: MonomialIdeal, sigma: tuple[int, ...]) -> int | None:
+    """M(sigma) for a sorted sigma: least q with u_q | lcm{u_j in sigma : j > q},
+    else None."""
     gens = ideal.generators
-    for q in range(len(gens)):
-        later = [gens[j] for j in sigma if j > q]
-        if not later:
-            break
-        if gens[q].divides(lcm_of(later, ideal.ring)):
-            return q
+    lo = 0  # the q in [lo, j) have the members from j on as their later set
+    for j, tail in zip(sigma, _suffix_lcms(gens, sigma)):
+        for q in range(lo, j):
+            if gens[q].divides(tail):
+                return q
+        lo = j
     return None
 
 
@@ -193,7 +199,7 @@ def lyubeznik_matching(ideal: MonomialIdeal) -> tuple[Arc, ...]:
     arcs: set[Arc] = set()
     for size in range(t + 1):
         for sigma in combinations(range(t), size):
-            q = _min_divisor_index(ideal, frozenset(sigma))
+            q = _min_divisor_index(ideal, sigma)
             if q is None:
                 continue
             source = tuple(sorted(set(sigma) | {q}))
@@ -211,13 +217,10 @@ def lyubeznik_critical(ideal: MonomialIdeal) -> dict[int, list[tuple[int, ...]]]
     out: dict[int, list[tuple[int, ...]]] = {}
     for size in range(t + 1):
         for U in combinations(range(t), size):
-            alive = True
-            for pos, it in enumerate(U):
-                tail = lcm_of((gens[j] for j in U[pos:]), ideal.ring)
-                if any(gens[q].divides(tail) for q in range(it)):
-                    alive = False
-                    break
-            if alive:
+            tails = _suffix_lcms(gens, U)
+            if not any(
+                gens[q].divides(tail) for it, tail in zip(U, tails) for q in range(it)
+            ):
                 out.setdefault(size, []).append(U)
     return out
 

@@ -6,6 +6,16 @@ variable set can mark some variables inactive, which is how we model the
 smaller polynomial ring Q/<Z> that pruning produces (the exponent tuples keep
 their length, but inactive variables must never occur).
 
+Where monomials are validated: the public constructor `Monomial(ring, exps)`
+checks the length, that every exponent is an int >= 0, and that no inactive
+variable occurs, so parsing, `Polynomial.reinterpret`, relabels onto a
+smaller ring and user input are all checked.  Products, lcms, quotients
+(after their divisibility check), `VariableSet.variable` and `one` build
+their results with `_monomial`, which skips the checks: sums, maxima and
+differences of valid exponents over one ring are again valid, and a
+variable inactive in both operands stays 0.  A monomial hashes its
+exponent tuple once, at construction.
+
 Text format for monomials: ``x1^2*x3`` (``1`` for the unit monomial).
 Ideals serialize as a JSON object with an ordered variable list and a list of
 generator strings.
@@ -14,10 +24,11 @@ generator strings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iproduct
+from operator import add, le, sub
 from typing import Iterable, Iterator, Sequence
 
 
@@ -80,10 +91,10 @@ class VariableSet:
             raise PolyError(f"variable {name!r} is inactive in this ring")
         exps = [0] * len(self.names)
         exps[i] = 1
-        return Monomial(self, tuple(exps))
+        return _monomial(self, tuple(exps))
 
     def one(self) -> "Monomial":
-        return Monomial(self, tuple(0 for _ in self.names))
+        return _monomial(self, (0,) * len(self.names))
 
     def to_json(self) -> dict:
         d: dict = {"names": list(self.names)}
@@ -98,12 +109,13 @@ class VariableSet:
         return VariableSet(names, active)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
     """A monomial x^a over a fixed VariableSet (exponents >= 0)."""
 
     ring: VariableSet
     exponents: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.exponents) != len(self.ring):
@@ -113,20 +125,22 @@ class Monomial:
                 raise PolyError(f"bad exponent {e!r}")
             if e and not a:
                 raise PolyError("monomial uses an inactive variable")
+        object.__setattr__(self, "_hash", hash(self.exponents))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         self._check_ring(other)
-        return Monomial(
-            self.ring, tuple(a + b for a, b in zip(self.exponents, other.exponents))
-        )
+        return _monomial(self.ring, tuple(map(add, self.exponents, other.exponents)))
 
     def _check_ring(self, other: "Monomial"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise PolyError("monomials over different rings")
 
     def divides(self, other: "Monomial") -> bool:
         self._check_ring(other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+        return all(map(le, self.exponents, other.exponents))
 
     def degree(self) -> int:
         return sum(self.exponents)
@@ -151,6 +165,16 @@ class Monomial:
 
     def sort_key(self) -> tuple:
         return self.exponents
+
+
+def _monomial(ring: VariableSet, exps: tuple[int, ...]) -> Monomial:
+    """Monomial(ring, exps) without the checks, for exponents that are valid
+    by construction (see the module docstring)."""
+    m = object.__new__(Monomial)
+    object.__setattr__(m, "ring", ring)
+    object.__setattr__(m, "exponents", exps)
+    object.__setattr__(m, "_hash", hash(exps))
+    return m
 
 
 def parse_monomial(ring: VariableSet, text: str) -> Monomial:
@@ -180,7 +204,7 @@ def parse_monomial(ring: VariableSet, text: str) -> Monomial:
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     a._check_ring(b)
-    return Monomial(a.ring, tuple(max(x, y) for x, y in zip(a.exponents, b.exponents)))
+    return _monomial(a.ring, tuple(map(max, a.exponents, b.exponents)))
 
 
 def monomial_divide(a: Monomial, b: Monomial) -> Monomial:
@@ -188,7 +212,7 @@ def monomial_divide(a: Monomial, b: Monomial) -> Monomial:
     a._check_ring(b)
     if not b.divides(a):
         raise PolyError(f"{b} does not divide {a}")
-    return Monomial(a.ring, tuple(x - y for x, y in zip(a.exponents, b.exponents)))
+    return _monomial(a.ring, tuple(map(sub, a.exponents, b.exponents)))
 
 
 def lcm_of(ms: Iterable[Monomial], ring: VariableSet | None = None) -> Monomial:

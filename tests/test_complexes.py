@@ -13,9 +13,13 @@ from dgres import (
     BasisLabel,
     ChainMap,
     ComplexError,
+    DGError,
     LabeledFreeComplex,
+    Monomial,
     MonomialIdeal,
+    PolyError,
     Polynomial,
+    SubmoduleSpan,
     VariableSet,
     build_cone_resolution,
     build_family,
@@ -29,6 +33,8 @@ from dgres import (
     morse_reduce,
     multiplication_map,
     parse_monomial,
+    prune_complex,
+    prune_ideal,
     quotient_dg,
     span_from_matching_sources,
     squarefree_monomials,
@@ -859,3 +865,52 @@ class TestStoredEntries:
         report = LabeledFreeComplex(ring, T.basis, diff).verify()
         assert report.d2_failures == [(2, ["e"], ["e", 0, 1], "x")]
         assert report.homogeneity_failures == [(2, ["e", 0], ["e", 0, 1], "-y + 1")]
+
+
+class TestBasisLabelValueType:
+    """Labels hash (tag, multidegree) once; equality still compares the
+    ring, so a relabel onto a smaller ring gives different labels."""
+
+    def test_equal_labels_are_one_dict_key(self):
+        T = taylor_resolution(ideal(RING3, "x*y", "y*z", "x*z"))
+        index = {l: i for i in T.degrees() for l in T.labels(i)}
+        for l, i in index.items():
+            fresh_label = BasisLabel(tuple(l.tag), Monomial(RING3, l.multidegree.exponents))
+            assert fresh_label == l and hash(fresh_label) == hash(l)
+            assert index[fresh_label] == i
+        xy = RING3.variable("x") * RING3.variable("y")
+        assert T.find_label(("e", 0)) == BasisLabel(("e", 0), xy)
+
+    def test_same_tag_and_exponents_over_a_deactivated_ring_differ(self):
+        masked = RING3.deactivate(["z"])
+        a = BasisLabel(("e", 0), parse_monomial(RING3, "x*y"))
+        b = BasisLabel(("e", 0), parse_monomial(masked, "x*y"))
+        assert a != b and len({a: 0, b: 1}) == 2
+
+    def test_fields_cannot_be_assigned(self):
+        lab = BasisLabel(("e", 0), parse_monomial(RING3, "x"))
+        for attr, value in (("tag", ("f",)), ("multidegree", RING3.one()), ("_hash", 0)):
+            with pytest.raises(AttributeError):
+                setattr(lab, attr, value)
+        assert lab == BasisLabel(("e", 0), parse_monomial(RING3, "x"))
+
+    def test_prune_relabels_are_valid_over_the_smaller_ring(self):
+        I = ideal(RING4, "x*y", "y*z", "z*w", "x*w")
+        pruned = prune_ideal(I, ["w"])
+        assert [str(g) for g in pruned.generators] == ["x*y", "y*z"]
+        P = prune_complex(lyubeznik_resolution(I), ["w"]).pruned
+        for g in pruned.generators:
+            assert g.ring == P.ring == RING4.deactivate(["w"])
+        for i in P.degrees():
+            for l in P.labels(i):
+                # the public constructor re-checks each relabelled multidegree
+                assert Monomial(P.ring, l.multidegree.exponents) == l.multidegree
+                assert l.multidegree.exponents[3] == 0
+        with pytest.raises(PolyError):
+            Monomial(P.ring, (0, 0, 0, 1))
+
+    def test_quotient_relabel_rejects_a_killed_variable(self):
+        I = ideal(RING3, "x*y", "y*z")
+        dg = taylor_dg_structure(I)
+        with pytest.raises(DGError, match="divisible by y"):
+            quotient_dg(dg, SubmoduleSpan(dg.complex, []), kill_vars=["y"])

@@ -10,7 +10,9 @@ import pytest
 from dgres import (
     MonomialIdeal,
     VariableSet,
+    build_family,
     complexes_equal,
+    edge_ideal,
     equal_up_to_basis_scaling,
     graded_betti,
     lcm_of,
@@ -177,6 +179,73 @@ class TestLyubeznikMatching:
         F = lyubeznik_resolution(whisker_ideal)
         for i in F.degrees():
             assert [l.tag[1:] for l in F.labels(i)] == crit.get(i, [])
+
+
+# The all-tails survivor rule and the per-q M(sigma), each lcm recomputed
+# from scratch: the oracle for the suffix-lcm versions in dgres.morse.
+
+
+def oracle_min_divisor_index(ideal: MonomialIdeal, sigma: frozenset[int]) -> int | None:
+    """M(sigma): least q with u_q | lcm{u_j in sigma : j > q}, else None."""
+    gens = ideal.generators
+    for q in range(len(gens)):
+        later = [gens[j] for j in sigma if j > q]
+        if not later:
+            break
+        if gens[q].divides(lcm_of(later, ideal.ring)):
+            return q
+    return None
+
+
+def oracle_lyubeznik_matching(ideal: MonomialIdeal):
+    t = len(ideal.generators)
+    arcs = set()
+    for size in range(t + 1):
+        for sigma in combinations(range(t), size):
+            q = oracle_min_divisor_index(ideal, frozenset(sigma))
+            if q is None:
+                continue
+            source = tuple(sorted(set(sigma) | {q}))
+            target = tuple(i for i in source if i != q)
+            arcs.add((source, target))
+    return tuple(sorted(arcs, key=lambda a: (len(a[1]), a[0], a[1])))
+
+
+def oracle_lyubeznik_critical(ideal: MonomialIdeal) -> dict[int, list[tuple[int, ...]]]:
+    gens = ideal.generators
+    t = len(gens)
+    out: dict[int, list[tuple[int, ...]]] = {}
+    for size in range(t + 1):
+        for U in combinations(range(t), size):
+            alive = True
+            for pos, it in enumerate(U):
+                tail = lcm_of((gens[j] for j in U[pos:]), ideal.ring)
+                if any(gens[q].divides(tail) for q in range(it)):
+                    alive = False
+                    break
+            if alive:
+                out.setdefault(size, []).append(U)
+    return out
+
+
+class TestLyubeznikOracle:
+    def assert_matches_oracle(self, I):
+        assert lyubeznik_critical(I) == oracle_lyubeznik_critical(I), str(I)
+        assert lyubeznik_matching(I) == oracle_lyubeznik_matching(I), str(I)
+
+    def test_whisker_ideal_in_all_orders(self, whisker_ideal):
+        for perm in permutations(range(5)):
+            self.assert_matches_oracle(whisker_ideal.reorder(list(perm)))
+
+    def test_corpus(self, corpus):
+        for I in corpus:
+            self.assert_matches_oracle(I)
+
+    def test_longer_paths_and_a_cycle(self):
+        for fam in ("P8", "C7"):
+            I = edge_ideal(build_family(fam))
+            self.assert_matches_oracle(I)
+            self.assert_matches_oracle(I.reorder(list(range(len(I.generators)))[::-1]))
 
 
 class TestLyubeznikResolution:

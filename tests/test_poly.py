@@ -17,7 +17,7 @@ from dgres import (
     lcm_of,
     minimalize,
 )
-from dgres.poly import monomial_divide, parse_monomial, parse_polynomial
+from dgres.poly import monomial_divide, monomial_lcm, parse_monomial, parse_polynomial
 
 RING = VariableSet(("x", "y", "z"))
 R4 = VariableSet(("x", "y", "z", "w"))
@@ -73,6 +73,70 @@ class TestMonomial:
             masked.variable("y")
         # untouched variables still work
         assert masked.variable("x").exponents == (1, 0, 0)
+
+
+class TestMonomialValueType:
+    """Monomials are validated by the public constructor only; arithmetic
+    results skip the checks and must still be the same values."""
+
+    @given(exponents3, exponents3)
+    def test_arithmetic_results_equal_public_ones(self, ea, eb):
+        a, b = mono(RING, ea), mono(RING, eb)
+        built = {
+            a * b: mono(RING, [x + y for x, y in zip(ea, eb)]),
+            monomial_lcm(a, b): mono(RING, [max(x, y) for x, y in zip(ea, eb)]),
+            monomial_divide(a * b, b): mono(RING, ea),
+        }
+        for got, want in built.items():
+            assert got == want and hash(got) == hash(want)
+            assert {want: "v"}[got] == "v"
+
+    def test_variable_and_one_equal_public_ones(self):
+        assert {mono(RING, (0, 1, 0)): 1, mono(RING, (0, 0, 0)): 2} == {
+            RING.variable("y"): 1,
+            RING.one(): 2,
+        }
+        assert parse_monomial(RING, "x*z") == RING.variable("x") * RING.variable("z")
+
+    def test_equal_rings_need_not_be_identical(self):
+        other = VariableSet(("x", "y", "z"))
+        assert other is not RING
+        assert mono(RING, (1, 0, 0)) * mono(other, (0, 1, 0)) == mono(RING, (1, 1, 0))
+
+    def test_same_exponents_over_a_deactivated_ring_differ(self):
+        masked = RING.deactivate(["y"])
+        a, b = mono(RING, (1, 0, 1)), mono(masked, (1, 0, 1))
+        assert a != b
+        assert len({a: 0, b: 1}) == 2
+        with pytest.raises(PolyError):
+            a * b
+        with pytest.raises(PolyError):
+            monomial_lcm(a, b)
+
+    def test_fields_cannot_be_assigned(self):
+        m = mono(RING, (1, 0, 0))
+        for attr, value in (("exponents", (0, 0, 0)), ("ring", R4), ("_hash", 0)):
+            with pytest.raises(AttributeError):
+                setattr(m, attr, value)
+        # no slot for it; Python 3.10 and 3.11 raise a TypeError here
+        with pytest.raises((AttributeError, TypeError)):
+            m.other = 1
+        assert m == mono(RING, (1, 0, 0)) and hash(m) == hash((1, 0, 0))
+
+    @pytest.mark.parametrize(
+        "exps", [(1, 0), (1, 0, 0, 0), (1, -1, 0), (1.0, 0, 0), (Fraction(1), 0, 0), ("1", 0, 0)]
+    )
+    def test_constructor_rejects_bad_exponents(self, exps):
+        with pytest.raises(PolyError):
+            Monomial(RING, exps)
+
+    def test_reinterpret_rejects_a_killed_variable(self):
+        masked = RING.deactivate(["y"])
+        p = parse_polynomial(RING, "x*y + z")
+        with pytest.raises(PolyError):
+            p.reinterpret(masked)
+        q = parse_polynomial(RING, "x + 2*z").reinterpret(masked)
+        assert q.ring is masked and set(q.terms) == {mono(masked, (1, 0, 0)), mono(masked, (0, 0, 1))}
 
 
 class TestPolynomial:
