@@ -115,13 +115,19 @@ def vec_scale(a: VecT, c) -> VecT:
     return out
 
 
-def entry_polynomial(v, row: BasisLabel, col: BasisLabel) -> Polynomial:
-    """The stored entry v of column `col` on row `row` as a Polynomial:
-    c * (m_col / m_row) for a coefficient c, v itself for a Polynomial."""
+def entry_polynomial(v, row: BasisLabel, b: Monomial) -> Polynomial:
+    """The stored entry v on row `row` of a column of multidegree b, over the
+    row's ring: c * (b / m_row) for a coefficient c, v for a Polynomial."""
     if type(v) is Polynomial:
         return v
-    cm = col.multidegree  # m_row divides it: the constructor checked that
-    return Polynomial.monomial(_monomial(cm.ring, tuple(map(sub, cm.exponents, row.multidegree.exponents))), v)
+    rm = row.multidegree  # it divides b for every stored or converted entry
+    return Polynomial.monomial(_monomial(rm.ring, tuple(map(sub, b.exponents, rm.exponents))), v)
+
+
+def killed(row: Monomial, col: Monomial, idx: Sequence[int]) -> bool:
+    """Whether c * (col / row) vanishes once the variables at positions idx
+    are set to 0, that is, whether the two monomials differ there."""
+    return any(col.exponents[j] != row.exponents[j] for j in idx)
 
 
 def _stored(v, row: BasisLabel, col: BasisLabel):
@@ -144,7 +150,7 @@ def _stored(v, row: BasisLabel, col: BasisLabel):
 def _add(x, y, row: BasisLabel, col: BasisLabel):
     """The sum of two entries of column `col` on row `row`."""
     if type(x) is Polynomial or type(y) is Polynomial:
-        return entry_polynomial(x, row, col) + entry_polynomial(y, row, col)
+        return entry_polynomial(x, row, col.multidegree) + entry_polynomial(y, row, col.multidegree)
     return x + y
 
 
@@ -225,10 +231,10 @@ class LabeledFreeComplex:
 
     def entry(self, i: int, row: BasisLabel, col: BasisLabel) -> Polynomial:
         v = self.diff.get(i, {}).get(col, {}).get(row)
-        return Polynomial.zero(self.ring) if v is None else entry_polynomial(v, row, col)
+        return Polynomial.zero(self.ring) if v is None else entry_polynomial(v, row, col.multidegree)
 
     def column(self, i: int, col: BasisLabel) -> VecT:
-        return {r: entry_polynomial(v, r, col) for r, v in self.diff.get(i, {}).get(col, {}).items()}
+        return {r: entry_polynomial(v, r, col.multidegree) for r, v in self.diff.get(i, {}).get(col, {}).items()}
 
     def matrix(self, i: int) -> list[list[Polynomial]]:
         rows = self.labels(i - 1)
@@ -239,7 +245,7 @@ class LabeledFreeComplex:
         out: VecT = {}
         for c, p in v.items():
             for r, q in self.diff.get(i, {}).get(c, {}).items():
-                s = out.get(r, Polynomial.zero(self.ring)) + p * entry_polynomial(q, r, c)
+                s = out.get(r, Polynomial.zero(self.ring)) + p * entry_polynomial(q, r, c.multidegree)
                 if s.is_zero():
                     out.pop(r, None)
                 else:
@@ -282,7 +288,7 @@ class LabeledFreeComplex:
                 for r, v in cols.get(c, {}).items():
                     for s, w in lower.get(r, {}).items():
                         poly = type(v) is Polynomial or type(w) is Polynomial
-                        x = entry_polynomial(v, r, c) * entry_polynomial(w, s, r) if poly else v * w
+                        x = entry_polynomial(v, r, c.multidegree) * entry_polynomial(w, s, r.multidegree) if poly else v * w
                         if s in composite:
                             x = _add(composite[s], x, s, c)
                         if x:
@@ -291,7 +297,7 @@ class LabeledFreeComplex:
                             del composite[s]
                 for s, x in composite.items():
                     report.d2_failures.append(
-                        (i, tag_to_json(s.tag), tag_to_json(c.tag), str(entry_polynomial(x, s, c)))
+                        (i, tag_to_json(s.tag), tag_to_json(c.tag), str(entry_polynomial(x, s, c.multidegree)))
                     )
         deg0 = self.labels(0)
         report.degree_zero_ok = (

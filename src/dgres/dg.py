@@ -48,11 +48,14 @@ once and indexes the generators by degree.  `dg_ideal_closure` forms each
 product e_u * g from tables as above.
 
 `Elimination` forms the quotient of a complex by the span of some of its
-elements, by per-degree elimination with unit pivots, optionally over a
-smaller ring (kill variables).  `quotient_dg` wraps it for a dg algebra and
-a dg ideal given as a span, preferring to eliminate caller-designated
-labels; `morse.morse_reduce` uses it with each pivot fixed to a matched
-target.
+elements, by per-degree unit-pivot elimination on coefficients, optionally
+over Q/<kill>.  As in the complexes, an element of multidegree b is {l: c}
+for sum c*(b/m_l) e_l: l is a unit pivot iff m_l = b, and a term survives
+Q/<kill> iff b and m_l agree on the kill exponents.  `coefficients` converts
+an `Element` at the boundary.  `quotient_dg` wraps it for a dg algebra and a
+dg ideal given as a span, preferring caller-designated pivots;
+`morse.morse_reduce` passes each e_sigma and its stored column d(e_sigma),
+with each pivot fixed to a matched target.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
-from .complexes import BasisLabel, LabeledFreeComplex, VecT, tag_to_json, vec_add, vec_scale
+from .complexes import BasisLabel, LabeledFreeComplex, VecT, entry_polynomial, killed, tag_to_json, vec_add, vec_scale
 from .poly import Monomial, Polynomial, exact, monomial_divide
 
 
@@ -429,21 +432,26 @@ class SpanGenerator:
     element: Element
 
 
+def coefficients(el: Element, what: str) -> tuple[Monomial | None, dict]:
+    """A multigraded element sum c*(b/m_l) e_l as (b, {l: c}), b None for 0;
+    DGError naming `what` when el is not multigraded."""
+    b = el.multidegree()
+    if b is None and el.coords:
+        raise DGError(f"{what} is not multigraded")
+    return b, {l: exact(p.single_term()[1]) for l, p in el.coords.items()}
+
+
 class SubmoduleSpan:
     """A multigraded submodule given by homogeneous generators."""
 
     def __init__(self, cx: LabeledFreeComplex, generators: Sequence[SpanGenerator]):
         self.complex = cx
         self.generators = list(generators)
-        # each generator's multidegree (None when it is zero), computed once,
-        # and the positions of the nonzero generators per homological degree
-        self.multidegrees: list[Monomial | None] = []
+        # each generator's (multidegree, coefficients), computed once, and
+        # the positions of the nonzero generators per homological degree
+        self.scalars = [coefficients(g.element, f"span generator {g.gen_id}") for g in self.generators]
         self._of_degree: dict[int, list[int]] = {}
-        for k, g in enumerate(self.generators):
-            md = g.element.multidegree()
-            if md is None and not g.element.is_zero():
-                raise DGError(f"span generator {g.gen_id} is not multigraded")
-            self.multidegrees.append(md)
+        for k, (g, (md, _)) in enumerate(zip(self.generators, self.scalars)):
             if md is not None:
                 self._of_degree.setdefault(g.element.degree, []).append(k)
 
@@ -460,27 +468,24 @@ def submodule_membership(
     """
     if element.is_zero():
         return True, []
-    b = element.multidegree()
-    if b is None:
-        raise DGError("membership needs a multigraded element")
-    found = [k for k in span._of_degree.get(element.degree, ()) if span.multidegrees[k].divides(b)]
+    b, vec = coefficients(element, "a membership element")
+    found = [k for k in span._of_degree.get(element.degree, ()) if span.scalars[k][0].divides(b)]
     # scalar columns {row position: coefficient}, one row per label met
     rows: dict[BasisLabel, int] = {}
-
-    def column(el: Element) -> dict:
-        return {rows.setdefault(l, len(rows)): exact(p.single_term()[1]) for l, p in el.coords.items()}
-
-    cands = [span.generators[k] for k in found]
-    sol = linalg.solve([column(g.element) for g in cands], column(element))
+    *cols, rhs = (
+        {rows.setdefault(l, len(rows)): c for l, c in v.items()}
+        for v in [*(span.scalars[k][1] for k in found), vec]
+    )
+    sol = linalg.solve(cols, rhs)
     if sol is None:
         return False, None
     witness = []
-    for g, k, c in zip(cands, found, sol):
+    for k, c in zip(found, sol):
         if c:
-            mult = monomial_divide(b, span.multidegrees[k])
+            mult = monomial_divide(b, span.scalars[k][0])
             witness.append(
                 {
-                    "gen": tag_to_json(g.gen_id),
+                    "gen": tag_to_json(span.generators[k].gen_id),
                     "coefficient": str(c),
                     "monomial_multiple": str(mult),
                 }
@@ -533,7 +538,7 @@ def dg_ideal_closure(
     labels, degree = tables.labels, tables.degree
     gens = [
         (g, md, tables.of(g.element, md, g.element.degree))
-        for g, md in zip(span.generators, span.multidegrees)
+        for g, (md, _) in zip(span.generators, span.scalars)
     ]
     support = {l for _, _, gtab in gens if _scalar(gtab) for l in gtab}
     for i, u in enumerate(labels):
@@ -573,36 +578,39 @@ def dg_ideal_closure(
 
 class Elimination:
     """The quotient of a complex by the span of some of its elements, by
-    unit-pivot elimination.
+    unit-pivot elimination on coefficients.
 
-    Generators are (gen_id, homological degree, coordinates, pivot), pivot a
-    basis label or None.  Per degree, in the given order, each generator is
-    reduced by the rules found so far (and by setting `kill` to zero, which
-    is how a quotient over the smaller ring Q/<kill> is formed) and then
-    eliminated at a label with a nonzero *constant* coefficient c, giving the
-    rule pivot = -(rest)/c.  That label is the given pivot; without one, the
+    Generators are (gen_id, homological degree, {label: c}, b, pivot): the
+    element sum c*(b/m_l) e_l, pivot a basis label or None.  Per degree, in
+    the given order, each generator is reduced by the rules found so far (and
+    by setting `kill` to zero, which drops each term whose b/m_l has a kill
+    variable) and then eliminated at a unit pivot l (m_l = b), giving the
+    rule l = -(rest)/c.  That label is the given pivot; without one, the
     least by tag string among the candidates in `prefer`, or else among all.
     A generator without its pivot waits for the next pass; when a whole pass
     makes no progress the quotient is not free, and DGError is raised with
     `witness`: each waiting generator and its entry at the would-be pivot.
-    A rule's right-hand side holds pivots of later rules only.
+    A rule's right-hand side has its pivot's multidegree, so substituting it
+    is scalar arithmetic, and holds pivots of later rules only.  A
+    Polynomial entry (an inhomogeneous complex) raises DGError, no witness.
     """
 
     def __init__(
         self,
         cx: LabeledFreeComplex,
-        generators: Iterable[tuple[tuple, int, VecT, BasisLabel | None]],
+        generators: Iterable[tuple[tuple, int, dict, Monomial | None, BasisLabel | None]],
         kill: Sequence[str] = (),
         prefer: Iterable[tuple] = (),
     ):
         self.source, self.kill = cx, tuple(kill)
+        self._kill = [cx.ring.index(nm) for nm in self.kill]
         prefer = set(prefer)
-        # rules[i]: (pivot, rhs) in elimination order; _at[i]: pivot -> index
-        self.rules: dict[int, list[tuple[BasisLabel, VecT]]] = {}
+        # rules[i]: (pivot, {label: c}) in elimination order; _at[i]: pivot -> index
+        self.rules: dict[int, list[tuple[BasisLabel, dict]]] = {}
         self._at: dict[int, dict[BasisLabel, int]] = {}
         by_degree: dict[int, list] = {}
-        for gen_id, i, vec, pivot in generators:
-            by_degree.setdefault(i, []).append((gen_id, vec, pivot))
+        for gen_id, i, vec, b, pivot in generators:
+            by_degree.setdefault(i, []).append((gen_id, vec, b, pivot))
         for i in sorted(by_degree):
             rules = self.rules[i] = []
             at = self._at[i] = {}
@@ -610,26 +618,25 @@ class Elimination:
             while queue:
                 retry, waiting = [], []
                 for gen in queue:
-                    gen_id, vec, pivot = gen
-                    vec = self.substitute(vec, i)
+                    gen_id, vec, b, pivot = gen
+                    vec = self.substitute(vec, b, i)
                     if not vec:
                         continue
                     if pivot is None:
-                        units = [l for l, p in vec.items() if p.is_nonzero_constant()]
+                        units = [l for l in vec if l.multidegree.exponents == b.exponents]
                         pool = [l for l in units if l.tag in prefer] or units or list(vec)
                         pivot = min(pool, key=lambda l: str(l.tag))
-                    entry = vec.get(pivot)
-                    if entry is None or not entry.is_nonzero_constant():
+                    entry = vec.pop(pivot, None)
+                    if entry is None or pivot.multidegree.exponents != b.exponents:
                         retry.append(gen)
                         waiting.append({
                             "gen": tag_to_json(gen_id),
                             "pivot": tag_to_json(pivot.tag),
-                            "entry": str(entry or 0),
+                            "entry": str(entry_polynomial(entry, pivot, b)) if entry else "0",
                         })
                         continue
-                    del vec[pivot]
                     at[pivot] = len(rules)
-                    rules.append((pivot, vec_scale(vec, Fraction(-1) / entry.constant_coefficient())))
+                    rules.append((pivot, {l: exact(Fraction(-c, entry)) for l, c in vec.items()}))
                 if len(retry) == len(queue):
                     err = DGError(f"no unit pivot in degree {i}: quotient is not a free complex")
                     err.witness = waiting
@@ -637,15 +644,15 @@ class Elimination:
                 queue = retry
             if not rules:
                 del self.rules[i], self._at[i]
-        self.survivors = {
-            i: [l for l in cx.labels(i) if l not in self._at.get(i, ())] for i in cx.degrees()
-        }
+        self.survivors = {i: [l for l in cx.labels(i) if l not in self._at.get(i, ())] for i in cx.degrees()}
 
-    def substitute(self, vec: VecT, i: int) -> VecT:
-        """vec in degree i with the kill variables set to 0 and every pivot
-        replaced by its rule.  Taking the pivots in rule order replaces each
-        at most once."""
-        out = {l: q for l, p in vec.items() if (q := p.substitute_zero(self.kill) if self.kill else p)}
+    def substitute(self, vec: dict, b: Monomial | None, i: int) -> dict:
+        """sum c*(b/m_l) e_l in degree i, given as {l: c}, with the kill
+        variables set to 0 and every pivot replaced by its rule.  Taking the
+        pivots in rule order replaces each at most once."""
+        if any(type(c) is Polynomial for c in vec.values()):
+            raise DGError(f"inhomogeneous entry in degree {i}: elimination needs a multigraded complex")
+        out = {l: c for l, c in vec.items() if not killed(l.multidegree, b, self._kill)} if self._kill else dict(vec)
         at, rules = self._at.get(i), self.rules.get(i)
         if not at:
             return out
@@ -662,66 +669,76 @@ class Elimination:
                     if l in at:
                         heapq.heappush(heap, at[l])
                     out[l] = p * q
+                elif s := s + p * q:
+                    out[l] = s
                 else:
-                    s = s + p * q
-                    if s.is_zero():
-                        del out[l]
-                    else:
-                        out[l] = s
+                    del out[l]
         return out
 
-    def quotient(self, name: str) -> tuple[LabeledFreeComplex, Callable[[VecT, int], VecT]]:
+    def quotient(self, name: str) -> tuple[LabeledFreeComplex, Callable[[Element], Element]]:
         """The quotient complex on the survivors, over Q/<kill>, and the
-        projection of a degree-i vector onto it."""
+        projection of a multigraded element onto it."""
         cx, kill, survivors = self.source, self.kill, self.survivors
         ring = cx.ring.deactivate(kill) if kill else cx.ring
 
         def relabel(l: BasisLabel) -> BasisLabel:
-            if not kill:
-                return l
-            exps = l.multidegree.exponents
-            for nm in kill:
-                if exps[cx.ring.index(nm)]:
-                    raise DGError(
-                        f"surviving label {l} has multidegree divisible by {nm}; "
-                        "the span does not kill everything it must"
-                    )
-            return BasisLabel(l.tag, Monomial(ring, exps))
+            for nm, j in zip(kill, self._kill):
+                if l.multidegree.exponents[j]:
+                    raise DGError(f"surviving label {l} has multidegree divisible by {nm}; "
+                                  "the span does not kill everything it must")
+            return BasisLabel(l.tag, Monomial(ring, l.multidegree.exponents)) if kill else l
 
         new_labels = {l: relabel(l) for i in cx.degrees() for l in survivors[i]}
 
-        def project(vec: VecT, i: int) -> VecT:
-            out = {}
-            for l, p in self.substitute(vec, i).items():
-                q = p.reinterpret(ring) if kill else p
-                if not q.is_zero():
-                    out[new_labels[l]] = q
-            return out
+        def reduce(vec: dict, b: Monomial | None, i: int) -> dict:
+            return {new_labels[l]: c for l, c in self.substitute(vec, b, i).items()}
 
         basis = {i: [new_labels[l] for l in survivors[i]] for i in cx.degrees() if survivors[i]}
-        diff: dict[int, dict[BasisLabel, VecT]] = {}
-        for i in cx.degrees():
-            if i and survivors[i]:
-                diff[i] = {new_labels[l]: project(cx.column(i, l), i - 1) for l in survivors[i]}
-        return LabeledFreeComplex(ring, basis, diff, name=name), project
+        diff = {
+            i: {new_labels[l]: reduce(cx.diff.get(i, {}).get(l, {}), l.multidegree, i - 1) for l in survivors[i]}
+            for i in cx.degrees()
+            if i and survivors[i]
+        }
+        qcx = LabeledFreeComplex(ring, basis, diff, name=name)
+
+        def project(el: Element) -> Element:
+            b, vec = coefficients(el, "a projected element")
+            return Element(qcx, el.degree, {
+                l: entry_polynomial(c, l, b) for l, c in reduce(vec, b, el.degree).items()
+            })
+
+        return qcx, project
+
+    def rules_json(self) -> dict:
+        """Each rule as {eliminated: pivot tag, equals: {tag: entry}}."""
+        return {
+            str(i): [
+                {
+                    "eliminated": tag_to_json(piv.tag),
+                    "equals": {
+                        "-".join(map(str, tag_to_json(l.tag))) if isinstance(l.tag, tuple) else str(l.tag):
+                        str(entry_polynomial(c, l, piv.multidegree))
+                        for l, c in rhs.items()
+                    },
+                }
+                for piv, rhs in rules
+            ]
+            for i, rules in self.rules.items()
+        }
 
 
 @dataclass
 class QuotientDG:
     structure: DGStructure
-    eliminated: dict[int, list[tuple]]
-    survivors: dict[int, list[BasisLabel]]
-    rules_json: dict
-    project: Callable[["Element"], "Element"] | None = None
+    elimination: Elimination
+    project: Callable[[Element], Element]
 
     def to_json(self) -> dict:
+        rules = self.elimination.rules_json()
         return {
             "complex": self.structure.complex.to_json(),
-            "eliminated": {
-                str(i): [tag_to_json(t) for t, _ in rules]
-                for i, rules in self.eliminated.items()
-            },
-            "rules": self.rules_json,
+            "eliminated": {i: [rule["eliminated"] for rule in r] for i, r in rules.items()},
+            "rules": rules,
         }
 
 
@@ -743,7 +760,7 @@ def quotient_dg(
     cx = dg.complex
     elim = Elimination(
         cx,
-        ((g.gen_id, g.element.degree, g.element.coords, None) for g in span.generators),
+        ((g.gen_id, g.element.degree, vec, b, None) for g, (b, vec) in zip(span.generators, span.scalars)),
         kill_vars,
         prefer_eliminate,
     )
@@ -751,10 +768,9 @@ def quotient_dg(
     # the quotient, otherwise the span was not a subcomplex
     for g in span.generators:
         dv = g.element.diff()
-        if elim.substitute(dv.coords, dv.degree):
-            raise DGError(
-                f"span not a subcomplex: boundary of {g.gen_id} survives the quotient"
-            )
+        b, vec = coefficients(dv, f"the boundary of {g.gen_id}")
+        if elim.substitute(vec, b, dv.degree):
+            raise DGError(f"span not a subcomplex: boundary of {g.gen_id} survives the quotient")
     name = name or f"{dg.name}/span"
     qcx, project = elim.quotient(name)
     back = {new: old for i in cx.degrees() for old, new in zip(elim.survivors[i], qcx.labels(i))}
@@ -763,28 +779,6 @@ def quotient_dg(
         prod = dg.basis_product(back[a], back[b])
         if prod.is_zero():
             return Element.zero(qcx, qcx.degree_of(a) + qcx.degree_of(b))
-        return Element(qcx, prod.degree, project(prod.coords, prod.degree))
+        return project(prod)
 
-    def project_fn(el: Element) -> Element:
-        return Element(qcx, el.degree, project(el.coords, el.degree))
-
-    rules_json = {
-        str(i): [
-            {
-                "eliminated": tag_to_json(piv.tag),
-                "equals": {
-                    "-".join(map(str, tag_to_json(l.tag))) if isinstance(l.tag, tuple) else str(l.tag): str(p)
-                    for l, p in rhs.items()
-                },
-            }
-            for piv, rhs in rules
-        ]
-        for i, rules in elim.rules.items()
-    }
-    return QuotientDG(
-        DGStructure(qcx, qproduct, name=name),
-        {i: list(rules) for i, rules in elim.rules.items()},
-        elim.survivors,
-        rules_json,
-        project_fn,
-    )
+    return QuotientDG(DGStructure(qcx, qproduct, name=name), elim, project)

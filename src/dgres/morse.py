@@ -28,7 +28,7 @@ from itertools import accumulate, combinations
 
 from .complexes import BasisLabel, ComplexError, LabeledFreeComplex
 from .dg import DGError, Elimination
-from .poly import MonomialIdeal, Polynomial, lcm_of, monomial_lcm
+from .poly import MonomialIdeal, lcm_of, monomial_lcm
 from .taylor import taylor_complex
 
 Arc = tuple[tuple[int, ...], tuple[int, ...]]  # (source subset, target subset)
@@ -277,14 +277,17 @@ def morse_reduce(
             raise MorseError(f"matched pair ({s},{t}) not in the complex")
         pairs.append((T.degree_of(sigma), sigma, tau, [list(s), list(t)]))
     pairs.sort(key=lambda p: (p[0], str(p[1].tag)))
-    one = Polynomial.constant(T.ring, 1)
     # in each degree: first the sources there, each set to 0, then d(e_sigma)
-    # for the pairs whose target lies there
-    generators = [(sigma.tag, i, {sigma: one}, sigma) for i, sigma, _, _ in pairs]
-    generators += [(pair, i - 1, T.column(i, sigma), tau) for i, sigma, tau, pair in pairs]
+    # for the pairs whose target lies there, both of multidegree m_sigma
+    generators = [(sigma.tag, i, {sigma: 1}, sigma.multidegree, sigma) for i, sigma, _, _ in pairs]
+    generators += [
+        (pair, i - 1, T.diff.get(i, {}).get(sigma, {}), sigma.multidegree, tau) for i, sigma, tau, pair in pairs
+    ]
     try:
         elim = Elimination(T, generators)
     except DGError as exc:
+        if exc.witness is None:  # an inhomogeneous entry, not a stuck pair
+            raise
         err = MorseError("stuck: no matched pair has a unit pivot (matching not acyclic?)")
         err.witness = exc.witness
         raise err from None

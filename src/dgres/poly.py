@@ -363,9 +363,6 @@ class Polynomial:
         m, c = next(iter(self.terms.items()))
         return m.is_one() and bool(c)
 
-    def constant_coefficient(self) -> Fraction:
-        return self.terms.get(self.ring.one(), Fraction(0))
-
     def multidegree(self) -> Monomial | None:
         """If all terms share one monomial, return it; else None."""
         ms = set(self.terms)

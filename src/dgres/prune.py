@@ -37,6 +37,7 @@ from .complexes import (
     LabeledFreeComplex,
     complexes_equal,
     entry_polynomial,
+    killed,
     tag_to_json,
 )
 from .dg import (
@@ -123,13 +124,12 @@ def prune_complex(F: LabeledFreeComplex, znames) -> PruneResult:
         """The entry v of column c on row r with Z set to zero."""
         if type(v) is Polynomial:
             return v.substitute_zero(znames)
-        rm, cm = r.multidegree.exponents, c.multidegree.exponents
-        return v if all(cm[j] == rm[j] for j in idx) else 0
+        return 0 if killed(r.multidegree, c.multidegree, idx) else v
 
     def grid(rows, cols, mat) -> list[list[str]]:
         cols = [(c, mat.get(c, {})) for c in cols]
         return [
-            [str(entry_polynomial(v, r, c)) if (v := col.get(r)) else "0" for c, col in cols]
+            [str(entry_polynomial(v, r, c.multidegree)) if (v := col.get(r)) else "0" for c, col in cols]
             for r in rows
         ]
 

@@ -316,6 +316,10 @@ class TestQuotient:
         q = quotient_dg(dg, span)
         data = q.to_json()
         assert set(data) == {"complex", "eliminated", "rules"}
+        assert json.loads(json.dumps(data)) == data
+        assert data["eliminated"] and data["eliminated"].keys() == data["rules"].keys()
+        for i, tags in data["eliminated"].items():
+            assert tags == [rule["eliminated"] for rule in data["rules"][i]]
 
 
 class TestFiveCycle:

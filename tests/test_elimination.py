@@ -1,0 +1,190 @@
+"""`dg.Elimination` on coefficients against the Polynomial reference
+(`reference_elimination`), and its rejection of inhomogeneous input.
+
+Every comparison covers the quotient complex, the formatted rules, the
+survivors and the projection of each basis element and its boundary.
+"""
+
+from __future__ import annotations
+
+from itertools import permutations
+
+import pytest
+
+from dgres import (
+    DGError,
+    Element,
+    LabeledFreeComplex,
+    MonomialIdeal,
+    Polynomial,
+    SpanGenerator,
+    SubmoduleSpan,
+    VariableSet,
+    build_family,
+    complexes_equal,
+    edge_ideal,
+    lyubeznik_matching,
+    morse_reduce,
+    parse_polynomial,
+    prune_dg,
+    quotient_dg,
+    span_from_matching_sources,
+    taylor_dg_structure,
+    taylor_resolution,
+)
+from dgres import dg, morse, prune
+from dgres.morse import MorseError, matching_sources, matching_targets
+from dgres.prune import prune_ideal
+
+from reference_elimination import morse_elimination, quotient_dg_elimination
+
+WHISKER_RING = VariableSet(("x", "y", "x1", "y1", "z"))
+WHISKER = MonomialIdeal.from_strings(WHISKER_RING, ["x*y", "x*z", "y*z", "x*x1", "y*y1"])
+
+
+def assert_matches_reference(qcx, project, elim, ref):
+    """`qcx`, `project` and the rules and survivors of `elim` against the
+    reference elimination `ref` run on the same input."""
+    rcx, rproject = ref.quotient(qcx.name)
+    assert complexes_equal(qcx, rcx)
+    assert elim.rules_json() == ref.rules_json()
+    assert elim.survivors == ref.survivors
+    cx = ref.source
+    for i in cx.degrees():
+        for l in cx.labels(i):
+            e = Element.basis(cx, l, i)
+            for el in (e, e.diff()):
+                got = project(el)
+                assert (got.complex, got.degree) == (qcx, el.degree)
+                assert got.coords == rproject(el.coords, el.degree)
+
+
+def assert_quotient_matches(dgs, span, kill_vars=(), prefer_eliminate=()):
+    q = quotient_dg(dgs, span, kill_vars, prefer_eliminate)
+    ref = quotient_dg_elimination(dgs, span, kill_vars, prefer_eliminate)
+    assert q.to_json()["rules"] == ref.rules_json()
+    assert_matches_reference(q.structure.complex, q.project, q.elimination, ref)
+    return q
+
+
+def lyubeznik_span(ideal):
+    dgT = taylor_dg_structure(ideal)
+    matching = lyubeznik_matching(ideal)
+    prefer = {("e",) + t for t in matching_targets(matching)} | {
+        ("e",) + s for s in matching_sources(matching)
+    }
+    return dgT, span_from_matching_sources(dgT.complex, matching_sources(matching)), prefer
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Every `Elimination` that `morse_reduce` builds."""
+    made = []
+
+    class Recorded(dg.Elimination):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(morse, "Elimination", Recorded)
+    return made
+
+
+class TestEliminationOracle:
+    def assert_morse_matches(self, eliminations, ideal):
+        T = taylor_resolution(ideal)
+        matching = lyubeznik_matching(ideal)
+        M = morse_reduce(T, matching)
+        elim = eliminations.pop()
+        qcx, project = elim.quotient(M.name)
+        assert complexes_equal(M, qcx)
+        assert_matches_reference(qcx, project, elim, morse_elimination(T, matching))
+
+    def test_whisker_ideal_in_all_orders(self, eliminations):
+        for perm in permutations(range(5)):
+            ideal = WHISKER.reorder(list(perm))
+            self.assert_morse_matches(eliminations, ideal)
+            dgT, span, prefer = lyubeznik_span(ideal)
+            assert_quotient_matches(dgT, span, prefer_eliminate=prefer)
+
+    def test_corpus(self, eliminations, corpus):
+        for ideal in corpus:
+            self.assert_morse_matches(eliminations, ideal)
+            dgT, span, prefer = lyubeznik_span(ideal)
+            assert_quotient_matches(dgT, span, prefer_eliminate=prefer)
+            assert_quotient_matches(dgT, span)
+
+    def test_prune_dg_with_kill_variables(self, monkeypatch):
+        # both quotients of prune_dg, F = T/J and its quotient over Q/(Z)
+        kills, runs = [], 0
+
+        def checked(dgs, span, kill_vars=(), prefer_eliminate=(), name=""):
+            kills.append(tuple(kill_vars))
+            return assert_quotient_matches(dgs, span, kill_vars, prefer_eliminate)
+
+        monkeypatch.setattr(prune, "quotient_dg", checked)
+        for fam in ("P5", "P6", "P7"):
+            ideal = edge_ideal(build_family(fam))
+            for z in ideal.ring.names:
+                if prune_ideal(ideal, (z,)).generators:
+                    assert prune_dg(ideal, (z,), check_closure=False).matches_boocher
+                    runs += 1
+        assert runs == 6 + 7 + 8
+        assert kills == [k for z in kills[1::2] for k in ((), z)] and all(kills[1::2])
+
+    def test_no_unit_pivot_witness(self):
+        ring = VariableSet(("x", "y", "z"))
+        ideal = MonomialIdeal.from_strings(ring, ["x", "y", "z"])
+        dgT = taylor_dg_structure(ideal)
+        T = dgT.complex
+        e0 = T.find_label(("e", 0))
+        span = SubmoduleSpan(T, [SpanGenerator(("g",), Element(T, 1, {e0: parse_polynomial(ring, "x")}))])
+        with pytest.raises(DGError, match="^no unit pivot") as got:
+            quotient_dg(dgT, span)
+        with pytest.raises(DGError, match="^no unit pivot") as want:
+            quotient_dg_elimination(dgT, span)
+        assert got.value.witness == want.value.witness == [{"gen": ["g"], "pivot": ["e", 0], "entry": "x"}]
+
+    def test_morse_stuck_witness(self):
+        ring = VariableSet(("x", "y", "z", "w"))
+        ideal = MonomialIdeal.from_strings(ring, ["x*y*w", "y*z*w", "x*z*w", "x*y*z"])
+        T = taylor_resolution(ideal)
+        matching = [((0, 1, 2), (0, 2)), ((0, 2, 3), (0, 3)), ((0, 1, 3), (0, 1))]
+        with pytest.raises(MorseError, match="^stuck") as got:
+            morse_reduce(T, matching)
+        with pytest.raises(DGError, match="^no unit pivot") as want:
+            morse_elimination(T, matching)
+        assert got.value.witness == want.value.witness
+
+
+def with_entry_added(T: LabeledFreeComplex, i: int, row, col, p: Polynomial) -> LabeledFreeComplex:
+    """A copy of T whose entry of d(col) on row is increased by p."""
+    diff = {k: {c: dict(column) for c, column in cols.items()} for k, cols in T.diff.items()}
+    diff[i][col][row] = T.entry(i, row, col) + p
+    return LabeledFreeComplex(T.ring, T.basis, diff)
+
+
+class TestInhomogeneousRejected:
+    def test_survivor_column(self):
+        # the entry of d(e01) on e0, -z, gains a constant term, as in
+        # test_dg.inhomogeneous_differential
+        ideal = MonomialIdeal.from_strings(VariableSet(("x", "y", "z")), ["x*y", "x*z", "y*z"])
+        T = taylor_resolution(ideal)
+        e01, e0 = T.find_label(("e", 0, 1), degree=2), T.find_label(("e", 0), degree=1)
+        bad = with_entry_added(T, 2, e0, e01, Polynomial.constant(T.ring, 1))
+        with pytest.raises(DGError, match="^inhomogeneous entry in degree 1"):
+            morse_reduce(bad, ())
+        with pytest.raises(DGError, match="^inhomogeneous entry in degree 1"):
+            quotient_dg(taylor_dg_structure(ideal, bad), SubmoduleSpan(bad, []))
+
+    def test_matched_pivot_entry_is_not_stuck(self):
+        # the unit pivot of the first matched pair gains a term x: Polynomial
+        # elimination would find no unit pivot and report the matching stuck
+        (s, t), *_ = lyubeznik_matching(WHISKER)
+        T = taylor_resolution(WHISKER)
+        sigma, tau = T.find_label(("e",) + s), T.find_label(("e",) + t)
+        bad = with_entry_added(T, len(s), tau, sigma, Polynomial.monomial(WHISKER_RING.variable("x")))
+        with pytest.raises(DGError, match=f"^inhomogeneous entry in degree {len(t)}"):
+            morse_reduce(bad, lyubeznik_matching(WHISKER))
+        with pytest.raises(DGError, match="^no unit pivot"):
+            morse_elimination(bad, lyubeznik_matching(WHISKER))

@@ -172,7 +172,7 @@ class TestPolynomial:
         assert z.is_zero() and not z.is_nonzero_constant()
         one = Polynomial.constant(RING, 1)
         assert one.is_nonzero_constant()
-        assert one.constant_coefficient() == 1
+        assert one.single_term() == (RING.one(), 1)
 
 
 def brute_membership(ideal: MonomialIdeal, m: Monomial) -> bool:
