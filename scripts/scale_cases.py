@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Time the path-ideal scale cases and check their ranks.
+"""Time the scale cases and check their results.
 
 For the edge ideals of the paths P12 and P14 this builds, in order, the
 Taylor resolution, the Lyubeznik resolution, the Lyubeznik matching and
-the Morse reduction of the Taylor resolution along that matching.  Each
-stage is timed in the reference-kernel units (`ref`) of
+the Morse reduction of the Taylor resolution along that matching.  The
+ranks of the three complexes and the number of matched pairs are checked
+against frozen values; the Morse complex must have the Lyubeznik ranks.
+Then it classifies the diameter-4 tree T4(3;2,2,2): its certificate rests
+on the cone product, checked by `dg_check` on all 134^2 pairs and 134^3
+triples, and the verdict, ranks and check counts must match frozen values.
+Each stage is timed in the reference-kernel units (`ref`) of
 `perfbench/meter.py`, which correct for the host's drifting speed, and in
-seconds.  The ranks of the three complexes and the number of matched
-pairs are checked against frozen values; the Morse complex must have the
-Lyubeznik ranks.
+seconds.
 
 Prints one JSON line and exits nonzero when a check fails.  Run from a
 dgres checkout:
@@ -28,6 +31,7 @@ from meter import Meter  # noqa: E402
 
 from dgres import (  # noqa: E402
     build_family,
+    classify,
     edge_ideal,
     lyubeznik_matching,
     lyubeznik_resolution,
@@ -49,6 +53,47 @@ FROZEN = {
     },
 }
 
+CLASSIFY = {
+    "T4(3;2,2,2)": {
+        "verdict": "dg",
+        "kind": "cone-product",
+        "ranks": [1, 9, 24, 36, 35, 21, 7, 1],
+        "checked_pairs": 17956,
+        "checked_triples": 2406104,
+        "triples_checked": True,
+        "resolution_checked": True,
+    },
+}
+
+
+def timed(meter: Meter) -> dict:
+    keys = [k for k in meter.ref if k != "pass"]
+    return {
+        "ref": {k: round(meter.ref[k], 1) for k in keys},
+        "seconds": {k: round(meter.seconds[k], 3) for k in keys},
+    }
+
+
+def checked(got: dict, want: dict) -> dict:
+    return {"ok": got == want, **({} if got == want else {"got": got, "want": want})}
+
+
+def classify_case(name: str) -> dict:
+    graph = build_family(name)
+    with Meter() as meter:
+        cert = meter.call("classify", classify, graph)
+    ev = cert.evidence
+    got = {
+        "verdict": cert.verdict,
+        "kind": ev["kind"],
+        "ranks": ev["ranks"],
+        "checked_pairs": ev["dg_check"]["checked_pairs"],
+        "checked_triples": ev["dg_check"]["checked_triples"],
+        "triples_checked": ev["dg_check"]["triples_checked"],
+        "resolution_checked": ev["resolution"]["checked"],
+    }
+    return {**checked(got, CLASSIFY[name]), **timed(meter)}
+
 
 def run_case(name: str) -> dict:
     ideal = edge_ideal(build_family(name))
@@ -64,18 +109,12 @@ def run_case(name: str) -> dict:
         "morse": list(M.ranks()),
         "pairs": len(matching),
     }
-    want = {**frozen, "morse": frozen["lyubeznik"]}
-    stages = [k for k in meter.ref if k != "pass"]
-    return {
-        "ok": got == want,
-        **({} if got == want else {"got": got, "want": want}),
-        "ref": {k: round(meter.ref[k], 1) for k in stages},
-        "seconds": {k: round(meter.seconds[k], 3) for k in stages},
-    }
+    return {**checked(got, {**frozen, "morse": frozen["lyubeznik"]}), **timed(meter)}
 
 
 def main() -> int:
     cases = {name: run_case(name) for name in FROZEN}
+    cases.update({name: classify_case(name) for name in CLASSIFY})
     ok = all(case["ok"] for case in cases.values())
     print(json.dumps({"ok": ok, "cases": cases}, sort_keys=True))
     return 0 if ok else 1

@@ -18,34 +18,36 @@ can be nonzero.  Unitality, degree, closure, homogeneity, commutativity and
 odd squares read all n^2 products.  Leibniz runs on (a, b) only if ab != 0,
 or l*b != 0 for some l in supp(d a), or a*l != 0 for some l in supp(d b);
 associativity runs on (a, b, c) only if l*c != 0 for some l in supp(ab), or
-a*l != 0 for some l in supp(bc).  Everywhere else both sides are 0.  A
+a*l != 0 for some l in supp(bc).  Everywhere else both sides are 0.  The
+second kind of each is found from inverted indices, built once: the b with
+l in supp(d b), and the (b, c) with l in supp(bc), for each label l.  A
 label outside the basis that occurs in a product has no stored row, so
 every partner of it is checked.  Candidates are visited in label order, so
 failure witnesses come out as a loop over all of them would record them.
 
 Scalar tables.  Homogeneity fixes every monomial: a term of e_a e_b on e_l
-is c*(m_a m_b / m_l), and an entry of d(e_a) on e_r is c*(m_a / m_r), which
-the complex stores as c already.  So `dg_check` stores each nonzero product
-as a table {label position: c} (an int where c is integral), reads each
-d(e_a) off the stored column as one, and both sides of a
-commutativity, Leibniz or associativity identity are tables over one
-multidegree, equal exactly when the elements are.  A pair or triple is
-decided on tables only if every product and differential it reads is a
-table: each coefficient a single term with exactly the implied monomial, on
-a basis label of the expected degree.  Otherwise (a coefficient with two
-terms or another monomial, a label outside the basis) it is decided by
-`Element`/`Polynomial` arithmetic.  Witness strings always come from that
-arithmetic, which also reruns wherever two tables disagree, so a report is
-the same as one computed in Polynomials throughout.
+is c*(m_a m_b / m_l), as an entry of d(e_a) on e_r is c*(m_a / m_r).  So a
+`DGStructure` stores each product as a `ScalarProduct` {l: c}, as the
+complex stores its columns, and `dg_check` reads both as tables {label
+position: c}; both sides of a commutativity, Leibniz or associativity
+identity are then tables over one multidegree, equal exactly when the
+elements are.  A pair or triple is decided on tables only if every product
+and differential it reads is one: all its labels basis labels of the
+expected degree, all its entries coefficients.  Otherwise (a Polynomial
+entry, a label outside the basis, a product of another degree) it is
+decided by `Element`/`Polynomial` arithmetic.  Witness strings always come
+from that arithmetic, which also reruns wherever two tables disagree, so a
+report is the same as one computed in Polynomials throughout.
 
 `SubmoduleSpan` + `submodule_membership` decide membership of a homogeneous
 element in a multigraded submodule spanned by finitely many homogeneous
 elements: in each multidegree b a generator g contributes the single
 monomial multiple (b / mdeg g) * g, so membership is a sparse rational
 linear solve (`linalg.solve` on the coefficient columns) and the witness is
-an exact coefficient list.  A span computes each generator's multidegree
-once and indexes the generators by degree.  `dg_ideal_closure` forms each
-product e_u * g from tables as above.
+an exact coefficient list.  A span stores each generator as (b, {l: c})
+once, indexes the generators by degree and forms their boundaries from the
+stored columns.  `dg_ideal_closure` forms each product e_u * g from tables
+as above and decides its membership on (b, {l: c}).
 
 `Elimination` forms the quotient of a complex by the span of some of its
 elements, by per-degree unit-pivot elimination on coefficients, optionally
@@ -53,9 +55,10 @@ over Q/<kill>.  As in the complexes, an element of multidegree b is {l: c}
 for sum c*(b/m_l) e_l: l is a unit pivot iff m_l = b, and a term survives
 Q/<kill> iff b and m_l agree on the kill exponents.  `coefficients` converts
 an `Element` at the boundary.  `quotient_dg` wraps it for a dg algebra and a
-dg ideal given as a span, preferring caller-designated pivots;
-`morse.morse_reduce` passes each e_sigma and its stored column d(e_sigma),
-with each pivot fixed to a matched target.
+dg ideal given as a span, preferring caller-designated pivots, and stores
+each product of survivors as the parent's stored product substituted at
+b = m_a m_b; `morse.morse_reduce` passes each e_sigma and its stored column
+d(e_sigma), with each pivot fixed to a matched target.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, le
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
@@ -142,38 +146,101 @@ class Element:
         return " + ".join(parts)
 
 
+class ScalarProduct(dict):
+    """A basis product e_a e_b as {label l: c}, for sum c*(m_a m_b/m_l) e_l
+    in degree |a| + |b|; an entry not of that form is a Polynomial.  Answers
+    `is_zero` as the Element it stands for does."""
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self
+
+
+_NONE = ScalarProduct()  # every stored zero product; never written to
+
+
 class DGStructure:
     """A complex with a basis-level product and unit.
 
-    `product_fn(a, b)` must return the product of basis labels a, b as an
-    Element.  Products are cached; `multiply` extends bilinearly.
+    Each basis product is computed once and stored as a `ScalarProduct`,
+    the form the complex stores its columns in.  `product_fn(a, b)` returns
+    it as a ScalarProduct or as an Element, which is converted on storing:
+    an entry c*(m_a m_b/m_l) becomes c, any other stays a Polynomial, and an
+    Element of another degree (or on a label outside the basis) is kept
+    whole.  Storing a coefficient c on l checks that m_l divides m_a m_b.
+    `table` reads the stored form; `basis_product`, `product_fn` and
+    `multiply` build Elements from it.
     """
 
     def __init__(
         self,
         complex: LabeledFreeComplex,
-        product_fn: Callable[[BasisLabel, BasisLabel], Element],
+        product_fn: Callable[[BasisLabel, BasisLabel], "ScalarProduct | Element"],
         name: str = "",
     ):
         self.complex = complex
-        self.product_fn = product_fn
+        self._product = product_fn
         self.name = name or complex.name
         deg0 = complex.labels(0)
         if len(deg0) != 1:
             raise DGError("dg structure needs rank-1 degree 0")
         self.unit = deg0[0]
-        self._table: dict[tuple, Element] = {}
+        # degree of each label, the first where it occurs (as `degree_of`)
+        self.degree: dict[BasisLabel, int] = {}
+        for i in complex.degrees():
+            for l in complex.labels(i):
+                self.degree.setdefault(l, i)
+        self._table: dict[tuple, ScalarProduct | Element] = {}
 
     def all_labels(self) -> list[BasisLabel]:
         return [l for i in self.complex.degrees() for l in self.complex.labels(i)]
 
-    def basis_product(self, a: BasisLabel, b: BasisLabel) -> Element:
-        key = (a.tag, b.tag)
-        got = self._table.get(key)
+    def table(self, a: BasisLabel, b: BasisLabel) -> "ScalarProduct | Element":
+        """The stored product of a and b, computed on first request."""
+        got = self._table.get((a, b))
         if got is None:
-            got = self.product_fn(a, b)
-            self._table[key] = got
+            got = self._table[a, b] = self._store(a, b, self._product(a, b))
         return got
+
+    def _store(self, a: BasisLabel, b: BasisLabel, prod) -> "ScalarProduct | Element":
+        if type(prod) is not Element:
+            if not prod:
+                return _NONE
+            want = tuple(map(add, a.multidegree.exponents, b.multidegree.exponents))
+            for l, c in prod.items():
+                if type(c) is not Polynomial and not all(map(le, l.multidegree.exponents, want)):
+                    raise DGError(f"product entry {c} of {a}*{b} on {l}: "
+                                  f"{l.multidegree} does not divide {a.multidegree * b.multidegree}")
+            return prod
+        want = a.multidegree * b.multidegree
+        da, db = self.degree.get(a), self.degree.get(b)
+        if da is None or db is None or prod.degree != da + db:
+            return prod
+        if not prod.coords:
+            return _NONE
+        out = ScalarProduct(prod.coords)
+        for l, p in prod.coords.items():
+            if len(p.terms) == 1:
+                [(m, c)] = p.terms.items()
+                if m * l.multidegree == want:
+                    out[l] = exact(c)
+        return out
+
+    def _element(self, a: BasisLabel, b: BasisLabel, prod) -> Element:
+        if type(prod) is Element:
+            return prod
+        want = prod and a.multidegree * b.multidegree
+        return Element(self.complex, self.degree[a] + self.degree[b], {
+            l: entry_polynomial(c, l, want) for l, c in prod.items()
+        })
+
+    def basis_product(self, a: BasisLabel, b: BasisLabel) -> Element:
+        return self._element(a, b, self.table(a, b))
+
+    def product_fn(self, a: BasisLabel, b: BasisLabel) -> Element:
+        """e_a e_b as an Element, from a fresh call of the product function."""
+        return self._element(a, b, self._store(a, b, self._product(a, b)))
 
     def multiply(self, x: Element, y: Element) -> Element:
         deg = x.degree + y.degree
@@ -212,6 +279,10 @@ class DGReport:
         }
 
 
+def _witness(a: BasisLabel, b: BasisLabel, **detail) -> dict:
+    return {"a": tag_to_json(a.tag), "b": tag_to_json(b.tag), **detail}
+
+
 def _homogeneous_product_ok(a: BasisLabel, b: BasisLabel, prod: Element) -> bool:
     want = a.multidegree * b.multidegree
     for l, p in prod.coords.items():
@@ -225,68 +296,55 @@ _ZERO: dict = {}  # the table of a zero element; never written to
 
 
 class _Tables:
-    """A structure's labels by position, with their degrees, and elements as
-    scalar tables.  The table of el, given the multidegree `want` and the
-    homological degree `deg` it should have, is {position of l: c} when
-    el = sum c*(want/m_l) e_l over basis labels l of degree deg, and
-    otherwise the positions of its labels, None for a label outside the
-    basis (a support list)."""
+    """A structure's labels by position, with their degrees, and stored
+    products and columns as scalar tables.  The table of {label l: c} in
+    degree deg is {position of l: c} when every l is a basis label of degree
+    deg and every c a coefficient, and otherwise the positions of its
+    labels, None for a label outside the basis (a support list)."""
 
     def __init__(self, dg: DGStructure):
         self.dg, self.labels, self.pos = dg, dg.all_labels(), {}
         for i, l in enumerate(self.labels):
             self.pos.setdefault(l, i)
-        self.degree = [dg.complex.degree_of(l) for l in self.labels]
+        self.degree = [dg.degree[l] for l in self.labels]
 
-    def of(self, el: Element, want: Monomial, deg: int) -> dict | list:
+    def of(self, vec: dict, deg: int) -> dict | list:
         out = {}
-        for l, p in el.coords.items():
-            k, terms = self.pos.get(l), list(p.terms.items())
-            if (
-                k is None or self.degree[k] != deg or el.degree != deg or len(terms) != 1
-                or terms[0][0] * l.multidegree != want
-            ):
-                return [self.pos.get(l) for l in el.coords]
-            out[k] = exact(terms[0][1])
+        for l, c in vec.items():
+            k = self.pos.get(l)
+            if k is None or self.degree[k] != deg or type(c) is Polynomial:
+                return [self.pos.get(l) for l in vec]
+            out[k] = c
         return out
 
     def diff(self, k: int) -> dict | list:
-        """The table of d(labels[k]), read off the stored coefficients."""
+        """The table of d(labels[k]), read off the stored column."""
         deg = self.degree[k]
-        col = self.dg.complex.diff.get(deg, {}).get(self.labels[k], {})
-        out = {}
-        for r, v in col.items():
-            j = self.pos.get(r)
-            if type(v) is Polynomial or j is None or self.degree[j] != deg - 1:
-                return [self.pos.get(r) for r in col]
-            out[j] = v
-        return out
+        return self.of(self.dg.complex.diff.get(deg, {}).get(self.labels[k], _ZERO), deg - 1)
 
     def product(self, i: int, j: int) -> dict | list:
         """The table of labels[i] * labels[j]."""
-        a, b = self.labels[i], self.labels[j]
-        prod = self.dg.basis_product(a, b)
-        if prod.is_zero():
-            return _ZERO
-        return self.of(prod, a.multidegree * b.multidegree, self.degree[i] + self.degree[j])
+        prod = self.dg.table(self.labels[i], self.labels[j])
+        if type(prod) is Element:  # kept whole: of another degree
+            return [self.pos.get(l) for l in prod.coords] or _ZERO
+        return self.of(prod, self.degree[i] + self.degree[j]) if prod else _ZERO
 
 
-def _scalar(*tables: dict | list) -> bool:
-    return all(type(t) is dict for t in tables)
-
-
-def _combine(terms: Iterable[tuple]) -> dict | None:
+def _combine(terms: list[tuple]) -> dict | None:
     """The table of sum c*t over the pairs (c, t), or None if some t is a
-    support list."""
+    support list.  Read only: it may be one of the given tables."""
+    if len(terms) == 1:
+        [(c, t)] = terms
+        if type(t) is list:
+            return None
+        return t if c == 1 else {k: c * x for k, x in t.items()}
     out: dict = {}
     for c, t in terms:
         if type(t) is list:
             return None
         for k, x in t.items():
-            s = out.pop(k, 0) + c * x
-            if s:
-                out[k] = s
-    return out
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
 
 
 def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
@@ -303,122 +361,131 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
     n = len(labels)
     basis = [Element.basis(cx, l, d) for l, d in zip(labels, degree)]
     dtab = [tables.diff(k) for k in range(n)]
-    # tab[i][j]: the table of labels[i] * labels[j], nonzero products only
+    # tab[i][j]: the table of labels[i] * labels[j], nonzero products only;
+    # tabT[j]: the i with labels[i] * labels[j] != 0
     tab = [{j: t for j in range(n) if (t := tables.product(i, j))} for i in range(n)]
+    tabT: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(tab):
+        for j in row:
+            tabT[j].append(i)
+    # dinv[k]: the j with k in supp(d labels[j])
+    dinv: list[list[int]] = [[] for _ in range(n)]
+    for j, d in enumerate(dtab):
+        for k in d:
+            dinv[k].append(j)
     top = cx.top_degree()
     one = dg.unit
+    u = tables.pos[one]
 
     for i, a in enumerate(labels):
+        want = {tables.pos[a]: 1}
+        if tab[u].get(i) == want and tab[i].get(u) == want:
+            continue
         left = dg.basis_product(one, a)
         right = dg.basis_product(a, one)
-        want = basis[i]
-        if not (left - want).is_zero():
+        if not (left - basis[i]).is_zero():
             report.record("unital", {"a": tag_to_json(a.tag), "got": str(left)})
-        if not (right - want).is_zero():
+        if not (right - basis[i]).is_zero():
             report.record("unital", {"a": tag_to_json(a.tag), "got": str(right)})
 
     for i, a in enumerate(labels):
-        row = tab[i]
-        for j, b in enumerate(labels):
-            report.checked_pairs += 1
+        row, da = tab[i], dtab[i]
+        # Leibniz: d(ab) = d(a) b + (-1)^{|a|} a d(b) has both sides 0
+        # unless ab, some l*b with l in supp(da), or some a*l with l in
+        # supp(db) is nonzero; every other check needs ab or ba nonzero
+        leibniz = set(row)
+        for k in da:
+            leibniz.update(tab[k])
+        for k in row:
+            leibniz.update(dinv[k])
+        s = -1 if degree[i] % 2 else 1
+        report.checked_pairs += n
+        for j in sorted(leibniz.union(tabT[i])):
+            b = labels[j]
             dab = degree[i] + degree[j]
             ab = row.get(j, _ZERO)
             if ab:
-                prod = dg.basis_product(a, b)
-                if prod.degree != dab:
-                    report.record(
-                        "degree",
-                        {"a": tag_to_json(a.tag), "b": tag_to_json(b.tag), "got_degree": prod.degree},
-                    )
+                # a stored table has degree |a| + |b| and the implied
+                # monomials; only a support list can break either
+                prod = dg.basis_product(a, b) if type(ab) is list else None
+                if prod is not None and prod.degree != dab:
+                    report.record("degree", _witness(a, b, got_degree=prod.degree))
                 if dab > top:
-                    report.record(
-                        "closure",
-                        {"a": tag_to_json(a.tag), "b": tag_to_json(b.tag), "detail": "product beyond top degree"},
-                    )
-                if type(ab) is list and not _homogeneous_product_ok(a, b, prod):
-                    report.record(
-                        "homogeneous",
-                        {"a": tag_to_json(a.tag), "b": tag_to_json(b.tag), "got": str(prod)},
-                    )
+                    report.record("closure", _witness(a, b, detail="product beyond top degree"))
+                if prod is not None and not _homogeneous_product_ok(a, b, prod):
+                    report.record("homogeneous", _witness(a, b, got=str(prod)))
             # graded commutativity, both orientations computed directly
             ba = tab[j].get(i, _ZERO)
             sign = -1 if (degree[i] * degree[j]) % 2 else 1
-            if not _scalar(ab, ba) or ab != _combine([(sign, ba)]):
+            if (ab or ba) and (
+                type(ab) is list or type(ba) is list or ab != (ba if sign == 1 else {k: -c for k, c in ba.items()})
+            ):
                 prod, eba = dg.basis_product(a, b), dg.basis_product(b, a)
                 if not (prod - eba.scale(sign)).is_zero():
-                    report.record(
-                        "graded_commutativity",
-                        {"a": tag_to_json(a.tag), "b": tag_to_json(b.tag), "ab": str(prod), "ba": str(eba)},
-                    )
-            # Leibniz: d(ab) = d(a) b + (-1)^{|a|} a d(b); both sides are 0
-            # unless ab, some l*b with l in supp(da), or some a*l with l in
-            # supp(db) is nonzero
-            if j in row or any(j in tab[k] for k in dtab[i]) or any(k in row for k in dtab[j]):
-                s = -1 if degree[i] % 2 else 1
+                    report.record("graded_commutativity", _witness(a, b, ab=str(prod), ba=str(eba)))
+            if j in leibniz:
+                db = dtab[j]
                 lhs = rhs = None
-                if _scalar(ab, dtab[i], dtab[j]):
-                    lhs = _combine((c, dtab[l]) for l, c in ab.items())
+                if type(ab) is dict and type(da) is dict and type(db) is dict:
+                    lhs = _combine([(c, dtab[l]) for l, c in ab.items()])
                     rhs = _combine(
-                        [(c, tab[k].get(j, _ZERO)) for k, c in dtab[i].items()]
-                        + [(s * c, row.get(k, _ZERO)) for k, c in dtab[j].items()]
+                        [(c, tab[k].get(j, _ZERO)) for k, c in da.items()]
+                        + [(s * c, row.get(k, _ZERO)) for k, c in db.items()]
                     )
                 if lhs is None or lhs != rhs:
                     lhs = dg.basis_product(a, b).diff()
                     rhs = dg.multiply(basis[i].diff(), basis[j]) + dg.multiply(basis[i], basis[j].diff()).scale(s)
                     if not (lhs - rhs).is_zero():
-                        report.record(
-                            "leibniz",
-                            {
-                                "a": tag_to_json(a.tag),
-                                "b": tag_to_json(b.tag),
-                                "d_ab": str(lhs),
-                                "da_b_plus_a_db": str(rhs),
-                            },
-                        )
-        if degree[i] % 2 == 1:
+                        report.record("leibniz", _witness(a, b, d_ab=str(lhs), da_b_plus_a_db=str(rhs)))
+        if degree[i] % 2 == 1 and i in row:
             sq = dg.basis_product(a, a)
             if not sq.is_zero():
                 report.record("odd_squares", {"a": tag_to_json(a.tag), "a2": str(sq)})
 
-    if triples:
-        for i, a in enumerate(labels):
-            row = tab[i]
-            for j, b in enumerate(labels):
-                report.checked_triples += n
-                # (ab)c = a(bc) is 0 = 0 unless some l in supp(ab) has
-                # l*c != 0 or some l in supp(bc) has a*l != 0.  A label
-                # outside the basis has no row to consult: all its partners
-                # are checked.
-                ab = row.get(j, _ZERO)
-                cands: set[int] = set()
-                for k in ab:
-                    if k is None:
-                        cands = set(range(n))
-                        break
-                    cands.update(tab[k])
-                for c, supp in tab[j].items():
-                    if c not in cands and any(k is None or k in row for k in supp):
-                        cands.add(c)
-                for k in sorted(cands):
-                    bc = tab[j].get(k, _ZERO)
-                    lhs = rhs = None
-                    if _scalar(ab, bc):
-                        lhs = _combine((c, tab[l].get(k, _ZERO)) for l, c in ab.items())
-                        rhs = _combine((c, row.get(l, _ZERO)) for l, c in bc.items())
-                    if lhs is None or lhs != rhs:
-                        lhs = dg.multiply(dg.basis_product(a, b), basis[k])
-                        rhs = dg.multiply(basis[i], dg.basis_product(b, labels[k]))
-                        if not (lhs - rhs).is_zero():
-                            report.record(
-                                "associativity",
-                                {
-                                    "a": tag_to_json(a.tag),
-                                    "b": tag_to_json(b.tag),
-                                    "c": tag_to_json(labels[k].tag),
-                                    "ab_c": str(lhs),
-                                    "a_bc": str(rhs),
-                                },
-                            )
+    if not triples:
+        return report
+    # occ[l]: the (j, c) with l in supp(labels[j] * labels[c]); l is None
+    # for a label outside the basis, which has no row to consult, so its
+    # (j, c) are candidates for every a
+    occ: dict = {}
+    for j, row in enumerate(tab):
+        for c, t in row.items():
+            for l in t:
+                occ.setdefault(l, []).append((j, c))
+    outside = occ.pop(None, [])
+    for i, a in enumerate(labels):
+        row = tab[i]
+        report.checked_triples += n * n
+        # cands[j]: the c where (ab)c = a(bc) is not 0 = 0 outright: some l
+        # in supp(ab) has l*c != 0, or some l in supp(bc) has a*l != 0
+        cands: dict[int, set] = {}
+        for j, ab in row.items():
+            got = cands[j] = set()
+            for l in ab:
+                if l is None:
+                    got.update(range(n))
+                    break
+                got.update(tab[l])
+        for l in row:
+            for j, c in occ.get(l, ()):
+                cands.setdefault(j, set()).add(c)
+        for j, c in outside:
+            cands.setdefault(j, set()).add(c)
+        for j in sorted(cands):
+            b, ab = labels[j], row.get(j, _ZERO)
+            for k in sorted(cands[j]):
+                bc = tab[j].get(k, _ZERO)
+                lhs = rhs = None
+                if type(ab) is dict and type(bc) is dict:
+                    lhs = _combine([(c, tab[l].get(k, _ZERO)) for l, c in ab.items()])
+                    rhs = _combine([(c, row.get(l, _ZERO)) for l, c in bc.items()])
+                if lhs is None or lhs != rhs:
+                    lhs = dg.multiply(dg.basis_product(a, b), basis[k])
+                    rhs = dg.multiply(basis[i], dg.basis_product(b, labels[k]))
+                    if not (lhs - rhs).is_zero():
+                        report.record(
+                            "associativity", _witness(a, b, c=tag_to_json(labels[k].tag), ab_c=str(lhs), a_bc=str(rhs))
+                        )
     return report
 
 
@@ -455,6 +522,21 @@ class SubmoduleSpan:
             if md is not None:
                 self._of_degree.setdefault(g.element.degree, []).append(k)
 
+    def boundary(self, k: int) -> tuple[Monomial | None, dict]:
+        """d of generator k as (b, {l: c}), from the complex's stored columns
+        (from `Element.diff` when one of them holds a Polynomial)."""
+        g, (b, vec) = self.generators[k], self.scalars[k]
+        out: dict = {}
+        cols = self.complex.diff.get(g.element.degree, _ZERO)
+        for l, c in vec.items():
+            for r, v in cols.get(l, _ZERO).items():
+                if type(v) is Polynomial:
+                    return coefficients(g.element.diff(), f"the boundary of {g.gen_id}")
+                s = out.pop(r, 0) + c * v
+                if s:
+                    out[r] = s
+        return b, out
+
 
 def submodule_membership(
     span: SubmoduleSpan, element: Element
@@ -462,14 +544,25 @@ def submodule_membership(
     """Decide element in span; on success return the witness
     [{gen, coefficient, monomial_multiple}] with exact rationals.
 
-    The element must be multigraded (single multidegree b); each span
-    generator g of the same homological degree with mdeg(g) | b contributes
-    the single multiple (b / mdeg g) * g, so this is a linear solve over Q.
+    The element must be multigraded (single multidegree b); see
+    `scalar_membership`.
     """
     if element.is_zero():
         return True, []
     b, vec = coefficients(element, "a membership element")
-    found = [k for k in span._of_degree.get(element.degree, ()) if span.scalars[k][0].divides(b)]
+    return scalar_membership(span, element.degree, b, vec)
+
+
+def scalar_membership(
+    span: SubmoduleSpan, degree: int, b: Monomial | None, vec: dict
+) -> tuple[bool, list[dict] | None]:
+    """`submodule_membership` of sum c*(b/m_l) e_l in `degree`, given as
+    {l: c}: each span generator g of that degree with mdeg(g) | b
+    contributes the single multiple (b / mdeg g) * g, so this is a linear
+    solve over Q."""
+    if not vec:
+        return True, []
+    found = [k for k in span._of_degree.get(degree, ()) if span.scalars[k][0].divides(b)]
     # scalar columns {row position: coefficient}, one row per label met
     rows: dict[BasisLabel, int] = {}
     *cols, rhs = (
@@ -504,9 +597,8 @@ def span_from_matching_sources(
     gens: list[SpanGenerator] = []
     for V in sorted(sources, key=lambda v: (len(v), v)):
         lab = cx.find_label(("e",) + tuple(V), degree=len(V))
-        e = Element.basis(cx, lab, len(V))
-        gens.append(SpanGenerator(("e",) + tuple(V), e))
-        de = e.diff()
+        gens.append(SpanGenerator(("e",) + tuple(V), Element.basis(cx, lab, len(V))))
+        de = Element(cx, len(V) - 1, cx.column(len(V), lab))
         if not de.is_zero():
             gens.append(SpanGenerator(("de",) + tuple(V), de))
     return SubmoduleSpan(cx, gens)
@@ -525,47 +617,36 @@ def dg_ideal_closure(
     a membership witness for each nonzero product.
     """
     report: dict = {"boundary_closed": True, "products": [], "failures": []}
-    for g in span.generators:
-        ok, _ = submodule_membership(span, g.element.diff())
-        if not ok:
+    for k, g in enumerate(span.generators):
+        if not scalar_membership(span, g.element.degree - 1, *span.boundary(k))[0]:
             report["boundary_closed"] = False
             if require_boundary_closed:
-                raise DGError(
-                    f"span is not closed under the differential at generator {g.gen_id}"
-                )
+                raise DGError(f"span is not closed under the differential at generator {g.gen_id}")
     cx = dg.complex
     tables = _Tables(dg)
     labels, degree = tables.labels, tables.degree
-    gens = [
-        (g, md, tables.of(g.element, md, g.element.degree))
-        for g, (md, _) in zip(span.generators, span.scalars)
-    ]
-    support = {l for _, _, gtab in gens if _scalar(gtab) for l in gtab}
+    gens = [(g, md, tables.of(vec, g.element.degree)) for g, (md, vec) in zip(span.generators, span.scalars)]
+    support = {l for _, _, gtab in gens if type(gtab) is dict for l in gtab}
     for i, u in enumerate(labels):
         row = {l: tables.product(i, l) for l in support}
         for g, md, gtab in gens:
-            scalars = _combine((c, row[l]) for l, c in gtab.items()) if _scalar(gtab) else None
+            deg = degree[i] + g.element.degree
+            scalars = _combine([(c, row[l]) for l, c in gtab.items()]) if type(gtab) is dict else None
             if scalars is None:
                 prod = dg.multiply(Element.basis(cx, u, degree[i]), g.element)
                 if prod.is_zero():
                     continue
+                ok, witness = submodule_membership(span, prod)
             elif not scalars:
                 continue
             else:  # the product has multidegree b = m_u * mdeg(g)
                 b = u.multidegree * md
-                prod = Element(cx, degree[i] + g.element.degree, {
-                    labels[k]: Polynomial.monomial(monomial_divide(b, labels[k].multidegree), c)
-                    for k, c in scalars.items()
-                })
-            ok, witness = submodule_membership(span, prod)
-            entry = {
-                "factor": tag_to_json(u.tag),
-                "gen": tag_to_json(g.gen_id),
-                "product": str(prod),
-            }
+                vec = {labels[k]: c for k, c in scalars.items()}
+                ok, witness = scalar_membership(span, deg, b, vec)
+                prod = Element(cx, deg, {l: entry_polynomial(c, l, b) for l, c in vec.items()})
+            entry = {"factor": tag_to_json(u.tag), "gen": tag_to_json(g.gen_id), "product": str(prod)}
             if ok:
-                entry["witness"] = witness
-                report["products"].append(entry)
+                report["products"].append({**entry, "witness": witness})
             else:
                 report["failures"].append(entry)
     report["ok"] = report["boundary_closed"] and not report["failures"]
@@ -766,19 +847,26 @@ def quotient_dg(
     )
     # boundary closure consistency: every generator's boundary must vanish in
     # the quotient, otherwise the span was not a subcomplex
-    for g in span.generators:
-        dv = g.element.diff()
-        b, vec = coefficients(dv, f"the boundary of {g.gen_id}")
-        if elim.substitute(vec, b, dv.degree):
+    for k, g in enumerate(span.generators):
+        b, dvec = span.boundary(k)
+        if elim.substitute(dvec, b, g.element.degree - 1):
             raise DGError(f"span not a subcomplex: boundary of {g.gen_id} survives the quotient")
     name = name or f"{dg.name}/span"
     qcx, project = elim.quotient(name)
-    back = {new: old for i in cx.degrees() for old, new in zip(elim.survivors[i], qcx.labels(i))}
+    back, fwd = {}, {}
+    for i in cx.degrees():
+        for old, new in zip(elim.survivors[i], qcx.labels(i)):
+            back[new], fwd[old] = old, new
 
-    def qproduct(a: BasisLabel, b: BasisLabel) -> Element:
-        prod = dg.basis_product(back[a], back[b])
-        if prod.is_zero():
-            return Element.zero(qcx, qcx.degree_of(a) + qcx.degree_of(b))
-        return project(prod)
+    def qproduct(a: BasisLabel, b: BasisLabel) -> ScalarProduct | Element:
+        pa, pb = back[a], back[b]
+        prod = dg.table(pa, pb)
+        if not prod:
+            return _NONE
+        if type(prod) is Element or any(type(c) is Polynomial for c in prod.values()):
+            prod = dg.basis_product(pa, pb)
+            return _NONE if prod.is_zero() else project(prod)
+        got = elim.substitute(prod, pa.multidegree * pb.multidegree, dg.degree[pa] + dg.degree[pb])
+        return ScalarProduct({fwd[l]: c for l, c in got.items()})
 
     return QuotientDG(DGStructure(qcx, qproduct, name=name), elim, project)

@@ -30,14 +30,16 @@ extended linearly in f),
   (0,0,g)(0,g',0)   = (0, 0, g g')
   (f,0,0)(0,0,g) = (0,0,g)(f,0,0) = (0,0,g)(0,0,g') = 0
 
-The division by z is realized by exact monomial division and is always
-possible because (1/z) f_V Phi(g_W) is either 0 or y_W f_{V union W_z}; a
-failed division raises instead of storing a rational function.
+The division by z never leaves the polynomials: (1/z) f_V Phi(g_W) is
+either 0 or y_W f_{V union W_z}.  So, as every product here, it is stored
+as a coefficient on its label (`dg.ScalarProduct`), and storing it checks
+that the label's multidegree divides m_a m_b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -51,7 +53,7 @@ from .complexes import (
     mapping_cone,
     multiplication_map,
 )
-from .dg import DGStructure, Element
+from .dg import DGStructure, ScalarProduct
 from .poly import (
     Monomial,
     MonomialIdeal,
@@ -82,15 +84,14 @@ class StarDecomposition:
     def ell(self) -> int:
         return len(self.ideal_j.generators)
 
+    @cached_property
+    def leaf_spokes(self) -> tuple[int, ...]:
+        """Index (into the spokes) of the spoke under each J-generator."""
+        return tuple(i for i, s in enumerate(self.spokes) for _ in self.leaves[s])
+
     def spoke_of_leaf_generator(self, j: int) -> int:
         """Index (into the spokes) of the spoke under the j-th J-generator."""
-        count = 0
-        for i, s in enumerate(self.spokes):
-            for _ in self.leaves[s]:
-                if count == j:
-                    return i
-                count += 1
-        raise IndexError(j)
+        return self.leaf_spokes[j]
 
 
 def star_decompose(graph: Graph) -> StarDecomposition:
@@ -161,7 +162,7 @@ def zify_indices(dec: StarDecomposition, W) -> tuple[tuple[int, ...], bool]:
     Returns (sorted spoke index set, repeat_free); with a repeat (two
     members of W on one spoke) the z-ified Taylor symbol is read as 0.
     """
-    spokes = [dec.spoke_of_leaf_generator(j) for j in W]
+    spokes = [dec.leaf_spokes[j] for j in W]
     return tuple(sorted(set(spokes))), len(set(spokes)) == len(spokes)
 
 
@@ -258,87 +259,58 @@ def build_cone_resolution(graph_or_dec) -> ConeResolution:
 
 
 def _cone_product_fn(dec, cone):
-    ring = dec.ring
-    z = ring.variable(dec.center)
-    zero = lambda deg: Element.zero(cone, deg)
+    """The cone product as `ScalarProduct`s: each term is c*(m_a m_b/m_l) e_l
+    (F*F, G*G, G*S and S*G: the Taylor sign on the union label; (1/z) f_V
+    Phi(g_W) = y_W f_{V union W_z}: the sign sigma(V, W_z); omega: -1)."""
+    find = cone.find_label
 
-    def find(tag, size):
-        return cone.find_label(tag, degree=size)
+    def taylor(kind: str, V, W, shift: int = 0) -> ScalarProduct:
+        """e_V e_W in the F, G or S copy: the sign on the union label."""
+        if set(V) & set(W):
+            return ScalarProduct()
+        union = tuple(sorted(V + W))
+        return ScalarProduct({find((kind,) + union, degree=len(union) + shift): taylor_sign(V, W)})
 
-    def f_times_f(V, W):
-        res = taylor_product_label(dec.ideal_i, V, W)
-        if res is None:
-            return {}
-        sign, coeff, union = res
-        return {find(("F",) + union, len(union)): Polynomial.monomial(coeff, sign)}
-
-    def g_times_g(V, W, copy: str):
-        res = taylor_product_label(dec.ideal_j, V, W)
-        if res is None:
-            return {}
-        sign, coeff, union = res
-        deg = len(union) if copy == "G" else len(union) + 1
-        return {find((copy,) + union, deg): Polynomial.monomial(coeff, sign)}
-
-    def phi_times_f(V, W):
-        """(1/z) f_V Phi(g_W) as an element of the F-part (V from G(I),
-        W from G(J)); equals y_W f_{V union W_z} or 0."""
+    def f_times_g(V, W, sign: int) -> ScalarProduct:
+        """sign * ((1/z) f_V Phi(g_W), 0, omega_{f_V}(g_W)) (V from G(I), W
+        from G(J)); the first part is y_W f_{V union W_z} or 0."""
+        out = ScalarProduct()
         spoke_set, repeat_free = zify_indices(dec, W)
-        if not repeat_free:
-            return {}
-        res = taylor_product_label(dec.ideal_i, V, spoke_set)
-        if res is None:
-            return {}
-        sign, coeff, union = res
-        poly = Polynomial.monomial(coeff, sign) * Polynomial.monomial(y_part(dec, W))
-        divided = poly.divide_by_monomial(z)  # raises if z does not divide
-        return {find(("F",) + union, len(union)): divided}
+        if repeat_free and not set(V) & set(spoke_set):
+            union = tuple(sorted(V + spoke_set))
+            out[find(("F",) + union, degree=len(union))] = sign * taylor_sign(V, spoke_set)
+        if len(V) == 1:  # omega_{f_q}(g_W) = -x_q g_W on the twisted copy
+            out[find(("S",) + W, degree=len(W) + 1)] = -sign
+        return out
 
-    def omega(V, W):
-        """omega_{f_V}(g_W): -x_q g_W moved to the twisted copy when
-        V = {q} (so d f_V = z x_q); zero in higher degrees."""
-        if len(V) != 1:
-            return {}
-        xq = ring.variable(dec.spokes[V[0]])
-        lab = find(("S",) + tuple(W), len(W) + 1)
-        return {lab: Polynomial.monomial(xq, -1)}
-
-    def product(a: BasisLabel, b: BasisLabel) -> Element:
+    def product(a: BasisLabel, b: BasisLabel) -> ScalarProduct:
         ka, va = a.tag[0], a.tag[1:]
         kb, vb = b.tag[0], b.tag[1:]
         da = len(va) + (ka == "S")  # F_V, G_W in degree |V|, |W|; S_W in |W| + 1
         db = len(vb) + (kb == "S")
-        deg = da + db
         # unit action
         if ka == "F" and not va:
-            return Element.basis(cone, b, db)
+            return ScalarProduct({b: 1})
         if kb == "F" and not vb:
-            return Element.basis(cone, a, da)
+            return ScalarProduct({a: 1})
         if ka == "F" and kb == "F":
-            return Element(cone, deg, f_times_f(va, vb))
+            return taylor("F", va, vb)
         if ka == "G" and kb == "G":
-            return Element(cone, deg, g_times_g(va, vb, "G"))
+            return taylor("G", va, vb)
         if ka == "F" and kb == "G":
-            coords = dict(phi_times_f(va, vb))
-            for l, p in omega(va, vb).items():
-                coords[l] = coords.get(l, Polynomial.zero(ring)) + p
-            return Element(cone, deg, coords)
+            return f_times_g(va, vb, 1)
         if ka == "G" and kb == "F":
             # (0,g,0)(f,0,0) = ((1/z) Phi(g) f, 0, (-1)^{|g|} omega_f(g));
             # commuting Phi(g) past f inside F gives the global sign
             # (-1)^{|g||f|}, and omega is only nonzero for |f| = 1.
-            sign = -1 if (da % 2 and db % 2) else 1
-            coords = dict(phi_times_f(vb, va))
-            for l, p in omega(vb, va).items():
-                coords[l] = coords.get(l, Polynomial.zero(ring)) + p
-            return Element(cone, deg, coords).scale(sign)
+            return f_times_g(vb, va, -1 if (da % 2 and db % 2) else 1)
         if ka == "G" and kb == "S":
-            sign = -1 if da % 2 else 1
-            return Element(cone, deg, g_times_g(va, vb, "S")).scale(sign)
+            prod = taylor("S", va, vb, 1)
+            return ScalarProduct({l: -c for l, c in prod.items()}) if da % 2 else prod
         if ka == "S" and kb == "G":
-            return Element(cone, deg, g_times_g(va, vb, "S"))
+            return taylor("S", va, vb, 1)
         # (F,S), (S,F), (S,S) all vanish
-        return zero(deg)
+        return ScalarProduct()
 
     return product
 
@@ -387,51 +359,32 @@ def check_phi_z_multiplicative(dec: StarDecomposition) -> dict:
     """z Phi(g V g W) = Phi(g V) Phi(g W) on every pair of G-basis subsets.
 
     (This is the off-by-z failure of Phi to be a dg morphism; exactness of
-    the relation is what makes the (1/z)-products land in F.)
+    the relation is what makes the (1/z)-products land in F.)  Phi(g_W) =
+    y_W f_{W_z} is computed once per W, as (W_z, y_W), None with a repeat.
     """
-    ring = dec.ring
-    z = ring.variable(dec.center)
-    ell = dec.ell
-    failures = []
-
-    def phi_vec(W, scale: Polynomial) -> dict[tuple[int, ...], Polynomial]:
+    z = Polynomial.monomial(dec.ring.variable(dec.center))
+    subsets = [W for size in range(1, dec.ell + 1) for W in combinations(range(dec.ell), size)]
+    phi = {}
+    for W in subsets:
         spoke_set, repeat_free = zify_indices(dec, W)
-        if not repeat_free:
-            return {}
-        return {spoke_set: scale * Polynomial.monomial(y_part(dec, W))}
-
-    one = Polynomial.constant(ring, 1)
-    for sa in range(1, ell + 1):
-        for V in combinations(range(ell), sa):
-            for sb in range(1, ell + 1):
-                for W in combinations(range(ell), sb):
-                    res = taylor_product_label(dec.ideal_j, V, W)
-                    lhs: dict[tuple[int, ...], Polynomial] = {}
-                    if res is not None:
-                        sign, coeff, union = res
-                        lhs = phi_vec(
-                            union, Polynomial.monomial(coeff * z, sign)
-                        )
-                    rhs: dict[tuple[int, ...], Polynomial] = {}
-                    pv = phi_vec(V, one)
-                    pw = phi_vec(W, one)
-                    for uv, cv in pv.items():
-                        for uw, cw in pw.items():
-                            resf = taylor_product_label(dec.ideal_i, uv, uw)
-                            if resf is None:
-                                continue
-                            signf, cf, unionf = resf
-                            q = rhs.get(unionf, Polynomial.zero(ring)) + (
-                                cv * cw * Polynomial.monomial(cf, signf)
-                            )
-                            if q.is_zero():
-                                rhs.pop(unionf, None)
-                            else:
-                                rhs[unionf] = q
-                    if {k: v for k, v in lhs.items() if not v.is_zero()} != {
-                        k: v for k, v in rhs.items() if not v.is_zero()
-                    }:
-                        failures.append({"V": list(V), "W": list(W)})
+        phi[W] = (spoke_set, Polynomial.monomial(y_part(dec, W))) if repeat_free else None
+    failures = []
+    for V in subsets:
+        for W in subsets:
+            lhs, rhs = {}, {}
+            res = taylor_product_label(dec.ideal_j, V, W)
+            if res is not None and phi[res[2]] is not None:
+                sign, coeff, union = res
+                uz, y = phi[union]
+                lhs = {uz: Polynomial.monomial(coeff, sign) * z * y}
+            if phi[V] is not None and phi[W] is not None:
+                (uv, yv), (uw, yw) = phi[V], phi[W]
+                resf = taylor_product_label(dec.ideal_i, uv, uw)
+                if resf is not None:
+                    signf, cf, unionf = resf
+                    rhs = {unionf: yv * yw * Polynomial.monomial(cf, signf)}
+            if lhs != rhs:
+                failures.append({"V": list(V), "W": list(W)})
     return {"ok": not failures, "failures": failures}
 
 
@@ -462,36 +415,25 @@ def check_boundary_action(res: ConeResolution) -> dict:
     and (0, d(f) g, 0) for |f| = 1, on all basis pairs.
 
     (The |f| = 1 case is where omega comes from: d(f_q) = z x_q acts on the
-    G-copy through the scalar z x_q.)
+    G-copy through the scalar z x_q.)  Both sides have multidegree m_f m_g
+    and are read as {label: c} off the stored column of d(f) and the stored
+    products: (d f) g = sum c_r (r g) over d(f) = {r: c_r}, and z x_q g is
+    {g: 1}.
     """
-    dec, cone, dg = res.decomposition, res.cone, res.dg
-    ring = dec.ring
+    cone, dg = res.cone, res.dg
+    gs = [g for j in cone.degrees() for g in cone.labels(j) if g.tag[0] == "G"]
     failures = []
     for i in cone.degrees():
         for f in cone.labels(i):
             if f.tag[0] != "F" or len(f.tag) == 1:
                 continue
-            V = f.tag[1:]
-            df = Element.basis(cone, f, i).diff()
-            for j in cone.degrees():
-                for g in cone.labels(j):
-                    if g.tag[0] != "G":
-                        continue
-                    eg = Element.basis(cone, g, j)
-                    lhs = dg.multiply(df, eg)
-                    if len(V) == 1:
-                        scalar = Polynomial.monomial(f.multidegree)  # d(f_q) = z x_q
-                        rhs = Element(cone, j, {g: scalar})
-                    else:
-                        rhs = Element.zero(cone, i - 1 + j)
-                        for fl, p in df.coords.items():
-                            prod = dg.basis_product(fl, g)
-                            keep = {
-                                l: p * q
-                                for l, q in prod.coords.items()
-                                if l.tag[0] == "F"
-                            }
-                            rhs = rhs + Element(cone, i - 1 + j, keep)
-                    if not (lhs - rhs).is_zero():
-                        failures.append({"f": list(V), "g": list(g.tag[1:])})
+            for g in gs:
+                lhs: dict = {}
+                for r, c in cone.diff[i][f].items():
+                    for l, x in dg.table(r, g).items():
+                        lhs[l] = lhs.get(l, 0) + c * x
+                lhs = {l: x for l, x in lhs.items() if x}
+                rhs = {g: 1} if i == 1 else {l: x for l, x in lhs.items() if l.tag[0] == "F"}
+                if lhs != rhs:
+                    failures.append({"f": list(f.tag[1:]), "g": list(g.tag[1:])})
     return {"ok": not failures, "failures": failures}

@@ -16,6 +16,8 @@ Multiplication (zero when the index sets meet; sigma(V, W) counts the pairs
 
     e_V e_W = (-1)^{sigma(V,W)} (m_V m_W / m_{V union W}) e_{V union W}
 
+stored the same way, as the sign on e_{V union W} (`dg.ScalarProduct`).
+
 This product is unital, associative, graded commutative, and satisfies the
 Leibniz rule, so the Taylor complex is always a dg algebra (Gemeda 1976).
 """
@@ -26,16 +28,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .complexes import BasisLabel, ComplexError, LabeledFreeComplex, VecT
-from .poly import (
-    Monomial,
-    MonomialIdeal,
-    PolyError,
-    Polynomial,
-    lcm_of,
-    monomial_divide,
-    monomial_lcm,
-)
+from .complexes import BasisLabel, ComplexError, LabeledFreeComplex, VecT, entry_polynomial
+from .dg import DGStructure, ScalarProduct
+from .poly import Monomial, MonomialIdeal, PolyError, lcm_of, monomial_divide, monomial_lcm
 
 MAX_GENERATORS = 63  # subsets fit in an int bitmask
 
@@ -101,40 +96,38 @@ def taylor_product_label(
     union = tuple(sorted(sv | sw))
     mv = lcm_of((ideal.generators[i] for i in V), ideal.ring)
     mw = lcm_of((ideal.generators[i] for i in W), ideal.ring)
-    mu = lcm_of((ideal.generators[i] for i in union), ideal.ring)
-    coeff = monomial_divide(mv * mw, mu)
+    coeff = monomial_divide(mv * mw, monomial_lcm(mv, mw))  # m_{V u W} = lcm(m_V, m_W)
     return Fraction(taylor_sign(V, W)), coeff, union
+
+
+def taylor_table(T: LabeledFreeComplex, a: BasisLabel, b: BasisLabel) -> ScalarProduct:
+    """e_V e_W inside the Taylor complex T as the sign on e_{V union W}, or
+    empty when V and W meet."""
+    V, W = a.tag[1:], b.tag[1:]
+    if set(V) & set(W):
+        return ScalarProduct()
+    union = tuple(sorted(V + W))
+    return ScalarProduct({T.find_label(("e",) + union, degree=len(union)): taylor_sign(V, W)})
 
 
 def taylor_product(
     ideal: MonomialIdeal, T: LabeledFreeComplex, a: BasisLabel, b: BasisLabel
 ) -> VecT:
     """Product of two Taylor basis labels inside the complex T (built from
-    `ideal`); the multidegrees are read from a, b and the union label."""
-    V, W = a.tag[1:], b.tag[1:]
-    if set(V) & set(W):
-        return {}
-    union = tuple(sorted(V + W))
-    lab = T.find_label(("e",) + union, degree=len(union))
-    coeff = monomial_divide(a.multidegree * b.multidegree, lab.multidegree)
-    return {lab: Polynomial.monomial(coeff, taylor_sign(V, W))}
+    `ideal`) as {label: Polynomial}; the multidegrees are read from a, b and
+    the union label."""
+    want = a.multidegree * b.multidegree
+    return {l: entry_polynomial(c, l, want) for l, c in taylor_table(T, a, b).items()}
 
 
 def taylor_dg_structure(
     ideal: MonomialIdeal,
     T: LabeledFreeComplex | None = None,
     order: Sequence[int] | Sequence[str] | None = None,
-):
+) -> DGStructure:
     """The Taylor complex as a dg algebra (complex + multiplication)."""
-    from .dg import DGStructure, Element
-
     if order is not None:
         ideal = ideal.reorder(order)
     if T is None:
         T = taylor_resolution(ideal)
-
-    def product(a: BasisLabel, b: BasisLabel):
-        deg = (len(a.tag) - 1) + (len(b.tag) - 1)
-        return Element(T, deg, taylor_product(ideal, T, a, b))
-
-    return DGStructure(T, product, name=f"Taylor{ideal}")
+    return DGStructure(T, lambda a, b: taylor_table(T, a, b), name=f"Taylor{ideal}")

@@ -12,6 +12,7 @@ for `dg_ideal_closure`, with Polynomial products and multidegrees recomputed
 on every membership call."""
 
 import json
+import random
 from fractions import Fraction
 from functools import partialmethod
 
@@ -912,3 +913,109 @@ class TestClosureDenseOracle:
         for closure in (dg_ideal_closure, dense_dg_ideal_closure):
             with pytest.raises(DGError, match="multigraded"):
                 closure(DGStructure(dg.complex, dg.product_fn), span)
+
+
+# ---------------------------------------------------------------------------
+# the triple candidates of dg_check, against the dense reference
+
+
+def random_tampering(dg: DGStructure, rng) -> DGStructure:
+    """dg with one product e_a e_b, drawn by rng, changed: a nonzero one
+    negated, doubled or set to 0, or any one given an extra term
+    c*(m_a m_b/m_l) e_l on a label l of its degree."""
+    labels = dg.all_labels()
+    kind = rng.choice(("negate", "double", "drop", "extra"))
+    if kind == "extra":
+        a, b, l = rng.choice([
+            (a, b, l) for a in labels for b in labels for l in labels
+            if dg.degree[l] == dg.degree[a] + dg.degree[b] and l.multidegree.divides(a.multidegree * b.multidegree)
+        ])
+        c = rng.choice((-2, -1, 1, 3))
+        term = {l: Polynomial.monomial(monomial_divide(a.multidegree * b.multidegree, l.multidegree), c)}
+    else:
+        a, b = rng.choice([(a, b) for a in labels for b in labels if not dg.basis_product(a, b).is_zero()])
+
+    def product(x, y, honest):
+        if (x, y) != (a, b):
+            return honest
+        if kind == "extra":
+            return honest + Element(dg.complex, honest.degree, term)
+        return Element.zero(dg.complex, honest.degree) if kind == "drop" else honest.scale(-1 if kind == "negate" else 2)
+
+    return tampered(dg, product)
+
+
+def outside_label_in_bc(dg: DGStructure) -> tuple[DGStructure, tuple]:
+    """dg with the first nonzero product bc of two degree-1 labels given an
+    extra term on a label outside the basis, which only a, the first
+    degree-1 label, multiplies to something nonzero (the first label of
+    degree |a| + |b| + |c|).  So only a(bc) of (a, b, c) sees the ghost."""
+    cx = dg.complex
+    a, *ones = cx.labels(1)
+    b, c = next((b, c) for b in ones for c in ones if not dg.basis_product(b, c).is_zero())
+    deg = dg.degree[b] + dg.degree[c]
+    ghost = BasisLabel(("ghost",), b.multidegree * c.multidegree)
+    target = cx.labels(deg + 1)[0]
+
+    def product(x, y):
+        if ghost in (x, y):
+            if (x, y) == (a, ghost):
+                return Element(cx, deg + 1, {target: Polynomial.constant(cx.ring, 1)})
+            return Element.zero(cx, dg.degree.get(x, deg) + dg.degree.get(y, deg))
+        honest = dg.product_fn(x, y)
+        if (x, y) == (b, c):
+            return honest + Element(cx, deg, {ghost: Polynomial.constant(cx.ring, 1)})
+        return honest
+
+    triple = tuple(tag_to_json(l.tag) for l in (a, b, c))
+    return DGStructure(cx, product), triple
+
+
+TRIPLE_INDEX_STRUCTURES = {"cone": STRUCTURES["cone"], "morse-c5": STRUCTURES["morse-c5"]}
+
+
+@pytest.mark.usefixtures("uncapped")
+class TestCandidateIndex:
+    @pytest.mark.parametrize("name", list(TRIPLE_INDEX_STRUCTURES))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_single_product_tampering(self, name, seed):
+        dg = random_tampering(TRIPLE_INDEX_STRUCTURES[name](), random.Random(seed))
+        assert_matches_dense(dg)
+
+    @pytest.mark.parametrize("name", list(TRIPLE_INDEX_STRUCTURES))
+    def test_outside_label_in_bc_only(self, name):
+        dg, triple = outside_label_in_bc(TRIPLE_INDEX_STRUCTURES[name]())
+        report = assert_matches_dense(dg)
+        assert triple in [(w["a"], w["b"], w["c"]) for w in report.failures["associativity"]]
+
+    def test_commutativity_when_only_ba_is_nonzero(self):
+        # a, b are cycles and ab is stored as 0 while ba = -u: on (a, b) no
+        # Leibniz term can be nonzero, so only the index of the i with
+        # ba != 0 brings the pair to the commutativity check
+        ring = VariableSet(("x", "y"))
+        x, y = ring.variable("x"), ring.variable("y")
+        unit, a, b = BasisLabel(("1",), ring.one()), BasisLabel(("a",), x), BasisLabel(("b",), y)
+        u = BasisLabel(("u",), x * y)
+        cx = LabeledFreeComplex(ring, {0: [unit], 1: [a, b], 2: [u]}, {1: {a: {}, b: {}}})
+
+        def product(p, q):
+            if unit in (p, q):
+                return Element.basis(cx, q if p == unit else p)
+            if (p, q) == (b, a):
+                return Element(cx, 2, {u: Polynomial.constant(ring, -1)})
+            return Element.zero(cx, cx.degree_of(p) + cx.degree_of(q))
+
+        report = assert_matches_dense(DGStructure(cx, product))
+        assert [(w["a"], w["b"]) for w in report.failures["graded_commutativity"]] == [(["a"], ["b"]), (["b"], ["a"])]
+
+
+def test_boundary_through_a_polynomial_entry_is_refused(taylor_fixture_ideal):
+    """A span generator whose column holds a Polynomial entry has its
+    boundary formed as an Element, which is not multigraded here."""
+    dg = inhomogeneous_differential(taylor_fixture_ideal)
+    e01 = Element.basis(dg.complex, dg.complex.find_label(("e", 0, 1)))
+    bare = SubmoduleSpan(dg.complex, [SpanGenerator(("e", 0, 1), e01)])
+    with pytest.raises(DGError, match=r"^the boundary of \('e', 0, 1\) is not multigraded"):
+        dg_ideal_closure(dg, bare, require_boundary_closed=False)
+    with pytest.raises(DGError, match=r"^the boundary of \('e', 0, 1\) is not multigraded"):
+        quotient_dg(dg, bare)

@@ -1,0 +1,209 @@
+"""Stored basis products against the Element oracle (`reference_products`).
+
+Every product a structure stores is a `ScalarProduct` {l: c} of
+coefficients; formatted with `entry_polynomial` at m_a m_b it must equal the
+oracle's Element, for the Taylor structures of the corpus, the cones of all
+trees of diameter 3 and 4 on 3 to 9 vertices, Lyubeznik and C4/C5 Morse
+quotients and both quotients of `prune_dg` with one kill variable.
+"""
+
+from __future__ import annotations
+
+import networkx as nx
+import pytest
+
+from dgres import (
+    DGError,
+    DGStructure,
+    Element,
+    Graph,
+    MonomialIdeal,
+    Polynomial,
+    VariableSet,
+    build_cone_resolution,
+    build_family,
+    dg_check,
+    edge_ideal,
+    lyubeznik_matching,
+    prune_dg,
+    quotient_dg,
+    span_from_matching_sources,
+    taylor_dg_structure,
+)
+from dgres import prune
+from dgres.classify import C4_MATCHING, C5_MATCHING
+from dgres.combin import graph_diameter
+from dgres.complexes import entry_polynomial
+from dgres.dg import ScalarProduct
+from dgres.diam4 import check_boundary_action
+from dgres.morse import matching_sources, matching_targets
+from dgres.prune import prune_ideal
+
+import reference_products
+
+
+def assert_products_match(dg: DGStructure, oracle) -> int:
+    """Every stored product of dg equals oracle(a, b); returns how many are
+    nonzero."""
+    labels = dg.all_labels()
+    nonzero = 0
+    for a in labels:
+        for b in labels:
+            stored, want = dg.table(a, b), oracle(a, b)
+            assert type(stored) is ScalarProduct, (a, b, stored)
+            if stored or want.coords:
+                assert not any(type(c) is Polynomial for c in stored.values()), (a, b, stored)
+                ab = a.multidegree * b.multidegree
+                assert {l: entry_polynomial(c, l, ab) for l, c in stored.items()} == want.coords, (a, b)
+                assert want.degree == dg.degree[a] + dg.degree[b]
+                nonzero += 1
+    return nonzero
+
+
+def cycle_ideal(n: int) -> MonomialIdeal:
+    names = ("x", "y", "z", "u", "v")[:n]
+    return MonomialIdeal.from_strings(VariableSet(names), [f"{a}*{b}" for a, b in zip(names, names[1:] + names[:1])])
+
+
+def matching_quotient(ideal: MonomialIdeal, matching):
+    dgT = taylor_dg_structure(ideal)
+    sources = matching_sources(matching)
+    prefer = {("e",) + tuple(t) for t in matching_targets(matching)} | {("e",) + tuple(s) for s in sources}
+    return dgT, quotient_dg(dgT, span_from_matching_sources(dgT.complex, sources), prefer_eliminate=prefer)
+
+
+def trees_of_diameter_3_and_4():
+    for n in range(3, 10):
+        for T in nx.nonisomorphic_trees(n):
+            g = Graph.build([f"v{i}" for i in sorted(T.nodes())], [(f"v{a}", f"v{b}") for a, b in T.edges()])
+            if graph_diameter(g) in (3, 4):
+                yield g
+
+
+class TestStoredProducts:
+    def test_taylor_corpus(self, corpus):
+        for I in corpus:
+            dg = taylor_dg_structure(I)
+            assert assert_products_match(dg, reference_products.taylor_product(dg.complex))
+
+    def test_cones_of_diameter_3_and_4_trees(self):
+        trees = 0
+        for g in trees_of_diameter_3_and_4():
+            res = build_cone_resolution(g)
+            assert assert_products_match(res.dg, reference_products.cone_product(res.decomposition, res.cone))
+            trees += 1
+        assert trees == 42
+
+    def test_lyubeznik_quotients_of_the_corpus(self, corpus):
+        for I in corpus:
+            dgT, q = matching_quotient(I, lyubeznik_matching(I))
+            assert assert_products_match(q.structure, reference_products.quotient_product(dgT, q))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_cycle_morse_quotients(self, n):
+        dgT, q = matching_quotient(cycle_ideal(n), C4_MATCHING if n == 4 else C5_MATCHING)
+        assert q.structure.complex.ranks() == ((1, 4, 4, 1) if n == 4 else (1, 5, 5, 1))
+        assert assert_products_match(q.structure, reference_products.quotient_product(dgT, q))
+
+    def test_prune_dg_quotients_with_one_kill_variable(self, monkeypatch):
+        # F = T/J over Q, then F / im(I_Z) over Q/(Z); each against the
+        # projection of its parent's product
+        made = []
+
+        def recorded(dgs, span, *args, **kwargs):
+            q = quotient_dg(dgs, span, *args, **kwargs)
+            made.append((dgs, q))
+            return q
+
+        monkeypatch.setattr(prune, "quotient_dg", recorded)
+        runs = 0
+        for fam in ("P5", "P6", "P7"):
+            ideal = edge_ideal(build_family(fam))
+            for z in ideal.ring.names:
+                if prune_ideal(ideal, (z,)).generators:
+                    prune_dg(ideal, (z,), check_closure=False)
+                    runs += 1
+        assert runs == 21 and len(made) == 42
+        for parent, q in made:
+            assert assert_products_match(q.structure, reference_products.quotient_product(parent, q))
+
+
+class TestProductStorage:
+    def test_coefficient_on_a_label_not_dividing_is_refused(self):
+        # e0*e1 written as 1 on e012: m_012 = xyz does not divide m_0 m_1 = xy
+        dg = taylor_dg_structure(MonomialIdeal.from_strings(VariableSet(("x", "y", "z")), ["x", "y", "z"]))
+        T = dg.complex
+        e0, e1, e012 = T.find_label(("e", 0)), T.find_label(("e", 1)), T.find_label(("e", 0, 1, 2))
+        bad = DGStructure(T, lambda a, b: ScalarProduct({e012: 1}) if (a, b) == (e0, e1) else dg.table(a, b))
+        with pytest.raises(DGError, match=r"^product entry 1 of .* does not divide x\*y$"):
+            bad.table(e0, e1)
+        with pytest.raises(DGError, match="does not divide"):
+            dg_check(bad, triples=False)
+
+    def test_element_products_are_stored_as_coefficients(self):
+        dg = taylor_dg_structure(MonomialIdeal.from_strings(VariableSet(("x", "y", "z")), ["x*y", "y*z"]))
+        again = DGStructure(dg.complex, dg.product_fn)
+        labels = dg.all_labels()
+        for a in labels:
+            for b in labels:
+                assert again.table(a, b) == dg.table(a, b)
+                assert type(again.table(a, b)) is ScalarProduct
+
+    def test_product_fn_computes_afresh(self):
+        calls = []
+        dg = taylor_dg_structure(MonomialIdeal.from_strings(VariableSet(("x", "y")), ["x", "y"]))
+        counted = DGStructure(dg.complex, lambda a, b: calls.append((a, b)) or dg.table(a, b))
+        e0, e1 = counted.complex.find_label(("e", 0)), counted.complex.find_label(("e", 1))
+        assert counted.basis_product(e0, e1) == counted.product_fn(e0, e1) == counted.basis_product(e0, e1)
+        assert calls == [(e0, e1), (e0, e1)]
+        assert isinstance(counted.product_fn(e0, e1), Element)
+
+
+def test_boundary_action_matches_the_element_computation():
+    """`check_boundary_action` reads tables; on every diameter-3/4 tree on
+    at most 7 vertices, and on a cone whose omega has the wrong sign on one
+    spoke, it reports what the Element computation of both sides reports.
+    (A sign flip of omega on every spoke would cancel in d(f) g.)"""
+
+    def element_failures(res, dg):
+        cone, failures = res.cone, []
+        for i in cone.degrees():
+            for f in cone.labels(i):
+                if f.tag[0] != "F" or len(f.tag) == 1:
+                    continue
+                df = Element.basis(cone, f, i).diff()
+                for j in cone.degrees():
+                    for g in cone.labels(j):
+                        if g.tag[0] != "G":
+                            continue
+                        lhs = dg.multiply(df, Element.basis(cone, g, j))
+                        if i == 1:
+                            rhs = Element(cone, j, {g: Polynomial.monomial(f.multidegree)})
+                        else:
+                            rhs = Element.zero(cone, i - 1 + j)
+                            for fl, p in df.coords.items():
+                                prod = dg.basis_product(fl, g)
+                                rhs = rhs + Element(
+                                    cone, i - 1 + j, {l: p * q for l, q in prod.coords.items() if l.tag[0] == "F"}
+                                )
+                        if not (lhs - rhs).is_zero():
+                            failures.append({"f": list(f.tag[1:]), "g": list(g.tag[1:])})
+        return failures
+
+    for g in trees_of_diameter_3_and_4():
+        if len(g.vertices) <= 7:
+            res = build_cone_resolution(g)
+            assert check_boundary_action(res) == {"ok": True, "failures": element_failures(res, res.dg)}
+
+    res = build_cone_resolution(build_family("T4(2;1,1)"))
+    honest = res.dg
+
+    def wrong_omega(a, b):
+        prod = honest.table(a, b)
+        if a.tag == ("F", 0) and b.tag[0] == "G":
+            return ScalarProduct({l: -c if l.tag[0] == "S" else c for l, c in prod.items()})
+        return prod
+
+    res.dg = DGStructure(res.cone, wrong_omega)
+    got = check_boundary_action(res)
+    assert not got["ok"] and got["failures"] == element_failures(res, res.dg)
