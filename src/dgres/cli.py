@@ -442,9 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reduce", help="Morse reduction along a matching")
     _add_ideal_args(sp)
     _add_output_args(sp)
-    sp.add_argument("--lyubeznik", action="store_true", default=True,
-                    help="use the A(<) matching (default)")
-    sp.add_argument("--matching-file", help="JSON [[source,target],...] matching")
+    sp.add_argument("--matching-file",
+                    help="JSON [[source,target],...] matching (default: the A(<) matching)")
     sp.set_defaults(fn=cmd_reduce)
 
     sp = sub.add_parser("betti", help="graded and total Betti numbers")

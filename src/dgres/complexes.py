@@ -14,7 +14,10 @@ form, which only a hand-built inhomogeneous complex has: it stays a
 and stores each homogeneous one as its c; `entry`, `column`, `matrix`,
 `apply_diff` and `to_json` build Polynomials from c and the labels.
 `verify` reports the Polynomial entries as homogeneity failures and checks
-d^2 = 0 on the coefficients, by (degree, row tag, col tag).
+d^2 = 0 on the coefficients, by (degree, row tag, col tag).  A `ChainMap`
+stores its entries the same way, each relative to shift * m_s, and checks
+that it commutes with the differentials on coefficients; `combine` sums
+such tables.
 
 Strands: for a monomial b, the labels whose multidegree divides b span a
 subcomplex; evaluating entries at x=1 gives a complex of Q-vector spaces
@@ -33,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, le, sub
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import linalg
 from .poly import (
@@ -115,6 +118,24 @@ def vec_scale(a: VecT, c) -> VecT:
     return out
 
 
+def combine(terms: Iterable[tuple]) -> dict | None:
+    """sum c*t over the pairs (c, t) of coefficient tables {key: c}, without
+    zeros and in `vec_add`'s key order; None when some t is not a dict (a
+    support list, an element kept whole) or some c or entry is a Polynomial."""
+    out: dict = {}
+    for c, t in terms:
+        if not isinstance(t, dict) or type(c) is Polynomial:
+            return None
+        for k, x in t.items():
+            if type(x) is Polynomial:
+                return None
+            if s := out.get(k, 0) + c * x:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
+
+
 def entry_polynomial(v, row: BasisLabel, b: Monomial) -> Polynomial:
     """The stored entry v on row `row` of a column of multidegree b, over the
     row's ring: c * (b / m_row) for a coefficient c, v for a Polynomial."""
@@ -130,10 +151,11 @@ def killed(row: Monomial, col: Monomial, idx: Sequence[int]) -> bool:
     return any(col.exponents[j] != row.exponents[j] for j in idx)
 
 
-def _stored(v, row: BasisLabel, col: BasisLabel):
-    """The stored form of the entry v: its coefficient c when it is
-    c * (m_col / m_row), else the Polynomial v; falsy when v is zero."""
-    rm, cm = row.multidegree, col.multidegree
+def _stored(v, row: BasisLabel, cm: Monomial, col):
+    """The stored form of the entry v of column `col`, of multidegree cm:
+    its coefficient c when it is c * (cm / m_row), else the Polynomial v;
+    falsy when v is zero."""
+    rm = row.multidegree
     if type(v) is Polynomial:
         if len(v.terms) == 1:
             [(m, c)] = v.terms.items()
@@ -209,7 +231,7 @@ class LabeledFreeComplex:
                         raise ComplexError(
                             f"differential row {r} not in degree {i-1} basis"
                         )
-                    if v := _stored(v, r, c):
+                    if v := _stored(v, r, c.multidegree, c):
                         out[r] = v
 
     # -- basic structure ---------------------------------------------------
@@ -456,59 +478,65 @@ class ChainMap:
     """A degree-0 chain map psi: S -> T with a uniform multidegree shift.
 
     Homogeneity: the entry from source label s to target label t must be a
-    rational multiple of shift * m_s / m_t.  Commutation with the
-    differentials is checked on construction.
+    rational multiple c of shift * m_s / m_t, and is stored as c, the way
+    the complexes store their columns.  An entry not of that form stays a
+    Polynomial; only check=False lets one through.  Commutation with the
+    differentials is checked on construction, on coefficients.
     """
 
     def __init__(
         self,
         source: LabeledFreeComplex,
         target: LabeledFreeComplex,
-        entries: dict[BasisLabel, VecT],
+        entries: dict[BasisLabel, dict],
         multidegree_shift: Monomial | None = None,
         check: bool = True,
     ):
+        """`entries[s]` is the image of e_s, {t: entry}, each entry a
+        Polynomial or the coefficient of shift * m_s / m_t."""
         self.source = source
         self.target = target
-        self.entries = entries
         self.shift = (
             multidegree_shift if multidegree_shift is not None else source.ring.one()
         )
+        self.entries: dict[BasisLabel, dict] = {}
+        for s, img in entries.items():
+            b = self.shift * s.multidegree
+            self.entries[s] = {t: v for t, p in img.items() if (v := _stored(p, t, b, s))}
         if check:
             self._verify()
 
     def apply(self, v: VecT) -> VecT:
+        """psi(v) for v = {s: Polynomial}, as {t: Polynomial}."""
         out: VecT = {}
         for s, p in v.items():
-            out = vec_add(out, {t: p * q for t, q in self.entries.get(s, {}).items()})
+            b = self.shift * s.multidegree
+            out = vec_add(out, {t: p * entry_polynomial(q, t, b) for t, q in self.entries.get(s, {}).items()})
         return out
 
     def _verify(self):
         for i in self.source.degrees():
+            tset = set(self.target.labels(i))
             for s in self.source.labels(i):
-                img = self.entries.get(s, {})
-                tset = set(self.target.labels(i))
-                for t, p in img.items():
-                    if p.is_zero():
-                        continue
+                for t, v in self.entries.get(s, {}).items():
                     if t not in tset:
-                        raise ComplexError(
-                            f"chain map image of {s} leaves degree {i}"
-                        )
-                    want = monomial_divide(
-                        self.shift * s.multidegree, t.multidegree
-                    )
-                    if p.multidegree() != want:
-                        raise ComplexError(
-                            f"chain map entry ({t},{s}) not homogeneous: {p}"
-                        )
+                        raise ComplexError(f"chain map image of {s} leaves degree {i}")
+                    if type(v) is Polynomial:
+                        raise ComplexError(f"chain map entry ({t},{s}) not homogeneous: {v}")
+        # d psi (e_s) and psi d (e_s) both have multidegree shift * m_s, so
+        # they are compared as coefficient tables (in Polynomials only when
+        # a differential entry is one)
         for i in self.source.degrees():
             if i == 0:
                 continue
+            dT, dS = self.target.diff.get(i, {}), self.source.diff.get(i, {})
             for s in self.source.labels(i):
-                lhs = self.target.apply_diff(i, self.apply({s: Polynomial.constant(self.source.ring, 1)}))
-                rhs = self.apply(self.source.apply_diff(i, {s: Polynomial.constant(self.source.ring, 1)}))
-                if vec_add(lhs, vec_scale(rhs, -1)):
+                lhs = combine((c, dT.get(t, {})) for t, c in self.entries.get(s, {}).items())
+                rhs = combine((c, self.entries.get(r, {})) for r, c in dS.get(s, {}).items())
+                if lhs is None or rhs is None:
+                    one = {s: Polynomial.constant(self.source.ring, 1)}
+                    lhs, rhs = self.target.apply_diff(i, self.apply(one)), self.apply(self.source.apply_diff(i, one))
+                if lhs != rhs:
                     raise ComplexError(f"chain map does not commute at {s}")
 
 
@@ -529,9 +557,7 @@ def desuspend_truncation(G: LabeledFreeComplex) -> LabeledFreeComplex:
 
 def multiplication_map(C: LabeledFreeComplex, m: Monomial) -> ChainMap:
     """The chain map C -> C given by multiplication with the monomial m."""
-    entries = {
-        l: {l: Polynomial.monomial(m)} for i in C.degrees() for l in C.labels(i)
-    }
+    entries = {l: {l: 1} for i in C.degrees() for l in C.labels(i)}
     return ChainMap(C, C, entries, multidegree_shift=m)
 
 
@@ -571,7 +597,8 @@ def mapping_cone(
         if row:
             basis[i] = row
 
-    # relabelling keeps m_c / m_r, so stored coefficients carry over
+    # relabelling keeps m_c / m_r, and psi stores its entries relative to
+    # shift * m_s, the multidegree of the cone column: coefficients carry over
     diff: dict[int, dict[BasisLabel, dict]] = {}
     for i in range(1, top + 1):
         cols: dict[BasisLabel, dict] = {}
@@ -579,7 +606,7 @@ def mapping_cone(
         for t in T.labels(i):
             cols[tmap[t]] = {tmap[r]: v for r, v in dT.get(t, {}).items()}
         for s in S.labels(i - 1):
-            col = {tmap[t]: p for t, p in psi.entries.get(s, {}).items()}
+            col = {tmap[t]: v for t, v in psi.entries.get(s, {}).items()}
             col.update((smap[r], -v) for r, v in dS.get(s, {}).items())
             cols[smap[s]] = col
         diff[i] = cols

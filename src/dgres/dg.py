@@ -25,40 +25,45 @@ label outside the basis that occurs in a product has no stored row, so
 every partner of it is checked.  Candidates are visited in label order, so
 failure witnesses come out as a loop over all of them would record them.
 
-Scalar tables.  Homogeneity fixes every monomial: a term of e_a e_b on e_l
+Stored form.  Homogeneity fixes every monomial: a term of e_a e_b on e_l
 is c*(m_a m_b / m_l), as an entry of d(e_a) on e_r is c*(m_a / m_r).  So a
 `DGStructure` stores each product as a `ScalarProduct` {l: c}, as the
-complex stores its columns, and `dg_check` reads both as tables {label
-position: c}; both sides of a commutativity, Leibniz or associativity
-identity are then tables over one multidegree, equal exactly when the
-elements are.  A pair or triple is decided on tables only if every product
-and differential it reads is one: all its labels basis labels of the
-expected degree, all its entries coefficients.  Otherwise (a Polynomial
-entry, a label outside the basis, a product of another degree) it is
-decided by `Element`/`Polynomial` arithmetic.  Witness strings always come
-from that arithmetic, which also reruns wherever two tables disagree, so a
-report is the same as one computed in Polynomials throughout.
+complex stores its columns, and an `Element` of multidegree b is (b, {l: c})
+for sum c*(b/m_l) e_l.  Sums, boundaries (through the stored columns) and
+products (b_x b_y, through the stored products) of such elements are dict
+arithmetic on the c.  `Polynomial` is the boundary and the fallback: the
+`Element` constructor takes {label: Polynomial}, `coords` and `str` give
+Polynomials back, and an element that is not multigraded, or an entry not
+of the implied form, is kept and combined in Polynomials.  `dg_check` reads
+products and columns as tables {label position: c}; both sides of a
+commutativity, Leibniz or associativity identity are then tables over one
+multidegree, equal exactly when the elements are.  A pair or triple is
+decided on tables only if every product and differential it reads is one:
+all its labels basis labels of the expected degree, all its entries
+coefficients.  Otherwise (a Polynomial entry, a label outside the basis, a
+product of another degree) it is decided by `Element` arithmetic, which
+also forms every witness string and reruns wherever two tables disagree.
 
-`SubmoduleSpan` + `submodule_membership` decide membership of a homogeneous
-element in a multigraded submodule spanned by finitely many homogeneous
-elements: in each multidegree b a generator g contributes the single
+`SubmoduleSpan` + `submodule_membership` decide membership of a
+multigraded element (b, {l: c}) in a submodule spanned by finitely many
+multigraded elements: in multidegree b a generator g contributes the single
 monomial multiple (b / mdeg g) * g, so membership is a sparse rational
-linear solve (`linalg.solve` on the coefficient columns) and the witness is
-an exact coefficient list.  A span stores each generator as (b, {l: c})
-once, indexes the generators by degree and forms their boundaries from the
-stored columns.  `dg_ideal_closure` forms each product e_u * g from tables
-as above and decides its membership on (b, {l: c}).
+linear solve (`linalg.solve` on the generators' coefficients) and the
+witness is an exact coefficient list.  A span indexes its generators by
+degree; a generator's boundary is its `Element.diff`.  `dg_ideal_closure`
+multiplies every basis element into every generator and decides each
+product's membership.
 
 `Elimination` forms the quotient of a complex by the span of some of its
 elements, by per-degree unit-pivot elimination on coefficients, optionally
 over Q/<kill>.  As in the complexes, an element of multidegree b is {l: c}
 for sum c*(b/m_l) e_l: l is a unit pivot iff m_l = b, and a term survives
-Q/<kill> iff b and m_l agree on the kill exponents.  `coefficients` converts
-an `Element` at the boundary.  `quotient_dg` wraps it for a dg algebra and a
-dg ideal given as a span, preferring caller-designated pivots, and stores
-each product of survivors as the parent's stored product substituted at
-b = m_a m_b; `morse.morse_reduce` passes each e_sigma and its stored column
-d(e_sigma), with each pivot fixed to a matched target.
+Q/<kill> iff b and m_l agree on the kill exponents; a projected element
+keeps b, read over the smaller ring.  `quotient_dg` wraps it for a dg
+algebra and a dg ideal given as a span, preferring caller-designated
+pivots, and stores each product of survivors as the parent's stored product
+substituted at b = m_a m_b; `morse.morse_reduce` passes each e_sigma and its
+stored column d(e_sigma), with each pivot fixed to a matched target.
 """
 
 from __future__ import annotations
@@ -70,7 +75,9 @@ from operator import add, le
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
-from .complexes import BasisLabel, LabeledFreeComplex, VecT, entry_polynomial, killed, tag_to_json, vec_add, vec_scale
+from .complexes import (
+    BasisLabel, LabeledFreeComplex, VecT, combine, entry_polynomial, killed, tag_to_json, vec_add, vec_scale,
+)
 from .poly import Monomial, Polynomial, exact, monomial_divide
 
 
@@ -80,28 +87,59 @@ class DGError(ValueError):
     witness: list | None = None
 
 
-@dataclass
 class Element:
-    """A homogeneous-homological-degree element of a labeled complex."""
+    """A homogeneous-homological-degree element of a labeled complex, stored
+    as the complex stores its columns: (b, {label l: c}) for sum
+    c*(b/m_l) e_l.  An element that is not of that form for one b (mixed
+    multidegrees, or an entry of several terms) keeps {label: Polynomial},
+    with b None; so does zero, with no entries.  The constructor takes
+    {label: Polynomial} and normalises it; `stored` takes (b, {l: c}).
+    `coords` is the {label: Polynomial} view.  Elements are never mutated,
+    so one may share its dict with a stored product."""
 
-    complex: LabeledFreeComplex
-    degree: int
-    coords: VecT
+    __slots__ = ("complex", "degree", "b", "vec")
 
-    def __post_init__(self):
-        self.coords = {k: v for k, v in self.coords.items() if not v.is_zero()}
+    def __init__(self, complex: LabeledFreeComplex, degree: int, coords: VecT):
+        self.complex, self.degree = complex, degree
+        vec = {l: p for l, p in coords.items() if not p.is_zero()}
+        bs = {next(iter(p.terms)) * l.multidegree if len(p.terms) == 1 else None for l, p in vec.items()}
+        if len(bs) == 1 and None not in bs:
+            [self.b] = bs
+            self.vec = {l: exact(next(iter(p.terms.values()))) for l, p in vec.items()}
+        else:
+            self.b, self.vec = None, vec
+
+    @staticmethod
+    def stored(cx: LabeledFreeComplex, degree: int, b: Monomial | None, vec: dict) -> "Element":
+        """sum c*(b/m_l) e_l from {l: c}, each c a nonzero coefficient."""
+        el = object.__new__(Element)
+        el.complex, el.degree, el.b, el.vec = cx, degree, b if vec else None, vec
+        return el
 
     @staticmethod
     def zero(cx: LabeledFreeComplex, degree: int) -> "Element":
-        return Element(cx, degree, {})
+        return Element.stored(cx, degree, None, {})
 
     @staticmethod
     def basis(cx: LabeledFreeComplex, label: BasisLabel, degree: int | None = None) -> "Element":
         d = degree if degree is not None else cx.degree_of(label)
-        return Element(cx, d, {label: Polynomial.constant(cx.ring, 1)})
+        return Element.stored(cx, d, label.multidegree, {label: 1})
+
+    @property
+    def coords(self) -> VecT:
+        if self.b is None:
+            return dict(self.vec)
+        return {l: entry_polynomial(c, l, self.b) for l, c in self.vec.items()}
 
     def is_zero(self) -> bool:
-        return not self.coords
+        return not self.vec
+
+    def __eq__(self, other) -> bool:  # the stored form is unique
+        if type(other) is not Element:
+            return NotImplemented
+        return (self.complex, self.degree, self.b, self.vec) == (other.complex, other.degree, other.b, other.vec)
+
+    __hash__ = None
 
     def __add__(self, other: "Element") -> "Element":
         if self.is_zero():
@@ -110,37 +148,35 @@ class Element:
             return self
         if self.degree != other.degree:
             raise DGError("adding elements of different homological degrees")
-        return Element(self.complex, self.degree, vec_add(self.coords, other.coords))
+        if self.b is None or self.b != other.b:
+            return Element(self.complex, self.degree, vec_add(self.coords, other.coords))
+        return Element.stored(self.complex, self.degree, self.b, combine([(1, self.vec), (1, other.vec)]))
 
     def __sub__(self, other: "Element") -> "Element":
         return self + other.scale(-1)
 
     def scale(self, c) -> "Element":
-        return Element(self.complex, self.degree, vec_scale(self.coords, c))
+        if self.b is None:
+            return Element(self.complex, self.degree, vec_scale(self.coords, c))
+        return Element.stored(self.complex, self.degree, self.b, {l: x * c for l, x in self.vec.items()} if c else {})
 
     def diff(self) -> "Element":
-        if self.degree == 0 or self.is_zero():
-            return Element.zero(self.complex, max(self.degree - 1, 0))
-        return Element(
-            self.complex, self.degree - 1, self.complex.apply_diff(self.degree, self.coords)
-        )
+        """The boundary: on the stored columns at the same b, in Polynomials
+        when the element or a column entry is not a coefficient."""
+        cx, i = self.complex, self.degree
+        if i == 0 or self.is_zero():
+            return Element.zero(cx, max(i - 1, 0))
+        cols = cx.diff.get(i, {})
+        if self.b is not None and (vec := combine((c, cols.get(l, _ZERO)) for l, c in self.vec.items())) is not None:
+            return Element.stored(cx, i - 1, self.b, vec)
+        return Element(cx, i - 1, cx.apply_diff(i, self.coords))
 
     def multidegree(self) -> Monomial | None:
         """Common multidegree coeff*mdeg(label), or None if mixed/zero."""
-        found = None
-        for l, p in self.coords.items():
-            md = p.multidegree()
-            if md is None:
-                return None
-            total = md * l.multidegree
-            if found is None:
-                found = total
-            elif found != total:
-                return None
-        return found
+        return self.b
 
     def __str__(self) -> str:
-        if not self.coords:
+        if not self.vec:
             return "0"
         parts = [f"({p})*{l}" for l, p in sorted(self.coords.items(), key=lambda kv: str(kv[0].tag))]
         return " + ".join(parts)
@@ -217,33 +253,42 @@ class DGStructure:
         da, db = self.degree.get(a), self.degree.get(b)
         if da is None or db is None or prod.degree != da + db:
             return prod
-        if not prod.coords:
+        if not prod.vec:
             return _NONE
-        out = ScalarProduct(prod.coords)
-        for l, p in prod.coords.items():
+        if prod.b == want:
+            return ScalarProduct(prod.vec)
+        out = ScalarProduct(coords := prod.coords)
+        for l, p in coords.items():
             if len(p.terms) == 1:
                 [(m, c)] = p.terms.items()
                 if m * l.multidegree == want:
                     out[l] = exact(c)
         return out
 
-    def _element(self, a: BasisLabel, b: BasisLabel, prod) -> Element:
+    def basis_product(self, a: BasisLabel, b: BasisLabel, prod=None) -> Element:
+        """e_a e_b as an Element, from the stored product (or from `prod`,
+        one in stored form)."""
+        prod = self.table(a, b) if prod is None else prod
         if type(prod) is Element:
             return prod
-        want = prod and a.multidegree * b.multidegree
-        return Element(self.complex, self.degree[a] + self.degree[b], {
-            l: entry_polynomial(c, l, want) for l, c in prod.items()
-        })
-
-    def basis_product(self, a: BasisLabel, b: BasisLabel) -> Element:
-        return self._element(a, b, self.table(a, b))
+        deg, want = self.degree[a] + self.degree[b], a.multidegree * b.multidegree
+        if any(type(c) is Polynomial for c in prod.values()):
+            return Element(self.complex, deg, {l: entry_polynomial(c, l, want) for l, c in prod.items()})
+        return Element.stored(self.complex, deg, want, prod)
 
     def product_fn(self, a: BasisLabel, b: BasisLabel) -> Element:
         """e_a e_b as an Element, from a fresh call of the product function."""
-        return self._element(a, b, self._store(a, b, self._product(a, b)))
+        return self.basis_product(a, b, self._store(a, b, self._product(a, b)))
 
     def multiply(self, x: Element, y: Element) -> Element:
+        """x*y; for multigraded x and y with coefficient products, the sum
+        of the stored products times the coefficients, at b = b_x b_y."""
         deg = x.degree + y.degree
+        if x.b is not None and y.b is not None:
+            table = self.table
+            vec = combine([(p * q, table(a, b)) for a, p in x.vec.items() for b, q in y.vec.items()])
+            if vec is not None:
+                return Element.stored(self.complex, deg, x.b * y.b if vec else None, vec)
         out = Element.zero(self.complex, deg)
         for a, p in x.coords.items():
             for b, q in y.coords.items():
@@ -251,9 +296,7 @@ class DGStructure:
                 if prod.is_zero():
                     continue
                 pq = p * q
-                out = out + Element(
-                    self.complex, deg, {l: pq * r for l, r in prod.coords.items()}
-                )
+                out = out + Element(self.complex, deg, {l: pq * r for l, r in prod.coords.items()})
         return out
 
 
@@ -284,12 +327,7 @@ def _witness(a: BasisLabel, b: BasisLabel, **detail) -> dict:
 
 
 def _homogeneous_product_ok(a: BasisLabel, b: BasisLabel, prod: Element) -> bool:
-    want = a.multidegree * b.multidegree
-    for l, p in prod.coords.items():
-        md = p.multidegree()
-        if md is None or md * l.multidegree != want:
-            return False
-    return True
+    return prod.is_zero() or prod.b == a.multidegree * b.multidegree
 
 
 _ZERO: dict = {}  # the table of a zero element; never written to
@@ -326,25 +364,8 @@ class _Tables:
         """The table of labels[i] * labels[j]."""
         prod = self.dg.table(self.labels[i], self.labels[j])
         if type(prod) is Element:  # kept whole: of another degree
-            return [self.pos.get(l) for l in prod.coords] or _ZERO
+            return [self.pos.get(l) for l in prod.vec] or _ZERO
         return self.of(prod, self.degree[i] + self.degree[j]) if prod else _ZERO
-
-
-def _combine(terms: list[tuple]) -> dict | None:
-    """The table of sum c*t over the pairs (c, t), or None if some t is a
-    support list.  Read only: it may be one of the given tables."""
-    if len(terms) == 1:
-        [(c, t)] = terms
-        if type(t) is list:
-            return None
-        return t if c == 1 else {k: c * x for k, x in t.items()}
-    out: dict = {}
-    for c, t in terms:
-        if type(t) is list:
-            return None
-        for k, x in t.items():
-            out[k] = out.get(k, 0) + c * x
-    return {k: x for k, x in out.items() if x}
 
 
 def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
@@ -427,8 +448,8 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
                 db = dtab[j]
                 lhs = rhs = None
                 if type(ab) is dict and type(da) is dict and type(db) is dict:
-                    lhs = _combine([(c, dtab[l]) for l, c in ab.items()])
-                    rhs = _combine(
+                    lhs = combine([(c, dtab[l]) for l, c in ab.items()])
+                    rhs = combine(
                         [(c, tab[k].get(j, _ZERO)) for k, c in da.items()]
                         + [(s * c, row.get(k, _ZERO)) for k, c in db.items()]
                     )
@@ -477,8 +498,8 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
                 bc = tab[j].get(k, _ZERO)
                 lhs = rhs = None
                 if type(ab) is dict and type(bc) is dict:
-                    lhs = _combine([(c, tab[l].get(k, _ZERO)) for l, c in ab.items()])
-                    rhs = _combine([(c, row.get(l, _ZERO)) for l, c in bc.items()])
+                    lhs = combine([(c, tab[l].get(k, _ZERO)) for l, c in ab.items()])
+                    rhs = combine([(c, row.get(l, _ZERO)) for l, c in bc.items()])
                 if lhs is None or lhs != rhs:
                     lhs = dg.multiply(dg.basis_product(a, b), basis[k])
                     rhs = dg.multiply(basis[i], dg.basis_product(b, labels[k]))
@@ -499,43 +520,25 @@ class SpanGenerator:
     element: Element
 
 
-def coefficients(el: Element, what: str) -> tuple[Monomial | None, dict]:
-    """A multigraded element sum c*(b/m_l) e_l as (b, {l: c}), b None for 0;
-    DGError naming `what` when el is not multigraded."""
-    b = el.multidegree()
-    if b is None and el.coords:
+def _multigraded(el: Element, what: str) -> Element:
+    """el, or DGError naming `what` when el is neither 0 nor multigraded."""
+    if el.b is None and el.vec:
         raise DGError(f"{what} is not multigraded")
-    return b, {l: exact(p.single_term()[1]) for l, p in el.coords.items()}
+    return el
 
 
 class SubmoduleSpan:
-    """A multigraded submodule given by homogeneous generators."""
+    """A multigraded submodule given by homogeneous generators, each a
+    multigraded Element (b, {l: c}), indexed by homological degree."""
 
     def __init__(self, cx: LabeledFreeComplex, generators: Sequence[SpanGenerator]):
         self.complex = cx
         self.generators = list(generators)
-        # each generator's (multidegree, coefficients), computed once, and
         # the positions of the nonzero generators per homological degree
-        self.scalars = [coefficients(g.element, f"span generator {g.gen_id}") for g in self.generators]
         self._of_degree: dict[int, list[int]] = {}
-        for k, (g, (md, _)) in enumerate(zip(self.generators, self.scalars)):
-            if md is not None:
+        for k, g in enumerate(self.generators):
+            if _multigraded(g.element, f"span generator {g.gen_id}").vec:
                 self._of_degree.setdefault(g.element.degree, []).append(k)
-
-    def boundary(self, k: int) -> tuple[Monomial | None, dict]:
-        """d of generator k as (b, {l: c}), from the complex's stored columns
-        (from `Element.diff` when one of them holds a Polynomial)."""
-        g, (b, vec) = self.generators[k], self.scalars[k]
-        out: dict = {}
-        cols = self.complex.diff.get(g.element.degree, _ZERO)
-        for l, c in vec.items():
-            for r, v in cols.get(l, _ZERO).items():
-                if type(v) is Polynomial:
-                    return coefficients(g.element.diff(), f"the boundary of {g.gen_id}")
-                s = out.pop(r, 0) + c * v
-                if s:
-                    out[r] = s
-        return b, out
 
 
 def submodule_membership(
@@ -544,46 +547,33 @@ def submodule_membership(
     """Decide element in span; on success return the witness
     [{gen, coefficient, monomial_multiple}] with exact rationals.
 
-    The element must be multigraded (single multidegree b); see
-    `scalar_membership`.
+    The element must be multigraded, (b, {l: c}): each span generator g of
+    its degree with mdeg(g) | b contributes the single multiple
+    (b / mdeg g) * g, so this is a linear solve over Q on the coefficients.
     """
-    if element.is_zero():
-        return True, []
-    b, vec = coefficients(element, "a membership element")
-    return scalar_membership(span, element.degree, b, vec)
-
-
-def scalar_membership(
-    span: SubmoduleSpan, degree: int, b: Monomial | None, vec: dict
-) -> tuple[bool, list[dict] | None]:
-    """`submodule_membership` of sum c*(b/m_l) e_l in `degree`, given as
-    {l: c}: each span generator g of that degree with mdeg(g) | b
-    contributes the single multiple (b / mdeg g) * g, so this is a linear
-    solve over Q."""
+    b, vec = _multigraded(element, "a membership element").b, element.vec
     if not vec:
         return True, []
-    found = [k for k in span._of_degree.get(degree, ()) if span.scalars[k][0].divides(b)]
+    found = [span.generators[k] for k in span._of_degree.get(element.degree, ())]
+    found = [g for g in found if g.element.b.divides(b)]
     # scalar columns {row position: coefficient}, one row per label met
     rows: dict[BasisLabel, int] = {}
     *cols, rhs = (
         {rows.setdefault(l, len(rows)): c for l, c in v.items()}
-        for v in [*(span.scalars[k][1] for k in found), vec]
+        for v in [*(g.element.vec for g in found), vec]
     )
     sol = linalg.solve(cols, rhs)
     if sol is None:
         return False, None
-    witness = []
-    for k, c in zip(found, sol):
-        if c:
-            mult = monomial_divide(b, span.scalars[k][0])
-            witness.append(
-                {
-                    "gen": tag_to_json(span.generators[k].gen_id),
-                    "coefficient": str(c),
-                    "monomial_multiple": str(mult),
-                }
-            )
-    return True, witness
+    return True, [
+        {
+            "gen": tag_to_json(g.gen_id),
+            "coefficient": str(c),
+            "monomial_multiple": str(monomial_divide(b, g.element.b)),
+        }
+        for g, c in zip(found, sol)
+        if c
+    ]
 
 
 def span_from_matching_sources(
@@ -596,10 +586,9 @@ def span_from_matching_sources(
     """
     gens: list[SpanGenerator] = []
     for V in sorted(sources, key=lambda v: (len(v), v)):
-        lab = cx.find_label(("e",) + tuple(V), degree=len(V))
-        gens.append(SpanGenerator(("e",) + tuple(V), Element.basis(cx, lab, len(V))))
-        de = Element(cx, len(V) - 1, cx.column(len(V), lab))
-        if not de.is_zero():
+        e = Element.basis(cx, cx.find_label(("e",) + tuple(V), degree=len(V)), len(V))
+        gens.append(SpanGenerator(("e",) + tuple(V), e))
+        if not (de := e.diff()).is_zero():
             gens.append(SpanGenerator(("de",) + tuple(V), de))
     return SubmoduleSpan(cx, gens)
 
@@ -617,33 +606,18 @@ def dg_ideal_closure(
     a membership witness for each nonzero product.
     """
     report: dict = {"boundary_closed": True, "products": [], "failures": []}
-    for k, g in enumerate(span.generators):
-        if not scalar_membership(span, g.element.degree - 1, *span.boundary(k))[0]:
+    for g in span.generators:
+        if not submodule_membership(span, _multigraded(g.element.diff(), f"the boundary of {g.gen_id}"))[0]:
             report["boundary_closed"] = False
             if require_boundary_closed:
                 raise DGError(f"span is not closed under the differential at generator {g.gen_id}")
-    cx = dg.complex
-    tables = _Tables(dg)
-    labels, degree = tables.labels, tables.degree
-    gens = [(g, md, tables.of(vec, g.element.degree)) for g, (md, vec) in zip(span.generators, span.scalars)]
-    support = {l for _, _, gtab in gens if type(gtab) is dict for l in gtab}
-    for i, u in enumerate(labels):
-        row = {l: tables.product(i, l) for l in support}
-        for g, md, gtab in gens:
-            deg = degree[i] + g.element.degree
-            scalars = _combine([(c, row[l]) for l, c in gtab.items()]) if type(gtab) is dict else None
-            if scalars is None:
-                prod = dg.multiply(Element.basis(cx, u, degree[i]), g.element)
-                if prod.is_zero():
-                    continue
-                ok, witness = submodule_membership(span, prod)
-            elif not scalars:
+    for u in dg.all_labels():
+        eu = Element.basis(dg.complex, u, dg.degree[u])
+        for g in span.generators:
+            prod = dg.multiply(eu, g.element)
+            if prod.is_zero():
                 continue
-            else:  # the product has multidegree b = m_u * mdeg(g)
-                b = u.multidegree * md
-                vec = {labels[k]: c for k, c in scalars.items()}
-                ok, witness = scalar_membership(span, deg, b, vec)
-                prod = Element(cx, deg, {l: entry_polynomial(c, l, b) for l, c in vec.items()})
+            ok, witness = submodule_membership(span, prod)
             entry = {"factor": tag_to_json(u.tag), "gen": tag_to_json(g.gen_id), "product": str(prod)}
             if ok:
                 report["products"].append({**entry, "witness": witness})
@@ -783,10 +757,9 @@ class Elimination:
         qcx = LabeledFreeComplex(ring, basis, diff, name=name)
 
         def project(el: Element) -> Element:
-            b, vec = coefficients(el, "a projected element")
-            return Element(qcx, el.degree, {
-                l: entry_polynomial(c, l, b) for l, c in reduce(vec, b, el.degree).items()
-            })
+            b = _multigraded(el, "a projected element").b
+            vec = reduce(el.vec, b, el.degree)
+            return Element.stored(qcx, el.degree, Monomial(ring, b.exponents) if vec else None, vec)
 
         return qcx, project
 
@@ -841,15 +814,15 @@ def quotient_dg(
     cx = dg.complex
     elim = Elimination(
         cx,
-        ((g.gen_id, g.element.degree, vec, b, None) for g, (b, vec) in zip(span.generators, span.scalars)),
+        ((g.gen_id, g.element.degree, g.element.vec, g.element.b, None) for g in span.generators),
         kill_vars,
         prefer_eliminate,
     )
     # boundary closure consistency: every generator's boundary must vanish in
     # the quotient, otherwise the span was not a subcomplex
-    for k, g in enumerate(span.generators):
-        b, dvec = span.boundary(k)
-        if elim.substitute(dvec, b, g.element.degree - 1):
+    for g in span.generators:
+        d = _multigraded(g.element.diff(), f"the boundary of {g.gen_id}")
+        if elim.substitute(d.vec, d.b, d.degree):
             raise DGError(f"span not a subcomplex: boundary of {g.gen_id} survives the quotient")
     name = name or f"{dg.name}/span"
     qcx, project = elim.quotient(name)

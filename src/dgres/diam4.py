@@ -48,7 +48,7 @@ from .complexes import (
     BasisLabel,
     ChainMap,
     LabeledFreeComplex,
-    VecT,
+    combine,
     desuspend_truncation,
     mapping_cone,
     multiplication_map,
@@ -57,7 +57,6 @@ from .dg import DGStructure, ScalarProduct
 from .poly import (
     Monomial,
     MonomialIdeal,
-    Polynomial,
     VariableSet,
     lcm_of,
     monomial_divide,
@@ -88,10 +87,6 @@ class StarDecomposition:
     def leaf_spokes(self) -> tuple[int, ...]:
         """Index (into the spokes) of the spoke under each J-generator."""
         return tuple(i for i, s in enumerate(self.spokes) for _ in self.leaves[s])
-
-    def spoke_of_leaf_generator(self, j: int) -> int:
-        """Index (into the spokes) of the spoke under the j-th J-generator."""
-        return self.leaf_spokes[j]
 
 
 def star_decompose(graph: Graph) -> StarDecomposition:
@@ -202,24 +197,22 @@ def build_psi(
     dec: StarDecomposition, Gp: LabeledFreeComplex, F: LabeledFreeComplex
 ) -> ChainMap:
     """Psi: G' -> F; degree 0 sends g_{w} to w * 1_F, higher degrees send
-    the twisted copy of g_W to y_W f_{W_z} and the plain copy to 0."""
+    the twisted copy of g_W to y_W f_{W_z} and the plain copy to 0.  Each
+    image is its label's multidegree: w = m_w / 1 and y_W = z m_W / m_{W_z},
+    so every entry is the coefficient 1."""
     unit_f = F.labels(0)[0]
-    entries: dict[BasisLabel, VecT] = {}
+    entries: dict[BasisLabel, dict] = {}
     for i in Gp.degrees():
         for l in Gp.labels(i):
             kind, W = l.tag[0], l.tag[1:]
+            img = entries[l] = {}
             if i == 0:
                 # G-copy of a single J-generator; its boundary in G_0 = Q
-                entries[l] = {unit_f: Polynomial.monomial(l.multidegree)}
+                img[unit_f] = 1
             elif kind == "S":
                 spoke_set, repeat_free = zify_indices(dec, W)
                 if repeat_free:
-                    target = F.find_label(("e",) + spoke_set, degree=len(spoke_set))
-                    entries[l] = {target: Polynomial.monomial(y_part(dec, W))}
-                else:
-                    entries[l] = {}
-            else:
-                entries[l] = {}
+                    img[F.find_label(("e",) + spoke_set, degree=len(spoke_set))] = 1
     return ChainMap(Gp, F, entries)
 
 
@@ -361,28 +354,29 @@ def check_phi_z_multiplicative(dec: StarDecomposition) -> dict:
     (This is the off-by-z failure of Phi to be a dg morphism; exactness of
     the relation is what makes the (1/z)-products land in F.)  Phi(g_W) =
     y_W f_{W_z} is computed once per W, as (W_z, y_W), None with a repeat.
+    Each side is a single term, compared as (label, sign, monomial), or 0.
     """
-    z = Polynomial.monomial(dec.ring.variable(dec.center))
+    z = dec.ring.variable(dec.center)
     subsets = [W for size in range(1, dec.ell + 1) for W in combinations(range(dec.ell), size)]
     phi = {}
     for W in subsets:
         spoke_set, repeat_free = zify_indices(dec, W)
-        phi[W] = (spoke_set, Polynomial.monomial(y_part(dec, W))) if repeat_free else None
+        phi[W] = (spoke_set, y_part(dec, W)) if repeat_free else None
     failures = []
     for V in subsets:
         for W in subsets:
-            lhs, rhs = {}, {}
+            lhs = rhs = None
             res = taylor_product_label(dec.ideal_j, V, W)
             if res is not None and phi[res[2]] is not None:
                 sign, coeff, union = res
                 uz, y = phi[union]
-                lhs = {uz: Polynomial.monomial(coeff, sign) * z * y}
+                lhs = (uz, sign, coeff * z * y)
             if phi[V] is not None and phi[W] is not None:
                 (uv, yv), (uw, yw) = phi[V], phi[W]
                 resf = taylor_product_label(dec.ideal_i, uv, uw)
                 if resf is not None:
                     signf, cf, unionf = resf
-                    rhs = {unionf: yv * yw * Polynomial.monomial(cf, signf)}
+                    rhs = (unionf, signf, yv * yw * cf)
             if lhs != rhs:
                 failures.append({"V": list(V), "W": list(W)})
     return {"ok": not failures, "failures": failures}
@@ -428,11 +422,7 @@ def check_boundary_action(res: ConeResolution) -> dict:
             if f.tag[0] != "F" or len(f.tag) == 1:
                 continue
             for g in gs:
-                lhs: dict = {}
-                for r, c in cone.diff[i][f].items():
-                    for l, x in dg.table(r, g).items():
-                        lhs[l] = lhs.get(l, 0) + c * x
-                lhs = {l: x for l, x in lhs.items() if x}
+                lhs = combine((c, dg.table(r, g)) for r, c in cone.diff[i][f].items()) or {}
                 rhs = {g: 1} if i == 1 else {l: x for l, x in lhs.items() if l.tag[0] == "F"}
                 if lhs != rhs:
                     failures.append({"f": list(f.tag[1:]), "g": list(g.tag[1:])})

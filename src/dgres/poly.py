@@ -321,12 +321,6 @@ class Polynomial:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def divide_by_monomial(self, m: Monomial) -> "Polynomial":
-        """Exact division of every term by m; raises if any term fails."""
-        p = Polynomial(self.ring)
-        p.terms = {monomial_divide(t, m): c for t, c in self.terms.items()}
-        return p
-
     def substitute_zero(self, names: Iterable[str]) -> "Polynomial":
         """Set the given variables to 0 (kill every term they divide)."""
         idx = [self.ring.index(n) for n in names]

@@ -204,14 +204,6 @@ def z_divisible_subsets(ideal: MonomialIdeal, znames) -> list[tuple[int, ...]]:
     return out
 
 
-def principal_ideal_span(
-    T: LabeledFreeComplex, ideal: MonomialIdeal, znames
-) -> SubmoduleSpan:
-    """The span of {e_V, d(e_V) : V meets the Z-divisible generators}
-    inside the Taylor complex; a dg ideal of T."""
-    return span_from_matching_sources(T, z_divisible_subsets(ideal, znames))
-
-
 @dataclass
 class PrunedDG:
     ideal: MonomialIdeal

@@ -4,7 +4,7 @@ These are the product functions the dg structures had before they stored
 coefficients: the Taylor product, the mapping-cone product of `diam4` and
 the product of a `quotient_dg` quotient, each returning an `Element` built
 in `Polynomial` arithmetic.  The cone product divides by z with
-`Polynomial.divide_by_monomial`; the quotient product projects the parent
+`divide_by_monomial`; the quotient product projects the parent
 product with `QuotientDG.project`.  The tests compare every stored product
 table, formatted with `entry_polynomial`, against them.
 """
@@ -14,8 +14,13 @@ from __future__ import annotations
 from dgres.complexes import BasisLabel, LabeledFreeComplex, VecT
 from dgres.dg import DGStructure, Element, QuotientDG
 from dgres.diam4 import StarDecomposition, y_part, zify_indices
-from dgres.poly import Polynomial, monomial_divide
+from dgres.poly import Monomial, Polynomial, monomial_divide
 from dgres.taylor import taylor_product_label, taylor_sign
+
+
+def divide_by_monomial(p: Polynomial, m: Monomial) -> Polynomial:
+    """Exact division of every term of p by m; raises if any term fails."""
+    return Polynomial(p.ring, {monomial_divide(t, m): c for t, c in p.terms.items()})
 
 
 def taylor_product(T: LabeledFreeComplex):
@@ -67,7 +72,7 @@ def cone_product(dec: StarDecomposition, cone: LabeledFreeComplex):
             return {}
         sign, coeff, union = res
         poly = Polynomial.monomial(coeff, sign) * Polynomial.monomial(y_part(dec, W))
-        return {find(("F",) + union, len(union)): poly.divide_by_monomial(z)}
+        return {find(("F",) + union, len(union)): divide_by_monomial(poly, z)}
 
     def omega(V, W) -> VecT:
         """-x_q g_W on the twisted copy when V = {q}, else 0."""

@@ -44,6 +44,7 @@ from dgres import (
     total_betti,
 )
 from dgres.classify import C5_MATCHING
+from dgres.diam4 import build_psi
 from dgres.morse import matching_sources
 
 from dense_linalg import rref
@@ -914,3 +915,35 @@ class TestBasisLabelValueType:
         dg = taylor_dg_structure(I)
         with pytest.raises(DGError, match="divisible by y"):
             quotient_dg(dg, SubmoduleSpan(dg.complex, []), kill_vars=["y"])
+
+
+# ---------------------------------------------------------------------------
+# chain maps on coefficients
+
+
+class TestChainMapCoefficients:
+    def test_entries_stored_as_coefficients(self):
+        F = taylor_resolution(ideal(RING3, "x*y", "y*z", "x*z"))
+        psi = multiplication_map(F, RING3.variable("x"))
+        assert all(img == {l: 1} for l, img in psi.entries.items())
+        res = build_cone_resolution(build_family("T4(2;2,1)"))
+        psi = build_psi(res.decomposition, res.Gp, res.F)
+        assert {c for img in psi.entries.values() for c in img.values()} == {1}
+
+    def test_homogeneous_map_that_does_not_commute(self):
+        # the identity on the Koszul complex of x, y with e_xy sent to -e_xy
+        ring = VariableSet(("x", "y"))
+        F = taylor_resolution(ideal(ring, "x", "y"))
+        entries = {l: {l: 1} for i in F.degrees() for l in F.labels(i)}
+        top = F.labels(2)[0]
+        entries[top] = {top: -1}
+        with pytest.raises(ComplexError, match=r"^chain map does not commute at \(e,0,1\)"):
+            ChainMap(F, F, entries)
+
+    def test_non_homogeneous_entry_is_named(self):
+        # Q in degree 0 has no differential, so only homogeneity can fail
+        C, lbl = rank_one(RING3)
+        with pytest.raises(ComplexError, match="not homogeneous: 1 \\+ x|not homogeneous: x \\+ 1"):
+            ChainMap(C, C, {lbl: {lbl: poly(RING3, "1 + x")}})
+        psi = ChainMap(C, C, {lbl: {lbl: poly(RING3, "1 + x")}}, check=False)
+        assert psi.apply({lbl: Polynomial.constant(RING3, 1)}) == {lbl: poly(RING3, "1 + x")}

@@ -56,7 +56,7 @@ class TestStarDecompose:
             "x2*y2_1",
         ]
         assert dec.n == 2 and dec.ell == 3
-        assert [dec.spoke_of_leaf_generator(j) for j in range(3)] == [0, 0, 1]
+        assert dec.leaf_spokes == (0, 0, 1)
 
     def test_center_tie_break_on_diameter_three(self):
         # both middle vertices of v0-v1-v2-v3 have eccentricity 2 and equal

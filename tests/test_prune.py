@@ -16,12 +16,13 @@ from dgres import (
     prune_complex,
     prune_dg,
     prune_ideal,
+    span_from_matching_sources,
     taylor_dg_structure,
     taylor_resolution,
     total_betti,
 )
 from dgres.dg import dg_ideal_closure
-from dgres.prune import principal_ideal_span, z_divisible_subsets
+from dgres.prune import z_divisible_subsets
 
 def matrix_strings(F, i):
     return [[str(p) for p in row] for row in F.matrix(i)]
@@ -184,7 +185,7 @@ class TestPruneIdeal:
 
     def test_principal_span_is_dg_ideal_of_taylor(self, two_triangles_ideal):
         dgT = taylor_dg_structure(two_triangles_ideal)
-        span = principal_ideal_span(dgT.complex, two_triangles_ideal, ("y1",))
+        span = span_from_matching_sources(dgT.complex, z_divisible_subsets(two_triangles_ideal, ("y1",)))
         ok, detail = dg_ideal_closure(dgT, span)
         assert ok, detail["failures"]
 
