@@ -6,9 +6,12 @@ Taylor resolution, the Lyubeznik resolution, the Lyubeznik matching and
 the Morse reduction of the Taylor resolution along that matching.  The
 ranks of the three complexes and the number of matched pairs are checked
 against frozen values; the Morse complex must have the Lyubeznik ranks.
-Then it classifies the diameter-4 tree T4(3;2,2,2): its certificate rests
+Then it classifies the diameter-4 tree T4(3;2,2,2), whose certificate rests
 on the cone product, checked by `dg_check` on all 134^2 pairs and 134^3
-triples, and the verdict, ranks and check counts must match frozen values.
+triples, and the diameter-3 tree L(4,4,0), whose certificate rests on the
+Lyubeznik quotient of its 512-label Taylor algebra: the dg-ideal closure
+checks 26715 nonzero products and `dg_check` the 62-label quotient.  The
+verdict, ranks and check counts must match frozen values.
 Each stage is timed in the reference-kernel units (`ref`) of
 `perfbench/meter.py`, which correct for the host's drifting speed, and in
 seconds.
@@ -63,6 +66,17 @@ CLASSIFY = {
         "triples_checked": True,
         "resolution_checked": True,
     },
+    "L(4,4,0)": {
+        "verdict": "dg",
+        "kind": "lyubeznik-quotient",
+        "ranks": [1, 9, 20, 20, 10, 2],
+        "quotient_ranks": [1, 9, 20, 20, 10, 2],
+        "closure_products_checked": 26715,
+        "checked_pairs": 3844,
+        "checked_triples": 238328,
+        "triples_checked": True,
+        "resolution_checked": True,
+    },
 }
 
 
@@ -92,6 +106,8 @@ def classify_case(name: str) -> dict:
         "triples_checked": ev["dg_check"]["triples_checked"],
         "resolution_checked": ev["resolution"]["checked"],
     }
+    # the Lyubeznik quotient's own counts
+    got.update({k: ev[k] for k in ("quotient_ranks", "closure_products_checked") if k in ev})
     return {**checked(got, CLASSIFY[name]), **timed(meter)}
 
 

@@ -39,9 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .combin import Graph, GraphError, edge_ideal, graph_diameter, tree_longest_path
+from .combin import Graph, GraphError, edge_ideal, tree_longest_path
 from .complexes import total_betti
-from .dg import dg_check, dg_ideal_closure, quotient_dg, span_from_matching_sources
+from .dg import boundary_closed, closure_products, dg_check, quotient_dg, span_from_matching_sources
 from .diam4 import (
     build_cone_resolution,
     check_boundary_action,
@@ -242,6 +242,19 @@ def _resolution_summary(cx, ideal) -> dict:
     return {"checked": True, "ok": True}
 
 
+def _closure_count(dg, span) -> int:
+    """The number of nonzero products e_u * g that `dg_ideal_closure` checks
+    and finds in the span; GraphError when one is not, DGError when the span
+    is not closed under the differential."""
+    boundary_closed(span)
+    count = 0
+    for *_, sol in closure_products(dg, span):
+        if sol is None:
+            raise GraphError("matching span is not a dg ideal")
+        count += 1
+    return count
+
+
 def _taylor_minimal_evidence(ideal: MonomialIdeal) -> tuple[dict, list[int]]:
     T = taylor_resolution(ideal)
     gens = ideal.generators
@@ -283,9 +296,7 @@ def _lyubeznik_evidence(ideal: MonomialIdeal, order: list[str]) -> tuple[dict, l
     dgT = taylor_dg_structure(ordered)
     sources = matching_sources(matching)
     span = span_from_matching_sources(dgT.complex, sources)
-    ok, closure = dg_ideal_closure(dgT, span)
-    if not ok:
-        raise GraphError("matching span is not a dg ideal")
+    closure_count = _closure_count(dgT, span)
     prefer = {("e",) + tuple(t) for _, t in matching} | {
         ("e",) + tuple(s) for s in sources
     }
@@ -300,7 +311,7 @@ def _lyubeznik_evidence(ideal: MonomialIdeal, order: list[str]) -> tuple[dict, l
         "quotient_ranks": list(q.structure.complex.ranks()),
         "resolution": _resolution_summary(L, ordered),
         "dg_check": _dg_check_summary(q.structure),
-        "closure_products_checked": len(closure["products"]),
+        "closure_products_checked": closure_count,
     }
     return evidence, list(total_betti(L))
 
@@ -326,9 +337,7 @@ def _morse_quotient_evidence(ideal: MonomialIdeal, matching) -> tuple[dict, list
     if not reduced.is_minimal():
         raise GraphError("Morse reduction is not minimal")
     closed, witness = is_superset_closed(ideal, matching)
-    ok, closure = dg_ideal_closure(dgT, span)
-    if not ok:
-        raise GraphError("matching span is not a dg ideal")
+    closure_count = _closure_count(dgT, span)
     evidence = {
         "kind": "morse-quotient",
         "matching": [[list(s), list(t)] for s, t in matching],
@@ -338,7 +347,7 @@ def _morse_quotient_evidence(ideal: MonomialIdeal, matching) -> tuple[dict, list
         "quotient_ranks": list(reduced.ranks()),
         "resolution": _resolution_summary(reduced, ideal),
         "dg_check": _dg_check_summary(q.structure),
-        "closure_products_checked": len(closure["products"]),
+        "closure_products_checked": closure_count,
     }
     if not closed:
         evidence["superset_closure_counterexample"] = {
@@ -383,9 +392,9 @@ def _cone_evidence(graph: Graph) -> tuple[dict, list[int], dict]:
     return evidence, betti, params
 
 
-def _path_window_evidence(graph: Graph, window: list[str]) -> dict:
-    """Prune down to the 5-edge path spanned by six consecutive vertices."""
-    ideal = edge_ideal(graph)
+def _path_window_evidence(graph: Graph, ideal: MonomialIdeal, window: list[str]) -> dict:
+    """Prune the edge ideal of the graph down to the 5-edge path spanned by
+    six consecutive vertices."""
     zvars = [v for v in graph.non_isolated() if v not in set(window)]
     pruned = prune_ideal(ideal, zvars)
     masked = ideal.ring.deactivate(zvars)
@@ -412,10 +421,9 @@ def _path_window_evidence(graph: Graph, window: list[str]) -> dict:
 # trees
 
 
-def _d3_order(graph: Graph, ideal: MonomialIdeal) -> list[str]:
-    """Generator order starting with the central edge of a diameter-3 tree
-    (or any edge of a triangle)."""
-    path = tree_longest_path(graph)
+def _d3_order(path: list[str], ideal: MonomialIdeal) -> list[str]:
+    """Generator order starting with the central edge of a diameter-3 tree,
+    the middle edge of its longest path."""
     a, b = path[1], path[2]
     ring = ideal.ring
     first = ring.variable(a) * ring.variable(b)
@@ -428,7 +436,8 @@ def _d3_order(graph: Graph, ideal: MonomialIdeal) -> list[str]:
 def classify_tree(graph: Graph) -> Certificate:
     if not graph.is_tree():
         raise UnsupportedGraphError("not a tree")
-    d = graph_diameter(graph)
+    path = tree_longest_path(graph)
+    d = len(path) - 1
     ideal = edge_ideal(graph)
     gj = graph.to_json()
     if d <= 2:
@@ -449,9 +458,8 @@ def classify_tree(graph: Graph) -> Certificate:
             betti=betti, evidence=evidence, cited=["taylor-dg"], graph=gj,
         )
     if d == 3:
-        order = _d3_order(graph, ideal)
+        order = _d3_order(path, ideal)
         evidence, betti = _lyubeznik_evidence(ideal, order)
-        path = tree_longest_path(graph)
         a = graph.degree(path[1]) - 1
         b = graph.degree(path[2]) - 1
         formula = list(lyubeznik_betti(a, b, 0))
@@ -470,8 +478,7 @@ def classify_tree(graph: Graph) -> Certificate:
             family="tree", verdict="dg", diameter=d, parameters=params,
             betti=betti, evidence=evidence, cited=["taylor-dg"], graph=gj,
         )
-    path = tree_longest_path(graph)
-    evidence = _path_window_evidence(graph, path[:6])
+    evidence = _path_window_evidence(graph, ideal, path[:6])
     return Certificate(
         family="tree", verdict="not_dg", diameter=d, parameters={},
         betti=None, evidence=evidence,
@@ -508,8 +515,8 @@ C5_MATCHING: list[tuple[tuple[int, ...], tuple[int, ...]]] = [
 ]
 
 
-def _cycle_consecutive_ideal(graph: Graph) -> MonomialIdeal:
-    ideal = edge_ideal(graph)
+def _cycle_consecutive_ideal(graph: Graph, ideal: MonomialIdeal) -> MonomialIdeal:
+    """The edge ideal of the cycle with its generators in cycle order."""
     verts = list(graph.vertices)
     ring = ideal.ring
     order = [
@@ -522,10 +529,10 @@ def _cycle_consecutive_ideal(graph: Graph) -> MonomialIdeal:
 def classify_cycle(graph: Graph) -> Certificate:
     if not graph.is_cycle():
         raise UnsupportedGraphError("not a cycle")
-    n = len(graph.vertices)
-    d = graph_diameter(graph)
+    n = d = len(graph.vertices)  # C_n counts as a closed path of length n
     gj = graph.to_json()
-    ideal = _cycle_consecutive_ideal(graph)
+    edges = edge_ideal(graph)
+    ideal = _cycle_consecutive_ideal(graph, edges)
     if n == 3:
         order = [str(g) for g in ideal.generators]
         evidence, betti = _lyubeznik_evidence(ideal, order)
@@ -564,7 +571,7 @@ def classify_cycle(graph: Graph) -> Certificate:
             graph=gj,
         )
     window = list(graph.vertices[:6])
-    evidence = _path_window_evidence(graph, window)
+    evidence = _path_window_evidence(graph, edges, window)
     return Certificate(
         family="cycle", verdict="not_dg", diameter=d, parameters={"n": n},
         betti=None, evidence=evidence,
@@ -588,8 +595,9 @@ def classify(graph: Graph) -> Certificate:
 
 
 def verify_certificate(cert: dict) -> dict:
-    """Recompute the certificate for the embedded graph and compare; also
-    independently re-check any Kruskal-Katona failure it claims."""
+    """Recompute the certificate for the embedded graph and compare its
+    fields and each top-level evidence entry; also independently re-check
+    any Kruskal-Katona failure it claims."""
     graph = Graph.from_json(cert["graph"])
     fresh = classify(graph).to_json()
     mismatches = []
@@ -598,15 +606,14 @@ def verify_certificate(cert: dict) -> dict:
             mismatches.append(
                 {"field": key, "given": cert.get(key), "recomputed": fresh.get(key)}
             )
-    if fresh["evidence"].get("kind") != cert.get("evidence", {}).get("kind"):
-        mismatches.append(
-            {
-                "field": "evidence.kind",
-                "given": cert.get("evidence", {}).get("kind"),
-                "recomputed": fresh["evidence"].get("kind"),
-            }
-        )
-    kk = cert.get("evidence", {}).get("f_vector_test")
+    # one entry per differing top-level key of the evidence, "kind" first
+    given, redone = cert.get("evidence", {}), fresh["evidence"]
+    for key in [*redone, *(k for k in given if k not in redone)]:
+        if (key in redone, redone.get(key)) != (key in given, given.get(key)):
+            mismatches.append(
+                {"field": f"evidence.{key}", "given": given.get(key), "recomputed": redone.get(key)}
+            )
+    kk = given.get("f_vector_test")
     if kk is not None and cert.get("betti"):
         redo = kruskal_katona_is_fvector(cert["betti"])
         if redo != kk:

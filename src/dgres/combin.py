@@ -126,6 +126,11 @@ def tree_longest_path(graph: Graph) -> list[str]:
     """A longest path in a tree via double BFS; returns the vertex list."""
     if not graph.is_tree():
         raise GraphError("tree_longest_path needs a tree")
+    return _tree_path(graph)
+
+
+def _tree_path(graph: Graph) -> list[str]:
+    """`tree_longest_path` of a graph known to be a tree."""
     if len(graph.vertices) == 1:
         return [graph.vertices[0]]
     adj = graph.adjacency()
@@ -156,7 +161,7 @@ def graph_diameter(graph: Graph) -> int:
     if not graph.vertices:
         raise GraphError("diameter of the empty graph")
     if graph.is_tree():
-        return len(tree_longest_path(graph)) - 1
+        return len(_tree_path(graph)) - 1
     if graph.is_cycle():
         return len(graph.vertices)
     # brute force: longest simple path/closed path

@@ -49,10 +49,20 @@ multigraded element (b, {l: c}) in a submodule spanned by finitely many
 multigraded elements: in multidegree b a generator g contributes the single
 monomial multiple (b / mdeg g) * g, so membership is a sparse rational
 linear solve (`linalg.solve` on the generators' coefficients) and the
-witness is an exact coefficient list.  A span indexes its generators by
-degree; a generator's boundary is its `Element.diff`.  `dg_ideal_closure`
-multiplies every basis element into every generator and decides each
-product's membership.
+witness is an exact coefficient list.  A span is indexed once: its labels
+numbered, each generator a column {number: c}, and per degree a
+`strands.Divisors` bitset index that finds the generators with mdeg(g) | b
+in a few integer operations.  A generator's boundary is its `Element.diff`.
+
+`closure_products` is the dg-ideal check: it forms every product e_u * g
+of a basis label and a generator exactly and solves each nonzero one for
+membership.  Per basis label u it reads the row of stored products u*l
+once, over the labels l of the generators' supports, and sums each u*g
+from that row; an inverted index (label -> generators containing it)
+visits only the generators some nonzero u*l reaches, since every other
+product is 0.  A product kept whole or with a Polynomial entry sends its
+generators through `DGStructure.multiply`.  `dg_ideal_closure` formats
+the report (product strings, witnesses) from it; `classify` only counts.
 
 `Elimination` forms the quotient of a complex by the span of some of its
 elements, by per-degree unit-pivot elimination on coefficients, optionally
@@ -72,13 +82,14 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, le
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg
 from .complexes import (
     BasisLabel, LabeledFreeComplex, VecT, combine, entry_polynomial, killed, tag_to_json, vec_add, vec_scale,
 )
 from .poly import Monomial, Polynomial, exact, monomial_divide
+from .strands import Divisors
 
 
 class DGError(ValueError):
@@ -529,16 +540,59 @@ def _multigraded(el: Element, what: str) -> Element:
 
 class SubmoduleSpan:
     """A multigraded submodule given by homogeneous generators, each a
-    multigraded Element (b, {l: c}), indexed by homological degree."""
+    multigraded Element (b, {l: c}).  Indexed once: `key` numbers the labels
+    of the generators' supports, `columns[k]` is generator k as {key: c},
+    and per homological degree a `strands.Divisors` over the multidegrees of
+    the nonzero generators finds those dividing b (`dividing`)."""
 
     def __init__(self, cx: LabeledFreeComplex, generators: Sequence[SpanGenerator]):
         self.complex = cx
         self.generators = list(generators)
-        # the positions of the nonzero generators per homological degree
-        self._of_degree: dict[int, list[int]] = {}
+        self.key: dict[BasisLabel, int] = {}
+        self.columns: list[dict[int, object]] = []
+        of_degree: dict[int, list[int]] = {}
         for k, g in enumerate(self.generators):
-            if _multigraded(g.element, f"span generator {g.gen_id}").vec:
-                self._of_degree.setdefault(g.element.degree, []).append(k)
+            el = _multigraded(g.element, f"span generator {g.gen_id}")
+            self.columns.append({self.key.setdefault(l, len(self.key)): c for l, c in el.vec.items()})
+            if el.vec:
+                of_degree.setdefault(el.degree, []).append(k)
+        self._of_degree = {
+            i: (ks, Divisors([self.generators[k].element.b for k in ks], cx.ring)) for i, ks in of_degree.items()
+        }
+
+    def dividing(self, degree: int, b: Monomial) -> list[int]:
+        """The positions, in order, of the nonzero generators of homological
+        degree `degree` whose multidegree divides b."""
+        ks, divisors = self._of_degree.get(degree, ((), None))
+        found = divisors.of(b) if divisors is not None else 0
+        out = []
+        while found:
+            low = found & -found
+            out.append(ks[low.bit_length() - 1])
+            found ^= low
+        return out
+
+    def solve(self, degree: int, b: Monomial, vec: dict) -> list[tuple[int, object]] | None:
+        """sum c*(b/m_l) e_l, given as {key: c}, as a combination of the
+        generators: [(position, nonzero coefficient)], or None when it is not
+        in the span.  Each generator g with mdeg(g) | b contributes the
+        single multiple (b / mdeg g) * g, so this is `linalg.solve` on the
+        coefficients; a key outside `key` is a row no generator has."""
+        found = self.dividing(degree, b)
+        sol = linalg.solve([self.columns[k] for k in found], vec)
+        return None if sol is None else [(k, c) for k, c in zip(found, sol) if c]
+
+    def witness(self, b: Monomial, sol: list[tuple[int, object]]) -> list[dict]:
+        """A solution as [{gen, coefficient, monomial_multiple}]."""
+        gens = self.generators
+        return [
+            {
+                "gen": tag_to_json(gens[k].gen_id),
+                "coefficient": str(c),
+                "monomial_multiple": str(monomial_divide(b, gens[k].element.b)),
+            }
+            for k, c in sol
+        ]
 
 
 def submodule_membership(
@@ -547,33 +601,16 @@ def submodule_membership(
     """Decide element in span; on success return the witness
     [{gen, coefficient, monomial_multiple}] with exact rationals.
 
-    The element must be multigraded, (b, {l: c}): each span generator g of
-    its degree with mdeg(g) | b contributes the single multiple
-    (b / mdeg g) * g, so this is a linear solve over Q on the coefficients.
+    The element must be multigraded, (b, {l: c}); see `SubmoduleSpan.solve`.
     """
     b, vec = _multigraded(element, "a membership element").b, element.vec
     if not vec:
         return True, []
-    found = [span.generators[k] for k in span._of_degree.get(element.degree, ())]
-    found = [g for g in found if g.element.b.divides(b)]
-    # scalar columns {row position: coefficient}, one row per label met
-    rows: dict[BasisLabel, int] = {}
-    *cols, rhs = (
-        {rows.setdefault(l, len(rows)): c for l, c in v.items()}
-        for v in [*(g.element.vec for g in found), vec]
-    )
-    sol = linalg.solve(cols, rhs)
-    if sol is None:
+    key = span.key
+    if not all(l in key for l in vec):  # a label no generator has
         return False, None
-    return True, [
-        {
-            "gen": tag_to_json(g.gen_id),
-            "coefficient": str(c),
-            "monomial_multiple": str(monomial_divide(b, g.element.b)),
-        }
-        for g, c in zip(found, sol)
-        if c
-    ]
+    sol = span.solve(element.degree, b, {key[l]: c for l, c in vec.items()})
+    return (False, None) if sol is None else (True, span.witness(b, sol))
 
 
 def span_from_matching_sources(
@@ -593,6 +630,71 @@ def span_from_matching_sources(
     return SubmoduleSpan(cx, gens)
 
 
+def boundary_closed(span: SubmoduleSpan, require: bool = True) -> bool:
+    """Whether the boundary of every span generator lies in the span; when
+    `require`, DGError at the first that does not."""
+    closed = True
+    for g in span.generators:
+        if not submodule_membership(span, _multigraded(g.element.diff(), f"the boundary of {g.gen_id}"))[0]:
+            closed = False
+            if require:
+                raise DGError(f"span is not closed under the differential at generator {g.gen_id}")
+    return closed
+
+
+def _keyed(prod, key: dict) -> dict | None:
+    """A stored product {l: c} as {key: c}, numbering a label new to `key`
+    as it is met; None for a product kept whole or with a Polynomial entry."""
+    if type(prod) is Element or any(type(c) is Polynomial for c in prod.values()):
+        return None
+    return {key.setdefault(l, len(key)): c for l, c in prod.items()}
+
+
+def closure_products(dg: DGStructure, span: SubmoduleSpan, key: dict | None = None) -> Iterator[tuple]:
+    """Every nonzero product e_u * g of a basis label u and a span generator
+    g, in (u, generator) order, as (u, k, b, vec, sol): k is the position of
+    g, the product is sum c*(b/m_l) e_l with vec {key of l: c}, and sol is
+    its `SubmoduleSpan.solve` solution, None when it is not in the span.
+
+    `key` starts as a copy of `span.key` and numbers every other label met.
+    For each u the stored products u*l are read once, for the labels l of
+    the generators' supports, and each u*g is summed from that row as
+    coefficients at b = m_u mdeg(g); only the generators whose support meets
+    a nonzero u*l are visited, every other product being 0.  A generator
+    meeting a product kept whole or with a Polynomial entry is multiplied by
+    `DGStructure.multiply` instead.
+    """
+    key = dict(span.key) if key is None else key
+    gens, columns = span.generators, span.columns
+    support = list(span.key)
+    # users[s]: the generators with support[s] in their support
+    users: list[list[int]] = [[] for _ in support]
+    for k, col in enumerate(columns):
+        for s in col:
+            users[s].append(k)
+    for u in dg.all_labels():
+        du = dg.degree[u]
+        row, reached = {}, set()
+        for s, l in enumerate(support):
+            if prod := dg.table(u, l):
+                row[s] = _keyed(prod, key)
+                reached.update(users[s])
+        for k in sorted(reached):
+            g = gens[k].element
+            vec = combine([(q, row.get(s, _ZERO)) for s, q in columns[k].items()])
+            if vec is None:
+                prod = dg.multiply(Element.basis(dg.complex, u, du), g)
+                if prod.is_zero():
+                    continue
+                b = _multigraded(prod, "a membership element").b
+                vec = {key.setdefault(l, len(key)): c for l, c in prod.vec.items()}
+            elif vec:
+                b = u.multidegree * g.b
+            else:
+                continue
+            yield u, k, b, vec, span.solve(du + g.degree, b, vec)
+
+
 def dg_ideal_closure(
     dg: DGStructure, span: SubmoduleSpan, require_boundary_closed: bool = True
 ) -> tuple[bool, dict]:
@@ -603,26 +705,20 @@ def dg_ideal_closure(
     a subcomplex cannot be quotiented).  Left products suffice once
     dg_check has established graded commutativity; this routine still checks
     e_U * g for every basis label e_U and every span generator g, recording
-    a membership witness for each nonzero product.
+    a membership witness for each nonzero product (`closure_products`).
     """
-    report: dict = {"boundary_closed": True, "products": [], "failures": []}
-    for g in span.generators:
-        if not submodule_membership(span, _multigraded(g.element.diff(), f"the boundary of {g.gen_id}"))[0]:
-            report["boundary_closed"] = False
-            if require_boundary_closed:
-                raise DGError(f"span is not closed under the differential at generator {g.gen_id}")
-    for u in dg.all_labels():
-        eu = Element.basis(dg.complex, u, dg.degree[u])
-        for g in span.generators:
-            prod = dg.multiply(eu, g.element)
-            if prod.is_zero():
-                continue
-            ok, witness = submodule_membership(span, prod)
-            entry = {"factor": tag_to_json(u.tag), "gen": tag_to_json(g.gen_id), "product": str(prod)}
-            if ok:
-                report["products"].append({**entry, "witness": witness})
-            else:
-                report["failures"].append(entry)
+    report: dict = {"boundary_closed": boundary_closed(span, require_boundary_closed), "products": [], "failures": []}
+    cx, key, labels = dg.complex, dict(span.key), []
+    for u, k, b, vec, sol in closure_products(dg, span, key):
+        if len(labels) < len(key):
+            labels = list(key)
+        g = span.generators[k]
+        prod = Element.stored(cx, dg.degree[u] + g.element.degree, b, {labels[j]: c for j, c in vec.items()})
+        entry = {"factor": tag_to_json(u.tag), "gen": tag_to_json(g.gen_id), "product": str(prod)}
+        if sol is None:
+            report["failures"].append(entry)
+        else:
+            report["products"].append({**entry, "witness": span.witness(b, sol)})
     report["ok"] = report["boundary_closed"] and not report["failures"]
     return report["ok"], report
 

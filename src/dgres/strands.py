@@ -1,7 +1,7 @@
 """The index a complex's strand sweep reads (see `complexes`).
 
 `Divisors` decides which monomials of a fixed list divide b with a few
-integer operations; `StrandIndex` groups a complex's labels by multidegree
+integer operations (`dg.SubmoduleSpan` finds its generators by it too); `StrandIndex` groups a complex's labels by multidegree
 and holds its differentials evaluated at x=1, as sparse columns for
 `linalg.rank`.  At x=1 a homogeneous entry c * (m_c / m_r) is its stored
 coefficient c, so the columns are read off the stored differential; only a

@@ -321,6 +321,70 @@ class TestCertificates:
         assert any(m["field"] == "f_vector_test" for m in result["mismatches"])
 
 
+def _cut_matching(ev):
+    ev["matching"] = ev["matching"][:3]
+
+
+def _set(key, value):
+    def tamper(ev):
+        ev[key] = value
+
+    return tamper
+
+
+def _dg_check_failed(ev):
+    ev["dg_check"]["ok"] = False
+
+
+C5_TAMPERINGS = {
+    "matching": _cut_matching,
+    "quotient_ranks": _set("quotient_ranks", [9, 9]),
+    "dg_check": _dg_check_failed,
+    "resolution": _set("resolution", {"checked": False}),
+    "closure_products_checked": _set("closure_products_checked", 1),
+}
+
+
+class TestEvidenceTampering:
+    """`verify_certificate` compares each top-level evidence entry with the
+    recomputed one and names the one that differs."""
+
+    @pytest.fixture(scope="class")
+    def c5(self):
+        return classify(cycle_graph(5)).to_json()
+
+    @pytest.mark.parametrize("key", list(C5_TAMPERINGS))
+    def test_c5_morse_quotient(self, c5, key):
+        cert = json.loads(json.dumps(c5))
+        C5_TAMPERINGS[key](cert["evidence"])
+        result = verify_certificate(cert)
+        assert not result["ok"]
+        assert [m["field"] for m in result["mismatches"]] == [f"evidence.{key}"]
+
+    @pytest.mark.parametrize(
+        "graph, kind, key, tamper",
+        [
+            (path_graph(2), "taylor-minimal", "drop_one_lcms", lambda ev: ev["drop_one_lcms"].pop()),
+            (t4_tree(2, (1, 1)), "cone-product", "leaf_counts", _set("leaf_counts", [2, 1])),
+            (cycle_graph(6), "betti-not-f-vector", "betti", _set("betti", [1, 6, 9, 6, 1])),
+            (path_graph(6), "prunes-to-non-dg-path", "pruned_variables", _set("pruned_variables", [])),
+        ],
+        ids=["taylor-minimal", "cone-product", "betti-not-f-vector", "prunes-to-non-dg-path"],
+    )
+    def test_one_per_other_kind(self, graph, kind, key, tamper):
+        cert = classify(graph).to_json()
+        assert cert["evidence"]["kind"] == kind
+        tamper(cert["evidence"])
+        result = verify_certificate(cert)
+        assert not result["ok"]
+        assert [m["field"] for m in result["mismatches"]] == [f"evidence.{key}"]
+
+    def test_added_evidence_entry_is_named(self, c5):
+        cert = json.loads(json.dumps(c5))
+        cert["evidence"]["extra"] = None
+        assert [m["field"] for m in verify_certificate(cert)["mismatches"]] == ["evidence.extra"]
+
+
 class TestUnsupported:
     def test_rejects_non_tree_non_cycle(self):
         with pytest.raises(UnsupportedGraphError):

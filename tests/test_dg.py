@@ -47,9 +47,10 @@ from dgres import (
     taylor_resolution,
     validate_matching,
 )
-from dgres.classify import C4_MATCHING, C5_MATCHING
+from dgres.classify import C4_MATCHING, C5_MATCHING, _cycle_consecutive_ideal, _d3_order, classify
+from dgres.combin import tree_longest_path
 from dgres.complexes import tag_to_json
-from dgres.dg import DGReport, _homogeneous_product_ok, _Tables
+from dgres.dg import DGReport, _homogeneous_product_ok, _Tables, closure_products
 from dgres.morse import is_superset_closed, matching_sources, matching_targets
 from dgres.poly import monomial_divide
 
@@ -913,6 +914,83 @@ class TestClosureDenseOracle:
         for closure in (dg_ideal_closure, dense_dg_ideal_closure):
             with pytest.raises(DGError, match="multigraded"):
                 closure(DGStructure(dg.complex, dg.product_fn), span)
+
+
+def divides_scan(span: SubmoduleSpan, degree: int, b) -> list[int]:
+    """The generators `SubmoduleSpan.dividing` must find, by `divides`."""
+    return [
+        k for k, g in enumerate(span.generators)
+        if g.element.vec and g.element.degree == degree and g.element.b.divides(b)
+    ]
+
+
+def d3_and_cycle_spans():
+    """(graph, Taylor dg structure, span) as `classify` builds them, for
+    every diameter-3 tree with 4-9 vertices, L(a,b,0) with a >= b >= 1, and
+    for C4 and C5."""
+    for n in range(4, 10):
+        for b in range(1, (n - 2) // 2 + 1):
+            graph = build_family(f"L({n - 2 - b},{b},0)")
+            ordered = edge_ideal(graph).reorder(_d3_order(tree_longest_path(graph), edge_ideal(graph)))
+            dg = taylor_dg_structure(ordered)
+            yield graph, dg, matching_span(dg, lyubeznik_matching(ordered))
+    for n, matching in ((4, C4_MATCHING), (5, C5_MATCHING)):
+        graph = build_family(f"C{n}")
+        dg = taylor_dg_structure(_cycle_consecutive_ideal(graph, edge_ideal(graph)))
+        yield graph, dg, matching_span(dg, matching)
+
+
+class TestClosureCore:
+    """`closure_products`, which `classify` counts, against the report of
+    `dg_ideal_closure`, and the `Divisors` index of a span against a scan."""
+
+    @staticmethod
+    def assert_core_matches_report(dg: DGStructure, span: SubmoduleSpan) -> dict:
+        got = [(tag_to_json(u.tag), tag_to_json(span.generators[k].gen_id), sol is not None)
+               for u, k, _, _, sol in closure_products(DGStructure(dg.complex, dg.product_fn), span)]
+        _, report = dg_ideal_closure(dg, span, require_boundary_closed=False)
+        want = sorted(
+            [(e["factor"], e["gen"], True) for e in report["products"]]
+            + [(e["factor"], e["gen"], False) for e in report["failures"]]
+        )
+        assert sorted(got) == want
+        return report
+
+    def test_corpus(self, corpus):
+        for I in corpus:
+            dg = taylor_dg_structure(I)
+            self.assert_core_matches_report(dg, matching_span(dg, lyubeznik_matching(I)))
+
+    def test_failures_and_outside_labels(self, taylor_fixture_ideal):
+        dg = taylor_dg_structure(ideal(RING3, "x", "y", "z"))
+        assert self.assert_core_matches_report(dg, span_from_matching_sources(dg.complex, [(0, 1)]))["failures"]
+        for case in ("product-off-by-a-variable", "outside-label-product"):
+            dg = POLYNOMIAL_PATH[case][0](taylor_fixture_ideal)
+            report = self.assert_core_matches_report(dg, span_from_matching_sources(dg.complex, [(0, 1)]))
+            assert report["failures"]
+
+    def test_classify_counts_the_report(self):
+        for graph, dg, span in d3_and_cycle_spans():
+            _, report = dg_ideal_closure(dg, span)
+            assert classify(graph).evidence["closure_products_checked"] == len(report["products"]), graph
+
+    @pytest.mark.parametrize("non_squarefree", [False, True])
+    def test_dividing_matches_the_divides_scan(self, corpus, non_squarefree):
+        if non_squarefree:
+            dg = taylor_dg_structure(ideal(RING3, "x^2", "x*y", "y^2*z"))
+            spans = [span_from_matching_sources(dg.complex, [(0, 1), (0, 2), (1, 2), (0, 1, 2)])]
+            assert any(not g.element.b.is_squarefree() for g in spans[0].generators)
+        else:
+            spans = [span for _, _, span in d3_and_cycle_spans()]
+            spans += [matching_span(dg, lyubeznik_matching(I)) for I in corpus for dg in [taylor_dg_structure(I)]]
+        for span in spans:
+            cx = span.complex
+            bs = {l.multidegree for i in cx.degrees() for l in cx.labels(i)}
+            few = sorted(bs, key=str)[:8]
+            bs |= {a * b for a in bs for b in few}  # exponents above 1 too
+            for i in cx.degrees():
+                for b in bs:
+                    assert span.dividing(i, b) == divides_scan(span, i, b)
 
 
 # ---------------------------------------------------------------------------
