@@ -6,12 +6,13 @@ Taylor resolution, the Lyubeznik resolution, the Lyubeznik matching and
 the Morse reduction of the Taylor resolution along that matching.  The
 ranks of the three complexes and the number of matched pairs are checked
 against frozen values; the Morse complex must have the Lyubeznik ranks.
-Then it classifies the diameter-4 tree T4(3;2,2,2), whose certificate rests
-on the cone product, checked by `dg_check` on all 134^2 pairs and 134^3
-triples, and the diameter-3 tree L(4,4,0), whose certificate rests on the
-Lyubeznik quotient of its 512-label Taylor algebra: the dg-ideal closure
-checks 26715 nonzero products and `dg_check` the 62-label quotient.  The
-verdict, ranks and check counts must match frozen values.
+Then it classifies the diameter-4 trees T4(3;2,2,2) and T4(3;3,3,3), whose
+certificates rest on the cone product, checked by `dg_check` on all 134^2
+pairs and 134^3 triples and on all 1030^2 pairs and 1030^3 triples, and the
+diameter-3 tree L(4,4,0), whose certificate rests on the Lyubeznik quotient
+of its 512-label Taylor algebra: the dg-ideal closure checks 26715 nonzero
+products and `dg_check` the 62-label quotient.  The verdict, ranks and check
+counts must match frozen values.
 Each stage is timed in the reference-kernel units (`ref`) of
 `perfbench/meter.py`, which correct for the host's drifting speed, and in
 seconds.
@@ -63,6 +64,15 @@ CLASSIFY = {
         "ranks": [1, 9, 24, 36, 35, 21, 7, 1],
         "checked_pairs": 17956,
         "checked_triples": 2406104,
+        "triples_checked": True,
+        "resolution_checked": True,
+    },
+    "T4(3;3,3,3)": {
+        "verdict": "dg",
+        "kind": "cone-product",
+        "ranks": [1, 12, 48, 121, 210, 252, 210, 120, 45, 10, 1],
+        "checked_pairs": 1060900,
+        "checked_triples": 1092727000,
         "triples_checked": True,
         "resolution_checked": True,
     },

@@ -34,7 +34,7 @@ from .classify import (
 )
 from .combin import Graph, GraphError, build_family, edge_ideal
 from .complexes import ComplexError, LabeledFreeComplex, graded_betti, total_betti
-from .dg import DGError, dg_check
+from .dg import DGError, dg_check, dg_ideal_closure, matching_span, quotient_dg
 from .diam4 import (
     build_cone_resolution,
     check_boundary_action,
@@ -326,9 +326,6 @@ def cmd_dgcheck(args) -> int:
         if args.structure == "taylor":
             dg = taylor_dg_structure(ideal)
         else:  # quotient
-            from .dg import dg_ideal_closure, quotient_dg, span_from_matching_sources
-            from .morse import matching_sources
-
             matching = _load_matching(args, ideal)
             tg = taylor_graph(ideal)
             val = validate_matching(tg, matching)
@@ -336,9 +333,7 @@ def cmd_dgcheck(args) -> int:
                 _emit(args, "dgcheck", input_json, {"matching_valid": val})
                 return 1
             dgT = taylor_dg_structure(ideal)
-            span = span_from_matching_sources(
-                dgT.complex, matching_sources(matching)
-            )
+            span, _ = matching_span(dgT.complex, matching)
             ok, closure = dg_ideal_closure(dgT, span)
             if not ok:
                 _emit(args, "dgcheck", input_json, {

@@ -101,6 +101,8 @@ class Graph:
 
     @staticmethod
     def from_json(d: dict) -> "Graph":
+        if not isinstance(d, dict) or not {"vertices", "edges"} <= d.keys():
+            raise GraphError('a graph is a JSON object {"vertices": [...], "edges": [...]}')
         return Graph.build(d["vertices"], d["edges"])
 
 

@@ -15,19 +15,20 @@ directly from the stored products, not derived from one another.
 Every pair and triple is decided and counted (`checked_pairs` = n^2,
 `checked_triples` = n^3), but arithmetic runs only where a stored product
 can be nonzero.  Unitality, degree, closure, homogeneity, commutativity and
-odd squares read all n^2 products.  Leibniz runs on (a, b) only if ab != 0,
-or l*b != 0 for some l in supp(d a), or a*l != 0 for some l in supp(d b);
-associativity runs on (a, b, c) only if l*c != 0 for some l in supp(ab), or
-a*l != 0 for some l in supp(bc).  Everywhere else both sides are 0.  The
-second kind of each is found from inverted indices, built once: the b with
-l in supp(d b), and the (b, c) with l in supp(bc), for each label l.  A
-label outside the basis that occurs in a product has no stored row, so
-every partner of it is checked.  Candidates are visited in label order, so
-failure witnesses come out as a loop over all of them would record them.
+odd squares read only the stored, nonzero products.  Leibniz runs on (a, b)
+only if ab != 0, or l*b != 0 for some l in supp(d a), or a*l != 0 for some
+l in supp(d b); associativity runs on (a, b, c) only if l*c != 0 for some l
+in supp(ab), or a*l != 0 for some l in supp(bc).  Everywhere else both
+sides are 0.  The second kind of each is found from inverted indices, built
+once: the b with l in supp(d b), and the (b, c) with l in supp(bc), for
+each label l.  A label outside the basis that occurs in a product has no
+stored row, so every partner of it is checked.  Candidates are visited in
+label order, so failure witnesses come out as a loop over all of them would
+record them.
 
 Stored form.  Homogeneity fixes every monomial: a term of e_a e_b on e_l
 is c*(m_a m_b / m_l), as an entry of d(e_a) on e_r is c*(m_a / m_r).  So a
-`DGStructure` stores each product as a `ScalarProduct` {l: c}, as the
+`DGStructure` stores a nonzero product as a `ScalarProduct` {l: c}, as the
 complex stores its columns, and an `Element` of multidegree b is (b, {l: c})
 for sum c*(b/m_l) e_l.  Sums, boundaries (through the stored columns) and
 products (b_x b_y, through the stored products) of such elements are dict
@@ -56,9 +57,9 @@ in a few integer operations.  A generator's boundary is its `Element.diff`.
 
 `closure_products` is the dg-ideal check: it forms every product e_u * g
 of a basis label and a generator exactly and solves each nonzero one for
-membership.  Per basis label u it reads the row of stored products u*l
-once, over the labels l of the generators' supports, and sums each u*g
-from that row; an inverted index (label -> generators containing it)
+membership.  Per basis label u it reads the stored row of u once, keeps
+the products u*l with l in the generators' supports, and sums each u*g
+from those; an inverted index (label -> generators containing it)
 visits only the generators some nonzero u*l reaches, since every other
 product is 0.  A product kept whole or with a Polynomial entry sends its
 generators through `DGStructure.multiply`.  `dg_ideal_closure` formats
@@ -81,6 +82,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import add, le
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -210,14 +212,15 @@ _NONE = ScalarProduct()  # every stored zero product; never written to
 class DGStructure:
     """A complex with a basis-level product and unit.
 
-    Each basis product is computed once and stored as a `ScalarProduct`,
-    the form the complex stores its columns in.  `product_fn(a, b)` returns
-    it as a ScalarProduct or as an Element, which is converted on storing:
-    an entry c*(m_a m_b/m_l) becomes c, any other stays a Polynomial, and an
-    Element of another degree (or on a label outside the basis) is kept
-    whole.  Storing a coefficient c on l checks that m_l divides m_a m_b.
-    `table` reads the stored form; `basis_product`, `product_fn` and
-    `multiply` build Elements from it.
+    Products are stored by rows: `row(a)` is {b: e_a e_b} over the basis
+    labels b with e_a e_b != 0, computed in full (one product-function call
+    per b) on first read and stored only when complete.  The product
+    function returns a `ScalarProduct` (the form of the complex's columns) or
+    an Element, converted on storing: an entry c*(m_a m_b/m_l) becomes c,
+    any other stays a Polynomial, an Element of another degree (or on a
+    label outside the basis) is kept whole, and a coefficient on l needs
+    m_l | m_a m_b.  `basis_product`, `product_fn` and `multiply` build
+    Elements from the stored products.
     """
 
     def __init__(
@@ -238,17 +241,24 @@ class DGStructure:
         for i in complex.degrees():
             for l in complex.labels(i):
                 self.degree.setdefault(l, i)
-        self._table: dict[tuple, ScalarProduct | Element] = {}
+        self._rows: dict[BasisLabel, dict[BasisLabel, ScalarProduct | Element]] = {}
 
     def all_labels(self) -> list[BasisLabel]:
         return [l for i in self.complex.degrees() for l in self.complex.labels(i)]
 
-    def table(self, a: BasisLabel, b: BasisLabel) -> "ScalarProduct | Element":
-        """The stored product of a and b, computed on first request."""
-        got = self._table.get((a, b))
+    def row(self, a: BasisLabel) -> dict[BasisLabel, "ScalarProduct | Element"]:
+        """{b: e_a e_b} over the basis labels b, nonzero products only."""
+        got = self._rows.get(a)
         if got is None:
-            got = self._table[a, b] = self._store(a, b, self._product(a, b))
+            prods = ((b, self._store(a, b, self._product(a, b))) for b in self.degree)
+            got = self._rows[a] = {b: prod for b, prod in prods if not prod.is_zero()}
         return got
+
+    def table(self, a: BasisLabel, b: BasisLabel) -> "ScalarProduct | Element":
+        """The stored product of a and b, afresh for a label outside the basis."""
+        if a in self.degree and b in self.degree:
+            return self.row(a).get(b, _NONE)
+        return self._store(a, b, self._product(a, b))
 
     def _store(self, a: BasisLabel, b: BasisLabel, prod) -> "ScalarProduct | Element":
         if type(prod) is not Element:
@@ -264,8 +274,6 @@ class DGStructure:
         da, db = self.degree.get(a), self.degree.get(b)
         if da is None or db is None or prod.degree != da + db:
             return prod
-        if not prod.vec:
-            return _NONE
         if prod.b == want:
             return ScalarProduct(prod.vec)
         out = ScalarProduct(coords := prod.coords)
@@ -304,10 +312,9 @@ class DGStructure:
         for a, p in x.coords.items():
             for b, q in y.coords.items():
                 prod = self.basis_product(a, b)
-                if prod.is_zero():
-                    continue
-                pq = p * q
-                out = out + Element(self.complex, deg, {l: pq * r for l, r in prod.coords.items()})
+                if not prod.is_zero():
+                    pq = p * q
+                    out = out + Element(self.complex, deg, {l: pq * r for l, r in prod.coords.items()})
         return out
 
 
@@ -352,9 +359,11 @@ class _Tables:
     labels, None for a label outside the basis (a support list)."""
 
     def __init__(self, dg: DGStructure):
-        self.dg, self.labels, self.pos = dg, dg.all_labels(), {}
+        # pos[l]: the first position of l; at[l]: all, if l sits in two degrees
+        self.dg, self.labels, self.pos, self.at = dg, dg.all_labels(), {}, {}
         for i, l in enumerate(self.labels):
             self.pos.setdefault(l, i)
+            self.at.setdefault(l, []).append(i)
         self.degree = [dg.degree[l] for l in self.labels]
 
     def of(self, vec: dict, deg: int) -> dict | list:
@@ -371,12 +380,14 @@ class _Tables:
         deg = self.degree[k]
         return self.of(self.dg.complex.diff.get(deg, {}).get(self.labels[k], _ZERO), deg - 1)
 
-    def product(self, i: int, j: int) -> dict | list:
-        """The table of labels[i] * labels[j]."""
-        prod = self.dg.table(self.labels[i], self.labels[j])
-        if type(prod) is Element:  # kept whole: of another degree
-            return [self.pos.get(l) for l in prod.vec] or _ZERO
-        return self.of(prod, self.degree[i] + self.degree[j]) if prod else _ZERO
+    def row(self, i: int) -> dict[int, dict | list]:
+        """{j: the table of labels[i] * labels[j]} over the j with a nonzero
+        stored product; one kept whole (of another degree) is a support list."""
+        return {
+            j: [self.pos.get(l) for l in p.vec] if type(p) is Element else self.of(p, self.degree[i] + self.degree[j])
+            for b, p in self.dg.row(self.labels[i]).items()
+            for j in self.at[b]
+        }
 
 
 def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
@@ -395,7 +406,7 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
     dtab = [tables.diff(k) for k in range(n)]
     # tab[i][j]: the table of labels[i] * labels[j], nonzero products only;
     # tabT[j]: the i with labels[i] * labels[j] != 0
-    tab = [{j: t for j in range(n) if (t := tables.product(i, j))} for i in range(n)]
+    tab = [tables.row(i) for i in range(n)]
     tabT: list[list[int]] = [[] for _ in range(n)]
     for i, row in enumerate(tab):
         for j in row:
@@ -630,6 +641,13 @@ def span_from_matching_sources(
     return SubmoduleSpan(cx, gens)
 
 
+def matching_span(cx: LabeledFreeComplex, matching) -> tuple[SubmoduleSpan, set[tuple]]:
+    """The span of {e_V, d(e_V)} over the sources V of a Morse matching on
+    the Taylor complex cx, and the matched cells' tags, as pivots to prefer."""
+    prefer = {("e",) + tuple(V) for pair in matching for V in pair}
+    return span_from_matching_sources(cx, {tuple(s) for s, _ in matching}), prefer
+
+
 def boundary_closed(span: SubmoduleSpan, require: bool = True) -> bool:
     """Whether the boundary of every span generator lies in the span; when
     `require`, DGError at the first that does not."""
@@ -657,26 +675,27 @@ def closure_products(dg: DGStructure, span: SubmoduleSpan, key: dict | None = No
     its `SubmoduleSpan.solve` solution, None when it is not in the span.
 
     `key` starts as a copy of `span.key` and numbers every other label met.
-    For each u the stored products u*l are read once, for the labels l of
-    the generators' supports, and each u*g is summed from that row as
+    For each u the stored row of u is read once, keeping the products u*l
+    with l in the generators' supports, and each u*g is summed from those as
     coefficients at b = m_u mdeg(g); only the generators whose support meets
     a nonzero u*l are visited, every other product being 0.  A generator
     meeting a product kept whole or with a Polynomial entry is multiplied by
     `DGStructure.multiply` instead.
     """
     key = dict(span.key) if key is None else key
-    gens, columns = span.generators, span.columns
-    support = list(span.key)
-    # users[s]: the generators with support[s] in their support
+    gens, columns, support = span.generators, span.columns, span.key
+    # users[s]: the generators whose support has the label numbered s
     users: list[list[int]] = [[] for _ in support]
     for k, col in enumerate(columns):
         for s in col:
             users[s].append(k)
+    # a support label outside the basis has no place in a stored row
+    outside = [l for l in support if l not in dg.degree]
     for u in dg.all_labels():
         du = dg.degree[u]
         row, reached = {}, set()
-        for s, l in enumerate(support):
-            if prod := dg.table(u, l):
+        for l, prod in chain(dg.row(u).items(), ((l, dg.table(u, l)) for l in outside)):
+            if (s := support.get(l)) is not None and not prod.is_zero():
                 row[s] = _keyed(prod, key)
                 reached.update(users[s])
         for k in sorted(reached):
@@ -933,8 +952,7 @@ def quotient_dg(
         if not prod:
             return _NONE
         if type(prod) is Element or any(type(c) is Polynomial for c in prod.values()):
-            prod = dg.basis_product(pa, pb)
-            return _NONE if prod.is_zero() else project(prod)
+            return project(dg.basis_product(pa, pb))
         got = elim.substitute(prod, pa.multidegree * pb.multidegree, dg.degree[pa] + dg.degree[pb])
         return ScalarProduct({fwd[l]: c for l, c in got.items()})
 

@@ -46,10 +46,10 @@ from .dg import (
     SpanGenerator,
     SubmoduleSpan,
     dg_ideal_closure,
+    matching_span,
     quotient_dg,
-    span_from_matching_sources,
 )
-from .morse import lyubeznik_matching, lyubeznik_resolution, matching_sources
+from .morse import lyubeznik_matching, lyubeznik_resolution
 from .poly import Monomial, MonomialIdeal, Polynomial
 from .taylor import taylor_dg_structure
 
@@ -236,12 +236,8 @@ def prune_dg(
     dgT = taylor_dg_structure(ideal)
     T = dgT.complex
     matching = lyubeznik_matching(ideal)
-    sources = matching_sources(matching)
-    prefer = {("e",) + tuple(t) for _, t in matching} | {
-        ("e",) + tuple(s) for s in sources
-    }
-    qF = quotient_dg(dgT, span_from_matching_sources(T, sources),
-                     prefer_eliminate=prefer, name=f"F{ideal}")
+    span, prefer = matching_span(T, matching)
+    qF = quotient_dg(dgT, span, prefer_eliminate=prefer, name=f"F{ideal}")
 
     gens: list[SpanGenerator] = []
     for V in z_divisible_subsets(ideal, znames):

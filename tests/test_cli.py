@@ -389,6 +389,24 @@ class TestVerifyCertificateCommand:
         assert code == 1
         assert verified["result"]["ok"] is False
 
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda cert: {k: v for k, v in cert.items() if k != "graph"},
+            lambda cert: [cert],
+            lambda cert: {**cert, "evidence": ["morse-quotient"]},
+            lambda cert: {**cert, "graph": {"vertices": ["a", "b"]}},
+        ],
+        ids=["no-graph", "json-array", "evidence-not-an-object", "graph-without-edges"],
+    )
+    def test_malformed_certificate_exits_2(self, tmp_path, malform):
+        _, payload = run_json(["classify", "--family", "C5"])
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps(malform(payload["result"])))
+        code, out, err = run(["verify-certificate", "--file", str(cert_file)])
+        assert code == 2
+        assert err.startswith("error: ") and not out
+
 
 class TestErrors:
     def test_unknown_family(self):

@@ -908,6 +908,23 @@ class TestClosureDenseOracle:
         report = assert_closure_matches_dense(dg, span_from_matching_sources(dg.complex, [(0, 1)]))
         assert report["products"] and report["failures"]
 
+    def test_generator_on_a_label_outside_the_basis(self, taylor_fixture_ideal):
+        # the span is generated by a label the complex does not have; no
+        # stored row holds e0*ghost = e0*e1, so the closure computes it
+        # afresh and finds it outside the span
+        dg = taylor_dg_structure(taylor_fixture_ideal)
+        e0, e1 = label(dg, 0), label(dg, 1)
+        ghost = BasisLabel(("ghost",), e1.multidegree)
+
+        def product(x, y):
+            if ghost in (x, y):
+                return dg.product_fn(e0, e1) if (x, y) == (e0, ghost) else Element.zero(dg.complex, 1)
+            return dg.product_fn(x, y)
+
+        gen = SpanGenerator(("ghost",), Element.basis(dg.complex, ghost, 1))
+        report = assert_closure_matches_dense(DGStructure(dg.complex, product), SubmoduleSpan(dg.complex, [gen]))
+        assert [f["factor"] for f in report["failures"]] == [["e", 0]]
+
     def test_product_with_two_terms_is_refused(self, taylor_fixture_ideal):
         dg = two_term_product(taylor_fixture_ideal)
         span = span_from_matching_sources(dg.complex, [(0, 1)])

@@ -9,6 +9,8 @@ quotients and both quotients of `prune_dg` with one kill variable.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import networkx as nx
 import pytest
 
@@ -34,7 +36,7 @@ from dgres import prune
 from dgres.classify import C4_MATCHING, C5_MATCHING
 from dgres.combin import graph_diameter
 from dgres.complexes import entry_polynomial
-from dgres.dg import ScalarProduct
+from dgres.dg import ScalarProduct, closure_products, matching_span
 from dgres.diam4 import check_boundary_action
 from dgres.morse import matching_sources, matching_targets
 from dgres.prune import prune_ideal
@@ -154,9 +156,44 @@ class TestProductStorage:
         dg = taylor_dg_structure(MonomialIdeal.from_strings(VariableSet(("x", "y")), ["x", "y"]))
         counted = DGStructure(dg.complex, lambda a, b: calls.append((a, b)) or dg.table(a, b))
         e0, e1 = counted.complex.find_label(("e", 0)), counted.complex.find_label(("e", 1))
+        # the first read computes the row of e0 once, over every basis label
+        row = [(e0, b) for b in counted.all_labels()]
         assert counted.basis_product(e0, e1) == counted.product_fn(e0, e1) == counted.basis_product(e0, e1)
-        assert calls == [(e0, e1), (e0, e1)]
+        assert calls == row + [(e0, e1)]
         assert isinstance(counted.product_fn(e0, e1), Element)
+        assert calls == row + [(e0, e1), (e0, e1)]
+
+    def test_each_basis_pair_is_computed_once(self, corpus, monkeypatch):
+        """Across dg_check, closure_products and quotient_dg on the Taylor
+        algebra of each corpus ideal and its Lyubeznik quotient, every
+        structure passes each pair of basis labels to its product function
+        exactly once, and no stored row holds a zero."""
+        made = []
+        init = DGStructure.__init__
+
+        def counting_init(self, cx, product_fn, name=""):
+            seen = Counter()
+            made.append((self, seen))
+
+            def product(a, b):
+                seen[a, b] += 1
+                return product_fn(a, b)
+
+            init(self, cx, product, name)
+
+        monkeypatch.setattr(DGStructure, "__init__", counting_init)
+        for I in corpus:
+            dgT = taylor_dg_structure(I)
+            span, prefer = matching_span(dgT.complex, lyubeznik_matching(I))
+            assert all(sol is not None for *_, sol in closure_products(dgT, span))
+            q = quotient_dg(dgT, span, prefer_eliminate=prefer)
+            assert dg_check(dgT).ok and dg_check(q.structure).ok
+        assert len(made) == 2 * len(corpus)
+        for dg, seen in made:
+            basis = list(dg.degree)
+            assert seen == Counter((a, b) for a in basis for b in basis), dg.name
+            for a in basis:
+                assert not any(prod.is_zero() for prod in dg.row(a).values()), (dg.name, a)
 
 
 def test_boundary_action_matches_the_element_computation():
