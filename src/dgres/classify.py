@@ -41,7 +41,7 @@ from math import comb
 
 from .combin import Graph, GraphError, edge_ideal, tree_longest_path
 from .complexes import total_betti
-from .dg import boundary_closed, closure_products, dg_check, matching_span, quotient_dg
+from .dg import QuotientDG, boundary_closed, closure_products, dg_check, matching_span, quotient_dg
 from .diam4 import (
     build_cone_resolution,
     check_boundary_action,
@@ -237,17 +237,25 @@ def _resolution_summary(cx, ideal) -> dict:
     return {"checked": True, "ok": True}
 
 
-def _closure_count(dg, span) -> int:
-    """The number of nonzero products e_u * g that `dg_ideal_closure` checks
-    and finds in the span; GraphError when one is not, DGError when the span
-    is not closed under the differential."""
+def _matching_quotient(ideal: MonomialIdeal, matching) -> tuple[dict, int, QuotientDG]:
+    """The Taylor dg algebra of `ideal` modulo the span of the two-term
+    subcomplexes of a Morse matching, as (the matching's validation report
+    on the Taylor graph, the number of nonzero products e_u * g that
+    `dg_ideal_closure` checks and finds in the span, the quotient).
+    GraphError when the matching is invalid or a product leaves the span,
+    DGError when the span is not closed under the differential."""
+    val = validate_matching(taylor_graph(ideal), matching)
+    if not val["ok"]:
+        raise GraphError(f"invalid matching: {val}")
+    dgT = taylor_dg_structure(ideal)
+    span, prefer = matching_span(dgT.complex, matching)
     boundary_closed(span)
     count = 0
-    for *_, sol in closure_products(dg, span):
+    for *_, sol in closure_products(dgT, span):
         if sol is None:
             raise GraphError("matching span is not a dg ideal")
         count += 1
-    return count
+    return val, count, quotient_dg(dgT, span, prefer_eliminate=prefer)
 
 
 def _taylor_minimal_evidence(ideal: MonomialIdeal) -> tuple[dict, list[int]]:
@@ -281,17 +289,10 @@ def _lyubeznik_evidence(ideal: MonomialIdeal, order: list[str]) -> tuple[dict, l
     if not L.is_minimal():
         raise GraphError("Lyubeznik resolution not minimal for chosen order")
     matching = lyubeznik_matching(ordered)
-    tg = taylor_graph(ordered)
-    val = validate_matching(tg, matching)
-    if not val["ok"]:
-        raise GraphError(f"invalid matching: {val}")
     closed, witness = is_superset_closed(ordered, matching)
     if not closed:
         raise GraphError(f"matching sources not superset-closed: {witness}")
-    dgT = taylor_dg_structure(ordered)
-    span, prefer = matching_span(dgT.complex, matching)
-    closure_count = _closure_count(dgT, span)
-    q = quotient_dg(dgT, span, prefer_eliminate=prefer)
+    val, closure_count, q = _matching_quotient(ordered, matching)
     evidence = {
         "kind": "lyubeznik-quotient",
         "generator_order": order,
@@ -313,18 +314,11 @@ def _morse_quotient_evidence(ideal: MonomialIdeal, matching) -> tuple[dict, list
     by the same span, so the quotient complex is the Morse complex up to a
     change of basis, and gives its ranks, minimality, resolution and Betti
     numbers, which do not depend on the basis."""
-    tg = taylor_graph(ideal)
-    val = validate_matching(tg, matching)
-    if not val["ok"]:
-        raise GraphError(f"invalid matching: {val}")
-    dgT = taylor_dg_structure(ideal)
-    span, prefer = matching_span(dgT.complex, matching)
-    q = quotient_dg(dgT, span, prefer_eliminate=prefer)
+    val, closure_count, q = _matching_quotient(ideal, matching)
     reduced = q.structure.complex
     if not reduced.is_minimal():
         raise GraphError("Morse reduction is not minimal")
     closed, witness = is_superset_closed(ideal, matching)
-    closure_count = _closure_count(dgT, span)
     evidence = {
         "kind": "morse-quotient",
         "matching": [[list(s), list(t)] for s, t in matching],
@@ -502,9 +496,20 @@ C5_MATCHING: list[tuple[tuple[int, ...], tuple[int, ...]]] = [
 ]
 
 
+def _cycle_order(graph: Graph) -> list[str]:
+    """The vertices of a cycle in cycle order: from the first vertex towards
+    whichever of its two neighbours comes first in the vertex list, so a
+    list already in cycle order comes back unchanged."""
+    adj, first = graph.adjacency(), graph.vertices[0]
+    walk = [first, min(adj[first], key=graph.vertices.index)]
+    while len(walk) < len(graph.vertices):
+        walk.append(next(w for w in adj[walk[-1]] if w != walk[-2]))
+    return walk
+
+
 def _cycle_consecutive_ideal(graph: Graph, ideal: MonomialIdeal) -> MonomialIdeal:
     """The edge ideal of the cycle with its generators in cycle order."""
-    verts = list(graph.vertices)
+    verts = _cycle_order(graph)
     ring = ideal.ring
     order = [
         str(ring.variable(a) * ring.variable(b))
@@ -557,7 +562,7 @@ def classify_cycle(graph: Graph) -> Certificate:
             cited=["katthan-structure", "katthan-fvector", "kruskal-katona"],
             graph=gj,
         )
-    window = list(graph.vertices[:6])
+    window = _cycle_order(graph)[:6]
     evidence = _path_window_evidence(graph, edges, window)
     return Certificate(
         family="cycle", verdict="not_dg", diameter=d, parameters={"n": n},

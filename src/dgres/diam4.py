@@ -43,7 +43,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from .combin import Graph, GraphError, graph_diameter
+from .combin import Graph, GraphError, _bfs_ecc, graph_diameter
 from .complexes import (
     BasisLabel,
     ChainMap,
@@ -61,7 +61,7 @@ from .poly import (
     lcm_of,
     monomial_divide,
 )
-from .taylor import taylor_product_label, taylor_resolution, taylor_sign
+from .taylor import taylor_product_label, taylor_resolution, taylor_sign, taylor_table
 
 
 @dataclass
@@ -104,23 +104,7 @@ def star_decompose(graph: Graph) -> StarDecomposition:
     if d > 4:
         raise GraphError(f"tree has diameter {d} > 4")
     adj = graph.adjacency()
-
-    def ecc(v: str) -> int:
-        dist = {v: 0}
-        frontier = [v]
-        e = 0
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        e = max(e, dist[w])
-                        nxt.append(w)
-            frontier = nxt
-        return e
-
-    candidates = [v for v in graph.vertices if ecc(v) <= 2]
+    candidates = [v for v in graph.vertices if _bfs_ecc(adj, v)[1] <= 2]
     if not candidates:
         raise GraphError("no eccentricity-2 center; diameter bookkeeping is off")
     center = max(candidates, key=lambda v: (graph.degree(v), -graph.vertices.index(v)))
@@ -253,27 +237,19 @@ def build_cone_resolution(graph_or_dec) -> ConeResolution:
 
 def _cone_product_fn(dec, cone):
     """The cone product as `ScalarProduct`s: each term is c*(m_a m_b/m_l) e_l
-    (F*F, G*G, G*S and S*G: the Taylor sign on the union label; (1/z) f_V
-    Phi(g_W) = y_W f_{V union W_z}: the sign sigma(V, W_z); omega: -1)."""
-    find = cone.find_label
-
-    def taylor(kind: str, V, W, shift: int = 0) -> ScalarProduct:
-        """e_V e_W in the F, G or S copy: the sign on the union label."""
-        if set(V) & set(W):
-            return ScalarProduct()
-        union = tuple(sorted(V + W))
-        return ScalarProduct({find((kind,) + union, degree=len(union) + shift): taylor_sign(V, W)})
+    (F*F, G*G, G*S and S*G: the Taylor sign on the union label, by
+    `taylor_table` in that copy; (1/z) f_V Phi(g_W) = y_W f_{V union W_z}:
+    the sign sigma(V, W_z), the Taylor product f_V f_{W_z}; omega: -1)."""
 
     def f_times_g(V, W, sign: int) -> ScalarProduct:
         """sign * ((1/z) f_V Phi(g_W), 0, omega_{f_V}(g_W)) (V from G(I), W
         from G(J)); the first part is y_W f_{V union W_z} or 0."""
-        out = ScalarProduct()
         spoke_set, repeat_free = zify_indices(dec, W)
-        if repeat_free and not set(V) & set(spoke_set):
-            union = tuple(sorted(V + spoke_set))
-            out[find(("F",) + union, degree=len(union))] = sign * taylor_sign(V, spoke_set)
+        out = taylor_table(cone, V, spoke_set, "F", 0) if repeat_free else ScalarProduct()
+        if sign < 0:
+            out = ScalarProduct({l: -c for l, c in out.items()})
         if len(V) == 1:  # omega_{f_q}(g_W) = -x_q g_W on the twisted copy
-            out[find(("S",) + W, degree=len(W) + 1)] = -sign
+            out[cone.find_label(("S",) + W, degree=len(W) + 1)] = -sign
         return out
 
     def product(a: BasisLabel, b: BasisLabel) -> ScalarProduct:
@@ -286,10 +262,8 @@ def _cone_product_fn(dec, cone):
             return ScalarProduct({b: 1})
         if kb == "F" and not vb:
             return ScalarProduct({a: 1})
-        if ka == "F" and kb == "F":
-            return taylor("F", va, vb)
-        if ka == "G" and kb == "G":
-            return taylor("G", va, vb)
+        if ka == kb != "S":  # F*F, G*G
+            return taylor_table(cone, va, vb, ka, 0)
         if ka == "F" and kb == "G":
             return f_times_g(va, vb, 1)
         if ka == "G" and kb == "F":
@@ -298,10 +272,10 @@ def _cone_product_fn(dec, cone):
             # (-1)^{|g||f|}, and omega is only nonzero for |f| = 1.
             return f_times_g(vb, va, -1 if (da % 2 and db % 2) else 1)
         if ka == "G" and kb == "S":
-            prod = taylor("S", va, vb, 1)
+            prod = taylor_table(cone, va, vb, "S", 1)
             return ScalarProduct({l: -c for l, c in prod.items()}) if da % 2 else prod
         if ka == "S" and kb == "G":
-            return taylor("S", va, vb, 1)
+            return taylor_table(cone, va, vb, "S", 1)
         # (F,S), (S,F), (S,S) all vanish
         return ScalarProduct()
 

@@ -15,10 +15,11 @@ guarantees every pivot is a unit.
 
 `lyubeznik_matching` implements the matching A(<) of Batzies-Welker:
 M(sigma) is the smallest generator u_q dividing lcm{u in sigma : u > u_q},
-matched via sigma <-> sigma + {M(sigma)}.  Its critical cells are exactly
-the subsets accepted by the classical Lyubeznik survivor rule, and
-`lyubeznik_resolution` writes that subcomplex of the Taylor complex on the
-survivors alone; the two constructions are cross-checked in the tests.
+matched via sigma <-> sigma + {M(sigma)}.  Its critical cells, the subsets
+with no M value, are exactly the survivors of the classical Lyubeznik rule,
+so `lyubeznik_critical` keeps those, and `lyubeznik_resolution` writes that
+subcomplex of the Taylor complex on the survivors alone; the tests check
+both against the rule written out.
 """
 
 from __future__ import annotations
@@ -170,17 +171,14 @@ def is_superset_closed(ideal: MonomialIdeal, matching) -> tuple[bool, dict | Non
 # the Batzies-Welker matching A(<)
 
 
-def _suffix_lcms(gens, members) -> list:
-    """lcm(gens[members[p:]]) for each position p, one lcm per member."""
-    return list(accumulate([gens[j] for j in reversed(members)], monomial_lcm))[::-1]
-
-
 def _min_divisor_index(ideal: MonomialIdeal, sigma: tuple[int, ...]) -> int | None:
     """M(sigma) for a sorted sigma: least q with u_q | lcm{u_j in sigma : j > q},
     else None."""
     gens = ideal.generators
+    # lcm(gens[sigma[p:]]) for each position p, one lcm per member
+    tails = list(accumulate([gens[j] for j in reversed(sigma)], monomial_lcm))[::-1]
     lo = 0  # the q in [lo, j) have the members from j on as their later set
-    for j, tail in zip(sigma, _suffix_lcms(gens, sigma)):
+    for j, tail in zip(sigma, tails):
         for q in range(lo, j):
             if gens[q].divides(tail):
                 return q
@@ -211,16 +209,14 @@ def lyubeznik_matching(ideal: MonomialIdeal) -> tuple[Arc, ...]:
 def lyubeznik_critical(ideal: MonomialIdeal) -> dict[int, list[tuple[int, ...]]]:
     """Subsets passing the classical survivor rule, by cardinality:
     U = {u_{i_1} < ... < u_{i_s}} survives iff no generator u_q below some
-    u_{i_t} divides lcm(u_{i_t}, ..., u_{i_s})."""
-    gens = ideal.generators
-    t = len(gens)
+    u_{i_t} divides lcm(u_{i_t}, ..., u_{i_s}), that is iff M(U) is
+    undefined (`_min_divisor_index`): a u_q below i_{t-1} dividing that
+    lcm divides the longer one from i_{t-1} on too."""
+    t = len(ideal.generators)
     out: dict[int, list[tuple[int, ...]]] = {}
     for size in range(t + 1):
         for U in combinations(range(t), size):
-            tails = _suffix_lcms(gens, U)
-            if not any(
-                gens[q].divides(tail) for it, tail in zip(U, tails) for q in range(it)
-            ):
+            if _min_divisor_index(ideal, U) is None:
                 out.setdefault(size, []).append(U)
     return out
 
@@ -247,9 +243,7 @@ def lyubeznik_resolution(ideal: MonomialIdeal, order=None) -> LabeledFreeComplex
 # algebraic Morse reduction
 
 
-def morse_reduce(
-    T: LabeledFreeComplex, matching, tag_prefix: str = "e"
-) -> LabeledFreeComplex:
+def morse_reduce(T: LabeledFreeComplex, matching) -> LabeledFreeComplex:
     """The Morse complex of a matching: T modulo the span of e_sigma and
     d(e_sigma) over the matched pairs (sigma, tau), each d(e_sigma) pivoted
     on its matched target tau (`dg.Elimination`).
@@ -266,7 +260,7 @@ def morse_reduce(
     """
     def cell(v) -> BasisLabel | None:
         try:
-            return T.find_label((tag_prefix,) + tuple(v))
+            return T.find_label(("e",) + tuple(v))
         except ComplexError:
             return None
 

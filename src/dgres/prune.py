@@ -216,12 +216,7 @@ class PrunedDG:
     matches_boocher: bool
 
 
-def prune_dg(
-    ideal: MonomialIdeal,
-    znames,
-    order=None,
-    check_closure: bool = True,
-) -> PrunedDG:
+def prune_dg(ideal: MonomialIdeal, znames, check_closure: bool = True) -> PrunedDG:
     """Descend the Lyubeznik-quotient dg structure along pruning by Z.
 
     Pipeline: T with its product; J from the standard-matching sources;
@@ -231,8 +226,6 @@ def prune_dg(
     with Boocher pruning of F.
     """
     znames = tuple(znames)
-    if order is not None:
-        ideal = ideal.reorder(order)
     dgT = taylor_dg_structure(ideal)
     T = dgT.complex
     matching = lyubeznik_matching(ideal)

@@ -32,7 +32,7 @@ from .complexes import BasisLabel, ComplexError, LabeledFreeComplex, VecT, entry
 from .dg import DGStructure, ScalarProduct
 from .poly import Monomial, MonomialIdeal, PolyError, lcm_of, monomial_divide, monomial_lcm
 
-MAX_GENERATORS = 63  # subsets fit in an int bitmask
+MAX_GENERATORS = 63
 
 
 def taylor_complex(
@@ -100,14 +100,17 @@ def taylor_product_label(
     return Fraction(taylor_sign(V, W)), coeff, union
 
 
-def taylor_table(T: LabeledFreeComplex, a: BasisLabel, b: BasisLabel) -> ScalarProduct:
-    """e_V e_W inside the Taylor complex T as the sign on e_{V union W}, or
-    empty when V and W meet."""
-    V, W = a.tag[1:], b.tag[1:]
+def taylor_table(
+    T: LabeledFreeComplex, V: tuple[int, ...], W: tuple[int, ...], kind: str, shift: int
+) -> ScalarProduct:
+    """e_V e_W as the sign on the label (kind, *V union W) of T in degree
+    |V union W| + shift, or empty when V and W meet; kind "e" and shift 0
+    in a Taylor complex, other copies in the cone of `diam4`."""
     if set(V) & set(W):
         return ScalarProduct()
     union = tuple(sorted(V + W))
-    return ScalarProduct({T.find_label(("e",) + union, degree=len(union)): taylor_sign(V, W)})
+    label = T.find_label((kind,) + union, degree=len(union) + shift)
+    return ScalarProduct({label: taylor_sign(V, W)})
 
 
 def taylor_product(
@@ -117,17 +120,14 @@ def taylor_product(
     `ideal`) as {label: Polynomial}; the multidegrees are read from a, b and
     the union label."""
     want = a.multidegree * b.multidegree
-    return {l: entry_polynomial(c, l, want) for l, c in taylor_table(T, a, b).items()}
+    prod = taylor_table(T, a.tag[1:], b.tag[1:], "e", 0)
+    return {l: entry_polynomial(c, l, want) for l, c in prod.items()}
 
 
-def taylor_dg_structure(
-    ideal: MonomialIdeal,
-    T: LabeledFreeComplex | None = None,
-    order: Sequence[int] | Sequence[str] | None = None,
-) -> DGStructure:
+def taylor_dg_structure(ideal: MonomialIdeal, T: LabeledFreeComplex | None = None) -> DGStructure:
     """The Taylor complex as a dg algebra (complex + multiplication)."""
-    if order is not None:
-        ideal = ideal.reorder(order)
     if T is None:
         T = taylor_resolution(ideal)
-    return DGStructure(T, lambda a, b: taylor_table(T, a, b), name=f"Taylor{ideal}")
+    return DGStructure(
+        T, lambda a, b: taylor_table(T, a.tag[1:], b.tag[1:], "e", 0), name=f"Taylor{ideal}"
+    )

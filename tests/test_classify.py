@@ -259,6 +259,26 @@ class TestCycleClassification:
             assert cert.betti is None
             assert cert.evidence["path_betti"] == [1, 5, 7, 4, 1]
 
+    def test_vertices_in_any_order(self):
+        # Graph.vertices need not list a cycle in cycle order: v1, v3, v5,
+        # ..., v2, v4, ... and random shuffles classify as C_n does, and
+        # the n >= 7 window is six consecutive vertices of the cycle.
+        rng = random.Random(14)
+        for n in range(3, 10):
+            cycle = cycle_graph(n)
+            expected = classify(cycle)
+            evens_then_odds = list(cycle.vertices[::2]) + list(cycle.vertices[1::2])
+            orders = [evens_then_odds] + [rng.sample(cycle.vertices, n) for _ in range(3)]
+            for order in orders:
+                cert = classify(Graph(tuple(order), cycle.edges))
+                assert (cert.verdict, cert.betti, cert.evidence["kind"]) == (
+                    expected.verdict, expected.betti, expected.evidence["kind"],
+                ), order
+                assert verify_certificate(cert.to_json())["ok"], order
+                if n >= 7:
+                    window = cert.evidence["window"]
+                    assert all(frozenset(e) in cycle.edges for e in zip(window, window[1:]))
+
 
 class TestCertificates:
     def test_json_shape_and_citations(self):

@@ -354,6 +354,14 @@ class TestClassifyCommand:
         assert code == 0
         assert payload["result"]["diameter"] == 3
 
+    def test_cycle_edges_in_any_order(self):
+        # a C5 whose vertices, read in order of first appearance, are not
+        # in cycle order
+        code, payload = run_json(["classify", "--edges", "a-b,d-e,b-c,c-d,e-a"])
+        assert code == 0
+        assert payload["result"]["verdict"] == "dg"
+        assert payload["result"]["betti"] == [1, 5, 5, 1]
+
     def test_unsupported_graph_exits_2(self):
         code, _, err = run(["classify", "--family", "L(1,1,1)"])
         assert code == 2

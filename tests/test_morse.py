@@ -247,6 +247,17 @@ class TestLyubeznikOracle:
             self.assert_matches_oracle(I)
             self.assert_matches_oracle(I.reorder(list(range(len(I.generators)))[::-1]))
 
+    def test_avramov_ideal_in_all_orders(self):
+        # Not squarefree (x^2, w^2): a squared generator divides a tail's lcm
+        # only with its exponent, so this is where a squarefree shortcut in
+        # the survivor or matching rule would go wrong.
+        I = MonomialIdeal.from_strings(
+            VariableSet(("x", "y", "z", "w")), ["x^2", "x*y", "y*z", "z*w", "w^2"]
+        )
+        assert not I.is_squarefree()
+        for perm in permutations(range(5)):
+            self.assert_matches_oracle(I.reorder(list(perm)))
+
 
 class TestLyubeznikResolution:
     def test_entry_exact_frozen_matrices(self, whisker_ideal):
