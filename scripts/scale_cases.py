@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the scale cases and check their results.
 
-For the edge ideals of the paths P12 and P14 this builds, in order, the
+For the edge ideals of the paths P12, P14 and P16 this builds, in order, the
 Taylor resolution, the Lyubeznik resolution, the Lyubeznik matching and
 the Morse reduction of the Taylor resolution along that matching.  The
 ranks of the three complexes and the number of matched pairs are checked
@@ -54,6 +54,11 @@ FROZEN = {
         "taylor": [1, 14, 91, 364, 1001, 2002, 3003, 3432, 3003, 2002, 1001, 364, 91, 14, 1],
         "lyubeznik": [1, 14, 90, 352, 935, 1782, 2508, 2640, 2079, 1210, 506, 144, 25, 2],
         "pairs": 2048,
+    },
+    "P16": {
+        "taylor": [1, 16, 120, 560, 1820, 4368, 8008, 11440, 12870, 11440, 8008, 4368, 1820, 560, 120, 16, 1],
+        "lyubeznik": [1, 16, 119, 546, 1729, 4004, 7007, 9438, 9867, 8008, 5005, 2366, 819, 196, 29, 2],
+        "pairs": 8192,
     },
 }
 

@@ -19,17 +19,20 @@ matched via sigma <-> sigma + {M(sigma)}.  Its critical cells, the subsets
 with no M value, are exactly the survivors of the classical Lyubeznik rule,
 so `lyubeznik_critical` keeps those, and `lyubeznik_resolution` writes that
 subcomplex of the Taylor complex on the survivors alone; the tests check
-both against the rule written out.
+both against the rule written out.  The M test reads the generators as
+unary int bitmasks (`_divisor_masks`), where u | m is `not u & ~m` and the
+lcm is `u | m`; for a squarefree ideal these are the support masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from operator import or_
 
 from .complexes import BasisLabel, ComplexError, LabeledFreeComplex
 from .dg import DGError, Elimination
-from .poly import MonomialIdeal, lcm_of, monomial_lcm
+from .poly import MonomialIdeal, lcm_of
 from .taylor import taylor_complex
 
 Arc = tuple[tuple[int, ...], tuple[int, ...]]  # (source subset, target subset)
@@ -171,16 +174,26 @@ def is_superset_closed(ideal: MonomialIdeal, matching) -> tuple[bool, dict | Non
 # the Batzies-Welker matching A(<)
 
 
-def _min_divisor_index(ideal: MonomialIdeal, sigma: tuple[int, ...]) -> int | None:
-    """M(sigma) for a sorted sigma: least q with u_q | lcm{u_j in sigma : j > q},
-    else None."""
+def _divisor_masks(ideal: MonomialIdeal) -> list[int]:
+    """The generators as unary int bitmasks: x_k^e sets the low e bits of a
+    field as wide as the largest exponent of x_k among the generators.  Then
+    u | m iff `not u & ~m`, and lcm(u, m) is `u | m`, for every monomial
+    ideal; a squarefree ideal gets one bit per variable that occurs."""
     gens = ideal.generators
-    # lcm(gens[sigma[p:]]) for each position p, one lcm per member
-    tails = list(accumulate([gens[j] for j in reversed(sigma)], monomial_lcm))[::-1]
+    widths = [max(col) for col in zip(*(g.exponents for g in gens))]
+    offsets = [0, *accumulate(widths)]
+    return [sum(((1 << e) - 1) << off for e, off in zip(g.exponents, offsets)) for g in gens]
+
+
+def _min_divisor_index(masks: list[int], sigma: tuple[int, ...]) -> int | None:
+    """M(sigma) for a sorted sigma: least q with u_q | lcm{u_j in sigma : j > q},
+    else None, on the ideal's `_divisor_masks`."""
+    # lcm(u_j : j in sigma[p:]) for each position p, one `or` per member
+    tails = list(accumulate([masks[j] for j in reversed(sigma)], or_))[::-1]
     lo = 0  # the q in [lo, j) have the members from j on as their later set
     for j, tail in zip(sigma, tails):
         for q in range(lo, j):
-            if gens[q].divides(tail):
+            if not masks[q] & ~tail:
                 return q
         lo = j
     return None
@@ -194,10 +207,11 @@ def lyubeznik_matching(ideal: MonomialIdeal) -> tuple[Arc, ...]:
     arc.  Subsets with no M value are critical.
     """
     t = len(ideal.generators)
+    masks = _divisor_masks(ideal)
     arcs: set[Arc] = set()
     for size in range(t + 1):
         for sigma in combinations(range(t), size):
-            q = _min_divisor_index(ideal, sigma)
+            q = _min_divisor_index(masks, sigma)
             if q is None:
                 continue
             source = tuple(sorted(set(sigma) | {q}))
@@ -213,10 +227,11 @@ def lyubeznik_critical(ideal: MonomialIdeal) -> dict[int, list[tuple[int, ...]]]
     undefined (`_min_divisor_index`): a u_q below i_{t-1} dividing that
     lcm divides the longer one from i_{t-1} on too."""
     t = len(ideal.generators)
+    masks = _divisor_masks(ideal)
     out: dict[int, list[tuple[int, ...]]] = {}
     for size in range(t + 1):
         for U in combinations(range(t), size):
-            if _min_divisor_index(ideal, U) is None:
+            if _min_divisor_index(masks, U) is None:
                 out.setdefault(size, []).append(U)
     return out
 

@@ -67,16 +67,41 @@ def prune_ideal(ideal: MonomialIdeal, znames) -> MonomialIdeal:
     return MonomialIdeal(ring2, gens)
 
 
+def _grid(rows: list[BasisLabel], cols: list[BasisLabel], table: dict) -> list[list[str]]:
+    """The matrix of `table` (columns by label) on `rows` x `cols`, as strings."""
+    cols = [(c, table.get(c, {})) for c in cols]
+    return [
+        [str(entry_polynomial(v, r, c.multidegree)) if (v := col.get(r)) else "0" for c, col in cols]
+        for r in rows
+    ]
+
+
 @dataclass
 class PruneStage:
     """Snapshot of one loop iteration: A_i after substitution and column
     deletion, the deleted degree-i basis tags, and A_{i+1} after the row
-    deletion (entries of A_{i+1} not yet substituted)."""
+    deletion (entries of A_{i+1} not yet substituted).
+
+    The stage keeps the labels of degrees i-1, i and i+1 and its own copies
+    of the two column tables; `matrix` and `next_matrix` render the string
+    grids, zeros included, only when read.  The copies are snapshots because
+    the loop replaces columns and never edits one in place."""
 
     degree: int
     deleted: list
-    matrix: list[list[str]]
-    next_matrix: list[list[str]]
+    labels_below: list[BasisLabel]  # degree i-1, the rows of A_i
+    labels: list[BasisLabel]  # degree i, after the deletion
+    labels_above: list[BasisLabel]  # degree i+1, the columns of A_{i+1}
+    table: dict  # A_i, columns by label
+    next_table: dict  # A_{i+1}, columns by label
+
+    @property
+    def matrix(self) -> list[list[str]]:
+        return _grid(self.labels_below, self.labels, self.table)
+
+    @property
+    def next_matrix(self) -> list[list[str]]:
+        return _grid(self.labels, self.labels_above, self.next_table)
 
     def to_json(self) -> dict:
         return {
@@ -126,13 +151,6 @@ def prune_complex(F: LabeledFreeComplex, znames) -> PruneResult:
             return v.substitute_zero(znames)
         return 0 if killed(r.multidegree, c.multidegree, idx) else v
 
-    def grid(rows, cols, mat) -> list[list[str]]:
-        cols = [(c, mat.get(c, {})) for c in cols]
-        return [
-            [str(entry_polynomial(v, r, c.multidegree)) if (v := col.get(r)) else "0" for c, col in cols]
-            for r in rows
-        ]
-
     stages: list[PruneStage] = []
     for i in range(1, F.top_degree() + 1):
         cols = diffs.get(i, {})
@@ -150,8 +168,11 @@ def prune_complex(F: LabeledFreeComplex, znames) -> PruneResult:
             PruneStage(
                 degree=i,
                 deleted=[tag_to_json(c.tag) for c in dead],
-                matrix=grid(bases.get(i - 1, []), bases.get(i, []), cols),
-                next_matrix=grid(bases.get(i, []), bases.get(i + 1, []), nxt),
+                labels_below=bases.get(i - 1, []),
+                labels=bases[i],
+                labels_above=bases.get(i + 1, []),
+                table=dict(cols),
+                next_table=dict(nxt),
             )
         )
 

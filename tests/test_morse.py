@@ -24,6 +24,7 @@ from dgres import (
     validate_matching,
 )
 from dgres.morse import MorseError, lyubeznik_critical, matching_sources, matching_targets
+from dgres.prune import prune_ideal
 
 RING = VariableSet(("x", "y", "x1", "y1", "z"))
 
@@ -255,6 +256,41 @@ class TestLyubeznikOracle:
             VariableSet(("x", "y", "z", "w")), ["x^2", "x*y", "y*z", "z*w", "w^2"]
         )
         assert not I.is_squarefree()
+        for perm in permutations(range(5)):
+            self.assert_matches_oracle(I.reorder(list(perm)))
+
+    def test_mixed_degree_facet_ideals_in_all_orders(self):
+        # Squarefree generators of degrees 2 and 3: on support masks a
+        # 2-element facet can divide a tail's lcm that no single 3-element
+        # facet holds, and a 3-element facet must not pass on a 2-element
+        # overlap.
+        ring = VariableSet(("a", "b", "c", "d", "e", "f"))
+        for gens in (
+            ["a*b", "b*c*d", "d*e", "a*e*f", "c*f"],
+            ["a*b*c", "c*d", "b*d*e", "e*f", "a*c*f"],
+        ):
+            I = MonomialIdeal.from_strings(ring, gens)
+            assert I.is_squarefree()
+            for perm in permutations(range(5)):
+                self.assert_matches_oracle(I.reorder(list(perm)))
+
+    def test_pruned_ideals_in_all_orders(self):
+        # prune_ideal leaves a ring with deactivated variables, which no
+        # generator mask gives a bit.
+        ring = VariableSet(("a", "b", "c", "d", "e", "f", "g"))
+        facets = MonomialIdeal.from_strings(ring, ["a*b", "b*c*d", "d*e", "a*e*f", "c*f", "f*g"])
+        cycle = edge_ideal(build_family("C7"))
+        for I in (prune_ideal(facets, ["g"]), prune_ideal(cycle, ["v1"])):
+            assert not all(I.ring.active) and len(I.generators) == 5
+            for perm in permutations(range(5)):
+                self.assert_matches_oracle(I.reorder(list(perm)))
+
+    def test_cubes_in_all_orders(self):
+        # Exponents up to 3: the unary fields of x and y are three bits wide,
+        # and x^2*y must divide a tail's lcm only where that lcm holds x^2.
+        I = MonomialIdeal.from_strings(
+            VariableSet(("x", "y", "z")), ["x^3", "x^2*y", "x*y^2*z", "y^3", "x*z^2"]
+        )
         for perm in permutations(range(5)):
             self.assert_matches_oracle(I.reorder(list(perm)))
 
