@@ -226,10 +226,6 @@ class SimplicialComplex:
     def build(vertices, facets) -> "SimplicialComplex":
         return SimplicialComplex(tuple(vertices), tuple(frozenset(f) for f in facets))
 
-    @staticmethod
-    def from_graph(graph: Graph) -> "SimplicialComplex":
-        return SimplicialComplex.build(graph.non_isolated(), graph.edges)
-
     def f_vector(self) -> tuple[int, ...]:
         """(f_0=1, f_1=#vertices-in-faces, f_2=..., ...) by face cardinality."""
         faces: set[frozenset[str]] = {frozenset()}

@@ -19,6 +19,19 @@ stores its entries the same way, each relative to shift * m_s, and checks
 that it commutes with the differentials on coefficients; `combine` sums
 such tables.
 
+Where entries are validated: the public constructor
+`LabeledFreeComplex(ring, basis, diff)` checks that every tag is unique in
+its degree, every column label is in the degree-i basis and every row label
+in the degree i-1 basis, and stores each entry through `_stored`: zeros
+dropped, a coefficient only where m_r | m_c, integral values as ints, a
+homogeneous Polynomial as its coefficient.  So hand-built complexes, parsed
+ones and every other writer are checked.  Two writers produce stored
+columns by construction and hand them to `_from_stored`, which keeps the
+duplicate-tag check and skips the rest, without copying the columns:
+`taylor.taylor_complex` (Taylor, Lyubeznik; each entry +-1 on a facet) and
+`dg.Elimination.quotient` (Morse, `quotient_dg`; each entry a reduced
+coefficient on a surviving row).  Each call states why its columns hold.
+
 Strands: for a monomial b, the labels whose multidegree divides b span a
 subcomplex; evaluating entries at x=1 gives a complex of Q-vector spaces
 whose homology computes the multigraded pieces Tor-style.  This is how
@@ -202,21 +215,7 @@ class LabeledFreeComplex:
     ):
         """`diff[i][c]` is the column of d_i at c, {row label: entry}, each
         entry a Polynomial or a coefficient c of m_c / m_r."""
-        self.ring = ring
-        self.basis: dict[int, tuple[BasisLabel, ...]] = {
-            i: tuple(lbls) for i, lbls in basis.items() if lbls
-        }
-        self.name = name
-        self._strand_cache: dict = {}
-        self._strand_index: StrandIndex | None = None  # built by the first strand call
-        # the one index: tag -> label per degree, for the checks below,
-        # find_label and degree_of
-        self._by_tag: dict[int, dict[tuple, BasisLabel]] = {}
-        for i, lbls in self.basis.items():
-            by_tag = {l.tag: l for l in lbls}
-            if len(by_tag) != len(lbls):
-                raise ComplexError(f"duplicate tags in degree {i}")
-            self._by_tag[i] = by_tag
+        self._assemble(ring, basis, name)
         self.diff: dict[int, dict[BasisLabel, dict]] = {}
         for i, cols in diff.items():
             cols_in = self._by_tag.get(i, {})
@@ -233,6 +232,43 @@ class LabeledFreeComplex:
                         )
                     if v := _stored(v, r, c.multidegree, c):
                         out[r] = v
+
+    @classmethod
+    def _from_stored(
+        cls,
+        ring: VariableSet,
+        basis: dict[int, Sequence[BasisLabel]],
+        diff: dict[int, dict[BasisLabel, dict]],
+        name: str = "",
+    ) -> "LabeledFreeComplex":
+        """The complex of a writer whose columns are in stored form by
+        construction: every column label in the degree-i basis, every row
+        label in the degree i-1 basis with m_r | m_c, and every entry a
+        nonzero int or non-integral Fraction (`exact`).  None of that is
+        checked, and `diff` is kept, not copied; the caller states why it
+        holds next to its call."""
+        cx = cls.__new__(cls)
+        cx._assemble(ring, basis, name)
+        cx.diff = diff
+        return cx
+
+    def _assemble(self, ring: VariableSet, basis: dict[int, Sequence[BasisLabel]], name: str) -> None:
+        """Every field but `diff`: the bases and the one tag index."""
+        self.ring = ring
+        self.basis: dict[int, tuple[BasisLabel, ...]] = {
+            i: tuple(lbls) for i, lbls in basis.items() if lbls
+        }
+        self.name = name
+        self._strand_cache: dict = {}
+        self._strand_index: StrandIndex | None = None  # built by the first strand call
+        # the one index: tag -> label per degree, for the column and row
+        # checks, find_label and degree_of
+        self._by_tag: dict[int, dict[tuple, BasisLabel]] = {}
+        for i, lbls in self.basis.items():
+            by_tag = {l.tag: l for l in lbls}
+            if len(by_tag) != len(lbls):
+                raise ComplexError(f"duplicate tags in degree {i}")
+            self._by_tag[i] = by_tag
 
     # -- basic structure ---------------------------------------------------
 

@@ -90,7 +90,7 @@ from . import linalg
 from .complexes import (
     BasisLabel, LabeledFreeComplex, VecT, combine, entry_polynomial, killed, tag_to_json, vec_add, vec_scale,
 )
-from .poly import Monomial, Polynomial, exact, monomial_divide
+from .poly import Monomial, Polynomial, _monomial, exact, monomial_divide
 from .strands import Divisors
 
 
@@ -856,20 +856,32 @@ class Elimination:
                 if l.multidegree.exponents[j]:
                     raise DGError(f"surviving label {l} has multidegree divisible by {nm}; "
                                   "the span does not kill everything it must")
-            return BasisLabel(l.tag, Monomial(ring, l.multidegree.exponents)) if kill else l
+            # valid over `ring`: l is valid over cx.ring, and the check above
+            # leaves no kill variable in it
+            return BasisLabel(l.tag, _monomial(ring, l.multidegree.exponents)) if kill else l
 
-        new_labels = {l: relabel(l) for i in cx.degrees() for l in survivors[i]}
+        # survivor -> its label in the quotient, per degree
+        new_labels = {i: {l: relabel(l) for l in survivors[i]} for i in cx.degrees()}
 
         def reduce(vec: dict, b: Monomial | None, i: int) -> dict:
-            return {new_labels[l]: c for l, c in self.substitute(vec, b, i).items()}
+            at = new_labels.get(i, {})
+            return {at[l]: c for l, c in self.substitute(vec, b, i).items()}
 
-        basis = {i: [new_labels[l] for l in survivors[i]] for i in cx.degrees() if survivors[i]}
+        basis = {i: list(new_labels[i].values()) for i in cx.degrees() if survivors[i]}
         diff = {
-            i: {new_labels[l]: reduce(cx.diff.get(i, {}).get(l, {}), l.multidegree, i - 1) for l in survivors[i]}
+            i: {
+                new: {r: exact(c) for r, c in reduce(cx.diff.get(i, {}).get(l, {}), l.multidegree, i - 1).items()}
+                for l, new in new_labels[i].items()
+            }
             for i in cx.degrees()
             if i and survivors[i]
         }
-        qcx = LabeledFreeComplex(ring, basis, diff, name=name)
+        # stored by construction: `substitute` rejects a Polynomial and drops
+        # every zero, each row is a survivor of degree i-1 (`reduce` raises
+        # KeyError otherwise), and a unit pivot has m_pivot = b, so a rule's
+        # labels divide m_pivot and every row multidegree divides its
+        # column's, also once the kill variables are set to zero
+        qcx = LabeledFreeComplex._from_stored(ring, basis, diff, name=name)
 
         def project(el: Element) -> Element:
             b = _multigraded(el, "a projected element").b

@@ -150,10 +150,6 @@ def matching_sources(matching) -> set[tuple[int, ...]]:
     return {tuple(s) for s, _ in matching}
 
 
-def matching_targets(matching) -> set[tuple[int, ...]]:
-    return {tuple(t) for _, t in matching}
-
-
 def is_superset_closed(ideal: MonomialIdeal, matching) -> tuple[bool, dict | None]:
     """Is the source set A_+ closed under taking supersets inside the
     subset lattice of G(I)?  Returns a witness (sigma in A_+, superset not

@@ -50,7 +50,7 @@ from .dg import (
     quotient_dg,
 )
 from .morse import lyubeznik_matching, lyubeznik_resolution
-from .poly import Monomial, MonomialIdeal, Polynomial
+from .poly import MonomialIdeal, Polynomial, _monomial
 from .taylor import taylor_dg_structure
 
 
@@ -59,8 +59,10 @@ def prune_ideal(ideal: MonomialIdeal, znames) -> MonomialIdeal:
     znames = tuple(znames)
     ring2 = ideal.ring.deactivate(znames)
     idx = [ideal.ring.index(n) for n in znames]
+    # valid over ring2: each kept generator is valid over ideal.ring and has
+    # no Z-variable
     gens = tuple(
-        Monomial(ring2, g.exponents)
+        _monomial(ring2, g.exponents)
         for g in ideal.generators
         if not any(g.exponents[i] for i in idx)
     )
@@ -182,7 +184,8 @@ def prune_complex(F: LabeledFreeComplex, znames) -> PruneResult:
         exps = list(l.multidegree.exponents)
         for j in idx:
             exps[j] = 0
-        return BasisLabel(l.tag, Monomial(ring2, tuple(exps)))
+        # valid over ring2: a label valid over F.ring with its Z-exponents zeroed
+        return BasisLabel(l.tag, _monomial(ring2, tuple(exps)))
 
     newlab = {l: strip(l) for i in bases for l in bases[i]}
     basis = {i: [newlab[l] for l in lbls] for i, lbls in bases.items() if lbls}

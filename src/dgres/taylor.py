@@ -60,7 +60,11 @@ def taylor_complex(
             diff.setdefault(len(U), {})[lab] = {
                 face(U[:pos] + U[pos + 1 :]): -1 if pos % 2 else 1 for pos in range(len(U))
             }
-    return LabeledFreeComplex(ideal.ring, basis, diff, name=name)
+    # stored by construction: each column is the label just made in degree
+    # |U|, each row the label of a facet, made in degree |U|-1 (`face`
+    # raises for a missing one), each entry the int +-1, and m_{U-u} divides
+    # m_U because an lcm over a subset divides the lcm over the set
+    return LabeledFreeComplex._from_stored(ideal.ring, basis, diff, name=name)
 
 
 def taylor_resolution(

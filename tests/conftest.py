@@ -32,6 +32,11 @@ def ideal_from_subsets(subsets, names=VARS6) -> MonomialIdeal:
     return MonomialIdeal(ring, tuple(gens))
 
 
+def matching_targets(matching) -> set[tuple[int, ...]]:
+    """The target subsets of a matching's arcs (source, target)."""
+    return {tuple(t) for _, t in matching}
+
+
 def _random_squarefree(rng: random.Random) -> MonomialIdeal | None:
     nvars = rng.randint(3, 6)
     ngens = rng.randint(2, 4)

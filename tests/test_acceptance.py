@@ -64,9 +64,9 @@ from dgres.diam4 import (
     check_sigma_zification,
     star_decompose,
 )
-from dgres.morse import is_superset_closed, matching_sources, matching_targets
+from dgres.morse import is_superset_closed, matching_sources
 
-from conftest import t4_cases
+from conftest import matching_targets, t4_cases
 
 # --- criterion 1: hand-checked Taylor differentials of (xw, yz, xz, xy) ---
 

@@ -22,6 +22,12 @@ from dgres import (
 from dgres.combin import facet_ideal, facet_induced
 
 
+def complex_of_graph(graph: Graph) -> SimplicialComplex:
+    """The graph as a 1-dimensional simplicial complex on its non-isolated
+    vertices."""
+    return SimplicialComplex.build(graph.non_isolated(), graph.edges)
+
+
 def from_networkx(g: "nx.Graph") -> Graph:
     names = {v: f"v{v}" for v in sorted(g.nodes)}
     return Graph.build(
@@ -161,5 +167,5 @@ class TestSimplicialComplex:
 
     def test_graph_as_complex(self):
         g = cycle_graph(4)
-        cx = SimplicialComplex.from_graph(g)
+        cx = complex_of_graph(g)
         assert cx.f_vector() == (1, 4, 4)

@@ -25,6 +25,7 @@ from dgres import (
     build_family,
     complexes_equal,
     desuspend_truncation,
+    edge_ideal,
     equal_up_to_basis_scaling,
     graded_betti,
     lyubeznik_matching,
@@ -34,6 +35,7 @@ from dgres import (
     multiplication_map,
     parse_monomial,
     prune_complex,
+    prune_dg,
     prune_ideal,
     quotient_dg,
     span_from_matching_sources,
@@ -44,6 +46,7 @@ from dgres import (
     total_betti,
 )
 from dgres.classify import C5_MATCHING
+from dgres.dg import Elimination
 from dgres.diam4 import build_psi
 from dgres.morse import matching_sources
 
@@ -866,6 +869,71 @@ class TestStoredEntries:
         report = LabeledFreeComplex(ring, T.basis, diff).verify()
         assert report.d2_failures == [(2, ["e"], ["e", 0, 1], "x")]
         assert report.homogeneity_failures == [(2, ["e", 0], ["e", 0, 1], "-y + 1")]
+
+
+def stored_form(F):
+    """Everything the constructor stores, in order: the ring and name, each
+    basis as (tag, multidegree), and each column as (row tag, row
+    multidegree, entry, entry type), since 1 == Fraction(1)."""
+    return (
+        F.ring,
+        F.name,
+        [(i, [(l.tag, l.multidegree) for l in F.labels(i)]) for i in F.degrees()],
+        [
+            (i, [(c.tag, c.multidegree, [(r.tag, r.multidegree, v, type(v)) for r, v in col.items()])
+                 for c, col in cols.items()])
+            for i, cols in F.diff.items()
+        ],
+    )
+
+
+def assert_stored_as_validated(F):
+    """F, written by a writer that skips the constructor's checks, equals
+    the complex the validating constructor builds from its columns."""
+    assert stored_form(F) == stored_form(LabeledFreeComplex(F.ring, F.basis, F.diff, name=F.name)), F.name
+
+
+PATHS = [edge_ideal(build_family(f"P{n}")) for n in range(10, 15)]
+
+
+class TestStoredWriters:
+    """Taylor, Lyubeznik and every `Elimination.quotient` write their
+    columns in stored form without the constructor's per-entry checks."""
+
+    def test_taylor_and_lyubeznik(self, corpus):
+        for I in [*corpus, *PATHS]:
+            assert_stored_as_validated(taylor_resolution(I))
+            assert_stored_as_validated(lyubeznik_resolution(I))
+
+    def test_morse_along_each_lyubeznik_matching(self, corpus):
+        for I in [*corpus, *PATHS]:
+            M = morse_reduce(taylor_resolution(I), lyubeznik_matching(I))
+            assert_stored_as_validated(M)
+
+    def test_quotient_entry_that_becomes_integral(self):
+        # over Q[x], d(c) = 2a + b and d(e) = 2a, all of multidegree x;
+        # eliminating c and then a = -b/2 leaves d(e) = 2 * (-1/2) b, which
+        # the quotient must store as the int -1
+        ring = VariableSet(("x",))
+        x = ring.variable("x")
+        u = BasisLabel(("u",), ring.one())
+        a, b, c, e = (BasisLabel((t,), x) for t in "abce")
+        F = LabeledFreeComplex(ring, {0: [u], 1: [a, b], 2: [c, e]}, {2: {c: {a: 2, b: 1}, e: {a: 2}}})
+        elim = Elimination(F, [(("c",), 2, {c: 1}, x, c), (("dc",), 1, F.diff[2][c], x, a)])
+        Q, _ = elim.quotient("Q")
+        assert Q.diff[2] == {e: {b: -1}} and type(Q.diff[2][e][b]) is int
+        assert_stored_as_validated(Q)
+
+    def test_quotients_of_prune_dg(self, two_triangles_ideal, c5_ideal):
+        cases = [(two_triangles_ideal, "y1"), (two_triangles_ideal, "z1"), (edge_ideal(build_family("P6")), "v2")]
+        cases += [(c5_ideal, z) for z in c5_ideal.ring.names]
+        for I, z in cases:
+            result = prune_dg(I, (z,), check_closure=False)
+            assert_stored_as_validated(result.resolution_quotient.structure.complex)
+            # the quotient over Q/(z), whose ring has z deactivated
+            P = result.pruned_quotient.structure.complex
+            assert not P.ring.active[P.ring.index(z)]
+            assert_stored_as_validated(P)
 
 
 class TestBasisLabelValueType:

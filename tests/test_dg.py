@@ -51,10 +51,11 @@ from dgres.classify import C4_MATCHING, C5_MATCHING, _cycle_consecutive_ideal, _
 from dgres.combin import tree_longest_path
 from dgres.complexes import tag_to_json
 from dgres.dg import DGReport, _homogeneous_product_ok, _Tables, closure_products
-from dgres.morse import is_superset_closed, matching_sources, matching_targets
+from dgres.morse import is_superset_closed, matching_sources
 from dgres.poly import monomial_divide
 
 from dense_linalg import solve
+from conftest import matching_targets
 
 RING3 = VariableSet(("x", "y", "z"))
 

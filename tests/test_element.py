@@ -40,10 +40,11 @@ from dgres import (
 from dgres import prune
 from dgres.classify import C4_MATCHING, C5_MATCHING
 from dgres.combin import graph_diameter
-from dgres.morse import matching_sources, matching_targets
+from dgres.morse import matching_sources
 
 from reference_element import ReferenceElement, reference_membership, reference_multiply
 from reference_elimination import quotient_dg_elimination
+from conftest import matching_targets
 
 RING3 = VariableSet(("x", "y", "z"))
 

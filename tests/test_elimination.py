@@ -33,10 +33,11 @@ from dgres import (
     taylor_resolution,
 )
 from dgres import dg, morse, prune
-from dgres.morse import MorseError, matching_sources, matching_targets
+from dgres.morse import MorseError, matching_sources
 from dgres.prune import prune_ideal
 
 from reference_elimination import morse_elimination, quotient_dg_elimination
+from conftest import matching_targets
 
 WHISKER_RING = VariableSet(("x", "y", "x1", "y1", "z"))
 WHISKER = MonomialIdeal.from_strings(WHISKER_RING, ["x*y", "x*z", "y*z", "x*x1", "y*y1"])

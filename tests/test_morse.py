@@ -23,8 +23,10 @@ from dgres import (
     taylor_resolution,
     validate_matching,
 )
-from dgres.morse import MorseError, lyubeznik_critical, matching_sources, matching_targets
+from dgres.morse import MorseError, lyubeznik_critical, matching_sources
 from dgres.prune import prune_ideal
+
+from conftest import matching_targets
 
 RING = VariableSet(("x", "y", "x1", "y1", "z"))
 

@@ -38,10 +38,11 @@ from dgres.combin import graph_diameter
 from dgres.complexes import entry_polynomial
 from dgres.dg import ScalarProduct, closure_products, matching_span
 from dgres.diam4 import check_boundary_action
-from dgres.morse import matching_sources, matching_targets
+from dgres.morse import matching_sources
 from dgres.prune import prune_ideal
 
 import reference_products
+from conftest import matching_targets
 
 
 def assert_products_match(dg: DGStructure, oracle) -> int:

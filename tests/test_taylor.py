@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgres import (
+    ComplexError,
     Element,
     Graph,
     MonomialIdeal,
@@ -26,6 +27,7 @@ from dgres import (
     taylor_sign,
 )
 from dgres.poly import monomial_divide
+from dgres.taylor import taylor_complex
 
 RING4 = VariableSet(("x", "y", "z", "w"))
 
@@ -183,6 +185,15 @@ class TestDifferential:
     def test_d_squared_zero(self, corpus):
         for I in corpus[:8]:
             assert taylor_resolution(I).verify().ok
+
+    def test_missing_facet_is_named(self, taylor_fixture_ideal):
+        # the one structural check the stored-form writer keeps: every
+        # facet of a face must be listed before it
+        faces = [(), (0,), (1,), (2,), (0, 1), (0, 2), (0, 1, 2)]
+        with pytest.raises(ComplexError, match=r"face \[1, 2\] is missing"):
+            taylor_complex(taylor_fixture_ideal, faces, "partial")
+        F = taylor_complex(taylor_fixture_ideal, faces[:-1] + [(1, 2), (0, 1, 2)], "closed")
+        assert F.ranks() == (1, 3, 3, 1) and F.verify().ok
 
 
 class TestProduct:
