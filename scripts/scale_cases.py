@@ -9,7 +9,8 @@ against frozen values; the Morse complex must have the Lyubeznik ranks.
 On P14 each of the three complexes, which their writers build without the
 constructor's per-entry checks, must also equal its rebuild through the
 public `LabeledFreeComplex` constructor: the same tags, order,
-multidegrees, entries and entry types.
+multidegrees, entries and entry types, and for every label the same
+`degree_of(label)` and `find_label(label.tag)`.
 Then it classifies the diameter-4 trees T4(3;2,2,2) and T4(3;3,3,3), whose
 certificates rest on the cone product, checked by `dg_check` on all 134^2
 pairs and 134^3 triples and on all 1030^2 pairs and 1030^3 triples, and the
@@ -146,10 +147,21 @@ def stored_form(cx: LabeledFreeComplex) -> tuple:
     )
 
 
-def as_validated(cx: LabeledFreeComplex) -> bool:
+def index_form(cx: LabeledFreeComplex, labels: list) -> list:
+    """What the label index of cx answers for each label: its degree and
+    the label its tag names."""
+    return [(cx.degree_of(l), cx.find_label(l.tag)) for l in labels]
+
+
+def as_validated(cx: LabeledFreeComplex) -> dict:
     """Whether cx equals the complex the validating constructor builds from
-    its own columns."""
-    return stored_form(cx) == stored_form(LabeledFreeComplex(cx.ring, cx.basis, cx.diff, name=cx.name))
+    its own columns, in stored form and in its label index."""
+    rebuilt = LabeledFreeComplex(cx.ring, cx.basis, cx.diff, name=cx.name)
+    labels = [l for i in cx.degrees() for l in cx.labels(i)]
+    return {
+        "stored": stored_form(cx) == stored_form(rebuilt),
+        "index": index_form(cx, labels) == index_form(rebuilt, labels),
+    }
 
 
 def run_case(name: str) -> dict:
@@ -169,7 +181,7 @@ def run_case(name: str) -> dict:
     want = {**frozen, "morse": frozen["lyubeznik"]}
     if name == "P14":  # also rebuilt through the public constructor
         got["as_validated"] = {"taylor": as_validated(T), "lyubeznik": as_validated(L), "morse": as_validated(M)}
-        want["as_validated"] = {"taylor": True, "lyubeznik": True, "morse": True}
+        want["as_validated"] = {k: {"stored": True, "index": True} for k in ("taylor", "lyubeznik", "morse")}
     return {**checked(got, want), **timed(meter)}
 
 

@@ -19,15 +19,23 @@ stores its entries the same way, each relative to shift * m_s, and checks
 that it commutes with the differentials on coefficients; `combine` sums
 such tables.
 
+One label index: a tag names exactly one basis label in the whole complex.
+`_assemble`, which both constructors share, builds the index, `degree`
+({label: its degree}, in degree order) and the tag -> label map behind
+`find_label`, and raises ComplexError naming the tag and both degrees when
+a tag occurs twice.  `degree_of`, the column and row checks and a
+`dg.DGStructure` read `degree`; a label whose tag is in the basis but whose
+multidegree differs is not in it.
+
 Where entries are validated: the public constructor
-`LabeledFreeComplex(ring, basis, diff)` checks that every tag is unique in
-its degree, every column label is in the degree-i basis and every row label
-in the degree i-1 basis, and stores each entry through `_stored`: zeros
-dropped, a coefficient only where m_r | m_c, integral values as ints, a
-homogeneous Polynomial as its coefficient.  So hand-built complexes, parsed
-ones and every other writer are checked.  Two writers produce stored
-columns by construction and hand them to `_from_stored`, which keeps the
-duplicate-tag check and skips the rest, without copying the columns:
+`LabeledFreeComplex(ring, basis, diff)` checks that every column label is
+in the degree-i basis and every row label in the degree i-1 basis, and
+stores each entry through `_stored`: zeros dropped, a coefficient only
+where m_r | m_c, integral values as ints, a homogeneous Polynomial as its
+coefficient.  So hand-built complexes, parsed ones and every other writer
+are checked.  Two writers produce stored columns by construction and hand
+them to `_from_stored`, which keeps the index and its duplicate-tag check
+and skips the rest, without copying the columns:
 `taylor.taylor_complex` (Taylor, Lyubeznik; each entry +-1 on a facet) and
 `dg.Elimination.quotient` (Morse, `quotient_dg`; each entry a reduced
 coefficient on a surviving row).  Each call states why its columns hold.
@@ -217,16 +225,15 @@ class LabeledFreeComplex:
         entry a Polynomial or a coefficient c of m_c / m_r."""
         self._assemble(ring, basis, name)
         self.diff: dict[int, dict[BasisLabel, dict]] = {}
+        degree = self.degree
         for i, cols in diff.items():
-            cols_in = self._by_tag.get(i, {})
-            rows_in = self._by_tag.get(i - 1, {})
             stored = self.diff[i] = {}
             for c, col in cols.items():
-                if cols_in.get(c.tag) != c:
+                if degree.get(c) != i:
                     raise ComplexError(f"differential column {c} not in degree {i} basis")
                 out = stored[c] = {}
                 for r, v in col.items():
-                    if rows_in.get(r.tag) != r:
+                    if degree.get(r) != i - 1:
                         raise ComplexError(
                             f"differential row {r} not in degree {i-1} basis"
                         )
@@ -253,7 +260,7 @@ class LabeledFreeComplex:
         return cx
 
     def _assemble(self, ring: VariableSet, basis: dict[int, Sequence[BasisLabel]], name: str) -> None:
-        """Every field but `diff`: the bases and the one tag index."""
+        """Every field but `diff`: the bases and the one label index."""
         self.ring = ring
         self.basis: dict[int, tuple[BasisLabel, ...]] = {
             i: tuple(lbls) for i, lbls in basis.items() if lbls
@@ -261,14 +268,17 @@ class LabeledFreeComplex:
         self.name = name
         self._strand_cache: dict = {}
         self._strand_index: StrandIndex | None = None  # built by the first strand call
-        # the one index: tag -> label per degree, for the column and row
-        # checks, find_label and degree_of
-        self._by_tag: dict[int, dict[tuple, BasisLabel]] = {}
-        for i, lbls in self.basis.items():
-            by_tag = {l.tag: l for l in lbls}
-            if len(by_tag) != len(lbls):
-                raise ComplexError(f"duplicate tags in degree {i}")
-            self._by_tag[i] = by_tag
+        # the one index: each label's degree, in degree order, and the label
+        # of each tag; a tag names one label, so both have every label
+        self.degree: dict[BasisLabel, int] = {l: i for i in sorted(self.basis) for l in self.basis[i]}
+        self._by_tag: dict[tuple, BasisLabel] = {l.tag: l for l in self.degree}
+        if len(self._by_tag) != sum(map(len, self.basis.values())):
+            seen: dict[tuple, int] = {}
+            for i in sorted(self.basis):
+                for l in self.basis[i]:
+                    if l.tag in seen:
+                        raise ComplexError(f"tag {l.tag} occurs in degree {seen[l.tag]} and again in degree {i}")
+                    seen[l.tag] = i
 
     # -- basic structure ---------------------------------------------------
 
@@ -310,19 +320,17 @@ class LabeledFreeComplex:
                     out[r] = s
         return out
 
-    def find_label(self, tag: tuple, degree: int | None = None) -> BasisLabel:
-        degs = [degree] if degree is not None else self.degrees()
-        for i in degs:
-            l = self._by_tag.get(i, {}).get(tag)
-            if l is not None:
-                return l
-        raise ComplexError(f"no label with tag {tag}")
+    def find_label(self, tag: tuple) -> BasisLabel:
+        l = self._by_tag.get(tag)
+        if l is None:
+            raise ComplexError(f"no label with tag {tag}")
+        return l
 
     def degree_of(self, label: BasisLabel) -> int:
-        for i in self.degrees():
-            if self._by_tag.get(i, {}).get(label.tag) == label:
-                return i
-        raise ComplexError(f"label {label} not in complex")
+        i = self.degree.get(label)
+        if i is None:
+            raise ComplexError(f"label {label} not in complex")
+        return i
 
     # -- verification ------------------------------------------------------
 
@@ -378,9 +386,7 @@ class LabeledFreeComplex:
         )
 
     def labels_squarefree(self) -> bool:
-        return all(
-            l.multidegree.is_squarefree() for i in self.degrees() for l in self.labels(i)
-        )
+        return all(l.multidegree.is_squarefree() for l in self.degree)
 
     # -- strands and homology ----------------------------------------------
 
@@ -593,7 +599,7 @@ def desuspend_truncation(G: LabeledFreeComplex) -> LabeledFreeComplex:
 
 def multiplication_map(C: LabeledFreeComplex, m: Monomial) -> ChainMap:
     """The chain map C -> C given by multiplication with the monomial m."""
-    entries = {l: {l: 1} for i in C.degrees() for l in C.labels(i)}
+    entries = {l: {l: 1} for l in C.degree}
     return ChainMap(C, C, entries, multidegree_shift=m)
 
 

@@ -134,9 +134,8 @@ class Element:
         return Element.stored(cx, degree, None, {})
 
     @staticmethod
-    def basis(cx: LabeledFreeComplex, label: BasisLabel, degree: int | None = None) -> "Element":
-        d = degree if degree is not None else cx.degree_of(label)
-        return Element.stored(cx, d, label.multidegree, {label: 1})
+    def basis(cx: LabeledFreeComplex, label: BasisLabel) -> "Element":
+        return Element.stored(cx, cx.degree_of(label), label.multidegree, {label: 1})
 
     @property
     def coords(self) -> VecT:
@@ -220,7 +219,8 @@ class DGStructure:
     any other stays a Polynomial, an Element of another degree (or on a
     label outside the basis) is kept whole, and a coefficient on l needs
     m_l | m_a m_b.  `basis_product`, `product_fn` and `multiply` build
-    Elements from the stored products.
+    Elements from the stored products.  `degree` is the complex's label
+    index, so a label is a basis label exactly when it is a key there.
     """
 
     def __init__(
@@ -236,15 +236,9 @@ class DGStructure:
         if len(deg0) != 1:
             raise DGError("dg structure needs rank-1 degree 0")
         self.unit = deg0[0]
-        # degree of each label, the first where it occurs (as `degree_of`)
-        self.degree: dict[BasisLabel, int] = {}
-        for i in complex.degrees():
-            for l in complex.labels(i):
-                self.degree.setdefault(l, i)
+        # the complex's label index: each basis label's degree, in degree order
+        self.degree = complex.degree
         self._rows: dict[BasisLabel, dict[BasisLabel, ScalarProduct | Element]] = {}
-
-    def all_labels(self) -> list[BasisLabel]:
-        return [l for i in self.complex.degrees() for l in self.complex.labels(i)]
 
     def row(self, a: BasisLabel) -> dict[BasisLabel, "ScalarProduct | Element"]:
         """{b: e_a e_b} over the basis labels b, nonzero products only."""
@@ -351,45 +345,6 @@ def _homogeneous_product_ok(a: BasisLabel, b: BasisLabel, prod: Element) -> bool
 _ZERO: dict = {}  # the table of a zero element; never written to
 
 
-class _Tables:
-    """A structure's labels by position, with their degrees, and stored
-    products and columns as scalar tables.  The table of {label l: c} in
-    degree deg is {position of l: c} when every l is a basis label of degree
-    deg and every c a coefficient, and otherwise the positions of its
-    labels, None for a label outside the basis (a support list)."""
-
-    def __init__(self, dg: DGStructure):
-        # pos[l]: the first position of l; at[l]: all, if l sits in two degrees
-        self.dg, self.labels, self.pos, self.at = dg, dg.all_labels(), {}, {}
-        for i, l in enumerate(self.labels):
-            self.pos.setdefault(l, i)
-            self.at.setdefault(l, []).append(i)
-        self.degree = [dg.degree[l] for l in self.labels]
-
-    def of(self, vec: dict, deg: int) -> dict | list:
-        out = {}
-        for l, c in vec.items():
-            k = self.pos.get(l)
-            if k is None or self.degree[k] != deg or type(c) is Polynomial:
-                return [self.pos.get(l) for l in vec]
-            out[k] = c
-        return out
-
-    def diff(self, k: int) -> dict | list:
-        """The table of d(labels[k]), read off the stored column."""
-        deg = self.degree[k]
-        return self.of(self.dg.complex.diff.get(deg, {}).get(self.labels[k], _ZERO), deg - 1)
-
-    def row(self, i: int) -> dict[int, dict | list]:
-        """{j: the table of labels[i] * labels[j]} over the j with a nonzero
-        stored product; one kept whole (of another degree) is a support list."""
-        return {
-            j: [self.pos.get(l) for l in p.vec] if type(p) is Element else self.of(p, self.degree[i] + self.degree[j])
-            for b, p in self.dg.row(self.labels[i]).items()
-            for j in self.at[b]
-        }
-
-
 def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
     """Verify the dg-algebra axioms exhaustively on basis pairs/triples.
 
@@ -399,14 +354,37 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
     """
     cx = dg.complex
     report = DGReport()
-    tables = _Tables(dg)
-    labels, degree = tables.labels, tables.degree
+    # the basis labels by position, in the complex's degree order
+    labels, degree = list(dg.degree), list(dg.degree.values())
+    pos = {l: k for k, l in enumerate(labels)}
     n = len(labels)
-    basis = [Element.basis(cx, l, d) for l, d in zip(labels, degree)]
-    dtab = [tables.diff(k) for k in range(n)]
-    # tab[i][j]: the table of labels[i] * labels[j], nonzero products only;
+
+    def table(vec: dict, deg: int) -> dict | list:
+        """{position of l: c} for {label l: c} in degree deg when every l is
+        a basis label of degree deg and every c a coefficient; otherwise the
+        positions of its labels, None for one outside the basis (a support
+        list)."""
+        out = {}
+        for l, c in vec.items():
+            k = pos.get(l)
+            if k is None or degree[k] != deg or type(c) is Polynomial:
+                return [pos.get(l) for l in vec]
+            out[k] = c
+        return out
+
+    basis = [Element.basis(cx, l) for l in labels]
+    # dtab[k]: the table of d(labels[k]), read off the stored column
+    dtab = [table(cx.diff.get(d, _ZERO).get(l, _ZERO), d - 1) for l, d in zip(labels, degree)]
+    # tab[i][j]: the table of labels[i] * labels[j], nonzero products only,
+    # one kept whole (of another degree) a support list;
     # tabT[j]: the i with labels[i] * labels[j] != 0
-    tab = [tables.row(i) for i in range(n)]
+    tab = [
+        {
+            pos[b]: [pos.get(l) for l in p.vec] if type(p) is Element else table(p, d + dg.degree[b])
+            for b, p in dg.row(a).items()
+        }
+        for a, d in zip(labels, degree)
+    ]
     tabT: list[list[int]] = [[] for _ in range(n)]
     for i, row in enumerate(tab):
         for j in row:
@@ -418,10 +396,10 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
             dinv[k].append(j)
     top = cx.top_degree()
     one = dg.unit
-    u = tables.pos[one]
+    u = pos[one]
 
     for i, a in enumerate(labels):
-        want = {tables.pos[a]: 1}
+        want = {i: 1}
         if tab[u].get(i) == want and tab[i].get(u) == want:
             continue
         left = dg.basis_product(one, a)
@@ -634,7 +612,7 @@ def span_from_matching_sources(
     """
     gens: list[SpanGenerator] = []
     for V in sorted(sources, key=lambda v: (len(v), v)):
-        e = Element.basis(cx, cx.find_label(("e",) + tuple(V), degree=len(V)), len(V))
+        e = Element.basis(cx, cx.find_label(("e",) + tuple(V)))
         gens.append(SpanGenerator(("e",) + tuple(V), e))
         if not (de := e.diff()).is_zero():
             gens.append(SpanGenerator(("de",) + tuple(V), de))
@@ -691,8 +669,7 @@ def closure_products(dg: DGStructure, span: SubmoduleSpan, key: dict | None = No
             users[s].append(k)
     # a support label outside the basis has no place in a stored row
     outside = [l for l in support if l not in dg.degree]
-    for u in dg.all_labels():
-        du = dg.degree[u]
+    for u, du in dg.degree.items():
         row, reached = {}, set()
         for l, prod in chain(dg.row(u).items(), ((l, dg.table(u, l)) for l in outside)):
             if (s := support.get(l)) is not None and not prod.is_zero():
@@ -702,7 +679,7 @@ def closure_products(dg: DGStructure, span: SubmoduleSpan, key: dict | None = No
             g = gens[k].element
             vec = combine([(q, row.get(s, _ZERO)) for s, q in columns[k].items()])
             if vec is None:
-                prod = dg.multiply(Element.basis(dg.complex, u, du), g)
+                prod = dg.multiply(Element.basis(dg.complex, u), g)
                 if prod.is_zero():
                     continue
                 b = _multigraded(prod, "a membership element").b

@@ -196,7 +196,7 @@ def build_psi(
             elif kind == "S":
                 spoke_set, repeat_free = zify_indices(dec, W)
                 if repeat_free:
-                    img[F.find_label(("e",) + spoke_set, degree=len(spoke_set))] = 1
+                    img[F.find_label(("e",) + spoke_set)] = 1
     return ChainMap(Gp, F, entries)
 
 
@@ -245,11 +245,11 @@ def _cone_product_fn(dec, cone):
         """sign * ((1/z) f_V Phi(g_W), 0, omega_{f_V}(g_W)) (V from G(I), W
         from G(J)); the first part is y_W f_{V union W_z} or 0."""
         spoke_set, repeat_free = zify_indices(dec, W)
-        out = taylor_table(cone, V, spoke_set, "F", 0) if repeat_free else ScalarProduct()
+        out = taylor_table(cone, V, spoke_set, "F") if repeat_free else ScalarProduct()
         if sign < 0:
             out = ScalarProduct({l: -c for l, c in out.items()})
         if len(V) == 1:  # omega_{f_q}(g_W) = -x_q g_W on the twisted copy
-            out[cone.find_label(("S",) + W, degree=len(W) + 1)] = -sign
+            out[cone.find_label(("S",) + W)] = -sign
         return out
 
     def product(a: BasisLabel, b: BasisLabel) -> ScalarProduct:
@@ -263,7 +263,7 @@ def _cone_product_fn(dec, cone):
         if kb == "F" and not vb:
             return ScalarProduct({a: 1})
         if ka == kb != "S":  # F*F, G*G
-            return taylor_table(cone, va, vb, ka, 0)
+            return taylor_table(cone, va, vb, ka)
         if ka == "F" and kb == "G":
             return f_times_g(va, vb, 1)
         if ka == "G" and kb == "F":
@@ -272,10 +272,10 @@ def _cone_product_fn(dec, cone):
             # (-1)^{|g||f|}, and omega is only nonzero for |f| = 1.
             return f_times_g(vb, va, -1 if (da % 2 and db % 2) else 1)
         if ka == "G" and kb == "S":
-            prod = taylor_table(cone, va, vb, "S", 1)
+            prod = taylor_table(cone, va, vb, "S")
             return ScalarProduct({l: -c for l, c in prod.items()}) if da % 2 else prod
         if ka == "S" and kb == "G":
-            return taylor_table(cone, va, vb, "S", 1)
+            return taylor_table(cone, va, vb, "S")
         # (F,S), (S,F), (S,S) all vanish
         return ScalarProduct()
 
@@ -389,7 +389,7 @@ def check_boundary_action(res: ConeResolution) -> dict:
     {g: 1}.
     """
     cone, dg = res.cone, res.dg
-    gs = [g for j in cone.degrees() for g in cone.labels(j) if g.tag[0] == "G"]
+    gs = [g for g in cone.degree if g.tag[0] == "G"]
     failures = []
     for i in cone.degrees():
         for f in cone.labels(i):

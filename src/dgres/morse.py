@@ -19,20 +19,22 @@ matched via sigma <-> sigma + {M(sigma)}.  Its critical cells, the subsets
 with no M value, are exactly the survivors of the classical Lyubeznik rule,
 so `lyubeznik_critical` keeps those, and `lyubeznik_resolution` writes that
 subcomplex of the Taylor complex on the survivors alone; the tests check
-both against the rule written out.  The M test reads the generators as
-unary int bitmasks (`_divisor_masks`), where u | m is `not u & ~m` and the
-lcm is `u | m`; for a squarefree ideal these are the support masks.
+both against the rule written out.  The M test and the equal-lcm test of
+`taylor_graph` read the generators as unary int bitmasks
+(`_divisor_masks`), where u | m is `not u & ~m` and the lcm is `u | m`;
+for a squarefree ideal these are the support masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, combinations
 from operator import or_
 
-from .complexes import BasisLabel, ComplexError, LabeledFreeComplex
+from .complexes import ComplexError, LabeledFreeComplex
 from .dg import DGError, Elimination
-from .poly import MonomialIdeal, lcm_of
+from .poly import MonomialIdeal
 from .taylor import taylor_complex
 
 Arc = tuple[tuple[int, ...], tuple[int, ...]]  # (source subset, target subset)
@@ -80,18 +82,19 @@ class TaylorGraph:
 
 def taylor_graph(ideal: MonomialIdeal) -> TaylorGraph:
     """All arcs sigma -> tau with tau = sigma minus a point, equal lcm,
-    |tau| >= 2; arcs sorted by (|tau|, sigma, tau)."""
+    |tau| >= 2; arcs sorted by (|tau|, sigma, tau).  The lcm of a set is the
+    `or` of its `_divisor_masks`."""
     t = len(ideal.generators)
     if t > MAX_GRAPH_GENERATORS:
         raise MorseError(f"Taylor graph limited to {MAX_GRAPH_GENERATORS} generators")
-    gens = ideal.generators
+    masks = _divisor_masks(ideal)
     arcs: list[Arc] = []
     for size in range(3, t + 1):
         for sigma in combinations(range(t), size):
-            m_sigma = lcm_of((gens[i] for i in sigma), ideal.ring)
+            m_sigma = reduce(or_, (masks[i] for i in sigma))
             for drop in sigma:
                 tau = tuple(i for i in sigma if i != drop)
-                if lcm_of((gens[i] for i in tau), ideal.ring) == m_sigma:
+                if reduce(or_, (masks[i] for i in tau)) == m_sigma:
                     arcs.append((sigma, tau))
     arcs.sort(key=lambda a: (len(a[1]), a[0], a[1]))
     return TaylorGraph(ideal, tuple(arcs))
@@ -196,23 +199,25 @@ def _min_divisor_index(masks: list[int], sigma: tuple[int, ...]) -> int | None:
 
 
 def lyubeznik_matching(ideal: MonomialIdeal) -> tuple[Arc, ...]:
-    """The matching A(<) for the given generator order, deduplicated.
+    """The matching A(<) for the given generator order.
 
     A subset sigma with M(sigma) = q is matched along
-    (sigma + {q}) -> (sigma - {q}); sigma and sigma + {q} produce the same
-    arc.  Subsets with no M value are critical.
+    (sigma + {q}) -> (sigma - {q}).  Subsets with no M value are critical.
     """
     t = len(ideal.generators)
     masks = _divisor_masks(ideal)
-    arcs: set[Arc] = set()
+    # each arc is emitted once, from its lower cell: a sigma with q = M(sigma)
+    # not in sigma gives (sigma + {q}) -> sigma.  Then u_q | lcm(sigma_{>q}),
+    # so adding q changes lcm(sigma_{>q'}) for no q' < q, and
+    # M(sigma + {q}) = q: the upper cell names the same arc.  Conversely, a
+    # rho with q = M(rho) in rho has M(rho - {q}) = q by the same argument,
+    # so every arc has its lower cell.
+    arcs: list[Arc] = []
     for size in range(t + 1):
         for sigma in combinations(range(t), size):
             q = _min_divisor_index(masks, sigma)
-            if q is None:
-                continue
-            source = tuple(sorted(set(sigma) | {q}))
-            target = tuple(i for i in source if i != q)
-            arcs.add((source, target))
+            if q is not None and q not in sigma:
+                arcs.append((tuple(sorted(sigma + (q,))), sigma))
     return tuple(sorted(arcs, key=lambda a: (len(a[1]), a[0], a[1])))
 
 
@@ -232,16 +237,15 @@ def lyubeznik_critical(ideal: MonomialIdeal) -> dict[int, list[tuple[int, ...]]]
     return out
 
 
-def lyubeznik_resolution(ideal: MonomialIdeal, order=None) -> LabeledFreeComplex:
-    """The Lyubeznik subcomplex of the Taylor complex for the given order.
+def lyubeznik_resolution(ideal: MonomialIdeal) -> LabeledFreeComplex:
+    """The Lyubeznik subcomplex of the Taylor complex for the generators in
+    their given order (`MonomialIdeal.reorder` picks another).
 
     The survivor sets are closed under subsets, so the Taylor differential
     restricts to them; this writes that restriction on the survivors alone
     (`taylor.taylor_complex`), and a survivor with a facet that does not
     survive raises MorseError.
     """
-    if order is not None:
-        ideal = ideal.reorder(order)
     crit = lyubeznik_critical(ideal)
     faces = (U for size in sorted(crit) for U in crit[size])
     try:
@@ -269,18 +273,13 @@ def morse_reduce(T: LabeledFreeComplex, matching) -> LabeledFreeComplex:
     cells keep their labels, so the result can be compared against
     subcomplex constructions label by label.
     """
-    def cell(v) -> BasisLabel | None:
-        try:
-            return T.find_label(("e",) + tuple(v))
-        except ComplexError:
-            return None
-
     pairs = []
     for s, t in matching:
-        sigma, tau = cell(s), cell(t)
-        if sigma is None or tau is None:
-            raise MorseError(f"matched pair ({s},{t}) not in the complex")
-        pairs.append((T.degree_of(sigma), sigma, tau, [list(s), list(t)]))
+        try:
+            sigma, tau = T.find_label(("e",) + tuple(s)), T.find_label(("e",) + tuple(t))
+        except ComplexError:
+            raise MorseError(f"matched pair ({s},{t}) not in the complex") from None
+        pairs.append((T.degree[sigma], sigma, tau, [list(s), list(t)]))
     pairs.sort(key=lambda p: (p[0], str(p[1].tag)))
     # in each degree: first the sources there, each set to 0, then d(e_sigma)
     # for the pairs whose target lies there, both of multidegree m_sigma

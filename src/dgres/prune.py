@@ -41,13 +41,13 @@ from .complexes import (
     tag_to_json,
 )
 from .dg import (
-    Element,
     QuotientDG,
     SpanGenerator,
     SubmoduleSpan,
     dg_ideal_closure,
     matching_span,
     quotient_dg,
+    span_from_matching_sources,
 )
 from .morse import lyubeznik_matching, lyubeznik_resolution
 from .poly import MonomialIdeal, Polynomial, _monomial
@@ -256,17 +256,13 @@ def prune_dg(ideal: MonomialIdeal, znames, check_closure: bool = True) -> Pruned
     span, prefer = matching_span(T, matching)
     qF = quotient_dg(dgT, span, prefer_eliminate=prefer, name=f"F{ideal}")
 
-    gens: list[SpanGenerator] = []
-    for V in z_divisible_subsets(ideal, znames):
-        lab = T.find_label(("e",) + V, degree=len(V))
-        e = Element.basis(T, lab, len(V))
-        pe = qF.project(e)
-        if not pe.is_zero():
-            gens.append(SpanGenerator(("e",) + V, pe))
-        pde = qF.project(e.diff())
-        if not pde.is_zero():
-            gens.append(SpanGenerator(("de",) + V, pde))
-    span_image = SubmoduleSpan(qF.structure.complex, gens)
+    # I_Z is the span of e_V and d(e_V) over the V meeting a Z-divisible
+    # generator; its image in F drops the generators projecting to zero
+    z_span = span_from_matching_sources(T, z_divisible_subsets(ideal, znames))
+    projected = ((g.gen_id, qF.project(g.element)) for g in z_span.generators)
+    span_image = SubmoduleSpan(
+        qF.structure.complex, [SpanGenerator(gen_id, p) for gen_id, p in projected if not p.is_zero()]
+    )
 
     closure = None
     if check_closure:
@@ -276,12 +272,7 @@ def prune_dg(ideal: MonomialIdeal, znames, check_closure: bool = True) -> Pruned
 
     fcx = qF.structure.complex
     zidx = [fcx.ring.index(n) for n in znames]
-    prefer2 = {
-        l.tag
-        for i in fcx.degrees()
-        for l in fcx.labels(i)
-        if any(l.multidegree.exponents[j] for j in zidx)
-    }
+    prefer2 = {l.tag for l in fcx.degree if any(l.multidegree.exponents[j] for j in zidx)}
     qP = quotient_dg(
         qF.structure,
         span_image,

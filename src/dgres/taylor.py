@@ -67,13 +67,9 @@ def taylor_complex(
     return LabeledFreeComplex._from_stored(ideal.ring, basis, diff, name=name)
 
 
-def taylor_resolution(
-    ideal: MonomialIdeal, order: Sequence[int] | Sequence[str] | None = None
-) -> LabeledFreeComplex:
-    """Taylor complex of Q/I with generators taken in `order` (a permutation
-    of the given generator list; default: given order)."""
-    if order is not None:
-        ideal = ideal.reorder(order)
+def taylor_resolution(ideal: MonomialIdeal) -> LabeledFreeComplex:
+    """Taylor complex of Q/I with the generators in their given order
+    (`MonomialIdeal.reorder` picks another)."""
     t = len(ideal.generators)
     if t > MAX_GENERATORS:
         raise PolyError(f"too many generators for the Taylor complex ({t} > {MAX_GENERATORS})")
@@ -104,16 +100,14 @@ def taylor_product_label(
     return Fraction(taylor_sign(V, W)), coeff, union
 
 
-def taylor_table(
-    T: LabeledFreeComplex, V: tuple[int, ...], W: tuple[int, ...], kind: str, shift: int
-) -> ScalarProduct:
-    """e_V e_W as the sign on the label (kind, *V union W) of T in degree
-    |V union W| + shift, or empty when V and W meet; kind "e" and shift 0
-    in a Taylor complex, other copies in the cone of `diam4`."""
+def taylor_table(T: LabeledFreeComplex, V: tuple[int, ...], W: tuple[int, ...], kind: str) -> ScalarProduct:
+    """e_V e_W as the sign on the label (kind, *V union W) of T, or empty
+    when V and W meet; kind "e" in a Taylor complex, other copies in the
+    cone of `diam4`."""
     if set(V) & set(W):
         return ScalarProduct()
     union = tuple(sorted(V + W))
-    label = T.find_label((kind,) + union, degree=len(union) + shift)
+    label = T.find_label((kind,) + union)
     return ScalarProduct({label: taylor_sign(V, W)})
 
 
@@ -124,7 +118,7 @@ def taylor_product(
     `ideal`) as {label: Polynomial}; the multidegrees are read from a, b and
     the union label."""
     want = a.multidegree * b.multidegree
-    prod = taylor_table(T, a.tag[1:], b.tag[1:], "e", 0)
+    prod = taylor_table(T, a.tag[1:], b.tag[1:], "e")
     return {l: entry_polynomial(c, l, want) for l, c in prod.items()}
 
 
@@ -133,5 +127,5 @@ def taylor_dg_structure(ideal: MonomialIdeal, T: LabeledFreeComplex | None = Non
     if T is None:
         T = taylor_resolution(ideal)
     return DGStructure(
-        T, lambda a, b: taylor_table(T, a.tag[1:], b.tag[1:], "e", 0), name=f"Taylor{ideal}"
+        T, lambda a, b: taylor_table(T, a.tag[1:], b.tag[1:], "e"), name=f"Taylor{ideal}"
     )

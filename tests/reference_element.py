@@ -39,9 +39,8 @@ class ReferenceElement:
         return ReferenceElement(cx, degree, {})
 
     @staticmethod
-    def basis(cx: LabeledFreeComplex, label: BasisLabel, degree: int | None = None) -> "ReferenceElement":
-        d = degree if degree is not None else cx.degree_of(label)
-        return ReferenceElement(cx, d, {label: Polynomial.constant(cx.ring, 1)})
+    def basis(cx: LabeledFreeComplex, label: BasisLabel) -> "ReferenceElement":
+        return ReferenceElement(cx, cx.degree_of(label), {label: Polynomial.constant(cx.ring, 1)})
 
     def is_zero(self) -> bool:
         return not self.coords

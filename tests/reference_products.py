@@ -32,7 +32,7 @@ def taylor_product(T: LabeledFreeComplex):
         if set(V) & set(W):
             return Element(T, deg, {})
         union = tuple(sorted(V + W))
-        lab = T.find_label(("e",) + union, degree=len(union))
+        lab = T.find_label(("e",) + union)
         coeff = monomial_divide(a.multidegree * b.multidegree, lab.multidegree)
         return Element(T, deg, {lab: Polynomial.monomial(coeff, taylor_sign(V, W))})
 
@@ -45,7 +45,7 @@ def cone_product(dec: StarDecomposition, cone: LabeledFreeComplex):
     z = ring.variable(dec.center)
 
     def find(tag, size):
-        return cone.find_label(tag, degree=size)
+        return cone.find_label(tag)
 
     def f_times_f(V, W) -> VecT:
         res = taylor_product_label(dec.ideal_i, V, W)
@@ -94,9 +94,9 @@ def cone_product(dec: StarDecomposition, cone: LabeledFreeComplex):
         db = len(vb) + (kb == "S")
         deg = da + db
         if ka == "F" and not va:
-            return Element.basis(cone, b, db)
+            return Element.basis(cone, b)
         if kb == "F" and not vb:
-            return Element.basis(cone, a, da)
+            return Element.basis(cone, a)
         if ka == "F" and kb == "F":
             return Element(cone, deg, f_times_f(va, vb))
         if ka == "G" and kb == "G":

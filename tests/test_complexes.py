@@ -46,7 +46,7 @@ from dgres import (
     total_betti,
 )
 from dgres.classify import C5_MATCHING
-from dgres.dg import Elimination
+from dgres.dg import DGStructure, Elimination, ScalarProduct
 from dgres.diam4 import build_psi
 from dgres.morse import matching_sources
 
@@ -79,6 +79,38 @@ class TestConstruction:
         with pytest.raises(ComplexError):
             LabeledFreeComplex(RING3, {0: [lbl1, lbl2]}, {})
 
+    @pytest.mark.parametrize("build", [LabeledFreeComplex, LabeledFreeComplex._from_stored])
+    def test_tag_in_two_degrees_rejected(self, build):
+        # a tag names one basis element: the same tag with another
+        # multidegree in another degree is refused by both constructors
+        unit = BasisLabel(("u",), RING3.one())
+        a1, a2 = BasisLabel(("a",), RING3.variable("x")), BasisLabel(("a",), parse_monomial(RING3, "x*y"))
+        with pytest.raises(ComplexError, match=r"^tag \('a',\) occurs in degree 1 and again in degree 2$"):
+            build(RING3, {0: [unit], 1: [a1], 2: [a2]}, {1: {a1: {unit: 1}}})
+
+    def test_find_label_of_a_missing_tag(self):
+        F = taylor_resolution(ideal(RING3, "x*y", "y*z"))
+        with pytest.raises(ComplexError, match=r"^no label with tag \('e', 0, 1, 2\)$"):
+            F.find_label(("e", 0, 1, 2))
+
+    def test_label_with_another_multidegree_is_outside(self):
+        # the tag of e0 with another multidegree: not a basis label, so
+        # degree_of raises and the structure computes its product afresh
+        # instead of reading a stored row
+        F = taylor_resolution(ideal(RING3, "x*y", "y*z"))
+        unit, e0 = F.labels(0)[0], F.find_label(("e", 0))
+        impostor = BasisLabel(e0.tag, RING3.variable("x"))
+        with pytest.raises(ComplexError, match="not in complex"):
+            F.degree_of(impostor)
+        calls = []
+
+        def product(a, b):
+            calls.append((a, b))
+            return ScalarProduct({unit: 1})
+
+        assert DGStructure(F, product).table(impostor, e0) == {unit: 1}
+        assert calls == [(impostor, e0)]
+
     def test_stray_column_rejected(self):
         unit = BasisLabel(("u",), RING3.one())
         ghost = BasisLabel(("g",), RING3.variable("x"))
@@ -106,7 +138,7 @@ class TestConstruction:
         assert F.top_degree() == 2
         top = F.find_label(("e", 0, 1))
         assert F.degree_of(top) == 2
-        assert F.find_label(("e", 0), degree=1).multidegree == parse_monomial(
+        assert F.find_label(("e", 0)).multidegree == parse_monomial(
             RING3, "x*y"
         )
         with pytest.raises(ComplexError):
@@ -301,8 +333,8 @@ class TestChainMap:
         F = taylor_resolution(ideal(ring, "x", "y"))
         # swap the two degree-1 images: e_x -> e_y, e_y -> e_x is homogeneous
         # only with the right monomials, and cannot commute with d_1
-        ex = F.find_label(("e", 0), degree=1)
-        ey = F.find_label(("e", 1), degree=1)
+        ex = F.find_label(("e", 0))
+        ey = F.find_label(("e", 1))
         unit = F.labels(0)[0]
         top = F.labels(2)[0]
         entries = {
@@ -317,7 +349,7 @@ class TestChainMap:
     def test_nonhomogeneous_entry_rejected(self):
         ring = VariableSet(("x", "y"))
         F = taylor_resolution(ideal(ring, "x", "y"))
-        ex = F.find_label(("e", 0), degree=1)
+        ex = F.find_label(("e", 0))
         entries = {ex: {ex: poly(ring, "y")}}
         with pytest.raises(ComplexError):
             ChainMap(F, F, entries)
@@ -325,7 +357,7 @@ class TestChainMap:
     def test_check_false_skips_validation(self):
         ring = VariableSet(("x", "y"))
         F = taylor_resolution(ideal(ring, "x", "y"))
-        ex = F.find_label(("e", 0), degree=1)
+        ex = F.find_label(("e", 0))
         entries = {ex: {ex: poly(ring, "y")}}
         psi = ChainMap(F, F, entries, check=False)
         assert psi.apply({ex: Polynomial.constant(ring, 1)}) == {ex: poly(ring, "y")}

@@ -49,8 +49,8 @@ from dgres import (
 )
 from dgres.classify import C4_MATCHING, C5_MATCHING, _cycle_consecutive_ideal, _d3_order, classify
 from dgres.combin import tree_longest_path
-from dgres.complexes import tag_to_json
-from dgres.dg import DGReport, _homogeneous_product_ok, _Tables, closure_products
+from dgres.complexes import ComplexError, tag_to_json
+from dgres.dg import DGReport, _homogeneous_product_ok, closure_products
 from dgres.morse import is_superset_closed, matching_sources
 from dgres.poly import monomial_divide
 
@@ -388,7 +388,7 @@ def dense_dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
     """The dense reference: exact arithmetic on every basis pair and triple."""
     cx = dg.complex
     report = DGReport()
-    labels = dg.all_labels()
+    labels = list(dg.degree)
     degree = {l: cx.degree_of(l) for l in labels}
     top = cx.top_degree()
     one = dg.unit
@@ -396,7 +396,7 @@ def dense_dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
     for a in labels:
         left = dg.basis_product(one, a)
         right = dg.basis_product(a, one)
-        want = Element.basis(cx, a, degree[a])
+        want = Element.basis(cx, a)
         if not (left - want).is_zero():
             report.record("unital", {"a": tag_to_json(a.tag), "got": str(left)})
         if not (right - want).is_zero():
@@ -437,8 +437,8 @@ def dense_dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
                     },
                 )
             # Leibniz: d(ab) = d(a) b + (-1)^{|a|} a d(b)
-            ea = Element.basis(cx, a, degree[a])
-            eb = Element.basis(cx, b, degree[b])
+            ea = Element.basis(cx, a)
+            eb = Element.basis(cx, b)
             lhs = prod.diff()
             rhs = dg.multiply(ea.diff(), eb) + dg.multiply(ea, eb.diff()).scale(
                 -1 if degree[a] % 2 else 1
@@ -467,9 +467,9 @@ def dense_dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
                     bc = dg.basis_product(b, c)
                     if ab.is_zero() and bc.is_zero():
                         continue
-                    ec = Element.basis(cx, c, degree[c])
+                    ec = Element.basis(cx, c)
                     lhs = dg.multiply(ab, ec)
-                    ea = Element.basis(cx, a, degree[a])
+                    ea = Element.basis(cx, a)
                     rhs = dg.multiply(ea, bc)
                     if not (lhs - rhs).is_zero():
                         report.record(
@@ -514,13 +514,13 @@ def assert_matches_dense(dg: DGStructure) -> DGReport:
     sparse = dg_check(DGStructure(dg.complex, dg.product_fn))
     dense = dense_dg_check(DGStructure(dg.complex, dg.product_fn))
     assert json.dumps(sparse.to_json()) == json.dumps(dense.to_json())
-    n = len(dg.all_labels())
+    n = len(dg.degree)
     assert (sparse.checked_pairs, sparse.checked_triples) == (n * n, n**3)
     return sparse
 
 
 def label(dg: DGStructure, *idx) -> BasisLabel:
-    return dg.complex.find_label(("e",) + idx, degree=len(idx))
+    return dg.complex.find_label(("e",) + idx)
 
 
 def constant(dg: DGStructure, degree: int, lbl: BasisLabel, c=1) -> Element:
@@ -584,7 +584,7 @@ def inhomogeneous_differential(ideal) -> DGStructure:
     d(e01) on e0, -yz, is replaced by 1 - yz."""
     T = taylor_resolution(ideal)
     diff = {i: {c: dict(col) for c, col in cols.items()} for i, cols in T.diff.items()}
-    e01, e0 = T.find_label(("e", 0, 1), degree=2), T.find_label(("e", 0), degree=1)
+    e01, e0 = T.find_label(("e", 0, 1)), T.find_label(("e", 0))
     diff[2][e01][e0] = T.entry(2, e0, e01) + Polynomial.constant(T.ring, 1)
     return taylor_dg_structure(ideal, LabeledFreeComplex(T.ring, T.basis, diff))
 
@@ -699,52 +699,32 @@ class TestDenseOracle:
         assert json.dumps(sparse.to_json()) == json.dumps(dense.to_json())
         assert {"degree", "leibniz"} <= set(sparse.failures)
 
-    def test_one_label_in_two_degrees(self):
-        # u (tag and multidegree xy) is a basis label of degrees 1 and 2.
-        # a, b and u in degree 1 are cycles, d(u) = y*a in degree 2, and
-        # ab = u in degree 2, so Leibniz fails on (a, b): d(ab) = y*a, but
-        # d(a) b - a d(b) = 0.  A table that placed ab on the degree-1 copy
-        # of u would read d(ab) = 0 and miss that failure.
+    def test_one_label_in_two_degrees_is_rejected(self):
+        # u (tag and multidegree xy) as a basis label of degrees 1 and 2,
+        # with d(u) = y*a in degree 2: a tag names one basis element, so the
+        # complex is refused before a product or a table could read either u
         ring = VariableSet(("x", "y"))
         one, x, y = ring.one(), ring.variable("x"), ring.variable("y")
         unit, a, b = BasisLabel(("1",), one), BasisLabel(("a",), x), BasisLabel(("b",), y)
         u = BasisLabel(("u",), x * y)
-        cx = LabeledFreeComplex(
-            ring,
-            {0: [unit], 1: [a, b, u], 2: [u]},
-            {1: {a: {}, b: {}, u: {}}, 2: {u: {a: Polynomial.monomial(y)}}},
-        )
-
-        def product(p, q):
-            if p == unit or q == unit:
-                return Element.basis(cx, q if p == unit else p)
-            if (p, q) in ((a, b), (b, a)):
-                return constant(dg, 2, u, 1 if p == a else -1)
-            return Element.zero(cx, cx.degree_of(p) + cx.degree_of(q))
-
-        dg = DGStructure(cx, product)
-        report = assert_matches_dense(dg)
-        assert [(w["a"], w["b"]) for w in report.failures["leibniz"]] == [(["a"], ["b"]), (["b"], ["a"])]
+        with pytest.raises(ComplexError, match=r"^tag \('u',\) occurs in degree 1 and again in degree 2$"):
+            LabeledFreeComplex(
+                ring,
+                {0: [unit], 1: [a, b, u], 2: [u]},
+                {1: {a: {}, b: {}, u: {}}, 2: {u: {a: Polynomial.monomial(y)}}},
+            )
 
 
-def test_differential_table_of_a_label_in_two_degrees():
+def test_stored_complex_with_a_label_in_two_degrees_is_rejected():
     # u (tag and multidegree xy) is a label of degrees 1 and 2, and
-    # d(w) = u lands on the degree-2 copy; the first position of u is
-    # the degree-1 copy, so the table of d(w) is a support list and
-    # Element arithmetic decides wherever it is read
+    # d(w) = u lands on the degree-2 copy; the writers' constructor builds
+    # the same index as the public one and refuses the complex alike
     ring = VariableSet(("x", "y"))
     x, y = ring.variable("x"), ring.variable("y")
     unit, a = BasisLabel(("1",), ring.one()), BasisLabel(("a",), x)
     u, w = BasisLabel(("u",), x * y), BasisLabel(("w",), x * y)
-    cx = LabeledFreeComplex(
-        ring,
-        {0: [unit], 1: [a, u], 2: [u], 3: [w]},
-        {2: {u: {a: Polynomial.monomial(y)}}, 3: {w: {u: Polynomial.constant(ring, 1)}}},
-    )
-    tables = _Tables(DGStructure(cx, lambda p, q: Element.zero(cx, 0)))
-    assert tables.labels == [unit, a, u, u, w]
-    assert tables.diff(4) == [2]
-    assert tables.diff(1) == {}
+    with pytest.raises(ComplexError, match=r"^tag \('u',\) occurs in degree 1 and again in degree 2$"):
+        LabeledFreeComplex._from_stored(ring, {0: [unit], 1: [a, u], 2: [u], 3: [w]}, {2: {u: {a: 1}}, 3: {w: {u: 1}}})
 
 
 def test_label_outside_the_basis_keeps_all_partners(taylor_fixture_ideal, uncapped):
@@ -834,7 +814,7 @@ def dense_dg_ideal_closure(dg: DGStructure, span: SubmoduleSpan, require_boundar
             report["boundary_closed"] = False
             if require_boundary_closed:
                 raise DGError(f"span is not closed under the differential at generator {g.gen_id}")
-    for u in dg.all_labels():
+    for u in dg.degree:
         eu = Element.basis(dg.complex, u)
         for g in span.generators:
             prod = dg.multiply(eu, g.element)
@@ -922,7 +902,7 @@ class TestClosureDenseOracle:
                 return dg.product_fn(e0, e1) if (x, y) == (e0, ghost) else Element.zero(dg.complex, 1)
             return dg.product_fn(x, y)
 
-        gen = SpanGenerator(("ghost",), Element.basis(dg.complex, ghost, 1))
+        gen = SpanGenerator(("ghost",), Element.stored(dg.complex, 1, ghost.multidegree, {ghost: 1}))
         report = assert_closure_matches_dense(DGStructure(dg.complex, product), SubmoduleSpan(dg.complex, [gen]))
         assert [f["factor"] for f in report["failures"]] == [["e", 0]]
 
@@ -1019,7 +999,7 @@ def random_tampering(dg: DGStructure, rng) -> DGStructure:
     """dg with one product e_a e_b, drawn by rng, changed: a nonzero one
     negated, doubled or set to 0, or any one given an extra term
     c*(m_a m_b/m_l) e_l on a label l of its degree."""
-    labels = dg.all_labels()
+    labels = list(dg.degree)
     kind = rng.choice(("negate", "double", "drop", "extra"))
     if kind == "extra":
         a, b, l = rng.choice([

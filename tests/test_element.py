@@ -70,7 +70,7 @@ def assert_structure_matches(dg: DGStructure, pairs: bool = True) -> int:
     e_a e_b, d(e_a) e_b and e_a d(e_b) against the oracle; returns how many
     nonzero products were compared."""
     cx = dg.complex
-    basis = [(Element.basis(cx, l, dg.degree[l]), ReferenceElement.basis(cx, l, dg.degree[l])) for l in dg.all_labels()]
+    basis = [(Element.basis(cx, l), ReferenceElement.basis(cx, l)) for l in dg.degree]
     for new, old in basis:
         assert_same(new, old)
         assert_same(new.diff(), old.diff())
@@ -97,8 +97,8 @@ def assert_span_matches(dg: DGStructure, span: SubmoduleSpan):
         old = ReferenceElement.of(g.element)
         assert_same(g.element.diff(), old.diff())
         assert outcome(submodule_membership, span, g.element.diff()) == outcome(reference_membership, span, old.diff())
-    for u in dg.all_labels():
-        eu, ru = Element.basis(cx, u, dg.degree[u]), ReferenceElement.basis(cx, u, dg.degree[u])
+    for u in dg.degree:
+        eu, ru = Element.basis(cx, u), ReferenceElement.basis(cx, u)
         for g in span.generators:
             prod, rprod = dg.multiply(eu, g.element), reference_multiply(dg, ru, ReferenceElement.of(g.element))
             assert_same(prod, rprod)
@@ -122,7 +122,7 @@ class TestElementOracle:
     def test_taylor_corpus(self, corpus):
         for I in corpus:
             dg = taylor_dg_structure(I)
-            assert_structure_matches(dg, pairs=len(dg.all_labels()) <= 16)
+            assert_structure_matches(dg, pairs=len(dg.degree) <= 16)
 
     def test_cones_of_trees_up_to_7_vertices(self):
         trees = 0
@@ -165,7 +165,7 @@ class TestElementOracle:
             cx, qcx = dgs.complex, q.structure.complex
             for i in cx.degrees():
                 for l in cx.labels(i):
-                    for el in (Element.basis(cx, l, i), Element.basis(cx, l, i).diff()):
+                    for el in (Element.basis(cx, l), Element.basis(cx, l).diff()):
                         got = q.project(el)
                         assert_same(got, ReferenceElement(qcx, el.degree, rproject(el.coords, el.degree)))
                         assert got.is_zero() or got.multidegree().ring == qcx.ring
@@ -212,7 +212,7 @@ class TestMixedAndInhomogeneous:
                 new, old = element_pair(koszul, d, coords)
                 new2, old2 = element_pair(koszul, d2, coords2)
                 assert (new == new2) == (old == old2)
-        assert Element.basis(koszul, e0, 1) == Element(koszul, 1, {e0: one})
+        assert Element.basis(koszul, e0) == Element(koszul, 1, {e0: one})
 
     def test_a_mixed_sum_that_cancels_to_one_multidegree(self, koszul):
         e0, e1 = koszul.find_label(("e", 0)), koszul.find_label(("e", 1))
@@ -244,19 +244,19 @@ class TestMixedAndInhomogeneous:
         # every element through that column is formed in Polynomials
         T = taylor_resolution(taylor_fixture_ideal)
         diff = {i: {c: dict(col) for c, col in cols.items()} for i, cols in T.diff.items()}
-        e01, e0 = T.find_label(("e", 0, 1), degree=2), T.find_label(("e", 0), degree=1)
+        e01, e0 = T.find_label(("e", 0, 1)), T.find_label(("e", 0))
         diff[2][e01][e0] = T.entry(2, e0, e01) + Polynomial.constant(T.ring, 1)
         cx = LabeledFreeComplex(T.ring, T.basis, diff)
         dg = taylor_dg_structure(taylor_fixture_ideal, cx)
         assert_structure_matches(dg)
-        assert Element.basis(cx, e01, 2).diff().multidegree() is None
+        assert Element.basis(cx, e01).diff().multidegree() is None
 
     def test_products_with_a_polynomial_entry(self, taylor_fixture_ideal):
         # e0*e1 and e1*e0 given an extra term x*p: products through them are
         # formed in Polynomials, the others on coefficients
         dg = taylor_dg_structure(taylor_fixture_ideal)
         cx = dg.complex
-        pair = {cx.find_label(("e", 0), degree=1), cx.find_label(("e", 1), degree=1)}
+        pair = {cx.find_label(("e", 0)), cx.find_label(("e", 1))}
         x = cx.ring.variable("x")
 
         def product(a, b):

@@ -53,7 +53,7 @@ def assert_matches_reference(qcx, project, elim, ref):
     cx = ref.source
     for i in cx.degrees():
         for l in cx.labels(i):
-            e = Element.basis(cx, l, i)
+            e = Element.basis(cx, l)
             for el in (e, e.diff()):
                 got = project(el)
                 assert (got.complex, got.degree) == (qcx, el.degree)
@@ -171,7 +171,7 @@ class TestInhomogeneousRejected:
         # test_dg.inhomogeneous_differential
         ideal = MonomialIdeal.from_strings(VariableSet(("x", "y", "z")), ["x*y", "x*z", "y*z"])
         T = taylor_resolution(ideal)
-        e01, e0 = T.find_label(("e", 0, 1), degree=2), T.find_label(("e", 0), degree=1)
+        e01, e0 = T.find_label(("e", 0, 1)), T.find_label(("e", 0))
         bad = with_entry_added(T, 2, e0, e01, Polynomial.constant(T.ring, 1))
         with pytest.raises(DGError, match="^inhomogeneous entry in degree 1"):
             morse_reduce(bad, ())

@@ -104,7 +104,7 @@ class TestFixture:
 
     def test_reorder_permutes_columns(self, taylor_fixture_ideal):
         # taking the generators in a different order relabels the basis
-        G = taylor_resolution(taylor_fixture_ideal, order=[3, 2, 1, 0])
+        G = taylor_resolution(taylor_fixture_ideal.reorder([3, 2, 1, 0]))
         assert [str(l.multidegree) for l in G.labels(1)] == [
             "x*y",
             "x*z",
@@ -112,7 +112,7 @@ class TestFixture:
             "x*w",
         ]
         by_strings = taylor_resolution(
-            taylor_fixture_ideal, order=["x*y", "x*z", "y*z", "x*w"]
+            taylor_fixture_ideal.reorder(["x*y", "x*z", "y*z", "x*w"])
         )
         assert [l.multidegree for l in G.labels(1)] == [
             l.multidegree for l in by_strings.labels(1)
@@ -165,7 +165,7 @@ class TestDifferential:
             t = len(I.generators)
             for size in range(1, t + 1):
                 for idx in combinations(range(t), size):
-                    col_label = F.find_label(("e",) + idx, degree=size)
+                    col_label = F.find_label(("e",) + idx)
                     col = F.column(size, col_label)
                     seen = {}
                     for pos, u in enumerate(idx):
@@ -199,7 +199,7 @@ class TestDifferential:
 class TestProduct:
     def test_unit(self, fixture_complex, taylor_fixture_ideal):
         F = fixture_complex
-        unit = F.find_label(("e",), degree=0)
+        unit = F.find_label(("e",))
         for i in F.degrees():
             for lbl in F.labels(i):
                 prod = taylor_product(taylor_fixture_ideal, F, unit, lbl)
@@ -220,8 +220,8 @@ class TestProduct:
             ]
             for V in subsets:
                 for W in subsets:
-                    a = F.find_label(("e",) + V, degree=len(V))
-                    b = F.find_label(("e",) + W, degree=len(W))
+                    a = F.find_label(("e",) + V)
+                    b = F.find_label(("e",) + W)
                     prod = taylor_product(I, F, a, b)
                     if set(V) & set(W):
                         assert prod == {}
@@ -250,8 +250,8 @@ class TestProduct:
     def test_structure_product_degrees(self, taylor_fixture_ideal):
         dg = taylor_dg_structure(taylor_fixture_ideal)
         F = dg.complex
-        a = F.find_label(("e", 0), degree=1)
-        b = F.find_label(("e", 1, 2), degree=2)
+        a = F.find_label(("e", 0))
+        b = F.find_label(("e", 1, 2))
         prod = dg.basis_product(a, b)
         assert isinstance(prod, Element)
         assert prod.degree == 3
