@@ -142,7 +142,7 @@ def vec_scale(a: VecT, c) -> VecT:
 def combine(terms: Iterable[tuple]) -> dict | None:
     """sum c*t over the pairs (c, t) of coefficient tables {key: c}, without
     zeros and in `vec_add`'s key order; None when some t is not a dict (a
-    support list, an element kept whole) or some c or entry is a Polynomial."""
+    support list) or some c or entry is a Polynomial."""
     out: dict = {}
     for c, t in terms:
         if not isinstance(t, dict) or type(c) is Polynomial:

@@ -1,59 +1,58 @@
 """Differential graded algebra structures on labeled free complexes.
 
 A `DGStructure` is a complex together with a multiplication given on basis
-labels (extended bilinearly) and a distinguished degree-0 unit.  `dg_check`
-machine-verifies the axioms on all basis pairs and triples:
+labels (extended bilinearly) and a distinguished degree-0 unit.  Storing a
+product checks multiplicative closure with |ab| = |a| + |b|; `dg_check`
+machine-verifies the other axioms on all basis pairs and triples:
 
-  unitality, multiplicative closure with |ab| = |a| + |b|, multigraded
-  homogeneity of products, graded commutativity ab = (-1)^{|a||b|} ba,
-  squares of odd-degree elements vanish, associativity, and the Leibniz
-  rule d(ab) = d(a) b + (-1)^{|a|} a d(b).
+  unitality, multigraded homogeneity of products, graded commutativity
+  ab = (-1)^{|a||b|} ba, squares of odd-degree elements vanish,
+  associativity, and the Leibniz rule d(ab) = d(a) b + (-1)^{|a|} a d(b).
 
 Commutativity, squares, and Leibniz are checked on both orientations /
 directly from the stored products, not derived from one another.
 
 Every pair and triple is decided and counted (`checked_pairs` = n^2,
 `checked_triples` = n^3), but arithmetic runs only where a stored product
-can be nonzero.  Unitality, degree, closure, homogeneity, commutativity and
-odd squares read only the stored, nonzero products.  Leibniz runs on (a, b)
+can be nonzero.  Unitality, homogeneity, commutativity and odd squares
+read only the stored, nonzero products.  Leibniz runs on (a, b)
 only if ab != 0, or l*b != 0 for some l in supp(d a), or a*l != 0 for some
 l in supp(d b); associativity runs on (a, b, c) only if l*c != 0 for some l
 in supp(ab), or a*l != 0 for some l in supp(bc).  Everywhere else both
 sides are 0.  The second kind of each is found from inverted indices, built
 once: the b with l in supp(d b), and the (b, c) with l in supp(bc), for
-each label l.  A label outside the basis that occurs in a product has no
-stored row, so every partner of it is checked.  Candidates are visited in
-label order, so failure witnesses come out as a loop over all of them would
-record them.
+each label l.  Candidates are visited in label order, so failure witnesses
+come out as a loop over all of them would record them.
 
 Stored form.  Homogeneity fixes every monomial: a term of e_a e_b on e_l
 is c*(m_a m_b / m_l), as an entry of d(e_a) on e_r is c*(m_a / m_r).  So a
-`DGStructure` stores a nonzero product as a `ScalarProduct` {l: c}, as the
-complex stores its columns, and an `Element` of multidegree b is (b, {l: c})
-for sum c*(b/m_l) e_l.  Sums, boundaries (through the stored columns) and
-products (b_x b_y, through the stored products) of such elements are dict
-arithmetic on the c.  `Polynomial` is the boundary and the fallback: the
-`Element` constructor takes {label: Polynomial}, `coords` and `str` give
-Polynomials back, and an element that is not multigraded, or an entry not
-of the implied form, is kept and combined in Polynomials.  `dg_check` reads
-products and columns as tables {label position: c}; both sides of a
-commutativity, Leibniz or associativity identity are then tables over one
-multidegree, equal exactly when the elements are.  A pair or triple is
-decided on tables only if every product and differential it reads is one:
-all its labels basis labels of the expected degree, all its entries
-coefficients.  Otherwise (a Polynomial entry, a label outside the basis, a
-product of another degree) it is decided by `Element` arithmetic, which
-also forms every witness string and reruns wherever two tables disagree.
+product function returns e_a e_b as a `ScalarProduct` {l: c}, the form in
+which the complex stores its columns, and that is the only product form: a
+`DGStructure` refuses, on storing, anything else and any label l that is
+not a basis label of degree |a| + |b|.  An `Element` of multidegree b is
+(b, {l: c}) for sum c*(b/m_l) e_l.  Sums, boundaries (through the stored
+columns) and products (b_x b_y, through the stored products) of such
+elements are dict arithmetic on the c.  `Polynomial` is the boundary and
+the fallback: the `Element` constructor takes {label: Polynomial}, `coords`
+and `str` give Polynomials back, and an element that is not multigraded, or
+an entry not of the implied form, is kept and combined in Polynomials.
+`dg_check` reads products and columns as tables {label position: c}; both
+sides of a commutativity, Leibniz or associativity identity are then tables
+over one multidegree, equal exactly when the elements are.  A pair or
+triple is decided on tables only if every product and differential it
+reads has coefficient entries only; otherwise (a Polynomial entry) it is
+decided by `Element` arithmetic, which also forms every witness string and
+reruns wherever two tables disagree.
 
 `SubmoduleSpan` + `submodule_membership` decide membership of a
 multigraded element (b, {l: c}) in a submodule spanned by finitely many
-multigraded elements: in multidegree b a generator g contributes the single
-monomial multiple (b / mdeg g) * g, so membership is a sparse rational
-linear solve (`linalg.solve` on the generators' coefficients) and the
-witness is an exact coefficient list.  A span is indexed once: its labels
-numbered, each generator a column {number: c}, and per degree a
-`strands.Divisors` bitset index that finds the generators with mdeg(g) | b
-in a few integer operations.  A generator's boundary is its `Element.diff`.
+multigraded elements, each on basis labels of its degree: in multidegree
+b a generator g contributes the single monomial multiple (b / mdeg g) * g,
+so membership is a sparse rational linear solve (`linalg.solve` on the
+generators' coefficients) and the witness is an exact coefficient list.  A
+span is indexed once: its labels numbered, each generator a column
+{number: c}, and per degree a `strands.Divisors` bitset index that finds
+the generators with mdeg(g) | b in a few integer operations.  A generator's boundary is its `Element.diff`.
 
 `closure_products` is the dg-ideal check: it forms every product e_u * g
 of a basis label and a generator exactly and solves each nonzero one for
@@ -61,9 +60,10 @@ membership.  Per basis label u it reads the stored row of u once, keeps
 the products u*l with l in the generators' supports, and sums each u*g
 from those; an inverted index (label -> generators containing it)
 visits only the generators some nonzero u*l reaches, since every other
-product is 0.  A product kept whole or with a Polynomial entry sends its
-generators through `DGStructure.multiply`.  `dg_ideal_closure` formats
-the report (product strings, witnesses) from it; `classify` only counts.
+product is 0.  A product with a Polynomial entry sends its generators
+through `DGStructure.multiply`.  `dg_ideal_closure` formats the report
+(product strings, witnesses) from it, after `boundary_closed` has checked
+that the span is a subcomplex (DGError otherwise); `classify` only counts.
 
 `Elimination` forms the quotient of a complex by the span of some of its
 elements, by per-degree unit-pivot elimination on coefficients, optionally
@@ -82,7 +82,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from operator import add, le
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -214,19 +213,19 @@ class DGStructure:
     Products are stored by rows: `row(a)` is {b: e_a e_b} over the basis
     labels b with e_a e_b != 0, computed in full (one product-function call
     per b) on first read and stored only when complete.  The product
-    function returns a `ScalarProduct` (the form of the complex's columns) or
-    an Element, converted on storing: an entry c*(m_a m_b/m_l) becomes c,
-    any other stays a Polynomial, an Element of another degree (or on a
-    label outside the basis) is kept whole, and a coefficient on l needs
-    m_l | m_a m_b.  `basis_product`, `product_fn` and `multiply` build
-    Elements from the stored products.  `degree` is the complex's label
-    index, so a label is a basis label exactly when it is a key there.
+    function returns a `ScalarProduct` (the form of the complex's columns):
+    every label a basis label of degree |a| + |b|, and a coefficient on l
+    needs m_l | m_a m_b.  Anything else raises DGError on storing, naming a,
+    b and the offending label.  Reading `row` or `table` at a label outside
+    the basis raises DGError too.  `basis_product` and `multiply` build Elements from
+    the stored products.  `degree` is the complex's label index, so a label
+    is a basis label exactly when it is a key there.
     """
 
     def __init__(
         self,
         complex: LabeledFreeComplex,
-        product_fn: Callable[[BasisLabel, BasisLabel], "ScalarProduct | Element"],
+        product_fn: Callable[[BasisLabel, BasisLabel], ScalarProduct],
         name: str = "",
     ):
         self.complex = complex
@@ -238,60 +237,46 @@ class DGStructure:
         self.unit = deg0[0]
         # the complex's label index: each basis label's degree, in degree order
         self.degree = complex.degree
-        self._rows: dict[BasisLabel, dict[BasisLabel, ScalarProduct | Element]] = {}
+        self._rows: dict[BasisLabel, dict[BasisLabel, ScalarProduct]] = {}
 
-    def row(self, a: BasisLabel) -> dict[BasisLabel, "ScalarProduct | Element"]:
+    def row(self, a: BasisLabel) -> dict[BasisLabel, ScalarProduct]:
         """{b: e_a e_b} over the basis labels b, nonzero products only."""
         got = self._rows.get(a)
         if got is None:
+            if a not in self.degree:
+                raise DGError(f"{a} is not a basis label of {self.name}")
             prods = ((b, self._store(a, b, self._product(a, b))) for b in self.degree)
-            got = self._rows[a] = {b: prod for b, prod in prods if not prod.is_zero()}
+            got = self._rows[a] = {b: prod for b, prod in prods if prod}
         return got
 
-    def table(self, a: BasisLabel, b: BasisLabel) -> "ScalarProduct | Element":
-        """The stored product of a and b, afresh for a label outside the basis."""
-        if a in self.degree and b in self.degree:
-            return self.row(a).get(b, _NONE)
-        return self._store(a, b, self._product(a, b))
+    def table(self, a: BasisLabel, b: BasisLabel) -> ScalarProduct:
+        """The stored product of two basis labels."""
+        if b not in self.degree:
+            raise DGError(f"{b} is not a basis label of {self.name}")
+        return self.row(a).get(b, _NONE)
 
-    def _store(self, a: BasisLabel, b: BasisLabel, prod) -> "ScalarProduct | Element":
-        if type(prod) is not Element:
-            if not prod:
-                return _NONE
-            want = tuple(map(add, a.multidegree.exponents, b.multidegree.exponents))
-            for l, c in prod.items():
-                if type(c) is not Polynomial and not all(map(le, l.multidegree.exponents, want)):
-                    raise DGError(f"product entry {c} of {a}*{b} on {l}: "
-                                  f"{l.multidegree} does not divide {a.multidegree * b.multidegree}")
-            return prod
-        want = a.multidegree * b.multidegree
-        da, db = self.degree.get(a), self.degree.get(b)
-        if da is None or db is None or prod.degree != da + db:
-            return prod
-        if prod.b == want:
-            return ScalarProduct(prod.vec)
-        out = ScalarProduct(coords := prod.coords)
-        for l, p in coords.items():
-            if len(p.terms) == 1:
-                [(m, c)] = p.terms.items()
-                if m * l.multidegree == want:
-                    out[l] = exact(c)
-        return out
+    def _store(self, a: BasisLabel, b: BasisLabel, prod) -> ScalarProduct:
+        if type(prod) is not ScalarProduct:
+            raise DGError(f"product {a}*{b} is not a ScalarProduct: {type(prod).__name__}")
+        if not prod:
+            return _NONE
+        deg, degree = self.degree[a] + self.degree[b], self.degree
+        want = tuple(map(add, a.multidegree.exponents, b.multidegree.exponents))
+        for l, c in prod.items():
+            if type(c) is not Polynomial and not all(map(le, l.multidegree.exponents, want)):
+                raise DGError(f"product entry {c} of {a}*{b} on {l}: "
+                              f"{l.multidegree} does not divide {a.multidegree * b.multidegree}")
+            if degree.get(l) != deg:
+                raise DGError(f"product entry {c} of {a}*{b} on {l}: not a basis label of degree {deg}")
+        return prod
 
-    def basis_product(self, a: BasisLabel, b: BasisLabel, prod=None) -> Element:
-        """e_a e_b as an Element, from the stored product (or from `prod`,
-        one in stored form)."""
-        prod = self.table(a, b) if prod is None else prod
-        if type(prod) is Element:
-            return prod
+    def basis_product(self, a: BasisLabel, b: BasisLabel) -> Element:
+        """e_a e_b as an Element, from the stored product."""
+        prod = self.table(a, b)
         deg, want = self.degree[a] + self.degree[b], a.multidegree * b.multidegree
         if any(type(c) is Polynomial for c in prod.values()):
             return Element(self.complex, deg, {l: entry_polynomial(c, l, want) for l, c in prod.items()})
         return Element.stored(self.complex, deg, want, prod)
-
-    def product_fn(self, a: BasisLabel, b: BasisLabel) -> Element:
-        """e_a e_b as an Element, from a fresh call of the product function."""
-        return self.basis_product(a, b, self._store(a, b, self._product(a, b)))
 
     def multiply(self, x: Element, y: Element) -> Element:
         """x*y; for multigraded x and y with coefficient products, the sum
@@ -359,32 +344,24 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
     pos = {l: k for k, l in enumerate(labels)}
     n = len(labels)
 
-    def table(vec: dict, deg: int) -> dict | list:
-        """{position of l: c} for {label l: c} in degree deg when every l is
-        a basis label of degree deg and every c a coefficient; otherwise the
-        positions of its labels, None for one outside the basis (a support
-        list)."""
+    def table(vec: dict) -> dict | list:
+        """{position of l: c} for {basis label l: c} when every c is a
+        coefficient; otherwise the positions of its labels (a support
+        list).  Storing and the complex's constructors put every label of a
+        product or column in the basis, in the degree it must have."""
         out = {}
         for l, c in vec.items():
-            k = pos.get(l)
-            if k is None or degree[k] != deg or type(c) is Polynomial:
-                return [pos.get(l) for l in vec]
-            out[k] = c
+            if type(c) is Polynomial:
+                return [pos[l] for l in vec]
+            out[pos[l]] = c
         return out
 
     basis = [Element.basis(cx, l) for l in labels]
     # dtab[k]: the table of d(labels[k]), read off the stored column
-    dtab = [table(cx.diff.get(d, _ZERO).get(l, _ZERO), d - 1) for l, d in zip(labels, degree)]
-    # tab[i][j]: the table of labels[i] * labels[j], nonzero products only,
-    # one kept whole (of another degree) a support list;
+    dtab = [table(cx.diff.get(d, _ZERO).get(l, _ZERO)) for l, d in zip(labels, degree)]
+    # tab[i][j]: the table of labels[i] * labels[j], nonzero products only;
     # tabT[j]: the i with labels[i] * labels[j] != 0
-    tab = [
-        {
-            pos[b]: [pos.get(l) for l in p.vec] if type(p) is Element else table(p, d + dg.degree[b])
-            for b, p in dg.row(a).items()
-        }
-        for a, d in zip(labels, degree)
-    ]
+    tab = [{pos[b]: table(p) for b, p in dg.row(a).items()} for a in labels]
     tabT: list[list[int]] = [[] for _ in range(n)]
     for i, row in enumerate(tab):
         for j in row:
@@ -394,7 +371,6 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
     for j, d in enumerate(dtab):
         for k in d:
             dinv[k].append(j)
-    top = cx.top_degree()
     one = dg.unit
     u = pos[one]
 
@@ -423,18 +399,11 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
         report.checked_pairs += n
         for j in sorted(leibniz.union(tabT[i])):
             b = labels[j]
-            dab = degree[i] + degree[j]
             ab = row.get(j, _ZERO)
-            if ab:
-                # a stored table has degree |a| + |b| and the implied
-                # monomials; only a support list can break either
-                prod = dg.basis_product(a, b) if type(ab) is list else None
-                if prod is not None and prod.degree != dab:
-                    report.record("degree", _witness(a, b, got_degree=prod.degree))
-                if dab > top:
-                    report.record("closure", _witness(a, b, detail="product beyond top degree"))
-                if prod is not None and not _homogeneous_product_ok(a, b, prod):
-                    report.record("homogeneous", _witness(a, b, got=str(prod)))
+            # a table has the implied monomials; only a support list (a
+            # Polynomial entry) can break homogeneity
+            if type(ab) is list and not _homogeneous_product_ok(a, b, prod := dg.basis_product(a, b)):
+                report.record("homogeneous", _witness(a, b, got=str(prod)))
             # graded commutativity, both orientations computed directly
             ba = tab[j].get(i, _ZERO)
             sign = -1 if (degree[i] * degree[j]) % 2 else 1
@@ -465,15 +434,12 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
 
     if not triples:
         return report
-    # occ[l]: the (j, c) with l in supp(labels[j] * labels[c]); l is None
-    # for a label outside the basis, which has no row to consult, so its
-    # (j, c) are candidates for every a
-    occ: dict = {}
+    # occ[l]: the (j, c) with l in supp(labels[j] * labels[c])
+    occ: dict[int, list] = {}
     for j, row in enumerate(tab):
         for c, t in row.items():
             for l in t:
                 occ.setdefault(l, []).append((j, c))
-    outside = occ.pop(None, [])
     for i, a in enumerate(labels):
         row = tab[i]
         report.checked_triples += n * n
@@ -483,15 +449,10 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
         for j, ab in row.items():
             got = cands[j] = set()
             for l in ab:
-                if l is None:
-                    got.update(range(n))
-                    break
                 got.update(tab[l])
         for l in row:
             for j, c in occ.get(l, ()):
                 cands.setdefault(j, set()).add(c)
-        for j, c in outside:
-            cands.setdefault(j, set()).add(c)
         for j in sorted(cands):
             b, ab = labels[j], row.get(j, _ZERO)
             for k in sorted(cands[j]):
@@ -529,10 +490,11 @@ def _multigraded(el: Element, what: str) -> Element:
 
 class SubmoduleSpan:
     """A multigraded submodule given by homogeneous generators, each a
-    multigraded Element (b, {l: c}).  Indexed once: `key` numbers the labels
-    of the generators' supports, `columns[k]` is generator k as {key: c},
-    and per homological degree a `strands.Divisors` over the multidegrees of
-    the nonzero generators finds those dividing b (`dividing`)."""
+    multigraded Element (b, {l: c}) on basis labels of its degree (DGError
+    otherwise).  Indexed once: `key` numbers the labels of the generators'
+    supports, `columns[k]` is generator k as {key: c}, and per homological
+    degree a `strands.Divisors` over the multidegrees of the nonzero
+    generators finds those dividing b (`dividing`)."""
 
     def __init__(self, cx: LabeledFreeComplex, generators: Sequence[SpanGenerator]):
         self.complex = cx
@@ -542,6 +504,9 @@ class SubmoduleSpan:
         of_degree: dict[int, list[int]] = {}
         for k, g in enumerate(self.generators):
             el = _multigraded(g.element, f"span generator {g.gen_id}")
+            for l in el.vec:
+                if cx.degree.get(l) != el.degree:
+                    raise DGError(f"span generator {g.gen_id} on {l}: not a basis label of degree {el.degree}")
             self.columns.append({self.key.setdefault(l, len(self.key)): c for l, c in el.vec.items()})
             if el.vec:
                 of_degree.setdefault(el.degree, []).append(k)
@@ -626,22 +591,19 @@ def matching_span(cx: LabeledFreeComplex, matching) -> tuple[SubmoduleSpan, set[
     return span_from_matching_sources(cx, {tuple(s) for s, _ in matching}), prefer
 
 
-def boundary_closed(span: SubmoduleSpan, require: bool = True) -> bool:
-    """Whether the boundary of every span generator lies in the span; when
-    `require`, DGError at the first that does not."""
-    closed = True
+def boundary_closed(span: SubmoduleSpan) -> bool:
+    """True when the boundary of every span generator lies in the span;
+    DGError at the first that does not."""
     for g in span.generators:
         if not submodule_membership(span, _multigraded(g.element.diff(), f"the boundary of {g.gen_id}"))[0]:
-            closed = False
-            if require:
-                raise DGError(f"span is not closed under the differential at generator {g.gen_id}")
-    return closed
+            raise DGError(f"span is not closed under the differential at generator {g.gen_id}")
+    return True
 
 
-def _keyed(prod, key: dict) -> dict | None:
+def _keyed(prod: ScalarProduct, key: dict) -> dict | None:
     """A stored product {l: c} as {key: c}, numbering a label new to `key`
-    as it is met; None for a product kept whole or with a Polynomial entry."""
-    if type(prod) is Element or any(type(c) is Polynomial for c in prod.values()):
+    as it is met; None for a product with a Polynomial entry."""
+    if any(type(c) is Polynomial for c in prod.values()):
         return None
     return {key.setdefault(l, len(key)): c for l, c in prod.items()}
 
@@ -657,7 +619,7 @@ def closure_products(dg: DGStructure, span: SubmoduleSpan, key: dict | None = No
     with l in the generators' supports, and each u*g is summed from those as
     coefficients at b = m_u mdeg(g); only the generators whose support meets
     a nonzero u*l are visited, every other product being 0.  A generator
-    meeting a product kept whole or with a Polynomial entry is multiplied by
+    meeting a product with a Polynomial entry is multiplied by
     `DGStructure.multiply` instead.
     """
     key = dict(span.key) if key is None else key
@@ -667,12 +629,10 @@ def closure_products(dg: DGStructure, span: SubmoduleSpan, key: dict | None = No
     for k, col in enumerate(columns):
         for s in col:
             users[s].append(k)
-    # a support label outside the basis has no place in a stored row
-    outside = [l for l in support if l not in dg.degree]
     for u, du in dg.degree.items():
         row, reached = {}, set()
-        for l, prod in chain(dg.row(u).items(), ((l, dg.table(u, l)) for l in outside)):
-            if (s := support.get(l)) is not None and not prod.is_zero():
+        for l, prod in dg.row(u).items():
+            if (s := support.get(l)) is not None:
                 row[s] = _keyed(prod, key)
                 reached.update(users[s])
         for k in sorted(reached):
@@ -691,19 +651,18 @@ def closure_products(dg: DGStructure, span: SubmoduleSpan, key: dict | None = No
             yield u, k, b, vec, span.solve(du + g.degree, b, vec)
 
 
-def dg_ideal_closure(
-    dg: DGStructure, span: SubmoduleSpan, require_boundary_closed: bool = True
-) -> tuple[bool, dict]:
+def dg_ideal_closure(dg: DGStructure, span: SubmoduleSpan) -> tuple[bool, dict]:
     """Check that the span is a dg ideal: closed under the differential and
     absorbing under multiplication by every basis element.
 
-    The boundary-closure precondition raises if violated (a span that is not
-    a subcomplex cannot be quotiented).  Left products suffice once
+    The boundary-closure precondition raises DGError if violated (a span
+    that is not a subcomplex cannot be quotiented), so `boundary_closed` in
+    the report is always true.  Left products suffice once
     dg_check has established graded commutativity; this routine still checks
     e_U * g for every basis label e_U and every span generator g, recording
     a membership witness for each nonzero product (`closure_products`).
     """
-    report: dict = {"boundary_closed": boundary_closed(span, require_boundary_closed), "products": [], "failures": []}
+    report: dict = {"boundary_closed": boundary_closed(span), "products": [], "failures": []}
     cx, key, labels = dg.complex, dict(span.key), []
     for u, k, b, vec, sol in closure_products(dg, span, key):
         if len(labels) < len(key):
@@ -715,7 +674,7 @@ def dg_ideal_closure(
             report["failures"].append(entry)
         else:
             report["products"].append({**entry, "witness": span.witness(b, sol)})
-    report["ok"] = report["boundary_closed"] and not report["failures"]
+    report["ok"] = not report["failures"]
     return report["ok"], report
 
 
@@ -867,37 +826,12 @@ class Elimination:
 
         return qcx, project
 
-    def rules_json(self) -> dict:
-        """Each rule as {eliminated: pivot tag, equals: {tag: entry}}."""
-        return {
-            str(i): [
-                {
-                    "eliminated": tag_to_json(piv.tag),
-                    "equals": {
-                        "-".join(map(str, tag_to_json(l.tag))) if isinstance(l.tag, tuple) else str(l.tag):
-                        str(entry_polynomial(c, l, piv.multidegree))
-                        for l, c in rhs.items()
-                    },
-                }
-                for piv, rhs in rules
-            ]
-            for i, rules in self.rules.items()
-        }
-
 
 @dataclass
 class QuotientDG:
     structure: DGStructure
     elimination: Elimination
     project: Callable[[Element], Element]
-
-    def to_json(self) -> dict:
-        rules = self.elimination.rules_json()
-        return {
-            "complex": self.structure.complex.to_json(),
-            "eliminated": {i: [rule["eliminated"] for rule in r] for i, r in rules.items()},
-            "rules": rules,
-        }
 
 
 def quotient_dg(
@@ -912,8 +846,9 @@ def quotient_dg(
     The span's generators are eliminated per degree by `Elimination`, over
     Q/<kill_vars> when kill_vars are given.  Labels whose tags are in
     `prefer_eliminate` are preferred as pivots, so callers can steer the
-    surviving basis (e.g. to the Morse-critical cells).  Products of
-    survivors are projected onto the quotient.
+    surviving basis (e.g. to the Morse-critical cells).  The product of
+    two survivors is the parent's stored product with the elimination's
+    rules substituted; a Polynomial entry there raises DGError.
     """
     cx = dg.complex
     elim = Elimination(
@@ -935,13 +870,12 @@ def quotient_dg(
         for old, new in zip(elim.survivors[i], qcx.labels(i)):
             back[new], fwd[old] = old, new
 
-    def qproduct(a: BasisLabel, b: BasisLabel) -> ScalarProduct | Element:
+    def qproduct(a: BasisLabel, b: BasisLabel) -> ScalarProduct:
         pa, pb = back[a], back[b]
         prod = dg.table(pa, pb)
         if not prod:
             return _NONE
-        if type(prod) is Element or any(type(c) is Polynomial for c in prod.values()):
-            return project(dg.basis_product(pa, pb))
+        # a Polynomial entry raises DGError in `substitute`
         got = elim.substitute(prod, pa.multidegree * pb.multidegree, dg.degree[pa] + dg.degree[pb])
         return ScalarProduct({fwd[l]: c for l, c in got.items()})
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .complexes import BasisLabel, ComplexError, LabeledFreeComplex, VecT, entry_polynomial
+from .complexes import BasisLabel, ComplexError, LabeledFreeComplex
 from .dg import DGStructure, ScalarProduct
 from .poly import Monomial, MonomialIdeal, PolyError, lcm_of, monomial_divide, monomial_lcm
 
@@ -109,17 +109,6 @@ def taylor_table(T: LabeledFreeComplex, V: tuple[int, ...], W: tuple[int, ...], 
     union = tuple(sorted(V + W))
     label = T.find_label((kind,) + union)
     return ScalarProduct({label: taylor_sign(V, W)})
-
-
-def taylor_product(
-    ideal: MonomialIdeal, T: LabeledFreeComplex, a: BasisLabel, b: BasisLabel
-) -> VecT:
-    """Product of two Taylor basis labels inside the complex T (built from
-    `ideal`) as {label: Polynomial}; the multidegrees are read from a, b and
-    the union label."""
-    want = a.multidegree * b.multidegree
-    prod = taylor_table(T, a.tag[1:], b.tag[1:], "e")
-    return {l: entry_polynomial(c, l, want) for l, c in prod.items()}
 
 
 def taylor_dg_structure(ideal: MonomialIdeal, T: LabeledFreeComplex | None = None) -> DGStructure:

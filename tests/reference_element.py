@@ -88,8 +88,6 @@ class ReferenceElement:
 def reference_basis_product(dg: DGStructure, a: BasisLabel, b: BasisLabel) -> ReferenceElement:
     """The stored product e_a e_b, each coefficient formatted at m_a m_b."""
     prod = dg.table(a, b)
-    if type(prod) is Element:
-        return ReferenceElement.of(prod)
     want = a.multidegree * b.multidegree
     return ReferenceElement(dg.complex, dg.degree[a] + dg.degree[b], {
         l: entry_polynomial(c, l, want) for l, c in prod.items()

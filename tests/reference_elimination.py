@@ -6,7 +6,7 @@ nonzero constant polynomial, and projects onto Q/<kill> by reinterpreting
 each polynomial over the smaller ring.  `quotient_dg_elimination` and
 `morse_elimination` feed it the generators `quotient_dg` and `morse_reduce`
 build, in the same order.  The tests compare the scalar kernel against it:
-quotient complexes, formatted rules, survivors and projections.
+quotient complexes, rules, survivors and projections.
 """
 
 from __future__ import annotations
@@ -131,21 +131,6 @@ class ReferenceElimination:
             if i and survivors[i]:
                 diff[i] = {new_labels[l]: project(cx.column(i, l), i - 1) for l in survivors[i]}
         return LabeledFreeComplex(ring, basis, diff, name=name), project
-
-    def rules_json(self) -> dict:
-        return {
-            str(i): [
-                {
-                    "eliminated": tag_to_json(piv.tag),
-                    "equals": {
-                        "-".join(map(str, tag_to_json(l.tag))) if isinstance(l.tag, tuple) else str(l.tag): str(p)
-                        for l, p in rhs.items()
-                    },
-                }
-                for piv, rhs in rules
-            ]
-            for i, rules in self.rules.items()
-        }
 
 
 def quotient_dg_elimination(

@@ -43,7 +43,6 @@ from dgres import (
     t4_tree,
     taylor_dg_structure,
     taylor_graph,
-    taylor_product,
     taylor_resolution,
     tensor_complex,
     total_betti,
@@ -52,6 +51,7 @@ from dgres import (
 from dgres.classify import C5_MATCHING, classify, kruskal_katona_is_fvector
 from dgres.combin import Graph
 from dgres.dg import (
+    ScalarProduct,
     dg_ideal_closure,
     quotient_dg,
     span_from_matching_sources,
@@ -65,6 +65,7 @@ from dgres.diam4 import (
     star_decompose,
 )
 from dgres.morse import is_superset_closed, matching_sources
+from dgres.taylor import taylor_table
 
 from conftest import matching_targets, t4_cases
 
@@ -256,11 +257,11 @@ def test_criterion_07_negative_controls(taylor_fixture_ideal):
     TX = taylor_resolution(I)
 
     def mutated(a, b):
-        da, db = len(a.tag) - 1, len(b.tag) - 1
-        el = Element(TX, da + db, taylor_product(I, TX, a, b))
-        if da == 1 and db == 1:
-            return el.scale(-1)
-        return el
+        V, W = a.tag[1:], b.tag[1:]
+        prod = taylor_table(TX, V, W, "e")
+        if len(V) == 1 and len(W) == 1:
+            return ScalarProduct({l: -c for l, c in prod.items()})
+        return prod
 
     report = dg_check(DGStructure(TX, mutated))
     assert not report.ok

@@ -95,8 +95,8 @@ class TestConstruction:
 
     def test_label_with_another_multidegree_is_outside(self):
         # the tag of e0 with another multidegree: not a basis label, so
-        # degree_of raises and the structure computes its product afresh
-        # instead of reading a stored row
+        # degree_of raises, a structure has no row or table for it and
+        # refuses a product written on it, and nothing is computed for it
         F = taylor_resolution(ideal(RING3, "x*y", "y*z"))
         unit, e0 = F.labels(0)[0], F.find_label(("e", 0))
         impostor = BasisLabel(e0.tag, RING3.variable("x"))
@@ -106,10 +106,15 @@ class TestConstruction:
 
         def product(a, b):
             calls.append((a, b))
-            return ScalarProduct({unit: 1})
+            return ScalarProduct({impostor: 1} if (a, b) == (unit, e0) else {})
 
-        assert DGStructure(F, product).table(impostor, e0) == {unit: 1}
-        assert calls == [(impostor, e0)]
+        dg = DGStructure(F, product)
+        for read in (lambda: dg.table(impostor, e0), lambda: dg.table(e0, impostor), lambda: dg.row(impostor)):
+            with pytest.raises(DGError, match=r"^\(e,0\)\[x\] is not a basis label of "):
+                read()
+        assert calls == []
+        with pytest.raises(DGError, match=r"^product entry 1 of .* on \(e,0\)\[x\]: not a basis label of degree 1$"):
+            dg.table(unit, e0)
 
     def test_stray_column_rejected(self):
         unit = BasisLabel(("u",), RING3.one())

@@ -13,6 +13,7 @@ on every membership call."""
 
 import json
 import random
+import re
 from fractions import Fraction
 from functools import partialmethod
 
@@ -43,16 +44,16 @@ from dgres import (
     submodule_membership,
     taylor_dg_structure,
     taylor_graph,
-    taylor_product,
     taylor_resolution,
     validate_matching,
 )
 from dgres.classify import C4_MATCHING, C5_MATCHING, _cycle_consecutive_ideal, _d3_order, classify
 from dgres.combin import tree_longest_path
-from dgres.complexes import ComplexError, tag_to_json
-from dgres.dg import DGReport, _homogeneous_product_ok, closure_products
+from dgres.complexes import ComplexError, entry_polynomial, tag_to_json
+from dgres.dg import DGReport, ScalarProduct, _homogeneous_product_ok, boundary_closed, closure_products
 from dgres.morse import is_superset_closed, matching_sources
 from dgres.poly import monomial_divide
+from dgres.taylor import taylor_table
 
 from dense_linalg import solve
 from conftest import matching_targets
@@ -62,6 +63,16 @@ RING3 = VariableSet(("x", "y", "z"))
 
 def ideal(ring, *gens):
     return MonomialIdeal.from_strings(ring, list(gens))
+
+
+def scaled(prod: ScalarProduct, c) -> ScalarProduct:
+    """c times a stored product."""
+    return ScalarProduct({l: x * c for l, x in prod.items()} if c else {})
+
+
+def taylor_fn(T: LabeledFreeComplex):
+    """The Taylor product of T's labels, as `taylor_dg_structure` has it."""
+    return lambda a, b: taylor_table(T, a.tag[1:], b.tag[1:], "e")
 
 
 class TestElement:
@@ -110,12 +121,9 @@ class TestDGCheck:
         T = taylor_resolution(I)
 
         def product(a, b):
-            deg = (len(a.tag) - 1) + (len(b.tag) - 1)
-            coords = taylor_product(I, T, a, b)
-            el = Element(T, deg, coords)
             if len(a.tag) == 1 or len(b.tag) == 1:  # unit factor: drop it
-                return Element.zero(T, deg)
-            return el
+                return ScalarProduct()
+            return taylor_fn(T)(a, b)
 
         report = dg_check(DGStructure(T, product), triples=False)
         assert not report.ok
@@ -129,11 +137,8 @@ class TestDGCheck:
         T = taylor_resolution(I)
 
         def mutated(a, b):
-            da, db = len(a.tag) - 1, len(b.tag) - 1
-            el = Element(T, da + db, taylor_product(I, T, a, b))
-            if da == 1 and db == 1:
-                return el.scale(-1)
-            return el
+            prod = taylor_fn(T)(a, b)
+            return scaled(prod, -1) if len(a.tag) == len(b.tag) == 2 else prod
 
         report = dg_check(DGStructure(T, mutated))
         assert not report.ok
@@ -150,7 +155,7 @@ class TestDGCheck:
         T = taylor_resolution(I)
 
         def broken(a, b):  # everything vanishes: units fail on every label
-            return Element.zero(T, (len(a.tag) - 1) + (len(b.tag) - 1))
+            return ScalarProduct()
 
         report = dg_check(DGStructure(T, broken), triples=False)
         assert not report.ok
@@ -244,11 +249,10 @@ class TestDGIdealClosure:
         cx = dg.complex
         e01 = Element.basis(cx, cx.find_label(("e", 0, 1)))
         bare = SubmoduleSpan(cx, [SpanGenerator(("e", 0, 1), e01)])
-        with pytest.raises(DGError):
-            dg_ideal_closure(dg, bare)
-        ok, report = dg_ideal_closure(dg, bare, require_boundary_closed=False)
-        assert not ok
-        assert not report["boundary_closed"]
+        refused = r"^span is not closed under the differential at generator \('e', 0, 1\)$"
+        for check in (boundary_closed, lambda span: dg_ideal_closure(dg, span)):
+            with pytest.raises(DGError, match=refused):
+                check(bare)
 
     def test_whisker_matching_span_is_ideal(self):
         ring = VariableSet(("x", "y", "x1", "y1", "z"))
@@ -308,21 +312,6 @@ class TestQuotient:
         bare = SubmoduleSpan(T, [SpanGenerator(("e", 0, 1), e01)])
         with pytest.raises(DGError):
             quotient_dg(dg, bare)
-
-    def test_to_json_shape(self):
-        ring = VariableSet(("x", "y", "x1", "y1", "z"))
-        I = MonomialIdeal.from_strings(ring, ["x*y", "x*z", "y*z", "x*x1", "y*y1"])
-        dg = taylor_dg_structure(I)
-        span = span_from_matching_sources(
-            dg.complex, matching_sources(lyubeznik_matching(I))
-        )
-        q = quotient_dg(dg, span)
-        data = q.to_json()
-        assert set(data) == {"complex", "eliminated", "rules"}
-        assert json.loads(json.dumps(data)) == data
-        assert data["eliminated"] and data["eliminated"].keys() == data["rules"].keys()
-        for i, tags in data["eliminated"].items():
-            assert tags == [rule["eliminated"] for rule in data["rules"][i]]
 
 
 class TestFiveCycle:
@@ -390,7 +379,6 @@ def dense_dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
     report = DGReport()
     labels = list(dg.degree)
     degree = {l: cx.degree_of(l) for l in labels}
-    top = cx.top_degree()
     one = dg.unit
 
     for a in labels:
@@ -406,23 +394,11 @@ def dense_dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
         for b in labels:
             prod = dg.basis_product(a, b)
             report.checked_pairs += 1
-            dab = degree[a] + degree[b]
-            if not prod.is_zero():
-                if prod.degree != dab:
-                    report.record(
-                        "degree",
-                        {"a": tag_to_json(a.tag), "b": tag_to_json(b.tag), "got_degree": prod.degree},
-                    )
-                if dab > top:
-                    report.record(
-                        "closure",
-                        {"a": tag_to_json(a.tag), "b": tag_to_json(b.tag), "detail": "product beyond top degree"},
-                    )
-                if not _homogeneous_product_ok(a, b, prod):
-                    report.record(
-                        "homogeneous",
-                        {"a": tag_to_json(a.tag), "b": tag_to_json(b.tag), "got": str(prod)},
-                    )
+            if not _homogeneous_product_ok(a, b, prod):
+                report.record(
+                    "homogeneous",
+                    {"a": tag_to_json(a.tag), "b": tag_to_json(b.tag), "got": str(prod)},
+                )
             # graded commutativity, both orientations computed directly
             ba = dg.basis_product(b, a)
             sign = -1 if (degree[a] * degree[b]) % 2 else 1
@@ -498,8 +474,8 @@ def matching_quotient(ideal, matching) -> DGStructure:
 
 def tampered(dg: DGStructure, product) -> DGStructure:
     """A fresh structure on the same complex; `product(a, b, honest)` gets
-    the honest product and returns the stored one."""
-    return DGStructure(dg.complex, lambda a, b: product(a, b, dg.product_fn(a, b)))
+    the honest stored product and returns the one to store."""
+    return DGStructure(dg.complex, lambda a, b: product(a, b, dg.table(a, b)))
 
 
 @pytest.fixture
@@ -509,10 +485,10 @@ def uncapped(monkeypatch):
 
 
 def assert_matches_dense(dg: DGStructure) -> DGReport:
-    """Sparse and dense reports agree byte for byte, each on a fresh product
-    cache, so both also call the product function themselves."""
-    sparse = dg_check(DGStructure(dg.complex, dg.product_fn))
-    dense = dense_dg_check(DGStructure(dg.complex, dg.product_fn))
+    """Sparse and dense reports agree byte for byte, each on a fresh
+    structure that stores dg's products again."""
+    sparse = dg_check(DGStructure(dg.complex, dg.table))
+    dense = dense_dg_check(DGStructure(dg.complex, dg.table))
     assert json.dumps(sparse.to_json()) == json.dumps(dense.to_json())
     n = len(dg.degree)
     assert (sparse.checked_pairs, sparse.checked_triples) == (n * n, n**3)
@@ -521,10 +497,6 @@ def assert_matches_dense(dg: DGStructure) -> DGReport:
 
 def label(dg: DGStructure, *idx) -> BasisLabel:
     return dg.complex.find_label(("e",) + idx)
-
-
-def constant(dg: DGStructure, degree: int, lbl: BasisLabel, c=1) -> Element:
-    return Element(dg.complex, degree, {lbl: Polynomial.constant(dg.complex.ring, c)})
 
 
 def lyubeznik_d3_quotient() -> DGStructure:
@@ -564,7 +536,8 @@ def reshaped_product(ideal, reshape) -> DGStructure:
     def product(x, y, honest):
         if {x, y} != pair:
             return honest
-        return Element(dg.complex, 2, {l: reshape(p) for l, p in honest.coords.items()})
+        want = x.multidegree * y.multidegree
+        return ScalarProduct({l: reshape(entry_polynomial(c, l, want)) for l, c in honest.items()})
 
     return tampered(dg, product)
 
@@ -589,30 +562,11 @@ def inhomogeneous_differential(ideal) -> DGStructure:
     return taylor_dg_structure(ideal, LabeledFreeComplex(T.ring, T.basis, diff))
 
 
-def outside_label_product(ideal) -> DGStructure:
-    """e0*e01 stored on a label the complex does not have (see
-    test_label_outside_the_basis_keeps_all_partners)."""
-    dg = taylor_dg_structure(ideal)
-    e0, e3, e01 = label(dg, 0), label(dg, 3), label(dg, 0, 1)
-    top = label(dg, 0, 1, 2, 3)
-    ghost = BasisLabel(("ghost",), e01.multidegree * e0.multidegree)
-
-    def product(x, y):
-        if ghost in (x, y):
-            return constant(dg, 4, top) if (x, y) == (ghost, e3) else Element.zero(dg.complex, 4)
-        if {x, y} == {e0, e01}:
-            return constant(dg, 3, ghost)
-        return dg.product_fn(x, y)
-
-    return DGStructure(dg.complex, product)
-
-
 # structures that force the Polynomial path, with failures each must report
 POLYNOMIAL_PATH = {
     "two-term-product": (two_term_product, {"homogeneous", "leibniz", "associativity"}),
     "product-off-by-a-variable": (product_off_by_a_variable, {"homogeneous", "leibniz", "associativity"}),
     "inhomogeneous-differential": (inhomogeneous_differential, {"leibniz"}),
-    "outside-label-product": (outside_label_product, {"associativity"}),
 }
 
 
@@ -632,7 +586,7 @@ class TestDenseOracle:
         a, b = dg.complex.labels(1)[:2]
 
         def flip(x, y, honest):
-            return honest.scale(-1) if (x, y) == (a, b) else honest
+            return scaled(honest, -1) if (x, y) == (a, b) else honest
 
         report = assert_matches_dense(tampered(dg, flip))
         assert {"graded_commutativity", "leibniz"} <= set(report.failures)
@@ -645,7 +599,7 @@ class TestDenseOracle:
         e0, e1 = label(dg, 0), label(dg, 1)
 
         def drop(x, y, honest):
-            return Element.zero(dg.complex, 2) if {x, y} == {e0, e1} else honest
+            return ScalarProduct() if {x, y} == {e0, e1} else honest
 
         report = assert_matches_dense(tampered(dg, drop))
         assoc = report.failures["associativity"]
@@ -671,7 +625,7 @@ class TestDenseOracle:
 
         def plant(x, y, honest):
             c = table.get((x, y))
-            return honest if c is None else constant(dg, 4, top, c)
+            return honest if c is None else ScalarProduct({top: c})
 
         report = assert_matches_dense(tampered(dg, plant))
         assert pair in [(w["a"], w["b"]) for w in report.failures["leibniz"]]
@@ -683,21 +637,22 @@ class TestDenseOracle:
         assert axioms <= set(report.failures)
 
     def test_product_of_another_degree(self):
-        # e0*e1 = e01 stored as an element of degree 3: in Polynomial
-        # arithmetic d(ab) reads column e01 of d_3, which does not exist, so
-        # Leibniz fails although d(e01) = d(e0) e1 - e0 d(e1).  Pairs only:
-        # a triple would add elements of degrees 2 and 3, which raises.
+        # e0*e1 written as 1 on e1, a label of degree 1, not 2 (its
+        # monomial y divides m_0 m_1 = xy): refused on storing, so the
+        # table, the pair checks and the triple checks all stop there
         dg = taylor_dg_structure(ideal(RING3, "x", "y"))
-        pair = {label(dg, 0), label(dg, 1)}
+        e0, e1 = label(dg, 0), label(dg, 1)
 
         def shifted(x, y, honest):
-            return Element(dg.complex, 3, honest.coords) if {x, y} == pair else honest
+            return ScalarProduct({e1: 1}) if {x, y} == {e0, e1} else honest
 
-        dg = tampered(dg, shifted)
-        sparse = dg_check(DGStructure(dg.complex, dg.product_fn), triples=False)
-        dense = dense_dg_check(DGStructure(dg.complex, dg.product_fn), triples=False)
-        assert json.dumps(sparse.to_json()) == json.dumps(dense.to_json())
-        assert {"degree", "leibniz"} <= set(sparse.failures)
+        on = re.escape(f"{e0}*{e1} on {e1}")
+        refused = rf"^product entry 1 of {on}: not a basis label of degree 2$"
+        with pytest.raises(DGError, match=refused):
+            tampered(dg, shifted).table(e0, e1)
+        for triples in (False, True):
+            with pytest.raises(DGError, match=refused):
+                dg_check(tampered(dg, shifted), triples=triples)
 
     def test_one_label_in_two_degrees_is_rejected(self):
         # u (tag and multidegree xy) as a basis label of degrees 1 and 2,
@@ -727,29 +682,27 @@ def test_stored_complex_with_a_label_in_two_degrees_is_rejected():
         LabeledFreeComplex._from_stored(ring, {0: [unit], 1: [a, u], 2: [u], 3: [w]}, {2: {u: {a: 1}}, 3: {w: {u: 1}}})
 
 
-def test_label_outside_the_basis_keeps_all_partners(taylor_fixture_ideal, uncapped):
-    """e0*e01 is stored as a label the complex does not have, whose only
-    nonzero partner is e3.  No stored row covers that label, and e0*(e01*e3)
-    is 0, so the sparse check finds the triples (e0, e01, e3) and
-    (e01, e0, e3) only by trying every partner of the outside label."""
+def test_product_on_a_label_outside_the_basis_is_refused(taylor_fixture_ideal):
+    """e0*e01 written on a label the complex does not have, and on the tag
+    of e012 with another multidegree: each is refused on storing, by the
+    table, by `dg_check` and by the closure of a span it meets; a label
+    outside the basis has no row and no table either."""
     dg = taylor_dg_structure(taylor_fixture_ideal)
-    e0, e3, e01 = label(dg, 0), label(dg, 3), label(dg, 0, 1)
-    top = label(dg, 0, 1, 2, 3)
+    e0, e01, e012 = label(dg, 0), label(dg, 0, 1), label(dg, 0, 1, 2)
     ghost = BasisLabel(("ghost",), e01.multidegree * e0.multidegree)
-
-    def product(x, y):
-        if ghost in (x, y):
-            if (x, y) == (ghost, e3):
-                return constant(dg, 4, top)
-            return Element.zero(dg.complex, 4)
-        if {x, y} == {e0, e01}:
-            return constant(dg, 3, ghost)
-        return dg.product_fn(x, y)
-
-    report = assert_matches_dense(DGStructure(dg.complex, product))
-    triples = [(w["a"], w["b"], w["c"]) for w in report.failures["associativity"]]
-    assert (["e", 0], ["e", 0, 1], ["e", 3]) in triples
-    assert (["e", 0, 1], ["e", 0], ["e", 3]) in triples
+    impostor = BasisLabel(e012.tag, e0.multidegree)
+    for outside in (ghost, impostor):
+        bad = tampered(dg, lambda x, y, honest: ScalarProduct({outside: 1}) if {x, y} == {e0, e01} else honest)
+        refused = rf"^product entry 1 of .* on {re.escape(str(outside))}: not a basis label of degree 3$"
+        with pytest.raises(DGError, match=refused):
+            bad.table(e01, e0)
+        with pytest.raises(DGError, match=refused):
+            dg_check(bad, triples=False)
+        with pytest.raises(DGError, match=refused):
+            list(closure_products(bad, span_from_matching_sources(dg.complex, [(0, 1)])))
+        for read in (lambda: dg.row(outside), lambda: dg.table(e0, outside), lambda: dg.table(outside, e0)):
+            with pytest.raises(DGError, match=rf"^{re.escape(str(outside))} is not a basis label of "):
+                read()
 
 
 # ---------------------------------------------------------------------------
@@ -805,15 +758,22 @@ def dense_submodule_membership(span: SubmoduleSpan, element: Element):
     return True, witness
 
 
-def dense_dg_ideal_closure(dg: DGStructure, span: SubmoduleSpan, require_boundary_closed: bool = True):
-    """Every product e_u * g formed in Polynomials."""
-    report: dict = {"boundary_closed": True, "products": [], "failures": []}
+def dense_dg_ideal_closure(dg: DGStructure, span: SubmoduleSpan):
+    """Every product e_u * g formed in Polynomials, once the boundary of
+    every generator is found in the span."""
     for g in span.generators:
         ok, _ = dense_submodule_membership(span, g.element.diff())
         if not ok:
-            report["boundary_closed"] = False
-            if require_boundary_closed:
-                raise DGError(f"span is not closed under the differential at generator {g.gen_id}")
+            raise DGError(f"span is not closed under the differential at generator {g.gen_id}")
+    report = dense_closure_entries(dg, span)
+    report = {"boundary_closed": True, **report, "ok": not report["failures"]}
+    return report["ok"], report
+
+
+def dense_closure_entries(dg: DGStructure, span: SubmoduleSpan) -> dict:
+    """{products, failures}: each nonzero e_u * g, in the span (with its
+    witness) or not."""
+    report: dict = {"products": [], "failures": []}
     for u in dg.degree:
         eu = Element.basis(dg.complex, u)
         for g in span.generators:
@@ -827,15 +787,14 @@ def dense_dg_ideal_closure(dg: DGStructure, span: SubmoduleSpan, require_boundar
                 report["products"].append(entry)
             else:
                 report["failures"].append(entry)
-    report["ok"] = report["boundary_closed"] and not report["failures"]
-    return report["ok"], report
+    return report
 
 
-def assert_closure_matches_dense(dg: DGStructure, span: SubmoduleSpan, **kw) -> dict:
+def assert_closure_matches_dense(dg: DGStructure, span: SubmoduleSpan) -> dict:
     """The full reports agree: products with their witnesses, failures and
-    boundary_closed, each side on a fresh product cache."""
-    ok, report = dg_ideal_closure(DGStructure(dg.complex, dg.product_fn), span, **kw)
-    dense_ok, dense = dense_dg_ideal_closure(DGStructure(dg.complex, dg.product_fn), span, **kw)
+    boundary_closed, each side on a fresh structure storing dg's products."""
+    ok, report = dg_ideal_closure(DGStructure(dg.complex, dg.table), span)
+    dense_ok, dense = dense_dg_ideal_closure(DGStructure(dg.complex, dg.table), span)
     assert ok == dense_ok
     assert json.dumps(report) == json.dumps(dense)
     return report
@@ -875,43 +834,46 @@ class TestClosureDenseOracle:
         assert report["boundary_closed"] and report["failures"]
 
     def test_span_not_closed_under_the_differential(self):
+        # both reports refuse the span; its products, read through
+        # closure_products, are still the dense ones
         dg = taylor_dg_structure(ideal(RING3, "x", "y", "z"))
         e01 = Element.basis(dg.complex, dg.complex.find_label(("e", 0, 1)))
         bare = SubmoduleSpan(dg.complex, [SpanGenerator(("e", 0, 1), e01)])
-        report = assert_closure_matches_dense(dg, bare, require_boundary_closed=False)
-        assert not report["boundary_closed"]
+        for closure in (dg_ideal_closure, dense_dg_ideal_closure):
+            with pytest.raises(DGError, match="^span is not closed under the differential"):
+                closure(dg, bare)
+        got = [(tag_to_json(u.tag), sol is not None) for u, _, _, _, sol in closure_products(dg, bare)]
+        dense = dense_closure_entries(dg, bare)
+        assert got == [(["e"], True), (["e", 2], False)]
+        assert sorted(got) == sorted(
+            [(e["factor"], True) for e in dense["products"]] + [(e["factor"], False) for e in dense["failures"]]
+        )
 
-    @pytest.mark.parametrize("case", ["product-off-by-a-variable", "outside-label-product"])
+    @pytest.mark.parametrize("case", ["product-off-by-a-variable"])
     def test_polynomial_path(self, taylor_fixture_ideal, case):
-        # the span of e01 and d(e01) reads the tampered products e0*e1 and
-        # e0*e01
+        # the span of e01 and d(e01) reads the tampered product e0*e1
         dg = POLYNOMIAL_PATH[case][0](taylor_fixture_ideal)
         report = assert_closure_matches_dense(dg, span_from_matching_sources(dg.complex, [(0, 1)]))
         assert report["products"] and report["failures"]
 
     def test_generator_on_a_label_outside_the_basis(self, taylor_fixture_ideal):
-        # the span is generated by a label the complex does not have; no
-        # stored row holds e0*ghost = e0*e1, so the closure computes it
-        # afresh and finds it outside the span
-        dg = taylor_dg_structure(taylor_fixture_ideal)
-        e0, e1 = label(dg, 0), label(dg, 1)
+        # a label the complex does not have, and e1, a basis label, in a
+        # generator of degree 2: a span is refused either generator
+        cx = taylor_resolution(taylor_fixture_ideal)
+        e1 = cx.find_label(("e", 1))
         ghost = BasisLabel(("ghost",), e1.multidegree)
-
-        def product(x, y):
-            if ghost in (x, y):
-                return dg.product_fn(e0, e1) if (x, y) == (e0, ghost) else Element.zero(dg.complex, 1)
-            return dg.product_fn(x, y)
-
-        gen = SpanGenerator(("ghost",), Element.stored(dg.complex, 1, ghost.multidegree, {ghost: 1}))
-        report = assert_closure_matches_dense(DGStructure(dg.complex, product), SubmoduleSpan(dg.complex, [gen]))
-        assert [f["factor"] for f in report["failures"]] == [["e", 0]]
+        for l, degree in ((ghost, 1), (e1, 2)):
+            gen = SpanGenerator(("g",), Element.stored(cx, degree, l.multidegree, {l: 1}))
+            with pytest.raises(DGError, match=rf"^span generator \('g',\) on {re.escape(str(l))}: "
+                                              rf"not a basis label of degree {degree}$"):
+                SubmoduleSpan(cx, [gen])
 
     def test_product_with_two_terms_is_refused(self, taylor_fixture_ideal):
         dg = two_term_product(taylor_fixture_ideal)
         span = span_from_matching_sources(dg.complex, [(0, 1)])
         for closure in (dg_ideal_closure, dense_dg_ideal_closure):
             with pytest.raises(DGError, match="multigraded"):
-                closure(DGStructure(dg.complex, dg.product_fn), span)
+                closure(DGStructure(dg.complex, dg.table), span)
 
 
 def divides_scan(span: SubmoduleSpan, degree: int, b) -> list[int]:
@@ -945,8 +907,8 @@ class TestClosureCore:
     @staticmethod
     def assert_core_matches_report(dg: DGStructure, span: SubmoduleSpan) -> dict:
         got = [(tag_to_json(u.tag), tag_to_json(span.generators[k].gen_id), sol is not None)
-               for u, k, _, _, sol in closure_products(DGStructure(dg.complex, dg.product_fn), span)]
-        _, report = dg_ideal_closure(dg, span, require_boundary_closed=False)
+               for u, k, _, _, sol in closure_products(DGStructure(dg.complex, dg.table), span)]
+        _, report = dg_ideal_closure(dg, span)
         want = sorted(
             [(e["factor"], e["gen"], True) for e in report["products"]]
             + [(e["factor"], e["gen"], False) for e in report["failures"]]
@@ -960,12 +922,13 @@ class TestClosureCore:
             self.assert_core_matches_report(dg, matching_span(dg, lyubeznik_matching(I)))
 
     def test_failures_and_outside_labels(self, taylor_fixture_ideal):
+        # failures are products with labels outside the span's support,
+        # numbered as they are met; one structure reads them in Polynomials
         dg = taylor_dg_structure(ideal(RING3, "x", "y", "z"))
         assert self.assert_core_matches_report(dg, span_from_matching_sources(dg.complex, [(0, 1)]))["failures"]
-        for case in ("product-off-by-a-variable", "outside-label-product"):
-            dg = POLYNOMIAL_PATH[case][0](taylor_fixture_ideal)
-            report = self.assert_core_matches_report(dg, span_from_matching_sources(dg.complex, [(0, 1)]))
-            assert report["failures"]
+        dg = POLYNOMIAL_PATH["product-off-by-a-variable"][0](taylor_fixture_ideal)
+        report = self.assert_core_matches_report(dg, span_from_matching_sources(dg.complex, [(0, 1)]))
+        assert report["failures"]
 
     def test_classify_counts_the_report(self):
         for graph, dg, span in d3_and_cycle_spans():
@@ -1007,44 +970,36 @@ def random_tampering(dg: DGStructure, rng) -> DGStructure:
             if dg.degree[l] == dg.degree[a] + dg.degree[b] and l.multidegree.divides(a.multidegree * b.multidegree)
         ])
         c = rng.choice((-2, -1, 1, 3))
-        term = {l: Polynomial.monomial(monomial_divide(a.multidegree * b.multidegree, l.multidegree), c)}
     else:
-        a, b = rng.choice([(a, b) for a in labels for b in labels if not dg.basis_product(a, b).is_zero()])
+        a, b = rng.choice([(a, b) for a in labels for b in labels if dg.table(a, b)])
 
     def product(x, y, honest):
         if (x, y) != (a, b):
             return honest
         if kind == "extra":
-            return honest + Element(dg.complex, honest.degree, term)
-        return Element.zero(dg.complex, honest.degree) if kind == "drop" else honest.scale(-1 if kind == "negate" else 2)
+            out = ScalarProduct(honest)
+            if s := out.pop(l, 0) + c:
+                out[l] = s
+            return out
+        return scaled(honest, {"drop": 0, "negate": -1, "double": 2}[kind])
 
     return tampered(dg, product)
 
 
-def outside_label_in_bc(dg: DGStructure) -> tuple[DGStructure, tuple]:
+def outside_label_in_bc(dg: DGStructure) -> tuple[DGStructure, str]:
     """dg with the first nonzero product bc of two degree-1 labels given an
-    extra term on a label outside the basis, which only a, the first
-    degree-1 label, multiplies to something nonzero (the first label of
-    degree |a| + |b| + |c|).  So only a(bc) of (a, b, c) sees the ghost."""
-    cx = dg.complex
-    a, *ones = cx.labels(1)
-    b, c = next((b, c) for b in ones for c in ones if not dg.basis_product(b, c).is_zero())
-    deg = dg.degree[b] + dg.degree[c]
+    extra term on a label outside the basis, and the message that refuses
+    it when it is stored."""
+    ones = dg.complex.labels(1)
+    b, c = next((b, c) for b in ones for c in ones if dg.table(b, c))
     ghost = BasisLabel(("ghost",), b.multidegree * c.multidegree)
-    target = cx.labels(deg + 1)[0]
 
-    def product(x, y):
-        if ghost in (x, y):
-            if (x, y) == (a, ghost):
-                return Element(cx, deg + 1, {target: Polynomial.constant(cx.ring, 1)})
-            return Element.zero(cx, dg.degree.get(x, deg) + dg.degree.get(y, deg))
-        honest = dg.product_fn(x, y)
-        if (x, y) == (b, c):
-            return honest + Element(cx, deg, {ghost: Polynomial.constant(cx.ring, 1)})
-        return honest
+    def product(x, y, honest):
+        return ScalarProduct({**honest, ghost: 1}) if (x, y) == (b, c) else honest
 
-    triple = tuple(tag_to_json(l.tag) for l in (a, b, c))
-    return DGStructure(cx, product), triple
+    on = re.escape(f"{b}*{c} on {ghost}")
+    refused = rf"^product entry 1 of {on}: not a basis label of degree 2$"
+    return tampered(dg, product), refused
 
 
 TRIPLE_INDEX_STRUCTURES = {"cone": STRUCTURES["cone"], "morse-c5": STRUCTURES["morse-c5"]}
@@ -1059,10 +1014,10 @@ class TestCandidateIndex:
         assert_matches_dense(dg)
 
     @pytest.mark.parametrize("name", list(TRIPLE_INDEX_STRUCTURES))
-    def test_outside_label_in_bc_only(self, name):
-        dg, triple = outside_label_in_bc(TRIPLE_INDEX_STRUCTURES[name]())
-        report = assert_matches_dense(dg)
-        assert triple in [(w["a"], w["b"], w["c"]) for w in report.failures["associativity"]]
+    def test_outside_label_in_bc_is_refused(self, name):
+        dg, refused = outside_label_in_bc(TRIPLE_INDEX_STRUCTURES[name]())
+        with pytest.raises(DGError, match=refused):
+            dg_check(dg)
 
     def test_commutativity_when_only_ba_is_nonzero(self):
         # a, b are cycles and ab is stored as 0 while ba = -u: on (a, b) no
@@ -1076,10 +1031,8 @@ class TestCandidateIndex:
 
         def product(p, q):
             if unit in (p, q):
-                return Element.basis(cx, q if p == unit else p)
-            if (p, q) == (b, a):
-                return Element(cx, 2, {u: Polynomial.constant(ring, -1)})
-            return Element.zero(cx, cx.degree_of(p) + cx.degree_of(q))
+                return ScalarProduct({q if p == unit else p: 1})
+            return ScalarProduct({u: -1} if (p, q) == (b, a) else {})
 
         report = assert_matches_dense(DGStructure(cx, product))
         assert [(w["a"], w["b"]) for w in report.failures["graded_commutativity"]] == [(["a"], ["b"]), (["b"], ["a"])]
@@ -1092,6 +1045,21 @@ def test_boundary_through_a_polynomial_entry_is_refused(taylor_fixture_ideal):
     e01 = Element.basis(dg.complex, dg.complex.find_label(("e", 0, 1)))
     bare = SubmoduleSpan(dg.complex, [SpanGenerator(("e", 0, 1), e01)])
     with pytest.raises(DGError, match=r"^the boundary of \('e', 0, 1\) is not multigraded"):
-        dg_ideal_closure(dg, bare, require_boundary_closed=False)
+        dg_ideal_closure(dg, bare)
     with pytest.raises(DGError, match=r"^the boundary of \('e', 0, 1\) is not multigraded"):
         quotient_dg(dg, bare)
+
+
+def test_quotient_of_a_polynomial_product_is_refused(taylor_fixture_ideal):
+    """e0*e1 with Polynomial entries: both labels survive the Lyubeznik
+    quotient, whose product of them goes through `Elimination.substitute`
+    and is refused there, by the table and by `dg_check`."""
+    I = taylor_fixture_ideal
+    dg = product_off_by_a_variable(I)
+    q = quotient_dg(dg, matching_span(dg, lyubeznik_matching(I))).structure
+    e0, e1 = q.complex.find_label(("e", 0)), q.complex.find_label(("e", 1))
+    refused = r"^inhomogeneous entry in degree 2: elimination needs a multigraded complex$"
+    with pytest.raises(DGError, match=refused):
+        q.table(e0, e1)
+    with pytest.raises(DGError, match=refused):
+        dg_check(q, triples=False)

@@ -40,6 +40,8 @@ from dgres import (
 from dgres import prune
 from dgres.classify import C4_MATCHING, C5_MATCHING
 from dgres.combin import graph_diameter
+from dgres.complexes import entry_polynomial
+from dgres.dg import ScalarProduct
 from dgres.morse import matching_sources
 
 from reference_element import ReferenceElement, reference_membership, reference_multiply
@@ -260,9 +262,11 @@ class TestMixedAndInhomogeneous:
         x = cx.ring.variable("x")
 
         def product(a, b):
-            honest = dg.product_fn(a, b)
+            honest = dg.table(a, b)
             if {a, b} != pair:
                 return honest
-            return Element(cx, 2, {l: p + p * x for l, p in honest.coords.items()})
+            want = a.multidegree * b.multidegree
+            coords = {l: entry_polynomial(c, l, want) for l, c in honest.items()}
+            return ScalarProduct({l: p + p * x for l, p in coords.items()})
 
         assert assert_structure_matches(DGStructure(cx, product))

@@ -10,13 +10,14 @@ concatenation of the 30 texts is fixed.  A refactor of any layer a
 certificate rests on (Taylor, Lyubeznik/Morse, dg checks, cones, pruning,
 strands) must leave it unchanged.
 
-Nine command-line outputs are pinned the same way, as the sha256 of stdout
-plus the exit code, run in-process through `cli.main`: `reduce` along the
-Lyubeznik matching and along a matching file, `dgcheck --structure
+Twelve command-line outputs are pinned the same way, as the sha256 of
+stdout plus the exit code, run in-process through `cli.main`: `reduce` along
+the Lyubeznik matching and along a matching file, `dgcheck --structure
 quotient`, `prune --dg` and `lyubeznik` gate the Morse and quotient
 eliminations; `taylor`, `betti`, `prune` without `--dg` (every stage
 matrix) and `cone4` print differential entries as Polynomial strings, which
-gates how complexes store them.
+gates how complexes store them; `dgcheck --structure taylor`, `dgcheck
+--structure cone4` and `cone4 --check` complete the paths into `dg_check`.
 """
 
 import hashlib
@@ -102,6 +103,20 @@ CLI_GOLDEN = {
     "cone4": (
         ["cone4", "--family", "T4(2;1,2)"],
         0, "3b9a2ce65be92eba41fccb43858588bf9edf10d5298773dd0585a0a55933df8c",
+    ),
+    # every other path into dg_check: the Taylor structure, the cone
+    # structure, and the cone with its lemma checks
+    "dgcheck-taylor": (
+        ["dgcheck", "--structure", "taylor"] + WHISKER,
+        0, "ffd7df9944a5aaa846ec5948ab2ba1b49271652c97395beb89c467c1fe0349cc",
+    ),
+    "dgcheck-cone4": (
+        ["dgcheck", "--structure", "cone4", "--family", "T4(2;1,2)"],
+        0, "93f2d2c64ebbc02548ebd3bc5c761028edb391ef411fd04a0c8cdc84c12a8c50",
+    ),
+    "cone4-check": (
+        ["cone4", "--check", "--family", "T4(2;1,2)"],
+        0, "86172ff9ff1fe8988010f7b8b85f40a7cc3c1a6bf13c64364b497a2430b874cc",
     ),
 }
 

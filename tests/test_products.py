@@ -15,6 +15,7 @@ import networkx as nx
 import pytest
 
 from dgres import (
+    BasisLabel,
     DGError,
     DGStructure,
     Element,
@@ -143,26 +144,33 @@ class TestProductStorage:
         with pytest.raises(DGError, match="does not divide"):
             dg_check(bad, triples=False)
 
-    def test_element_products_are_stored_as_coefficients(self):
-        dg = taylor_dg_structure(MonomialIdeal.from_strings(VariableSet(("x", "y", "z")), ["x*y", "y*z"]))
-        again = DGStructure(dg.complex, dg.product_fn)
-        labels = list(dg.degree)
-        for a in labels:
-            for b in labels:
-                assert again.table(a, b) == dg.table(a, b)
-                assert type(again.table(a, b)) is ScalarProduct
+    def test_element_product_is_refused(self):
+        # the Taylor product written as Elements, the oracle's form: storing
+        # takes a ScalarProduct only, so the first product read is refused
+        T = taylor_dg_structure(MonomialIdeal.from_strings(VariableSet(("x", "y", "z")), ["x*y", "y*z"])).complex
+        dg = DGStructure(T, reference_products.taylor_product(T))
+        e0 = T.find_label(("e", 0))
+        with pytest.raises(DGError, match=r"^product .* is not a ScalarProduct: Element$"):
+            dg.table(e0, e0)
+        with pytest.raises(DGError, match="is not a ScalarProduct"):
+            dg_check(dg, triples=False)
 
-    def test_product_fn_computes_afresh(self):
+    def test_rows_are_computed_once_on_basis_labels(self):
         calls = []
         dg = taylor_dg_structure(MonomialIdeal.from_strings(VariableSet(("x", "y")), ["x", "y"]))
         counted = DGStructure(dg.complex, lambda a, b: calls.append((a, b)) or dg.table(a, b))
         e0, e1 = counted.complex.find_label(("e", 0)), counted.complex.find_label(("e", 1))
         # the first read computes the row of e0 once, over every basis label
         row = [(e0, b) for b in counted.degree]
-        assert counted.basis_product(e0, e1) == counted.product_fn(e0, e1) == counted.basis_product(e0, e1)
-        assert calls == row + [(e0, e1)]
-        assert isinstance(counted.product_fn(e0, e1), Element)
-        assert calls == row + [(e0, e1), (e0, e1)]
+        assert counted.basis_product(e0, e1) == dg.basis_product(e0, e1) == counted.basis_product(e0, e1)
+        assert calls == row
+        # a label outside the basis has no row and no table, and nothing is
+        # computed for it
+        ghost = BasisLabel(("ghost",), e1.multidegree)
+        for read in (lambda: counted.row(ghost), lambda: counted.table(e0, ghost), lambda: counted.table(ghost, e0)):
+            with pytest.raises(DGError, match=r"^\(ghost\)\[y\] is not a basis label of "):
+                read()
+        assert calls == row
 
     def test_each_basis_pair_is_computed_once(self, corpus, monkeypatch):
         """Across dg_check, closure_products and quotient_dg on the Taylor

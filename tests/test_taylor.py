@@ -22,7 +22,6 @@ from dgres import (
     graph_diameter,
     lcm_of,
     taylor_dg_structure,
-    taylor_product,
     taylor_resolution,
     taylor_sign,
 )
@@ -199,21 +198,23 @@ class TestDifferential:
 class TestProduct:
     def test_unit(self, fixture_complex, taylor_fixture_ideal):
         F = fixture_complex
+        dg = taylor_dg_structure(taylor_fixture_ideal, F)
         unit = F.find_label(("e",))
         for i in F.degrees():
             for lbl in F.labels(i):
-                prod = taylor_product(taylor_fixture_ideal, F, unit, lbl)
+                prod = dg.basis_product(unit, lbl).coords
                 assert prod == {lbl: prod[lbl]} and str(prod[lbl]) == "1"
 
     def test_intersecting_sets_vanish(self, fixture_complex, taylor_fixture_ideal):
         F = fixture_complex
         a = F.find_label(("e", 0, 1))
         b = F.find_label(("e", 1, 2))
-        assert taylor_product(taylor_fixture_ideal, F, a, b) == {}
+        assert taylor_dg_structure(taylor_fixture_ideal, F).basis_product(a, b).coords == {}
 
     def test_coefficient_oracle(self, corpus):
         for I in corpus[:6]:
             F = taylor_resolution(I)
+            dg = taylor_dg_structure(I, F)
             t = len(I.generators)
             subsets = [
                 idx for size in range(t + 1) for idx in combinations(range(t), size)
@@ -222,7 +223,7 @@ class TestProduct:
                 for W in subsets:
                     a = F.find_label(("e",) + V)
                     b = F.find_label(("e",) + W)
-                    prod = taylor_product(I, F, a, b)
+                    prod = dg.basis_product(a, b).coords
                     if set(V) & set(W):
                         assert prod == {}
                         continue
@@ -238,12 +239,12 @@ class TestProduct:
 
     def test_graded_commutativity_sample(self, fixture_complex, taylor_fixture_ideal):
         F = fixture_complex
-        I = taylor_fixture_ideal
+        dg = taylor_dg_structure(taylor_fixture_ideal, F)
         labels = [l for i in F.degrees() for l in F.labels(i)]
         for a in labels:
             for b in labels:
-                ab = taylor_product(I, F, a, b)
-                ba = taylor_product(I, F, b, a)
+                ab = dg.basis_product(a, b).coords
+                ba = dg.basis_product(b, a).coords
                 sign = -1 if (F.degree_of(a) * F.degree_of(b)) % 2 else 1
                 assert ab == {l: p * sign for l, p in ba.items()}
 
