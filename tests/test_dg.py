@@ -562,6 +562,17 @@ def inhomogeneous_differential(ideal) -> DGStructure:
     return taylor_dg_structure(ideal, LabeledFreeComplex(T.ring, T.basis, diff))
 
 
+def outside_label_product(ideal) -> tuple[DGStructure, BasisLabel, str]:
+    """The Taylor structure with e0*e01 written on a label the complex does
+    not have: the structure, that label, and the message that refuses the
+    product when it is stored."""
+    dg = taylor_dg_structure(ideal)
+    e0, e01 = label(dg, 0), label(dg, 0, 1)
+    ghost = BasisLabel(("ghost",), e01.multidegree * e0.multidegree)
+    bad = tampered(dg, lambda x, y, honest: ScalarProduct({ghost: 1}) if {x, y} == {e0, e01} else honest)
+    return bad, ghost, rf"^product entry 1 of .* on {re.escape(str(ghost))}: not a basis label of degree 3$"
+
+
 # structures that force the Polynomial path, with failures each must report
 POLYNOMIAL_PATH = {
     "two-term-product": (two_term_product, {"homogeneous", "leibniz", "associativity"}),
@@ -630,8 +641,16 @@ class TestDenseOracle:
         report = assert_matches_dense(tampered(dg, plant))
         assert pair in [(w["a"], w["b"]) for w in report.failures["leibniz"]]
 
-    @pytest.mark.parametrize("case", list(POLYNOMIAL_PATH))
+    @pytest.mark.parametrize("case", [*POLYNOMIAL_PATH, "outside-label-product"])
     def test_polynomial_path(self, taylor_fixture_ideal, case):
+        if case == "outside-label-product":
+            # refused on storing: the sparse and the dense check stop at
+            # the same product before either reports
+            dg, _, refused = outside_label_product(taylor_fixture_ideal)
+            for check in (dg_check, dense_dg_check):
+                with pytest.raises(DGError, match=refused):
+                    check(DGStructure(dg.complex, dg.table))
+            return
         make, axioms = POLYNOMIAL_PATH[case]
         report = assert_matches_dense(make(taylor_fixture_ideal))
         assert axioms <= set(report.failures)
@@ -703,6 +722,19 @@ def test_product_on_a_label_outside_the_basis_is_refused(taylor_fixture_ideal):
         for read in (lambda: dg.row(outside), lambda: dg.table(e0, outside), lambda: dg.table(outside, e0)):
             with pytest.raises(DGError, match=rf"^{re.escape(str(outside))} is not a basis label of "):
                 read()
+
+
+def test_label_outside_the_basis_keeps_all_partners(taylor_fixture_ideal, uncapped):
+    """e0*e01 written on a label the complex does not have.  No triple
+    (e0, e01, c) or (e01, e0, c) reaches that label's partners any more:
+    the sparse and the dense check, triples included, refuse the product
+    when they store it, and the label has no row of partners to read."""
+    dg, ghost, refused = outside_label_product(taylor_fixture_ideal)
+    for check in (dg_check, dense_dg_check):
+        with pytest.raises(DGError, match=refused):
+            check(DGStructure(dg.complex, dg.table), triples=True)
+    with pytest.raises(DGError, match=rf"^{re.escape(str(ghost))} is not a basis label of "):
+        dg.row(ghost)
 
 
 # ---------------------------------------------------------------------------
@@ -849,9 +881,17 @@ class TestClosureDenseOracle:
             [(e["factor"], True) for e in dense["products"]] + [(e["factor"], False) for e in dense["failures"]]
         )
 
-    @pytest.mark.parametrize("case", ["product-off-by-a-variable"])
+    @pytest.mark.parametrize("case", ["product-off-by-a-variable", "outside-label-product"])
     def test_polynomial_path(self, taylor_fixture_ideal, case):
-        # the span of e01 and d(e01) reads the tampered product e0*e1
+        # the span of e01 and d(e01) reads the tampered products e0*e1 and
+        # e0*e01; the product on an outside label is refused by both closures
+        if case == "outside-label-product":
+            dg, _, refused = outside_label_product(taylor_fixture_ideal)
+            span = span_from_matching_sources(dg.complex, [(0, 1)])
+            for closure in (dg_ideal_closure, dense_dg_ideal_closure):
+                with pytest.raises(DGError, match=refused):
+                    closure(DGStructure(dg.complex, dg.table), span)
+            return
         dg = POLYNOMIAL_PATH[case][0](taylor_fixture_ideal)
         report = assert_closure_matches_dense(dg, span_from_matching_sources(dg.complex, [(0, 1)]))
         assert report["products"] and report["failures"]
