@@ -18,6 +18,10 @@ diameter-3 tree L(4,4,0), whose certificate rests on the Lyubeznik quotient
 of its 512-label Taylor algebra: the dg-ideal closure checks 26715 nonzero
 products and `dg_check` the 62-label quotient.  The verdict, ranks and check
 counts must match frozen values.
+Last it makes 100 `classify` + `verify_certificate` round trips on P10,
+whose not-dg certificate prunes the path to its first 5-edge window: every
+certificate must equal the first and verify, with the frozen verdict, kind
+and 5-path Betti vector.
 Each stage is timed in the reference-kernel units (`ref`) of
 `perfbench/meter.py`, which correct for the host's drifting speed, and in
 seconds.
@@ -47,6 +51,7 @@ from dgres import (  # noqa: E402
     lyubeznik_resolution,
     morse_reduce,
     taylor_resolution,
+    verify_certificate,
 )
 
 # ranks of the Taylor and Lyubeznik (= Morse) complexes, and matched pairs
@@ -100,6 +105,18 @@ CLASSIFY = {
     },
 }
 
+# repeated classify + verify_certificate round trips on a not-dg path
+ROUND_TRIPS = {
+    "P10": {
+        "round_trips": 100,
+        "verdict": "not_dg",
+        "kind": "prunes-to-non-dg-path",
+        "path_betti": [1, 5, 7, 4, 1],
+        "identical": 100,
+        "verified": 100,
+    },
+}
+
 
 def timed(meter: Meter) -> dict:
     keys = [k for k in meter.ref if k != "pass"]
@@ -130,6 +147,27 @@ def classify_case(name: str) -> dict:
     # the Lyubeznik quotient's own counts
     got.update({k: ev[k] for k in ("quotient_ranks", "closure_products_checked") if k in ev})
     return {**checked(got, CLASSIFY[name]), **timed(meter)}
+
+
+def round_trip_case(name: str) -> dict:
+    graph = build_family(name)
+    want = ROUND_TRIPS[name]
+    certs, verified = [], 0
+    with Meter() as meter:
+        for _ in range(want["round_trips"]):
+            cert = meter.call("classify", classify, graph).to_json()
+            verified += meter.call("verify_certificate", verify_certificate, cert)["ok"]
+            certs.append(cert)
+    first = certs[0]
+    got = {
+        "round_trips": len(certs),
+        "verdict": first["verdict"],
+        "kind": first["evidence"]["kind"],
+        "path_betti": first["evidence"]["path_betti"],
+        "identical": sum(cert == first for cert in certs),
+        "verified": verified,
+    }
+    return {**checked(got, want), **timed(meter)}
 
 
 def stored_form(cx: LabeledFreeComplex) -> tuple:
@@ -188,6 +226,7 @@ def run_case(name: str) -> dict:
 def main() -> int:
     cases = {name: run_case(name) for name in FROZEN}
     cases.update({name: classify_case(name) for name in CLASSIFY})
+    cases.update({f"{name} round trips": round_trip_case(name) for name in ROUND_TRIPS})
     ok = all(case["ok"] for case in cases.values())
     print(json.dumps({"ok": ok, "cases": cases}, sort_keys=True))
     return 0 if ok else 1

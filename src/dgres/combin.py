@@ -82,8 +82,9 @@ class Graph:
     def is_cycle(self) -> bool:
         return (
             len(self.vertices) >= 3
+            and len(self.edges) == len(self.vertices)
+            and all(len(ns) == 2 for ns in self.adjacency().values())
             and self.is_connected()
-            and all(self.degree(v) == 2 for v in self.vertices)
         )
 
     def induced(self, keep) -> "Graph":

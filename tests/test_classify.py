@@ -18,6 +18,7 @@ from dgres import (
     cycle_graph,
     edge_ideal,
     path_graph,
+    prune_ideal,
     t4_tree,
     taylor_resolution,
     total_betti,
@@ -278,6 +279,44 @@ class TestCycleClassification:
                 if n >= 7:
                     window = cert.evidence["window"]
                     assert all(frozenset(e) in cycle.edges for e in zip(window, window[1:]))
+
+
+def renamed(graph: Graph, rng: random.Random) -> Graph:
+    """The graph with its vertex names permuted at random."""
+    names = dict(zip(graph.vertices, rng.sample(graph.vertices, len(graph.vertices))))
+    return Graph.build([names[v] for v in graph.vertices], [[names[v] for v in e] for e in graph.edges])
+
+
+class TestPathWindow:
+    """Every not-dg certificate of a tree of diameter >= 5 or a cycle C_n
+    with n >= 7 records the 5-edge path's Betti vector, which `classify`
+    computes once per process after checking the pruned generators."""
+
+    def test_path_betti_is_that_of_the_pruned_ideal(self):
+        rng = random.Random(19)
+        graphs = [nx_to_graph(T) for n in range(7, 10) for T in nx.nonisomorphic_trees(n)]
+        graphs += [cycle_graph(n) for n in range(7, 11)]
+        windows = 0
+        for graph in (renamed(g, rng) for g in graphs):
+            ev = classify(graph).evidence
+            if ev["kind"] != "prunes-to-non-dg-path":
+                continue
+            pruned = prune_ideal(edge_ideal(graph), ev["pruned_variables"])
+            assert ev["path_betti"] == list(total_betti(taylor_resolution(pruned))), graph
+            windows += 1
+        assert windows == 47  # 43 trees of diameter >= 5, and C7-C10
+
+    def test_tampering_a_certificate_leaves_the_next_one_intact(self):
+        tampered = classify(path_graph(6)).to_json()["evidence"]
+        tampered["path_betti"][0] = 7
+        tampered["path_betti"].append(9)
+        tampered["path_betti_f_vector_test"]["ok"] = False
+        tampered["path_betti_f_vector_test"]["failures"].append({"level": 0})
+        for graph in (path_graph(6), cycle_graph(7)):
+            ev = classify(graph).evidence
+            assert ev["path_betti"] == [1, 5, 7, 4, 1]
+            assert ev["path_betti_f_vector_test"] == {"ok": True, "failures": []}
+        assert verify_certificate(classify(path_graph(7)).to_json()) == {"ok": True, "mismatches": []}
 
 
 class TestCertificates:

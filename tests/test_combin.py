@@ -19,6 +19,7 @@ from dgres import (
     t4_tree,
     tree_longest_path,
 )
+from dgres.classify import UnsupportedGraphError, classify
 from dgres.combin import facet_ideal, facet_induced
 
 
@@ -75,6 +76,31 @@ class TestGraph:
         assert not cycle_graph(4).is_tree()
         disconnected = Graph.build(["a", "b", "c"], [("a", "b")])
         assert not disconnected.is_tree()
+
+    def test_two_triangles_are_neither_cycle_nor_tree(self):
+        # 2-regular with |E| = |V|, so only the connectivity walk rejects it
+        g = Graph.build("abcdef", ["ab", "bc", "ca", "de", "ef", "fd"])
+        assert all(len(ns) == 2 for ns in g.adjacency().values())
+        assert len(g.edges) == len(g.vertices)
+        assert not g.is_cycle() and not g.is_tree()
+        with pytest.raises(UnsupportedGraphError):
+            classify(g)
+        with pytest.raises(GraphError):
+            tree_longest_path(g)
+
+    @pytest.mark.parametrize(
+        "graph, cycle, tree",
+        [
+            (t4_tree(4, [0, 0, 0, 0]), False, True),
+            (path_graph(4), False, True),
+            (cycle_graph(3), True, False),
+            # |E| = |V| but not 2-regular: a triangle with a pendant edge
+            (Graph.build("abcd", ["ab", "bc", "ca", "cd"]), False, False),
+        ],
+        ids=["star", "path", "K3", "paw"],
+    )
+    def test_shape_predicates(self, graph, cycle, tree):
+        assert (graph.is_cycle(), graph.is_tree()) == (cycle, tree)
 
     def test_json_roundtrip(self):
         g = t4_tree(2, [1, 0])
