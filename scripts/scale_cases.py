@@ -18,10 +18,14 @@ diameter-3 tree L(4,4,0), whose certificate rests on the Lyubeznik quotient
 of its 512-label Taylor algebra: the dg-ideal closure checks 26715 nonzero
 products and `dg_check` the 62-label quotient.  The verdict, ranks and check
 counts must match frozen values.
-Last it makes 100 `classify` + `verify_certificate` round trips on P10,
+Then it makes 100 `classify` + `verify_certificate` round trips on P10,
 whose not-dg certificate prunes the path to its first 5-edge window: every
 certificate must equal the first and verify, with the frozen verdict, kind
 and 5-path Betti vector.
+Last it runs the strand sweep of `is_resolution_of` on the Lyubeznik
+resolution of P13, 2^14 strands on 14 active variables, the most the
+certificates sweep (`classify.STRAND_VAR_CAP`): it must report a
+resolution with no strand failure.
 Each stage is timed in the reference-kernel units (`ref`) of
 `perfbench/meter.py`, which correct for the host's drifting speed, and in
 seconds.
@@ -118,6 +122,12 @@ ROUND_TRIPS = {
 }
 
 
+# the strand sweep on a Lyubeznik resolution at the variable cap
+SWEEPS = {
+    "P13": {"ok": True, "strand_failures": []},
+}
+
+
 def timed(meter: Meter) -> dict:
     keys = [k for k in meter.ref if k != "pass"]
     return {
@@ -168,6 +178,15 @@ def round_trip_case(name: str) -> dict:
         "verified": verified,
     }
     return {**checked(got, want), **timed(meter)}
+
+
+def sweep_case(name: str) -> dict:
+    ideal = edge_ideal(build_family(name))
+    L = lyubeznik_resolution(ideal)
+    with Meter() as meter:
+        ok, report = meter.call("is_resolution_of", L.is_resolution_of, ideal)
+    got = {"ok": ok, "strand_failures": report.get("strand_failures")}
+    return {**checked(got, SWEEPS[name]), **timed(meter)}
 
 
 def stored_form(cx: LabeledFreeComplex) -> tuple:
@@ -227,6 +246,7 @@ def main() -> int:
     cases = {name: run_case(name) for name in FROZEN}
     cases.update({name: classify_case(name) for name in CLASSIFY})
     cases.update({f"{name} round trips": round_trip_case(name) for name in ROUND_TRIPS})
+    cases.update({f"{name} strand sweep": sweep_case(name) for name in SWEEPS})
     ok = all(case["ok"] for case in cases.values())
     print(json.dumps({"ok": ok, "cases": cases}, sort_keys=True))
     return 0 if ok else 1

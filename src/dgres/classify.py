@@ -429,6 +429,11 @@ def _d3_order(path: list[str], ideal: MonomialIdeal) -> list[str]:
 def classify_tree(graph: Graph) -> Certificate:
     if not graph.is_tree():
         raise UnsupportedGraphError("not a tree")
+    return _classify_tree(graph)
+
+
+def _classify_tree(graph: Graph) -> Certificate:
+    """`classify_tree` on a graph its caller has found to be a tree."""
     path = _tree_path(graph)
     d = len(path) - 1
     ideal = edge_ideal(graph)
@@ -533,6 +538,11 @@ def _cycle_consecutive_ideal(graph: Graph, ideal: MonomialIdeal) -> MonomialIdea
 def classify_cycle(graph: Graph) -> Certificate:
     if not graph.is_cycle():
         raise UnsupportedGraphError("not a cycle")
+    return _classify_cycle(graph)
+
+
+def _classify_cycle(graph: Graph) -> Certificate:
+    """`classify_cycle` on a graph its caller has found to be a cycle."""
     n = d = len(graph.vertices)  # C_n counts as a closed path of length n
     gj = graph.to_json()
     edges = edge_ideal(graph)
@@ -588,11 +598,13 @@ def classify_cycle(graph: Graph) -> Certificate:
 
 
 def classify(graph: Graph) -> Certificate:
-    """Classify a tree or cycle; raise UnsupportedGraphError otherwise."""
+    """Classify a tree or cycle; raise UnsupportedGraphError otherwise.
+    The shape is checked once here, not again by `classify_tree` or
+    `classify_cycle`."""
     if graph.is_cycle():
-        return classify_cycle(graph)
+        return _classify_cycle(graph)
     if graph.is_tree():
-        return classify_tree(graph)
+        return _classify_tree(graph)
     raise UnsupportedGraphError(
         "classification covers trees and cycles only"
     )

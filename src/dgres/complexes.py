@@ -44,12 +44,17 @@ Strands: for a monomial b, the labels whose multidegree divides b span a
 subcomplex; evaluating entries at x=1 gives a complex of Q-vector spaces
 whose homology computes the multigraded pieces Tor-style.  This is how
 `is_resolution_of` works.  The first strand call indexes the complex once
-(`strands.StrandIndex`: labels grouped by multidegree, the coefficients as
-columns); a strand's groups then take a few integer operations to find,
-strands with the same groups share one computation, and ranks are exact
-sparse ranks.  For complexes whose label multidegrees are all squarefree,
-vanishing on all squarefree strands is conclusive; `is_resolution_of`
-records whether that hypothesis held.
+(`strands.StrandIndex`), after `verify()`: a strand is then one bitmask of
+label positions per degree, strands with the same masks share one
+computation, and `is_resolution_of` walks the masks of every squarefree
+strand, and the generators dividing b for H_0, without building a
+monomial.  Ranks mod 2 on those bitmasks prove a strand's homology over Q
+when the complex verified and the mod-2 homology is nonzero in at most one
+degree (h^Q <= h^(2) in every degree, and both have the strand's Euler
+characteristic); every other strand takes exact sparse ranks over Q, so
+the answer is always the homology over Q.  For complexes whose label
+multidegrees are all squarefree, vanishing on all squarefree strands is
+conclusive; `is_resolution_of` records whether that hypothesis held.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ from . import linalg
 from .poly import (
     Monomial,
     MonomialIdeal,
+    PolyError,
     Polynomial,
     VariableSet,
     _monomial,
@@ -70,9 +76,8 @@ from .poly import (
     monomial_divide,
     parse_monomial,
     parse_polynomial,
-    squarefree_monomials,
 )
-from .strands import Divisors, StrandIndex, scalar_columns
+from .strands import Divisors, StrandIndex, positions, scalar_columns
 
 
 class ComplexError(ValueError):
@@ -266,7 +271,6 @@ class LabeledFreeComplex:
             i: tuple(lbls) for i, lbls in basis.items() if lbls
         }
         self.name = name
-        self._strand_cache: dict = {}
         self._strand_index: StrandIndex | None = None  # built by the first strand call
         # the one index: each label's degree, in degree order, and the label
         # of each tag; a tag names one label, so both have every label
@@ -390,41 +394,26 @@ class LabeledFreeComplex:
 
     # -- strands and homology ----------------------------------------------
 
-    def _strand(self, b: Monomial) -> tuple[StrandIndex, int]:
-        """The strand index and the bitset of its groups in the b-strand."""
+    def _strands(self, verified: bool | None = None) -> StrandIndex:
+        """The strand index, built by the first strand call.  Its mod-2
+        ranks rest on d^2 = 0, so it takes whether the complex verified:
+        `verified`, or `verify()` run here."""
         if self._strand_index is None:
-            self._strand_index = StrandIndex(self)
-        index = self._strand_index
-        return index, index.groups.of(b)
+            if verified is None:
+                verified = self.verify().ok
+            self._strand_index = StrandIndex(self, verified)
+        return self._strand_index
 
     def strand_labels(self, b: Monomial) -> dict[int, list[BasisLabel]]:
         """Labels whose multidegree divides b (componentwise, multiplicity
         counts: x^2 does not divide x)."""
-        index, key = self._strand(b)
-        return {
-            i: [self.labels(i)[k] for k in pos]
-            for i, pos in enumerate(index.positions(key))
-        }
+        masks = self._strands().masks(b)
+        return {i: [self.labels(i)[k] for k in positions(m)] for i, m in enumerate(masks)}
 
     def strand_homology(self, b: Monomial) -> tuple[int, ...]:
         """Dimensions of the homology of the b-strand, degree 0..top."""
-        index, key = self._strand(b)
-        cached = self._strand_cache.get(key)
-        if cached is not None:
-            return cached
-        pos = index.positions(key)
-        ranks = [0] * (len(pos) + 1)  # ranks[i]: rank of d_i on the strand
-        for i in range(1, len(pos)):
-            rows, cols = pos[i - 1], pos[i]
-            if rows and cols:
-                keep = set(rows)
-                ranks[i] = linalg.rank(
-                    {r: v for r, v in index.columns[i][c].items() if r in keep}
-                    for c in cols
-                )
-        out = tuple(len(p) - ranks[i] - ranks[i + 1] for i, p in enumerate(pos))
-        self._strand_cache[key] = out
-        return out
+        index = self._strands()
+        return index.homology(index.masks(b))
 
     def is_resolution_of(self, ideal: MonomialIdeal) -> tuple[bool, dict]:
         """Decide whether this complex resolves Q/I, with a detail report.
@@ -454,16 +443,20 @@ class LabeledFreeComplex:
         report["d1_plus_minus_generators"] = d1_ok
 
         report["labels_squarefree"] = self.labels_squarefree()
-        generators = Divisors(ideal.generators, ideal.ring)
+        if ideal.generators and ideal.ring != self.ring:
+            raise PolyError("monomials over different rings")
+        index = self._strands(verified=True)
         failures = []
-        for b in squarefree_monomials(self.ring):
-            h = self.strand_homology(b)
-            want_h0 = 0 if generators.of(b) else 1
+        # one walk gives each strand's label masks and, first, the generators
+        # dividing b, so H_0 = 0 exactly when that mask is nonzero
+        for t, generators, masks in index.sweep(Divisors(ideal.generators, self.ring)):
+            h = index.homology(masks)
+            want_h0 = 0 if generators else 1
             if h[0] != want_h0:
-                failures.append({"strand": str(b), "H": list(h), "H0_expected": want_h0})
+                failures.append({"strand": str(index.monomial(t)), "H": list(h), "H0_expected": want_h0})
                 continue
             if any(h[1:]):
-                failures.append({"strand": str(b), "H": list(h)})
+                failures.append({"strand": str(index.monomial(t)), "H": list(h)})
         report["strand_failures"] = failures
         ok = (
             report["degree1_matches_generators"]
@@ -719,7 +712,7 @@ def graded_betti(F: LabeledFreeComplex) -> dict[tuple[int, str], int]:
             rows = by_deg.get(i - 1, [])
             cols = by_deg.get(i, [])
             if rows and cols:
-                ranks[i] = linalg.rank(scalar_columns(F, i, rows, cols))
+                ranks[i] = linalg.rank(scalar_columns(F.diff.get(i, {}), rows, cols))
             else:
                 ranks[i] = 0
         for i in degs:

@@ -49,27 +49,30 @@ class VariableSet:
 
     names: tuple[str, ...]
     active: tuple[bool, ...] = ()
+    # name -> position, for `index`; not part of equality, hash or repr
+    _position: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.active:
             object.__setattr__(self, "active", tuple(True for _ in self.names))
         if len(self.active) != len(self.names):
             raise PolyError("activity mask length mismatch")
-        seen = set()
+        position: dict[str, int] = {}
         for nm in self.names:
             if not _NAME_RE.match(nm):
                 raise PolyError(f"bad variable name: {nm!r}")
-            if nm in seen:
+            if nm in position:
                 raise PolyError(f"duplicate variable name: {nm!r}")
-            seen.add(nm)
+            position[nm] = len(position)
+        object.__setattr__(self, "_position", position)
 
     def __len__(self) -> int:
         return len(self.names)
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._position[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise PolyError(f"unknown variable: {name!r}") from None
 
     def active_names(self) -> tuple[str, ...]:
@@ -506,11 +509,18 @@ def minimalize(ideal: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(ideal.ring, tuple(kept))
 
 
-def squarefree_monomials(ring: VariableSet) -> Iterator[Monomial]:
-    """All 0/1 exponent monomials in the active variables (2^n of them)."""
+def _squarefree_variables(ring: VariableSet) -> list[int]:
+    """The positions of the active variables, which span the squarefree
+    monomials enumerated; PolyError beyond 22 of them."""
     act = [i for i, a in enumerate(ring.active) if a]
     if len(act) > 22:
         raise PolyError(f"refusing to enumerate 2^{len(act)} squarefree monomials")
+    return act
+
+
+def squarefree_monomials(ring: VariableSet) -> Iterator[Monomial]:
+    """All 0/1 exponent monomials in the active variables (2^n of them)."""
+    act = _squarefree_variables(ring)
     for bits in iproduct((0, 1), repeat=len(act)):
         exps = [0] * len(ring)
         for i, b in zip(act, bits):

@@ -30,6 +30,8 @@ from dgres.classify import (
     cascade_representation,
     cascade_shadow_bound,
     classify,
+    classify_cycle,
+    classify_tree,
     kruskal_katona_is_fvector,
     verify_certificate,
 )
@@ -452,6 +454,24 @@ class TestUnsupported:
             classify(
                 Graph.build(("a", "b", "c", "d"), (("a", "b"), ("c", "d")))
             )
+
+
+class TestShapeChecks:
+    def test_direct_callers_keep_their_checks(self):
+        with pytest.raises(UnsupportedGraphError, match="not a tree"):
+            classify_tree(cycle_graph(5))
+        with pytest.raises(UnsupportedGraphError, match="not a cycle"):
+            classify_cycle(path_graph(4))
+
+    @pytest.mark.parametrize("graph, tree_checks", [(path_graph(10), 1), (cycle_graph(7), 0)])
+    def test_classify_checks_the_shape_once(self, graph, tree_checks, monkeypatch):
+        calls = []
+        for name in ("is_tree", "is_cycle"):
+            check = getattr(Graph, name)
+            monkeypatch.setattr(Graph, name, lambda g, check=check, name=name: calls.append(name) or check(g))
+        classify(graph)
+        assert calls.count("is_cycle") == 1
+        assert calls.count("is_tree") == tree_checks
 
 
 class TestStrandCap:

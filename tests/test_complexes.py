@@ -34,6 +34,7 @@ from dgres import (
     morse_reduce,
     multiplication_map,
     parse_monomial,
+    path_graph,
     prune_complex,
     prune_dg,
     prune_ideal,
@@ -45,10 +46,12 @@ from dgres import (
     tensor_complex,
     total_betti,
 )
+from dgres import linalg
 from dgres.classify import C5_MATCHING
 from dgres.dg import DGStructure, Elimination, ScalarProduct
 from dgres.diam4 import build_psi
 from dgres.morse import matching_sources
+from dgres.strands import StrandIndex, rank_mod2
 
 from dense_linalg import rref
 
@@ -696,6 +699,21 @@ def assert_strands_match_dense(F, I, strands=None):
     return json.loads(sparse)[1]
 
 
+def path_resolutions(n: int):
+    """The edge ideal of the path on n edges, with its Lyubeznik resolution
+    and the Morse reduction of its Taylor resolution."""
+    I = edge_ideal(path_graph(n))
+    return I, [lyubeznik_resolution(I), morse_reduce(taylor_resolution(I), lyubeznik_matching(I))]
+
+
+def count_rank_calls(monkeypatch) -> list:
+    """A list that gets one entry per `linalg.rank` call, the exact route."""
+    calls = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda columns: calls.append(1) or rank(columns))
+    return calls
+
+
 def unit_and_fraction_entries(exact: bool):
     """Over Q[x]: d(a) = 2x, d(b) = x/2 and d(c) = a - 4b, or d(c) = 0 when
     not `exact`.  The strand ranks pivot on 2 and -4, so they run through
@@ -746,13 +764,41 @@ class TestStrandsMatchDense:
         report = assert_strands_match_dense(truncated, I)
         assert report["strand_failures"] == [{"strand": "x*y*z", "H": [0, 0, 1]}]
 
+    def test_failure_order_and_strings(self):
+        # the Koszul complex on x, y, z, w cut after degree 2, against an
+        # ideal with x*w for w: an H_0 failure, then H_2 on the strands of
+        # three and four variables, in `squarefree_monomials` order
+        F = taylor_resolution(ideal(RING4, "x", "y", "z", "w"))
+        truncated = LabeledFreeComplex(
+            RING4,
+            {i: F.labels(i) for i in range(3)},
+            {i: {c: F.column(i, c) for c in F.labels(i)} for i in (1, 2)},
+        )
+        report = assert_strands_match_dense(truncated, ideal(RING4, "x", "y", "z", "x*w"))
+        assert report["strand_failures"] == [
+            {"strand": "w", "H": [0, 0, 0], "H0_expected": 1},
+            {"strand": "y*z*w", "H": [0, 0, 1]},
+            {"strand": "x*z*w", "H": [0, 0, 1]},
+            {"strand": "x*y*w", "H": [0, 0, 1]},
+            {"strand": "x*y*z", "H": [0, 0, 1]},
+            {"strand": "x*y*z*w", "H": [0, 0, 3]},
+        ]
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_path_lyubeznik_and_morse(self, n):
+        I, complexes = path_resolutions(n)
+        for F in complexes:
+            assert assert_strands_match_dense(F, I)["ok"]
+
     @pytest.mark.parametrize("exact", [True, False])
-    def test_fraction_pivots(self, exact):
+    def test_fraction_pivots(self, exact, monkeypatch):
         F, I = unit_and_fraction_entries(exact)
         assert F.verify().ok
         report = assert_strands_match_dense(F, I)
         x = I.ring.variable("x")
+        calls = count_rank_calls(monkeypatch)
         assert fresh(F).strand_homology(x) == ((0, 0, 0) if exact else (0, 1, 1))
+        assert calls  # the entry 1/2 sends the x-strand to the exact route
         assert not report["degree1_matches_generators"]
         assert report["strand_failures"] == ([] if exact else [{"strand": "x", "H": [0, 1, 1]}])
 
@@ -775,7 +821,7 @@ class TestStrandsMatchDense:
         strands = list(squarefree_monomials(ring)) + [parse_monomial(ring, m) for m in ("x^2", "x^2*y", "x*y^2")]
         assert_strands_match_dense(F, ideal(ring, "x", "y"), strands)
 
-    def test_entries_outside_the_strand_are_ignored(self):
+    def test_entries_outside_the_strand_are_ignored(self, monkeypatch):
         # d(c) = b with c at x and b at y is not homogeneous: the x-strand
         # holds c but not b, so that entry is not part of its matrix
         ring = VariableSet(("x", "y"))
@@ -789,7 +835,9 @@ class TestStrandsMatchDense:
         )
         assert not F.verify().ok
         assert_strands_match_dense(F, ideal(ring, "x", "y"))
+        calls = count_rank_calls(monkeypatch)
         assert fresh(F).strand_homology(x) == (0, 0, 1)
+        assert calls  # a complex that does not verify takes the exact route
 
     def test_strand_of_another_ring_rejected(self):
         from dgres import PolyError
@@ -799,6 +847,73 @@ class TestStrandsMatchDense:
             F.strand_homology(RING4.variable("x"))
         with pytest.raises(PolyError):
             F.is_resolution_of(ideal(RING4, "x", "y"))
+
+
+class TestModTwoRoute:
+    """The mod-2 ranks decide a strand only when they prove its homology
+    over Q; everything else takes the exact route.  On P10-P12 the dense
+    reference is too slow (one strand of Lyubeznik P10 takes seconds), so
+    there the reference is the exact route alone: `linalg.rank` on every
+    strand, which equals the dense reference on the corpus above."""
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_paths_match_the_exact_route(self, n, monkeypatch):
+        I, complexes = path_resolutions(n)
+        strands = list(squarefree_monomials(I.ring))
+        for F in complexes:
+            G = fresh(F)
+            got = [G.strand_homology(b) for b in strands], fresh(F).is_resolution_of(I)
+            with monkeypatch.context() as m:
+                m.setattr(StrandIndex, "_mod2", lambda self, masks: None)
+                G = fresh(F)
+                want = [G.strand_homology(b) for b in strands], fresh(F).is_resolution_of(I)
+            assert got == want
+            assert got[1][0]
+
+    def test_even_entry_takes_the_exact_route(self, monkeypatch):
+        # d(a) = 2x * u: mod 2 the x-strand reads (1, 1), over Q (0, 0)
+        ring = VariableSet(("x",))
+        x = ring.variable("x")
+        u, a = BasisLabel(("u",), ring.one()), BasisLabel(("a",), x)
+        F = LabeledFreeComplex(ring, {0: [u], 1: [a]}, {1: {a: {u: poly(ring, "2*x")}}})
+        assert F.verify().ok
+        index = StrandIndex(F, verified=True)
+        masks = index.masks(x)
+        assert rank_mod2(index.odd[1], masks[1], masks[0]) == 0
+        calls = count_rank_calls(monkeypatch)
+        assert fresh(F).strand_homology(x) == (0, 0)
+        assert len(calls) == 1
+        report = assert_strands_match_dense(F, ideal(ring, "x"))
+        assert report["strand_failures"] == []
+        assert not report["d1_plus_minus_generators"]
+
+    def test_fraction_entry_takes_the_exact_route(self, monkeypatch):
+        # d_2 = [[1, 1/2], [2, 1]] has rank 1 over Q; read with 1/2 as 0 it
+        # would have rank 2 and the x-strand (0, -1, 0), one nonzero degree
+        ring = VariableSet(("x",))
+        x = ring.variable("x")
+        u = BasisLabel(("u",), ring.one())
+        p, q, c1, c2 = (BasisLabel((t,), x) for t in ("p", "q", "c1", "c2"))
+        F = LabeledFreeComplex(
+            ring,
+            {0: [u], 1: [p, q], 2: [c1, c2]},
+            {
+                1: {p: {u: poly(ring, "2*x")}, q: {u: poly(ring, "-x")}},
+                2: {c1: {p: poly(ring, "1"), q: poly(ring, "2")}, c2: {p: poly(ring, "1/2"), q: poly(ring, "1")}},
+            },
+        )
+        assert F.verify().ok
+        calls = count_rank_calls(monkeypatch)
+        assert fresh(F).strand_homology(x) == (0, 0, 1)
+        assert calls
+        assert_strands_match_dense(F, ideal(ring, "x"))
+
+    def test_lyubeznik_p10_makes_no_rank_call(self, monkeypatch):
+        I, (F, _) = path_resolutions(10)
+        calls = count_rank_calls(monkeypatch)
+        ok, report = F.is_resolution_of(I)
+        assert ok and report["strand_failures"] == []
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------

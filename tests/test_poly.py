@@ -32,6 +32,24 @@ def mono(ring, exps):
 exponents3 = st.tuples(*[st.integers(0, 3)] * 3)
 
 
+class TestVariableSet:
+    def test_index_by_name(self):
+        assert [R4.index(n) for n in ("x", "y", "z", "w")] == [0, 1, 2, 3]
+        for bad in ("v", "", ["x"]):
+            with pytest.raises(PolyError, match="unknown variable"):
+                R4.index(bad)
+
+    def test_lookup_table_is_not_part_of_the_value(self):
+        # equality, hashing, repr and JSON see only the names and the mask
+        a, b = VariableSet(("x", "y")), VariableSet(("x", "y"), (True, True))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "VariableSet(names=('x', 'y'), active=(True, True))"
+        assert a.to_json() == {"names": ["x", "y"]}
+        killed = a.deactivate(["x"])
+        assert killed != a and killed.index("x") == 0
+        assert VariableSet.from_json(killed.to_json()) == killed
+
+
 class TestMonomial:
     def test_mul_adds_exponents(self):
         a, b = mono(RING, (1, 0, 2)), mono(RING, (0, 3, 1))
