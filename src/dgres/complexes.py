@@ -8,16 +8,13 @@ row label -> entry, without zeros.
 
 Multigraded homogeneity means the entry in column c / row r is c*(m_c/m_r)
 for a rational c, so it is stored as c alone (an int when integral) and the
-monomial is implied by the labels.  The one fallback is an entry not of that
-form, which only a hand-built inhomogeneous complex has: it stays a
-`Polynomial` in the same dict.  The constructor accepts Polynomial entries
-and stores each homogeneous one as its c; `entry`, `column`, `matrix`,
-`apply_diff` and `to_json` build Polynomials from c and the labels.
-`verify` reports the Polynomial entries as homogeneity failures and checks
-d^2 = 0 on the coefficients, by (degree, row tag, col tag).  A `ChainMap`
-stores its entries the same way, each relative to shift * m_s, and checks
-that it commutes with the differentials on coefficients; `combine` sums
-such tables.
+monomial is implied by the labels.  That is the only entry form: storing
+refuses any other.  `entry`, `column`, `matrix` and `to_json` build
+Polynomials from c and the labels, for display and serialization.
+`verify` checks d^2 = 0 on the coefficients, by (degree, row tag, col tag).
+A `ChainMap` stores its entries the same way, each relative to shift * m_s,
+and checks that it commutes with the differentials on coefficients;
+`combine` sums such tables.
 
 One label index: a tag names exactly one basis label in the whole complex.
 `_assemble`, which both constructors share, builds the index, `degree`
@@ -31,11 +28,12 @@ Where entries are validated: the public constructor
 `LabeledFreeComplex(ring, basis, diff)` checks that every column label is
 in the degree-i basis and every row label in the degree i-1 basis, and
 stores each entry through `_stored`: zeros dropped, a coefficient only
-where m_r | m_c, integral values as ints, a homogeneous Polynomial as its
-coefficient.  So hand-built complexes, parsed ones and every other writer
-are checked.  Two writers produce stored columns by construction and hand
-them to `_from_stored`, which keeps the index and its duplicate-tag check
-and skips the rest, without copying the columns:
+where m_r | m_c, integral values as ints, a Polynomial c*(m_c/m_r) as its
+coefficient c, and any other Polynomial refused with ComplexError naming
+it, its row and its column.  So hand-built complexes, parsed ones and every
+other writer are checked.  Two writers produce stored columns by
+construction and hand them to `_from_stored`, which keeps the index and its
+duplicate-tag check and skips the rest, without copying the columns:
 `taylor.taylor_complex` (Taylor, Lyubeznik; each entry +-1 on a facet) and
 `dg.Elimination.quotient` (Morse, `quotient_dg`; each entry a reduced
 coefficient on a surviving row).  Each call states why its columns hold.
@@ -123,38 +121,12 @@ def tag_from_json(obj):
 VecT = dict[BasisLabel, Polynomial]
 
 
-def vec_add(a: VecT, b: VecT) -> VecT:
-    out = dict(a)
-    for k, p in b.items():
-        q = out.get(k)
-        s = p if q is None else q + p
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def vec_scale(a: VecT, c) -> VecT:
-    out = {}
-    for k, p in a.items():
-        q = p * c
-        if not q.is_zero():
-            out[k] = q
-    return out
-
-
-def combine(terms: Iterable[tuple]) -> dict | None:
+def combine(terms: Iterable[tuple]) -> dict:
     """sum c*t over the pairs (c, t) of coefficient tables {key: c}, without
-    zeros and in `vec_add`'s key order; None when some t is not a dict (a
-    support list) or some c or entry is a Polynomial."""
+    zeros."""
     out: dict = {}
     for c, t in terms:
-        if not isinstance(t, dict) or type(c) is Polynomial:
-            return None
         for k, x in t.items():
-            if type(x) is Polynomial:
-                return None
             if s := out.get(k, 0) + c * x:
                 out[k] = s
             else:
@@ -163,11 +135,9 @@ def combine(terms: Iterable[tuple]) -> dict | None:
 
 
 def entry_polynomial(v, row: BasisLabel, b: Monomial) -> Polynomial:
-    """The stored entry v on row `row` of a column of multidegree b, over the
-    row's ring: c * (b / m_row) for a coefficient c, v for a Polynomial."""
-    if type(v) is Polynomial:
-        return v
-    rm = row.multidegree  # it divides b for every stored or converted entry
+    """The stored coefficient v on row `row` of a column of multidegree b, as
+    the Polynomial c * (b / m_row) over the row's ring."""
+    rm = row.multidegree  # it divides b for every stored entry
     return Polynomial.monomial(_monomial(rm.ring, tuple(map(sub, b.exponents, rm.exponents))), v)
 
 
@@ -179,15 +149,18 @@ def killed(row: Monomial, col: Monomial, idx: Sequence[int]) -> bool:
 
 def _stored(v, row: BasisLabel, cm: Monomial, col):
     """The stored form of the entry v of column `col`, of multidegree cm:
-    its coefficient c when it is c * (cm / m_row), else the Polynomial v;
-    falsy when v is zero."""
+    its coefficient c, given as c or as the Polynomial c * (cm / m_row);
+    falsy when v is zero.  Any other entry raises ComplexError naming it,
+    its row and its column."""
     rm = row.multidegree
     if type(v) is Polynomial:
+        if not v.terms:
+            return 0
         if len(v.terms) == 1:
             [(m, c)] = v.terms.items()
             if m.ring == cm.ring and tuple(map(add, m.exponents, rm.exponents)) == cm.exponents:
                 return exact(c)
-        return v
+        raise ComplexError(f"entry {v} at ({row}, {col}) is not a rational multiple of {cm}/{rm}")
     if type(v) is int or type(v) is Fraction:
         if not all(map(le, rm.exponents, cm.exponents)):
             raise ComplexError(f"coefficient entry {v} at ({row}, {col}): {rm} does not divide {cm}")
@@ -195,15 +168,13 @@ def _stored(v, row: BasisLabel, cm: Monomial, col):
     raise ComplexError(f"differential entry {v!r} is neither a Polynomial nor a rational")
 
 
-def _add(x, y, row: BasisLabel, col: BasisLabel):
-    """The sum of two entries of column `col` on row `row`."""
-    if type(x) is Polynomial or type(y) is Polynomial:
-        return entry_polynomial(x, row, col.multidegree) + entry_polynomial(y, row, col.multidegree)
-    return x + y
-
-
 @dataclass
 class ComplexReport:
+    """What `verify` found.  `homogeneity_failures` is always []: storing
+    refuses an inhomogeneous entry.  It is kept because the `verify` block
+    that `dgres taylor`, `lyubeznik`, `reduce`, `cone4` and `prune` print
+    has it."""
+
     ok: bool
     d2_failures: list = field(default_factory=list)
     homogeneity_failures: list = field(default_factory=list)
@@ -227,7 +198,7 @@ class LabeledFreeComplex:
         name: str = "",
     ):
         """`diff[i][c]` is the column of d_i at c, {row label: entry}, each
-        entry a Polynomial or a coefficient c of m_c / m_r."""
+        entry a coefficient c of m_c / m_r, or the Polynomial c * (m_c / m_r)."""
         self._assemble(ring, basis, name)
         self.diff: dict[int, dict[BasisLabel, dict]] = {}
         degree = self.degree
@@ -313,17 +284,6 @@ class LabeledFreeComplex:
         cols = self.labels(i)
         return [[self.entry(i, r, c) for c in cols] for r in rows]
 
-    def apply_diff(self, i: int, v: VecT) -> VecT:
-        out: VecT = {}
-        for c, p in v.items():
-            for r, q in self.diff.get(i, {}).get(c, {}).items():
-                s = out.get(r, Polynomial.zero(self.ring)) + p * entry_polynomial(q, r, c.multidegree)
-                if s.is_zero():
-                    out.pop(r, None)
-                else:
-                    out[r] = s
-        return out
-
     def find_label(self, tag: tuple) -> BasisLabel:
         l = self._by_tag.get(tag)
         if l is None:
@@ -340,31 +300,11 @@ class LabeledFreeComplex:
 
     def verify(self) -> ComplexReport:
         report = ComplexReport(ok=True)
-        # homogeneity: a stored coefficient is c * (m_c / m_r) by
-        # construction, so the failures are the Polynomial entries
-        for i in sorted(self.diff):
-            for c, col in self.diff[i].items():
-                for r, p in col.items():
-                    if type(p) is Polynomial:
-                        report.homogeneity_failures.append(
-                            (i, tag_to_json(r.tag), tag_to_json(c.tag), str(p))
-                        )
-        # d^2 = 0: the entry of d_{i-1} d_i e_c on e_s, as a coefficient of
-        # m_c / m_s while only coefficients take part
+        # d^2 = 0: the entry of d_{i-1} d_i e_c on e_s, a coefficient of m_c / m_s
         for i in range(2, self.top_degree() + 1):
             cols, lower = self.diff.get(i, {}), self.diff.get(i - 1, {})
             for c in self.labels(i):
-                composite: dict = {}
-                for r, v in cols.get(c, {}).items():
-                    for s, w in lower.get(r, {}).items():
-                        poly = type(v) is Polynomial or type(w) is Polynomial
-                        x = entry_polynomial(v, r, c.multidegree) * entry_polynomial(w, s, r.multidegree) if poly else v * w
-                        if s in composite:
-                            x = _add(composite[s], x, s, c)
-                        if x:
-                            composite[s] = x
-                        else:
-                            del composite[s]
+                composite = combine((v, lower.get(r, {})) for r, v in cols.get(c, {}).items())
                 for s, x in composite.items():
                     report.d2_failures.append(
                         (i, tag_to_json(s.tag), tag_to_json(c.tag), str(entry_polynomial(x, s, c.multidegree)))
@@ -373,20 +313,15 @@ class LabeledFreeComplex:
         report.degree_zero_ok = (
             len(deg0) == 1 and deg0[0].multidegree.is_one()
         )
-        report.ok = (
-            not report.d2_failures
-            and not report.homogeneity_failures
-            and report.degree_zero_ok
-        )
+        report.ok = not report.d2_failures and report.degree_zero_ok
         return report
 
     def is_minimal(self) -> bool:
-        """No differential entry is a nonzero constant: no coefficient joins
-        two labels of one multidegree, and no Polynomial entry is constant."""
+        """No differential entry is a nonzero constant: no entry joins two
+        labels of one multidegree."""
         return not any(
-            v.is_nonzero_constant() if type(v) is Polynomial
-            else r.multidegree.exponents == c.multidegree.exponents
-            for cols in self.diff.values() for c, col in cols.items() for r, v in col.items()
+            r.multidegree.exponents == c.multidegree.exponents
+            for cols in self.diff.values() for c, col in cols.items() for r in col
         )
 
     def labels_squarefree(self) -> bool:
@@ -435,8 +370,8 @@ class LabeledFreeComplex:
         deg1 = sorted(str(l.multidegree) for l in self.labels(1))
         report["degree1_matches_generators"] = gens == deg1
 
-        # the complex verified, so every entry is a coefficient, and the
-        # unit has multidegree 1: d(e_c) = +-m_c is the column {unit: +-1}
+        # every stored entry is a coefficient, and the unit has
+        # multidegree 1: d(e_c) = +-m_c is the column {unit: +-1}
         unit = self.labels(0)[0]
         d1 = self.diff.get(1, {})
         d1_ok = all(d1.get(c) in ({unit: 1}, {unit: -1}) for c in self.labels(1))
@@ -514,9 +449,9 @@ class ChainMap:
 
     Homogeneity: the entry from source label s to target label t must be a
     rational multiple c of shift * m_s / m_t, and is stored as c, the way
-    the complexes store their columns.  An entry not of that form stays a
-    Polynomial; only check=False lets one through.  Commutation with the
-    differentials is checked on construction, on coefficients.
+    the complexes store their columns (`_stored`, which refuses any other
+    entry).  That each image stays in its degree, and commutation with the
+    differentials, are checked on construction, on coefficients.
     """
 
     def __init__(
@@ -525,10 +460,9 @@ class ChainMap:
         target: LabeledFreeComplex,
         entries: dict[BasisLabel, dict],
         multidegree_shift: Monomial | None = None,
-        check: bool = True,
     ):
-        """`entries[s]` is the image of e_s, {t: entry}, each entry a
-        Polynomial or the coefficient of shift * m_s / m_t."""
+        """`entries[s]` is the image of e_s, {t: entry}, each entry the
+        coefficient c of shift * m_s / m_t, or that Polynomial."""
         self.source = source
         self.target = target
         self.shift = (
@@ -538,29 +472,16 @@ class ChainMap:
         for s, img in entries.items():
             b = self.shift * s.multidegree
             self.entries[s] = {t: v for t, p in img.items() if (v := _stored(p, t, b, s))}
-        if check:
-            self._verify()
-
-    def apply(self, v: VecT) -> VecT:
-        """psi(v) for v = {s: Polynomial}, as {t: Polynomial}."""
-        out: VecT = {}
-        for s, p in v.items():
-            b = self.shift * s.multidegree
-            out = vec_add(out, {t: p * entry_polynomial(q, t, b) for t, q in self.entries.get(s, {}).items()})
-        return out
+        self._verify()
 
     def _verify(self):
         for i in self.source.degrees():
             tset = set(self.target.labels(i))
             for s in self.source.labels(i):
-                for t, v in self.entries.get(s, {}).items():
-                    if t not in tset:
-                        raise ComplexError(f"chain map image of {s} leaves degree {i}")
-                    if type(v) is Polynomial:
-                        raise ComplexError(f"chain map entry ({t},{s}) not homogeneous: {v}")
+                if not tset.issuperset(self.entries.get(s, ())):
+                    raise ComplexError(f"chain map image of {s} leaves degree {i}")
         # d psi (e_s) and psi d (e_s) both have multidegree shift * m_s, so
-        # they are compared as coefficient tables (in Polynomials only when
-        # a differential entry is one)
+        # they are compared as coefficient tables
         for i in self.source.degrees():
             if i == 0:
                 continue
@@ -568,9 +489,6 @@ class ChainMap:
             for s in self.source.labels(i):
                 lhs = combine((c, dT.get(t, {})) for t, c in self.entries.get(s, {}).items())
                 rhs = combine((c, self.entries.get(r, {})) for r, c in dS.get(s, {}).items())
-                if lhs is None or rhs is None:
-                    one = {s: Polynomial.constant(self.source.ring, 1)}
-                    lhs, rhs = self.target.apply_diff(i, self.apply(one)), self.apply(self.source.apply_diff(i, one))
                 if lhs != rhs:
                     raise ComplexError(f"chain map does not commute at {s}")
 
@@ -680,7 +598,7 @@ def tensor_complex(F: LabeledFreeComplex, G: LabeledFreeComplex) -> LabeledFreeC
                     col = {pair[(r, b)]: v for r, v in dF.get(a, {}).items()}
                     for r, v in dG.get(b, {}).items():
                         key = pair[(a, r)]
-                        col[key] = _add(col[key], sign * v, key, ab) if key in col else sign * v
+                        col[key] = col.get(key, 0) + sign * v
                     cols[ab] = col
         diff[n] = cols
     return LabeledFreeComplex(ring, basis, diff, name=f"{F.name}(x){G.name}")
@@ -696,9 +614,8 @@ def graded_betti(F: LabeledFreeComplex) -> dict[tuple[int, str], int]:
 
     Tensoring with k keeps only the constant differential entries, which
     connect labels of equal multidegree; the homology splits by exact label
-    multidegree.  Between labels of equal multidegree a homogeneous entry is
-    its stored coefficient (a Polynomial entry is read at x=1, as in the
-    strand sweep).
+    multidegree.  Between labels of equal multidegree an entry is its stored
+    coefficient.
     """
     groups: dict[Monomial, dict[int, list[BasisLabel]]] = {}
     for i in F.degrees():
@@ -734,14 +651,6 @@ def total_betti(F: LabeledFreeComplex) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # comparisons
-
-
-def _term(row: BasisLabel, v, col: BasisLabel) -> tuple[Monomial | None, Fraction | None]:
-    """A stored entry as (monomial, coefficient), or (None, None) for a
-    Polynomial entry with more than one term."""
-    if type(v) is not Polynomial:
-        return monomial_divide(col.multidegree, row.multidegree), v
-    return v.single_term() if v.is_monomial_multiple() else (None, None)
 
 
 def complexes_equal(A: LabeledFreeComplex, B: LabeledFreeComplex) -> bool:
@@ -794,12 +703,11 @@ def equal_up_to_basis_scaling(
                 return False, None
             scale = None
             for rt in cola:
-                ma, ca_ = _term(*cola[rt], ca)
-                mb, cb_ = _term(*colb[rt], cb)
-                if ma is None or mb is None or ma != mb:
+                (ra, va), (rb, vb) = cola[rt], colb[rt]
+                if monomial_divide(ca.multidegree, ra.multidegree) != monomial_divide(cb.multidegree, rb.multidegree):
                     return False, None
                 # with a_l = eps_l b_l one has A(r,c) = (eps_c/eps_r) B(r,c)
-                want = Fraction(ca_, cb_) * eps[rt]
+                want = Fraction(va, vb) * eps[rt]
                 if scale is None:
                     scale = want
                 elif scale != want:

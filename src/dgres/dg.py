@@ -5,17 +5,17 @@ labels (extended bilinearly) and a distinguished degree-0 unit.  Storing a
 product checks multiplicative closure with |ab| = |a| + |b|; `dg_check`
 machine-verifies the other axioms on all basis pairs and triples:
 
-  unitality, multigraded homogeneity of products, graded commutativity
-  ab = (-1)^{|a||b|} ba, squares of odd-degree elements vanish,
-  associativity, and the Leibniz rule d(ab) = d(a) b + (-1)^{|a|} a d(b).
+  unitality, graded commutativity ab = (-1)^{|a||b|} ba, squares of
+  odd-degree elements vanish, associativity, and the Leibniz rule
+  d(ab) = d(a) b + (-1)^{|a|} a d(b).
 
 Commutativity, squares, and Leibniz are checked on both orientations /
 directly from the stored products, not derived from one another.
 
 Every pair and triple is decided and counted (`checked_pairs` = n^2,
 `checked_triples` = n^3), but arithmetic runs only where a stored product
-can be nonzero.  Unitality, homogeneity, commutativity and odd squares
-read only the stored, nonzero products.  Leibniz runs on (a, b)
+can be nonzero.  Unitality, commutativity and odd squares read only the
+stored, nonzero products.  Leibniz runs on (a, b)
 only if ab != 0, or l*b != 0 for some l in supp(d a), or a*l != 0 for some
 l in supp(d b); associativity runs on (a, b, c) only if l*c != 0 for some l
 in supp(ab), or a*l != 0 for some l in supp(bc).  Everywhere else both
@@ -28,21 +28,20 @@ Stored form.  Homogeneity fixes every monomial: a term of e_a e_b on e_l
 is c*(m_a m_b / m_l), as an entry of d(e_a) on e_r is c*(m_a / m_r).  So a
 product function returns e_a e_b as a `ScalarProduct` {l: c}, the form in
 which the complex stores its columns, and that is the only product form: a
-`DGStructure` refuses, on storing, anything else and any label l that is
-not a basis label of degree |a| + |b|.  An `Element` of multidegree b is
-(b, {l: c}) for sum c*(b/m_l) e_l.  Sums, boundaries (through the stored
-columns) and products (b_x b_y, through the stored products) of such
-elements are dict arithmetic on the c.  `Polynomial` is the boundary and
-the fallback: the `Element` constructor takes {label: Polynomial}, `coords`
-and `str` give Polynomials back, and an element that is not multigraded, or
-an entry not of the implied form, is kept and combined in Polynomials.
-`dg_check` reads products and columns as tables {label position: c}; both
-sides of a commutativity, Leibniz or associativity identity are then tables
-over one multidegree, equal exactly when the elements are.  A pair or
-triple is decided on tables only if every product and differential it
-reads has coefficient entries only; otherwise (a Polynomial entry) it is
-decided by `Element` arithmetic, which also forms every witness string and
-reruns wherever two tables disagree.
+`DGStructure` refuses, on storing, anything else, any entry that is not a
+rational coefficient, and any label l that is not a basis label of degree
+|a| + |b|.  Homogeneity is therefore decided where products and columns
+are stored, and nothing downstream checks it again.  An `Element` of
+multidegree b is (b, {l: c}) for sum c*(b/m_l) e_l; zero is (None, {}).
+Sums, boundaries (through the stored columns) and products (b_x b_y,
+through the stored products) of elements are dict arithmetic on the c.
+`Polynomial` is only the boundary: the `Element` constructor takes
+{label: Polynomial} and refuses coordinates that are not of the stored form
+for one b, and `coords` and `str` give Polynomials back.  `dg_check` reads
+products and columns as tables {label position: c}; both sides of a
+commutativity, Leibniz or associativity identity are then tables over one
+multidegree, equal exactly when the elements are.  Where two tables
+disagree, the failure's witness strings are formed by `Element` arithmetic.
 
 `SubmoduleSpan` + `submodule_membership` decide membership of a
 multigraded element (b, {l: c}) in a submodule spanned by finitely many
@@ -60,8 +59,7 @@ membership.  Per basis label u it reads the stored row of u once, keeps
 the products u*l with l in the generators' supports, and sums each u*g
 from those; an inverted index (label -> generators containing it)
 visits only the generators some nonzero u*l reaches, since every other
-product is 0.  A product with a Polynomial entry sends its generators
-through `DGStructure.multiply`.  `dg_ideal_closure` formats the report
+product is 0.  `dg_ideal_closure` formats the report
 (product strings, witnesses) from it, after `boundary_closed` has checked
 that the span is a subcomplex (DGError otherwise); `classify` only counts.
 
@@ -86,10 +84,8 @@ from operator import add, le
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg
-from .complexes import (
-    BasisLabel, LabeledFreeComplex, VecT, combine, entry_polynomial, killed, tag_to_json, vec_add, vec_scale,
-)
-from .poly import Monomial, Polynomial, _monomial, exact, monomial_divide
+from .complexes import BasisLabel, LabeledFreeComplex, VecT, combine, entry_polynomial, killed, tag_to_json
+from .poly import Monomial, _monomial, exact, monomial_divide
 from .strands import Divisors
 
 
@@ -102,12 +98,12 @@ class DGError(ValueError):
 class Element:
     """A homogeneous-homological-degree element of a labeled complex, stored
     as the complex stores its columns: (b, {label l: c}) for sum
-    c*(b/m_l) e_l.  An element that is not of that form for one b (mixed
-    multidegrees, or an entry of several terms) keeps {label: Polynomial},
-    with b None; so does zero, with no entries.  The constructor takes
-    {label: Polynomial} and normalises it; `stored` takes (b, {l: c}).
-    `coords` is the {label: Polynomial} view.  Elements are never mutated,
-    so one may share its dict with a stored product."""
+    c*(b/m_l) e_l, every c nonzero; zero is (None, {}).  The constructor
+    takes {label: Polynomial} and raises DGError when the coordinates are
+    not of that form for one b (mixed multidegrees, or an entry of several
+    terms); `stored` takes (b, {l: c}).  `coords` is the {label: Polynomial}
+    view.  Elements are never mutated, so one may share its dict with a
+    stored product."""
 
     __slots__ = ("complex", "degree", "b", "vec")
 
@@ -115,11 +111,10 @@ class Element:
         self.complex, self.degree = complex, degree
         vec = {l: p for l, p in coords.items() if not p.is_zero()}
         bs = {next(iter(p.terms)) * l.multidegree if len(p.terms) == 1 else None for l, p in vec.items()}
-        if len(bs) == 1 and None not in bs:
-            [self.b] = bs
-            self.vec = {l: exact(next(iter(p.terms.values()))) for l, p in vec.items()}
-        else:
-            self.b, self.vec = None, vec
+        if len(bs) > 1 or None in bs:
+            raise DGError(" + ".join(f"({p})*{l}" for l, p in vec.items()) + " is not multigraded")
+        self.b = bs.pop() if bs else None
+        self.vec = {l: exact(next(iter(p.terms.values()))) for l, p in vec.items()}
 
     @staticmethod
     def stored(cx: LabeledFreeComplex, degree: int, b: Monomial | None, vec: dict) -> "Element":
@@ -138,8 +133,6 @@ class Element:
 
     @property
     def coords(self) -> VecT:
-        if self.b is None:
-            return dict(self.vec)
         return {l: entry_polynomial(c, l, self.b) for l, c in self.vec.items()}
 
     def is_zero(self) -> bool:
@@ -159,31 +152,26 @@ class Element:
             return self
         if self.degree != other.degree:
             raise DGError("adding elements of different homological degrees")
-        if self.b is None or self.b != other.b:
-            return Element(self.complex, self.degree, vec_add(self.coords, other.coords))
+        if self.b != other.b:
+            raise DGError(f"adding elements of different multidegrees {self.b} and {other.b}")
         return Element.stored(self.complex, self.degree, self.b, combine([(1, self.vec), (1, other.vec)]))
 
     def __sub__(self, other: "Element") -> "Element":
         return self + other.scale(-1)
 
     def scale(self, c) -> "Element":
-        if self.b is None:
-            return Element(self.complex, self.degree, vec_scale(self.coords, c))
         return Element.stored(self.complex, self.degree, self.b, {l: x * c for l, x in self.vec.items()} if c else {})
 
     def diff(self) -> "Element":
-        """The boundary: on the stored columns at the same b, in Polynomials
-        when the element or a column entry is not a coefficient."""
+        """The boundary, on the stored columns at the same b."""
         cx, i = self.complex, self.degree
         if i == 0 or self.is_zero():
             return Element.zero(cx, max(i - 1, 0))
         cols = cx.diff.get(i, {})
-        if self.b is not None and (vec := combine((c, cols.get(l, _ZERO)) for l, c in self.vec.items())) is not None:
-            return Element.stored(cx, i - 1, self.b, vec)
-        return Element(cx, i - 1, cx.apply_diff(i, self.coords))
+        return Element.stored(cx, i - 1, self.b, combine((c, cols.get(l, _ZERO)) for l, c in self.vec.items()))
 
     def multidegree(self) -> Monomial | None:
-        """Common multidegree coeff*mdeg(label), or None if mixed/zero."""
+        """Common multidegree coeff*mdeg(label), or None for zero."""
         return self.b
 
     def __str__(self) -> str:
@@ -195,8 +183,8 @@ class Element:
 
 class ScalarProduct(dict):
     """A basis product e_a e_b as {label l: c}, for sum c*(m_a m_b/m_l) e_l
-    in degree |a| + |b|; an entry not of that form is a Polynomial.  Answers
-    `is_zero` as the Element it stands for does."""
+    in degree |a| + |b|, each c an int or a Fraction.  Answers `is_zero` as
+    the Element it stands for does."""
 
     __slots__ = ()
 
@@ -214,11 +202,12 @@ class DGStructure:
     labels b with e_a e_b != 0, computed in full (one product-function call
     per b) on first read and stored only when complete.  The product
     function returns a `ScalarProduct` (the form of the complex's columns):
-    every label a basis label of degree |a| + |b|, and a coefficient on l
-    needs m_l | m_a m_b.  Anything else raises DGError on storing, naming a,
-    b and the offending label.  Reading `row` or `table` at a label outside
-    the basis raises DGError too.  `basis_product` and `multiply` build Elements from
-    the stored products.  `degree` is the complex's label index, so a label
+    every label a basis label of degree |a| + |b|, every entry an int or a
+    Fraction, and a coefficient on l needs m_l | m_a m_b.  Anything else
+    raises DGError on storing, naming the entry, a, b and its label.
+    Reading `row` or `table` at a label outside the basis raises DGError
+    too.  `basis_product` and `multiply` build Elements from the stored
+    products.  `degree` is the complex's label index, so a label
     is a basis label exactly when it is a key there.
     """
 
@@ -263,7 +252,9 @@ class DGStructure:
         deg, degree = self.degree[a] + self.degree[b], self.degree
         want = tuple(map(add, a.multidegree.exponents, b.multidegree.exponents))
         for l, c in prod.items():
-            if type(c) is not Polynomial and not all(map(le, l.multidegree.exponents, want)):
+            if type(c) is not int and type(c) is not Fraction:
+                raise DGError(f"product entry {c} of {a}*{b} on {l}: not a rational coefficient")
+            if not all(map(le, l.multidegree.exponents, want)):
                 raise DGError(f"product entry {c} of {a}*{b} on {l}: "
                               f"{l.multidegree} does not divide {a.multidegree * b.multidegree}")
             if degree.get(l) != deg:
@@ -273,28 +264,14 @@ class DGStructure:
     def basis_product(self, a: BasisLabel, b: BasisLabel) -> Element:
         """e_a e_b as an Element, from the stored product."""
         prod = self.table(a, b)
-        deg, want = self.degree[a] + self.degree[b], a.multidegree * b.multidegree
-        if any(type(c) is Polynomial for c in prod.values()):
-            return Element(self.complex, deg, {l: entry_polynomial(c, l, want) for l, c in prod.items()})
-        return Element.stored(self.complex, deg, want, prod)
+        return Element.stored(self.complex, self.degree[a] + self.degree[b], a.multidegree * b.multidegree, prod)
 
     def multiply(self, x: Element, y: Element) -> Element:
-        """x*y; for multigraded x and y with coefficient products, the sum
-        of the stored products times the coefficients, at b = b_x b_y."""
-        deg = x.degree + y.degree
-        if x.b is not None and y.b is not None:
-            table = self.table
-            vec = combine([(p * q, table(a, b)) for a, p in x.vec.items() for b, q in y.vec.items()])
-            if vec is not None:
-                return Element.stored(self.complex, deg, x.b * y.b if vec else None, vec)
-        out = Element.zero(self.complex, deg)
-        for a, p in x.coords.items():
-            for b, q in y.coords.items():
-                prod = self.basis_product(a, b)
-                if not prod.is_zero():
-                    pq = p * q
-                    out = out + Element(self.complex, deg, {l: pq * r for l, r in prod.coords.items()})
-        return out
+        """x*y: the sum of the stored products times the coefficients, at
+        b = b_x b_y."""
+        table = self.table
+        vec = combine([(p * q, table(a, b)) for a, p in x.vec.items() for b, q in y.vec.items()])
+        return Element.stored(self.complex, x.degree + y.degree, x.b * y.b if vec else None, vec)
 
 
 @dataclass
@@ -323,10 +300,6 @@ def _witness(a: BasisLabel, b: BasisLabel, **detail) -> dict:
     return {"a": tag_to_json(a.tag), "b": tag_to_json(b.tag), **detail}
 
 
-def _homogeneous_product_ok(a: BasisLabel, b: BasisLabel, prod: Element) -> bool:
-    return prod.is_zero() or prod.b == a.multidegree * b.multidegree
-
-
 _ZERO: dict = {}  # the table of a zero element; never written to
 
 
@@ -334,8 +307,8 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
     """Verify the dg-algebra axioms exhaustively on basis pairs/triples.
 
     Every pair and triple is decided and counted; exact arithmetic runs only
-    where some stored product can be nonzero, on scalar tables where the
-    products allow it (see the module docstring).
+    where some stored product can be nonzero, on scalar tables (see the
+    module docstring).
     """
     cx = dg.complex
     report = DGReport()
@@ -344,17 +317,11 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
     pos = {l: k for k, l in enumerate(labels)}
     n = len(labels)
 
-    def table(vec: dict) -> dict | list:
-        """{position of l: c} for {basis label l: c} when every c is a
-        coefficient; otherwise the positions of its labels (a support
-        list).  Storing and the complex's constructors put every label of a
-        product or column in the basis, in the degree it must have."""
-        out = {}
-        for l, c in vec.items():
-            if type(c) is Polynomial:
-                return [pos[l] for l in vec]
-            out[pos[l]] = c
-        return out
+    def table(vec: dict) -> dict:
+        """{position of l: c} for {basis label l: c}.  Storing and the
+        complex's constructors put every label of a product or column in
+        the basis, in the degree it must have."""
+        return {pos[l]: c for l, c in vec.items()}
 
     basis = [Element.basis(cx, l) for l in labels]
     # dtab[k]: the table of d(labels[k]), read off the stored column
@@ -378,12 +345,9 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
         want = {i: 1}
         if tab[u].get(i) == want and tab[i].get(u) == want:
             continue
-        left = dg.basis_product(one, a)
-        right = dg.basis_product(a, one)
-        if not (left - basis[i]).is_zero():
-            report.record("unital", {"a": tag_to_json(a.tag), "got": str(left)})
-        if not (right - basis[i]).is_zero():
-            report.record("unital", {"a": tag_to_json(a.tag), "got": str(right)})
+        for got in (dg.basis_product(one, a), dg.basis_product(a, one)):
+            if got != basis[i]:
+                report.record("unital", {"a": tag_to_json(a.tag), "got": str(got)})
 
     for i, a in enumerate(labels):
         row, da = tab[i], dtab[i]
@@ -400,33 +364,23 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
         for j in sorted(leibniz.union(tabT[i])):
             b = labels[j]
             ab = row.get(j, _ZERO)
-            # a table has the implied monomials; only a support list (a
-            # Polynomial entry) can break homogeneity
-            if type(ab) is list and not _homogeneous_product_ok(a, b, prod := dg.basis_product(a, b)):
-                report.record("homogeneous", _witness(a, b, got=str(prod)))
             # graded commutativity, both orientations computed directly
             ba = tab[j].get(i, _ZERO)
             sign = -1 if (degree[i] * degree[j]) % 2 else 1
-            if (ab or ba) and (
-                type(ab) is list or type(ba) is list or ab != (ba if sign == 1 else {k: -c for k, c in ba.items()})
-            ):
-                prod, eba = dg.basis_product(a, b), dg.basis_product(b, a)
-                if not (prod - eba.scale(sign)).is_zero():
-                    report.record("graded_commutativity", _witness(a, b, ab=str(prod), ba=str(eba)))
+            if (ab or ba) and ab != (ba if sign == 1 else {k: -c for k, c in ba.items()}):
+                report.record(
+                    "graded_commutativity", _witness(a, b, ab=str(dg.basis_product(a, b)), ba=str(dg.basis_product(b, a)))
+                )
             if j in leibniz:
-                db = dtab[j]
-                lhs = rhs = None
-                if type(ab) is dict and type(da) is dict and type(db) is dict:
-                    lhs = combine([(c, dtab[l]) for l, c in ab.items()])
-                    rhs = combine(
-                        [(c, tab[k].get(j, _ZERO)) for k, c in da.items()]
-                        + [(s * c, row.get(k, _ZERO)) for k, c in db.items()]
-                    )
-                if lhs is None or lhs != rhs:
+                lhs = combine([(c, dtab[l]) for l, c in ab.items()])
+                rhs = combine(
+                    [(c, tab[k].get(j, _ZERO)) for k, c in da.items()]
+                    + [(s * c, row.get(k, _ZERO)) for k, c in dtab[j].items()]
+                )
+                if lhs != rhs:
                     lhs = dg.basis_product(a, b).diff()
                     rhs = dg.multiply(basis[i].diff(), basis[j]) + dg.multiply(basis[i], basis[j].diff()).scale(s)
-                    if not (lhs - rhs).is_zero():
-                        report.record("leibniz", _witness(a, b, d_ab=str(lhs), da_b_plus_a_db=str(rhs)))
+                    report.record("leibniz", _witness(a, b, d_ab=str(lhs), da_b_plus_a_db=str(rhs)))
         if degree[i] % 2 == 1 and i in row:
             sq = dg.basis_product(a, a)
             if not sq.is_zero():
@@ -457,17 +411,14 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
             b, ab = labels[j], row.get(j, _ZERO)
             for k in sorted(cands[j]):
                 bc = tab[j].get(k, _ZERO)
-                lhs = rhs = None
-                if type(ab) is dict and type(bc) is dict:
-                    lhs = combine([(c, tab[l].get(k, _ZERO)) for l, c in ab.items()])
-                    rhs = combine([(c, row.get(l, _ZERO)) for l, c in bc.items()])
-                if lhs is None or lhs != rhs:
+                lhs = combine([(c, tab[l].get(k, _ZERO)) for l, c in ab.items()])
+                rhs = combine([(c, row.get(l, _ZERO)) for l, c in bc.items()])
+                if lhs != rhs:
                     lhs = dg.multiply(dg.basis_product(a, b), basis[k])
                     rhs = dg.multiply(basis[i], dg.basis_product(b, labels[k]))
-                    if not (lhs - rhs).is_zero():
-                        report.record(
-                            "associativity", _witness(a, b, c=tag_to_json(labels[k].tag), ab_c=str(lhs), a_bc=str(rhs))
-                        )
+                    report.record(
+                        "associativity", _witness(a, b, c=tag_to_json(labels[k].tag), ab_c=str(lhs), a_bc=str(rhs))
+                    )
     return report
 
 
@@ -481,17 +432,9 @@ class SpanGenerator:
     element: Element
 
 
-def _multigraded(el: Element, what: str) -> Element:
-    """el, or DGError naming `what` when el is neither 0 nor multigraded."""
-    if el.b is None and el.vec:
-        raise DGError(f"{what} is not multigraded")
-    return el
-
-
 class SubmoduleSpan:
-    """A multigraded submodule given by homogeneous generators, each a
-    multigraded Element (b, {l: c}) on basis labels of its degree (DGError
-    otherwise).  Indexed once: `key` numbers the labels of the generators'
+    """A multigraded submodule given by homogeneous generators, each an
+    Element (b, {l: c}) on basis labels of its degree (DGError otherwise).  Indexed once: `key` numbers the labels of the generators'
     supports, `columns[k]` is generator k as {key: c}, and per homological
     degree a `strands.Divisors` over the multidegrees of the nonzero
     generators finds those dividing b (`dividing`)."""
@@ -503,7 +446,7 @@ class SubmoduleSpan:
         self.columns: list[dict[int, object]] = []
         of_degree: dict[int, list[int]] = {}
         for k, g in enumerate(self.generators):
-            el = _multigraded(g.element, f"span generator {g.gen_id}")
+            el = g.element
             for l in el.vec:
                 if cx.degree.get(l) != el.degree:
                     raise DGError(f"span generator {g.gen_id} on {l}: not a basis label of degree {el.degree}")
@@ -555,9 +498,9 @@ def submodule_membership(
     """Decide element in span; on success return the witness
     [{gen, coefficient, monomial_multiple}] with exact rationals.
 
-    The element must be multigraded, (b, {l: c}); see `SubmoduleSpan.solve`.
+    The element is (b, {l: c}); see `SubmoduleSpan.solve`.
     """
-    b, vec = _multigraded(element, "a membership element").b, element.vec
+    b, vec = element.b, element.vec
     if not vec:
         return True, []
     key = span.key
@@ -595,17 +538,9 @@ def boundary_closed(span: SubmoduleSpan) -> bool:
     """True when the boundary of every span generator lies in the span;
     DGError at the first that does not."""
     for g in span.generators:
-        if not submodule_membership(span, _multigraded(g.element.diff(), f"the boundary of {g.gen_id}"))[0]:
+        if not submodule_membership(span, g.element.diff())[0]:
             raise DGError(f"span is not closed under the differential at generator {g.gen_id}")
     return True
-
-
-def _keyed(prod: ScalarProduct, key: dict) -> dict | None:
-    """A stored product {l: c} as {key: c}, numbering a label new to `key`
-    as it is met; None for a product with a Polynomial entry."""
-    if any(type(c) is Polynomial for c in prod.values()):
-        return None
-    return {key.setdefault(l, len(key)): c for l, c in prod.items()}
 
 
 def closure_products(dg: DGStructure, span: SubmoduleSpan, key: dict | None = None) -> Iterator[tuple]:
@@ -618,9 +553,7 @@ def closure_products(dg: DGStructure, span: SubmoduleSpan, key: dict | None = No
     For each u the stored row of u is read once, keeping the products u*l
     with l in the generators' supports, and each u*g is summed from those as
     coefficients at b = m_u mdeg(g); only the generators whose support meets
-    a nonzero u*l are visited, every other product being 0.  A generator
-    meeting a product with a Polynomial entry is multiplied by
-    `DGStructure.multiply` instead.
+    a nonzero u*l are visited, every other product being 0.
     """
     key = dict(span.key) if key is None else key
     gens, columns, support = span.generators, span.columns, span.key
@@ -633,22 +566,13 @@ def closure_products(dg: DGStructure, span: SubmoduleSpan, key: dict | None = No
         row, reached = {}, set()
         for l, prod in dg.row(u).items():
             if (s := support.get(l)) is not None:
-                row[s] = _keyed(prod, key)
+                row[s] = {key.setdefault(m, len(key)): c for m, c in prod.items()}
                 reached.update(users[s])
         for k in sorted(reached):
             g = gens[k].element
-            vec = combine([(q, row.get(s, _ZERO)) for s, q in columns[k].items()])
-            if vec is None:
-                prod = dg.multiply(Element.basis(dg.complex, u), g)
-                if prod.is_zero():
-                    continue
-                b = _multigraded(prod, "a membership element").b
-                vec = {key.setdefault(l, len(key)): c for l, c in prod.vec.items()}
-            elif vec:
+            if vec := combine([(q, row.get(s, _ZERO)) for s, q in columns[k].items()]):
                 b = u.multidegree * g.b
-            else:
-                continue
-            yield u, k, b, vec, span.solve(du + g.degree, b, vec)
+                yield u, k, b, vec, span.solve(du + g.degree, b, vec)
 
 
 def dg_ideal_closure(dg: DGStructure, span: SubmoduleSpan) -> tuple[bool, dict]:
@@ -697,8 +621,7 @@ class Elimination:
     makes no progress the quotient is not free, and DGError is raised with
     `witness`: each waiting generator and its entry at the would-be pivot.
     A rule's right-hand side has its pivot's multidegree, so substituting it
-    is scalar arithmetic, and holds pivots of later rules only.  A
-    Polynomial entry (an inhomogeneous complex) raises DGError, no witness.
+    is scalar arithmetic, and holds pivots of later rules only.
     """
 
     def __init__(
@@ -756,8 +679,6 @@ class Elimination:
         """sum c*(b/m_l) e_l in degree i, given as {l: c}, with the kill
         variables set to 0 and every pivot replaced by its rule.  Taking the
         pivots in rule order replaces each at most once."""
-        if any(type(c) is Polynomial for c in vec.values()):
-            raise DGError(f"inhomogeneous entry in degree {i}: elimination needs a multigraded complex")
         out = {l: c for l, c in vec.items() if not killed(l.multidegree, b, self._kill)} if self._kill else dict(vec)
         at, rules = self._at.get(i), self.rules.get(i)
         if not at:
@@ -812,17 +733,16 @@ class Elimination:
             for i in cx.degrees()
             if i and survivors[i]
         }
-        # stored by construction: `substitute` rejects a Polynomial and drops
-        # every zero, each row is a survivor of degree i-1 (`reduce` raises
+        # stored by construction: every entry is a coefficient, `substitute`
+        # drops every zero, each row is a survivor of degree i-1 (`reduce` raises
         # KeyError otherwise), and a unit pivot has m_pivot = b, so a rule's
         # labels divide m_pivot and every row multidegree divides its
         # column's, also once the kill variables are set to zero
         qcx = LabeledFreeComplex._from_stored(ring, basis, diff, name=name)
 
         def project(el: Element) -> Element:
-            b = _multigraded(el, "a projected element").b
-            vec = reduce(el.vec, b, el.degree)
-            return Element.stored(qcx, el.degree, Monomial(ring, b.exponents) if vec else None, vec)
+            vec = reduce(el.vec, el.b, el.degree)
+            return Element.stored(qcx, el.degree, Monomial(ring, el.b.exponents) if vec else None, vec)
 
         return qcx, project
 
@@ -848,7 +768,7 @@ def quotient_dg(
     `prefer_eliminate` are preferred as pivots, so callers can steer the
     surviving basis (e.g. to the Morse-critical cells).  The product of
     two survivors is the parent's stored product with the elimination's
-    rules substituted; a Polynomial entry there raises DGError.
+    rules substituted.
     """
     cx = dg.complex
     elim = Elimination(
@@ -860,7 +780,7 @@ def quotient_dg(
     # boundary closure consistency: every generator's boundary must vanish in
     # the quotient, otherwise the span was not a subcomplex
     for g in span.generators:
-        d = _multigraded(g.element.diff(), f"the boundary of {g.gen_id}")
+        d = g.element.diff()
         if elim.substitute(d.vec, d.b, d.degree):
             raise DGError(f"span not a subcomplex: boundary of {g.gen_id} survives the quotient")
     name = name or f"{dg.name}/span"
@@ -875,7 +795,6 @@ def quotient_dg(
         prod = dg.table(pa, pb)
         if not prod:
             return _NONE
-        # a Polynomial entry raises DGError in `substitute`
         got = elim.substitute(prod, pa.multidegree * pb.multidegree, dg.degree[pa] + dg.degree[pb])
         return ScalarProduct({fwd[l]: c for l, c in got.items()})
 

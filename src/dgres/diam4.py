@@ -396,7 +396,7 @@ def check_boundary_action(res: ConeResolution) -> dict:
             if f.tag[0] != "F" or len(f.tag) == 1:
                 continue
             for g in gs:
-                lhs = combine((c, dg.table(r, g)) for r, c in cone.diff[i][f].items()) or {}
+                lhs = combine((c, dg.table(r, g)) for r, c in cone.diff[i][f].items())
                 rhs = {g: 1} if i == 1 else {l: x for l, x in lhs.items() if l.tag[0] == "F"}
                 if lhs != rhs:
                     failures.append({"f": list(f.tag[1:]), "g": list(g.tag[1:])})

@@ -290,8 +290,6 @@ def morse_reduce(T: LabeledFreeComplex, matching) -> LabeledFreeComplex:
     try:
         elim = Elimination(T, generators)
     except DGError as exc:
-        if exc.witness is None:  # an inhomogeneous entry, not a stuck pair
-            raise
         err = MorseError("stuck: no matched pair has a unit pivot (matching not acyclic?)")
         err.witness = exc.witness
         raise err from None

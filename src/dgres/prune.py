@@ -24,6 +24,11 @@ matching), the dg structure descends to P(F, Z): the span
 is a dg ideal of T, its image under T ->> T/J = F is a dg ideal of F, and
 F / im(I_Z) tensored down to Q/(Z) is P(F, Z).  `prune_dg` carries out the
 whole pipeline with machine checks at each stage.
+
+Entries are stored coefficients whose monomials the labels imply (see
+`complexes`), so step (a) reads only labels: the entry c * (m_c / m_r)
+vanishes once Z is set to zero exactly when m_c and m_r differ in a
+Z-exponent.  A surviving entry keeps its coefficient.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from .dg import (
     span_from_matching_sources,
 )
 from .morse import lyubeznik_matching, lyubeznik_resolution
-from .poly import MonomialIdeal, Polynomial, _monomial
+from .poly import MonomialIdeal, _monomial
 from .taylor import taylor_dg_structure
 
 
@@ -133,10 +138,10 @@ def prune_complex(F: LabeledFreeComplex, znames) -> PruneResult:
     """Boocher's pruning loop, with a per-stage trace.
 
     Setting Z to zero kills a stored coefficient c of c * (m_c / m_r) iff
-    m_c / m_r has a Z-variable, which the labels decide (a Polynomial entry
-    loses its Z-terms).  Surviving labels keep their tags; their
-    multidegrees get the Z-exponents stripped so the result is multigraded
-    over Q/(Z), where a surviving coefficient keeps its meaning.
+    m_c / m_r has a Z-variable, which the labels decide.  Surviving labels
+    keep their tags; their multidegrees get the Z-exponents stripped so the
+    result is multigraded over Q/(Z), where a surviving coefficient keeps
+    its meaning.
     """
     znames = tuple(znames)
     idx = [F.ring.index(n) for n in znames]
@@ -147,17 +152,11 @@ def prune_complex(F: LabeledFreeComplex, znames) -> PruneResult:
         if i >= 1
     }
 
-    def substitute(r: BasisLabel, v, c: BasisLabel):
-        """The entry v of column c on row r with Z set to zero."""
-        if type(v) is Polynomial:
-            return v.substitute_zero(znames)
-        return 0 if killed(r.multidegree, c.multidegree, idx) else v
-
     stages: list[PruneStage] = []
     for i in range(1, F.top_degree() + 1):
         cols = diffs.get(i, {})
         for c, col in cols.items():
-            cols[c] = {r: w for r, v in col.items() if (w := substitute(r, v, c))}
+            cols[c] = {r: v for r, v in col.items() if not killed(r.multidegree, c.multidegree, idx)}
         dead = [c for c in bases.get(i, []) if not cols.get(c)]
         deadset = set(dead)
         bases[i] = [c for c in bases[i] if c not in deadset]
@@ -190,13 +189,7 @@ def prune_complex(F: LabeledFreeComplex, znames) -> PruneResult:
     newlab = {l: strip(l) for i in bases for l in bases[i]}
     basis = {i: [newlab[l] for l in lbls] for i, lbls in bases.items() if lbls}
     diff = {
-        i: {
-            newlab[c]: {
-                newlab[r]: v.reinterpret(ring2) if type(v) is Polynomial else v
-                for r, v in col.items()
-            }
-            for c, col in cols.items()
-        }
+        i: {newlab[c]: {newlab[r]: v for r, v in col.items()} for c, col in cols.items()}
         for i, cols in diffs.items()
         if cols
     }

@@ -27,9 +27,8 @@ coefficients, which are the differentials at x=1 (`scalar_columns`, built
 by the first strand that needs them): one whose mod-2 homology is nonzero
 in two or more degrees, one with an entry that is not an int, and every
 strand of a complex that did not verify.  So the cached value is always the
-homology over Q.  At x=1 a homogeneous entry c * (m_c / m_r) is its stored
-coefficient c; only a Polynomial entry, the fallback of an inhomogeneous
-complex (which does not verify), is evaluated.
+homology over Q.  At x=1 an entry c * (m_c / m_r) is its stored
+coefficient c, the only form a complex stores.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from operator import and_, le
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import linalg
-from .poly import Monomial, PolyError, Polynomial, VariableSet, exact, _squarefree_variables
+from .poly import Monomial, PolyError, VariableSet, _squarefree_variables
 
 if TYPE_CHECKING:
     from .complexes import BasisLabel, LabeledFreeComplex
@@ -90,19 +89,10 @@ def positions(mask: int) -> list[int]:
 
 def scalar_columns(d: dict, rows: Sequence[BasisLabel], cols: Sequence[BasisLabel]) -> list[dict]:
     """The columns `cols` of a differential `d` ({column label: {row label:
-    entry}}) on the rows `rows` at x=1, as {row position: value} without
-    zeros: the stored coefficient, or a Polynomial entry's value at x=1 (an
-    int when integral)."""
+    stored coefficient}}) on the rows `rows` at x=1, as {row position:
+    coefficient}."""
     row_of = {r: k for k, r in enumerate(rows)}
-    out = []
-    for c in cols:
-        col = {}
-        for r, v in d.get(c, {}).items():
-            k = row_of.get(r)
-            if k is not None and (v := exact(v.eval_ones()) if type(v) is Polynomial else v):
-                col[k] = v
-        out.append(col)
-    return out
+    return [{row_of[r]: v for r, v in d.get(c, {}).items() if r in row_of} for c in cols]
 
 
 def rank_mod2(columns: Sequence[int], cols: int, rows: int) -> int:

@@ -2,7 +2,8 @@
 
 `ReferenceElement` is the element as it was before it stored coefficients:
 every coordinate a `Polynomial`, sums and boundaries in `Polynomial`
-arithmetic, the multidegree recomputed from the coordinates.
+arithmetic (`vec_add`, `vec_scale`, `apply_diff`), the multidegree
+recomputed from the coordinates.
 `reference_multiply` multiplies two of them through the stored basis
 products of a `DGStructure`, each formatted with `entry_polynomial`, and
 `reference_membership` decides span membership from the Polynomial
@@ -16,9 +17,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from dgres import linalg
-from dgres.complexes import BasisLabel, LabeledFreeComplex, VecT, entry_polynomial, tag_to_json, vec_add, vec_scale
+from dgres.complexes import BasisLabel, LabeledFreeComplex, VecT, entry_polynomial, tag_to_json
 from dgres.dg import DGError, DGStructure, Element, SubmoduleSpan
 from dgres.poly import Monomial, Polynomial, exact, monomial_divide
+
+
+def vec_add(a: VecT, b: VecT) -> VecT:
+    out = dict(a)
+    for k, p in b.items():
+        q = out.get(k)
+        s = p if q is None else q + p
+        if s.is_zero():
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def vec_scale(a: VecT, c) -> VecT:
+    out = {}
+    for k, p in a.items():
+        q = p * c
+        if not q.is_zero():
+            out[k] = q
+    return out
+
+
+def apply_diff(cx: LabeledFreeComplex, i: int, v: VecT) -> VecT:
+    """d_i(v) for v = {label: Polynomial}, through the stored columns."""
+    out: VecT = {}
+    for c, p in v.items():
+        for r, q in cx.diff.get(i, {}).get(c, {}).items():
+            s = out.get(r, Polynomial.zero(cx.ring)) + p * entry_polynomial(q, r, c.multidegree)
+            if s.is_zero():
+                out.pop(r, None)
+            else:
+                out[r] = s
+    return out
 
 
 @dataclass
@@ -63,7 +98,7 @@ class ReferenceElement:
     def diff(self) -> "ReferenceElement":
         if self.degree == 0 or self.is_zero():
             return ReferenceElement.zero(self.complex, max(self.degree - 1, 0))
-        return ReferenceElement(self.complex, self.degree - 1, self.complex.apply_diff(self.degree, self.coords))
+        return ReferenceElement(self.complex, self.degree - 1, apply_diff(self.complex, self.degree, self.coords))
 
     def multidegree(self) -> Monomial | None:
         found = None

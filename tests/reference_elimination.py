@@ -15,9 +15,11 @@ import heapq
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from dgres.complexes import BasisLabel, LabeledFreeComplex, VecT, tag_to_json, vec_scale
+from dgres.complexes import BasisLabel, LabeledFreeComplex, VecT, tag_to_json
 from dgres.dg import DGError, DGStructure, SubmoduleSpan
 from dgres.poly import Monomial, Polynomial
+
+from reference_element import vec_scale
 
 
 class ReferenceElimination:

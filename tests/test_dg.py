@@ -6,10 +6,11 @@ without being superset-closed).
 
 `dense_dg_check` keeps the exhaustive pair/triple loop as the reference the
 sparse `dg_check` must reproduce report for report, on honest and tampered
-structures, including those whose products or differentials are not scalar
-multiples of the implied monomials.  `dense_dg_ideal_closure` does the same
-for `dg_ideal_closure`, with Polynomial products and multidegrees recomputed
-on every membership call."""
+structures; products or differentials that are not scalar multiples of the
+implied monomials are refused where they are stored, by both alike.
+`dense_dg_ideal_closure` does the same for `dg_ideal_closure`, with
+Polynomial products and multidegrees recomputed on every membership
+call."""
 
 import json
 import random
@@ -50,7 +51,7 @@ from dgres import (
 from dgres.classify import C4_MATCHING, C5_MATCHING, _cycle_consecutive_ideal, _d3_order, classify
 from dgres.combin import tree_longest_path
 from dgres.complexes import ComplexError, entry_polynomial, tag_to_json
-from dgres.dg import DGReport, ScalarProduct, _homogeneous_product_ok, boundary_closed, closure_products
+from dgres.dg import DGReport, ScalarProduct, boundary_closed, closure_products
 from dgres.morse import is_superset_closed, matching_sources
 from dgres.poly import monomial_divide
 from dgres.taylor import taylor_table
@@ -95,8 +96,9 @@ class TestElement:
         e1 = F.find_label(("e", 1))
         one = Polynomial.constant(RING3, 1)
         assert str(Element(F, 1, {e0: parse_polynomial(RING3, "y")}).multidegree()) == "x*y"
-        mixed = Element(F, 1, {e0: one, e1: one})
-        assert mixed.multidegree() is None
+        # coordinates of two multidegrees make no element: b is None only for zero
+        with pytest.raises(DGError, match=r"^\(1\)\*\(e,0\)\[x\] \+ \(1\)\*\(e,1\)\[y\] is not multigraded$"):
+            Element(F, 1, {e0: one, e1: one})
         assert Element.zero(F, 2).multidegree() is None
 
 
@@ -204,31 +206,19 @@ class TestSubmoduleMembership:
         assert submodule_membership(span, Element.zero(koszul, 2)) == (True, [])
 
     def test_mixed_multidegree_rejected(self, koszul):
-        span = span_from_matching_sources(koszul, [(0, 1)])
+        # e01 + e02 (at x*y and x*z) is refused as an element, so it never
+        # reaches membership
         one = Polynomial.constant(RING3, 1)
-        mixed = Element(
-            koszul,
-            2,
-            {
-                koszul.find_label(("e", 0, 1)): one,
-                koszul.find_label(("e", 0, 2)): one,
-            },
-        )
-        with pytest.raises(DGError):
-            submodule_membership(span, mixed)
+        coords = {koszul.find_label(("e", 0, 1)): one, koszul.find_label(("e", 0, 2)): one}
+        with pytest.raises(DGError, match="is not multigraded$"):
+            Element(koszul, 2, coords)
 
     def test_non_multigraded_generator_rejected(self, koszul):
-        one = Polynomial.constant(RING3, 1)
-        mixed = Element(
-            koszul,
-            2,
-            {
-                koszul.find_label(("e", 0, 1)): one,
-                koszul.find_label(("e", 0, 2)): one,
-            },
-        )
-        with pytest.raises(DGError):
-            SubmoduleSpan(koszul, [SpanGenerator(("bad",), mixed)])
+        # (1 + z) e01, of two terms, is refused as an element, so it never
+        # becomes a span generator
+        coords = {koszul.find_label(("e", 0, 1)): parse_polynomial(RING3, "1 + z")}
+        with pytest.raises(DGError, match=r"^\(z \+ 1\)\*\(e,0,1\)\[x\*y\] is not multigraded$"):
+            Element(koszul, 2, coords)
 
 
 class TestDGIdealClosure:
@@ -394,11 +384,6 @@ def dense_dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
         for b in labels:
             prod = dg.basis_product(a, b)
             report.checked_pairs += 1
-            if not _homogeneous_product_ok(a, b, prod):
-                report.record(
-                    "homogeneous",
-                    {"a": tag_to_json(a.tag), "b": tag_to_json(b.tag), "got": str(prod)},
-                )
             # graded commutativity, both orientations computed directly
             ba = dg.basis_product(b, a)
             sign = -1 if (degree[a] * degree[b]) % 2 else 1
@@ -526,40 +511,48 @@ STRUCTURES = {
 }
 
 
-def reshaped_product(ideal, reshape) -> DGStructure:
+def reshaped_product(ideal, reshape) -> tuple[DGStructure, str]:
     """The Taylor structure with e0*e1 and e1*e0 each replaced by
     reshape(coefficient) on the same labels, so graded commutativity still
-    holds."""
+    holds, and the message that refuses e0*e1, read first, when it is
+    stored."""
     dg = taylor_dg_structure(ideal)
-    pair = {label(dg, 0), label(dg, 1)}
+    e0, e1 = label(dg, 0), label(dg, 1)
+    want = e0.multidegree * e1.multidegree
+    [(l, c)] = dg.table(e0, e1).items()
+    bad = reshape(entry_polynomial(c, l, want))
 
     def product(x, y, honest):
-        if {x, y} != pair:
+        if {x, y} != {e0, e1}:
             return honest
-        want = x.multidegree * y.multidegree
         return ScalarProduct({l: reshape(entry_polynomial(c, l, want)) for l, c in honest.items()})
 
-    return tampered(dg, product)
+    return tampered(dg, product), rf"^{re.escape(f'product entry {bad} of {e0}*{e1} on {l}')}: not a rational coefficient$"
 
 
-def two_term_product(ideal) -> DGStructure:
+def two_term_product(ideal) -> tuple[DGStructure, str]:
     x = ideal.ring.variable("x")
     return reshaped_product(ideal, lambda p: p + p * x)
 
 
-def product_off_by_a_variable(ideal) -> DGStructure:
+def product_off_by_a_variable(ideal) -> tuple[DGStructure, str]:
     x = ideal.ring.variable("x")
     return reshaped_product(ideal, lambda p: p * x)
 
 
 def inhomogeneous_differential(ideal) -> DGStructure:
     """The Taylor product on a copy of the Taylor complex whose entry of
-    d(e01) on e0, -yz, is replaced by 1 - yz."""
+    d(e01) on e0, -yz, is replaced by 1 - yz: refused when the complex is
+    built."""
     T = taylor_resolution(ideal)
     diff = {i: {c: dict(col) for c, col in cols.items()} for i, cols in T.diff.items()}
     e01, e0 = T.find_label(("e", 0, 1)), T.find_label(("e", 0))
     diff[2][e01][e0] = T.entry(2, e0, e01) + Polynomial.constant(T.ring, 1)
     return taylor_dg_structure(ideal, LabeledFreeComplex(T.ring, T.basis, diff))
+
+
+# the message that refuses `inhomogeneous_differential(taylor_fixture_ideal)`
+INHOMOGENEOUS_ENTRY = r"^entry -y\*z \+ 1 at \(\(e,0\)\[x\*w\], \(e,0,1\)\[x\*y\*z\*w\]\) is not a rational multiple of "
 
 
 def outside_label_product(ideal) -> tuple[DGStructure, BasisLabel, str]:
@@ -573,11 +566,11 @@ def outside_label_product(ideal) -> tuple[DGStructure, BasisLabel, str]:
     return bad, ghost, rf"^product entry 1 of .* on {re.escape(str(ghost))}: not a basis label of degree 3$"
 
 
-# structures that force the Polynomial path, with failures each must report
+# structures with entries that are not coefficients of the implied
+# monomials: each product is refused by the structure when it stores it
 POLYNOMIAL_PATH = {
-    "two-term-product": (two_term_product, {"homogeneous", "leibniz", "associativity"}),
-    "product-off-by-a-variable": (product_off_by_a_variable, {"homogeneous", "leibniz", "associativity"}),
-    "inhomogeneous-differential": (inhomogeneous_differential, {"leibniz"}),
+    "two-term-product": two_term_product,
+    "product-off-by-a-variable": product_off_by_a_variable,
 }
 
 
@@ -641,19 +634,22 @@ class TestDenseOracle:
         report = assert_matches_dense(tampered(dg, plant))
         assert pair in [(w["a"], w["b"]) for w in report.failures["leibniz"]]
 
-    @pytest.mark.parametrize("case", [*POLYNOMIAL_PATH, "outside-label-product"])
+    @pytest.mark.parametrize("case", [*POLYNOMIAL_PATH, "inhomogeneous-differential", "outside-label-product"])
     def test_polynomial_path(self, taylor_fixture_ideal, case):
-        if case == "outside-label-product":
-            # refused on storing: the sparse and the dense check stop at
-            # the same product before either reports
-            dg, _, refused = outside_label_product(taylor_fixture_ideal)
-            for check in (dg_check, dense_dg_check):
-                with pytest.raises(DGError, match=refused):
-                    check(DGStructure(dg.complex, dg.table))
+        # refused on storing: the sparse and the dense check stop at the
+        # same product before either reports; the differential is refused
+        # before a structure exists
+        if case == "inhomogeneous-differential":
+            with pytest.raises(ComplexError, match=INHOMOGENEOUS_ENTRY):
+                inhomogeneous_differential(taylor_fixture_ideal)
             return
-        make, axioms = POLYNOMIAL_PATH[case]
-        report = assert_matches_dense(make(taylor_fixture_ideal))
-        assert axioms <= set(report.failures)
+        if case == "outside-label-product":
+            dg, _, refused = outside_label_product(taylor_fixture_ideal)
+        else:
+            dg, refused = POLYNOMIAL_PATH[case](taylor_fixture_ideal)
+        for check in (dg_check, dense_dg_check):
+            with pytest.raises(DGError, match=refused):
+                check(DGStructure(dg.complex, dg.table))
 
     def test_product_of_another_degree(self):
         # e0*e1 written as 1 on e1, a label of degree 1, not 2 (its
@@ -884,17 +880,15 @@ class TestClosureDenseOracle:
     @pytest.mark.parametrize("case", ["product-off-by-a-variable", "outside-label-product"])
     def test_polynomial_path(self, taylor_fixture_ideal, case):
         # the span of e01 and d(e01) reads the tampered products e0*e1 and
-        # e0*e01; the product on an outside label is refused by both closures
+        # e0*e01; both closures refuse each when they store it
         if case == "outside-label-product":
             dg, _, refused = outside_label_product(taylor_fixture_ideal)
-            span = span_from_matching_sources(dg.complex, [(0, 1)])
-            for closure in (dg_ideal_closure, dense_dg_ideal_closure):
-                with pytest.raises(DGError, match=refused):
-                    closure(DGStructure(dg.complex, dg.table), span)
-            return
-        dg = POLYNOMIAL_PATH[case][0](taylor_fixture_ideal)
-        report = assert_closure_matches_dense(dg, span_from_matching_sources(dg.complex, [(0, 1)]))
-        assert report["products"] and report["failures"]
+        else:
+            dg, refused = POLYNOMIAL_PATH[case](taylor_fixture_ideal)
+        span = span_from_matching_sources(dg.complex, [(0, 1)])
+        for closure in (dg_ideal_closure, dense_dg_ideal_closure):
+            with pytest.raises(DGError, match=refused):
+                closure(DGStructure(dg.complex, dg.table), span)
 
     def test_generator_on_a_label_outside_the_basis(self, taylor_fixture_ideal):
         # a label the complex does not have, and e1, a basis label, in a
@@ -909,10 +903,10 @@ class TestClosureDenseOracle:
                 SubmoduleSpan(cx, [gen])
 
     def test_product_with_two_terms_is_refused(self, taylor_fixture_ideal):
-        dg = two_term_product(taylor_fixture_ideal)
+        dg, refused = two_term_product(taylor_fixture_ideal)
         span = span_from_matching_sources(dg.complex, [(0, 1)])
         for closure in (dg_ideal_closure, dense_dg_ideal_closure):
-            with pytest.raises(DGError, match="multigraded"):
+            with pytest.raises(DGError, match=refused):
                 closure(DGStructure(dg.complex, dg.table), span)
 
 
@@ -963,12 +957,16 @@ class TestClosureCore:
 
     def test_failures_and_outside_labels(self, taylor_fixture_ideal):
         # failures are products with labels outside the span's support,
-        # numbered as they are met; one structure reads them in Polynomials
+        # numbered as they are met; a product with a Polynomial entry is
+        # refused by the core and the report alike, when it is stored
         dg = taylor_dg_structure(ideal(RING3, "x", "y", "z"))
         assert self.assert_core_matches_report(dg, span_from_matching_sources(dg.complex, [(0, 1)]))["failures"]
-        dg = POLYNOMIAL_PATH["product-off-by-a-variable"][0](taylor_fixture_ideal)
-        report = self.assert_core_matches_report(dg, span_from_matching_sources(dg.complex, [(0, 1)]))
-        assert report["failures"]
+        dg, refused = POLYNOMIAL_PATH["product-off-by-a-variable"](taylor_fixture_ideal)
+        span = span_from_matching_sources(dg.complex, [(0, 1)])
+        with pytest.raises(DGError, match=refused):
+            list(closure_products(DGStructure(dg.complex, dg.table), span))
+        with pytest.raises(DGError, match=refused):
+            dg_ideal_closure(DGStructure(dg.complex, dg.table), span)
 
     def test_classify_counts_the_report(self):
         for graph, dg, span in d3_and_cycle_spans():
@@ -1079,26 +1077,21 @@ class TestCandidateIndex:
 
 
 def test_boundary_through_a_polynomial_entry_is_refused(taylor_fixture_ideal):
-    """A span generator whose column holds a Polynomial entry has its
-    boundary formed as an Element, which is not multigraded here."""
-    dg = inhomogeneous_differential(taylor_fixture_ideal)
-    e01 = Element.basis(dg.complex, dg.complex.find_label(("e", 0, 1)))
-    bare = SubmoduleSpan(dg.complex, [SpanGenerator(("e", 0, 1), e01)])
-    with pytest.raises(DGError, match=r"^the boundary of \('e', 0, 1\) is not multigraded"):
-        dg_ideal_closure(dg, bare)
-    with pytest.raises(DGError, match=r"^the boundary of \('e', 0, 1\) is not multigraded"):
-        quotient_dg(dg, bare)
+    """A column with a Polynomial entry that is not c times the implied
+    monomial is refused when the complex is built, with the entry, its row
+    and its column named, so no boundary is formed through it."""
+    with pytest.raises(ComplexError, match=INHOMOGENEOUS_ENTRY + r"x\*y\*z\*w/x\*w$"):
+        inhomogeneous_differential(taylor_fixture_ideal)
 
 
 def test_quotient_of_a_polynomial_product_is_refused(taylor_fixture_ideal):
     """e0*e1 with Polynomial entries: both labels survive the Lyubeznik
-    quotient, whose product of them goes through `Elimination.substitute`
-    and is refused there, by the table and by `dg_check`."""
+    quotient, whose product of them reads the parent's e0*e1, refused when
+    the parent stores it, by the quotient's table and by `dg_check`."""
     I = taylor_fixture_ideal
-    dg = product_off_by_a_variable(I)
+    dg, refused = product_off_by_a_variable(I)
     q = quotient_dg(dg, matching_span(dg, lyubeznik_matching(I))).structure
     e0, e1 = q.complex.find_label(("e", 0)), q.complex.find_label(("e", 1))
-    refused = r"^inhomogeneous entry in degree 2: elimination needs a multigraded complex$"
     with pytest.raises(DGError, match=refused):
         q.table(e0, e1)
     with pytest.raises(DGError, match=refused):

@@ -1,5 +1,6 @@
 """`dg.Elimination` on coefficients against the Polynomial reference
-(`reference_elimination`), and its rejection of inhomogeneous input.
+(`reference_elimination`); inhomogeneous input is refused before it
+reaches an elimination, when its complex is built.
 
 Every comparison covers the quotient complex, the rules entry by entry, the
 survivors and the projection of each basis element and its boundary.
@@ -7,11 +8,13 @@ survivors and the projection of each basis element and its boundary.
 
 from __future__ import annotations
 
+import re
 from itertools import permutations
 
 import pytest
 
 from dgres import (
+    ComplexError,
     DGError,
     Element,
     LabeledFreeComplex,
@@ -172,24 +175,23 @@ def with_entry_added(T: LabeledFreeComplex, i: int, row, col, p: Polynomial) -> 
 class TestInhomogeneousRejected:
     def test_survivor_column(self):
         # the entry of d(e01) on e0, -z, gains a constant term, as in
-        # test_dg.inhomogeneous_differential
+        # test_dg.inhomogeneous_differential: refused when the complex is
+        # built, so neither morse_reduce nor quotient_dg can be handed it
         ideal = MonomialIdeal.from_strings(VariableSet(("x", "y", "z")), ["x*y", "x*z", "y*z"])
         T = taylor_resolution(ideal)
         e01, e0 = T.find_label(("e", 0, 1)), T.find_label(("e", 0))
-        bad = with_entry_added(T, 2, e0, e01, Polynomial.constant(T.ring, 1))
-        with pytest.raises(DGError, match="^inhomogeneous entry in degree 1"):
-            morse_reduce(bad, ())
-        with pytest.raises(DGError, match="^inhomogeneous entry in degree 1"):
-            quotient_dg(taylor_dg_structure(ideal, bad), SubmoduleSpan(bad, []))
+        refused = r"^entry -z \+ 1 at \(\(e,0\)\[x\*y\], \(e,0,1\)\[x\*y\*z\]\) is not a rational multiple of x\*y\*z/x\*y$"
+        with pytest.raises(ComplexError, match=refused):
+            with_entry_added(T, 2, e0, e01, Polynomial.constant(T.ring, 1))
 
     def test_matched_pivot_entry_is_not_stuck(self):
-        # the unit pivot of the first matched pair gains a term x: Polynomial
-        # elimination would find no unit pivot and report the matching stuck
+        # the unit pivot of the first matched pair gains a term x: refused
+        # when the complex is built, before any elimination could call the
+        # matching stuck
         (s, t), *_ = lyubeznik_matching(WHISKER)
         T = taylor_resolution(WHISKER)
         sigma, tau = T.find_label(("e",) + s), T.find_label(("e",) + t)
-        bad = with_entry_added(T, len(s), tau, sigma, Polynomial.monomial(WHISKER_RING.variable("x")))
-        with pytest.raises(DGError, match=f"^inhomogeneous entry in degree {len(t)}"):
-            morse_reduce(bad, lyubeznik_matching(WHISKER))
-        with pytest.raises(DGError, match="^no unit pivot"):
-            morse_elimination(bad, lyubeznik_matching(WHISKER))
+        p = T.entry(len(s), tau, sigma) + Polynomial.monomial(WHISKER_RING.variable("x"))
+        refused = f"^{re.escape(f'entry {p} at ({tau}, {sigma}) is not a rational multiple of ')}"
+        with pytest.raises(ComplexError, match=refused):
+            with_entry_added(T, len(s), tau, sigma, Polynomial.monomial(WHISKER_RING.variable("x")))
