@@ -40,8 +40,12 @@ through the stored products) of elements are dict arithmetic on the c.
 for one b, and `coords` and `str` give Polynomials back.  `dg_check` reads
 products and columns as tables {label position: c}; both sides of a
 commutativity, Leibniz or associativity identity are then tables over one
-multidegree, equal exactly when the elements are.  Where two tables
-disagree, the failure's witness strings are formed by `Element` arithmetic.
+multidegree.  Commutativity compares two stored tables entry by entry.
+Leibniz sums d(ab) - d(a) b - (-1)^{|a|} a d(b) in place into one table
+per b, for all b of a row a at once; associativity sums (ab)c - a(bc) in
+place into one table per triple.  An identity holds when every value of
+its summed difference is zero (cancelled entries stay as explicit zeros).
+Where one fails, the witness strings are formed by `Element` arithmetic.
 
 `SubmoduleSpan` + `submodule_membership` decide membership of a
 multigraded element (b, {l: c}) in a submodule spanned by finitely many
@@ -71,7 +75,8 @@ Q/<kill> iff b and m_l agree on the kill exponents; a projected element
 keeps b, read over the smaller ring.  `quotient_dg` wraps it for a dg
 algebra and a dg ideal given as a span, preferring caller-designated
 pivots, and stores each product of survivors as the parent's stored product
-substituted at b = m_a m_b; `morse.morse_reduce` passes each e_sigma and its
+(read off the parent's row: survivors are its basis labels) substituted at
+b = m_a m_b; `morse.morse_reduce` passes each e_sigma and its
 stored column d(e_sigma), with each pivot fixed to a matched target.
 """
 
@@ -201,10 +206,12 @@ class DGStructure:
     Products are stored by rows: `row(a)` is {b: e_a e_b} over the basis
     labels b with e_a e_b != 0, computed in full (one product-function call
     per b) on first read and stored only when complete.  The product
-    function returns a `ScalarProduct` (the form of the complex's columns):
-    every label a basis label of degree |a| + |b|, every entry an int or a
-    Fraction, and a coefficient on l needs m_l | m_a m_b.  Anything else
-    raises DGError on storing, naming the entry, a, b and its label.
+    function returns a `ScalarProduct` (the form of the complex's columns),
+    and a nonzero one is validated: every label a basis label of degree
+    |a| + |b|, every entry an int or a Fraction, and a coefficient on l
+    needs m_l | m_a m_b.  Anything else raises DGError on storing, naming
+    the entry, a, b and its label.  A zero product may be shared between
+    pairs; it is never stored or written to.
     Reading `row` or `table` at a label outside the basis raises DGError
     too.  `basis_product` and `multiply` build Elements from the stored
     products.  `degree` is the complex's label index, so a label
@@ -234,8 +241,14 @@ class DGStructure:
         if got is None:
             if a not in self.degree:
                 raise DGError(f"{a} is not a basis label of {self.name}")
-            prods = ((b, self._store(a, b, self._product(a, b))) for b in self.degree)
-            got = self._rows[a] = {b: prod for b, prod in prods if prod}
+            product, got = self._product, {}
+            for b in self.degree:
+                prod = product(a, b)
+                if type(prod) is not ScalarProduct:
+                    raise DGError(f"product {a}*{b} is not a ScalarProduct: {type(prod).__name__}")
+                if prod:
+                    got[b] = self._store(a, b, prod)
+            self._rows[a] = got
         return got
 
     def table(self, a: BasisLabel, b: BasisLabel) -> ScalarProduct:
@@ -244,11 +257,8 @@ class DGStructure:
             raise DGError(f"{b} is not a basis label of {self.name}")
         return self.row(a).get(b, _NONE)
 
-    def _store(self, a: BasisLabel, b: BasisLabel, prod) -> ScalarProduct:
-        if type(prod) is not ScalarProduct:
-            raise DGError(f"product {a}*{b} is not a ScalarProduct: {type(prod).__name__}")
-        if not prod:
-            return _NONE
+    def _store(self, a: BasisLabel, b: BasisLabel, prod: ScalarProduct) -> ScalarProduct:
+        """The nonzero product e_a e_b, validated (see the class docstring)."""
         deg, degree = self.degree[a] + self.degree[b], self.degree
         want = tuple(map(add, a.multidegree.exponents, b.multidegree.exponents))
         for l, c in prod.items():
@@ -307,8 +317,8 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
     """Verify the dg-algebra axioms exhaustively on basis pairs/triples.
 
     Every pair and triple is decided and counted; exact arithmetic runs only
-    where some stored product can be nonzero, on scalar tables (see the
-    module docstring).
+    where some stored product can be nonzero, summing each identity's
+    difference in place on scalar tables (see the module docstring).
     """
     cx = dg.complex
     report = DGReport()
@@ -351,36 +361,43 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
 
     for i, a in enumerate(labels):
         row, da = tab[i], dtab[i]
-        # Leibniz: d(ab) = d(a) b + (-1)^{|a|} a d(b) has both sides 0
-        # unless ab, some l*b with l in supp(da), or some a*l with l in
-        # supp(db) is nonzero; every other check needs ab or ba nonzero
-        leibniz = set(row)
-        for k in da:
-            leibniz.update(tab[k])
-        for k in row:
-            leibniz.update(dinv[k])
         s = -1 if degree[i] % 2 else 1
+        # diffs[j]: d(ab) - d(a) b - (-1)^{|a|} a d(b), b = labels[j], summed
+        # in place over the terms that can be nonzero: ab, l*b with l in
+        # supp(da), a*l with l in supp(db).  Its keys are the b where
+        # Leibniz is not 0 = 0 outright; every other check needs ab or ba
+        diffs: dict[int, dict] = {}
+        for j, ab in row.items():
+            acc = diffs[j] = {}
+            for l, c in ab.items():
+                for m, x in dtab[l].items():
+                    acc[m] = acc.get(m, 0) + c * x
+        for k, c in da.items():
+            for j, kb in tab[k].items():
+                acc = diffs.setdefault(j, {})
+                for m, x in kb.items():
+                    acc[m] = acc.get(m, 0) - c * x
+        for k, ak in row.items():
+            for j in dinv[k]:
+                acc, c = diffs.setdefault(j, {}), s * dtab[j][k]
+                for m, x in ak.items():
+                    acc[m] = acc.get(m, 0) - c * x
         report.checked_pairs += n
-        for j in sorted(leibniz.union(tabT[i])):
+        for j in sorted(diffs.keys() | set(tabT[i])):
             b = labels[j]
             ab = row.get(j, _ZERO)
-            # graded commutativity, both orientations computed directly
+            # graded commutativity, both orientations computed directly:
+            # ab = sign * ba as tables, compared entry by entry
             ba = tab[j].get(i, _ZERO)
-            sign = -1 if (degree[i] * degree[j]) % 2 else 1
-            if (ab or ba) and ab != (ba if sign == 1 else {k: -c for k, c in ba.items()}):
+            sign = -1 if degree[i] & degree[j] & 1 else 1
+            if len(ab) != len(ba) or any(ba.get(k) != sign * c for k, c in ab.items()):
                 report.record(
                     "graded_commutativity", _witness(a, b, ab=str(dg.basis_product(a, b)), ba=str(dg.basis_product(b, a)))
                 )
-            if j in leibniz:
-                lhs = combine([(c, dtab[l]) for l, c in ab.items()])
-                rhs = combine(
-                    [(c, tab[k].get(j, _ZERO)) for k, c in da.items()]
-                    + [(s * c, row.get(k, _ZERO)) for k, c in dtab[j].items()]
-                )
-                if lhs != rhs:
-                    lhs = dg.basis_product(a, b).diff()
-                    rhs = dg.multiply(basis[i].diff(), basis[j]) + dg.multiply(basis[i], basis[j].diff()).scale(s)
-                    report.record("leibniz", _witness(a, b, d_ab=str(lhs), da_b_plus_a_db=str(rhs)))
+            if (acc := diffs.get(j)) and any(acc.values()):
+                lhs = dg.basis_product(a, b).diff()
+                rhs = dg.multiply(basis[i].diff(), basis[j]) + dg.multiply(basis[i], basis[j].diff()).scale(s)
+                report.record("leibniz", _witness(a, b, d_ab=str(lhs), da_b_plus_a_db=str(rhs)))
         if degree[i] % 2 == 1 and i in row:
             sq = dg.basis_product(a, a)
             if not sq.is_zero():
@@ -408,12 +425,17 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
             for j, c in occ.get(l, ()):
                 cands.setdefault(j, set()).add(c)
         for j in sorted(cands):
-            b, ab = labels[j], row.get(j, _ZERO)
+            b, ab, bj = labels[j], row.get(j, _ZERO), tab[j]
             for k in sorted(cands[j]):
-                bc = tab[j].get(k, _ZERO)
-                lhs = combine([(c, tab[l].get(k, _ZERO)) for l, c in ab.items()])
-                rhs = combine([(c, row.get(l, _ZERO)) for l, c in bc.items()])
-                if lhs != rhs:
+                # (ab)c - a(bc), summed in place
+                acc: dict = {}
+                for l, c in ab.items():
+                    for m, x in tab[l].get(k, _ZERO).items():
+                        acc[m] = acc.get(m, 0) + c * x
+                for l, c in bj.get(k, _ZERO).items():
+                    for m, x in row.get(l, _ZERO).items():
+                        acc[m] = acc.get(m, 0) - c * x
+                if any(acc.values()):
                     lhs = dg.multiply(dg.basis_product(a, b), basis[k])
                     rhs = dg.multiply(basis[i], dg.basis_product(b, labels[k]))
                     report.record(
@@ -791,9 +813,10 @@ def quotient_dg(
             back[new], fwd[old] = old, new
 
     def qproduct(a: BasisLabel, b: BasisLabel) -> ScalarProduct:
+        # survivors are basis labels of the parent, so its row is read directly
         pa, pb = back[a], back[b]
-        prod = dg.table(pa, pb)
-        if not prod:
+        prod = dg.row(pa).get(pb)
+        if prod is None:
             return _NONE
         got = elim.substitute(prod, pa.multidegree * pb.multidegree, dg.degree[pa] + dg.degree[pb])
         return ScalarProduct({fwd[l]: c for l, c in got.items()})

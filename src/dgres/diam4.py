@@ -33,7 +33,10 @@ extended linearly in f),
 The division by z never leaves the polynomials: (1/z) f_V Phi(g_W) is
 either 0 or y_W f_{V union W_z}.  So, as every product here, it is stored
 as a coefficient on its label (`dg.ScalarProduct`), and storing it checks
-that the label's multidegree divides m_a m_b.
+that the label's multidegree divides m_a m_b.  The F*F, G*G, G*S, S*G and
+f_V f_{W_z} terms are Taylor products in one copy, read off the bitmask
+index of the copies F, G and S (`taylor.mask_index`, `taylor.mask_product`);
+each G label carries the bitmask of W_z, computed once.
 """
 
 from __future__ import annotations
@@ -61,7 +64,15 @@ from .poly import (
     lcm_of,
     monomial_divide,
 )
-from .taylor import taylor_product_label, taylor_resolution, taylor_sign, taylor_table
+from .taylor import (
+    below_mask,
+    index_mask,
+    mask_index,
+    mask_product,
+    taylor_product_label,
+    taylor_resolution,
+    taylor_sign,
+)
 
 
 @dataclass
@@ -237,45 +248,58 @@ def build_cone_resolution(graph_or_dec) -> ConeResolution:
 
 def _cone_product_fn(dec, cone):
     """The cone product as `ScalarProduct`s: each term is c*(m_a m_b/m_l) e_l
-    (F*F, G*G, G*S and S*G: the Taylor sign on the union label, by
-    `taylor_table` in that copy; (1/z) f_V Phi(g_W) = y_W f_{V union W_z}:
-    the sign sigma(V, W_z), the Taylor product f_V f_{W_z}; omega: -1)."""
+    (F*F, G*G, G*S and S*G: the Taylor sign on the union label in that
+    copy; (1/z) f_V Phi(g_W) = y_W f_{V union W_z}: the sign sigma(V, W_z),
+    the Taylor product f_V f_{W_z}; omega: -1).  Each is read off the
+    bitmask index of the copies F, G and S (`taylor.mask_index`); a G label
+    also carries the bitmask of W_z, None with a repeat."""
+    index: dict[BasisLabel, tuple[int, int]] = {}
+    at = {}
+    for kind in ("F", "G", "S"):
+        got, at[kind] = mask_index(cone, kind)
+        index.update(got)
+    at_f, at_g, at_s = at["F"], at["G"], at["S"]
+    zified = {}
+    for l in at_g.values():
+        spoke_set, repeat_free = zify_indices(dec, l.tag[1:])
+        wz = index_mask(spoke_set)
+        zified[l] = (wz, below_mask(wz)) if repeat_free else None
 
-    def f_times_g(V, W, sign: int) -> ScalarProduct:
+    def f_times_g(f: BasisLabel, g: BasisLabel, sign: int) -> ScalarProduct:
         """sign * ((1/z) f_V Phi(g_W), 0, omega_{f_V}(g_W)) (V from G(I), W
         from G(J)); the first part is y_W f_{V union W_z} or 0."""
-        spoke_set, repeat_free = zify_indices(dec, W)
-        out = taylor_table(cone, V, spoke_set, "F") if repeat_free else ScalarProduct()
-        if sign < 0:
-            out = ScalarProduct({l: -c for l, c in out.items()})
-        if len(V) == 1:  # omega_{f_q}(g_W) = -x_q g_W on the twisted copy
-            out[cone.find_label(("S",) + W)] = -sign
+        V, W, out = index[f][0], index[g][0], ScalarProduct()
+        if (wz := zified[g]) is not None:
+            for l, c in mask_product(at_f, V, *wz).items():
+                out[l] = sign * c
+        if len(f.tag) == 2:  # omega_{f_q}(g_W) = -x_q g_W on the twisted copy
+            out[at_s[W]] = -sign
         return out
 
     def product(a: BasisLabel, b: BasisLabel) -> ScalarProduct:
-        ka, va = a.tag[0], a.tag[1:]
-        kb, vb = b.tag[0], b.tag[1:]
-        da = len(va) + (ka == "S")  # F_V, G_W in degree |V|, |W|; S_W in |W| + 1
-        db = len(vb) + (kb == "S")
+        ka, kb = a.tag[0], b.tag[0]
         # unit action
-        if ka == "F" and not va:
+        if a.tag == ("F",):
             return ScalarProduct({b: 1})
-        if kb == "F" and not vb:
+        if b.tag == ("F",):
             return ScalarProduct({a: 1})
-        if ka == kb != "S":  # F*F, G*G
-            return taylor_table(cone, va, vb, ka)
+        (V, _), (W, below) = index[a], index[b]
+        if ka == kb == "F":
+            return mask_product(at_f, V, W, below)
+        if ka == kb == "G":
+            return mask_product(at_g, V, W, below)
         if ka == "F" and kb == "G":
-            return f_times_g(va, vb, 1)
+            return f_times_g(a, b, 1)
         if ka == "G" and kb == "F":
             # (0,g,0)(f,0,0) = ((1/z) Phi(g) f, 0, (-1)^{|g|} omega_f(g));
             # commuting Phi(g) past f inside F gives the global sign
             # (-1)^{|g||f|}, and omega is only nonzero for |f| = 1.
-            return f_times_g(vb, va, -1 if (da % 2 and db % 2) else 1)
+            return f_times_g(b, a, -1 if (len(a.tag) % 2 == 0 and len(b.tag) % 2 == 0) else 1)
         if ka == "G" and kb == "S":
-            prod = taylor_table(cone, va, vb, "S")
-            return ScalarProduct({l: -c for l, c in prod.items()}) if da % 2 else prod
+            prod = mask_product(at_s, V, W, below)
+            return ScalarProduct({l: -c for l, c in prod.items()}) if len(a.tag) % 2 == 0 else prod
         if ka == "S" and kb == "G":
-            return taylor_table(cone, va, vb, "S")
+            return mask_product(at_s, V, W, below)
         # (F,S), (S,F), (S,S) all vanish
         return ScalarProduct()
 

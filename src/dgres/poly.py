@@ -8,8 +8,8 @@ their length, but inactive variables must never occur).
 
 Where monomials are validated: the public constructor `Monomial(ring, exps)`
 checks the length, that every exponent is an int >= 0, and that no inactive
-variable occurs, so parsing, `Polynomial.reinterpret`, relabels onto a
-smaller ring and user input are all checked.  Products, lcms, quotients
+variable occurs, so parsing, relabels onto a smaller ring and user input
+are all checked.  Products, lcms, quotients
 (after their divisibility check), `VariableSet.variable` and `one` build
 their results with `_monomial`, which skips the checks: sums, maxima and
 differences of valid exponents over one ring are again valid, and a
@@ -259,10 +259,6 @@ class Polynomial:
     def monomial(m: Monomial, c=1) -> "Polynomial":
         return Polynomial(m.ring, {m: _as_fraction(c)})
 
-    @staticmethod
-    def constant(ring: VariableSet, c) -> "Polynomial":
-        return Polynomial(ring, {ring.one(): _as_fraction(c)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -323,49 +319,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def substitute_zero(self, names: Iterable[str]) -> "Polynomial":
-        """Set the given variables to 0 (kill every term they divide)."""
-        idx = [self.ring.index(n) for n in names]
-        p = Polynomial(self.ring)
-        p.terms = {
-            m: c for m, c in self.terms.items() if not any(m.exponents[i] for i in idx)
-        }
-        return p
-
-    def reinterpret(self, ring: VariableSet) -> "Polynomial":
-        """Move to another VariableSet with the same name tuple (mask change)."""
-        if ring.names != self.ring.names:
-            raise PolyError("reinterpret requires identical variable names")
-        p = Polynomial(ring)
-        p.terms = {Monomial(ring, m.exponents): c for m, c in self.terms.items()}
-        return p
-
-    def eval_ones(self) -> Fraction:
-        """Evaluate at x_i = 1 for every variable."""
-        return sum(self.terms.values(), Fraction(0))
-
-    def is_monomial_multiple(self) -> bool:
-        return len(self.terms) == 1
-
-    def single_term(self) -> tuple[Monomial, Fraction]:
-        if len(self.terms) != 1:
-            raise PolyError("polynomial is not a single term")
-        [(m, c)] = self.terms.items()
-        return m, c
-
-    def is_nonzero_constant(self) -> bool:
-        if len(self.terms) != 1:
-            return False
-        m, c = next(iter(self.terms.items()))
-        return m.is_one() and bool(c)
-
-    def multidegree(self) -> Monomial | None:
-        """If all terms share one monomial, return it; else None."""
-        ms = set(self.terms)
-        if len(ms) == 1:
-            return next(iter(ms))
-        return None
 
     def __str__(self) -> str:
         if not self.terms:

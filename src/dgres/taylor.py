@@ -17,6 +17,13 @@ Multiplication (zero when the index sets meet; sigma(V, W) counts the pairs
     e_V e_W = (-1)^{sigma(V,W)} (m_V m_W / m_{V union W}) e_{V union W}
 
 stored the same way, as the sign on e_{V union W} (`dg.ScalarProduct`).
+A dg structure reads it off a bitmask index of its labels (`mask_index`):
+{label: (bitmask of U, `below_mask` of U)} and {bitmask: label}.  Index
+sets meet exactly when their bitmasks do, the union label is the one at
+V | W, and sigma(V, W) mod 2 is the popcount parity of V & below_mask(W),
+whose bit v says whether an odd number of w in W lie below v
+(`mask_product`).  The cone of `diam4` reads each of its Taylor copies
+F, G and S through the same index.
 
 This product is unital, associative, graded commutative, and satisfies the
 Leibniz rule, so the Taylor complex is always a dg algebra (Gemeda 1976).
@@ -100,21 +107,56 @@ def taylor_product_label(
     return Fraction(taylor_sign(V, W)), coeff, union
 
 
-def taylor_table(T: LabeledFreeComplex, V: tuple[int, ...], W: tuple[int, ...], kind: str) -> ScalarProduct:
-    """e_V e_W as the sign on the label (kind, *V union W) of T, or empty
-    when V and W meet; kind "e" in a Taylor complex, other copies in the
-    cone of `diam4`."""
-    if set(V) & set(W):
-        return ScalarProduct()
-    union = tuple(sorted(V + W))
-    label = T.find_label((kind,) + union)
-    return ScalarProduct({label: taylor_sign(V, W)})
+def index_mask(U: Iterable[int]) -> int:
+    """The bitmask of a set of distinct indices."""
+    return sum(1 << u for u in U)
+
+
+def below_mask(W: int) -> int:
+    """The bitmask whose bit v is set when an odd number of the indices in
+    the bitmask W lie below v (every high bit is set when |W| is odd), so
+    that sigma(V, W) is the popcount of V & below_mask(W) mod 2."""
+    out = 0
+    while W:
+        low = W & -W
+        out ^= -(low << 1)  # bits above the index of `low`
+        W ^= low
+    return out
+
+
+def mask_index(cx: LabeledFreeComplex, kind: str) -> tuple[dict[BasisLabel, tuple[int, int]], dict[int, BasisLabel]]:
+    """The labels (kind, *U) of cx by index bitmask: {label: (bitmask of
+    U, its `below_mask`)} and {bitmask of U: label}."""
+    index: dict[BasisLabel, tuple[int, int]] = {}
+    at: dict[int, BasisLabel] = {}
+    for l in cx.degree:
+        if l.tag[0] == kind:
+            m = index_mask(l.tag[1:])
+            index[l], at[m] = (m, below_mask(m)), l
+    return index, at
+
+
+_ZERO = ScalarProduct()  # every zero product written here; never written to
+
+
+def mask_product(at: dict[int, BasisLabel], V: int, W: int, below: int) -> ScalarProduct:
+    """e_V e_W in one Taylor copy, from the bitmasks V and W (`below` is
+    below_mask(W)): zero when they meet, else the sign (-1)^sigma(V, W) on
+    the label at[V | W]."""
+    if V & W:
+        return _ZERO
+    return ScalarProduct({at[V | W]: -1 if (V & below).bit_count() & 1 else 1})
 
 
 def taylor_dg_structure(ideal: MonomialIdeal, T: LabeledFreeComplex | None = None) -> DGStructure:
-    """The Taylor complex as a dg algebra (complex + multiplication)."""
+    """The Taylor complex as a dg algebra (complex + multiplication), the
+    product read off the bitmask index of T's labels."""
     if T is None:
         T = taylor_resolution(ideal)
-    return DGStructure(
-        T, lambda a, b: taylor_table(T, a.tag[1:], b.tag[1:], "e"), name=f"Taylor{ideal}"
-    )
+    index, at = mask_index(T, "e")
+
+    def product(a: BasisLabel, b: BasisLabel) -> ScalarProduct:
+        (V, _), (W, below) = index[a], index[b]
+        return mask_product(at, V, W, below)
+
+    return DGStructure(T, product, name=f"Taylor{ideal}")

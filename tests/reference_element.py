@@ -21,6 +21,8 @@ from dgres.complexes import BasisLabel, LabeledFreeComplex, VecT, entry_polynomi
 from dgres.dg import DGError, DGStructure, Element, SubmoduleSpan
 from dgres.poly import Monomial, Polynomial, exact, monomial_divide
 
+from reference_poly import constant, multidegree as poly_multidegree, single_term
+
 
 def vec_add(a: VecT, b: VecT) -> VecT:
     out = dict(a)
@@ -75,7 +77,7 @@ class ReferenceElement:
 
     @staticmethod
     def basis(cx: LabeledFreeComplex, label: BasisLabel) -> "ReferenceElement":
-        return ReferenceElement(cx, cx.degree_of(label), {label: Polynomial.constant(cx.ring, 1)})
+        return ReferenceElement(cx, cx.degree_of(label), {label: constant(cx.ring, 1)})
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -103,7 +105,7 @@ class ReferenceElement:
     def multidegree(self) -> Monomial | None:
         found = None
         for l, p in self.coords.items():
-            md = p.multidegree()
+            md = poly_multidegree(p)
             if md is None:
                 return None
             total = md * l.multidegree
@@ -146,7 +148,7 @@ def _coefficients(el: ReferenceElement, what: str) -> tuple[Monomial | None, dic
     b = el.multidegree()
     if b is None and el.coords:
         raise DGError(f"{what} is not multigraded")
-    return b, {l: exact(p.single_term()[1]) for l, p in el.coords.items()}
+    return b, {l: exact(single_term(p)[1]) for l, p in el.coords.items()}
 
 
 def reference_membership(span: SubmoduleSpan, element: ReferenceElement) -> tuple[bool, list[dict] | None]:

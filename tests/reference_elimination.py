@@ -17,9 +17,10 @@ from typing import Callable, Iterable, Sequence
 
 from dgres.complexes import BasisLabel, LabeledFreeComplex, VecT, tag_to_json
 from dgres.dg import DGError, DGStructure, SubmoduleSpan
-from dgres.poly import Monomial, Polynomial
+from dgres.poly import Monomial
 
 from reference_element import vec_scale
+from reference_poly import constant, is_nonzero_constant, reinterpret, single_term, substitute_zero
 
 
 class ReferenceElimination:
@@ -52,11 +53,11 @@ class ReferenceElimination:
                     if not vec:
                         continue
                     if pivot is None:
-                        units = [l for l, p in vec.items() if p.is_nonzero_constant()]
+                        units = [l for l, p in vec.items() if is_nonzero_constant(p)]
                         pool = [l for l in units if l.tag in prefer] or units or list(vec)
                         pivot = min(pool, key=lambda l: str(l.tag))
                     entry = vec.get(pivot)
-                    if entry is None or not entry.is_nonzero_constant():
+                    if entry is None or not is_nonzero_constant(entry):
                         retry.append(gen)
                         waiting.append({
                             "gen": tag_to_json(gen_id),
@@ -66,7 +67,7 @@ class ReferenceElimination:
                         continue
                     del vec[pivot]
                     at[pivot] = len(rules)
-                    rules.append((pivot, vec_scale(vec, Fraction(-1) / entry.single_term()[1])))
+                    rules.append((pivot, vec_scale(vec, Fraction(-1) / single_term(entry)[1])))
                 if len(retry) == len(queue):
                     err = DGError(f"no unit pivot in degree {i}: quotient is not a free complex")
                     err.witness = waiting
@@ -79,7 +80,7 @@ class ReferenceElimination:
         }
 
     def substitute(self, vec: VecT, i: int) -> VecT:
-        out = {l: q for l, p in vec.items() if (q := p.substitute_zero(self.kill) if self.kill else p)}
+        out = {l: q for l, p in vec.items() if (q := substitute_zero(p, self.kill) if self.kill else p)}
         at, rules = self._at.get(i), self.rules.get(i)
         if not at:
             return out
@@ -122,7 +123,7 @@ class ReferenceElimination:
         def project(vec: VecT, i: int) -> VecT:
             out = {}
             for l, p in self.substitute(vec, i).items():
-                q = p.reinterpret(ring) if kill else p
+                q = reinterpret(p, ring) if kill else p
                 if not q.is_zero():
                     out[new_labels[l]] = q
             return out
@@ -152,7 +153,7 @@ def morse_elimination(T: LabeledFreeComplex, matching, tag_prefix: str = "e") ->
         tau = T.find_label((tag_prefix,) + tuple(t))
         pairs.append((T.degree_of(sigma), sigma, tau, [list(s), list(t)]))
     pairs.sort(key=lambda p: (p[0], str(p[1].tag)))
-    one = Polynomial.constant(T.ring, 1)
+    one = constant(T.ring, 1)
     generators = [(sigma.tag, i, {sigma: one}, sigma) for i, sigma, _, _ in pairs]
     generators += [(pair, i - 1, T.column(i, sigma), tau) for i, sigma, tau, pair in pairs]
     return ReferenceElimination(T, generators)

@@ -6,13 +6,15 @@ the product of a `quotient_dg` quotient, each returning an `Element` built
 in `Polynomial` arithmetic.  The cone product divides by z with
 `divide_by_monomial`; the quotient product projects the parent
 product with `QuotientDG.project`.  The tests compare every stored product
-table, formatted with `entry_polynomial`, against them.
+table, formatted with `entry_polynomial`, against them.  `taylor_table` is
+the Taylor product as a `ScalarProduct` from index tuples, the oracle for
+the bitmask products of `taylor.mask_product`.
 """
 
 from __future__ import annotations
 
 from dgres.complexes import BasisLabel, LabeledFreeComplex, VecT
-from dgres.dg import DGStructure, Element, QuotientDG
+from dgres.dg import DGStructure, Element, QuotientDG, ScalarProduct
 from dgres.diam4 import StarDecomposition, y_part, zify_indices
 from dgres.poly import Monomial, Polynomial, monomial_divide
 from dgres.taylor import taylor_product_label, taylor_sign
@@ -21,6 +23,16 @@ from dgres.taylor import taylor_product_label, taylor_sign
 def divide_by_monomial(p: Polynomial, m: Monomial) -> Polynomial:
     """Exact division of every term of p by m; raises if any term fails."""
     return Polynomial(p.ring, {monomial_divide(t, m): c for t, c in p.terms.items()})
+
+
+def taylor_table(T: LabeledFreeComplex, V: tuple[int, ...], W: tuple[int, ...], kind: str) -> ScalarProduct:
+    """e_V e_W as the sign on the label (kind, *V union W) of T, or empty
+    when V and W meet, from the index tuples; kind "e" in a Taylor complex,
+    "F", "G" or "S" for a copy in the cone of `diam4`."""
+    if set(V) & set(W):
+        return ScalarProduct()
+    union = tuple(sorted(V + W))
+    return ScalarProduct({T.find_label((kind,) + union): taylor_sign(V, W)})
 
 
 def taylor_product(T: LabeledFreeComplex):

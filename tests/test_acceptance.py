@@ -65,9 +65,9 @@ from dgres.diam4 import (
     star_decompose,
 )
 from dgres.morse import is_superset_closed, matching_sources
-from dgres.taylor import taylor_table
 
 from conftest import matching_targets, t4_cases
+from reference_products import taylor_table
 
 # --- criterion 1: hand-checked Taylor differentials of (xw, yz, xz, xy) ---
 

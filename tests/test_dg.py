@@ -53,11 +53,12 @@ from dgres.combin import tree_longest_path
 from dgres.complexes import ComplexError, entry_polynomial, tag_to_json
 from dgres.dg import DGReport, ScalarProduct, boundary_closed, closure_products
 from dgres.morse import is_superset_closed, matching_sources
-from dgres.poly import monomial_divide
-from dgres.taylor import taylor_table
+from dgres.poly import exact, monomial_divide
 
 from dense_linalg import solve
 from conftest import matching_targets
+from reference_products import taylor_table
+from reference_poly import constant, single_term
 
 RING3 = VariableSet(("x", "y", "z"))
 
@@ -94,7 +95,7 @@ class TestElement:
         F = taylor_resolution(ideal(RING3, "x", "y"))
         e0 = F.find_label(("e", 0))
         e1 = F.find_label(("e", 1))
-        one = Polynomial.constant(RING3, 1)
+        one = constant(RING3, 1)
         assert str(Element(F, 1, {e0: parse_polynomial(RING3, "y")}).multidegree()) == "x*y"
         # coordinates of two multidegrees make no element: b is None only for zero
         with pytest.raises(DGError, match=r"^\(1\)\*\(e,0\)\[x\] \+ \(1\)\*\(e,1\)\[y\] is not multigraded$"):
@@ -208,7 +209,7 @@ class TestSubmoduleMembership:
     def test_mixed_multidegree_rejected(self, koszul):
         # e01 + e02 (at x*y and x*z) is refused as an element, so it never
         # reaches membership
-        one = Polynomial.constant(RING3, 1)
+        one = constant(RING3, 1)
         coords = {koszul.find_label(("e", 0, 1)): one, koszul.find_label(("e", 0, 2)): one}
         with pytest.raises(DGError, match="is not multigraded$"):
             Element(koszul, 2, coords)
@@ -463,6 +464,53 @@ def tampered(dg: DGStructure, product) -> DGStructure:
     return DGStructure(dg.complex, lambda a, b: product(a, b, dg.table(a, b)))
 
 
+def rescaled(dg: DGStructure) -> DGStructure:
+    """dg on the basis e'_l = lam_l e_l, lam_l = (2k + 1)/2 for the k-th
+    label and 1 for the unit: the same dg algebra, with Fraction entries
+    in its columns and products."""
+    cx = dg.complex
+    lam = {l: Fraction(1) if l == dg.unit else Fraction(2 * k + 1, 2) for k, l in enumerate(dg.degree)}
+    diff = {
+        i: {c: {r: v * lam[c] / lam[r] for r, v in col.items()} for c, col in cols.items()}
+        for i, cols in cx.diff.items()
+    }
+    scx = LabeledFreeComplex(cx.ring, cx.basis, diff, name=cx.name)
+
+    def product(a, b):
+        return ScalarProduct({l: exact(c * lam[a] * lam[b] / lam[l]) for l, c in dg.table(a, b).items()})
+
+    return DGStructure(scx, product)
+
+
+def identity_sums(dg: DGStructure, a, b, c=None) -> dict:
+    """{label: sum of its terms} of d(ab) - d(a) b - (-1)^{|a|} a d(b) for c
+    None, else of (ab)c - a(bc), over every label some term reaches: a 0
+    is a label whose terms cancel."""
+    cx, degree, terms = dg.complex, dg.degree, {}
+
+    def add(x, vec):
+        for l, y in vec.items():
+            terms.setdefault(l, []).append(x * y)
+
+    def d(l):
+        return cx.diff.get(degree[l], {}).get(l, {})
+
+    if c is None:
+        s = -1 if degree[a] % 2 else 1
+        for l, x in dg.table(a, b).items():
+            add(x, d(l))
+        for k, x in d(a).items():
+            add(-x, dg.table(k, b))
+        for k, x in d(b).items():
+            add(-s * x, dg.table(a, k))
+    else:
+        for l, x in dg.table(a, b).items():
+            add(x, dg.table(l, c))
+        for l, x in dg.table(b, c).items():
+            add(-x, dg.table(a, l))
+    return {l: sum(t) for l, t in terms.items()}
+
+
 @pytest.fixture
 def uncapped(monkeypatch):
     """Keep every failure witness, so the comparison covers all of them."""
@@ -547,7 +595,7 @@ def inhomogeneous_differential(ideal) -> DGStructure:
     T = taylor_resolution(ideal)
     diff = {i: {c: dict(col) for c, col in cols.items()} for i, cols in T.diff.items()}
     e01, e0 = T.find_label(("e", 0, 1)), T.find_label(("e", 0))
-    diff[2][e01][e0] = T.entry(2, e0, e01) + Polynomial.constant(T.ring, 1)
+    diff[2][e01][e0] = T.entry(2, e0, e01) + constant(T.ring, 1)
     return taylor_dg_structure(ideal, LabeledFreeComplex(T.ring, T.basis, diff))
 
 
@@ -594,6 +642,37 @@ class TestDenseOracle:
 
         report = assert_matches_dense(tampered(dg, flip))
         assert {"graded_commutativity", "leibniz"} <= set(report.failures)
+
+    @pytest.mark.parametrize("name", ["morse-c5", "lyubeznik-d3"])
+    def test_honest_sums_that_cancel_are_not_reported(self, name):
+        # products of two terms with Fraction coefficients: many pairs and
+        # triples sum to a table whose entries are 0 on some label, and
+        # none of them is reported
+        dg = rescaled(STRUCTURES[name]())
+        labels = list(dg.degree)
+        prods = [p for a in labels for p in dg.row(a).values()]
+        assert any(len(p) > 1 for p in prods)
+        assert any(type(c) is Fraction for p in prods for c in p.values())
+        assert any(0 in identity_sums(dg, a, b).values() for a in labels for b in labels)
+        assert any(0 in identity_sums(dg, a, b, c).values() for a in labels for b in labels for c in labels)
+        assert assert_matches_dense(dg).ok
+
+    @pytest.mark.parametrize("name", ["morse-c5", "lyubeznik-d3"])
+    def test_sign_flip_that_cancels_on_one_label_only(self, name):
+        # the first product of two terms, in label order, with the sign of
+        # its last term flipped: its Leibniz difference is 0 on one label
+        # and not on another, and the pair is reported
+        honest = rescaled(STRUCTURES[name]())
+        a, b, last = next((a, b, list(p)[-1]) for a in honest.degree for b, p in honest.row(a).items() if len(p) > 1)
+
+        def flip(x, y, prod):
+            return ScalarProduct({**prod, last: -prod[last]}) if (x, y) == (a, b) else prod
+
+        dg = tampered(honest, flip)
+        sums = identity_sums(dg, a, b)
+        assert 0 in sums.values() and any(sums.values())
+        report = assert_matches_dense(dg)
+        assert [tag_to_json(a.tag), tag_to_json(b.tag)] in [[w["a"], w["b"]] for w in report.failures["leibniz"]]
 
     def test_associativity_broken_beside_a_zero_side(self, taylor_fixture_ideal):
         # e0*e1 stored as 0: on (e0, e1, c) the side (ab)c is structurally
@@ -766,13 +845,13 @@ def dense_submodule_membership(span: SubmoduleSpan, element: Element):
     mat = []
     for l in rows:
         mat.append([
-            g.element.coords[l].single_term()[1] if l in g.element.coords else Fraction(0)
+            single_term(g.element.coords[l])[1] if l in g.element.coords else Fraction(0)
             for g in cands
         ])
     rhs = []
     for l in rows:
         p = element.coords.get(l)
-        rhs.append(p.single_term()[1] if p is not None else Fraction(0))
+        rhs.append(single_term(p)[1] if p is not None else Fraction(0))
     sol = solve(mat, rhs) if cands else (None if any(rhs) else [])
     if sol is None:
         return False, None

@@ -49,6 +49,7 @@ from dgres.morse import matching_sources
 
 from reference_element import ReferenceElement, reference_membership, reference_multiply
 from reference_elimination import quotient_dg_elimination
+from reference_poly import constant
 from conftest import matching_targets
 
 RING3 = VariableSet(("x", "y", "z"))
@@ -190,7 +191,7 @@ class TestMixedAndInhomogeneous:
         # coordinates of two multidegrees, or an entry of two terms, make no
         # element; the multigraded ones agree with the oracle
         e0, e1 = koszul.find_label(("e", 0)), koszul.find_label(("e", 1))
-        one, y = Polynomial.constant(RING3, 1), parse_polynomial(RING3, "y")
+        one, y = constant(RING3, 1), parse_polynomial(RING3, "y")
         for coords in ({e0: one, e1: one}, {e0: parse_polynomial(RING3, "1 + y")}):
             with pytest.raises(DGError, match="is not multigraded$"):
                 Element(koszul, 1, coords)
@@ -213,7 +214,7 @@ class TestMixedAndInhomogeneous:
     def test_equality(self, koszul):
         # as for the oracle: same complex, degree and coordinates
         e0, e1 = koszul.find_label(("e", 0)), koszul.find_label(("e", 1))
-        one, y = Polynomial.constant(RING3, 1), parse_polynomial(RING3, "y")
+        one, y = constant(RING3, 1), parse_polynomial(RING3, "y")
         cases = [(1, {e0: y}), (2, {e0: y}), (1, {e1: one}), (1, {e0: one}), (1, {})]
         for d, coords in cases:
             for d2, coords2 in cases:
@@ -226,7 +227,7 @@ class TestMixedAndInhomogeneous:
         # e0 + e1 (at x and y) is refused, as a sum and as coordinates, so
         # no mixed element is left to cancel back to one multidegree
         e0, e1 = koszul.find_label(("e", 0)), koszul.find_label(("e", 1))
-        one = Polynomial.constant(RING3, 1)
+        one = constant(RING3, 1)
         with pytest.raises(DGError, match="^adding elements of different multidegrees x and y$"):
             Element.basis(koszul, e0) + Element.basis(koszul, e1)
         with pytest.raises(DGError, match="is not multigraded$"):
@@ -240,7 +241,7 @@ class TestMixedAndInhomogeneous:
     def test_membership_of_mixed_and_non_member_elements(self, koszul):
         span = span_from_matching_sources(koszul, [(0, 1)])
         e01, e02 = koszul.find_label(("e", 0, 1)), koszul.find_label(("e", 0, 2))
-        one, z = Polynomial.constant(RING3, 1), parse_polynomial(RING3, "z")
+        one, z = constant(RING3, 1), parse_polynomial(RING3, "z")
         for coords in ({e01: z}, {e02: one}, {}):
             new, old = element_pair(koszul, 2, coords)
             assert outcome(submodule_membership, span, new) == outcome(reference_membership, span, old)
@@ -256,7 +257,7 @@ class TestMixedAndInhomogeneous:
         T = taylor_resolution(taylor_fixture_ideal)
         diff = {i: {c: dict(col) for c, col in cols.items()} for i, cols in T.diff.items()}
         e01, e0 = T.find_label(("e", 0, 1)), T.find_label(("e", 0))
-        diff[2][e01][e0] = p = T.entry(2, e0, e01) + Polynomial.constant(T.ring, 1)
+        diff[2][e01][e0] = p = T.entry(2, e0, e01) + constant(T.ring, 1)
         with pytest.raises(ComplexError, match=f"^{re.escape(f'entry {p} at ({e0}, {e01})')} "):
             LabeledFreeComplex(T.ring, T.basis, diff)
 

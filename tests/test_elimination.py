@@ -41,6 +41,7 @@ from dgres.morse import MorseError, matching_sources
 from dgres.prune import prune_ideal
 
 from reference_elimination import morse_elimination, quotient_dg_elimination
+from reference_poly import constant
 from conftest import matching_targets
 
 WHISKER_RING = VariableSet(("x", "y", "x1", "y1", "z"))
@@ -182,7 +183,7 @@ class TestInhomogeneousRejected:
         e01, e0 = T.find_label(("e", 0, 1)), T.find_label(("e", 0))
         refused = r"^entry -z \+ 1 at \(\(e,0\)\[x\*y\], \(e,0,1\)\[x\*y\*z\]\) is not a rational multiple of x\*y\*z/x\*y$"
         with pytest.raises(ComplexError, match=refused):
-            with_entry_added(T, 2, e0, e01, Polynomial.constant(T.ring, 1))
+            with_entry_added(T, 2, e0, e01, constant(T.ring, 1))
 
     def test_matched_pivot_entry_is_not_stuck(self):
         # the unit pivot of the first matched pair gains a term x: refused

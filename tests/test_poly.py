@@ -20,6 +20,7 @@ from dgres import (
 from dgres.poly import monomial_divide, monomial_lcm, parse_monomial, parse_polynomial
 
 from reference_products import divide_by_monomial
+from reference_poly import constant, is_nonzero_constant, multidegree, reinterpret, single_term, substitute_zero
 
 RING = VariableSet(("x", "y", "z"))
 R4 = VariableSet(("x", "y", "z", "w"))
@@ -154,8 +155,8 @@ class TestMonomialValueType:
         masked = RING.deactivate(["y"])
         p = parse_polynomial(RING, "x*y + z")
         with pytest.raises(PolyError):
-            p.reinterpret(masked)
-        q = parse_polynomial(RING, "x + 2*z").reinterpret(masked)
+            reinterpret(p, masked)
+        q = reinterpret(parse_polynomial(RING, "x + 2*z"), masked)
         assert q.ring is masked and set(q.terms) == {mono(masked, (1, 0, 0)), mono(masked, (0, 0, 1))}
 
 
@@ -163,7 +164,7 @@ class TestPolynomial:
     def test_parse_and_arithmetic(self):
         p = parse_polynomial(RING, "x*y - 2*z")
         q = parse_polynomial(RING, "z")
-        assert str(p + q * Polynomial.constant(RING, 2)) == "x*y"
+        assert str(p + q * constant(RING, 2)) == "x*y"
 
     @given(exponents3, st.integers(-5, 5), exponents3, st.integers(-5, 5))
     def test_add_commutes(self, e1, c1, e2, c2):
@@ -179,20 +180,20 @@ class TestPolynomial:
 
     def test_substitute_zero_kills_divisible_terms(self):
         p = parse_polynomial(RING, "x*y + y*z + x")
-        assert str(p.substitute_zero(["y"])) == "x"
-        assert str(p.substitute_zero(["x", "y"])) == "0"
+        assert str(substitute_zero(p, ["y"])) == "x"
+        assert str(substitute_zero(p, ["x", "y"])) == "0"
 
     def test_multidegree_of_term(self):
         p = parse_polynomial(RING, "3*x*z")
-        assert str(p.multidegree()) == "x*z"
-        assert parse_polynomial(RING, "x + y").multidegree() is None
+        assert str(multidegree(p)) == "x*z"
+        assert multidegree(parse_polynomial(RING, "x + y")) is None
 
     def test_zero_and_constants(self):
         z = Polynomial.zero(RING)
-        assert z.is_zero() and not z.is_nonzero_constant()
-        one = Polynomial.constant(RING, 1)
-        assert one.is_nonzero_constant()
-        assert one.single_term() == (RING.one(), 1)
+        assert z.is_zero() and not is_nonzero_constant(z)
+        one = constant(RING, 1)
+        assert is_nonzero_constant(one)
+        assert single_term(one) == (RING.one(), 1)
 
 
 def brute_membership(ideal: MonomialIdeal, m: Monomial) -> bool:

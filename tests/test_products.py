@@ -10,6 +10,7 @@ quotients and both quotients of `prune_dg` with one kill variable.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -41,6 +42,7 @@ from dgres.dg import ScalarProduct, closure_products, matching_span
 from dgres.diam4 import check_boundary_action
 from dgres.morse import matching_sources
 from dgres.prune import prune_ideal
+from dgres.taylor import below_mask, index_mask, mask_index, mask_product, taylor_sign
 
 import reference_products
 from conftest import matching_targets
@@ -130,6 +132,54 @@ class TestStoredProducts:
         assert runs == 21 and len(made) == 42
         for parent, q in made:
             assert assert_products_match(q.structure, reference_products.quotient_product(parent, q))
+
+
+def subsets(n: int):
+    return [U for size in range(n + 1) for U in combinations(range(n), size)]
+
+
+class TestMaskProducts:
+    """`taylor.mask_product` against `reference_products.taylor_table`, the
+    product on index tuples."""
+
+    def test_sign_is_taylor_sign(self):
+        pairs = 0
+        for V in subsets(8):
+            for W in subsets(8):
+                if not set(V) & set(W):
+                    vm, wm = index_mask(V), index_mask(W)
+                    assert mask_product({vm | wm: "union"}, vm, wm, below_mask(wm)) == {"union": taylor_sign(V, W)}
+                    pairs += 1
+        assert pairs == 3**8
+
+    def test_taylor_complex_of_seven_generators(self):
+        ideal = edge_ideal(build_family("P7"))
+        assert len(ideal.generators) == 7
+        dg = taylor_dg_structure(ideal)
+        T = dg.complex
+        index, at = mask_index(T, "e")
+        assert list(index) == list(T.degree)
+        for a in T.degree:
+            for b in T.degree:
+                want = reference_products.taylor_table(T, a.tag[1:], b.tag[1:], "e")
+                assert mask_product(at, index[a][0], *index[b]) == want
+                assert dg.table(a, b) == want
+
+    def test_each_copy_of_a_cone(self):
+        # F*F, G*G and S*S in their own copy, and G*S on the S copy, as the
+        # cone product reads them
+        cone = build_cone_resolution(build_family("T4(3;2,2,2)")).cone
+        index, at = {}, {}
+        for kind in "FGS":
+            got, at[kind] = mask_index(cone, kind)
+            index[kind] = got
+            assert list(got) == [l for l in cone.degree if l.tag[0] == kind]
+        assert [len(index[k]) for k in "FGS"] == [8, 63, 63]
+        for left, right in ("FF", "GG", "SS", "GS"):
+            for a, (V, _) in index[left].items():
+                for b, (W, below) in index[right].items():
+                    want = reference_products.taylor_table(cone, a.tag[1:], b.tag[1:], right)
+                    assert mask_product(at[right], V, W, below) == want, (a, b)
 
 
 class TestProductStorage:
