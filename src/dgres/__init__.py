@@ -87,7 +87,7 @@ from .poly import (
     squarefree_monomials,
 )
 from .prune import PruneResult, PrunedDG, prune_complex, prune_dg, prune_ideal
-from .taylor import taylor_dg_structure, taylor_resolution, taylor_sign
+from .taylor import taylor_dg_structure, taylor_resolution
 
 __version__ = VERSION
 

@@ -192,14 +192,13 @@ def graph_diameter(graph: Graph) -> int:
     return best
 
 
-def edge_ideal(graph: Graph, ring: VariableSet | None = None) -> MonomialIdeal:
+def edge_ideal(graph: Graph) -> MonomialIdeal:
     """Edge ideal I_G; generators in sorted-edge order.
 
-    Isolated vertices do not occur in any generator; unless `ring` is given,
-    the ambient variables are the non-isolated vertices (in graph order).
+    Isolated vertices do not occur in any generator; the ambient variables
+    are the non-isolated vertices (in graph order).
     """
-    if ring is None:
-        ring = VariableSet(graph.non_isolated())
+    ring = VariableSet(graph.non_isolated())
     gens = []
     for e in sorted(sorted(e) for e in graph.edges):
         gens.append(ring.variable(e[0]) * ring.variable(e[1]))
@@ -240,11 +239,11 @@ class SimplicialComplex:
         return tuple(fv)
 
 
-def facet_ideal(cx: SimplicialComplex, ring: VariableSet | None = None) -> MonomialIdeal:
-    """Facet ideal: one squarefree generator per facet, sorted-facet order."""
-    if ring is None:
-        touched = set().union(*cx.facets) if cx.facets else set()
-        ring = VariableSet(tuple(v for v in cx.vertices if v in touched))
+def facet_ideal(cx: SimplicialComplex) -> MonomialIdeal:
+    """Facet ideal: one squarefree generator per facet, sorted-facet order,
+    over the vertices that lie in some facet (in vertex order)."""
+    touched = set().union(*cx.facets) if cx.facets else set()
+    ring = VariableSet(tuple(v for v in cx.vertices if v in touched))
     gens = []
     for f in sorted(sorted(f) for f in cx.facets):
         m = ring.one()

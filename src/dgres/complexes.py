@@ -22,7 +22,8 @@ One label index: a tag names exactly one basis label in the whole complex.
 `find_label`, and raises ComplexError naming the tag and both degrees when
 a tag occurs twice.  `degree_of`, the column and row checks and a
 `dg.DGStructure` read `degree`; a label whose tag is in the basis but whose
-multidegree differs is not in it.
+multidegree differs is not in it.  `position`, built from `degree` on first
+use, numbers the labels in that order for coefficient tables.
 
 Where entries are validated: the public constructor
 `LabeledFreeComplex(ring, basis, diff)` checks that every column label is
@@ -58,6 +59,7 @@ conclusive; `is_resolution_of` records whether that hypothesis held.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from operator import add, le, sub
 from typing import Callable, Iterable, Sequence
@@ -295,6 +297,12 @@ class LabeledFreeComplex:
         if i is None:
             raise ComplexError(f"label {label} not in complex")
         return i
+
+    @cached_property
+    def position(self) -> dict[BasisLabel, int]:
+        """Each label's index in `degree`: the one numbering of the labels
+        in coefficient tables (`dg.dg_check`, `dg.SubmoduleSpan`)."""
+        return {l: k for k, l in enumerate(self.degree)}
 
     # -- verification ------------------------------------------------------
 

@@ -38,9 +38,9 @@ through the stored products) of elements are dict arithmetic on the c.
 `Polynomial` is only the boundary: the `Element` constructor takes
 {label: Polynomial} and refuses coordinates that are not of the stored form
 for one b, and `coords` and `str` give Polynomials back.  `dg_check` reads
-products and columns as tables {label position: c}; both sides of a
-commutativity, Leibniz or associativity identity are then tables over one
-multidegree.  Commutativity compares two stored tables entry by entry.
+products and columns as tables {label position: c}, by the complex's one
+numbering (`LabeledFreeComplex.position`); both sides of a commutativity,
+Leibniz or associativity identity are then tables over one multidegree.  Commutativity compares two stored tables entry by entry.
 Leibniz sums d(ab) - d(a) b - (-1)^{|a|} a d(b) in place into one table
 per b, for all b of a row a at once; associativity sums (ab)c - a(bc) in
 place into one table per triple.  An identity holds when every value of
@@ -53,9 +53,11 @@ multigraded elements, each on basis labels of its degree: in multidegree
 b a generator g contributes the single monomial multiple (b / mdeg g) * g,
 so membership is a sparse rational linear solve (`linalg.solve` on the
 generators' coefficients) and the witness is an exact coefficient list.  A
-span is indexed once: its labels numbered, each generator a column
-{number: c}, and per degree a `strands.Divisors` bitset index that finds
-the generators with mdeg(g) | b in a few integer operations.  A generator's boundary is its `Element.diff`.
+span is indexed once: each generator a column {position of l: c}, the
+labels numbered by the complex's `position` as in `dg_check`, and per
+degree a `strands.Divisors` bitset index that finds the generators with
+mdeg(g) | b in a few integer operations.  A generator's boundary is its
+`Element.diff`.
 
 `closure_products` is the dg-ideal check: it forms every product e_u * g
 of a basis label and a generator exactly and solves each nonzero one for
@@ -284,6 +286,9 @@ class DGStructure:
         return Element.stored(self.complex, x.degree + y.degree, x.b * y.b if vec else None, vec)
 
 
+FAILURES_KEPT = 10  # witnesses kept per axiom; every failure is counted in `ok`
+
+
 @dataclass
 class DGReport:
     ok: bool = True
@@ -291,10 +296,10 @@ class DGReport:
     checked_triples: int = 0
     failures: dict[str, list] = field(default_factory=dict)
 
-    def record(self, axiom: str, witness: dict, cap: int = 10):
+    def record(self, axiom: str, witness: dict):
         self.ok = False
         bucket = self.failures.setdefault(axiom, [])
-        if len(bucket) < cap:
+        if len(bucket) < FAILURES_KEPT:
             bucket.append(witness)
 
     def to_json(self) -> dict:
@@ -323,8 +328,7 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
     cx = dg.complex
     report = DGReport()
     # the basis labels by position, in the complex's degree order
-    labels, degree = list(dg.degree), list(dg.degree.values())
-    pos = {l: k for k, l in enumerate(labels)}
+    labels, degree, pos = list(dg.degree), list(dg.degree.values()), cx.position
     n = len(labels)
 
     def table(vec: dict) -> dict:
@@ -456,23 +460,24 @@ class SpanGenerator:
 
 class SubmoduleSpan:
     """A multigraded submodule given by homogeneous generators, each an
-    Element (b, {l: c}) on basis labels of its degree (DGError otherwise).  Indexed once: `key` numbers the labels of the generators'
-    supports, `columns[k]` is generator k as {key: c}, and per homological
-    degree a `strands.Divisors` over the multidegrees of the nonzero
-    generators finds those dividing b (`dividing`)."""
+    Element (b, {l: c}) on basis labels of its degree (DGError otherwise).
+    Indexed once: `columns[k]` is generator k as {position of l: c}, by
+    the complex's `position`, and per homological degree a
+    `strands.Divisors` over the multidegrees of the nonzero generators
+    finds those dividing b (`dividing`)."""
 
     def __init__(self, cx: LabeledFreeComplex, generators: Sequence[SpanGenerator]):
         self.complex = cx
         self.generators = list(generators)
-        self.key: dict[BasisLabel, int] = {}
         self.columns: list[dict[int, object]] = []
         of_degree: dict[int, list[int]] = {}
+        position = cx.position
         for k, g in enumerate(self.generators):
             el = g.element
             for l in el.vec:
                 if cx.degree.get(l) != el.degree:
                     raise DGError(f"span generator {g.gen_id} on {l}: not a basis label of degree {el.degree}")
-            self.columns.append({self.key.setdefault(l, len(self.key)): c for l, c in el.vec.items()})
+            self.columns.append({position[l]: c for l, c in el.vec.items()})
             if el.vec:
                 of_degree.setdefault(el.degree, []).append(k)
         self._of_degree = {
@@ -492,11 +497,12 @@ class SubmoduleSpan:
         return out
 
     def solve(self, degree: int, b: Monomial, vec: dict) -> list[tuple[int, object]] | None:
-        """sum c*(b/m_l) e_l, given as {key: c}, as a combination of the
-        generators: [(position, nonzero coefficient)], or None when it is not
-        in the span.  Each generator g with mdeg(g) | b contributes the
-        single multiple (b / mdeg g) * g, so this is `linalg.solve` on the
-        coefficients; a key outside `key` is a row no generator has."""
+        """sum c*(b/m_l) e_l, given as {position of l: c}, as a combination
+        of the generators: [(generator position, nonzero coefficient)], or
+        None when it is not in the span.  Each generator g with mdeg(g) | b
+        contributes the single multiple (b / mdeg g) * g, so this is
+        `linalg.solve` on the coefficients; a label in no generator's
+        support is a row no column has, so there is no solution."""
         found = self.dividing(degree, b)
         sol = linalg.solve([self.columns[k] for k in found], vec)
         return None if sol is None else [(k, c) for k, c in zip(found, sol) if c]
@@ -520,15 +526,13 @@ def submodule_membership(
     """Decide element in span; on success return the witness
     [{gen, coefficient, monomial_multiple}] with exact rationals.
 
-    The element is (b, {l: c}); see `SubmoduleSpan.solve`.
+    The element is (b, {l: c}) on basis labels; see `SubmoduleSpan.solve`.
     """
     b, vec = element.b, element.vec
     if not vec:
         return True, []
-    key = span.key
-    if not all(l in key for l in vec):  # a label no generator has
-        return False, None
-    sol = span.solve(element.degree, b, {key[l]: c for l, c in vec.items()})
+    position = span.complex.position
+    sol = span.solve(element.degree, b, {position[l]: c for l, c in vec.items()})
     return (False, None) if sol is None else (True, span.witness(b, sol))
 
 
@@ -565,31 +569,30 @@ def boundary_closed(span: SubmoduleSpan) -> bool:
     return True
 
 
-def closure_products(dg: DGStructure, span: SubmoduleSpan, key: dict | None = None) -> Iterator[tuple]:
+def closure_products(dg: DGStructure, span: SubmoduleSpan) -> Iterator[tuple]:
     """Every nonzero product e_u * g of a basis label u and a span generator
     g, in (u, generator) order, as (u, k, b, vec, sol): k is the position of
-    g, the product is sum c*(b/m_l) e_l with vec {key of l: c}, and sol is
-    its `SubmoduleSpan.solve` solution, None when it is not in the span.
+    g, the product is sum c*(b/m_l) e_l with vec {position of l: c}, and sol
+    is its `SubmoduleSpan.solve` solution, None when it is not in the span.
 
-    `key` starts as a copy of `span.key` and numbers every other label met.
-    For each u the stored row of u is read once, keeping the products u*l
-    with l in the generators' supports, and each u*g is summed from those as
-    coefficients at b = m_u mdeg(g); only the generators whose support meets
-    a nonzero u*l are visited, every other product being 0.
+    Labels are numbered by the `position` of the span's complex, which is
+    dg's.  For each u the stored row of u is read once, keeping the products
+    u*l with l in the generators' supports, and each u*g is summed from
+    those as coefficients at b = m_u mdeg(g); only the generators whose
+    support meets a nonzero u*l are visited, every other product being 0.
     """
-    key = dict(span.key) if key is None else key
-    gens, columns, support = span.generators, span.columns, span.key
-    # users[s]: the generators whose support has the label numbered s
-    users: list[list[int]] = [[] for _ in support]
+    gens, columns, position = span.generators, span.columns, span.complex.position
+    # users[s]: the generators whose support has the label at position s
+    users: dict[int, list[int]] = {}
     for k, col in enumerate(columns):
         for s in col:
-            users[s].append(k)
+            users.setdefault(s, []).append(k)
     for u, du in dg.degree.items():
         row, reached = {}, set()
         for l, prod in dg.row(u).items():
-            if (s := support.get(l)) is not None:
-                row[s] = {key.setdefault(m, len(key)): c for m, c in prod.items()}
-                reached.update(users[s])
+            if (ks := users.get(s := position[l])) is not None:
+                row[s] = {position[m]: c for m, c in prod.items()}
+                reached.update(ks)
         for k in sorted(reached):
             g = gens[k].element
             if vec := combine([(q, row.get(s, _ZERO)) for s, q in columns[k].items()]):
@@ -609,10 +612,9 @@ def dg_ideal_closure(dg: DGStructure, span: SubmoduleSpan) -> tuple[bool, dict]:
     a membership witness for each nonzero product (`closure_products`).
     """
     report: dict = {"boundary_closed": boundary_closed(span), "products": [], "failures": []}
-    cx, key, labels = dg.complex, dict(span.key), []
-    for u, k, b, vec, sol in closure_products(dg, span, key):
-        if len(labels) < len(key):
-            labels = list(key)
+    cx = dg.complex
+    labels = list(span.complex.position)  # the label at each position
+    for u, k, b, vec, sol in closure_products(dg, span):
         g = span.generators[k]
         prod = Element.stored(cx, dg.degree[u] + g.element.degree, b, {labels[j]: c for j, c in vec.items()})
         entry = {"factor": tag_to_json(u.tag), "gen": tag_to_json(g.gen_id), "product": str(prod)}

@@ -37,6 +37,12 @@ that the label's multidegree divides m_a m_b.  The F*F, G*G, G*S, S*G and
 f_V f_{W_z} terms are Taylor products in one copy, read off the bitmask
 index of the copies F, G and S (`taylor.mask_index`, `taylor.mask_product`);
 each G label carries the bitmask of W_z, computed once.
+
+z-ification has one implementation, `zify`, on bitmasks: each J-generator
+carries the bit of its spoke (`StarDecomposition.spoke_bits`), and W_z is
+the union of the bits under W, None when two of them coincide.  Psi, the
+cone product and both z-ification lemma checks call it, and the lemma
+checks take their signs from `taylor.mask_sign`.
 """
 
 from __future__ import annotations
@@ -57,22 +63,8 @@ from .complexes import (
     multiplication_map,
 )
 from .dg import DGStructure, ScalarProduct
-from .poly import (
-    Monomial,
-    MonomialIdeal,
-    VariableSet,
-    lcm_of,
-    monomial_divide,
-)
-from .taylor import (
-    below_mask,
-    index_mask,
-    mask_index,
-    mask_product,
-    taylor_product_label,
-    taylor_resolution,
-    taylor_sign,
-)
+from .poly import MonomialIdeal, VariableSet, lcm_of, monomial_divide, monomial_lcm
+from .taylor import below_mask, index_mask, mask_index, mask_product, mask_sign, taylor_resolution
 
 
 @dataclass
@@ -95,9 +87,9 @@ class StarDecomposition:
         return len(self.ideal_j.generators)
 
     @cached_property
-    def leaf_spokes(self) -> tuple[int, ...]:
-        """Index (into the spokes) of the spoke under each J-generator."""
-        return tuple(i for i, s in enumerate(self.spokes) for _ in self.leaves[s])
+    def spoke_bits(self) -> tuple[int, ...]:
+        """The bit 1 << i of the spoke x_i under each J-generator."""
+        return tuple(1 << i for i, s in enumerate(self.spokes) for _ in self.leaves[s])
 
 
 def star_decompose(graph: Graph) -> StarDecomposition:
@@ -146,22 +138,19 @@ def star_decompose(graph: Graph) -> StarDecomposition:
 # z-ification
 
 
-def zify_indices(dec: StarDecomposition, W) -> tuple[tuple[int, ...], bool]:
-    """Map a subset W of G(J) to spoke indices in G(I).
-
-    Returns (sorted spoke index set, repeat_free); with a repeat (two
-    members of W on one spoke) the z-ified Taylor symbol is read as 0.
-    """
-    spokes = [dec.leaf_spokes[j] for j in W]
-    return tuple(sorted(set(spokes))), len(set(spokes)) == len(spokes)
-
-
-def y_part(dec: StarDecomposition, W) -> Monomial:
-    """y_W = m_W / x_W: the leaf part of the lcm of the J-generators in W."""
-    m_w = lcm_of((dec.ideal_j.generators[j] for j in W), dec.ring)
-    spoke_set, _ = zify_indices(dec, W)
-    x_w = lcm_of((dec.ring.variable(dec.spokes[i]) for i in spoke_set), dec.ring)
-    return monomial_divide(m_w, x_w)
+def zify(dec: StarDecomposition, W: int) -> int | None:
+    """W_z: the bitmask of the spokes under the J-generators in the bitmask
+    W (each x_i y_{i,l} in W becomes z x_i), or None with a repeat (two
+    members of W on one spoke), where the z-ified Taylor symbol is 0."""
+    bits, wz = dec.spoke_bits, 0
+    while W:
+        low = W & -W
+        bit = bits[low.bit_length() - 1]
+        if wz & bit:
+            return None
+        wz |= bit
+        W ^= low
+    return wz
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +183,10 @@ def build_psi(
     """Psi: G' -> F; degree 0 sends g_{w} to w * 1_F, higher degrees send
     the twisted copy of g_W to y_W f_{W_z} and the plain copy to 0.  Each
     image is its label's multidegree: w = m_w / 1 and y_W = z m_W / m_{W_z},
-    so every entry is the coefficient 1."""
+    so every entry is the coefficient 1.  f_{W_z} is read off the bitmask
+    index of F (`taylor.mask_index`)."""
     unit_f = F.labels(0)[0]
+    _, at = mask_index(F, "e")
     entries: dict[BasisLabel, dict] = {}
     for i in Gp.degrees():
         for l in Gp.labels(i):
@@ -204,10 +195,8 @@ def build_psi(
             if i == 0:
                 # G-copy of a single J-generator; its boundary in G_0 = Q
                 img[unit_f] = 1
-            elif kind == "S":
-                spoke_set, repeat_free = zify_indices(dec, W)
-                if repeat_free:
-                    img[F.find_label(("e",) + spoke_set)] = 1
+            elif kind == "S" and (wz := zify(dec, index_mask(W))) is not None:
+                img[at[wz]] = 1
     return ChainMap(Gp, F, entries)
 
 
@@ -261,9 +250,8 @@ def _cone_product_fn(dec, cone):
     at_f, at_g, at_s = at["F"], at["G"], at["S"]
     zified = {}
     for l in at_g.values():
-        spoke_set, repeat_free = zify_indices(dec, l.tag[1:])
-        wz = index_mask(spoke_set)
-        zified[l] = (wz, below_mask(wz)) if repeat_free else None
+        wz = zify(dec, index[l][0])
+        zified[l] = None if wz is None else (wz, below_mask(wz))
 
     def f_times_g(f: BasisLabel, g: BasisLabel, sign: int) -> ScalarProduct:
         """sign * ((1/z) f_V Phi(g_W), 0, omega_{f_V}(g_W)) (V from G(I), W
@@ -346,59 +334,70 @@ def lyubeznik_betti(a: int, b: int, c: int) -> tuple[int, ...]:
 # the structural facts behind the product, machine-checkable per tree
 
 
+def _subsets(ell: int) -> list[tuple[tuple[int, ...], int]]:
+    """The nonempty subsets of range(ell) in `combinations` order, each as
+    (index tuple, bitmask)."""
+    return [(W, index_mask(W)) for size in range(1, ell + 1) for W in combinations(range(ell), size)]
+
+
 def check_phi_z_multiplicative(dec: StarDecomposition) -> dict:
     """z Phi(g V g W) = Phi(g V) Phi(g W) on every pair of G-basis subsets.
 
     (This is the off-by-z failure of Phi to be a dg morphism; exactness of
-    the relation is what makes the (1/z)-products land in F.)  Phi(g_W) =
-    y_W f_{W_z} is computed once per W, as (W_z, y_W), None with a repeat.
-    Each side is a single term, compared as (label, sign, monomial), or 0.
+    the relation is what makes the (1/z)-products land in F.)  Each m_W is
+    computed once, and so is Phi(g_W) = y_W f_{W_z}, as (W_z, below_mask(W_z),
+    y_W = m_W / x_{W_z}, m_{W_z}) on bitmasks (`zify`), None with a repeat.
+    Each side is a single term, compared as (label, sign, monomial), or 0;
+    the Taylor products on both sides have the sign `taylor.mask_sign` and
+    the coefficient m_V m_W / lcm(m_V, m_W).
     """
-    z = dec.ring.variable(dec.center)
-    subsets = [W for size in range(1, dec.ell + 1) for W in combinations(range(dec.ell), size)]
+    ring, gens_i, gens_j = dec.ring, dec.ideal_i.generators, dec.ideal_j.generators
+    z = ring.variable(dec.center)
+    subsets = _subsets(dec.ell)
+    m = {W: lcm_of((gens_j[j] for j in Wt), ring) for Wt, W in subsets}
+    below = {W: below_mask(W) for _, W in subsets}
     phi = {}
-    for W in subsets:
-        spoke_set, repeat_free = zify_indices(dec, W)
-        phi[W] = (spoke_set, y_part(dec, W)) if repeat_free else None
+    for Wt, W in subsets:
+        wz = zify(dec, W)
+        if wz is None:
+            phi[W] = None
+            continue
+        spokes = [i for i in range(dec.n) if wz >> i & 1]
+        x_w = lcm_of((ring.variable(dec.spokes[i]) for i in spokes), ring)
+        phi[W] = (wz, below_mask(wz), monomial_divide(m[W], x_w), lcm_of((gens_i[i] for i in spokes), ring))
     failures = []
-    for V in subsets:
-        for W in subsets:
+    for Vt, V in subsets:
+        pv = phi[V]
+        for Wt, W in subsets:
             lhs = rhs = None
-            res = taylor_product_label(dec.ideal_j, V, W)
-            if res is not None and phi[res[2]] is not None:
-                sign, coeff, union = res
-                uz, y = phi[union]
-                lhs = (uz, sign, coeff * z * y)
-            if phi[V] is not None and phi[W] is not None:
-                (uv, yv), (uw, yw) = phi[V], phi[W]
-                resf = taylor_product_label(dec.ideal_i, uv, uw)
-                if resf is not None:
-                    signf, cf, unionf = resf
-                    rhs = (unionf, signf, yv * yw * cf)
+            if not V & W and (pu := phi[V | W]) is not None:
+                coeff = monomial_divide(m[V] * m[W], m[V | W])  # m_{V u W} = lcm(m_V, m_W)
+                lhs = (pu[0], mask_sign(V, below[W]), coeff * z * pu[2])
+            pw = phi[W]
+            if pv is not None and pw is not None and not pv[0] & pw[0]:
+                (vz, _, yv, mv), (wz, wbelow, yw, mw) = pv, pw
+                cf = monomial_divide(mv * mw, monomial_lcm(mv, mw))
+                rhs = (vz | wz, mask_sign(vz, wbelow), yv * yw * cf)
             if lhs != rhs:
-                failures.append({"V": list(V), "W": list(W)})
+                failures.append({"V": list(Vt), "W": list(Wt)})
     return {"ok": not failures, "failures": failures}
 
 
 def check_sigma_zification(dec: StarDecomposition) -> dict:
     """For disjoint V, W in G(J) with repeat-free, disjoint z-ifications,
-    the commutation signs agree: sigma(V, W) = sigma(V_z, W_z) mod 2."""
-    ell = dec.ell
+    the commutation signs agree: sigma(V, W) = sigma(V_z, W_z) mod 2, each
+    read as `taylor.mask_sign` on bitmasks."""
+    subsets = [(Wt, W, below_mask(W), zify(dec, W)) for Wt, W in _subsets(dec.ell)]
+    zbelow = {wz: below_mask(wz) for *_, wz in subsets if wz is not None}
     failures = []
-    for sa in range(1, ell + 1):
-        for V in combinations(range(ell), sa):
-            zv, rv = zify_indices(dec, V)
-            if not rv:
+    for Vt, V, _, vz in subsets:
+        if vz is None:
+            continue
+        for Wt, W, wbelow, wz in subsets:
+            if V & W or wz is None or vz & wz:
                 continue
-            for sb in range(1, ell + 1):
-                for W in combinations(range(ell), sb):
-                    if set(V) & set(W):
-                        continue
-                    zw, rw = zify_indices(dec, W)
-                    if not rw or set(zv) & set(zw):
-                        continue
-                    if taylor_sign(V, W) != taylor_sign(zv, zw):
-                        failures.append({"V": list(V), "W": list(W)})
+            if mask_sign(V, wbelow) != mask_sign(vz, zbelow[wz]):
+                failures.append({"V": list(Vt), "W": list(Wt)})
     return {"ok": not failures, "failures": failures}
 
 

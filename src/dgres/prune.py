@@ -227,18 +227,18 @@ class PrunedDG:
     pruned_ideal: MonomialIdeal
     matching: list
     resolution_quotient: QuotientDG  # F = T/J
-    projection_closure: dict | None  # im(I_Z) is a dg ideal of F
+    projection_closure: dict  # im(I_Z) is a dg ideal of F
     pruned_quotient: QuotientDG  # (F / im(I_Z)) tensor Q/(Z)
     boocher: PruneResult  # direct pruning of the same F
     matches_boocher: bool
 
 
-def prune_dg(ideal: MonomialIdeal, znames, check_closure: bool = True) -> PrunedDG:
+def prune_dg(ideal: MonomialIdeal, znames) -> PrunedDG:
     """Descend the Lyubeznik-quotient dg structure along pruning by Z.
 
     Pipeline: T with its product; J from the standard-matching sources;
     F = T/J as a dg quotient (checked against the Lyubeznik restriction);
-    the image of I_Z in F (optionally certified as a dg ideal there); and
+    the image of I_Z in F (certified as a dg ideal there); and
     the quotient of F by that image over Q/(Z), compared entry-by-entry
     with Boocher pruning of F.
     """
@@ -257,11 +257,9 @@ def prune_dg(ideal: MonomialIdeal, znames, check_closure: bool = True) -> Pruned
         qF.structure.complex, [SpanGenerator(gen_id, p) for gen_id, p in projected if not p.is_zero()]
     )
 
-    closure = None
-    if check_closure:
-        ok, closure = dg_ideal_closure(qF.structure, span_image)
-        if not ok:
-            raise ValueError("image of the Z-ideal is not a dg ideal of F")
+    ok, closure = dg_ideal_closure(qF.structure, span_image)
+    if not ok:
+        raise ValueError("image of the Z-ideal is not a dg ideal of F")
 
     fcx = qF.structure.complex
     zidx = [fcx.ring.index(n) for n in znames]

@@ -22,8 +22,9 @@ A dg structure reads it off a bitmask index of its labels (`mask_index`):
 sets meet exactly when their bitmasks do, the union label is the one at
 V | W, and sigma(V, W) mod 2 is the popcount parity of V & below_mask(W),
 whose bit v says whether an odd number of w in W lie below v
-(`mask_product`).  The cone of `diam4` reads each of its Taylor copies
-F, G and S through the same index.
+(`mask_sign`, the one implementation of the sign, which `mask_product`
+and the lemma checks of `diam4` call).  The cone of `diam4` reads each of
+its Taylor copies F, G and S through the same index.
 
 This product is unital, associative, graded commutative, and satisfies the
 Leibniz rule, so the Taylor complex is always a dg algebra (Gemeda 1976).
@@ -31,13 +32,12 @@ Leibniz rule, so the Taylor complex is always a dg algebra (Gemeda 1976).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .complexes import BasisLabel, ComplexError, LabeledFreeComplex
 from .dg import DGStructure, ScalarProduct
-from .poly import Monomial, MonomialIdeal, PolyError, lcm_of, monomial_divide, monomial_lcm
+from .poly import MonomialIdeal, PolyError, monomial_lcm
 
 MAX_GENERATORS = 63
 
@@ -86,27 +86,6 @@ def taylor_resolution(ideal: MonomialIdeal) -> LabeledFreeComplex:
     return taylor_complex(ideal, faces, f"Taylor{ideal}")
 
 
-def taylor_sign(V: Sequence[int], W: Sequence[int]) -> int:
-    """(-1)^sigma with sigma(V, W) = #{(v, w) in V x W : v > w}."""
-    sigma = sum(1 for v in V for w in W if v > w)
-    return -1 if sigma % 2 else 1
-
-
-def taylor_product_label(
-    ideal: MonomialIdeal, V: Sequence[int], W: Sequence[int]
-) -> tuple[Fraction, Monomial, tuple[int, ...]] | None:
-    """e_V e_W as (coefficient sign, monomial coefficient, union indices);
-    None when V and W intersect (the product is zero)."""
-    sv, sw = set(V), set(W)
-    if sv & sw:
-        return None
-    union = tuple(sorted(sv | sw))
-    mv = lcm_of((ideal.generators[i] for i in V), ideal.ring)
-    mw = lcm_of((ideal.generators[i] for i in W), ideal.ring)
-    coeff = monomial_divide(mv * mw, monomial_lcm(mv, mw))  # m_{V u W} = lcm(m_V, m_W)
-    return Fraction(taylor_sign(V, W)), coeff, union
-
-
 def index_mask(U: Iterable[int]) -> int:
     """The bitmask of a set of distinct indices."""
     return sum(1 << u for u in U)
@@ -122,6 +101,11 @@ def below_mask(W: int) -> int:
         out ^= -(low << 1)  # bits above the index of `low`
         W ^= low
     return out
+
+
+def mask_sign(V: int, below: int) -> int:
+    """(-1)^sigma(V, W) from the bitmask V and `below` = below_mask(W)."""
+    return -1 if (V & below).bit_count() & 1 else 1
 
 
 def mask_index(cx: LabeledFreeComplex, kind: str) -> tuple[dict[BasisLabel, tuple[int, int]], dict[int, BasisLabel]]:
@@ -145,7 +129,7 @@ def mask_product(at: dict[int, BasisLabel], V: int, W: int, below: int) -> Scala
     the label at[V | W]."""
     if V & W:
         return _ZERO
-    return ScalarProduct({at[V | W]: -1 if (V & below).bit_count() & 1 else 1})
+    return ScalarProduct({at[V | W]: mask_sign(V, below)})
 
 
 def taylor_dg_structure(ideal: MonomialIdeal, T: LabeledFreeComplex | None = None) -> DGStructure:

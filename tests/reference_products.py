@@ -9,15 +9,83 @@ product with `QuotientDG.project`.  The tests compare every stored product
 table, formatted with `entry_polynomial`, against them.  `taylor_table` is
 the Taylor product as a `ScalarProduct` from index tuples, the oracle for
 the bitmask products of `taylor.mask_product`.
+
+The Taylor sign and product and the z-ification on index tuples
+(`taylor_sign`, `taylor_product_label`, `leaf_spokes`, `zify_indices`,
+`y_part`) are the oracles for the bitmask rules of `taylor.mask_sign` and
+`diam4.zify`; `psi_entries` is Psi built from them.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import Sequence
+
 from dgres.complexes import BasisLabel, LabeledFreeComplex, VecT
 from dgres.dg import DGStructure, Element, QuotientDG, ScalarProduct
-from dgres.diam4 import StarDecomposition, y_part, zify_indices
-from dgres.poly import Monomial, Polynomial, monomial_divide
-from dgres.taylor import taylor_product_label, taylor_sign
+from dgres.diam4 import StarDecomposition
+from dgres.poly import Monomial, MonomialIdeal, Polynomial, lcm_of, monomial_divide, monomial_lcm
+
+
+def taylor_sign(V: Sequence[int], W: Sequence[int]) -> int:
+    """(-1)^sigma with sigma(V, W) = #{(v, w) in V x W : v > w}."""
+    sigma = sum(1 for v in V for w in W if v > w)
+    return -1 if sigma % 2 else 1
+
+
+def taylor_product_label(
+    ideal: MonomialIdeal, V: Sequence[int], W: Sequence[int]
+) -> tuple[Fraction, Monomial, tuple[int, ...]] | None:
+    """e_V e_W as (coefficient sign, monomial coefficient, union indices);
+    None when V and W intersect (the product is zero)."""
+    sv, sw = set(V), set(W)
+    if sv & sw:
+        return None
+    union = tuple(sorted(sv | sw))
+    mv = lcm_of((ideal.generators[i] for i in V), ideal.ring)
+    mw = lcm_of((ideal.generators[i] for i in W), ideal.ring)
+    coeff = monomial_divide(mv * mw, monomial_lcm(mv, mw))  # m_{V u W} = lcm(m_V, m_W)
+    return Fraction(taylor_sign(V, W)), coeff, union
+
+
+def leaf_spokes(dec: StarDecomposition) -> tuple[int, ...]:
+    """Index (into the spokes) of the spoke under each J-generator."""
+    return tuple(i for i, s in enumerate(dec.spokes) for _ in dec.leaves[s])
+
+
+def zify_indices(dec: StarDecomposition, W) -> tuple[tuple[int, ...], bool]:
+    """Map a subset W of G(J) to spoke indices in G(I).
+
+    Returns (sorted spoke index set, repeat_free); with a repeat (two
+    members of W on one spoke) the z-ified Taylor symbol is read as 0.
+    """
+    spokes = [leaf_spokes(dec)[j] for j in W]
+    return tuple(sorted(set(spokes))), len(set(spokes)) == len(spokes)
+
+
+def y_part(dec: StarDecomposition, W) -> Monomial:
+    """y_W = m_W / x_W: the leaf part of the lcm of the J-generators in W."""
+    m_w = lcm_of((dec.ideal_j.generators[j] for j in W), dec.ring)
+    spoke_set, _ = zify_indices(dec, W)
+    x_w = lcm_of((dec.ring.variable(dec.spokes[i]) for i in spoke_set), dec.ring)
+    return monomial_divide(m_w, x_w)
+
+
+def psi_entries(dec: StarDecomposition, Gp: LabeledFreeComplex, F: LabeledFreeComplex) -> dict:
+    """The entries of Psi: G' -> F: g_{w} in degree 0 to the unit, the
+    twisted copy of g_W to f_{W_z} (found by tag) when W is repeat-free,
+    each with the coefficient 1, and everything else to 0."""
+    entries: dict = {}
+    for i in Gp.degrees():
+        for l in Gp.labels(i):
+            img = entries[l] = {}
+            if i == 0:
+                img[F.labels(0)[0]] = 1
+            elif l.tag[0] == "S":
+                spoke_set, repeat_free = zify_indices(dec, l.tag[1:])
+                if repeat_free:
+                    img[F.find_label(("e",) + spoke_set)] = 1
+    return entries
 
 
 def divide_by_monomial(p: Polynomial, m: Monomial) -> Polynomial:

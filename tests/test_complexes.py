@@ -1151,7 +1151,7 @@ class TestStoredWriters:
         cases = [(two_triangles_ideal, "y1"), (two_triangles_ideal, "z1"), (edge_ideal(build_family("P6")), "v2")]
         cases += [(c5_ideal, z) for z in c5_ideal.ring.names]
         for I, z in cases:
-            result = prune_dg(I, (z,), check_closure=False)
+            result = prune_dg(I, (z,))
             assert_stored_as_validated(result.resolution_quotient.structure.complex)
             # the quotient over Q/(z), whose ring has z deactivated
             P = result.pruned_quotient.structure.complex

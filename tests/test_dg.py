@@ -16,7 +16,6 @@ import json
 import random
 import re
 from fractions import Fraction
-from functools import partialmethod
 
 import pytest
 
@@ -51,6 +50,7 @@ from dgres import (
 from dgres.classify import C4_MATCHING, C5_MATCHING, _cycle_consecutive_ideal, _d3_order, classify
 from dgres.combin import tree_longest_path
 from dgres.complexes import ComplexError, entry_polynomial, tag_to_json
+from dgres import dg as dg_module
 from dgres.dg import DGReport, ScalarProduct, boundary_closed, closure_products
 from dgres.morse import is_superset_closed, matching_sources
 from dgres.poly import exact, monomial_divide
@@ -514,7 +514,7 @@ def identity_sums(dg: DGStructure, a, b, c=None) -> dict:
 @pytest.fixture
 def uncapped(monkeypatch):
     """Keep every failure witness, so the comparison covers all of them."""
-    monkeypatch.setattr(DGReport, "record", partialmethod(DGReport.record, cap=10**9))
+    monkeypatch.setattr(dg_module, "FAILURES_KEPT", 10**9)
 
 
 def assert_matches_dense(dg: DGStructure) -> DGReport:
@@ -1036,8 +1036,9 @@ class TestClosureCore:
 
     def test_failures_and_outside_labels(self, taylor_fixture_ideal):
         # failures are products with labels outside the span's support,
-        # numbered as they are met; a product with a Polynomial entry is
-        # refused by the core and the report alike, when it is stored
+        # numbered by the complex's positions like every other label; a
+        # product with a Polynomial entry is refused by the core and the
+        # report alike, when it is stored
         dg = taylor_dg_structure(ideal(RING3, "x", "y", "z"))
         assert self.assert_core_matches_report(dg, span_from_matching_sources(dg.complex, [(0, 1)]))["failures"]
         dg, refused = POLYNOMIAL_PATH["product-off-by-a-variable"](taylor_fixture_ideal)

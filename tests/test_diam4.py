@@ -1,16 +1,25 @@
 """Mapping-cone resolutions for edge ideals of trees of diameter <= 4:
 the star-of-stars decomposition, the twisted complex G' resolving J/zJ,
-the glued cone with its product, the closed Betti formulas, and the
-negative control showing the naive tensor F (x) G is not a resolution."""
+the glued cone with its product, the structural lemma checks and the
+orders of the J-generators on which they must fail, the closed Betti
+formulas, and the negative control showing the naive tensor F (x) G is not
+a resolution."""
 
+import json
+from dataclasses import replace
+from itertools import permutations
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from dgres import (
+    DGStructure,
     Graph,
     GraphError,
+    MonomialIdeal,
     build_cone_resolution,
+    build_family,
     cycle_graph,
     dg_check,
     diam4_betti,
@@ -30,10 +39,12 @@ from dgres.diam4 import (
     check_phi_z_multiplicative,
     check_sigma_zification,
     star_decompose,
-    y_part,
-    zify_indices,
+    zify,
 )
+from dgres.dg import ScalarProduct
 from dgres.poly import monomial_divide
+
+import reference_products
 
 
 class TestStarDecompose:
@@ -56,7 +67,7 @@ class TestStarDecompose:
             "x2*y2_1",
         ]
         assert dec.n == 2 and dec.ell == 3
-        assert dec.leaf_spokes == (0, 0, 1)
+        assert dec.spoke_bits == (1, 1, 2)
 
     def test_center_tie_break_on_diameter_three(self):
         # both middle vertices of v0-v1-v2-v3 have eccentricity 2 and equal
@@ -79,11 +90,17 @@ class TestStarDecompose:
             star_decompose(Graph.build(["a"], []))
 
     def test_zify_and_y_part(self):
+        # zify on bitmasks, and the tuple oracle it replaced
         dec = star_decompose(t4_tree(2, (2, 1)))
-        assert zify_indices(dec, (0, 2)) == ((0, 1), True)
-        assert zify_indices(dec, (0, 1)) == ((0,), False)  # both on spoke x1
-        assert str(y_part(dec, (0, 2))) == "y1_1*y2_1"
-        assert str(y_part(dec, (0,))) == "y1_1"
+        assert zify(dec, 0b101) == 0b11
+        assert zify(dec, 0b011) is None  # both on spoke x1
+        assert reference_products.zify_indices(dec, (0, 2)) == ((0, 1), True)
+        assert reference_products.zify_indices(dec, (0, 1)) == ((0,), False)
+        assert str(reference_products.y_part(dec, (0, 2))) == "y1_1*y2_1"
+        assert str(reference_products.y_part(dec, (0,))) == "y1_1"
+        for W in range(1, 8):
+            spoke_set, repeat_free = reference_products.zify_indices(dec, [j for j in range(3) if W >> j & 1])
+            assert zify(dec, W) == (sum(1 << i for i in spoke_set) if repeat_free else None)
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +186,71 @@ class TestConeResolution:
         dec = star_decompose(t4_tree(2, (1, 1)))
         res = build_cone_resolution(dec)
         assert res.decomposition is dec
+
+
+def interleaved(dec, order):
+    """dec with its J-generators taken in `order` and the spoke map
+    permuted to match, so that leaves of different spokes may interleave."""
+    new = replace(dec, ideal_j=MonomialIdeal(dec.ring, tuple(dec.ideal_j.generators[k] for k in order)))
+    new.spoke_bits = tuple(dec.spoke_bits[k] for k in order)
+    return new
+
+
+# both lemma reports on six interleaved decompositions, frozen from the
+# index-tuple form of the checks: they must fail, with the same failure
+# lists in the same order
+REORDERED = json.loads((Path(__file__).parent / "data" / "reordered_lemma_reports.json").read_text())
+
+
+class TestLemmaFailures:
+    """Each structural check fails where its lemma does not hold."""
+
+    @pytest.mark.parametrize("frozen", REORDERED, ids=lambda r: f"{r['family']}{r['order']}")
+    def test_interleaved_reports_are_frozen(self, frozen):
+        dec = interleaved(star_decompose(build_family(frozen["family"])), frozen["order"])
+        assert not frozen["phi_z_multiplicative"]["ok"] and not frozen["sigma_zification"]["ok"]
+        assert check_phi_z_multiplicative(dec) == frozen["phi_z_multiplicative"]
+        assert check_sigma_zification(dec) == frozen["sigma_zification"]
+
+    def test_every_interleaving_fails_both_lemmas(self):
+        # z-ification keeps the order of the J-generators exactly when their
+        # spokes come in order; each of the other 116 orders breaks both
+        dec = star_decompose(build_family("T4(3;2,1,2)"))
+        failed = 0
+        for order in permutations(range(dec.ell)):
+            spokes = [dec.spoke_bits[k] for k in order]
+            if spokes != sorted(spokes):
+                moved = interleaved(dec, order)
+                assert not check_phi_z_multiplicative(moved)["ok"], order
+                assert not check_sigma_zification(moved)["ok"], order
+                failed += 1
+        assert failed == 116
+
+    def test_one_flipped_product_fails_the_boundary_action(self):
+        # the check reads (d f) g through the F*G products only: each single
+        # nonzero F*G product with its sign flipped is found at f = f_01,
+        # while a flipped G*S product leaves it ok (dg_check finds that one)
+        res = build_cone_resolution(build_family("T4(2;2,1)"))
+        honest, cone = res.dg, res.cone
+
+        def flipped(pair):
+            def product(a, b):
+                prod = honest.table(a, b)
+                return ScalarProduct({l: -c for l, c in prod.items()}) if (a, b) == pair else prod
+
+            return DGStructure(cone, product)
+
+        pairs = [
+            (f, g) for f in cone.degree for g in cone.degree
+            if f.tag[0] == "F" and len(f.tag) > 1 and g.tag[0] == "G" and honest.table(f, g)
+        ]
+        assert len(pairs) == 14
+        for f, g in pairs:
+            res.dg = flipped((f, g))
+            assert check_boundary_action(res) == {"ok": False, "failures": [{"f": [0, 1], "g": list(g.tag[1:])}]}
+        res.dg = flipped((cone.find_label(("G", 0)), cone.find_label(("S", 2))))
+        assert check_boundary_action(res) == {"ok": True, "failures": []}
+        assert set(dg_check(res.dg, triples=False).failures) == {"graded_commutativity", "leibniz"}
 
 
 class TestBettiFormulas:

@@ -163,7 +163,7 @@ class TestElementOracle:
             return made[-1][-1]
 
         monkeypatch.setattr(prune, "quotient_dg", recorded)
-        prune_dg(edge_ideal(build_family("P5")), ("v2",), check_closure=False)
+        prune_dg(edge_ideal(build_family("P5")), ("v2",))
         assert [kw.get("kill_vars", ()) for *_, kw, _ in made] == [(), ("v2",)]
         for dgs, span, args, kwargs, q in made:
             kwargs.pop("name")

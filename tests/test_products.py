@@ -39,10 +39,17 @@ from dgres.classify import C4_MATCHING, C5_MATCHING
 from dgres.combin import graph_diameter
 from dgres.complexes import entry_polynomial
 from dgres.dg import ScalarProduct, closure_products, matching_span
-from dgres.diam4 import check_boundary_action
+from dgres.diam4 import (
+    build_g_prime,
+    build_psi,
+    check_boundary_action,
+    check_phi_z_multiplicative,
+    check_sigma_zification,
+    star_decompose,
+)
 from dgres.morse import matching_sources
 from dgres.prune import prune_ideal
-from dgres.taylor import below_mask, index_mask, mask_index, mask_product, taylor_sign
+from dgres.taylor import below_mask, index_mask, mask_index, mask_product, taylor_resolution
 
 import reference_products
 from conftest import matching_targets
@@ -127,7 +134,7 @@ class TestStoredProducts:
             ideal = edge_ideal(build_family(fam))
             for z in ideal.ring.names:
                 if prune_ideal(ideal, (z,)).generators:
-                    prune_dg(ideal, (z,), check_closure=False)
+                    prune_dg(ideal, (z,))
                     runs += 1
         assert runs == 21 and len(made) == 42
         for parent, q in made:
@@ -148,7 +155,7 @@ class TestMaskProducts:
             for W in subsets(8):
                 if not set(V) & set(W):
                     vm, wm = index_mask(V), index_mask(W)
-                    assert mask_product({vm | wm: "union"}, vm, wm, below_mask(wm)) == {"union": taylor_sign(V, W)}
+                    assert mask_product({vm | wm: "union"}, vm, wm, below_mask(wm)) == {"union": reference_products.taylor_sign(V, W)}
                     pairs += 1
         assert pairs == 3**8
 
@@ -253,6 +260,21 @@ class TestProductStorage:
             assert seen == Counter((a, b) for a in basis for b in basis), dg.name
             for a in basis:
                 assert not any(prod.is_zero() for prod in dg.row(a).values()), (dg.name, a)
+
+
+def test_psi_matches_the_tuple_oracle():
+    """Psi, read off F's bitmask index through `diam4.zify`, has the entries
+    built from the tuple z-ification and `find_label`, on every tree of
+    diameter 3 and 4 on 3 to 9 vertices; both z-ification lemmas hold."""
+    trees = 0
+    for g in trees_of_diameter_3_and_4():
+        dec = star_decompose(g)
+        Gp, _ = build_g_prime(dec)
+        F = taylor_resolution(dec.ideal_i)
+        assert build_psi(dec, Gp, F).entries == reference_products.psi_entries(dec, Gp, F), g
+        assert check_phi_z_multiplicative(dec)["ok"] and check_sigma_zification(dec)["ok"], g
+        trees += 1
+    assert trees == 42
 
 
 def test_boundary_action_matches_the_element_computation():

@@ -218,11 +218,6 @@ class TestPruneDG:
         F = result.resolution_quotient.structure.complex
         assert complexes_equal(F, minres)
 
-    def test_closure_check_can_be_skipped(self, two_triangles_ideal):
-        result = prune_dg(two_triangles_ideal, ("y1",), check_closure=False)
-        assert result.projection_closure is None
-        assert result.matches_boocher
-
     def test_corpus_sample(self, corpus):
         # every squarefree ideal with an eligible variable: descent agrees
         # with direct pruning and the quotient still satisfies the axioms
