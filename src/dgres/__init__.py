@@ -70,6 +70,7 @@ from .morse import (
     TaylorGraph,
     lyubeznik_matching,
     lyubeznik_resolution,
+    matching_quotient,
     morse_reduce,
     taylor_graph,
     validate_matching,

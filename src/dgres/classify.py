@@ -45,7 +45,7 @@ from math import comb
 
 from .combin import Graph, GraphError, _tree_path, edge_ideal, path_graph
 from .complexes import total_betti
-from .dg import QuotientDG, boundary_closed, closure_products, dg_check, matching_span, quotient_dg
+from .dg import dg_check
 from .diam4 import (
     build_cone_resolution,
     check_boundary_action,
@@ -59,8 +59,7 @@ from .morse import (
     is_superset_closed,
     lyubeznik_matching,
     lyubeznik_resolution,
-    taylor_graph,
-    validate_matching,
+    matching_quotient,
 )
 from .poly import MonomialIdeal, lcm_of
 from .prune import prune_ideal
@@ -241,27 +240,6 @@ def _resolution_summary(cx, ideal) -> dict:
     return {"checked": True, "ok": True}
 
 
-def _matching_quotient(ideal: MonomialIdeal, matching) -> tuple[dict, int, QuotientDG]:
-    """The Taylor dg algebra of `ideal` modulo the span of the two-term
-    subcomplexes of a Morse matching, as (the matching's validation report
-    on the Taylor graph, the number of nonzero products e_u * g that
-    `dg_ideal_closure` checks and finds in the span, the quotient).
-    GraphError when the matching is invalid or a product leaves the span,
-    DGError when the span is not closed under the differential."""
-    val = validate_matching(taylor_graph(ideal), matching)
-    if not val["ok"]:
-        raise GraphError(f"invalid matching: {val}")
-    dgT = taylor_dg_structure(ideal)
-    span, prefer = matching_span(dgT.complex, matching)
-    boundary_closed(span)
-    count = 0
-    for *_, sol in closure_products(dgT, span):
-        if sol is None:
-            raise GraphError("matching span is not a dg ideal")
-        count += 1
-    return val, count, quotient_dg(dgT, span, prefer_eliminate=prefer)
-
-
 def _taylor_minimal_evidence(ideal: MonomialIdeal) -> tuple[dict, list[int]]:
     T = taylor_resolution(ideal)
     gens = ideal.generators
@@ -296,18 +274,20 @@ def _lyubeznik_evidence(ideal: MonomialIdeal, order: list[str]) -> tuple[dict, l
     closed, witness = is_superset_closed(ordered, matching)
     if not closed:
         raise GraphError(f"matching sources not superset-closed: {witness}")
-    val, closure_count, q = _matching_quotient(ordered, matching)
+    report, q = matching_quotient(ordered, matching)
+    if q is None:
+        raise GraphError(f"no dg quotient T/J for the matching: {report}")
     evidence = {
         "kind": "lyubeznik-quotient",
         "generator_order": order,
         "matching": [[list(s), list(t)] for s, t in matching],
-        "matching_valid": val,
+        "matching_valid": report["matching_valid"],
         "superset_closed": True,
         "ranks": list(L.ranks()),
         "quotient_ranks": list(q.structure.complex.ranks()),
         "resolution": _resolution_summary(L, ordered),
         "dg_check": _dg_check_summary(q.structure),
-        "closure_products_checked": closure_count,
+        "closure_products_checked": report["closure_products_checked"],
     }
     return evidence, list(total_betti(L))
 
@@ -318,7 +298,9 @@ def _morse_quotient_evidence(ideal: MonomialIdeal, matching) -> tuple[dict, list
     by the same span, so the quotient complex is the Morse complex up to a
     change of basis, and gives its ranks, minimality, resolution and Betti
     numbers, which do not depend on the basis."""
-    val, closure_count, q = _matching_quotient(ideal, matching)
+    report, q = matching_quotient(ideal, matching)
+    if q is None:
+        raise GraphError(f"no dg quotient T/J for the matching: {report}")
     reduced = q.structure.complex
     if not reduced.is_minimal():
         raise GraphError("Morse reduction is not minimal")
@@ -326,13 +308,13 @@ def _morse_quotient_evidence(ideal: MonomialIdeal, matching) -> tuple[dict, list
     evidence = {
         "kind": "morse-quotient",
         "matching": [[list(s), list(t)] for s, t in matching],
-        "matching_valid": val,
+        "matching_valid": report["matching_valid"],
         "superset_closed": closed,
         "ranks": list(reduced.ranks()),
         "quotient_ranks": list(reduced.ranks()),
         "resolution": _resolution_summary(reduced, ideal),
         "dg_check": _dg_check_summary(q.structure),
-        "closure_products_checked": closure_count,
+        "closure_products_checked": report["closure_products_checked"],
     }
     if not closed:
         evidence["superset_closure_counterexample"] = {

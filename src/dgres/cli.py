@@ -34,7 +34,7 @@ from .classify import (
 )
 from .combin import Graph, GraphError, build_family, edge_ideal
 from .complexes import ComplexError, LabeledFreeComplex, graded_betti, total_betti
-from .dg import DGError, dg_check, dg_ideal_closure, matching_span, quotient_dg
+from .dg import DGError, dg_check
 from .diam4 import (
     build_cone_resolution,
     check_boundary_action,
@@ -45,6 +45,7 @@ from .morse import (
     MorseError,
     lyubeznik_matching,
     lyubeznik_resolution,
+    matching_quotient,
     morse_reduce,
     taylor_graph,
     validate_matching,
@@ -326,25 +327,18 @@ def cmd_dgcheck(args) -> int:
         if args.structure == "taylor":
             dg = taylor_dg_structure(ideal)
         else:  # quotient
-            matching = _load_matching(args, ideal)
-            tg = taylor_graph(ideal)
-            val = validate_matching(tg, matching)
-            if not val["ok"]:
-                _emit(args, "dgcheck", input_json, {"matching_valid": val})
+            report, q = matching_quotient(ideal, _load_matching(args, ideal))
+            if not report["matching_valid"]["ok"]:
+                _emit(args, "dgcheck", input_json, {"matching_valid": report["matching_valid"]})
                 return 1
-            dgT = taylor_dg_structure(ideal)
-            span, _ = matching_span(dgT.complex, matching)
-            ok, closure = dg_ideal_closure(dgT, span)
-            if not ok:
+            if q is None:
                 _emit(args, "dgcheck", input_json, {
                     "structure": args.structure,
                     "ideal_closed": False,
-                    "closure": {
-                        k: v for k, v in closure.items() if k != "products"
-                    },
+                    "closure": {"boundary_closed": True, "failures": report["closure_failures"], "ok": False},
                 })
                 return 1
-            dg = quotient_dg(dgT, span).structure
+            dg = q.structure
     rep = dg_check(dg, triples=not args.skip_triples)
     result = {
         "structure": args.structure,

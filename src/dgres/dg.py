@@ -65,9 +65,9 @@ membership.  Per basis label u it reads the stored row of u once, keeps
 the products u*l with l in the generators' supports, and sums each u*g
 from those; an inverted index (label -> generators containing it)
 visits only the generators some nonzero u*l reaches, since every other
-product is 0.  `dg_ideal_closure` formats the report
-(product strings, witnesses) from it, after `boundary_closed` has checked
-that the span is a subcomplex (DGError otherwise); `classify` only counts.
+product is 0.  `dg_ideal_closure` formats the report (`closure_entry`
+strings, witnesses) from it, after `boundary_closed` has checked that the
+span is a subcomplex (DGError otherwise); `morse.matching_quotient` counts.
 
 `Elimination` forms the quotient of a complex by the span of some of its
 elements, by per-degree unit-pivot elimination on coefficients, optionally
@@ -175,7 +175,7 @@ class Element:
         if i == 0 or self.is_zero():
             return Element.zero(cx, max(i - 1, 0))
         cols = cx.diff.get(i, {})
-        return Element.stored(cx, i - 1, self.b, combine((c, cols.get(l, _ZERO)) for l, c in self.vec.items()))
+        return Element.stored(cx, i - 1, self.b, combine((c, cols.get(l, ZERO)) for l, c in self.vec.items()))
 
     def multidegree(self) -> Monomial | None:
         """Common multidegree coeff*mdeg(label), or None for zero."""
@@ -199,7 +199,7 @@ class ScalarProduct(dict):
         return not self
 
 
-_NONE = ScalarProduct()  # every stored zero product; never written to
+ZERO = ScalarProduct()  # every zero product, table and column looked up; shared, never written to
 
 
 class DGStructure:
@@ -257,7 +257,7 @@ class DGStructure:
         """The stored product of two basis labels."""
         if b not in self.degree:
             raise DGError(f"{b} is not a basis label of {self.name}")
-        return self.row(a).get(b, _NONE)
+        return self.row(a).get(b, ZERO)
 
     def _store(self, a: BasisLabel, b: BasisLabel, prod: ScalarProduct) -> ScalarProduct:
         """The nonzero product e_a e_b, validated (see the class docstring)."""
@@ -315,9 +315,6 @@ def _witness(a: BasisLabel, b: BasisLabel, **detail) -> dict:
     return {"a": tag_to_json(a.tag), "b": tag_to_json(b.tag), **detail}
 
 
-_ZERO: dict = {}  # the table of a zero element; never written to
-
-
 def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
     """Verify the dg-algebra axioms exhaustively on basis pairs/triples.
 
@@ -339,7 +336,7 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
 
     basis = [Element.basis(cx, l) for l in labels]
     # dtab[k]: the table of d(labels[k]), read off the stored column
-    dtab = [table(cx.diff.get(d, _ZERO).get(l, _ZERO)) for l, d in zip(labels, degree)]
+    dtab = [table(cx.diff.get(d, ZERO).get(l, ZERO)) for l, d in zip(labels, degree)]
     # tab[i][j]: the table of labels[i] * labels[j], nonzero products only;
     # tabT[j]: the i with labels[i] * labels[j] != 0
     tab = [{pos[b]: table(p) for b, p in dg.row(a).items()} for a in labels]
@@ -389,10 +386,10 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
         report.checked_pairs += n
         for j in sorted(diffs.keys() | set(tabT[i])):
             b = labels[j]
-            ab = row.get(j, _ZERO)
+            ab = row.get(j, ZERO)
             # graded commutativity, both orientations computed directly:
             # ab = sign * ba as tables, compared entry by entry
-            ba = tab[j].get(i, _ZERO)
+            ba = tab[j].get(i, ZERO)
             sign = -1 if degree[i] & degree[j] & 1 else 1
             if len(ab) != len(ba) or any(ba.get(k) != sign * c for k, c in ab.items()):
                 report.record(
@@ -429,15 +426,15 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
             for j, c in occ.get(l, ()):
                 cands.setdefault(j, set()).add(c)
         for j in sorted(cands):
-            b, ab, bj = labels[j], row.get(j, _ZERO), tab[j]
+            b, ab, bj = labels[j], row.get(j, ZERO), tab[j]
             for k in sorted(cands[j]):
                 # (ab)c - a(bc), summed in place
                 acc: dict = {}
                 for l, c in ab.items():
-                    for m, x in tab[l].get(k, _ZERO).items():
+                    for m, x in tab[l].get(k, ZERO).items():
                         acc[m] = acc.get(m, 0) + c * x
-                for l, c in bj.get(k, _ZERO).items():
-                    for m, x in row.get(l, _ZERO).items():
+                for l, c in bj.get(k, ZERO).items():
+                    for m, x in row.get(l, ZERO).items():
                         acc[m] = acc.get(m, 0) - c * x
                 if any(acc.values()):
                     lhs = dg.multiply(dg.basis_product(a, b), basis[k])
@@ -595,9 +592,17 @@ def closure_products(dg: DGStructure, span: SubmoduleSpan) -> Iterator[tuple]:
                 reached.update(ks)
         for k in sorted(reached):
             g = gens[k].element
-            if vec := combine([(q, row.get(s, _ZERO)) for s, q in columns[k].items()]):
+            if vec := combine([(q, row.get(s, ZERO)) for s, q in columns[k].items()]):
                 b = u.multidegree * g.b
                 yield u, k, b, vec, span.solve(du + g.degree, b, vec)
+
+
+def closure_entry(dg: DGStructure, span: SubmoduleSpan, labels: list, u, k: int, b: Monomial, vec: dict) -> dict:
+    """{factor, gen, product} for the product e_u * g of `closure_products`,
+    g its k-th generator; `labels` is the label at each position."""
+    g = span.generators[k]
+    prod = Element.stored(dg.complex, dg.degree[u] + g.element.degree, b, {labels[j]: c for j, c in vec.items()})
+    return {"factor": tag_to_json(u.tag), "gen": tag_to_json(g.gen_id), "product": str(prod)}
 
 
 def dg_ideal_closure(dg: DGStructure, span: SubmoduleSpan) -> tuple[bool, dict]:
@@ -612,12 +617,9 @@ def dg_ideal_closure(dg: DGStructure, span: SubmoduleSpan) -> tuple[bool, dict]:
     a membership witness for each nonzero product (`closure_products`).
     """
     report: dict = {"boundary_closed": boundary_closed(span), "products": [], "failures": []}
-    cx = dg.complex
-    labels = list(span.complex.position)  # the label at each position
+    labels = list(dg.degree)  # the label at each position
     for u, k, b, vec, sol in closure_products(dg, span):
-        g = span.generators[k]
-        prod = Element.stored(cx, dg.degree[u] + g.element.degree, b, {labels[j]: c for j, c in vec.items()})
-        entry = {"factor": tag_to_json(u.tag), "gen": tag_to_json(g.gen_id), "product": str(prod)}
+        entry = closure_entry(dg, span, labels, u, k, b, vec)
         if sol is None:
             report["failures"].append(entry)
         else:
@@ -819,7 +821,7 @@ def quotient_dg(
         pa, pb = back[a], back[b]
         prod = dg.row(pa).get(pb)
         if prod is None:
-            return _NONE
+            return ZERO
         got = elim.substitute(prod, pa.multidegree * pb.multidegree, dg.degree[pa] + dg.degree[pb])
         return ScalarProduct({fwd[l]: c for l, c in got.items()})
 

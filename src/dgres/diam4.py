@@ -62,7 +62,7 @@ from .complexes import (
     mapping_cone,
     multiplication_map,
 )
-from .dg import DGStructure, ScalarProduct
+from .dg import ZERO, DGStructure, ScalarProduct
 from .poly import MonomialIdeal, VariableSet, lcm_of, monomial_divide, monomial_lcm
 from .taylor import below_mask, index_mask, mask_index, mask_product, mask_sign, taylor_resolution
 
@@ -289,7 +289,7 @@ def _cone_product_fn(dec, cone):
         if ka == "S" and kb == "G":
             return mask_product(at_s, V, W, below)
         # (F,S), (S,F), (S,S) all vanish
-        return ScalarProduct()
+        return ZERO
 
     return product
 
@@ -403,7 +403,8 @@ def check_sigma_zification(dec: StarDecomposition) -> dict:
 
 def check_boundary_action(res: ConeResolution) -> dict:
     """(d f, 0, 0) (0, g, 0) equals ((1/z) d(f) Phi(g), 0, 0) for |f| > 1
-    and (0, d(f) g, 0) for |f| = 1, on all basis pairs.
+    and (0, d(f) g, 0) for |f| = 1, on every pair of an F label f and a G
+    label g.  It reads F*G products only: `dg_check` alone covers G*S and S*G.
 
     (The |f| = 1 case is where omega comes from: d(f_q) = z x_q acts on the
     G-copy through the scalar z x_q.)  Both sides have multidegree m_f m_g

@@ -23,6 +23,9 @@ both against the rule written out.  The M test and the equal-lcm test of
 `taylor_graph` read the generators as unary int bitmasks
 (`_divisor_masks`), where u | m is `not u & ~m` and the lcm is `u | m`;
 for a squarefree ideal these are the support masks.
+
+`matching_quotient` is the one construction of the dg quotient T/J of the
+Taylor algebra by the span J of a matching's two-term subcomplexes.
 """
 
 from __future__ import annotations
@@ -33,9 +36,18 @@ from itertools import accumulate, combinations
 from operator import or_
 
 from .complexes import ComplexError, LabeledFreeComplex
-from .dg import DGError, Elimination
+from .dg import (
+    DGError,
+    Elimination,
+    QuotientDG,
+    boundary_closed,
+    closure_entry,
+    closure_products,
+    matching_span,
+    quotient_dg,
+)
 from .poly import MonomialIdeal
-from .taylor import taylor_complex
+from .taylor import taylor_complex, taylor_dg_structure
 
 Arc = tuple[tuple[int, ...], tuple[int, ...]]  # (source subset, target subset)
 
@@ -252,6 +264,31 @@ def lyubeznik_resolution(ideal: MonomialIdeal) -> LabeledFreeComplex:
         return taylor_complex(ideal, faces, f"Lyubeznik{ideal}")
     except ComplexError:
         raise MorseError("survivor sets are not subset-closed; bad input order") from None
+
+
+def matching_quotient(ideal: MonomialIdeal, matching) -> tuple[dict, QuotientDG | None]:
+    """The Taylor dg algebra T modulo the span J of e_V and d(e_V) over the
+    matching's sources V (`dg.matching_span`), the matched cells preferred
+    as pivots; None when the matching is invalid (`validate_matching`) or J
+    is not a dg ideal.  The report counts the nonzero products e_u * g in J
+    (`closure_products_checked`) and lists those outside (`closure_failures`,
+    by `dg.closure_entry`); a J not closed under d raises DGError."""
+    val = validate_matching(taylor_graph(ideal), matching)
+    report: dict = {"matching_valid": val, "closure_products_checked": 0, "closure_failures": []}
+    if not val["ok"]:
+        return report, None
+    dgT = taylor_dg_structure(ideal)
+    span, prefer = matching_span(dgT.complex, matching)
+    boundary_closed(span)
+    labels = list(dgT.degree)  # the label at each position
+    for u, k, b, vec, sol in closure_products(dgT, span):
+        if sol is None:
+            report["closure_failures"].append(closure_entry(dgT, span, labels, u, k, b, vec))
+        else:
+            report["closure_products_checked"] += 1
+    if report["closure_failures"]:
+        return report, None
+    return report, quotient_dg(dgT, span, prefer_eliminate=prefer)
 
 
 # ---------------------------------------------------------------------------

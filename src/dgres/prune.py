@@ -45,18 +45,9 @@ from .complexes import (
     killed,
     tag_to_json,
 )
-from .dg import (
-    QuotientDG,
-    SpanGenerator,
-    SubmoduleSpan,
-    dg_ideal_closure,
-    matching_span,
-    quotient_dg,
-    span_from_matching_sources,
-)
-from .morse import lyubeznik_matching, lyubeznik_resolution
+from .dg import QuotientDG, SpanGenerator, SubmoduleSpan, dg_ideal_closure, quotient_dg, span_from_matching_sources
+from .morse import MorseError, lyubeznik_matching, lyubeznik_resolution, matching_quotient
 from .poly import MonomialIdeal, _monomial
-from .taylor import taylor_dg_structure
 
 
 def prune_ideal(ideal: MonomialIdeal, znames) -> MonomialIdeal:
@@ -236,18 +227,18 @@ class PrunedDG:
 def prune_dg(ideal: MonomialIdeal, znames) -> PrunedDG:
     """Descend the Lyubeznik-quotient dg structure along pruning by Z.
 
-    Pipeline: T with its product; J from the standard-matching sources;
-    F = T/J as a dg quotient (checked against the Lyubeznik restriction);
-    the image of I_Z in F (certified as a dg ideal there); and
-    the quotient of F by that image over Q/(Z), compared entry-by-entry
-    with Boocher pruning of F.
+    Pipeline: F = T/J for the Lyubeznik matching (`morse.matching_quotient`
+    checks the matching and that J is a dg ideal of T; MorseError if not);
+    the image of I_Z in F (certified as a dg ideal there); and the quotient
+    of F by that image over Q/(Z), compared entry-by-entry with Boocher
+    pruning of the Lyubeznik resolution.
     """
     znames = tuple(znames)
-    dgT = taylor_dg_structure(ideal)
-    T = dgT.complex
     matching = lyubeznik_matching(ideal)
-    span, prefer = matching_span(T, matching)
-    qF = quotient_dg(dgT, span, prefer_eliminate=prefer, name=f"F{ideal}")
+    report, qF = matching_quotient(ideal, matching)
+    if qF is None:
+        raise MorseError(f"no dg quotient T/J for the Lyubeznik matching: {report}")
+    T = qF.elimination.source
 
     # I_Z is the span of e_V and d(e_V) over the V meeting a Z-divisible
     # generator; its image in F drops the generators projecting to zero

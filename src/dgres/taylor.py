@@ -36,7 +36,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .complexes import BasisLabel, ComplexError, LabeledFreeComplex
-from .dg import DGStructure, ScalarProduct
+from .dg import ZERO, DGStructure, ScalarProduct
 from .poly import MonomialIdeal, PolyError, monomial_lcm
 
 MAX_GENERATORS = 63
@@ -120,15 +120,12 @@ def mask_index(cx: LabeledFreeComplex, kind: str) -> tuple[dict[BasisLabel, tupl
     return index, at
 
 
-_ZERO = ScalarProduct()  # every zero product written here; never written to
-
-
 def mask_product(at: dict[int, BasisLabel], V: int, W: int, below: int) -> ScalarProduct:
     """e_V e_W in one Taylor copy, from the bitmasks V and W (`below` is
     below_mask(W)): zero when they meet, else the sign (-1)^sigma(V, W) on
     the label at[V | W]."""
     if V & W:
-        return _ZERO
+        return ZERO
     return ScalarProduct({at[V | W]: mask_sign(V, below)})
 
 

@@ -282,6 +282,26 @@ class TestDgcheckCommand:
         assert payload["result"]["matching_valid"]["ok"] is False
         assert payload["result"]["matching_valid"]["not_in_graph"]
 
+    def test_quotient_span_not_a_dg_ideal(self, tmp_path):
+        # one arc of C4's Taylor graph: a valid matching whose span is closed
+        # under d, but e_1 times e_{0,2,3} leaves it
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps([[[0, 2, 3], [0, 3]]]))
+        code, payload = run_json(
+            ["dgcheck", "--structure", "quotient", "--family", "C4", "--matching-file", str(f)]
+        )
+        assert code == 1
+        result = payload["result"]
+        assert result["structure"] == "quotient" and result["ideal_closed"] is False
+        closure = result["closure"]
+        assert closure["boundary_closed"] is True and closure["ok"] is False
+        assert len(closure["failures"]) == 5
+        assert closure["failures"][0] == {
+            "factor": ["e", 1],
+            "gen": ["e", 0, 2, 3],
+            "product": "(-v1*v4)*(e,0,1,2,3)[v1*v2*v3*v4]",
+        }
+
     def test_quotient_structure(self, tmp_path):
         f = tmp_path / "matching.json"
         f.write_text(json.dumps(C5_MATCHING_JSON))

@@ -40,7 +40,7 @@ from dgres import (
     taylor_dg_structure,
     taylor_resolution,
 )
-from dgres import prune
+from dgres import morse, prune
 from dgres.classify import C4_MATCHING, C5_MATCHING
 from dgres.combin import graph_diameter
 from dgres.complexes import entry_polynomial
@@ -162,11 +162,12 @@ class TestElementOracle:
             made.append((dgs, span, args, kwargs, quotient_dg(dgs, span, *args, **kwargs)))
             return made[-1][-1]
 
+        monkeypatch.setattr(morse, "quotient_dg", recorded)
         monkeypatch.setattr(prune, "quotient_dg", recorded)
         prune_dg(edge_ideal(build_family("P5")), ("v2",))
         assert [kw.get("kill_vars", ()) for *_, kw, _ in made] == [(), ("v2",)]
         for dgs, span, args, kwargs, q in made:
-            kwargs.pop("name")
+            kwargs.pop("name", None)
             _, rproject = quotient_dg_elimination(dgs, span, *args, **kwargs).quotient("ref")
             cx, qcx = dgs.complex, q.structure.complex
             for i in cx.degrees():

@@ -131,6 +131,7 @@ class TestEliminationOracle:
             kills.append(tuple(kill_vars))
             return assert_quotient_matches(dgs, span, kill_vars, prefer_eliminate)
 
+        monkeypatch.setattr(morse, "quotient_dg", checked)
         monkeypatch.setattr(prune, "quotient_dg", checked)
         for fam in ("P5", "P6", "P7"):
             ideal = edge_ideal(build_family(fam))

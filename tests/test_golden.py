@@ -10,11 +10,12 @@ concatenation of the 30 texts is fixed.  A refactor of any layer a
 certificate rests on (Taylor, Lyubeznik/Morse, dg checks, cones, pruning,
 strands) must leave it unchanged.
 
-Twelve command-line outputs are pinned the same way, as the sha256 of
+Thirteen command-line outputs are pinned the same way, as the sha256 of
 stdout plus the exit code, run in-process through `cli.main`: `reduce` along
 the Lyubeznik matching and along a matching file, `dgcheck --structure
 quotient`, `prune --dg` and `lyubeznik` gate the Morse and quotient
-eliminations; `taylor`, `betti`, `prune` without `--dg` (every stage
+eliminations; `dgcheck --structure quotient` on a matching whose span is
+closed under d but is not a dg ideal pins its closure failures; `taylor`, `betti`, `prune` without `--dg` (every stage
 matrix) and `cone4` print differential entries as Polynomial strings, which
 gates how complexes store them; `dgcheck --structure taylor`, `dgcheck
 --structure cone4` and `cone4 --check` complete the paths into `dg_check`.
@@ -64,6 +65,9 @@ C5_MATCHING = [
     [[0, 3, 4], [0, 3]], [[0, 2, 3, 4], [0, 2, 3]], [[1, 2, 3], [1, 3]],
     [[1, 2, 3, 4], [1, 2, 4]],
 ]
+# one arc of C4's Taylor graph: a valid matching whose span is closed under d
+# but is not a dg ideal
+C4_ARC = [[[0, 2, 3], [0, 3]]]
 
 CLI_GOLDEN = {
     # Morse reduction along the Lyubeznik matching (not minimal here, so the
@@ -79,6 +83,10 @@ CLI_GOLDEN = {
     "dgcheck-quotient": (
         ["dgcheck", "--structure", "quotient"] + C5 + ["--matching-file", "{matching}"],
         0, "ef6e8b4519de53a3aae2feaa139589adac27b4c70763c9db01b20b960e0ec2d9",
+    ),
+    "dgcheck-not-dg-ideal": (
+        ["dgcheck", "--structure", "quotient", "--family", "C4", "--matching-file", "{c4_arc}"],
+        1, "d3acbae4d5752658aadbb9e4ac7827a6e8e3227bd3ab4ccb63df15e17ed17689",
     ),
     "prune-dg": (
         ["prune", "--kill", "y1", "--dg"] + WHISKER,
@@ -126,7 +134,9 @@ def test_cli_output_pinned(case, tmp_path, capsys):
     argv, code, digest = CLI_GOLDEN[case]
     matching = tmp_path / "matching.json"
     matching.write_text(json.dumps(C5_MATCHING))
-    argv = [a.replace("{matching}", str(matching)) for a in argv]
+    c4_arc = tmp_path / "c4_arc.json"
+    c4_arc.write_text(json.dumps(C4_ARC))
+    argv = [a.replace("{matching}", str(matching)).replace("{c4_arc}", str(c4_arc)) for a in argv]
     assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -5,24 +5,35 @@ generator orders, and Morse-matching validation."""
 
 from itertools import combinations, permutations
 
+import networkx as nx
 import pytest
 
 from dgres import (
+    Graph,
     MonomialIdeal,
     VariableSet,
     build_family,
+    classify,
     complexes_equal,
+    cycle_graph,
     edge_ideal,
     equal_up_to_basis_scaling,
     graded_betti,
     lcm_of,
     lyubeznik_matching,
     lyubeznik_resolution,
+    matching_quotient,
     morse_reduce,
+    prune_dg,
+    taylor_dg_structure,
     taylor_graph,
     taylor_resolution,
     validate_matching,
 )
+from dgres import prune
+from dgres.classify import C4_MATCHING, C5_MATCHING
+from dgres.combin import graph_diameter
+from dgres.dg import dg_ideal_closure, matching_span
 from dgres.morse import MorseError, lyubeznik_critical, matching_sources
 from dgres.prune import prune_ideal
 
@@ -427,3 +438,88 @@ class TestValidateMatching:
         assert exc.value.witness == [
             {"gen": [[0, 2, 3], [0, 3]], "pivot": ["e", 0, 3], "entry": "0"}
         ]
+
+
+def consecutive_cycle_ideal(n: int) -> MonomialIdeal:
+    """The edge ideal of C_n with its generators in cycle order, the order of
+    `classify.C4_MATCHING` and `classify.C5_MATCHING`."""
+    order = [f"v{i}*v{i + 1}" for i in range(1, n)] + [f"v1*v{n}"]
+    return edge_ideal(build_family(f"C{n}")).reorder(order)
+
+
+def trees_of_diameter_3():
+    for n in range(4, 8):
+        for T in nx.nonisomorphic_trees(n):
+            g = Graph.build([f"v{i}" for i in sorted(T.nodes())], [(f"v{a}", f"v{b}") for a, b in T.edges()])
+            if graph_diameter(g) == 3:
+                yield g
+
+
+# one arc of C4's Taylor graph (default generator order): a valid matching
+# whose span is closed under d but is not a dg ideal
+C4_ARC = [((0, 2, 3), (0, 3))]
+
+
+class TestMatchingQuotient:
+    """`morse.matching_quotient`, the one construction of T/J for a matching."""
+
+    def test_arcs_not_in_the_graph(self):
+        # C5's matching is for the cycle order, not the default one
+        report, q = matching_quotient(edge_ideal(build_family("C5")), C5_MATCHING)
+        assert q is None
+        assert not report["matching_valid"]["ok"] and report["matching_valid"]["not_in_graph"]
+        assert report["closure_products_checked"] == 0 and report["closure_failures"] == []
+
+    def test_span_that_is_not_a_dg_ideal(self):
+        ideal = edge_ideal(build_family("C4"))
+        report, q = matching_quotient(ideal, C4_ARC)
+        assert q is None and report["matching_valid"]["ok"]
+        dgT = taylor_dg_structure(ideal)
+        ok, closure = dg_ideal_closure(dgT, matching_span(dgT.complex, C4_ARC)[0])
+        assert not ok and len(closure["failures"]) == 5
+        assert report["closure_failures"] == closure["failures"]
+        assert report["closure_products_checked"] == len(closure["products"])
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_cycle_matchings_count_as_their_certificates(self, n):
+        matching = C4_MATCHING if n == 4 else C5_MATCHING
+        ideal = consecutive_cycle_ideal(n)
+        report, q = matching_quotient(ideal, matching)
+        evidence = classify(cycle_graph(n)).evidence
+        assert evidence["kind"] == "morse-quotient"
+        assert report["closure_products_checked"] == evidence["closure_products_checked"]
+        assert report["matching_valid"] == evidence["matching_valid"] and report["closure_failures"] == []
+        dgT = taylor_dg_structure(ideal)
+        ok, closure = dg_ideal_closure(dgT, matching_span(dgT.complex, matching)[0])
+        assert ok and report["closure_products_checked"] == len(closure["products"])
+        # every matched cell is a pivot, so the critical cells survive
+        matched = {("e",) + tuple(V) for arc in matching for V in arc}
+        critical = {l.tag for l in dgT.degree if l.tag not in matched}
+        assert {l.tag for l in q.structure.degree} == critical
+
+    def test_diameter_3_lyubeznik_matchings_count_as_their_certificates(self):
+        seen = 0
+        for g in trees_of_diameter_3():
+            evidence = classify(g).evidence
+            assert evidence["kind"] == "lyubeznik-quotient"
+            ordered = edge_ideal(g).reorder(evidence["generator_order"])
+            report, q = matching_quotient(ordered, lyubeznik_matching(ordered))
+            assert report["closure_products_checked"] == evidence["closure_products_checked"]
+            assert list(q.structure.complex.ranks()) == evidence["quotient_ranks"]
+            seen += 1
+        assert seen == 6
+
+    def test_lyubeznik_quotient_keeps_the_critical_cells(self):
+        # C6's Lyubeznik matching: not minimal, and its quotient keeps exactly
+        # the Lyubeznik survivors as `morse_reduce` does
+        ideal = edge_ideal(build_family("C6"))
+        report, q = matching_quotient(ideal, lyubeznik_matching(ideal))
+        assert report["closure_failures"] == []
+        critical = {("e",) + U for cells in lyubeznik_critical(ideal).values() for U in cells}
+        assert {l.tag for l in q.structure.degree} == critical
+        assert {l.tag for l in morse_reduce(taylor_resolution(ideal), lyubeznik_matching(ideal)).degree} == critical
+
+    def test_prune_dg_refuses_a_span_that_is_not_a_dg_ideal(self, monkeypatch):
+        monkeypatch.setattr(prune, "lyubeznik_matching", lambda ideal: C4_ARC)
+        with pytest.raises(MorseError, match="^no dg quotient"):
+            prune_dg(edge_ideal(build_family("C4")), ("v1",))

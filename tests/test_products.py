@@ -34,7 +34,7 @@ from dgres import (
     span_from_matching_sources,
     taylor_dg_structure,
 )
-from dgres import prune
+from dgres import morse, prune
 from dgres.classify import C4_MATCHING, C5_MATCHING
 from dgres.combin import graph_diameter
 from dgres.complexes import entry_polynomial
@@ -128,6 +128,7 @@ class TestStoredProducts:
             made.append((dgs, q))
             return q
 
+        monkeypatch.setattr(morse, "quotient_dg", recorded)
         monkeypatch.setattr(prune, "quotient_dg", recorded)
         runs = 0
         for fam in ("P5", "P6", "P7"):
