@@ -46,6 +46,7 @@ from .complexes import (
 )
 from .dg import (
     DGError,
+    DGIdealError,
     DGStructure,
     Element,
     QuotientDG,

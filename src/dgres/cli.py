@@ -195,6 +195,9 @@ def _load_matching(args, ideal: MonomialIdeal):
     if getattr(args, "matching_file", None):
         with open(args.matching_file, encoding="utf-8") as fh:
             data = json.load(fh)
+        pairs = isinstance(data, list) and all(isinstance(a, list) and len(a) == 2 for a in data)
+        if not pairs or not all(isinstance(v, list) and all(type(i) is int for i in v) for a in data for v in a):
+            raise MorseError("a matching is a JSON list of [source, target] index lists")
         return [(tuple(s), tuple(t)) for s, t in data]
     return list(lyubeznik_matching(ideal))
 
@@ -279,15 +282,15 @@ def cmd_reduce(args) -> int:
 def cmd_betti(args) -> int:
     ideal = load_ideal(args)
     cx = taylor_resolution(ideal)
-    gb = graded_betti(cx)
+    gb, total = graded_betti(cx), list(total_betti(cx))
     result = {
-        "total": list(total_betti(cx)),
+        "total": total,
         "graded": {
             f"{i}:{m}": dim for (i, m), dim in sorted(
                 gb.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
             )
         },
-        "f_vector_test": kruskal_katona_is_fvector(list(total_betti(cx))),
+        "f_vector_test": kruskal_katona_is_fvector(total),
     }
     _emit(args, "betti", ideal.to_json(), result)
     return 0

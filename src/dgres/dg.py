@@ -65,9 +65,9 @@ membership.  Per basis label u it reads the stored row of u once, keeps
 the products u*l with l in the generators' supports, and sums each u*g
 from those; an inverted index (label -> generators containing it)
 visits only the generators some nonzero u*l reaches, since every other
-product is 0.  `dg_ideal_closure` formats the report (`closure_entry`
-strings, witnesses) from it, after `boundary_closed` has checked that the
-span is a subcomplex (DGError otherwise); `morse.matching_quotient` counts.
+product is 0.  `quotient_dg` alone decides with it, after `boundary_closed`,
+and refuses a span that is not a dg ideal (`DGIdealError`);
+`dg_ideal_closure` writes the same check out as a report (`closure_entry`).
 
 `Elimination` forms the quotient of a complex by the span of some of its
 elements, by per-degree unit-pivot elimination on coefficients, optionally
@@ -97,9 +97,16 @@ from .strands import Divisors
 
 
 class DGError(ValueError):
-    """`witness`, when set, lists the generators left without a unit pivot."""
+    """`witness`, when set, lists the generators left without a unit pivot
+    (for a `DGIdealError`, the products outside the span)."""
 
     witness: list | None = None
+
+
+class DGIdealError(DGError):
+    """A span `quotient_dg` refuses: `witness` lists the products e_u * g outside it, `checked` those inside."""
+
+    checked: int = 0
 
 
 class Element:
@@ -606,16 +613,11 @@ def closure_entry(dg: DGStructure, span: SubmoduleSpan, labels: list, u, k: int,
 
 
 def dg_ideal_closure(dg: DGStructure, span: SubmoduleSpan) -> tuple[bool, dict]:
-    """Check that the span is a dg ideal: closed under the differential and
-    absorbing under multiplication by every basis element.
-
-    The boundary-closure precondition raises DGError if violated (a span
-    that is not a subcomplex cannot be quotiented), so `boundary_closed` in
-    the report is always true.  Left products suffice once
-    dg_check has established graded commutativity; this routine still checks
-    e_U * g for every basis label e_U and every span generator g, recording
-    a membership witness for each nonzero product (`closure_products`).
-    """
+    """`quotient_dg`'s dg-ideal check as a report: `boundary_closed` first
+    (DGError if the span is not a subcomplex, so the report's
+    `boundary_closed` is always true), then each nonzero product e_U * g of a
+    basis label and a span generator (`closure_products`), with its
+    membership witness or among the failures."""
     report: dict = {"boundary_closed": boundary_closed(span), "products": [], "failures": []}
     labels = list(dg.degree)  # the label at each position
     for u, k, b, vec, sol in closure_products(dg, span):
@@ -778,6 +780,7 @@ class QuotientDG:
     structure: DGStructure
     elimination: Elimination
     project: Callable[[Element], Element]
+    closure_products_checked: int  # the nonzero products e_u * g, all in the span
 
 
 def quotient_dg(
@@ -790,11 +793,13 @@ def quotient_dg(
     """Quotient of a dg algebra by the dg ideal spanned by `span`.
 
     The span's generators are eliminated per degree by `Elimination`, over
-    Q/<kill_vars> when kill_vars are given.  Labels whose tags are in
-    `prefer_eliminate` are preferred as pivots, so callers can steer the
-    surviving basis (e.g. to the Morse-critical cells).  The product of
-    two survivors is the parent's stored product with the elimination's
-    rules substituted.
+    Q/<kill_vars> when kill_vars are given, preferring as pivots the labels
+    whose tags are in `prefer_eliminate` (e.g. to keep the Morse-critical
+    cells).  The one dg-ideal check follows, exactly over Q: `boundary_closed`
+    and every nonzero product e_u * g in the span (`closure_products`, counted
+    as `closure_products_checked`), else DGIdealError.  A product of two
+    survivors is the parent's stored product with the elimination's rules
+    substituted.
     """
     cx = dg.complex
     elim = Elimination(
@@ -803,12 +808,17 @@ def quotient_dg(
         kill_vars,
         prefer_eliminate,
     )
-    # boundary closure consistency: every generator's boundary must vanish in
-    # the quotient, otherwise the span was not a subcomplex
-    for g in span.generators:
-        d = g.element.diff()
-        if elim.substitute(d.vec, d.b, d.degree):
-            raise DGError(f"span not a subcomplex: boundary of {g.gen_id} survives the quotient")
+    boundary_closed(span)
+    labels, checked, outside = list(dg.degree), 0, []  # labels[j]: the label at position j
+    for u, k, b, vec, sol in closure_products(dg, span):
+        if sol is None:
+            outside.append(closure_entry(dg, span, labels, u, k, b, vec))
+        else:
+            checked += 1
+    if outside:
+        err = DGIdealError(f"span is not a dg ideal: {len(outside)} product(s) e_u * g outside it")
+        err.witness, err.checked = outside, checked
+        raise err
     name = name or f"{dg.name}/span"
     qcx, project = elim.quotient(name)
     back, fwd = {}, {}
@@ -825,4 +835,4 @@ def quotient_dg(
         got = elim.substitute(prod, pa.multidegree * pb.multidegree, dg.degree[pa] + dg.degree[pb])
         return ScalarProduct({fwd[l]: c for l, c in got.items()})
 
-    return QuotientDG(DGStructure(qcx, qproduct, name=name), elim, project)
+    return QuotientDG(DGStructure(qcx, qproduct, name=name), elim, project, checked)

@@ -38,11 +38,9 @@ from operator import or_
 from .complexes import ComplexError, LabeledFreeComplex
 from .dg import (
     DGError,
+    DGIdealError,
     Elimination,
     QuotientDG,
-    boundary_closed,
-    closure_entry,
-    closure_products,
     matching_span,
     quotient_dg,
 )
@@ -269,26 +267,22 @@ def lyubeznik_resolution(ideal: MonomialIdeal) -> LabeledFreeComplex:
 def matching_quotient(ideal: MonomialIdeal, matching) -> tuple[dict, QuotientDG | None]:
     """The Taylor dg algebra T modulo the span J of e_V and d(e_V) over the
     matching's sources V (`dg.matching_span`), the matched cells preferred
-    as pivots; None when the matching is invalid (`validate_matching`) or J
-    is not a dg ideal.  The report counts the nonzero products e_u * g in J
-    (`closure_products_checked`) and lists those outside (`closure_failures`,
-    by `dg.closure_entry`); a J not closed under d raises DGError."""
+    as pivots; None when the matching is invalid (`validate_matching`) or
+    `dg.quotient_dg` refuses J as not a dg ideal (`DGIdealError`, its count and
+    products kept as `closure_products_checked` and `closure_failures`); any other DGError propagates."""
     val = validate_matching(taylor_graph(ideal), matching)
     report: dict = {"matching_valid": val, "closure_products_checked": 0, "closure_failures": []}
     if not val["ok"]:
         return report, None
     dgT = taylor_dg_structure(ideal)
     span, prefer = matching_span(dgT.complex, matching)
-    boundary_closed(span)
-    labels = list(dgT.degree)  # the label at each position
-    for u, k, b, vec, sol in closure_products(dgT, span):
-        if sol is None:
-            report["closure_failures"].append(closure_entry(dgT, span, labels, u, k, b, vec))
-        else:
-            report["closure_products_checked"] += 1
-    if report["closure_failures"]:
+    try:
+        q = quotient_dg(dgT, span, prefer_eliminate=prefer)
+    except DGIdealError as exc:
+        report.update(closure_products_checked=exc.checked, closure_failures=exc.witness)
         return report, None
-    return report, quotient_dg(dgT, span, prefer_eliminate=prefer)
+    report["closure_products_checked"] = q.closure_products_checked
+    return report, q
 
 
 # ---------------------------------------------------------------------------

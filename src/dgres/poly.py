@@ -433,6 +433,9 @@ class MonomialIdeal:
 
     @staticmethod
     def from_json(d: dict) -> "MonomialIdeal":
+        lists = (d.get("variables"), d.get("generators"), d.get("inactive", [])) if isinstance(d, dict) else ()
+        if not lists or not all(isinstance(v, list) and all(isinstance(x, str) for x in v) for v in lists):
+            raise PolyError('an ideal is a JSON object {"variables": [names], "generators": [monomials]}')
         ring = VariableSet(tuple(d["variables"]))
         if d.get("inactive"):
             ring = ring.deactivate(d["inactive"])

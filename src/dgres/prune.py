@@ -45,7 +45,7 @@ from .complexes import (
     killed,
     tag_to_json,
 )
-from .dg import QuotientDG, SpanGenerator, SubmoduleSpan, dg_ideal_closure, quotient_dg, span_from_matching_sources
+from .dg import QuotientDG, SpanGenerator, SubmoduleSpan, quotient_dg, span_from_matching_sources
 from .morse import MorseError, lyubeznik_matching, lyubeznik_resolution, matching_quotient
 from .poly import MonomialIdeal, _monomial
 
@@ -218,7 +218,6 @@ class PrunedDG:
     pruned_ideal: MonomialIdeal
     matching: list
     resolution_quotient: QuotientDG  # F = T/J
-    projection_closure: dict  # im(I_Z) is a dg ideal of F
     pruned_quotient: QuotientDG  # (F / im(I_Z)) tensor Q/(Z)
     boocher: PruneResult  # direct pruning of the same F
     matches_boocher: bool
@@ -228,10 +227,10 @@ def prune_dg(ideal: MonomialIdeal, znames) -> PrunedDG:
     """Descend the Lyubeznik-quotient dg structure along pruning by Z.
 
     Pipeline: F = T/J for the Lyubeznik matching (`morse.matching_quotient`
-    checks the matching and that J is a dg ideal of T; MorseError if not);
-    the image of I_Z in F (certified as a dg ideal there); and the quotient
-    of F by that image over Q/(Z), compared entry-by-entry with Boocher
-    pruning of the Lyubeznik resolution.
+    checks the matching and that J is a dg ideal of T; MorseError if not),
+    then F modulo the image of I_Z over Q/(Z) (`quotient_dg` checks that the
+    image is a dg ideal of F; DGError if not), compared entry-by-entry with
+    Boocher pruning of the Lyubeznik resolution.
     """
     znames = tuple(znames)
     matching = lyubeznik_matching(ideal)
@@ -247,10 +246,6 @@ def prune_dg(ideal: MonomialIdeal, znames) -> PrunedDG:
     span_image = SubmoduleSpan(
         qF.structure.complex, [SpanGenerator(gen_id, p) for gen_id, p in projected if not p.is_zero()]
     )
-
-    ok, closure = dg_ideal_closure(qF.structure, span_image)
-    if not ok:
-        raise ValueError("image of the Z-ideal is not a dg ideal of F")
 
     fcx = qF.structure.complex
     zidx = [fcx.ring.index(n) for n in znames]
@@ -269,7 +264,6 @@ def prune_dg(ideal: MonomialIdeal, znames) -> PrunedDG:
         pruned_ideal=prune_ideal(ideal, znames),
         matching=matching,
         resolution_quotient=qF,
-        projection_closure=closure,
         pruned_quotient=qP,
         boocher=boocher,
         matches_boocher=complexes_equal(qP.structure.complex, boocher.pruned),

@@ -461,6 +461,41 @@ class TestErrors:
         code, _, err = run(["taylor", "--vars", "x,y", "--gens", "xy"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            [1, 2],
+            {"variables": ["x"]},
+            {"variables": "xy", "generators": ["x"]},
+            {"variables": ["x", "y"], "generators": [["x"]]},
+            {"variables": ["x", "y"], "generators": ["x*y"], "inactive": 1},
+        ],
+        ids=["json-array", "no-generators", "variables-not-a-list", "generator-not-a-string", "inactive-not-a-list"],
+    )
+    def test_malformed_ideal_file_exits_2(self, tmp_path, content):
+        f = tmp_path / "ideal.json"
+        f.write_text(json.dumps(content))
+        code, out, err = run(["taylor", "--file", str(f)])
+        assert code == 2
+        assert err.startswith("error: ") and not out
+
+    @pytest.mark.parametrize(
+        "command",
+        [["reduce"], ["dgcheck", "--structure", "quotient"]],
+        ids=["reduce", "dgcheck-quotient"],
+    )
+    @pytest.mark.parametrize(
+        "content",
+        [[[1, 2]], {"a": 1}, [[[0, 1, 2]]], [[[0, 1, 2], [0, "1"]]], 3],
+        ids=["arc-of-ints", "json-object", "arc-of-one-cell", "index-not-an-int", "json-number"],
+    )
+    def test_malformed_matching_file_exits_2(self, tmp_path, command, content):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(content))
+        code, out, err = run([*command, "--family", "C4", "--matching-file", str(f)])
+        assert code == 2
+        assert err.startswith("error: ") and not out
+
     def test_version_flag(self):
         with pytest.raises(SystemExit) as exc:
             run(["--version"])

@@ -33,7 +33,7 @@ from dgres import (
 from dgres import prune
 from dgres.classify import C4_MATCHING, C5_MATCHING
 from dgres.combin import graph_diameter
-from dgres.dg import dg_ideal_closure, matching_span
+from dgres.dg import DGIdealError, dg_ideal_closure, matching_span, quotient_dg
 from dgres.morse import MorseError, lyubeznik_critical, matching_sources
 from dgres.prune import prune_ideal
 
@@ -523,3 +523,16 @@ class TestMatchingQuotient:
         monkeypatch.setattr(prune, "lyubeznik_matching", lambda ideal: C4_ARC)
         with pytest.raises(MorseError, match="^no dg quotient"):
             prune_dg(edge_ideal(build_family("C4")), ("v1",))
+
+
+def test_quotient_dg_refuses_a_span_that_is_not_a_dg_ideal():
+    # C4's single arc: J is closed under d, so only the product check refuses
+    # it; the refusal lists exactly `dg_ideal_closure`'s failures
+    dgT = taylor_dg_structure(edge_ideal(build_family("C4")))
+    span, prefer = matching_span(dgT.complex, C4_ARC)
+    ok, closure = dg_ideal_closure(dgT, span)
+    assert not ok and closure["boundary_closed"] and len(closure["failures"]) == 5
+    with pytest.raises(DGIdealError, match=r"^span is not a dg ideal: 5 product\(s\) e_u \* g outside it$") as exc:
+        quotient_dg(dgT, span, prefer_eliminate=prefer)
+    assert exc.value.witness == closure["failures"]
+    assert exc.value.checked == len(closure["products"]) == 5

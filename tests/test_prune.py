@@ -194,8 +194,8 @@ class TestPruneDG:
     def test_y1_descent(self, two_triangles_ideal):
         result = prune_dg(two_triangles_ideal, ("y1",))
         assert result.matches_boocher
-        assert result.projection_closure["ok"]
-        assert result.projection_closure["boundary_closed"]
+        # every nonzero product e_u * g with g in the image of I_Z lies in it
+        assert result.pruned_quotient.closure_products_checked == 97
         P = result.pruned_quotient.structure.complex
         assert P.ranks() == (1, 4, 4, 1)
         assert P.is_minimal()
@@ -207,6 +207,7 @@ class TestPruneDG:
     def test_z1_descent(self, two_triangles_ideal):
         result = prune_dg(two_triangles_ideal, ("z1",))
         assert result.matches_boocher
+        assert result.pruned_quotient.closure_products_checked == 167
         P = result.pruned_quotient.structure.complex
         assert P.ranks() == (1, 3, 2)
         assert dg_check(result.pruned_quotient.structure).ok
