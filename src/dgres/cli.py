@@ -2,14 +2,17 @@
 
 All subcommands write deterministic JSON (sorted keys) to stdout unless
 ``--format table`` or ``--dot`` asks for a human-readable rendering.  Exit
-codes: 0 success, 1 a mathematical check failed, 2 bad input.
+codes: 2 bad input, else 1 exactly when a check the command prints fails
+(an "ok" or "matches_boocher" that is false; the README lists them per
+command), else 0; betti's f_vector_test and classify's verdict are
+results, not checks, and --dot prints no check.
 
 Ideal input (taylor / lyubeznik / morse-graph / reduce / betti / dgcheck /
-prune):
+prune), by its minimal generating set, or the command exits 2:
 
   --family NAME           edge ideal of a named graph family
                           (L(a,b,c), P<d>, C<n>, T4(n;a1,..,an))
-  --vars x,y,z --gens xy,yz
+  --vars x,y,z --gens x*y,y*z
   --file ideal.json       {"variables": [...], "generators": [...]}
   --order g1,g2,...       reorder generators (names or 0-based indices)
 
@@ -33,7 +36,7 @@ from .classify import (
     verify_certificate,
 )
 from .combin import Graph, GraphError, build_family, edge_ideal
-from .complexes import ComplexError, LabeledFreeComplex, graded_betti, total_betti
+from .complexes import ComplexError, LabeledFreeComplex, betti_totals, graded_betti
 from .dg import DGError, dg_check
 from .diam4 import (
     build_cone_resolution,
@@ -202,7 +205,8 @@ def _load_matching(args, ideal: MonomialIdeal):
     return list(lyubeznik_matching(ideal))
 
 
-def _complex_result(cx: LabeledFreeComplex, ideal: MonomialIdeal | None) -> dict:
+def _complex_result(cx: LabeledFreeComplex, ideal: MonomialIdeal) -> tuple[dict, bool]:
+    """The report on cx, and whether its verify and is_resolution passed."""
     rep = cx.verify()
     out = {
         "complex": cx.to_json(),
@@ -210,30 +214,23 @@ def _complex_result(cx: LabeledFreeComplex, ideal: MonomialIdeal | None) -> dict
         "verify": rep.to_json(),
         "is_minimal": cx.is_minimal(),
     }
-    if ideal is not None and len(ideal.ring.active_names()) <= STRAND_VAR_CAP:
-        ok, res = cx.is_resolution_of(ideal)
-        out["is_resolution"] = {"ok": ok, **({} if ok else {"detail": res})}
-    return out
+    ok = rep.ok
+    if len(ideal.ring.active_names()) <= STRAND_VAR_CAP:
+        resolves, res = cx.is_resolution_of(ideal)
+        out["is_resolution"] = {"ok": resolves, **({} if resolves else {"detail": res})}
+        ok = ok and resolves
+    return out, ok
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_taylor(args) -> int:
+def cmd_resolution(args) -> int:
     ideal = load_ideal(args)
-    cx = taylor_resolution(ideal)
-    result = _complex_result(cx, ideal)
-    _emit(args, "taylor", ideal.to_json(), result)
-    return 0 if result["verify"]["ok"] else 1
-
-
-def cmd_lyubeznik(args) -> int:
-    ideal = load_ideal(args)
-    cx = lyubeznik_resolution(ideal)
-    result = _complex_result(cx, ideal)
-    _emit(args, "lyubeznik", ideal.to_json(), result)
-    return 0 if result["verify"]["ok"] else 1
+    result, ok = _complex_result(args.build(ideal), ideal)
+    _emit(args, args.command, ideal.to_json(), result)
+    return 0 if ok else 1
 
 
 def cmd_morse_graph(args) -> int:
@@ -255,11 +252,10 @@ def cmd_morse_graph(args) -> int:
         "arcs": [[list(s), list(t)] for s, t in tg.arcs],
     }
     if matching is not None:
-        val = validate_matching(tg, matching)
         result["matching"] = [[list(s), list(t)] for s, t in matching]
-        result["matching_valid"] = val
+        result["matching_valid"] = validate_matching(tg, matching)
     _emit(args, "morse-graph", ideal.to_json(), result)
-    return 0
+    return 0 if matching is None or result["matching_valid"]["ok"] else 1
 
 
 def cmd_reduce(args) -> int:
@@ -272,17 +268,18 @@ def cmd_reduce(args) -> int:
         return 1
     T = taylor_resolution(ideal)
     reduced = morse_reduce(T, matching)
-    result = _complex_result(reduced, ideal)
+    result, ok = _complex_result(reduced, ideal)
     result["matching_valid"] = val
     result["matching"] = [[list(s), list(t)] for s, t in matching]
     _emit(args, "reduce", ideal.to_json(), result)
-    return 0 if result["verify"]["ok"] else 1
+    return 0 if ok else 1
 
 
 def cmd_betti(args) -> int:
     ideal = load_ideal(args)
     cx = taylor_resolution(ideal)
-    gb, total = graded_betti(cx), list(total_betti(cx))
+    gb = graded_betti(cx)
+    total = list(betti_totals(gb))
     result = {
         "total": total,
         "graded": {
@@ -299,7 +296,7 @@ def cmd_betti(args) -> int:
 def cmd_cone4(args) -> int:
     graph = load_graph(args)
     res = build_cone_resolution(graph)
-    result = _complex_result(res.cone, res.decomposition.ideal_total)
+    result, ok = _complex_result(res.cone, res.decomposition.ideal_total)
     if args.check:
         rep = dg_check(res.dg, triples=not args.skip_triples)
         result["dg_check"] = rep.to_json()
@@ -308,14 +305,9 @@ def cmd_cone4(args) -> int:
             "sigma_zification": check_sigma_zification(res.decomposition),
             "boundary_action": check_boundary_action(res),
         }
-        bad = (
-            not rep.ok
-            or not all(v["ok"] for v in result["lemma_checks"].values())
-        )
-        _emit(args, "cone4", graph.to_json(), result)
-        return 1 if bad else 0
+        ok = ok and rep.ok and all(v["ok"] for v in result["lemma_checks"].values())
     _emit(args, "cone4", graph.to_json(), result)
-    return 0 if result["verify"]["ok"] else 1
+    return 0 if ok else 1
 
 
 def cmd_dgcheck(args) -> int:
@@ -416,12 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("taylor", help="Taylor resolution of an ideal")
     _add_ideal_args(sp)
     _add_output_args(sp)
-    sp.set_defaults(fn=cmd_taylor)
+    sp.set_defaults(fn=cmd_resolution, build=taylor_resolution)
 
     sp = sub.add_parser("lyubeznik", help="Lyubeznik resolution for the given order")
     _add_ideal_args(sp)
     _add_output_args(sp)
-    sp.set_defaults(fn=cmd_lyubeznik)
+    sp.set_defaults(fn=cmd_resolution, build=lyubeznik_resolution)
 
     sp = sub.add_parser("morse-graph", help="Taylor digraph (JSON or DOT)")
     _add_ideal_args(sp)

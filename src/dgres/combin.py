@@ -102,9 +102,11 @@ class Graph:
 
     @staticmethod
     def from_json(d: dict) -> "Graph":
-        if not isinstance(d, dict) or not {"vertices", "edges"} <= d.keys():
-            raise GraphError('a graph is a JSON object {"vertices": [...], "edges": [...]}')
-        return Graph.build(d["vertices"], d["edges"])
+        es = d.get("edges") if isinstance(d, dict) else None
+        lists = [d.get("vertices"), *es] if isinstance(es, list) else [None]
+        if not all(isinstance(v, list) and all(isinstance(x, str) for x in v) for v in lists) or any(len(e) != 2 for e in es):
+            raise GraphError('a graph is a JSON object {"vertices": [names], "edges": [[name, name], ...]}')
+        return Graph.build(d["vertices"], es)
 
 
 def _bfs_ecc(adj: dict[str, list[str]], start: str) -> tuple[str, int]:

@@ -650,10 +650,12 @@ def graded_betti(F: LabeledFreeComplex) -> dict[tuple[int, str], int]:
 
 def total_betti(F: LabeledFreeComplex) -> tuple[int, ...]:
     """Total Betti numbers (beta_0, ..., beta_pd) from graded_betti."""
-    gb = graded_betti(F)
-    if not gb:
-        return (0,)
-    top = max(i for i, _ in gb)
+    return betti_totals(graded_betti(F))
+
+
+def betti_totals(gb: dict[tuple[int, str], int]) -> tuple[int, ...]:
+    """Total Betti numbers from graded ones {(i, multidegree): dim}."""
+    top = max((i for i, _ in gb), default=0)
     return tuple(sum(d for (i, _), d in gb.items() if i == k) for k in range(top + 1))
 
 

@@ -44,7 +44,7 @@ from .dg import (
     matching_span,
     quotient_dg,
 )
-from .poly import MonomialIdeal
+from .poly import MonomialIdeal, PolyError
 from .taylor import taylor_complex, taylor_dg_structure
 
 Arc = tuple[tuple[int, ...], tuple[int, ...]]  # (source subset, target subset)
@@ -93,10 +93,13 @@ class TaylorGraph:
 def taylor_graph(ideal: MonomialIdeal) -> TaylorGraph:
     """All arcs sigma -> tau with tau = sigma minus a point, equal lcm,
     |tau| >= 2; arcs sorted by (|tau|, sigma, tau).  The lcm of a set is the
-    `or` of its `_divisor_masks`."""
+    `or` of its `_divisor_masks`.  PolyError unless the generators are a
+    minimal system, as in `taylor.taylor_complex`."""
     t = len(ideal.generators)
     if t > MAX_GRAPH_GENERATORS:
         raise MorseError(f"Taylor graph limited to {MAX_GRAPH_GENERATORS} generators")
+    if not ideal.is_minimal_system():
+        raise PolyError("generators are not a minimal system; minimalize first")
     masks = _divisor_masks(ideal)
     arcs: list[Arc] = []
     for size in range(3, t + 1):
@@ -253,8 +256,8 @@ def lyubeznik_resolution(ideal: MonomialIdeal) -> LabeledFreeComplex:
 
     The survivor sets are closed under subsets, so the Taylor differential
     restricts to them; this writes that restriction on the survivors alone
-    (`taylor.taylor_complex`), and a survivor with a facet that does not
-    survive raises MorseError.
+    (`taylor.taylor_complex`: PolyError for a non-minimal generating set),
+    and a survivor with a facet that does not survive raises MorseError.
     """
     crit = lyubeznik_critical(ideal)
     faces = (U for size in sorted(crit) for U in crit[size])

@@ -47,7 +47,10 @@ def taylor_complex(
 ) -> LabeledFreeComplex:
     """The Taylor differential on `faces`, index tuples listed by size, as
     labels in that order; each entry is its sign, m_U / m_{U-u} implied by
-    the labels.  Raises ComplexError when a facet of a face is missing."""
+    the labels.  PolyError unless the generators are a minimal system, and
+    ComplexError when a facet of a face is missing."""
+    if not ideal.is_minimal_system():
+        raise PolyError("generators are not a minimal system; minimalize first")
     gens = ideal.generators
     label: dict[tuple[int, ...], BasisLabel] = {}
     basis: dict[int, list[BasisLabel]] = {}
@@ -75,13 +78,11 @@ def taylor_complex(
 
 
 def taylor_resolution(ideal: MonomialIdeal) -> LabeledFreeComplex:
-    """Taylor complex of Q/I with the generators in their given order
-    (`MonomialIdeal.reorder` picks another)."""
+    """Taylor complex of Q/I with the generators, a minimal system
+    (`taylor_complex`), in their given order (`MonomialIdeal.reorder` picks another)."""
     t = len(ideal.generators)
     if t > MAX_GENERATORS:
         raise PolyError(f"too many generators for the Taylor complex ({t} > {MAX_GENERATORS})")
-    if not ideal.is_minimal_system():
-        raise PolyError("generators are not a minimal system; minimalize first")
     faces = (U for size in range(t + 1) for U in combinations(range(t), size))
     return taylor_complex(ideal, faces, f"Taylor{ideal}")
 

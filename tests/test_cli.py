@@ -160,6 +160,17 @@ class TestMorseGraphCommand:
         assert code == 0
         assert out.startswith("digraph")
 
+    def test_invalid_matching_exits_1_in_json_and_0_with_dot(self, tmp_path):
+        # the two arcs of C4's Taylor graph out of {0, 1, 2, 3} share a source
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps([[[0, 1, 2, 3], [0, 1, 2]], [[0, 1, 2, 3], [0, 1, 3]]]))
+        code, payload = run_json(["morse-graph", "--family", "C4", "--matching-file", str(f)])
+        assert code == 1
+        assert payload["result"]["matching_valid"]["ok"] is False
+        code, out, _ = run(["morse-graph", "--family", "C4", "--matching-file", str(f), "--dot"])
+        assert code == 0
+        assert out.startswith("digraph")
+
 
 class TestReduceCommand:
     def test_default_matching_c5(self):
@@ -214,6 +225,23 @@ class TestBettiCommand:
         assert r["graded"]["1:v1*v2"] == 1
         assert r["graded"]["4:v1*v2*v3*v4*v5*v6"] == 2
 
+    def test_graded_betti_is_computed_once(self, monkeypatch):
+        import dgres.cli
+        import dgres.complexes
+
+        calls = []
+
+        def counting(F, _inner=dgres.complexes.graded_betti):
+            calls.append(F)
+            return _inner(F)
+
+        monkeypatch.setattr(dgres.cli, "graded_betti", counting)
+        monkeypatch.setattr(dgres.complexes, "graded_betti", counting)
+        code, payload = run_json(["betti", "--family", "C5"])
+        assert code == 0
+        assert payload["result"]["total"] == [1, 5, 5, 1]
+        assert len(calls) == 1
+
     def test_graded_sums_match_total(self):
         _, payload = run_json(["betti", "--family", "C4"])
         r = payload["result"]
@@ -244,6 +272,28 @@ class TestCone4Command:
         code, _, err = run(["cone4", "--family", "P5"])
         assert code == 2
         assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["taylor", "--family", "C4"],
+        ["lyubeznik", "--family", "C4"],
+        ["reduce", "--family", "C4"],
+        ["cone4", "--family", "T4(2;1,1)"],
+        ["cone4", "--family", "T4(2;1,1)", "--check"],
+    ],
+    ids=["taylor", "lyubeznik", "reduce", "cone4", "cone4-check"],
+)
+def test_failed_is_resolution_exits_1(monkeypatch, argv):
+    # every command that prints is_resolution exits from it
+    from dgres.complexes import LabeledFreeComplex
+
+    monkeypatch.setattr(LabeledFreeComplex, "is_resolution_of", lambda self, ideal: (False, {"injected": True}))
+    code, payload = run_json(argv)
+    assert code == 1
+    assert payload["result"]["is_resolution"] == {"ok": False, "detail": {"injected": True}}
+    assert payload["result"]["verify"]["ok"] is True
 
 
 class TestDgcheckCommand:
@@ -493,6 +543,53 @@ class TestErrors:
         f = tmp_path / "m.json"
         f.write_text(json.dumps(content))
         code, out, err = run([*command, "--family", "C4", "--matching-file", str(f)])
+        assert code == 2
+        assert err.startswith("error: ") and not out
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["taylor"],
+            ["betti"],
+            ["dgcheck"],
+            ["lyubeznik"],
+            ["morse-graph"],
+            ["morse-graph", "--lyubeznik"],
+            ["prune", "--kill", "y"],
+            ["reduce"],
+            ["dgcheck", "--structure", "quotient"],
+            ["prune", "--kill", "y", "--dg"],
+        ],
+        ids=lambda c: "-".join(a.lstrip("-") for a in c),
+    )
+    def test_non_minimal_ideal_exits_2(self, command):
+        # x divides x*y: every Taylor-based command refuses the ideal alike
+        code, out, err = run([*command, "--vars", "x,y,z", "--gens", "x,x*y,y*z"])
+        assert code == 2
+        assert err.startswith("error: generators are not a minimal system") and not out
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {"vertices": [1, 2], "edges": [[1, 2]]},
+            {"vertices": ["a", "b"], "edges": [[["a"], "b"]]},
+            {"vertices": "ab", "edges": [["a", "b"]]},
+            {"vertices": ["a", "b"], "edges": [["a", "b", "a"]]},
+            {"vertices": ["a", "b"], "edges": "ab"},
+        ],
+        ids=["vertex-not-a-string", "edge-end-not-a-string", "vertices-not-a-list", "edge-of-three", "edges-not-a-list"],
+    )
+    @pytest.mark.parametrize("command", ["classify", "verify-certificate"])
+    def test_malformed_graph_exits_2(self, tmp_path, command, graph):
+        f = tmp_path / "graph.json"
+        if command == "classify":
+            f.write_text(json.dumps(graph))
+            argv = ["classify", "--graph-file", str(f)]
+        else:
+            _, payload = run_json(["classify", "--family", "C5"])
+            f.write_text(json.dumps({**payload["result"], "graph": graph}))
+            argv = ["verify-certificate", "--file", str(f)]
+        code, out, err = run(argv)
         assert code == 2
         assert err.startswith("error: ") and not out
 

@@ -35,6 +35,7 @@ from dgres.classify import C4_MATCHING, C5_MATCHING
 from dgres.combin import graph_diameter
 from dgres.dg import DGIdealError, dg_ideal_closure, matching_span, quotient_dg
 from dgres.morse import MorseError, lyubeznik_critical, matching_sources
+from dgres.poly import PolyError
 from dgres.prune import prune_ideal
 
 from conftest import matching_targets
@@ -167,6 +168,14 @@ class TestTaylorGraph:
         gens = [f"x{2 * i}*x{2 * i + 1}" for i in range(21)]
         with pytest.raises(MorseError):
             taylor_graph(MonomialIdeal.from_strings(ring, gens))
+
+
+@pytest.mark.parametrize("build", [taylor_graph, lyubeznik_resolution, taylor_resolution])
+def test_non_minimal_generating_set_is_refused(build):
+    # x divides x*y; the ideal itself still accepts the pair
+    ideal = MonomialIdeal.from_strings(VariableSet(("x", "y")), ["x", "x*y"])
+    with pytest.raises(PolyError, match="generators are not a minimal system"):
+        build(ideal)
 
 
 class TestLyubeznikMatching:
