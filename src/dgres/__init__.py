@@ -80,12 +80,10 @@ from .poly import (
     Monomial,
     MonomialIdeal,
     PolyError,
-    Polynomial,
     VariableSet,
     lcm_of,
     minimalize,
     parse_monomial,
-    parse_polynomial,
     squarefree_monomials,
 )
 from .prune import PruneResult, PrunedDG, prune_complex, prune_dg, prune_ideal

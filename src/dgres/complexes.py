@@ -9,8 +9,11 @@ row label -> entry, without zeros.
 Multigraded homogeneity means the entry in column c / row r is c*(m_c/m_r)
 for a rational c, so it is stored as c alone (an int when integral) and the
 monomial is implied by the labels.  That is the only entry form: storing
-refuses any other.  `entry`, `column`, `matrix` and `to_json` build
-Polynomials from c and the labels, for display and serialization.
+refuses any other.  Printing an entry is the one place the monomial is
+written out: `entry_str(c, row, b)` is the text of c*(b/m_row), and
+`grid` writes a column table as a string matrix with it; `to_json`, the
+d^2 witnesses of `verify`, `dg.Element`, the "no unit pivot" witness of
+`dg.Elimination` and the prune stages print through them.
 `verify` checks d^2 = 0 on the coefficients, by (degree, row tag, col tag).
 A `ChainMap` stores its entries the same way, each relative to shift * m_s,
 and checks that it commutes with the differentials on coefficients;
@@ -28,16 +31,17 @@ use, numbers the labels in that order for coefficient tables.
 Where entries are validated: the public constructor
 `LabeledFreeComplex(ring, basis, diff)` checks that every column label is
 in the degree-i basis and every row label in the degree i-1 basis, and
-stores each entry through `_stored`: zeros dropped, a coefficient only
-where m_r | m_c, integral values as ints, a Polynomial c*(m_c/m_r) as its
-coefficient c, and any other Polynomial refused with ComplexError naming
-it, its row and its column.  So hand-built complexes, parsed ones and every
-other writer are checked.  Two writers produce stored columns by
-construction and hand them to `_from_stored`, which keeps the index and its
-duplicate-tag check and skips the rest, without copying the columns:
-`taylor.taylor_complex` (Taylor, Lyubeznik; each entry +-1 on a facet) and
-`dg.Elimination.quotient` (Morse, `quotient_dg`; each entry a reduced
-coefficient on a surviving row).  Each call states why its columns hold.
+stores each entry through `_stored`: an entry is an int or a `Fraction`
+coefficient, zeros dropped, stored only where m_r | m_c, integral values
+as ints; anything else (a float, a bool, a string, a polynomial) is refused
+with ComplexError naming it, its row and its column.  So hand-built
+complexes and every other writer are checked.  Two writers produce stored
+columns by construction and hand them to `_from_stored`, which keeps the
+index and its duplicate-tag check and skips the rest, without copying the
+columns: `taylor.taylor_complex` (Taylor, Lyubeznik; each entry +-1 on a
+facet) and `dg.Elimination.quotient` (Morse, `quotient_dg`; each entry a
+reduced coefficient on a surviving row).  Each call states why its columns
+hold.
 
 Strands: for a monomial b, the labels whose multidegree divides b span a
 subcomplex; evaluating entries at x=1 gives a complex of Q-vector spaces
@@ -61,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from operator import add, le, sub
+from operator import le, sub
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
@@ -69,13 +73,10 @@ from .poly import (
     Monomial,
     MonomialIdeal,
     PolyError,
-    Polynomial,
     VariableSet,
     _monomial,
     exact,
     monomial_divide,
-    parse_monomial,
-    parse_polynomial,
 )
 from .strands import Divisors, StrandIndex, positions, scalar_columns
 
@@ -114,15 +115,6 @@ def tag_to_json(tag):
     return tag
 
 
-def tag_from_json(obj):
-    if isinstance(obj, list):
-        return tuple(tag_from_json(t) for t in obj)
-    return obj
-
-
-VecT = dict[BasisLabel, Polynomial]
-
-
 def combine(terms: Iterable[tuple]) -> dict:
     """sum c*t over the pairs (c, t) of coefficient tables {key: c}, without
     zeros."""
@@ -136,11 +128,29 @@ def combine(terms: Iterable[tuple]) -> dict:
     return out
 
 
-def entry_polynomial(v, row: BasisLabel, b: Monomial) -> Polynomial:
-    """The stored coefficient v on row `row` of a column of multidegree b, as
-    the Polynomial c * (b / m_row) over the row's ring."""
+def entry_str(c, row: BasisLabel, b: Monomial) -> str:
+    """The text of the entry c * (b / m_row), c a nonzero coefficient on row
+    `row` of a column of multidegree b: `c` when the monomial is 1, `m` or
+    `-m` when c = +-1, else `c*m`."""
     rm = row.multidegree  # it divides b for every stored entry
-    return Polynomial.monomial(_monomial(rm.ring, tuple(map(sub, b.exponents, rm.exponents))), v)
+    m = _monomial(rm.ring, tuple(map(sub, b.exponents, rm.exponents)))
+    if m.is_one():
+        return str(c)
+    if c == 1:
+        return str(m)
+    if c == -1:
+        return f"-{m}"
+    return f"{c}*{m}"
+
+
+def grid(rows: Sequence[BasisLabel], cols: Sequence[BasisLabel], table: dict) -> list[list[str]]:
+    """The matrix of `table` ({column label: {row label: c}}) on rows x cols,
+    each entry as `entry_str`, "0" where nothing is stored."""
+    cols = [(c, table.get(c, {})) for c in cols]
+    return [
+        [entry_str(v, r, c.multidegree) if (v := col.get(r)) else "0" for c, col in cols]
+        for r in rows
+    ]
 
 
 def killed(row: Monomial, col: Monomial, idx: Sequence[int]) -> bool:
@@ -151,23 +161,16 @@ def killed(row: Monomial, col: Monomial, idx: Sequence[int]) -> bool:
 
 def _stored(v, row: BasisLabel, cm: Monomial, col):
     """The stored form of the entry v of column `col`, of multidegree cm:
-    its coefficient c, given as c or as the Polynomial c * (cm / m_row);
-    falsy when v is zero.  Any other entry raises ComplexError naming it,
-    its row and its column."""
+    the coefficient v of cm / m_row, an int or a Fraction, with `exact`;
+    falsy when v is zero.  Anything else, or a coefficient where m_row does
+    not divide cm, raises ComplexError naming the entry, its row and its
+    column."""
+    if type(v) is not int and type(v) is not Fraction:
+        raise ComplexError(f"entry {v!r} at ({row}, {col}) is not a coefficient (an int or a Fraction)")
     rm = row.multidegree
-    if type(v) is Polynomial:
-        if not v.terms:
-            return 0
-        if len(v.terms) == 1:
-            [(m, c)] = v.terms.items()
-            if m.ring == cm.ring and tuple(map(add, m.exponents, rm.exponents)) == cm.exponents:
-                return exact(c)
-        raise ComplexError(f"entry {v} at ({row}, {col}) is not a rational multiple of {cm}/{rm}")
-    if type(v) is int or type(v) is Fraction:
-        if not all(map(le, rm.exponents, cm.exponents)):
-            raise ComplexError(f"coefficient entry {v} at ({row}, {col}): {rm} does not divide {cm}")
-        return exact(v)
-    raise ComplexError(f"differential entry {v!r} is neither a Polynomial nor a rational")
+    if not all(map(le, rm.exponents, cm.exponents)):
+        raise ComplexError(f"coefficient entry {v} at ({row}, {col}): {rm} does not divide {cm}")
+    return exact(v)
 
 
 @dataclass
@@ -200,7 +203,7 @@ class LabeledFreeComplex:
         name: str = "",
     ):
         """`diff[i][c]` is the column of d_i at c, {row label: entry}, each
-        entry a coefficient c of m_c / m_r, or the Polynomial c * (m_c / m_r)."""
+        entry the coefficient c of m_c / m_r, an int or a Fraction."""
         self._assemble(ring, basis, name)
         self.diff: dict[int, dict[BasisLabel, dict]] = {}
         degree = self.degree
@@ -274,18 +277,6 @@ class LabeledFreeComplex:
     def ranks(self) -> tuple[int, ...]:
         return tuple(self.rank(i) for i in self.degrees())
 
-    def entry(self, i: int, row: BasisLabel, col: BasisLabel) -> Polynomial:
-        v = self.diff.get(i, {}).get(col, {}).get(row)
-        return Polynomial.zero(self.ring) if v is None else entry_polynomial(v, row, col.multidegree)
-
-    def column(self, i: int, col: BasisLabel) -> VecT:
-        return {r: entry_polynomial(v, r, col.multidegree) for r, v in self.diff.get(i, {}).get(col, {}).items()}
-
-    def matrix(self, i: int) -> list[list[Polynomial]]:
-        rows = self.labels(i - 1)
-        cols = self.labels(i)
-        return [[self.entry(i, r, c) for c in cols] for r in rows]
-
     def find_label(self, tag: tuple) -> BasisLabel:
         l = self._by_tag.get(tag)
         if l is None:
@@ -315,7 +306,7 @@ class LabeledFreeComplex:
                 composite = combine((v, lower.get(r, {})) for r, v in cols.get(c, {}).items())
                 for s, x in composite.items():
                     report.d2_failures.append(
-                        (i, tag_to_json(s.tag), tag_to_json(c.tag), str(entry_polynomial(x, s, c.multidegree)))
+                        (i, tag_to_json(s.tag), tag_to_json(c.tag), entry_str(x, s, c.multidegree))
                     )
         deg0 = self.labels(0)
         report.degree_zero_ok = (
@@ -419,33 +410,17 @@ class LabeledFreeComplex:
             ]
             for i in self.degrees()
         }
-        diffs = {}
-        for i in self.degrees():
-            if i == 0:
-                continue
-            diffs[str(i)] = [[str(p) for p in row] for row in self.matrix(i)]
+        diffs = {
+            str(i): grid(self.labels(i - 1), self.labels(i), self.diff.get(i, {}))
+            for i in self.degrees()
+            if i
+        }
         return {
             "name": self.name,
             "ring": self.ring.to_json(),
             "basis": basis,
             "differentials": diffs,
         }
-
-    @staticmethod
-    def from_json(d: dict) -> "LabeledFreeComplex":
-        ring = VariableSet.from_json(d["ring"])
-        basis = {
-            int(k): [BasisLabel(tag_from_json(l["tag"]), parse_monomial(ring, l["multidegree"])) for l in lbls]
-            for k, lbls in d["basis"].items()
-        }
-        diff = {
-            int(k): {
-                c: {r: parse_polynomial(ring, mat[ri][ci]) for ri, r in enumerate(basis.get(int(k) - 1, []))}
-                for ci, c in enumerate(basis.get(int(k), []))
-            }
-            for k, mat in d.get("differentials", {}).items()
-        }
-        return LabeledFreeComplex(ring, basis, diff, name=d.get("name", ""))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +445,7 @@ class ChainMap:
         multidegree_shift: Monomial | None = None,
     ):
         """`entries[s]` is the image of e_s, {t: entry}, each entry the
-        coefficient c of shift * m_s / m_t, or that Polynomial."""
+        coefficient c of shift * m_s / m_t, an int or a Fraction."""
         self.source = source
         self.target = target
         self.shift = (

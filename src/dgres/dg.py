@@ -34,10 +34,8 @@ rational coefficient, and any label l that is not a basis label of degree
 are stored, and nothing downstream checks it again.  An `Element` of
 multidegree b is (b, {l: c}) for sum c*(b/m_l) e_l; zero is (None, {}).
 Sums, boundaries (through the stored columns) and products (b_x b_y,
-through the stored products) of elements are dict arithmetic on the c.
-`Polynomial` is only the boundary: the `Element` constructor takes
-{label: Polynomial} and refuses coordinates that are not of the stored form
-for one b, and `coords` and `str` give Polynomials back.  `dg_check` reads
+through the stored products) of elements are dict arithmetic on the c,
+and `str` writes each term with `complexes.entry_str`.  `dg_check` reads
 products and columns as tables {label position: c}, by the complex's one
 numbering (`LabeledFreeComplex.position`); both sides of a commutativity,
 Leibniz or associativity identity are then tables over one multidegree.  Commutativity compares two stored tables entry by entry.
@@ -91,7 +89,7 @@ from operator import add, le
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg
-from .complexes import BasisLabel, LabeledFreeComplex, VecT, combine, entry_polynomial, killed, tag_to_json
+from .complexes import BasisLabel, LabeledFreeComplex, combine, entry_str, killed, tag_to_json
 from .poly import Monomial, _monomial, exact, monomial_divide
 from .strands import Divisors
 
@@ -112,23 +110,12 @@ class DGIdealError(DGError):
 class Element:
     """A homogeneous-homological-degree element of a labeled complex, stored
     as the complex stores its columns: (b, {label l: c}) for sum
-    c*(b/m_l) e_l, every c nonzero; zero is (None, {}).  The constructor
-    takes {label: Polynomial} and raises DGError when the coordinates are
-    not of that form for one b (mixed multidegrees, or an entry of several
-    terms); `stored` takes (b, {l: c}).  `coords` is the {label: Polynomial}
-    view.  Elements are never mutated, so one may share its dict with a
-    stored product."""
+    c*(b/m_l) e_l, every c nonzero; zero is (None, {}).  Elements come from
+    `stored` (b, {l: c}), `basis` and `zero`, and from arithmetic on them.
+    Elements are never mutated, so one may share its dict with a stored
+    product."""
 
     __slots__ = ("complex", "degree", "b", "vec")
-
-    def __init__(self, complex: LabeledFreeComplex, degree: int, coords: VecT):
-        self.complex, self.degree = complex, degree
-        vec = {l: p for l, p in coords.items() if not p.is_zero()}
-        bs = {next(iter(p.terms)) * l.multidegree if len(p.terms) == 1 else None for l, p in vec.items()}
-        if len(bs) > 1 or None in bs:
-            raise DGError(" + ".join(f"({p})*{l}" for l, p in vec.items()) + " is not multigraded")
-        self.b = bs.pop() if bs else None
-        self.vec = {l: exact(next(iter(p.terms.values()))) for l, p in vec.items()}
 
     @staticmethod
     def stored(cx: LabeledFreeComplex, degree: int, b: Monomial | None, vec: dict) -> "Element":
@@ -144,10 +131,6 @@ class Element:
     @staticmethod
     def basis(cx: LabeledFreeComplex, label: BasisLabel) -> "Element":
         return Element.stored(cx, cx.degree_of(label), label.multidegree, {label: 1})
-
-    @property
-    def coords(self) -> VecT:
-        return {l: entry_polynomial(c, l, self.b) for l, c in self.vec.items()}
 
     def is_zero(self) -> bool:
         return not self.vec
@@ -191,7 +174,7 @@ class Element:
     def __str__(self) -> str:
         if not self.vec:
             return "0"
-        parts = [f"({p})*{l}" for l, p in sorted(self.coords.items(), key=lambda kv: str(kv[0].tag))]
+        parts = [f"({entry_str(c, l, self.b)})*{l}" for l, c in sorted(self.vec.items(), key=lambda kv: str(kv[0].tag))]
         return " + ".join(parts)
 
 
@@ -689,7 +672,7 @@ class Elimination:
                         waiting.append({
                             "gen": tag_to_json(gen_id),
                             "pivot": tag_to_json(pivot.tag),
-                            "entry": str(entry_polynomial(entry, pivot, b)) if entry else "0",
+                            "entry": entry_str(entry, pivot, b) if entry else "0",
                         })
                         continue
                     at[pivot] = len(rules)

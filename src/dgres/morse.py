@@ -93,13 +93,11 @@ class TaylorGraph:
 def taylor_graph(ideal: MonomialIdeal) -> TaylorGraph:
     """All arcs sigma -> tau with tau = sigma minus a point, equal lcm,
     |tau| >= 2; arcs sorted by (|tau|, sigma, tau).  The lcm of a set is the
-    `or` of its `_divisor_masks`.  PolyError unless the generators are a
-    minimal system, as in `taylor.taylor_complex`."""
+    `or` of its `_divisor_masks`, which raises PolyError unless the
+    generators are a minimal system, as `taylor.taylor_complex` does."""
     t = len(ideal.generators)
     if t > MAX_GRAPH_GENERATORS:
         raise MorseError(f"Taylor graph limited to {MAX_GRAPH_GENERATORS} generators")
-    if not ideal.is_minimal_system():
-        raise PolyError("generators are not a minimal system; minimalize first")
     masks = _divisor_masks(ideal)
     arcs: list[Arc] = []
     for size in range(3, t + 1):
@@ -190,7 +188,13 @@ def _divisor_masks(ideal: MonomialIdeal) -> list[int]:
     """The generators as unary int bitmasks: x_k^e sets the low e bits of a
     field as wide as the largest exponent of x_k among the generators.  Then
     u | m iff `not u & ~m`, and lcm(u, m) is `u | m`, for every monomial
-    ideal; a squarefree ideal gets one bit per variable that occurs."""
+    ideal; a squarefree ideal gets one bit per variable that occurs.
+
+    The Taylor graph, the matching A(<) and the Lyubeznik survivors are
+    defined on G(I) only, and each reads these masks before it enumerates
+    a subset: PolyError unless the generators are a minimal system."""
+    if not ideal.is_minimal_system():
+        raise PolyError("generators are not a minimal system; minimalize first")
     gens = ideal.generators
     widths = [max(col) for col in zip(*(g.exponents for g in gens))]
     offsets = [0, *accumulate(widths)]
@@ -216,6 +220,7 @@ def lyubeznik_matching(ideal: MonomialIdeal) -> tuple[Arc, ...]:
 
     A subset sigma with M(sigma) = q is matched along
     (sigma + {q}) -> (sigma - {q}).  Subsets with no M value are critical.
+    PolyError for a non-minimal generating set (`_divisor_masks`).
     """
     t = len(ideal.generators)
     masks = _divisor_masks(ideal)
@@ -256,8 +261,9 @@ def lyubeznik_resolution(ideal: MonomialIdeal) -> LabeledFreeComplex:
 
     The survivor sets are closed under subsets, so the Taylor differential
     restricts to them; this writes that restriction on the survivors alone
-    (`taylor.taylor_complex`: PolyError for a non-minimal generating set),
-    and a survivor with a facet that does not survive raises MorseError.
+    (`taylor.taylor_complex`).  A non-minimal generating set raises
+    PolyError before any subset is enumerated (`_divisor_masks`), and a
+    survivor with a facet that does not survive raises MorseError.
     """
     crit = lyubeznik_critical(ideal)
     faces = (U for size in sorted(crit) for U in crit[size])

@@ -1,10 +1,11 @@
-"""Exact multivariate monomial/polynomial arithmetic over the rationals.
+"""Exact monomials and monomial ideals.
 
-Everything here is exact: coefficients are `fractions.Fraction`, exponents are
-ints.  Floats are rejected.  Monomials live over an ordered `VariableSet`; a
-variable set can mark some variables inactive, which is how we model the
-smaller polynomial ring Q/<Z> that pruning produces (the exponent tuples keep
-their length, but inactive variables must never occur).
+Exponents are ints; `exact` gives the coefficient form the rest of dgres
+stores (an int, or a `fractions.Fraction` that is not integral).  Monomials
+live over an ordered `VariableSet`; a variable set can mark some variables
+inactive, which is how we model the smaller polynomial ring Q/<Z> that
+pruning produces (the exponent tuples keep their length, but inactive
+variables must never occur).
 
 Where monomials are validated: the public constructor `Monomial(ring, exps)`
 checks the length, that every exponent is an int >= 0, and that no inactive
@@ -18,7 +19,7 @@ exponent tuple once, at construction.
 
 Text format for monomials: ``x1^2*x3`` (``1`` for the unit monomial).
 Ideals serialize as a JSON object with an ordered variable list and a list of
-generator strings.
+generator strings, and `MonomialIdeal.from_json` reads that object back.
 """
 
 from __future__ import annotations
@@ -104,12 +105,6 @@ class VariableSet:
         if not all(self.active):
             d["active"] = list(self.active)
         return d
-
-    @staticmethod
-    def from_json(d: dict) -> "VariableSet":
-        names = tuple(d["names"])
-        active = tuple(d.get("active", [True] * len(names)))
-        return VariableSet(names, active)
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,143 +225,6 @@ def lcm_of(ms: Iterable[Monomial], ring: VariableSet | None = None) -> Monomial:
 def exact(c: int | Fraction) -> int | Fraction:
     """c as an int when it is integral (`linalg`'s integer path)."""
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
-
-
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise PolyError(f"coefficients must be exact rationals, got {type(c).__name__}")
-
-
-class Polynomial:
-    """Sparse polynomial: Monomial -> Fraction, zero coefficients dropped."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: VariableSet, terms: dict[Monomial, Fraction] | None = None):
-        self.ring = ring
-        self.terms: dict[Monomial, Fraction] = {
-            m: f for m, c in (terms or {}).items() if (f := _as_fraction(c))
-        }
-
-    @staticmethod
-    def zero(ring: VariableSet) -> "Polynomial":
-        return Polynomial(ring)
-
-    @staticmethod
-    def monomial(m: Monomial, c=1) -> "Polynomial":
-        return Polynomial(m.ring, {m: _as_fraction(c)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            c2 = out.get(m, Fraction(0)) + c
-            if c2:
-                out[m] = c2
-            else:
-                out.pop(m, None)
-        p = Polynomial(self.ring)
-        p.terms = out
-        return p
-
-    def __neg__(self) -> "Polynomial":
-        p = Polynomial(self.ring)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return Polynomial(self.ring)
-            p = Polynomial(self.ring)
-            p.terms = {m: c * c0 for m, c0 in self.terms.items()}
-            return p
-        if isinstance(other, Monomial):
-            p = Polynomial(self.ring)
-            p.terms = {m * other: c for m, c in self.terms.items()}
-            return p
-        if isinstance(other, Polynomial):
-            out: dict[Monomial, Fraction] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = m1 * m2
-                    c = out.get(m, Fraction(0)) + c1 * c2
-                    if c:
-                        out[m] = c
-                    else:
-                        out.pop(m, None)
-            p = Polynomial(self.ring)
-            p.terms = out
-            return p
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=lambda m: m.sort_key(), reverse=True):
-            c = self.terms[m]
-            cs = str(c)
-            if m.is_one():
-                parts.append(cs)
-            elif c == 1:
-                parts.append(str(m))
-            elif c == -1:
-                parts.append(f"-{m}")
-            else:
-                parts.append(f"{cs}*{m}")
-        out = parts[0]
-        for t in parts[1:]:
-            out += f" + {t}" if not t.startswith("-") else f" - {t[1:]}"
-        return out
-
-    __repr__ = __str__
-
-
-def parse_polynomial(ring: VariableSet, text: str) -> Polynomial:
-    """Parse a signed sum of rational-coefficient monomial terms."""
-    text = text.strip().replace("- ", "-").replace("+ ", "+")
-    if not text or text == "0":
-        return Polynomial.zero(ring)
-    # normalize to '+'-separated signed terms
-    text = text.replace("-", "+-")
-    out = Polynomial.zero(ring)
-    for term in text.split("+"):
-        term = term.strip()
-        if not term:
-            continue
-        sign = 1
-        if term.startswith("-"):
-            sign = -1
-            term = term[1:].strip()
-        coeff = Fraction(1)
-        rest = term
-        m = re.match(r"^(\d+(?:/\d+)?)(?:\*(.*))?$", term)
-        if m:
-            coeff = Fraction(m.group(1))
-            rest = m.group(2) or "1"
-        out = out + Polynomial.monomial(parse_monomial(ring, rest), sign * coeff)
-    return out
 
 
 @dataclass(frozen=True)

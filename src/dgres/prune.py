@@ -41,7 +41,7 @@ from .complexes import (
     ComplexReport,
     LabeledFreeComplex,
     complexes_equal,
-    entry_polynomial,
+    grid,
     killed,
     tag_to_json,
 )
@@ -65,15 +65,6 @@ def prune_ideal(ideal: MonomialIdeal, znames) -> MonomialIdeal:
     return MonomialIdeal(ring2, gens)
 
 
-def _grid(rows: list[BasisLabel], cols: list[BasisLabel], table: dict) -> list[list[str]]:
-    """The matrix of `table` (columns by label) on `rows` x `cols`, as strings."""
-    cols = [(c, table.get(c, {})) for c in cols]
-    return [
-        [str(entry_polynomial(v, r, c.multidegree)) if (v := col.get(r)) else "0" for c, col in cols]
-        for r in rows
-    ]
-
-
 @dataclass
 class PruneStage:
     """Snapshot of one loop iteration: A_i after substitution and column
@@ -82,7 +73,7 @@ class PruneStage:
 
     The stage keeps the labels of degrees i-1, i and i+1 and its own copies
     of the two column tables; `matrix` and `next_matrix` render the string
-    grids, zeros included, only when read.  The copies are snapshots because
+    grids, zeros included, only when read (`complexes.grid`).  The copies are snapshots because
     the loop replaces columns and never edits one in place."""
 
     degree: int
@@ -95,11 +86,11 @@ class PruneStage:
 
     @property
     def matrix(self) -> list[list[str]]:
-        return _grid(self.labels_below, self.labels, self.table)
+        return grid(self.labels_below, self.labels, self.table)
 
     @property
     def next_matrix(self) -> list[list[str]]:
-        return _grid(self.labels, self.labels_above, self.next_table)
+        return grid(self.labels, self.labels_above, self.next_table)
 
     def to_json(self) -> dict:
         return {

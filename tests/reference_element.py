@@ -17,11 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from dgres import linalg
-from dgres.complexes import BasisLabel, LabeledFreeComplex, VecT, entry_polynomial, tag_to_json
+from dgres.complexes import BasisLabel, LabeledFreeComplex, tag_to_json
 from dgres.dg import DGError, DGStructure, Element, SubmoduleSpan
-from dgres.poly import Monomial, Polynomial, exact, monomial_divide
+from dgres.poly import Monomial, exact, monomial_divide
 
-from reference_poly import constant, multidegree as poly_multidegree, single_term
+from reference_poly import (
+    Polynomial,
+    VecT,
+    constant,
+    coords,
+    entry_polynomial,
+    multidegree as poly_multidegree,
+    single_term,
+)
 
 
 def vec_add(a: VecT, b: VecT) -> VecT:
@@ -69,7 +77,7 @@ class ReferenceElement:
 
     @staticmethod
     def of(el: Element) -> "ReferenceElement":
-        return ReferenceElement(el.complex, el.degree, el.coords)
+        return ReferenceElement(el.complex, el.degree, coords(el))
 
     @staticmethod
     def zero(cx: LabeledFreeComplex, degree: int) -> "ReferenceElement":

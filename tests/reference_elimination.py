@@ -15,12 +15,22 @@ import heapq
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from dgres.complexes import BasisLabel, LabeledFreeComplex, VecT, tag_to_json
+from dgres.complexes import BasisLabel, LabeledFreeComplex, tag_to_json
 from dgres.dg import DGError, DGStructure, SubmoduleSpan
 from dgres.poly import Monomial
 
 from reference_element import vec_scale
-from reference_poly import constant, is_nonzero_constant, reinterpret, single_term, substitute_zero
+from reference_poly import (
+    VecT,
+    column,
+    complex_of,
+    constant,
+    coords,
+    is_nonzero_constant,
+    reinterpret,
+    single_term,
+    substitute_zero,
+)
 
 
 class ReferenceElimination:
@@ -132,15 +142,15 @@ class ReferenceElimination:
         diff: dict[int, dict[BasisLabel, VecT]] = {}
         for i in cx.degrees():
             if i and survivors[i]:
-                diff[i] = {new_labels[l]: project(cx.column(i, l), i - 1) for l in survivors[i]}
-        return LabeledFreeComplex(ring, basis, diff, name=name), project
+                diff[i] = {new_labels[l]: project(column(cx, i, l), i - 1) for l in survivors[i]}
+        return complex_of(ring, basis, diff, name=name), project
 
 
 def quotient_dg_elimination(
     dg: DGStructure, span: SubmoduleSpan, kill_vars: Sequence[str] = (), prefer_eliminate: Iterable[tuple] = ()
 ) -> ReferenceElimination:
     """The elimination `quotient_dg` runs: the span's generators, no fixed pivots."""
-    gens = ((g.gen_id, g.element.degree, g.element.coords, None) for g in span.generators)
+    gens = ((g.gen_id, g.element.degree, coords(g.element), None) for g in span.generators)
     return ReferenceElimination(dg.complex, gens, kill_vars, prefer_eliminate)
 
 
@@ -155,5 +165,5 @@ def morse_elimination(T: LabeledFreeComplex, matching, tag_prefix: str = "e") ->
     pairs.sort(key=lambda p: (p[0], str(p[1].tag)))
     one = constant(T.ring, 1)
     generators = [(sigma.tag, i, {sigma: one}, sigma) for i, sigma, _, _ in pairs]
-    generators += [(pair, i - 1, T.column(i, sigma), tau) for i, sigma, tau, pair in pairs]
+    generators += [(pair, i - 1, column(T, i, sigma), tau) for i, sigma, tau, pair in pairs]
     return ReferenceElimination(T, generators)

@@ -6,9 +6,9 @@ the product of a `quotient_dg` quotient, each returning an `Element` built
 in `Polynomial` arithmetic.  The cone product divides by z with
 `divide_by_monomial`; the quotient product projects the parent
 product with `QuotientDG.project`.  The tests compare every stored product
-table, formatted with `entry_polynomial`, against them.  `taylor_table` is
-the Taylor product as a `ScalarProduct` from index tuples, the oracle for
-the bitmask products of `taylor.mask_product`.
+table, formatted with `reference_poly.entry_polynomial`, against them.
+`taylor_table` is the Taylor product as a `ScalarProduct` from index
+tuples, the oracle for the bitmask products of `taylor.mask_product`.
 
 The Taylor sign and product and the z-ification on index tuples
 (`taylor_sign`, `taylor_product_label`, `leaf_spokes`, `zify_indices`,
@@ -21,10 +21,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from dgres.complexes import BasisLabel, LabeledFreeComplex, VecT
+from dgres.complexes import BasisLabel, LabeledFreeComplex
 from dgres.dg import DGStructure, Element, QuotientDG, ScalarProduct
 from dgres.diam4 import StarDecomposition
-from dgres.poly import Monomial, MonomialIdeal, Polynomial, lcm_of, monomial_divide, monomial_lcm
+from dgres.poly import Monomial, MonomialIdeal, lcm_of, monomial_divide, monomial_lcm
+
+from reference_poly import Polynomial, VecT, element
 
 
 def taylor_sign(V: Sequence[int], W: Sequence[int]) -> int:
@@ -110,11 +112,11 @@ def taylor_product(T: LabeledFreeComplex):
         V, W = a.tag[1:], b.tag[1:]
         deg = len(V) + len(W)
         if set(V) & set(W):
-            return Element(T, deg, {})
+            return element(T, deg, {})
         union = tuple(sorted(V + W))
         lab = T.find_label(("e",) + union)
         coeff = monomial_divide(a.multidegree * b.multidegree, lab.multidegree)
-        return Element(T, deg, {lab: Polynomial.monomial(coeff, taylor_sign(V, W))})
+        return element(T, deg, {lab: Polynomial.monomial(coeff, taylor_sign(V, W))})
 
     return product
 
@@ -178,17 +180,17 @@ def cone_product(dec: StarDecomposition, cone: LabeledFreeComplex):
         if kb == "F" and not vb:
             return Element.basis(cone, a)
         if ka == "F" and kb == "F":
-            return Element(cone, deg, f_times_f(va, vb))
+            return element(cone, deg, f_times_f(va, vb))
         if ka == "G" and kb == "G":
-            return Element(cone, deg, g_times_g(va, vb, "G"))
+            return element(cone, deg, g_times_g(va, vb, "G"))
         if ka == "F" and kb == "G":
-            return Element(cone, deg, f_times_g(va, vb))
+            return element(cone, deg, f_times_g(va, vb))
         if ka == "G" and kb == "F":
-            return Element(cone, deg, f_times_g(vb, va)).scale(-1 if (da % 2 and db % 2) else 1)
+            return element(cone, deg, f_times_g(vb, va)).scale(-1 if (da % 2 and db % 2) else 1)
         if ka == "G" and kb == "S":
-            return Element(cone, deg, g_times_g(va, vb, "S")).scale(-1 if da % 2 else 1)
+            return element(cone, deg, g_times_g(va, vb, "S")).scale(-1 if da % 2 else 1)
         if ka == "S" and kb == "G":
-            return Element(cone, deg, g_times_g(va, vb, "S"))
+            return element(cone, deg, g_times_g(va, vb, "S"))
         return Element.zero(cone, deg)
 
     return product

@@ -67,6 +67,7 @@ from dgres.diam4 import (
 from dgres.morse import is_superset_closed, matching_sources
 
 from conftest import matching_targets, t4_cases
+from reference_poly import matrix
 from reference_products import taylor_table
 
 # --- criterion 1: hand-checked Taylor differentials of (xw, yz, xz, xy) ---
@@ -137,7 +138,7 @@ PRUNE_STAGES = [
 
 
 def strings(F, i):
-    return [[str(p) for p in row] for row in F.matrix(i)]
+    return [[str(p) for p in row] for row in matrix(F, i)]
 
 
 def test_criterion_01_taylor_fixture_exact(taylor_fixture_ideal):

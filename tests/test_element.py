@@ -7,7 +7,9 @@ basis element, its boundary and their products must agree with the oracle
 in string, multidegree, coordinates (in order) and degree; so must span
 membership witnesses and projections onto quotients over Q/<kill>.  Mixed,
 non-homogeneous and inhomogeneous input, which the oracle takes, is refused
-where it is stored.
+where it is stored; Polynomial coordinates become an Element only through
+the test-side reader `reference_poly.element`, which refuses the mixed and
+several-term ones.
 """
 
 from __future__ import annotations
@@ -25,14 +27,12 @@ from dgres import (
     Graph,
     LabeledFreeComplex,
     MonomialIdeal,
-    Polynomial,
     SubmoduleSpan,
     VariableSet,
     build_cone_resolution,
     build_family,
     edge_ideal,
     lyubeznik_matching,
-    parse_polynomial,
     prune_dg,
     quotient_dg,
     span_from_matching_sources,
@@ -43,13 +43,12 @@ from dgres import (
 from dgres import morse, prune
 from dgres.classify import C4_MATCHING, C5_MATCHING
 from dgres.combin import graph_diameter
-from dgres.complexes import entry_polynomial
 from dgres.dg import ScalarProduct
 from dgres.morse import matching_sources
 
 from reference_element import ReferenceElement, reference_membership, reference_multiply
 from reference_elimination import quotient_dg_elimination
-from reference_poly import constant
+from reference_poly import Polynomial, constant, coords, element, entry, entry_polynomial, parse_polynomial
 from conftest import matching_targets
 
 RING3 = VariableSet(("x", "y", "z"))
@@ -57,7 +56,7 @@ RING3 = VariableSet(("x", "y", "z"))
 
 def assert_same(new: Element, old: ReferenceElement):
     assert (new.complex, new.degree) == (old.complex, old.degree)
-    assert list(new.coords.items()) == list(old.coords.items())
+    assert list(coords(new).items()) == list(old.coords.items())
     assert str(new) == str(old)
     assert new.multidegree() == old.multidegree()
     assert new.is_zero() == old.is_zero()
@@ -174,7 +173,7 @@ class TestElementOracle:
                 for l in cx.labels(i):
                     for el in (Element.basis(cx, l), Element.basis(cx, l).diff()):
                         got = q.project(el)
-                        assert_same(got, ReferenceElement(qcx, el.degree, rproject(el.coords, el.degree)))
+                        assert_same(got, ReferenceElement(qcx, el.degree, rproject(coords(el), el.degree)))
                         assert got.is_zero() or got.multidegree().ring == qcx.ring
 
 
@@ -183,8 +182,8 @@ def koszul():
     return taylor_resolution(MonomialIdeal.from_strings(RING3, ["x", "y", "z"]))
 
 
-def element_pair(cx, degree, coords):
-    return Element(cx, degree, coords), ReferenceElement(cx, degree, coords)
+def element_pair(cx, degree, vec):
+    return element(cx, degree, vec), ReferenceElement(cx, degree, vec)
 
 
 class TestMixedAndInhomogeneous:
@@ -193,16 +192,16 @@ class TestMixedAndInhomogeneous:
         # element; the multigraded ones agree with the oracle
         e0, e1 = koszul.find_label(("e", 0)), koszul.find_label(("e", 1))
         one, y = constant(RING3, 1), parse_polynomial(RING3, "y")
-        for coords in ({e0: one, e1: one}, {e0: parse_polynomial(RING3, "1 + y")}):
+        for vec in ({e0: one, e1: one}, {e0: parse_polynomial(RING3, "1 + y")}):
             with pytest.raises(DGError, match="is not multigraded$"):
-                Element(koszul, 1, coords)
+                element(koszul, 1, vec)
         cases = [
             {e0: y},  # multigraded, b = x*y
             {e0: y, e1: parse_polynomial(RING3, "x")},  # one multidegree x*y on both
             {e0: Polynomial.zero(RING3)},  # zero
         ]
-        for coords in cases:
-            new, old = element_pair(koszul, 1, coords)
+        for vec in cases:
+            new, old = element_pair(koszul, 1, vec)
             assert_same(new, old)
             assert_same(new.diff(), old.diff())
             assert_same(new.scale(-2), old.scale(-2))
@@ -217,12 +216,12 @@ class TestMixedAndInhomogeneous:
         e0, e1 = koszul.find_label(("e", 0)), koszul.find_label(("e", 1))
         one, y = constant(RING3, 1), parse_polynomial(RING3, "y")
         cases = [(1, {e0: y}), (2, {e0: y}), (1, {e1: one}), (1, {e0: one}), (1, {})]
-        for d, coords in cases:
-            for d2, coords2 in cases:
-                new, old = element_pair(koszul, d, coords)
-                new2, old2 = element_pair(koszul, d2, coords2)
+        for d, vec in cases:
+            for d2, vec2 in cases:
+                new, old = element_pair(koszul, d, vec)
+                new2, old2 = element_pair(koszul, d2, vec2)
                 assert (new == new2) == (old == old2)
-        assert Element.basis(koszul, e0) == Element(koszul, 1, {e0: one})
+        assert Element.basis(koszul, e0) == element(koszul, 1, {e0: one})
 
     def test_a_mixed_sum_that_cancels_to_one_multidegree(self, koszul):
         # e0 + e1 (at x and y) is refused, as a sum and as coordinates, so
@@ -232,7 +231,7 @@ class TestMixedAndInhomogeneous:
         with pytest.raises(DGError, match="^adding elements of different multidegrees x and y$"):
             Element.basis(koszul, e0) + Element.basis(koszul, e1)
         with pytest.raises(DGError, match="is not multigraded$"):
-            Element(koszul, 1, {e0: one, e1: one})
+            element(koszul, 1, {e0: one, e1: one})
 
     def test_adding_across_degrees_is_refused(self, koszul):
         a, b = Element.basis(koszul, koszul.find_label(("e", 0))), Element.basis(koszul, koszul.find_label(("e", 0, 1)))
@@ -243,14 +242,14 @@ class TestMixedAndInhomogeneous:
         span = span_from_matching_sources(koszul, [(0, 1)])
         e01, e02 = koszul.find_label(("e", 0, 1)), koszul.find_label(("e", 0, 2))
         one, z = constant(RING3, 1), parse_polynomial(RING3, "z")
-        for coords in ({e01: z}, {e02: one}, {}):
-            new, old = element_pair(koszul, 2, coords)
+        for vec in ({e01: z}, {e02: one}, {}):
+            new, old = element_pair(koszul, 2, vec)
             assert outcome(submodule_membership, span, new) == outcome(reference_membership, span, old)
         # the mixed and the several-term coordinates make no element, to test
         # for membership or to span with
-        for coords in ({e01: one, e02: one}, {e01: parse_polynomial(RING3, "z + x")}):
+        for vec in ({e01: one, e02: one}, {e01: parse_polynomial(RING3, "z + x")}):
             with pytest.raises(DGError, match="is not multigraded$"):
-                Element(koszul, 2, coords)
+                element(koszul, 2, vec)
 
     def test_boundary_through_a_polynomial_entry(self, taylor_fixture_ideal):
         # d(e01) on e0 replaced by an entry of two terms: refused when the
@@ -258,7 +257,7 @@ class TestMixedAndInhomogeneous:
         T = taylor_resolution(taylor_fixture_ideal)
         diff = {i: {c: dict(col) for c, col in cols.items()} for i, cols in T.diff.items()}
         e01, e0 = T.find_label(("e", 0, 1)), T.find_label(("e", 0))
-        diff[2][e01][e0] = p = T.entry(2, e0, e01) + constant(T.ring, 1)
+        diff[2][e01][e0] = p = entry(T, 2, e0, e01) + constant(T.ring, 1)
         with pytest.raises(ComplexError, match=f"^{re.escape(f'entry {p} at ({e0}, {e01})')} "):
             LabeledFreeComplex(T.ring, T.basis, diff)
 
@@ -275,8 +274,8 @@ class TestMixedAndInhomogeneous:
             if {a, b} != {e0, e1}:
                 return honest
             want = a.multidegree * b.multidegree
-            coords = {l: entry_polynomial(c, l, want) for l, c in honest.items()}
-            return ScalarProduct({l: p + p * x for l, p in coords.items()})
+            vec = {l: entry_polynomial(c, l, want) for l, c in honest.items()}
+            return ScalarProduct({l: p + p * x for l, p in vec.items()})
 
         refused = rf"^product entry .+ of {re.escape(f'{e0}*{e1}')} on .+: not a rational coefficient$"
         with pytest.raises(DGError, match=refused):

@@ -15,10 +15,14 @@ stdout plus the exit code, run in-process through `cli.main`: `reduce` along
 the Lyubeznik matching and along a matching file, `dgcheck --structure
 quotient`, `prune --dg` and `lyubeznik` gate the Morse and quotient
 eliminations; `dgcheck --structure quotient` on a matching whose span is
-closed under d but is not a dg ideal pins its closure failures; `taylor`, `betti`, `prune` without `--dg` (every stage
-matrix) and `cone4` print differential entries as Polynomial strings, which
-gates how complexes store them; `dgcheck --structure taylor`, `dgcheck
---structure cone4` and `cone4 --check` complete the paths into `dg_check`.
+closed under d but is not a dg ideal pins its closure failures; `taylor`,
+`betti`, `prune` without `--dg` (every stage matrix) and `cone4` print
+differential entries as the entry strings of `complexes.entry_str`, which
+gates how complexes store and print them; `dgcheck --structure taylor`,
+`dgcheck --structure cone4` and `cone4 --check` complete the paths into
+`dg_check`.
+
+The public names, `dgres.__all__`, are pinned as a sorted list.
 """
 
 import hashlib
@@ -27,6 +31,7 @@ import json
 import networkx as nx
 import pytest
 
+import dgres
 from dgres import cycle_graph
 from dgres.classify import classify
 from dgres.cli import main
@@ -140,3 +145,35 @@ def test_cli_output_pinned(case, tmp_path, capsys):
     assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the public surface
+
+PUBLIC_NAMES = [
+    "BasisLabel", "CITED_FACTS", "Certificate", "ChainMap", "ComplexError", "ConeResolution",
+    "DGError", "DGIdealError", "DGStructure", "Element", "Graph", "GraphError",
+    "LabeledFreeComplex", "Monomial", "MonomialIdeal", "MorseError", "PolyError", "PruneResult",
+    "PrunedDG", "QuotientDG", "SimplicialComplex", "SpanGenerator", "StarDecomposition",
+    "SubmoduleSpan", "TaylorGraph", "UnsupportedGraphError", "VERSION", "VariableSet",
+    "build_cone_resolution", "build_family", "classify", "classify_cycle", "classify_tree",
+    "combin", "complexes", "complexes_equal", "cycle_graph", "desuspend_truncation", "dg",
+    "dg_check", "dg_ideal_closure", "diam4", "diam4_betti", "edge_ideal",
+    "equal_up_to_basis_scaling", "facet_ideal", "graded_betti", "graph_diameter",
+    "kruskal_katona_is_fvector", "lcm_of", "linalg", "lyubeznik_betti", "lyubeznik_graph",
+    "lyubeznik_matching", "lyubeznik_resolution", "mapping_cone", "matching_quotient",
+    "minimalize", "morse", "morse_reduce", "multiplication_map", "parse_monomial", "path_graph",
+    "poly", "prune", "prune_complex", "prune_dg", "prune_ideal", "quotient_dg",
+    "span_from_matching_sources", "squarefree_monomials", "star_decompose", "strands",
+    "submodule_membership", "t4_tree", "taylor", "taylor_dg_structure", "taylor_graph",
+    "taylor_resolution", "tensor_complex", "total_betti", "tree_longest_path",
+    "validate_matching", "verify_certificate",
+]
+
+
+def test_public_names_pinned():
+    """`dgres.__all__`, the names `from dgres import *` gives, is frozen.  A
+    change that adds or removes a public name updates this list and names
+    the change in the README and in CHANGES.md."""
+    assert sorted(dgres.__all__) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 84

@@ -30,7 +30,7 @@ from dgres import (
     taylor_resolution,
     validate_matching,
 )
-from dgres import prune
+from dgres import morse, prune
 from dgres.classify import C4_MATCHING, C5_MATCHING
 from dgres.combin import graph_diameter
 from dgres.dg import DGIdealError, dg_ideal_closure, matching_span, quotient_dg
@@ -39,6 +39,7 @@ from dgres.poly import PolyError
 from dgres.prune import prune_ideal
 
 from conftest import matching_targets
+from reference_poly import matrix
 
 RING = VariableSet(("x", "y", "x1", "y1", "z"))
 
@@ -128,7 +129,7 @@ def brute_arcs(ideal):
 
 
 def matrix_strings(F, i):
-    return [[str(p) for p in row] for row in F.matrix(i)]
+    return [[str(p) for p in row] for row in matrix(F, i)]
 
 
 class TestTaylorGraph:
@@ -176,6 +177,24 @@ def test_non_minimal_generating_set_is_refused(build):
     ideal = MonomialIdeal.from_strings(VariableSet(("x", "y")), ["x", "x*y"])
     with pytest.raises(PolyError, match="generators are not a minimal system"):
         build(ideal)
+
+
+@pytest.mark.parametrize("build", [lyubeznik_resolution, lyubeznik_matching, lyubeznik_critical])
+def test_non_minimal_generating_set_is_refused_before_any_subset(build, monkeypatch):
+    # the refusal comes from `_divisor_masks`, before the M test runs on
+    # the first subset
+    calls = []
+    min_divisor_index = morse._min_divisor_index
+
+    def counted(masks, sigma):
+        calls.append(sigma)
+        return min_divisor_index(masks, sigma)
+
+    monkeypatch.setattr(morse, "_min_divisor_index", counted)
+    ideal = MonomialIdeal.from_strings(VariableSet(("x", "y")), ["x", "x*y"])
+    with pytest.raises(PolyError, match="generators are not a minimal system"):
+        build(ideal)
+    assert calls == []
 
 
 class TestLyubeznikMatching:

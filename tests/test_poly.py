@@ -1,5 +1,6 @@
-"""Monomials, polynomials, and monomial ideals: algebraic laws checked
-against brute-force oracles and hypothesis-generated inputs."""
+"""Monomials and monomial ideals: algebraic laws checked against
+brute-force oracles and hypothesis-generated inputs; and the polynomial
+oracle of the tests (`reference_poly.Polynomial`)."""
 
 from fractions import Fraction
 from itertools import product
@@ -12,15 +13,24 @@ from dgres import (
     Monomial,
     MonomialIdeal,
     PolyError,
-    Polynomial,
     VariableSet,
     lcm_of,
     minimalize,
 )
-from dgres.poly import monomial_divide, monomial_lcm, parse_monomial, parse_polynomial
+from dgres.poly import monomial_divide, monomial_lcm, parse_monomial
 
 from reference_products import divide_by_monomial
-from reference_poly import constant, is_nonzero_constant, multidegree, reinterpret, single_term, substitute_zero
+from reference_poly import (
+    Polynomial,
+    constant,
+    is_nonzero_constant,
+    multidegree,
+    parse_polynomial,
+    reinterpret,
+    single_term,
+    substitute_zero,
+    variable_set_from_json,
+)
 
 RING = VariableSet(("x", "y", "z"))
 R4 = VariableSet(("x", "y", "z", "w"))
@@ -48,7 +58,7 @@ class TestVariableSet:
         assert a.to_json() == {"names": ["x", "y"]}
         killed = a.deactivate(["x"])
         assert killed != a and killed.index("x") == 0
-        assert VariableSet.from_json(killed.to_json()) == killed
+        assert variable_set_from_json(killed.to_json()) == killed
 
 
 class TestMonomial:

@@ -1,10 +1,11 @@
 """Stored basis products against the Element oracle (`reference_products`).
 
 Every product a structure stores is a `ScalarProduct` {l: c} of
-coefficients; formatted with `entry_polynomial` at m_a m_b it must equal the
-oracle's Element, for the Taylor structures of the corpus, the cones of all
-trees of diameter 3 and 4 on 3 to 9 vertices, Lyubeznik and C4/C5 Morse
-quotients and both quotients of `prune_dg` with one kill variable.
+coefficients; formatted with `reference_poly.entry_polynomial` at m_a m_b
+it must equal the oracle's Element, for the Taylor structures of the
+corpus, the cones of all trees of diameter 3 and 4 on 3 to 9 vertices,
+Lyubeznik and C4/C5 Morse quotients and both quotients of `prune_dg` with
+one kill variable.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dgres import (
     Element,
     Graph,
     MonomialIdeal,
-    Polynomial,
     VariableSet,
     build_cone_resolution,
     build_family,
@@ -37,7 +37,6 @@ from dgres import (
 from dgres import morse, prune
 from dgres.classify import C4_MATCHING, C5_MATCHING
 from dgres.combin import graph_diameter
-from dgres.complexes import entry_polynomial
 from dgres.dg import ScalarProduct, closure_products, matching_span
 from dgres.diam4 import (
     build_g_prime,
@@ -53,6 +52,7 @@ from dgres.taylor import below_mask, index_mask, mask_index, mask_product, taylo
 
 import reference_products
 from conftest import matching_targets
+from reference_poly import Polynomial, coords, element, entry_polynomial
 
 
 def assert_products_match(dg: DGStructure, oracle) -> int:
@@ -64,10 +64,10 @@ def assert_products_match(dg: DGStructure, oracle) -> int:
         for b in labels:
             stored, want = dg.table(a, b), oracle(a, b)
             assert type(stored) is ScalarProduct, (a, b, stored)
-            if stored or want.coords:
+            if stored or coords(want):
                 assert not any(type(c) is Polynomial for c in stored.values()), (a, b, stored)
                 ab = a.multidegree * b.multidegree
-                assert {l: entry_polynomial(c, l, ab) for l, c in stored.items()} == want.coords, (a, b)
+                assert {l: entry_polynomial(c, l, ab) for l, c in stored.items()} == coords(want), (a, b)
                 assert want.degree == dg.degree[a] + dg.degree[b]
                 nonzero += 1
     return nonzero
@@ -297,13 +297,13 @@ def test_boundary_action_matches_the_element_computation():
                             continue
                         lhs = dg.multiply(df, Element.basis(cone, g))
                         if i == 1:
-                            rhs = Element(cone, j, {g: Polynomial.monomial(f.multidegree)})
+                            rhs = element(cone, j, {g: Polynomial.monomial(f.multidegree)})
                         else:
                             rhs = Element.zero(cone, i - 1 + j)
-                            for fl, p in df.coords.items():
+                            for fl, p in coords(df).items():
                                 prod = dg.basis_product(fl, g)
-                                rhs = rhs + Element(
-                                    cone, i - 1 + j, {l: p * q for l, q in prod.coords.items() if l.tag[0] == "F"}
+                                rhs = rhs + element(
+                                    cone, i - 1 + j, {l: p * q for l, q in coords(prod).items() if l.tag[0] == "F"}
                                 )
                         if not (lhs - rhs).is_zero():
                             failures.append({"f": list(f.tag[1:]), "g": list(g.tag[1:])})

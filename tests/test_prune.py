@@ -24,8 +24,11 @@ from dgres import (
 from dgres.dg import dg_ideal_closure
 from dgres.prune import z_divisible_subsets
 
+from reference_poly import matrix
+
+
 def matrix_strings(F, i):
-    return [[str(p) for p in row] for row in F.matrix(i)]
+    return [[str(p) for p in row] for row in matrix(F, i)]
 
 
 SURVIVOR_PAIRS = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 3)]
