@@ -19,11 +19,9 @@ from .classify import (
 from .combin import (
     Graph,
     GraphError,
-    SimplicialComplex,
     build_family,
     cycle_graph,
     edge_ideal,
-    facet_ideal,
     graph_diameter,
     lyubeznik_graph,
     path_graph,
@@ -37,11 +35,9 @@ from .complexes import (
     LabeledFreeComplex,
     complexes_equal,
     desuspend_truncation,
-    equal_up_to_basis_scaling,
     graded_betti,
     mapping_cone,
     multiplication_map,
-    tensor_complex,
     total_betti,
 )
 from .dg import (

@@ -53,7 +53,6 @@ from .diam4 import (
     check_sigma_zification,
     diam4_betti,
     lyubeznik_betti,
-    star_decompose,
 )
 from .morse import (
     is_superset_closed,

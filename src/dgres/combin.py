@@ -1,4 +1,4 @@
-"""Graphs, simplicial complexes, edge/facet ideals, and named families.
+"""Graphs, edge ideals, and named families.
 
 Graphs are simple and undirected, given by a vertex list and edge set.  The
 diameter used throughout is the *longest-path* convention: the number of
@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
 
-from .poly import MonomialIdeal, Monomial, PolyError, VariableSet, lcm_of
+from .poly import MonomialIdeal, VariableSet
 
 
 class GraphError(ValueError):
@@ -85,13 +84,6 @@ class Graph:
             and len(self.edges) == len(self.vertices)
             and all(len(ns) == 2 for ns in self.adjacency().values())
             and self.is_connected()
-        )
-
-    def induced(self, keep) -> "Graph":
-        keep = set(keep)
-        return Graph(
-            tuple(v for v in self.vertices if v in keep),
-            tuple(e for e in self.edges if e <= keep),
         )
 
     def to_json(self) -> dict:
@@ -157,41 +149,15 @@ def _tree_path(graph: Graph) -> list[str]:
 
 
 def graph_diameter(graph: Graph) -> int:
-    """Length (edge count) of the longest path; cycles count as closed paths.
-
-    Trees use double BFS.  A cycle C_n has diameter n under this convention.
-    Other graphs fall back to brute force over simple paths (plus simple
-    cycles), so keep them small.
+    """Length (edge count) of the longest path of a tree or a cycle; cycles
+    count as closed paths, so C_n has diameter n.  Trees use double BFS.
+    Any other graph, the empty one included, raises GraphError.
     """
-    if not graph.vertices:
-        raise GraphError("diameter of the empty graph")
     if graph.is_tree():
         return len(_tree_path(graph)) - 1
     if graph.is_cycle():
         return len(graph.vertices)
-    # brute force: longest simple path/closed path
-    adj = graph.adjacency()
-    if len(graph.vertices) > 12:
-        raise GraphError("diameter brute force limited to 12 vertices")
-    best = 0
-
-    def extend(path: list[str], seen: set[str]):
-        nonlocal best
-        v = path[-1]
-        for w in adj[v]:
-            if w == path[0] and len(path) >= 3:
-                best = max(best, len(path))  # closed path
-            if w not in seen:
-                best = max(best, len(path))
-                seen.add(w)
-                path.append(w)
-                extend(path, seen)
-                path.pop()
-                seen.remove(w)
-
-    for v in graph.vertices:
-        extend([v], {v})
-    return best
+    raise GraphError("graph_diameter needs a tree or a cycle")
 
 
 def edge_ideal(graph: Graph) -> MonomialIdeal:
@@ -205,69 +171,6 @@ def edge_ideal(graph: Graph) -> MonomialIdeal:
     for e in sorted(sorted(e) for e in graph.edges):
         gens.append(ring.variable(e[0]) * ring.variable(e[1]))
     return MonomialIdeal(ring, tuple(gens))
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """A simplicial complex given by its facets (inclusion-maximal faces)."""
-
-    vertices: tuple[str, ...]
-    facets: tuple[frozenset[str], ...]
-
-    def __post_init__(self):
-        vs = set(self.vertices)
-        for f in self.facets:
-            if not f <= vs:
-                raise GraphError(f"facet {sorted(f)} uses unknown vertices")
-        for f in self.facets:
-            for g in self.facets:
-                if f != g and f <= g:
-                    raise GraphError("facet list contains a non-maximal face")
-
-    @staticmethod
-    def build(vertices, facets) -> "SimplicialComplex":
-        return SimplicialComplex(tuple(vertices), tuple(frozenset(f) for f in facets))
-
-    def f_vector(self) -> tuple[int, ...]:
-        """(f_0=1, f_1=#vertices-in-faces, f_2=..., ...) by face cardinality."""
-        faces: set[frozenset[str]] = {frozenset()}
-        for f in self.facets:
-            for k in range(len(f) + 1):
-                faces.update(map(frozenset, combinations(sorted(f), k)))
-        top = max((len(f) for f in faces), default=0)
-        fv = [0] * (top + 1)
-        for f in faces:
-            fv[len(f)] += 1
-        return tuple(fv)
-
-
-def facet_ideal(cx: SimplicialComplex) -> MonomialIdeal:
-    """Facet ideal: one squarefree generator per facet, sorted-facet order,
-    over the vertices that lie in some facet (in vertex order)."""
-    touched = set().union(*cx.facets) if cx.facets else set()
-    ring = VariableSet(tuple(v for v in cx.vertices if v in touched))
-    gens = []
-    for f in sorted(sorted(f) for f in cx.facets):
-        m = ring.one()
-        for v in f:
-            m = m * ring.variable(v)
-        gens.append(m)
-    return MonomialIdeal(ring, tuple(gens))
-
-
-def facet_induced(cx: SimplicialComplex, keep) -> SimplicialComplex:
-    """Facet-induced subcomplex: keep the facets entirely inside `keep`.
-
-    Note this can be much smaller than the induced subcomplex: a 2-simplex
-    restricted to 2 of its vertices is the void complex (no facets), because
-    the facet {a,b,c} is not inside {a,b}.
-    """
-    keep = set(keep)
-    facets = tuple(f for f in cx.facets if f <= keep)
-    touched = set().union(*facets) if facets else set()
-    return SimplicialComplex(
-        tuple(v for v in cx.vertices if v in touched), facets
-    )
 
 
 # ---------------------------------------------------------------------------

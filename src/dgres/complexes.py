@@ -32,28 +32,28 @@ Where entries are validated: the public constructor
 `LabeledFreeComplex(ring, basis, diff)` checks that every column label is
 in the degree-i basis and every row label in the degree i-1 basis, and
 stores each entry through `_stored`: an entry is an int or a `Fraction`
-coefficient, zeros dropped, stored only where m_r | m_c, integral values
-as ints; anything else (a float, a bool, a string, a polynomial) is refused
-with ComplexError naming it, its row and its column.  So hand-built
-complexes and every other writer are checked.  Two writers produce stored
-columns by construction and hand them to `_from_stored`, which keeps the
-index and its duplicate-tag check and skips the rest, without copying the
-columns: `taylor.taylor_complex` (Taylor, Lyubeznik; each entry +-1 on a
-facet) and `dg.Elimination.quotient` (Morse, `quotient_dg`; each entry a
-reduced coefficient on a surviving row).  Each call states why its columns
-hold.
+coefficient, zeros dropped on any row, the rest stored only where
+m_r | m_c, integral values as ints; anything else (a float, a bool, a
+string, a polynomial) is refused with ComplexError naming it, its row and
+its column.  So hand-built complexes and every other writer are checked.
+Two writers produce stored columns by construction and hand them to
+`_from_stored`, which keeps the index and its duplicate-tag check and
+skips the rest, without copying the columns: `taylor.taylor_complex`
+(Taylor, Lyubeznik; each entry +-1 on a facet) and
+`dg.Elimination.quotient` (Morse, `quotient_dg`; each entry a reduced
+coefficient on a surviving row).  Each call states why its columns hold.
 
 Strands: for a monomial b, the labels whose multidegree divides b span a
 subcomplex; evaluating entries at x=1 gives a complex of Q-vector spaces
 whose homology computes the multigraded pieces Tor-style.  This is how
-`is_resolution_of` works.  The first strand call indexes the complex once
+`is_resolution_of` works.  It indexes the complex once per call
 (`strands.StrandIndex`), after `verify()`: a strand is then one bitmask of
 label positions per degree, strands with the same masks share one
-computation, and `is_resolution_of` walks the masks of every squarefree
-strand, and the generators dividing b for H_0, without building a
-monomial.  Ranks mod 2 on those bitmasks prove a strand's homology over Q
-when the complex verified and the mod-2 homology is nonzero in at most one
-degree (h^Q <= h^(2) in every degree, and both have the strand's Euler
+computation, and the sweep walks the masks of every squarefree strand,
+and the generators dividing b for H_0, without building a monomial.
+Ranks mod 2 on those bitmasks prove a strand's homology over Q when the
+complex verified and the mod-2 homology is nonzero in at most one degree
+(h^Q <= h^(2) in every degree, and both have the strand's Euler
 characteristic); every other strand takes exact sparse ranks over Q, so
 the answer is always the homology over Q.  For complexes whose label
 multidegrees are all squarefree, vanishing on all squarefree strands is
@@ -76,9 +76,8 @@ from .poly import (
     VariableSet,
     _monomial,
     exact,
-    monomial_divide,
 )
-from .strands import Divisors, StrandIndex, positions, scalar_columns
+from .strands import Divisors, StrandIndex, scalar_columns
 
 
 class ComplexError(ValueError):
@@ -162,11 +161,13 @@ def killed(row: Monomial, col: Monomial, idx: Sequence[int]) -> bool:
 def _stored(v, row: BasisLabel, cm: Monomial, col):
     """The stored form of the entry v of column `col`, of multidegree cm:
     the coefficient v of cm / m_row, an int or a Fraction, with `exact`;
-    falsy when v is zero.  Anything else, or a coefficient where m_row does
-    not divide cm, raises ComplexError naming the entry, its row and its
-    column."""
+    falsy when v is zero, on any row.  Anything else, or a nonzero
+    coefficient where m_row does not divide cm, raises ComplexError naming
+    the entry, its row and its column."""
     if type(v) is not int and type(v) is not Fraction:
         raise ComplexError(f"entry {v!r} at ({row}, {col}) is not a coefficient (an int or a Fraction)")
+    if not v:
+        return v
     rm = row.multidegree
     if not all(map(le, rm.exponents, cm.exponents)):
         raise ComplexError(f"coefficient entry {v} at ({row}, {col}): {rm} does not divide {cm}")
@@ -247,7 +248,6 @@ class LabeledFreeComplex:
             i: tuple(lbls) for i, lbls in basis.items() if lbls
         }
         self.name = name
-        self._strand_index: StrandIndex | None = None  # built by the first strand call
         # the one index: each label's degree, in degree order, and the label
         # of each tag; a tag names one label, so both have every label
         self.degree: dict[BasisLabel, int] = {l: i for i in sorted(self.basis) for l in self.basis[i]}
@@ -328,27 +328,6 @@ class LabeledFreeComplex:
 
     # -- strands and homology ----------------------------------------------
 
-    def _strands(self, verified: bool | None = None) -> StrandIndex:
-        """The strand index, built by the first strand call.  Its mod-2
-        ranks rest on d^2 = 0, so it takes whether the complex verified:
-        `verified`, or `verify()` run here."""
-        if self._strand_index is None:
-            if verified is None:
-                verified = self.verify().ok
-            self._strand_index = StrandIndex(self, verified)
-        return self._strand_index
-
-    def strand_labels(self, b: Monomial) -> dict[int, list[BasisLabel]]:
-        """Labels whose multidegree divides b (componentwise, multiplicity
-        counts: x^2 does not divide x)."""
-        masks = self._strands().masks(b)
-        return {i: [self.labels(i)[k] for k in positions(m)] for i, m in enumerate(masks)}
-
-    def strand_homology(self, b: Monomial) -> tuple[int, ...]:
-        """Dimensions of the homology of the b-strand, degree 0..top."""
-        index = self._strands()
-        return index.homology(index.masks(b))
-
     def is_resolution_of(self, ideal: MonomialIdeal) -> tuple[bool, dict]:
         """Decide whether this complex resolves Q/I, with a detail report.
 
@@ -379,7 +358,7 @@ class LabeledFreeComplex:
         report["labels_squarefree"] = self.labels_squarefree()
         if ideal.generators and ideal.ring != self.ring:
             raise PolyError("monomials over different rings")
-        index = self._strands(verified=True)
+        index = StrandIndex(self, verified=True)
         failures = []
         # one walk gives each strand's label masks and, first, the generators
         # dividing b, so H_0 = 0 exactly when that mask is nonzero
@@ -549,44 +528,6 @@ def mapping_cone(
     return LabeledFreeComplex(ring, basis, diff, name=name or f"cone({psi.source.name}->{psi.target.name})")
 
 
-def tensor_complex(F: LabeledFreeComplex, G: LabeledFreeComplex) -> LabeledFreeComplex:
-    """F tensor G over Q; label multidegrees multiply (they do not lcm), so
-    squarefree inputs can produce non-squarefree labels."""
-    if F.ring != G.ring:
-        raise ComplexError("tensor over different rings")
-    ring = F.ring
-    basis: dict[int, list[BasisLabel]] = {}
-    pair: dict[tuple[BasisLabel, BasisLabel], BasisLabel] = {}
-    top = F.top_degree() + G.top_degree()
-    for n in range(top + 1):
-        row = []
-        for i in range(n + 1):
-            for a in F.labels(i):
-                for b in G.labels(n - i):
-                    l = BasisLabel(("ot", a.tag, b.tag), a.multidegree * b.multidegree)
-                    pair[(a, b)] = l
-                    row.append(l)
-        if row:
-            basis[n] = row
-    # m_(a,b) / m_(r,b) = m_a / m_r, likewise for G: coefficients carry over
-    diff: dict[int, dict[BasisLabel, dict]] = {}
-    for n in range(1, top + 1):
-        cols: dict[BasisLabel, dict] = {}
-        for i in range(n + 1):
-            dF, dG = F.diff.get(i, {}), G.diff.get(n - i, {})
-            sign = -1 if i % 2 else 1
-            for a in F.labels(i):
-                for b in G.labels(n - i):
-                    ab = pair[(a, b)]
-                    col = {pair[(r, b)]: v for r, v in dF.get(a, {}).items()}
-                    for r, v in dG.get(b, {}).items():
-                        key = pair[(a, r)]
-                        col[key] = col.get(key, 0) + sign * v
-                    cols[ab] = col
-        diff[n] = cols
-    return LabeledFreeComplex(ring, basis, diff, name=f"{F.name}(x){G.name}")
-
-
 # ---------------------------------------------------------------------------
 # graded Betti numbers
 
@@ -660,46 +601,3 @@ def complexes_equal(A: LabeledFreeComplex, B: LabeledFreeComplex) -> bool:
             if mapa != mapb:
                 return False
     return True
-
-
-def equal_up_to_basis_scaling(
-    A: LabeledFreeComplex,
-    B: LabeledFreeComplex,
-    signs_only: bool = True,
-) -> tuple[bool, dict | None]:
-    """Equality after rescaling each basis element by a unit (by default by
-    +-1 only).  Bases are matched by tag and order.  Returns (ok, scaling).
-    """
-    if A.degrees() != B.degrees():
-        return False, None
-    for i in A.degrees():
-        if [l.tag for l in A.labels(i)] != [l.tag for l in B.labels(i)]:
-            return False, None
-    eps: dict[tuple, Fraction] = {}
-    for l in A.labels(0):
-        eps[l.tag] = Fraction(1)
-    for i in A.degrees():
-        if i == 0:
-            continue
-        for ca, cb in zip(A.labels(i), B.labels(i)):
-            cola = {r.tag: (r, v) for r, v in A.diff.get(i, {}).get(ca, {}).items()}
-            colb = {r.tag: (r, v) for r, v in B.diff.get(i, {}).get(cb, {}).items()}
-            if set(cola) != set(colb):
-                return False, None
-            scale = None
-            for rt in cola:
-                (ra, va), (rb, vb) = cola[rt], colb[rt]
-                if monomial_divide(ca.multidegree, ra.multidegree) != monomial_divide(cb.multidegree, rb.multidegree):
-                    return False, None
-                # with a_l = eps_l b_l one has A(r,c) = (eps_c/eps_r) B(r,c)
-                want = Fraction(va, vb) * eps[rt]
-                if scale is None:
-                    scale = want
-                elif scale != want:
-                    return False, None
-            if scale is None:
-                scale = Fraction(1)
-            if signs_only and scale not in (Fraction(1), Fraction(-1)):
-                return False, None
-            eps[ca.tag] = scale
-    return True, {".".join(map(str, k)) if isinstance(k, tuple) else str(k): str(v) for k, v in eps.items()}

@@ -161,9 +161,6 @@ class Monomial:
     def __repr__(self) -> str:
         return f"Monomial({self})"
 
-    def sort_key(self) -> tuple:
-        return self.exponents
-
 
 def _monomial(ring: VariableSet, exps: tuple[int, ...]) -> Monomial:
     """Monomial(ring, exps) without the checks, for exponents that are valid
@@ -249,9 +246,6 @@ class MonomialIdeal:
 
     def is_zero(self) -> bool:
         return not self.generators
-
-    def contains_monomial(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.generators)
 
     def is_squarefree(self) -> bool:
         return all(g.is_squarefree() for g in self.generators)

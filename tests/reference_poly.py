@@ -125,7 +125,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=lambda m: m.sort_key(), reverse=True):
+        for m in sorted(self.terms, key=lambda m: m.exponents, reverse=True):
             c = self.terms[m]
             cs = str(c)
             if m.is_one():
@@ -224,9 +224,9 @@ def complex_of(
     ring: VariableSet, basis: dict[int, Sequence[BasisLabel]], diff: dict, name: str = ""
 ) -> LabeledFreeComplex:
     """`LabeledFreeComplex` on columns of Polynomial entries, each stored as
-    its `coefficient`, zeros dropped."""
+    its `coefficient`; the constructor drops the zeros."""
     stored = {
-        i: {c: {r: v for r, p in col.items() if (v := coefficient(p, r, c.multidegree, c))} for c, col in cols.items()}
+        i: {c: {r: coefficient(p, r, c.multidegree, c) for r, p in col.items()} for c, col in cols.items()}
         for i, cols in diff.items()
     }
     return LabeledFreeComplex(ring, basis, stored, name=name)

@@ -1,7 +1,5 @@
-"""Graphs, families, diameters, simplicial complexes: checked against
-brute-force oracles and networkx's tree enumeration."""
-
-from itertools import combinations
+"""Graphs, families and diameters: checked against brute-force oracles and
+networkx's tree enumeration."""
 
 import networkx as nx
 import pytest
@@ -9,7 +7,6 @@ import pytest
 from dgres import (
     Graph,
     GraphError,
-    SimplicialComplex,
     build_family,
     cycle_graph,
     edge_ideal,
@@ -20,13 +17,6 @@ from dgres import (
     tree_longest_path,
 )
 from dgres.classify import UnsupportedGraphError, classify
-from dgres.combin import facet_ideal, facet_induced
-
-
-def complex_of_graph(graph: Graph) -> SimplicialComplex:
-    """The graph as a 1-dimensional simplicial complex on its non-isolated
-    vertices."""
-    return SimplicialComplex.build(graph.non_isolated(), graph.edges)
 
 
 def from_networkx(g: "nx.Graph") -> Graph:
@@ -87,6 +77,8 @@ class TestGraph:
             classify(g)
         with pytest.raises(GraphError):
             tree_longest_path(g)
+        with pytest.raises(GraphError, match="^graph_diameter needs a tree or a cycle$"):
+            graph_diameter(g)
 
     @pytest.mark.parametrize(
         "graph, cycle, tree",
@@ -137,11 +129,14 @@ class TestFamilies:
         assert len(g.edges) == 1 + 2 + 1 + 2
         assert g.degree("x") == 1 + 2 + 1
         # longest-path diameter: x1-x-z1-y-y1 has 4 edges
-        assert graph_diameter(g) == 4
+        assert brute_longest_path(g) == 4
         # the tree member of the family has diameter 3
         assert graph_diameter(lyubeznik_graph(2, 1, 0)) == 3
         assert lyubeznik_graph(2, 1, 0).is_tree()
         assert not g.is_tree() and not g.is_cycle()
+        # graph_diameter is defined on trees and cycles only
+        with pytest.raises(GraphError, match="^graph_diameter needs a tree or a cycle$"):
+            graph_diameter(g)
 
     def test_family_parsing(self):
         assert len(build_family("P4").edges) == 4
@@ -165,33 +160,3 @@ class TestFamilies:
         # isolated vertices are dropped from the ring
         g = Graph.build(["a", "b", "c"], [("a", "b")])
         assert edge_ideal(g).ring.names == ("a", "b")
-
-
-class TestSimplicialComplex:
-    def test_facet_validation(self):
-        with pytest.raises(GraphError):
-            SimplicialComplex.build("abc", ["ab", "abc"])
-
-    def test_f_vector_oracle(self):
-        cx = SimplicialComplex.build("abcd", ["abc", "cd"])
-        # faces: {}, a,b,c,d, ab,ac,bc,cd, abc
-        assert cx.f_vector() == (1, 4, 4, 1)
-        for j, fj in enumerate(cx.f_vector()):
-            faces = set()
-            for f in cx.facets:
-                faces.update(map(frozenset, combinations(sorted(f), j)))
-            assert fj == len(faces)
-
-    def test_facet_ideal_and_induced(self):
-        cx = SimplicialComplex.build("abcd", ["abc", "cd"])
-        I = facet_ideal(cx)
-        assert [str(g) for g in I.generators] == ["a*b*c", "c*d"]
-        sub = facet_induced(cx, {"a", "b"})
-        assert sub.facets == ()  # the 2-simplex does not restrict to an edge
-        sub2 = facet_induced(cx, {"c", "d"})
-        assert [sorted(f) for f in sub2.facets] == [["c", "d"]]
-
-    def test_graph_as_complex(self):
-        g = cycle_graph(4)
-        cx = complex_of_graph(g)
-        assert cx.f_vector() == (1, 4, 4)

@@ -22,11 +22,14 @@ gates how complexes store and print them; `dgcheck --structure taylor`,
 `dgcheck --structure cone4` and `cone4 --check` complete the paths into
 `dg_check`.
 
-The public names, `dgres.__all__`, are pinned as a sorted list.
+The public names, `dgres.__all__`, are pinned as a sorted list, and no
+module of the package but `__init__.py` imports a name it never reads.
 """
 
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -154,20 +157,19 @@ PUBLIC_NAMES = [
     "BasisLabel", "CITED_FACTS", "Certificate", "ChainMap", "ComplexError", "ConeResolution",
     "DGError", "DGIdealError", "DGStructure", "Element", "Graph", "GraphError",
     "LabeledFreeComplex", "Monomial", "MonomialIdeal", "MorseError", "PolyError", "PruneResult",
-    "PrunedDG", "QuotientDG", "SimplicialComplex", "SpanGenerator", "StarDecomposition",
-    "SubmoduleSpan", "TaylorGraph", "UnsupportedGraphError", "VERSION", "VariableSet",
-    "build_cone_resolution", "build_family", "classify", "classify_cycle", "classify_tree",
-    "combin", "complexes", "complexes_equal", "cycle_graph", "desuspend_truncation", "dg",
-    "dg_check", "dg_ideal_closure", "diam4", "diam4_betti", "edge_ideal",
-    "equal_up_to_basis_scaling", "facet_ideal", "graded_betti", "graph_diameter",
+    "PrunedDG", "QuotientDG", "SpanGenerator", "StarDecomposition", "SubmoduleSpan",
+    "TaylorGraph", "UnsupportedGraphError", "VERSION", "VariableSet", "build_cone_resolution",
+    "build_family", "classify", "classify_cycle", "classify_tree", "combin", "complexes",
+    "complexes_equal", "cycle_graph", "desuspend_truncation", "dg", "dg_check",
+    "dg_ideal_closure", "diam4", "diam4_betti", "edge_ideal", "graded_betti", "graph_diameter",
     "kruskal_katona_is_fvector", "lcm_of", "linalg", "lyubeznik_betti", "lyubeznik_graph",
     "lyubeznik_matching", "lyubeznik_resolution", "mapping_cone", "matching_quotient",
     "minimalize", "morse", "morse_reduce", "multiplication_map", "parse_monomial", "path_graph",
     "poly", "prune", "prune_complex", "prune_dg", "prune_ideal", "quotient_dg",
     "span_from_matching_sources", "squarefree_monomials", "star_decompose", "strands",
     "submodule_membership", "t4_tree", "taylor", "taylor_dg_structure", "taylor_graph",
-    "taylor_resolution", "tensor_complex", "total_betti", "tree_longest_path",
-    "validate_matching", "verify_certificate",
+    "taylor_resolution", "total_betti", "tree_longest_path", "validate_matching",
+    "verify_certificate",
 ]
 
 
@@ -176,4 +178,24 @@ def test_public_names_pinned():
     change that adds or removes a public name updates this list and names
     the change in the README and in CHANGES.md."""
     assert sorted(dgres.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 84
+    assert len(PUBLIC_NAMES) == 80
+
+
+def test_no_unused_imports():
+    """Every name a module of `src/dgres` imports is read in it, by an AST
+    scan of the names each module loads.  `__init__.py` is exempt: its
+    imports are the public names."""
+    unused = []
+    for path in sorted(Path(dgres.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                unused += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for alias in node.names
+                    if (name := (alias.asname or alias.name).split(".")[0]) not in read
+                ]
+    assert unused == []

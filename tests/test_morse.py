@@ -17,7 +17,6 @@ from dgres import (
     complexes_equal,
     cycle_graph,
     edge_ideal,
-    equal_up_to_basis_scaling,
     graded_betti,
     lcm_of,
     lyubeznik_matching,
@@ -39,6 +38,7 @@ from dgres.poly import PolyError
 from dgres.prune import prune_ideal
 
 from conftest import matching_targets
+from reference_complexes import equal_up_to_basis_scaling
 from reference_poly import matrix
 
 RING = VariableSet(("x", "y", "x1", "y1", "z"))
