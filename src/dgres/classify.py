@@ -262,65 +262,42 @@ def _taylor_minimal_evidence(ideal: MonomialIdeal) -> tuple[dict, list[int]]:
     return evidence, list(T.ranks())
 
 
-def _lyubeznik_evidence(ideal: MonomialIdeal, order: list[str]) -> tuple[dict, list[int]]:
-    """Minimal Lyubeznik resolution + superset-closed matching + quotient
-    dg structure, fully machine-checked."""
-    ordered = ideal.reorder(order)
-    L = lyubeznik_resolution(ordered)
-    if not L.is_minimal():
-        raise GraphError("Lyubeznik resolution not minimal for chosen order")
-    matching = lyubeznik_matching(ordered)
-    closed, witness = is_superset_closed(ordered, matching)
-    if not closed:
-        raise GraphError(f"matching sources not superset-closed: {witness}")
-    report, q = matching_quotient(ordered, matching)
-    if q is None:
-        raise GraphError(f"no dg quotient T/J for the matching: {report}")
-    evidence = {
-        "kind": "lyubeznik-quotient",
-        "generator_order": order,
-        "matching": [[list(s), list(t)] for s, t in matching],
-        "matching_valid": report["matching_valid"],
-        "superset_closed": True,
-        "ranks": list(L.ranks()),
-        "quotient_ranks": list(q.structure.complex.ranks()),
-        "resolution": _resolution_summary(L, ordered),
-        "dg_check": _dg_check_summary(q.structure),
-        "closure_products_checked": report["closure_products_checked"],
-    }
-    return evidence, list(total_betti(L))
-
-
-def _morse_quotient_evidence(ideal: MonomialIdeal, matching) -> tuple[dict, list[int]]:
-    """Explicit Morse matching evidence: validity, dg-ideal closure with
-    witnesses, and a fully checked quotient.  `morse_reduce` is the quotient
-    by the same span, so the quotient complex is the Morse complex up to a
-    change of basis, and gives its ranks, minimality, resolution and Betti
-    numbers, which do not depend on the basis."""
-    report, q = matching_quotient(ideal, matching)
-    if q is None:
-        raise GraphError(f"no dg quotient T/J for the matching: {report}")
-    reduced = q.structure.complex
-    if not reduced.is_minimal():
-        raise GraphError("Morse reduction is not minimal")
+def _quotient_evidence(kind: str, ideal: MonomialIdeal, matching) -> tuple[dict, list[int]]:
+    """T/J for a matching (`morse.matching_quotient`: validity, then the
+    dg-ideal check), with all dg axioms checked on it, and the ranks,
+    minimality, resolution and Betti numbers of one complex: for
+    *lyubeznik-quotient* the Lyubeznik resolution L of the ideal in its
+    given order, whose matching sources must be superset-closed; for
+    *morse-quotient* the quotient itself.  `morse_reduce` is the quotient by
+    the same span, so that is the Morse complex up to a change of basis, and
+    the recorded numbers do not depend on the basis."""
+    lyubeznik = kind == "lyubeznik-quotient"
     closed, witness = is_superset_closed(ideal, matching)
-    evidence = {
-        "kind": "morse-quotient",
+    if lyubeznik and not closed:
+        raise GraphError(f"matching sources not superset-closed: {witness}")
+    val, q = matching_quotient(ideal, matching)
+    cx = lyubeznik_resolution(ideal) if lyubeznik else q.structure.complex
+    if not cx.is_minimal():
+        raise GraphError(f"{cx.name} is not minimal")
+    evidence: dict = {"kind": kind}
+    if lyubeznik:
+        evidence["generator_order"] = [str(g) for g in ideal.generators]
+    evidence |= {
         "matching": [[list(s), list(t)] for s, t in matching],
-        "matching_valid": report["matching_valid"],
+        "matching_valid": val,
         "superset_closed": closed,
-        "ranks": list(reduced.ranks()),
-        "quotient_ranks": list(reduced.ranks()),
-        "resolution": _resolution_summary(reduced, ideal),
+        "ranks": list(cx.ranks()),
+        "quotient_ranks": list(q.structure.complex.ranks()),
+        "resolution": _resolution_summary(cx, ideal),
         "dg_check": _dg_check_summary(q.structure),
-        "closure_products_checked": report["closure_products_checked"],
+        "closure_products_checked": q.closure_products_checked,
     }
     if not closed:
         evidence["superset_closure_counterexample"] = {
             "source": list(witness["source"]),
             "superset": list(witness["superset"]),
         }
-    return evidence, list(total_betti(reduced))
+    return evidence, list(total_betti(cx))
 
 
 def _cone_evidence(graph: Graph) -> tuple[dict, list[int], dict]:
@@ -437,8 +414,8 @@ def _classify_tree(graph: Graph) -> Certificate:
             betti=betti, evidence=evidence, cited=["taylor-dg"], graph=gj,
         )
     if d == 3:
-        order = _d3_order(path, ideal)
-        evidence, betti = _lyubeznik_evidence(ideal, order)
+        ordered = ideal.reorder(_d3_order(path, ideal))
+        evidence, betti = _quotient_evidence("lyubeznik-quotient", ordered, lyubeznik_matching(ordered))
         a = graph.degree(path[1]) - 1
         b = graph.degree(path[2]) - 1
         formula = list(lyubeznik_betti(a, b, 0))
@@ -529,8 +506,7 @@ def _classify_cycle(graph: Graph) -> Certificate:
     edges = edge_ideal(graph)
     ideal = _cycle_consecutive_ideal(graph, edges)
     if n == 3:
-        order = [str(g) for g in ideal.generators]
-        evidence, betti = _lyubeznik_evidence(ideal, order)
+        evidence, betti = _quotient_evidence("lyubeznik-quotient", ideal, lyubeznik_matching(ideal))
         return Certificate(
             family="cycle", verdict="dg", diameter=d, parameters={"n": n},
             betti=betti, evidence=evidence,
@@ -540,7 +516,7 @@ def _classify_cycle(graph: Graph) -> Certificate:
         )
     if n == 4 or n == 5:
         matching = C4_MATCHING if n == 4 else C5_MATCHING
-        evidence, betti = _morse_quotient_evidence(ideal, matching)
+        evidence, betti = _quotient_evidence("morse-quotient", ideal, matching)
         return Certificate(
             family="cycle", verdict="dg", diameter=d, parameters={"n": n},
             betti=betti, evidence=evidence,
@@ -600,7 +576,7 @@ def verify_certificate(cert: dict) -> dict:
     graph = Graph.from_json(cert["graph"])
     fresh = classify(graph).to_json()
     mismatches = []
-    for key in ("family", "verdict", "diameter", "betti", "parameters"):
+    for key in ("version", "family", "verdict", "diameter", "betti", "parameters", "cited", "citations"):
         if fresh.get(key) != cert.get(key):
             mismatches.append(
                 {"field": key, "given": cert.get(key), "recomputed": fresh.get(key)}

@@ -30,14 +30,13 @@ import sys
 from .classify import (
     STRAND_VAR_CAP,
     VERSION,
-    UnsupportedGraphError,
     classify,
     kruskal_katona_is_fvector,
     verify_certificate,
 )
 from .combin import Graph, GraphError, build_family, edge_ideal
 from .complexes import ComplexError, LabeledFreeComplex, betti_totals, graded_betti
-from .dg import DGError, dg_check
+from .dg import DGError, DGIdealError, dg_check
 from .diam4 import (
     build_cone_resolution,
     check_boundary_action,
@@ -205,6 +204,12 @@ def _load_matching(args, ideal: MonomialIdeal):
     return list(lyubeznik_matching(ideal))
 
 
+def _refused_span(exc: DGIdealError) -> dict:
+    """What a command prints when `quotient_dg` refuses a span that is not a
+    dg ideal: the products e_u * g outside it."""
+    return {"ideal_closed": False, "closure": {"boundary_closed": True, "failures": exc.witness, "ok": False}}
+
+
 def _complex_result(cx: LabeledFreeComplex, ideal: MonomialIdeal) -> tuple[dict, bool]:
     """The report on cx, and whether its verify and is_resolution passed."""
     rep = cx.verify()
@@ -322,18 +327,16 @@ def cmd_dgcheck(args) -> int:
         if args.structure == "taylor":
             dg = taylor_dg_structure(ideal)
         else:  # quotient
-            report, q = matching_quotient(ideal, _load_matching(args, ideal))
-            if not report["matching_valid"]["ok"]:
-                _emit(args, "dgcheck", input_json, {"matching_valid": report["matching_valid"]})
+            try:
+                dg = matching_quotient(ideal, _load_matching(args, ideal))[1].structure
+            except MorseError as exc:
+                if exc.witness is None:
+                    raise
+                _emit(args, "dgcheck", input_json, {"matching_valid": exc.witness})
                 return 1
-            if q is None:
-                _emit(args, "dgcheck", input_json, {
-                    "structure": args.structure,
-                    "ideal_closed": False,
-                    "closure": {"boundary_closed": True, "failures": report["closure_failures"], "ok": False},
-                })
+            except DGIdealError as exc:
+                _emit(args, "dgcheck", input_json, {"structure": args.structure, **_refused_span(exc)})
                 return 1
-            dg = q.structure
     rep = dg_check(dg, triples=not args.skip_triples)
     result = {
         "structure": args.structure,
@@ -348,8 +351,13 @@ def cmd_dgcheck(args) -> int:
 def cmd_prune(args) -> int:
     ideal = load_ideal(args)
     kill = [v.strip() for v in args.kill.split(",") if v.strip()]
+    input_json = {"ideal": ideal.to_json(), "kill": kill}
     if args.dg:
-        pd = prune_dg(ideal, kill)
+        try:
+            pd = prune_dg(ideal, kill)
+        except DGIdealError as exc:
+            _emit(args, "prune", input_json, _refused_span(exc))
+            return 1
         result = {
             "pruned_ideal": pd.pruned_ideal.to_json(),
             "stages": [s.to_json() for s in pd.boocher.stages],
@@ -372,7 +380,7 @@ def cmd_prune(args) -> int:
         pr = prune_complex(F, kill)
         result = pr.to_json()
         ok = result["report"]["ok"]
-    _emit(args, "prune", {"ideal": ideal.to_json(), "kill": kill}, result)
+    _emit(args, "prune", input_json, result)
     return 0 if ok else 1
 
 
@@ -486,7 +494,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (PolyError, GraphError, UnsupportedGraphError, MorseError,
+    except (PolyError, GraphError, MorseError,
             FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -210,18 +210,14 @@ class ConeResolution:
     dg: DGStructure
 
 
-def build_cone_resolution(graph_or_dec) -> ConeResolution:
+def build_cone_resolution(graph: Graph) -> ConeResolution:
     """Cone(Psi) with its multiplication, for a tree of diameter <= 4.
 
     For diameter <= 2 the ideal J is zero, G' is the empty complex, and the
     cone is just the Taylor resolution F (relabeled); the product table is
     then the Taylor product.
     """
-    dec = (
-        graph_or_dec
-        if isinstance(graph_or_dec, StarDecomposition)
-        else star_decompose(graph_or_dec)
-    )
+    dec = star_decompose(graph)
     F = taylor_resolution(dec.ideal_i)
     Gp, G = build_g_prime(dec)
     psi = build_psi(dec, Gp, F)

@@ -38,7 +38,6 @@ from operator import or_
 from .complexes import ComplexError, LabeledFreeComplex
 from .dg import (
     DGError,
-    DGIdealError,
     Elimination,
     QuotientDG,
     matching_span,
@@ -51,9 +50,10 @@ Arc = tuple[tuple[int, ...], tuple[int, ...]]  # (source subset, target subset)
 
 
 class MorseError(ValueError):
-    """`witness`, when set, lists the matched pairs left waiting."""
+    """`witness`, when set, lists the matched pairs left waiting, or is the
+    `validate_matching` report of a matching `matching_quotient` refuses."""
 
-    witness: list | None = None
+    witness: list | dict | None = None
 
 
 MAX_GRAPH_GENERATORS = 20
@@ -273,25 +273,20 @@ def lyubeznik_resolution(ideal: MonomialIdeal) -> LabeledFreeComplex:
         raise MorseError("survivor sets are not subset-closed; bad input order") from None
 
 
-def matching_quotient(ideal: MonomialIdeal, matching) -> tuple[dict, QuotientDG | None]:
-    """The Taylor dg algebra T modulo the span J of e_V and d(e_V) over the
-    matching's sources V (`dg.matching_span`), the matched cells preferred
-    as pivots; None when the matching is invalid (`validate_matching`) or
-    `dg.quotient_dg` refuses J as not a dg ideal (`DGIdealError`, its count and
-    products kept as `closure_products_checked` and `closure_failures`); any other DGError propagates."""
+def matching_quotient(ideal: MonomialIdeal, matching) -> tuple[dict, QuotientDG]:
+    """The matching's `validate_matching` report and the Taylor dg algebra T
+    modulo the span J of e_V and d(e_V) over its sources V
+    (`dg.matching_span`), the matched cells preferred as pivots.  An invalid
+    matching raises MorseError with the report as `witness`; `dg.quotient_dg`
+    refuses J when it is not a dg ideal (`DGIdealError`)."""
     val = validate_matching(taylor_graph(ideal), matching)
-    report: dict = {"matching_valid": val, "closure_products_checked": 0, "closure_failures": []}
     if not val["ok"]:
-        return report, None
+        err = MorseError("matching is not a valid Morse matching of the Taylor graph")
+        err.witness = val
+        raise err
     dgT = taylor_dg_structure(ideal)
     span, prefer = matching_span(dgT.complex, matching)
-    try:
-        q = quotient_dg(dgT, span, prefer_eliminate=prefer)
-    except DGIdealError as exc:
-        report.update(closure_products_checked=exc.checked, closure_failures=exc.witness)
-        return report, None
-    report["closure_products_checked"] = q.closure_products_checked
-    return report, q
+    return val, quotient_dg(dgT, span, prefer_eliminate=prefer)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .complexes import (
     tag_to_json,
 )
 from .dg import QuotientDG, SpanGenerator, SubmoduleSpan, quotient_dg, span_from_matching_sources
-from .morse import MorseError, lyubeznik_matching, lyubeznik_resolution, matching_quotient
+from .morse import lyubeznik_matching, lyubeznik_resolution, matching_quotient
 from .poly import MonomialIdeal, _monomial
 
 
@@ -217,17 +217,15 @@ class PrunedDG:
 def prune_dg(ideal: MonomialIdeal, znames) -> PrunedDG:
     """Descend the Lyubeznik-quotient dg structure along pruning by Z.
 
-    Pipeline: F = T/J for the Lyubeznik matching (`morse.matching_quotient`
-    checks the matching and that J is a dg ideal of T; MorseError if not),
-    then F modulo the image of I_Z over Q/(Z) (`quotient_dg` checks that the
-    image is a dg ideal of F; DGError if not), compared entry-by-entry with
-    Boocher pruning of the Lyubeznik resolution.
+    Pipeline: F = T/J for the Lyubeznik matching (`morse.matching_quotient`),
+    then F modulo the image of I_Z over Q/(Z), compared entry-by-entry with
+    Boocher pruning of the Lyubeznik resolution.  Both quotients are formed
+    by `dg.quotient_dg`; its refusal of a span that is not a dg ideal
+    (`DGIdealError`, or DGError for one not closed under d) propagates.
     """
     znames = tuple(znames)
     matching = lyubeznik_matching(ideal)
-    report, qF = matching_quotient(ideal, matching)
-    if qF is None:
-        raise MorseError(f"no dg quotient T/J for the Lyubeznik matching: {report}")
+    qF = matching_quotient(ideal, matching)[1]
     T = qF.elimination.source
 
     # I_Z is the span of e_V and d(e_V) over the V meeting a Z-divisible

@@ -4,7 +4,6 @@ and the standard named examples used across the suite."""
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 import pytest
 

@@ -441,6 +441,13 @@ class TestEvidenceTampering:
         assert not result["ok"]
         assert [m["field"] for m in result["mismatches"]] == [f"evidence.{key}"]
 
+    def test_cited_facts_and_version_are_compared(self):
+        cert = classify(cycle_graph(6)).to_json()
+        cert.update(version="0.0.0", cited=["taylor-dg"], citations={})
+        result = verify_certificate(cert)
+        assert not result["ok"]
+        assert [m["field"] for m in result["mismatches"]] == ["version", "cited", "citations"]
+
     def test_added_evidence_entry_is_named(self, c5):
         cert = json.loads(json.dumps(c5))
         cert["evidence"]["extra"] = None

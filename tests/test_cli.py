@@ -400,6 +400,25 @@ class TestPruneCommand:
         assert r["dg_check"]["ok"] is True
         assert r["pruned_ideal"]["generators"] == ["x*y", "y*z1", "x*z1", "x*x1"]
 
+    def test_dg_prune_refuses_a_span_that_is_not_a_dg_ideal(self):
+        # the Lyubeznik span of this ideal is not a dg ideal: prune --dg
+        # prints the closure failures dgcheck prints for it, and exits 1
+        ideal = ["--vars", "a,b,c,d,e", "--gens", "b*c,a*b,d*e,a*e,a*c*d"]
+        code, out, err = run(["prune", "--kill", "a", "--dg"] + ideal)
+        assert code == 1 and err == ""
+        result = json.loads(out)["result"]
+        _, dgcheck = run_json(["dgcheck", "--structure", "quotient"] + ideal)
+        assert result == {
+            "ideal_closed": False,
+            "closure": {"boundary_closed": True, "failures": dgcheck["result"]["closure"]["failures"], "ok": False},
+        }
+        failures = result["closure"]["failures"]
+        assert [(f["factor"], f["gen"]) for f in failures] == [
+            (["e", 1], ["e", 2, 3, 4]),
+            *((factor, ["de", 2, 3, 4]) for factor in (["e", 1], ["e", 0, 1], ["e", 1, 2], ["e", 1, 3], ["e", 1, 4])),
+        ]
+        assert failures[0]["product"] == "(a)*(e,1,2,3,4)[a*b*c*d*e]"
+
 
 class TestClassifyCommand:
     def test_dg_tree_from_edges(self):

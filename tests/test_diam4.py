@@ -8,7 +8,6 @@ a resolution."""
 import json
 from dataclasses import replace
 from itertools import permutations
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -181,11 +180,6 @@ class TestConeResolution:
             assert check_phi_z_multiplicative(res.decomposition)["ok"]
             assert check_sigma_zification(res.decomposition)["ok"]
             assert check_boundary_action(res)["ok"]
-
-    def test_accepts_prebuilt_decomposition(self):
-        dec = star_decompose(t4_tree(2, (1, 1)))
-        res = build_cone_resolution(dec)
-        assert res.decomposition is dec
 
 
 def interleaved(dec, order):

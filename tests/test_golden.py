@@ -182,12 +182,13 @@ def test_public_names_pinned():
 
 
 def test_no_unused_imports():
-    """Every name a module of `src/dgres` imports is read in it, by an AST
-    scan of the names each module loads.  `__init__.py` is exempt: its
-    imports are the public names."""
+    """Every name a module of `src/dgres` or `tests/` imports is read in it,
+    by an AST scan of the names each module loads.  The package's
+    `__init__.py` is exempt: its imports are the public names."""
     unused = []
-    for path in sorted(Path(dgres.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
+    modules = sorted(Path(dgres.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    for path in modules:
+        if path == Path(dgres.__file__):
             continue
         tree = ast.parse(path.read_text())
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}

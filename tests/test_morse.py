@@ -493,33 +493,35 @@ class TestMatchingQuotient:
 
     def test_arcs_not_in_the_graph(self):
         # C5's matching is for the cycle order, not the default one
-        report, q = matching_quotient(edge_ideal(build_family("C5")), C5_MATCHING)
-        assert q is None
-        assert not report["matching_valid"]["ok"] and report["matching_valid"]["not_in_graph"]
-        assert report["closure_products_checked"] == 0 and report["closure_failures"] == []
+        ideal = edge_ideal(build_family("C5"))
+        with pytest.raises(MorseError, match="^matching is not a valid Morse matching") as exc:
+            matching_quotient(ideal, C5_MATCHING)
+        assert exc.value.witness == validate_matching(taylor_graph(ideal), C5_MATCHING)
+        assert not exc.value.witness["ok"] and exc.value.witness["not_in_graph"]
 
     def test_span_that_is_not_a_dg_ideal(self):
         ideal = edge_ideal(build_family("C4"))
-        report, q = matching_quotient(ideal, C4_ARC)
-        assert q is None and report["matching_valid"]["ok"]
+        assert validate_matching(taylor_graph(ideal), C4_ARC)["ok"]
+        with pytest.raises(DGIdealError, match=r"^span is not a dg ideal: 5 product\(s\) e_u \* g outside it$") as exc:
+            matching_quotient(ideal, C4_ARC)
         dgT = taylor_dg_structure(ideal)
         ok, closure = dg_ideal_closure(dgT, matching_span(dgT.complex, C4_ARC)[0])
         assert not ok and len(closure["failures"]) == 5
-        assert report["closure_failures"] == closure["failures"]
-        assert report["closure_products_checked"] == len(closure["products"])
+        assert exc.value.witness == closure["failures"]
+        assert exc.value.checked == len(closure["products"])
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_cycle_matchings_count_as_their_certificates(self, n):
         matching = C4_MATCHING if n == 4 else C5_MATCHING
         ideal = consecutive_cycle_ideal(n)
-        report, q = matching_quotient(ideal, matching)
+        val, q = matching_quotient(ideal, matching)
         evidence = classify(cycle_graph(n)).evidence
         assert evidence["kind"] == "morse-quotient"
-        assert report["closure_products_checked"] == evidence["closure_products_checked"]
-        assert report["matching_valid"] == evidence["matching_valid"] and report["closure_failures"] == []
+        assert q.closure_products_checked == evidence["closure_products_checked"]
+        assert val == evidence["matching_valid"]
         dgT = taylor_dg_structure(ideal)
         ok, closure = dg_ideal_closure(dgT, matching_span(dgT.complex, matching)[0])
-        assert ok and report["closure_products_checked"] == len(closure["products"])
+        assert ok and q.closure_products_checked == len(closure["products"])
         # every matched cell is a pivot, so the critical cells survive
         matched = {("e",) + tuple(V) for arc in matching for V in arc}
         critical = {l.tag for l in dgT.degree if l.tag not in matched}
@@ -531,8 +533,8 @@ class TestMatchingQuotient:
             evidence = classify(g).evidence
             assert evidence["kind"] == "lyubeznik-quotient"
             ordered = edge_ideal(g).reorder(evidence["generator_order"])
-            report, q = matching_quotient(ordered, lyubeznik_matching(ordered))
-            assert report["closure_products_checked"] == evidence["closure_products_checked"]
+            q = matching_quotient(ordered, lyubeznik_matching(ordered))[1]
+            assert q.closure_products_checked == evidence["closure_products_checked"]
             assert list(q.structure.complex.ranks()) == evidence["quotient_ranks"]
             seen += 1
         assert seen == 6
@@ -541,15 +543,14 @@ class TestMatchingQuotient:
         # C6's Lyubeznik matching: not minimal, and its quotient keeps exactly
         # the Lyubeznik survivors as `morse_reduce` does
         ideal = edge_ideal(build_family("C6"))
-        report, q = matching_quotient(ideal, lyubeznik_matching(ideal))
-        assert report["closure_failures"] == []
+        q = matching_quotient(ideal, lyubeznik_matching(ideal))[1]
         critical = {("e",) + U for cells in lyubeznik_critical(ideal).values() for U in cells}
         assert {l.tag for l in q.structure.degree} == critical
         assert {l.tag for l in morse_reduce(taylor_resolution(ideal), lyubeznik_matching(ideal)).degree} == critical
 
     def test_prune_dg_refuses_a_span_that_is_not_a_dg_ideal(self, monkeypatch):
         monkeypatch.setattr(prune, "lyubeznik_matching", lambda ideal: C4_ARC)
-        with pytest.raises(MorseError, match="^no dg quotient"):
+        with pytest.raises(DGIdealError, match=r"^span is not a dg ideal: 5 product\(s\) e_u \* g outside it$"):
             prune_dg(edge_ideal(build_family("C4")), ("v1",))
 
 

@@ -2,13 +2,12 @@
 oracles via brute-force inversion counting, and the minimality boundary on
 tree edge ideals."""
 
-import random
 from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dgres import (
