@@ -11,8 +11,6 @@ from .classify import (
     Certificate,
     UnsupportedGraphError,
     classify,
-    classify_cycle,
-    classify_tree,
     kruskal_katona_is_fvector,
     verify_certificate,
 )
@@ -26,7 +24,6 @@ from .combin import (
     lyubeznik_graph,
     path_graph,
     t4_tree,
-    tree_longest_path,
 )
 from .complexes import (
     BasisLabel,

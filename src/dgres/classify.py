@@ -130,6 +130,24 @@ CITED_FACTS: dict[str, dict] = {
     },
 }
 
+# the argument of a non-dg certificate found by pruning to the 5-edge path
+_PRUNED_TO_PATH = ("boocher-pruning", "katthan-structure", "katthan-5path", "avramov-obstruction")
+
+# (family, evidence kind) -> (verdict, cited facts): the one rule a
+# certificate's verdict and citations follow
+CERTIFICATE_TABLE: dict[tuple[str, str], tuple[str, tuple[str, ...]]] = {
+    ("tree", "taylor-minimal"): ("dg", ("taylor-dg",)),
+    ("tree", "lyubeznik-quotient"): ("dg", ("taylor-dg", "morse-resolution")),
+    ("tree", "cone-product"): ("dg", ("taylor-dg",)),
+    ("tree", "prunes-to-non-dg-path"): ("not_dg", _PRUNED_TO_PATH),
+    ("cycle", "lyubeznik-quotient"): (
+        "dg", ("taylor-dg", "morse-resolution", "hilbert-burch", "buchsbaum-eisenbud-short"),
+    ),
+    ("cycle", "morse-quotient"): ("dg", ("taylor-dg", "morse-resolution", "buchsbaum-eisenbud-short")),
+    ("cycle", "betti-not-f-vector"): ("not_dg", ("katthan-structure", "katthan-fvector", "kruskal-katona")),
+    ("cycle", "prunes-to-non-dg-path"): ("not_dg", _PRUNED_TO_PATH),
+}
+
 
 # ---------------------------------------------------------------------------
 # Kruskal-Katona
@@ -240,17 +258,15 @@ def _resolution_summary(cx, ideal) -> dict:
 
 
 def _taylor_minimal_evidence(ideal: MonomialIdeal) -> tuple[dict, list[int]]:
-    T = taylor_resolution(ideal)
-    gens = ideal.generators
-    full = lcm_of(gens, ideal.ring) if gens else ideal.ring.one()
+    dgT = taylor_dg_structure(ideal)
+    T, gens = dgT.complex, ideal.generators
+    full = lcm_of(gens, ideal.ring)
     drop = []
     for u, g in enumerate(gens):
-        rest = [h for v, h in enumerate(gens) if v != u]
-        m = lcm_of(rest, ideal.ring) if rest else ideal.ring.one()
+        m = lcm_of((h for v, h in enumerate(gens) if v != u), ideal.ring)
         drop.append({"dropped": str(g), "lcm_without": str(m), "full_lcm_kept": str(m) != str(full)})
-    if gens and not all(d["full_lcm_kept"] for d in drop):
+    if not all(d["full_lcm_kept"] for d in drop):
         raise GraphError("Taylor resolution is not minimal; wrong branch")
-    dgT = taylor_dg_structure(ideal, T)
     evidence = {
         "kind": "taylor-minimal",
         "ranks": list(T.ranks()),
@@ -384,21 +400,15 @@ def _d3_order(path: list[str], ideal: MonomialIdeal) -> list[str]:
     return [str(first)] + rest
 
 
-def classify_tree(graph: Graph) -> Certificate:
-    if not graph.is_tree():
-        raise UnsupportedGraphError("not a tree")
-    return _classify_tree(graph)
-
-
-def _classify_tree(graph: Graph) -> Certificate:
-    """`classify_tree` on a graph its caller has found to be a tree."""
+def _tree_evidence(graph: Graph) -> tuple[int, dict, list[int] | None, dict]:
+    """(diameter, parameters, Betti vector, evidence) of a graph its caller
+    has found to be a tree."""
     path = _tree_path(graph)
     d = len(path) - 1
     ideal = edge_ideal(graph)
-    gj = graph.to_json()
     if d <= 2:
         if ideal.is_zero():
-            evidence = {
+            return d, {}, [1], {
                 "kind": "taylor-minimal",
                 "ranks": [1],
                 "is_minimal": True,
@@ -406,13 +416,8 @@ def _classify_tree(graph: Graph) -> Certificate:
                 "resolution": {"checked": True, "ok": True},
                 "dg_check": {"ok": True, "note": "zero ideal"},
             }
-            betti = [1]
-        else:
-            evidence, betti = _taylor_minimal_evidence(ideal)
-        return Certificate(
-            family="tree", verdict="dg", diameter=d, parameters={},
-            betti=betti, evidence=evidence, cited=["taylor-dg"], graph=gj,
-        )
+        evidence, betti = _taylor_minimal_evidence(ideal)
+        return d, {}, betti, evidence
     if d == 3:
         ordered = ideal.reorder(_d3_order(path, ideal))
         evidence, betti = _quotient_evidence("lyubeznik-quotient", ordered, lyubeznik_matching(ordered))
@@ -422,28 +427,11 @@ def _classify_tree(graph: Graph) -> Certificate:
         if betti != formula:
             raise GraphError(f"Betti mismatch: {betti} vs formula {formula}")
         evidence["betti_formula"] = formula
-        return Certificate(
-            family="tree", verdict="dg", diameter=d,
-            parameters={"a": a, "b": b, "c": 0},
-            betti=betti, evidence=evidence,
-            cited=["taylor-dg", "morse-resolution"], graph=gj,
-        )
+        return d, {"a": a, "b": b, "c": 0}, betti, evidence
     if d == 4:
         evidence, betti, params = _cone_evidence(graph)
-        return Certificate(
-            family="tree", verdict="dg", diameter=d, parameters=params,
-            betti=betti, evidence=evidence, cited=["taylor-dg"], graph=gj,
-        )
-    evidence = _path_window_evidence(graph, ideal, path[:6])
-    return Certificate(
-        family="tree", verdict="not_dg", diameter=d, parameters={},
-        betti=None, evidence=evidence,
-        cited=[
-            "boocher-pruning", "katthan-structure", "katthan-5path",
-            "avramov-obstruction",
-        ],
-        graph=gj,
-    )
+        return d, params, betti, evidence
+    return d, {}, None, _path_window_evidence(graph, ideal, path[:6])
 
 
 # ---------------------------------------------------------------------------
@@ -493,36 +481,16 @@ def _cycle_consecutive_ideal(graph: Graph, ideal: MonomialIdeal) -> MonomialIdea
     return ideal.reorder(order)
 
 
-def classify_cycle(graph: Graph) -> Certificate:
-    if not graph.is_cycle():
-        raise UnsupportedGraphError("not a cycle")
-    return _classify_cycle(graph)
-
-
-def _classify_cycle(graph: Graph) -> Certificate:
-    """`classify_cycle` on a graph its caller has found to be a cycle."""
-    n = d = len(graph.vertices)  # C_n counts as a closed path of length n
-    gj = graph.to_json()
+def _cycle_evidence(graph: Graph) -> tuple[dict, list[int] | None]:
+    """(evidence, Betti vector) of a graph its caller has found to be a
+    cycle."""
+    n = len(graph.vertices)
     edges = edge_ideal(graph)
     ideal = _cycle_consecutive_ideal(graph, edges)
     if n == 3:
-        evidence, betti = _quotient_evidence("lyubeznik-quotient", ideal, lyubeznik_matching(ideal))
-        return Certificate(
-            family="cycle", verdict="dg", diameter=d, parameters={"n": n},
-            betti=betti, evidence=evidence,
-            cited=["taylor-dg", "morse-resolution", "hilbert-burch",
-                   "buchsbaum-eisenbud-short"],
-            graph=gj,
-        )
+        return _quotient_evidence("lyubeznik-quotient", ideal, lyubeznik_matching(ideal))
     if n == 4 or n == 5:
-        matching = C4_MATCHING if n == 4 else C5_MATCHING
-        evidence, betti = _quotient_evidence("morse-quotient", ideal, matching)
-        return Certificate(
-            family="cycle", verdict="dg", diameter=d, parameters={"n": n},
-            betti=betti, evidence=evidence,
-            cited=["taylor-dg", "morse-resolution", "buchsbaum-eisenbud-short"],
-            graph=gj,
-        )
+        return _quotient_evidence("morse-quotient", ideal, C4_MATCHING if n == 4 else C5_MATCHING)
     if n == 6:
         betti = list(total_betti(taylor_resolution(ideal)))
         kk = kruskal_katona_is_fvector(betti)
@@ -530,41 +498,25 @@ def _classify_cycle(graph: Graph) -> Certificate:
             raise GraphError(
                 f"expected Kruskal-Katona failure for Betti vector {betti}"
             )
-        evidence = {
-            "kind": "betti-not-f-vector",
-            "betti": betti,
-            "f_vector_test": kk,
-        }
-        return Certificate(
-            family="cycle", verdict="not_dg", diameter=d, parameters={"n": n},
-            betti=betti, evidence=evidence,
-            cited=["katthan-structure", "katthan-fvector", "kruskal-katona"],
-            graph=gj,
-        )
-    window = _cycle_order(graph)[:6]
-    evidence = _path_window_evidence(graph, edges, window)
-    return Certificate(
-        family="cycle", verdict="not_dg", diameter=d, parameters={"n": n},
-        betti=None, evidence=evidence,
-        cited=[
-            "boocher-pruning", "katthan-structure", "katthan-5path",
-            "avramov-obstruction",
-        ],
-        graph=gj,
-    )
+        return {"kind": "betti-not-f-vector", "betti": betti, "f_vector_test": kk}, betti
+    return _path_window_evidence(graph, edges, _cycle_order(graph)[:6]), None
 
 
 def classify(graph: Graph) -> Certificate:
-    """Classify a tree or cycle; raise UnsupportedGraphError otherwise.
-    The shape is checked once here, not again by `classify_tree` or
-    `classify_cycle`."""
+    """Classify a tree or cycle; raise UnsupportedGraphError otherwise.  The
+    shape is checked once, here; the branch builds the evidence, and the
+    verdict and cited facts are its row of `CERTIFICATE_TABLE`."""
     if graph.is_cycle():
-        return _classify_cycle(graph)
-    if graph.is_tree():
-        return _classify_tree(graph)
-    raise UnsupportedGraphError(
-        "classification covers trees and cycles only"
-    )
+        family, d = "cycle", len(graph.vertices)  # C_n counts as a closed path of length n
+        params = {"n": d}
+        evidence, betti = _cycle_evidence(graph)
+    elif graph.is_tree():
+        family = "tree"
+        d, params, betti, evidence = _tree_evidence(graph)
+    else:
+        raise UnsupportedGraphError("classification covers trees and cycles only")
+    verdict, cited = CERTIFICATE_TABLE[family, evidence["kind"]]
+    return Certificate(family, verdict, d, params, betti, evidence, list(cited), graph.to_json())
 
 
 def verify_certificate(cert: dict) -> dict:

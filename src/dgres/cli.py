@@ -206,8 +206,9 @@ def _load_matching(args, ideal: MonomialIdeal):
 
 def _refused_span(exc: DGIdealError) -> dict:
     """What a command prints when `quotient_dg` refuses a span that is not a
-    dg ideal: the products e_u * g outside it."""
-    return {"ideal_closed": False, "closure": {"boundary_closed": True, "failures": exc.witness, "ok": False}}
+    dg ideal: whether the span is closed under d, and the generators whose
+    boundary leaves it or else the products e_u * g outside it."""
+    return {"ideal_closed": False, "closure": {"boundary_closed": exc.boundary_closed, "failures": exc.witness, "ok": False}}
 
 
 def _complex_result(cx: LabeledFreeComplex, ideal: MonomialIdeal) -> tuple[dict, bool]:

@@ -119,15 +119,9 @@ def _bfs_ecc(adj: dict[str, list[str]], start: str) -> tuple[str, int]:
     return far, fd
 
 
-def tree_longest_path(graph: Graph) -> list[str]:
-    """A longest path in a tree via double BFS; returns the vertex list."""
-    if not graph.is_tree():
-        raise GraphError("tree_longest_path needs a tree")
-    return _tree_path(graph)
-
-
 def _tree_path(graph: Graph) -> list[str]:
-    """`tree_longest_path` of a graph known to be a tree."""
+    """A longest path, as its vertex list, of a graph its caller has found to
+    be a tree, by double BFS."""
     if len(graph.vertices) == 1:
         return [graph.vertices[0]]
     adj = graph.adjacency()

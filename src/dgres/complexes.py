@@ -478,12 +478,13 @@ def multiplication_map(C: LabeledFreeComplex, m: Monomial) -> ChainMap:
 
 def mapping_cone(
     psi: ChainMap,
-    target_relabel: Callable[[tuple], tuple] | None = None,
-    source_relabel: Callable[[tuple], tuple] | None = None,
-    name: str = "",
+    target_relabel: Callable[[tuple], tuple],
+    source_relabel: Callable[[tuple], tuple],
+    name: str,
 ) -> LabeledFreeComplex:
-    """Cone(psi: S -> T): degree i is T_i + S_{i-1}, with
-    d(t, s) = (d_T t + psi(s), -d_S s).
+    """Cone(psi: S -> T), named `name`: degree i is T_i + S_{i-1}, with
+    d(t, s) = (d_T t + psi(s), -d_S s), the tags of the two copies mapped
+    by `target_relabel` and `source_relabel`.
 
     Source-copy labels get multidegree shift * m_s so the cone stays
     multigraded when psi has a nontrivial monomial shift.
@@ -492,8 +493,6 @@ def mapping_cone(
     if S.ring != T.ring:
         raise ComplexError("cone of a map between different rings")
     ring = T.ring
-    tre = target_relabel or (lambda tag: ("T", tag))
-    sre = source_relabel or (lambda tag: ("S", tag))
 
     tmap: dict[BasisLabel, BasisLabel] = {}
     smap: dict[BasisLabel, BasisLabel] = {}
@@ -502,11 +501,11 @@ def mapping_cone(
     for i in range(top + 1):
         row: list[BasisLabel] = []
         for t in T.labels(i):
-            nt = BasisLabel(tre(t.tag), t.multidegree)
+            nt = BasisLabel(target_relabel(t.tag), t.multidegree)
             tmap[t] = nt
             row.append(nt)
         for s in S.labels(i - 1):
-            ns = BasisLabel(sre(s.tag), psi.shift * s.multidegree)
+            ns = BasisLabel(source_relabel(s.tag), psi.shift * s.multidegree)
             smap[s] = ns
             row.append(ns)
         if row:
@@ -525,7 +524,7 @@ def mapping_cone(
             col.update((smap[r], -v) for r, v in dS.get(s, {}).items())
             cols[smap[s]] = col
         diff[i] = cols
-    return LabeledFreeComplex(ring, basis, diff, name=name or f"cone({psi.source.name}->{psi.target.name})")
+    return LabeledFreeComplex(ring, basis, diff, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -96,14 +96,18 @@ from .strands import Divisors
 
 class DGError(ValueError):
     """`witness`, when set, lists the generators left without a unit pivot
-    (for a `DGIdealError`, the products outside the span)."""
+    (for a `DGIdealError`, the generators or products that leave the span)."""
 
     witness: list | None = None
 
 
 class DGIdealError(DGError):
-    """A span `quotient_dg` refuses: `witness` lists the products e_u * g outside it, `checked` those inside."""
+    """A span `quotient_dg` refuses, not a dg ideal.  When `boundary_closed`
+    is false, `witness` lists the generators whose boundary leaves the span;
+    else it lists the products e_u * g outside the span, `checked` those
+    inside."""
 
+    boundary_closed: bool = True
     checked: int = 0
 
 
@@ -214,11 +218,10 @@ class DGStructure:
         self,
         complex: LabeledFreeComplex,
         product_fn: Callable[[BasisLabel, BasisLabel], ScalarProduct],
-        name: str = "",
     ):
         self.complex = complex
         self._product = product_fn
-        self.name = name or complex.name
+        self.name = complex.name
         deg0 = complex.labels(0)
         if len(deg0) != 1:
             raise DGError("dg structure needs rank-1 degree 0")
@@ -549,10 +552,15 @@ def matching_span(cx: LabeledFreeComplex, matching) -> tuple[SubmoduleSpan, set[
 
 def boundary_closed(span: SubmoduleSpan) -> bool:
     """True when the boundary of every span generator lies in the span;
-    DGError at the first that does not."""
-    for g in span.generators:
-        if not submodule_membership(span, g.element.diff())[0]:
-            raise DGError(f"span is not closed under the differential at generator {g.gen_id}")
+    else DGIdealError, named after the first generator whose boundary does
+    not, with `boundary_closed` false and each such generator and its
+    boundary, in generator order, as `witness`."""
+    outside = [(g, d) for g in span.generators if not submodule_membership(span, d := g.element.diff())[0]]
+    if outside:
+        err = DGIdealError(f"span is not closed under the differential at generator {outside[0][0].gen_id}")
+        err.boundary_closed = False
+        err.witness = [{"gen": tag_to_json(g.gen_id), "boundary": str(d)} for g, d in outside]
+        raise err
     return True
 
 
@@ -597,7 +605,7 @@ def closure_entry(dg: DGStructure, span: SubmoduleSpan, labels: list, u, k: int,
 
 def dg_ideal_closure(dg: DGStructure, span: SubmoduleSpan) -> tuple[bool, dict]:
     """`quotient_dg`'s dg-ideal check as a report: `boundary_closed` first
-    (DGError if the span is not a subcomplex, so the report's
+    (its DGIdealError if the span is not a subcomplex, so the report's
     `boundary_closed` is always true), then each nonzero product e_U * g of a
     basis label and a span generator (`closure_products`), with its
     membership witness or among the failures."""
@@ -778,11 +786,13 @@ def quotient_dg(
     The span's generators are eliminated per degree by `Elimination`, over
     Q/<kill_vars> when kill_vars are given, preferring as pivots the labels
     whose tags are in `prefer_eliminate` (e.g. to keep the Morse-critical
-    cells).  The one dg-ideal check follows, exactly over Q: `boundary_closed`
-    and every nonzero product e_u * g in the span (`closure_products`, counted
-    as `closure_products_checked`), else DGIdealError.  A product of two
-    survivors is the parent's stored product with the elimination's rules
-    substituted.
+    cells); a span without unit pivots raises its DGError.  The one
+    dg-ideal check follows, exactly over Q, and refuses a span that is not a
+    dg ideal with DGIdealError: `boundary_closed` (its refusal lists the generators whose
+    boundary leaves the span), then every nonzero product e_u * g in the span
+    (`closure_products`, counted as `closure_products_checked`; the refusal
+    lists the products outside it).  A product of two survivors is the
+    parent's stored product with the elimination's rules substituted.
     """
     cx = dg.complex
     elim = Elimination(
@@ -818,4 +828,4 @@ def quotient_dg(
         got = elim.substitute(prod, pa.multidegree * pb.multidegree, dg.degree[pa] + dg.degree[pb])
         return ScalarProduct({fwd[l]: c for l, c in got.items()})
 
-    return QuotientDG(DGStructure(qcx, qproduct, name=name), elim, project, checked)
+    return QuotientDG(DGStructure(qcx, qproduct), elim, project, checked)

@@ -227,7 +227,7 @@ def build_cone_resolution(graph: Graph) -> ConeResolution:
         source_relabel=lambda tag: tag,
         name=f"Cone(Psi){dec.ideal_total}",
     )
-    dg = DGStructure(cone, _cone_product_fn(dec, cone), name=cone.name)
+    dg = DGStructure(cone, _cone_product_fn(dec, cone))
     return ConeResolution(dec, F, G, Gp, cone, dg)
 
 

@@ -210,13 +210,10 @@ def monomial_divide(a: Monomial, b: Monomial) -> Monomial:
     return _monomial(a.ring, tuple(map(sub, a.exponents, b.exponents)))
 
 
-def lcm_of(ms: Iterable[Monomial], ring: VariableSet | None = None) -> Monomial:
+def lcm_of(ms: Iterable[Monomial], ring: VariableSet) -> Monomial:
+    """The lcm of a family of monomials of `ring`; 1 for the empty family."""
     ms = list(ms)
-    if not ms:
-        if ring is None:
-            raise PolyError("lcm of empty family needs an explicit ring")
-        return ring.one()
-    return reduce(monomial_lcm, ms)
+    return reduce(monomial_lcm, ms) if ms else ring.one()
 
 
 def exact(c: int | Fraction) -> int | Fraction:

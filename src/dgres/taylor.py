@@ -130,15 +130,14 @@ def mask_product(at: dict[int, BasisLabel], V: int, W: int, below: int) -> Scala
     return ScalarProduct({at[V | W]: mask_sign(V, below)})
 
 
-def taylor_dg_structure(ideal: MonomialIdeal, T: LabeledFreeComplex | None = None) -> DGStructure:
-    """The Taylor complex as a dg algebra (complex + multiplication), the
-    product read off the bitmask index of T's labels."""
-    if T is None:
-        T = taylor_resolution(ideal)
+def taylor_dg_structure(ideal: MonomialIdeal) -> DGStructure:
+    """The Taylor resolution as a dg algebra (complex + multiplication), the
+    product read off the bitmask index of its labels."""
+    T = taylor_resolution(ideal)
     index, at = mask_index(T, "e")
 
     def product(a: BasisLabel, b: BasisLabel) -> ScalarProduct:
         (V, _), (W, below) = index[a], index[b]
         return mask_product(at, V, W, below)
 
-    return DGStructure(T, product, name=f"Taylor{ideal}")
+    return DGStructure(T, product)

@@ -24,14 +24,13 @@ from dgres import (
     total_betti,
 )
 from dgres.classify import (
+    CERTIFICATE_TABLE,
     CITED_FACTS,
     UnsupportedGraphError,
     _resolution_summary,
     cascade_representation,
     cascade_shadow_bound,
     classify,
-    classify_cycle,
-    classify_tree,
     kruskal_katona_is_fvector,
     verify_certificate,
 )
@@ -345,6 +344,18 @@ class TestCertificates:
         for fact in CITED_FACTS.values():
             assert fact["statement"] and fact["source"]
 
+    def test_certificate_table(self):
+        """The table cites exactly the facts of `CITED_FACTS`, and one graph
+        per row gets that row's verdict and cited facts."""
+        assert {fact for _, cited in CERTIFICATE_TABLE.values() for fact in cited} == set(CITED_FACTS)
+        graphs = [path_graph(1), path_graph(3), t4_tree(2, (1, 1)), path_graph(5)]
+        graphs += [cycle_graph(n) for n in (3, 4, 6, 7)]
+        got = {}
+        for graph in graphs:
+            cert = classify(graph)
+            got[cert.family, cert.evidence["kind"]] = (cert.verdict, cert.cited)
+        assert got == {key: (verdict, list(cited)) for key, (verdict, cited) in CERTIFICATE_TABLE.items()}
+
     @pytest.mark.parametrize(
         "graph",
         [t4_tree(2, (1, 1)), cycle_graph(5), cycle_graph(6), path_graph(6)],
@@ -465,12 +476,6 @@ class TestUnsupported:
 
 
 class TestShapeChecks:
-    def test_direct_callers_keep_their_checks(self):
-        with pytest.raises(UnsupportedGraphError, match="not a tree"):
-            classify_tree(cycle_graph(5))
-        with pytest.raises(UnsupportedGraphError, match="not a cycle"):
-            classify_cycle(path_graph(4))
-
     @pytest.mark.parametrize("graph, tree_checks", [(path_graph(10), 1), (cycle_graph(7), 0)])
     def test_classify_checks_the_shape_once(self, graph, tree_checks, monkeypatch):
         calls = []

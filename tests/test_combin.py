@@ -14,9 +14,9 @@ from dgres import (
     lyubeznik_graph,
     path_graph,
     t4_tree,
-    tree_longest_path,
 )
 from dgres.classify import UnsupportedGraphError, classify
+from dgres.combin import _tree_path
 
 
 def from_networkx(g: "nx.Graph") -> Graph:
@@ -75,8 +75,6 @@ class TestGraph:
         assert not g.is_cycle() and not g.is_tree()
         with pytest.raises(UnsupportedGraphError):
             classify(g)
-        with pytest.raises(GraphError):
-            tree_longest_path(g)
         with pytest.raises(GraphError, match="^graph_diameter needs a tree or a cycle$"):
             graph_diameter(g)
 
@@ -115,7 +113,7 @@ class TestGraph:
         for n in range(2, 8):
             for t in nx.nonisomorphic_trees(n):
                 g = from_networkx(t)
-                path = tree_longest_path(g)
+                path = _tree_path(g)
                 assert len(path) - 1 == graph_diameter(g)
                 assert len(set(path)) == len(path)
                 adj = g.adjacency()

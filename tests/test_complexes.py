@@ -84,6 +84,12 @@ def rank_one(ring, tag=("u",)):
     return LabeledFreeComplex(ring, {0: [lbl]}, {}), lbl
 
 
+def plain_cone(psi):
+    """`mapping_cone` with the target copy tagged ("T", tag), the source copy
+    ("S", tag)."""
+    return mapping_cone(psi, lambda tag: ("T", tag), lambda tag: ("S", tag), "cone")
+
+
 def poly(ring, text):
     return parse_polynomial(ring, text)
 
@@ -305,7 +311,7 @@ class TestSerialization:
 
     def test_roundtrip_preserves_nested_tags(self):
         C, _ = rank_one(RING3)
-        cone = mapping_cone(multiplication_map(C, RING3.variable("z")))
+        cone = plain_cone(multiplication_map(C, RING3.variable("z")))
         back = complex_from_json(cone.to_json())
         assert complexes_equal(cone, back)
         assert back.labels(1)[0].tag == ("S", ("u",))
@@ -389,7 +395,7 @@ class TestMappingCone:
     def test_cone_of_multiplication_on_rank_one(self):
         C, lbl = rank_one(RING3)
         psi = multiplication_map(C, RING3.variable("z"))
-        cone = mapping_cone(psi)
+        cone = plain_cone(psi)
         assert cone.ranks() == (1, 1)
         t0 = cone.labels(0)[0]
         s1 = cone.labels(1)[0]
@@ -403,8 +409,8 @@ class TestMappingCone:
     def test_iterated_cones_build_koszul(self):
         ring = VariableSet(("x", "y"))
         C, _ = rank_one(ring)
-        K1 = mapping_cone(multiplication_map(C, ring.variable("x")))
-        K2 = mapping_cone(multiplication_map(K1, ring.variable("y")))
+        K1 = plain_cone(multiplication_map(C, ring.variable("x")))
+        K2 = plain_cone(multiplication_map(K1, ring.variable("y")))
         assert K2.ranks() == (1, 2, 1)
         assert K2.verify().ok
         ok, _ = K2.is_resolution_of(ideal(ring, "x", "y"))
@@ -416,7 +422,7 @@ class TestMappingCone:
         ring = VariableSet(("x", "y"))
         S = taylor_resolution(ideal(ring, "x", "y"))
         psi = multiplication_map(S, ring.one())
-        cone = mapping_cone(psi)
+        cone = plain_cone(psi)
         top_s = cone.find_label(("S", ("e", 0, 1)))
         i = cone.degree_of(top_s)
         col = column(cone, i, top_s)
@@ -445,7 +451,7 @@ class TestMappingCone:
         D, _ = rank_one(RING4, tag=("v",))
         psi = ChainMap(C, D, {C.labels(0)[0]: {D.labels(0)[0]: 1}})
         with pytest.raises(ComplexError, match="^cone of a map between different rings$"):
-            mapping_cone(psi)
+            plain_cone(psi)
 
 
 class TestTensor:

@@ -46,7 +46,7 @@ from dgres import (
     validate_matching,
 )
 from dgres.classify import C4_MATCHING, C5_MATCHING, _cycle_consecutive_ideal, _d3_order, classify
-from dgres.combin import tree_longest_path
+from dgres.combin import _tree_path
 from dgres.complexes import ComplexError, tag_to_json
 from dgres import dg as dg_module
 from dgres.dg import DGReport, ScalarProduct, boundary_closed, closure_products
@@ -287,8 +287,8 @@ class TestQuotient:
 
     def test_no_unit_pivot_raises(self):
         I = ideal(RING3, "x", "y", "z")
-        T = taylor_resolution(I)
-        dg = taylor_dg_structure(I, T)
+        dg = taylor_dg_structure(I)
+        T = dg.complex
         e0 = T.find_label(("e", 0))
         gen = SpanGenerator(("g",), element(T, 1, {e0: parse_polynomial(RING3, "x")}))
         with pytest.raises(DGError, match="^no unit pivot in degree 1") as exc:
@@ -297,8 +297,8 @@ class TestQuotient:
 
     def test_non_subcomplex_span_raises(self):
         I = ideal(RING3, "x", "y", "z")
-        T = taylor_resolution(I)
-        dg = taylor_dg_structure(I, T)
+        dg = taylor_dg_structure(I)
+        T = dg.complex
         e01 = Element.basis(T, T.find_label(("e", 0, 1)))
         bare = SubmoduleSpan(T, [SpanGenerator(("e", 0, 1), e01)])
         with pytest.raises(DGError):
@@ -596,7 +596,7 @@ def inhomogeneous_differential(ideal) -> DGStructure:
     diff = {i: {c: dict(col) for c, col in cols.items()} for i, cols in T.diff.items()}
     e01, e0 = T.find_label(("e", 0, 1)), T.find_label(("e", 0))
     diff[2][e01][e0] = entry(T, 2, e0, e01) + constant(T.ring, 1)
-    return taylor_dg_structure(ideal, LabeledFreeComplex(T.ring, T.basis, diff))
+    return DGStructure(LabeledFreeComplex(T.ring, T.basis, diff), taylor_dg_structure(ideal).table)
 
 
 # the message that refuses `inhomogeneous_differential(taylor_fixture_ideal)`
@@ -1004,7 +1004,7 @@ def d3_and_cycle_spans():
     for n in range(4, 10):
         for b in range(1, (n - 2) // 2 + 1):
             graph = build_family(f"L({n - 2 - b},{b},0)")
-            ordered = edge_ideal(graph).reorder(_d3_order(tree_longest_path(graph), edge_ideal(graph)))
+            ordered = edge_ideal(graph).reorder(_d3_order(_tree_path(graph), edge_ideal(graph)))
             dg = taylor_dg_structure(ordered)
             yield graph, dg, matching_span(dg, lyubeznik_matching(ordered))
     for n, matching in ((4, C4_MATCHING), (5, C5_MATCHING)):

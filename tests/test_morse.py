@@ -31,8 +31,9 @@ from dgres import (
 )
 from dgres import morse, prune
 from dgres.classify import C4_MATCHING, C5_MATCHING
+from dgres.cli import _refused_span
 from dgres.combin import graph_diameter
-from dgres.dg import DGIdealError, dg_ideal_closure, matching_span, quotient_dg
+from dgres.dg import DGIdealError, Element, SpanGenerator, SubmoduleSpan, dg_ideal_closure, matching_span, quotient_dg
 from dgres.morse import MorseError, lyubeznik_critical, matching_sources
 from dgres.poly import PolyError
 from dgres.prune import prune_ideal
@@ -565,3 +566,24 @@ def test_quotient_dg_refuses_a_span_that_is_not_a_dg_ideal():
         quotient_dg(dgT, span, prefer_eliminate=prefer)
     assert exc.value.witness == closure["failures"]
     assert exc.value.checked == len(closure["products"]) == 5
+
+
+def test_quotient_dg_refuses_a_span_not_closed_under_d():
+    # e_{0,1} and e_{2,3} alone in C4's Taylor algebra: neither boundary lies
+    # in their span, so the boundary check refuses it, before any product,
+    # and the refusal is printed as decided
+    dgT = taylor_dg_structure(edge_ideal(build_family("C4")))
+    cx = dgT.complex
+    gens = [SpanGenerator(tag, Element.basis(cx, cx.find_label(tag))) for tag in (("e", 0, 1), ("e", 2, 3))]
+    refused = r"^span is not closed under the differential at generator \('e', 0, 1\)$"
+    with pytest.raises(DGIdealError, match=refused) as exc:
+        quotient_dg(dgT, SubmoduleSpan(cx, gens))
+    assert exc.value.witness == [
+        {"gen": ["e", 0, 1], "boundary": "(-v4)*(e,0)[v1*v2] + (v2)*(e,1)[v1*v4]"},
+        {"gen": ["e", 2, 3], "boundary": "(-v4)*(e,2)[v2*v3] + (v2)*(e,3)[v3*v4]"},
+    ]
+    assert exc.value.checked == 0
+    assert _refused_span(exc.value) == {
+        "ideal_closed": False,
+        "closure": {"boundary_closed": False, "failures": exc.value.witness, "ok": False},
+    }

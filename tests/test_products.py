@@ -238,7 +238,7 @@ class TestProductStorage:
         made = []
         init = DGStructure.__init__
 
-        def counting_init(self, cx, product_fn, name=""):
+        def counting_init(self, cx, product_fn):
             seen = Counter()
             made.append((self, seen))
 
@@ -246,7 +246,7 @@ class TestProductStorage:
                 seen[a, b] += 1
                 return product_fn(a, b)
 
-            init(self, cx, product, name)
+            init(self, cx, product)
 
         monkeypatch.setattr(DGStructure, "__init__", counting_init)
         for I in corpus:

@@ -203,7 +203,7 @@ class TestDifferential:
 class TestProduct:
     def test_unit(self, fixture_complex, taylor_fixture_ideal):
         F = fixture_complex
-        dg = taylor_dg_structure(taylor_fixture_ideal, F)
+        dg = taylor_dg_structure(taylor_fixture_ideal)
         unit = F.find_label(("e",))
         for i in F.degrees():
             for lbl in F.labels(i):
@@ -214,12 +214,12 @@ class TestProduct:
         F = fixture_complex
         a = F.find_label(("e", 0, 1))
         b = F.find_label(("e", 1, 2))
-        assert coords(taylor_dg_structure(taylor_fixture_ideal, F).basis_product(a, b)) == {}
+        assert coords(taylor_dg_structure(taylor_fixture_ideal).basis_product(a, b)) == {}
 
     def test_coefficient_oracle(self, corpus):
         for I in corpus[:6]:
-            F = taylor_resolution(I)
-            dg = taylor_dg_structure(I, F)
+            dg = taylor_dg_structure(I)
+            F = dg.complex
             t = len(I.generators)
             subsets = [
                 idx for size in range(t + 1) for idx in combinations(range(t), size)
@@ -244,7 +244,7 @@ class TestProduct:
 
     def test_graded_commutativity_sample(self, fixture_complex, taylor_fixture_ideal):
         F = fixture_complex
-        dg = taylor_dg_structure(taylor_fixture_ideal, F)
+        dg = taylor_dg_structure(taylor_fixture_ideal)
         labels = [l for i in F.degrees() for l in F.labels(i)]
         for a in labels:
             for b in labels:
