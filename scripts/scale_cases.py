@@ -14,10 +14,14 @@ multidegrees, entries and entry types, and for every label the same
 Then it classifies the diameter-4 trees T4(3;2,2,2) and T4(3;3,3,3), whose
 certificates rest on the cone product, checked by `dg_check` on all 134^2
 pairs and 134^3 triples and on all 1030^2 pairs and 1030^3 triples, and the
-diameter-3 tree L(4,4,0), whose certificate rests on the Lyubeznik quotient
-of its 512-label Taylor algebra: the dg-ideal closure checks 26715 nonzero
-products and `dg_check` the 62-label quotient.  The verdict, ranks and check
-counts must match frozen values.
+diameter-3 trees L(4,4,0) and L(6,6,0), whose certificates rest on the
+Lyubeznik quotients of their 512- and 8192-label Taylor algebras.  Their
+matching sources are closed under supersets, so `quotient_dg` decides each
+span a dg ideal by the superset-closure lemma and counts its 26715 and
+3265815 nonzero products e_u * g from masks; `dg_check` then checks the
+62- and 254-label quotients on every pair and triple.  L(6,6,0) has 14
+active variables, at `classify.STRAND_VAR_CAP`, so its resolution is
+swept too.  The verdict, ranks and check counts must match frozen values.
 Then it makes 100 `classify` + `verify_certificate` round trips on P10,
 whose not-dg certificate prunes the path to its first 5-edge window: every
 certificate must equal the first and verify, with the frozen verdict, kind
@@ -104,6 +108,17 @@ CLASSIFY = {
         "closure_products_checked": 26715,
         "checked_pairs": 3844,
         "checked_triples": 238328,
+        "triples_checked": True,
+        "resolution_checked": True,
+    },
+    "L(6,6,0)": {
+        "verdict": "dg",
+        "kind": "lyubeznik-quotient",
+        "ranks": [1, 13, 42, 70, 70, 42, 14, 2],
+        "quotient_ranks": [1, 13, 42, 70, 70, 42, 14, 2],
+        "closure_products_checked": 3265815,
+        "checked_pairs": 64516,
+        "checked_triples": 16387064,
         "triples_checked": True,
         "resolution_checked": True,
     },

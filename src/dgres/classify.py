@@ -11,16 +11,20 @@ returns a `Certificate` whose evidence is recomputable:
   * d = 3 trees (and the 3-cycle): a Lyubeznik resolution for a total
     order starting at the central edge is minimal; the matching sources
     form a superset-closed family, so the span of their two-term
-    subcomplexes is a dg ideal and the Taylor quotient is dg.  The
+    subcomplexes is a dg ideal and the Taylor quotient is dg
+    (`dg.quotient_dg` decides it by this lemma, stated and proved in the
+    `dg` module docstring, and counts the products it decides).  The
     quotient is built and all dg axioms are machine-checked.
   * d = 4 trees: the mapping-cone resolution glued from the Taylor
     resolutions of the star ideal I = (z x_i) and the leaf ideal
     J = (x_i y_{i,j}), with its explicit product; all axioms checked.
   * C_4, C_5: explicit acyclic Morse matchings on the Taylor complex whose
     reductions are minimal; the spanned ideal is closed under
-    multiplication (with membership witnesses) and the quotient passes
-    all dg axioms.  (C_5's source family is *not* superset-closed, so it
-    also witnesses that superset-closure is sufficient but not necessary.)
+    multiplication and the quotient passes all dg axioms.  C_4's source
+    family is superset-closed, so the lemma decides its span.  C_5's is
+    *not*: each of its 155 nonzero products e_u * g is solved for
+    membership, and it witnesses that superset-closure is sufficient but
+    not necessary.
   * C_6: the Betti vector (1, 6, 9, 6, 2) is not the f-vector of any
     simplicial complex (Kruskal-Katona fails at the 4-element level:
     2 = C(4,4) + C(3,3) forces at least C(4,3) + C(3,2) = 7 > 6 faces

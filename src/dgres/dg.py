@@ -57,15 +57,40 @@ degree a `strands.Divisors` bitset index that finds the generators with
 mdeg(g) | b in a few integer operations.  A generator's boundary is its
 `Element.diff`.
 
-`closure_products` is the dg-ideal check: it forms every product e_u * g
-of a basis label and a generator exactly and solves each nonzero one for
-membership.  Per basis label u it reads the stored row of u once, keeps
-the products u*l with l in the generators' supports, and sums each u*g
-from those; an inverted index (label -> generators containing it)
-visits only the generators some nonzero u*l reaches, since every other
-product is 0.  `quotient_dg` alone decides with it, after `boundary_closed`,
-and refuses a span that is not a dg ideal (`DGIdealError`);
-`dg_ideal_closure` writes the same check out as a report (`closure_entry`).
+`quotient_dg` alone decides whether a span is a dg ideal, before it
+eliminates anything, and refuses any other span (`DGIdealError`).
+
+The superset-closure lemma decides a matching span of the Taylor algebra
+T: the span J of e_V and d(e_V) over a family S of index sets that is
+closed under supersets is a dg ideal.  Proof, for U a Taylor label and V
+in S:
+  * d(e_V) is a generator, and d(d(e_V)) = 0, so d(J) lies in J;
+  * e_U e_V is 0 or +-(m_U m_V / m_{U+V}) e_{U+V}, and U + V, a superset
+    of V, lies in S;
+  * by Leibniz, e_U d(e_V) = (-1)^{|U|} (d(e_U e_V) - d(e_U) e_V): the
+    first term is d of an element of J by the case above, and d(e_U) e_V
+    is a sum of monomial multiples of e_W e_V, each in J;
+  * the products g e_U follow by graded commutativity.
+So every product e_u * g of a basis label and a generator lies in J.
+`quotient_dg` applies it when the structure is a Taylor algebra
+(`DGStructure.taylor`, set only by `taylor.taylor_dg_structure`), the span
+lies on that structure's complex, and the span records its sources
+(`SubmoduleSpan.sources`, set only by `span_from_matching_sources`), which
+it checks for closure itself (`superset_closed`).  It then counts the
+nonzero products from masks instead of forming them.  Every other span
+takes the exhaustive pass: a matching whose sources are not closed (C5's),
+user matchings that are not, any span written out by hand, a span on
+another complex, and every span of a structure `taylor_dg_structure` did
+not build, quotients included.
+
+The exhaustive pass is `boundary_closed` and then `closure_products`: it
+forms every product e_u * g of a basis label and a generator exactly and
+solves each nonzero one for membership.  Per basis label u it reads the
+stored row of u once, keeps the products u*l with l in the generators'
+supports, and sums each u*g from those; an inverted index (label ->
+generators containing it) visits only the generators some nonzero u*l
+reaches, since every other product is 0.  `dg_ideal_closure` writes the
+same check out as a report (`closure_entry`).
 
 `Elimination` forms the quotient of a complex by the span of some of its
 elements, by per-degree unit-pivot elimination on coefficients, optionally
@@ -211,8 +236,12 @@ class DGStructure:
     Reading `row` or `table` at a label outside the basis raises DGError
     too.  `basis_product` and `multiply` build Elements from the stored
     products.  `degree` is the complex's label index, so a label
-    is a basis label exactly when it is a key there.
+    is a basis label exactly when it is a key there.  `taylor` is true only
+    for the Taylor algebra of the complex, as `taylor.taylor_dg_structure`
+    builds it; `quotient_dg` reads it for the superset-closure lemma.
     """
+
+    taylor = False
 
     def __init__(
         self,
@@ -454,7 +483,11 @@ class SubmoduleSpan:
     Indexed once: `columns[k]` is generator k as {position of l: c}, by
     the complex's `position`, and per homological degree a
     `strands.Divisors` over the multidegrees of the nonzero generators
-    finds those dividing b (`dividing`)."""
+    finds those dividing b (`dividing`).  `sources` is the family of Taylor
+    index sets V of a span {e_V, d(e_V)} that `span_from_matching_sources`
+    builds, in generator order, and None for any other span."""
+
+    sources: tuple[tuple[int, ...], ...] | None = None
 
     def __init__(self, cx: LabeledFreeComplex, generators: Sequence[SpanGenerator]):
         self.complex = cx
@@ -532,15 +565,29 @@ def span_from_matching_sources(
     """The span of {e_V, d(e_V)} over the given Taylor index sets V.
 
     For a Morse matching with source set A_+ this is the direct sum of the
-    two-term subcomplexes 0 -> Q e_V -> Q d(e_V) -> 0 over V in A_+.
+    two-term subcomplexes 0 -> Q e_V -> Q d(e_V) -> 0 over V in A_+.  The
+    span records the index sets as `sources`.
     """
     gens: list[SpanGenerator] = []
-    for V in sorted(sources, key=lambda v: (len(v), v)):
-        e = Element.basis(cx, cx.find_label(("e",) + tuple(V)))
-        gens.append(SpanGenerator(("e",) + tuple(V), e))
+    ordered = tuple(sorted(map(tuple, sources), key=lambda v: (len(v), v)))
+    for V in ordered:
+        e = Element.basis(cx, cx.find_label(("e",) + V))
+        gens.append(SpanGenerator(("e",) + V, e))
         if not (de := e.diff()).is_zero():
-            gens.append(SpanGenerator(("de",) + tuple(V), de))
-    return SubmoduleSpan(cx, gens)
+            gens.append(SpanGenerator(("de",) + V, de))
+    span = SubmoduleSpan(cx, gens)
+    span.sources = ordered
+    return span
+
+
+def superset_closed(sources: Iterable[tuple[int, ...]], t: int) -> bool:
+    """Whether a family of subsets of {0, ..., t-1} is closed under
+    supersets.  It is exactly when each member V has each one-element
+    extension V + {i} in the family, by induction on |W - V| for a superset
+    W of V.  The one rule behind `quotient_dg`'s lemma and
+    `morse.is_superset_closed`."""
+    masks = {sum(1 << i for i in V) for V in sources}
+    return all(V | 1 << i in masks for V in masks for i in range(t) if not V >> i & 1)
 
 
 def matching_span(cx: LabeledFreeComplex, matching) -> tuple[SubmoduleSpan, set[tuple]]:
@@ -774,33 +821,27 @@ class QuotientDG:
     closure_products_checked: int  # the nonzero products e_u * g, all in the span
 
 
-def quotient_dg(
-    dg: DGStructure,
-    span: SubmoduleSpan,
-    kill_vars: Sequence[str] = (),
-    prefer_eliminate: Iterable[tuple] = (),
-    name: str = "",
-) -> QuotientDG:
-    """Quotient of a dg algebra by the dg ideal spanned by `span`.
+def _lemma_products(dg: DGStructure, span: SubmoduleSpan) -> int | None:
+    """The number of nonzero products e_U * g when the superset-closure
+    lemma decides that `span` is a dg ideal of `dg`, else None: dg is a
+    Taylor algebra (`DGStructure.taylor`), the span is a matching span on
+    its complex (`SubmoduleSpan.sources`), and the sources are closed under
+    supersets.  e_U e_V != 0 iff U and V are disjoint, and e_U d(e_V) != 0
+    iff |U & V| <= 1, its terms lying on the distinct labels U + (V - i);
+    so each source V gives 2^(t-|V|) (2 + |V|) of them."""
+    sources, cx = span.sources, dg.complex
+    if not dg.taylor or span.complex is not cx or sources is None:
+        return None
+    t = len(cx.labels(1))
+    if not superset_closed(sources, t):
+        return None
+    return sum((2 + len(V)) << (t - len(V)) for V in sources)
 
-    The span's generators are eliminated per degree by `Elimination`, over
-    Q/<kill_vars> when kill_vars are given, preferring as pivots the labels
-    whose tags are in `prefer_eliminate` (e.g. to keep the Morse-critical
-    cells); a span without unit pivots raises its DGError.  The one
-    dg-ideal check follows, exactly over Q, and refuses a span that is not a
-    dg ideal with DGIdealError: `boundary_closed` (its refusal lists the generators whose
-    boundary leaves the span), then every nonzero product e_u * g in the span
-    (`closure_products`, counted as `closure_products_checked`; the refusal
-    lists the products outside it).  A product of two survivors is the
-    parent's stored product with the elimination's rules substituted.
-    """
-    cx = dg.complex
-    elim = Elimination(
-        cx,
-        ((g.gen_id, g.element.degree, g.element.vec, g.element.b, None) for g in span.generators),
-        kill_vars,
-        prefer_eliminate,
-    )
+
+def _closure_pass(dg: DGStructure, span: SubmoduleSpan) -> int:
+    """The exhaustive dg-ideal check: `boundary_closed`, then every nonzero
+    product e_u * g must lie in the span (`closure_products`).  Returns the
+    number of those products; DGIdealError lists the ones outside it."""
     boundary_closed(span)
     labels, checked, outside = list(dg.degree), 0, []  # labels[j]: the label at position j
     for u, k, b, vec, sol in closure_products(dg, span):
@@ -812,6 +853,47 @@ def quotient_dg(
         err = DGIdealError(f"span is not a dg ideal: {len(outside)} product(s) e_u * g outside it")
         err.witness, err.checked = outside, checked
         raise err
+    return checked
+
+
+def quotient_dg(
+    dg: DGStructure,
+    span: SubmoduleSpan,
+    kill_vars: Sequence[str] = (),
+    prefer_eliminate: Iterable[tuple] = (),
+    name: str = "",
+) -> QuotientDG:
+    """Quotient of a dg algebra by the dg ideal spanned by `span`.
+
+    First it decides, exactly over Q, that the span is a dg ideal, and
+    refuses any other span with DGIdealError.  A matching span of a Taylor
+    algebra whose sources are closed under supersets is one by the lemma of
+    the module docstring, which decides every product e_u * g at once
+    (`_lemma_products` counts the nonzero ones from masks).  Every other
+    span takes the exhaustive pass (`_closure_pass`): `boundary_closed`
+    (its refusal lists the generators whose boundary leaves the span), then
+    every nonzero product e_u * g is solved for membership
+    (`closure_products`; the refusal lists the products outside the span).
+    Either way the nonzero products are counted as
+    `closure_products_checked`.
+
+    Only a dg ideal is then eliminated, per degree by `Elimination`, over
+    Q/<kill_vars> when kill_vars are given, preferring as pivots the labels
+    whose tags are in `prefer_eliminate` (e.g. to keep the Morse-critical
+    cells); a span without unit pivots raises its DGError.  A product of
+    two survivors is the parent's stored product with the elimination's
+    rules substituted.
+    """
+    cx = dg.complex
+    checked = _lemma_products(dg, span)
+    if checked is None:
+        checked = _closure_pass(dg, span)
+    elim = Elimination(
+        cx,
+        ((g.gen_id, g.element.degree, g.element.vec, g.element.b, None) for g in span.generators),
+        kill_vars,
+        prefer_eliminate,
+    )
     name = name or f"{dg.name}/span"
     qcx, project = elim.quotient(name)
     back, fwd = {}, {}

@@ -42,6 +42,7 @@ from .dg import (
     QuotientDG,
     matching_span,
     quotient_dg,
+    superset_closed,
 )
 from .poly import MonomialIdeal, PolyError
 from .taylor import taylor_complex, taylor_dg_structure
@@ -166,18 +167,26 @@ def matching_sources(matching) -> set[tuple[int, ...]]:
 
 def is_superset_closed(ideal: MonomialIdeal, matching) -> tuple[bool, dict | None]:
     """Is the source set A_+ closed under taking supersets inside the
-    subset lattice of G(I)?  Returns a witness (sigma in A_+, superset not
-    in A_+) when it is not."""
+    subset lattice of G(I) (`dg.superset_closed`)?  Returns a witness
+    (sigma in A_+, superset not in A_+) when it is not: the first sigma, by
+    size and then lexicographically, with a superset outside A_+, and its
+    first such superset in the same order."""
     t = len(ideal.generators)
     sources = matching_sources(matching)
-    for sigma in sorted(sources, key=lambda v: (len(v), v)):
+    if superset_closed(sources, t):
+        return True, None
+
+    def supersets(sigma: tuple[int, ...]):
         others = [i for i in range(t) if i not in sigma]
         for k in range(1, len(others) + 1):
             for extra in combinations(others, k):
-                sup = tuple(sorted(sigma + extra))
-                if sup not in sources:
-                    return False, {"source": list(sigma), "superset": list(sup)}
-    return True, None
+                yield tuple(sorted(sigma + extra))
+
+    sigma, sup = next(
+        (sigma, sup) for sigma in sorted(sources, key=lambda v: (len(v), v)) for sup in supersets(sigma)
+        if sup not in sources
+    )
+    return False, {"source": list(sigma), "superset": list(sup)}
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,8 @@ def mask_product(at: dict[int, BasisLabel], V: int, W: int, below: int) -> Scala
 
 def taylor_dg_structure(ideal: MonomialIdeal) -> DGStructure:
     """The Taylor resolution as a dg algebra (complex + multiplication), the
-    product read off the bitmask index of its labels."""
+    product read off the bitmask index of its labels, marked `taylor` (the
+    one place that sets it) for `dg.quotient_dg`'s superset-closure lemma."""
     T = taylor_resolution(ideal)
     index, at = mask_index(T, "e")
 
@@ -140,4 +141,6 @@ def taylor_dg_structure(ideal: MonomialIdeal) -> DGStructure:
         (V, _), (W, below) = index[a], index[b]
         return mask_product(at, V, W, below)
 
-    return DGStructure(T, product)
+    dg = DGStructure(T, product)
+    dg.taylor = True
+    return dg

@@ -12,6 +12,7 @@ implied monomials are refused where they are stored, by both alike.
 Polynomial products and multidegrees recomputed on every membership
 call."""
 
+import itertools
 import json
 import random
 import re
@@ -49,7 +50,7 @@ from dgres.classify import C4_MATCHING, C5_MATCHING, _cycle_consecutive_ideal, _
 from dgres.combin import _tree_path
 from dgres.complexes import ComplexError, tag_to_json
 from dgres import dg as dg_module
-from dgres.dg import DGReport, ScalarProduct, boundary_closed, closure_products
+from dgres.dg import DGIdealError, DGReport, ScalarProduct, boundary_closed, closure_products
 from dgres.morse import is_superset_closed, matching_sources
 from dgres.poly import exact, monomial_divide
 
@@ -285,15 +286,34 @@ class TestQuotient:
         assert not projected.is_zero()
         assert projected.degree == 0
 
-    def test_no_unit_pivot_raises(self):
+    def test_span_without_unit_pivot_not_closed_under_d_is_refused_as_no_dg_ideal(self):
+        """x*e_0 has no unit pivot, and its boundary x^2 leaves the span:
+        `quotient_dg` decides the dg ideal before it eliminates, so the
+        refusal is `boundary_closed`'s, not the elimination's."""
         I = ideal(RING3, "x", "y", "z")
         dg = taylor_dg_structure(I)
         T = dg.complex
         e0 = T.find_label(("e", 0))
         gen = SpanGenerator(("g",), element(T, 1, {e0: parse_polynomial(RING3, "x")}))
-        with pytest.raises(DGError, match="^no unit pivot in degree 1") as exc:
+        with pytest.raises(DGIdealError, match=r"^span is not closed under the differential at generator \('g',\)$") as exc:
             quotient_dg(dg, SubmoduleSpan(T, [gen]))
-        assert exc.value.witness == [{"gen": ["g"], "pivot": ["e", 0], "entry": "x"}]
+        assert exc.value.boundary_closed is False
+        assert exc.value.witness == [{"gen": ["g"], "boundary": "(x^2)*(e)[1]"}]
+
+    def test_no_unit_pivot_raises(self):
+        """x*T, the span of x*e_U over every Taylor label U, is a dg ideal
+        (x times a dg algebra) with no unit pivot: each x*e_U lies at
+        x*m_U, and no label has that multidegree.  So the dg-ideal check
+        passes and the elimination refuses, first in degree 0."""
+        I = ideal(RING3, "x", "y", "z")
+        dg = taylor_dg_structure(I)
+        T = dg.complex
+        x = parse_polynomial(RING3, "x")
+        gens = [SpanGenerator(("x",) + l.tag, element(T, T.degree_of(l), {l: x})) for l in T.degree]
+        with pytest.raises(DGError, match="^no unit pivot in degree 0") as exc:
+            quotient_dg(dg, SubmoduleSpan(T, gens))
+        assert type(exc.value) is DGError
+        assert exc.value.witness == [{"gen": ["x", "e"], "pivot": ["e"], "entry": "x"}]
 
     def test_non_subcomplex_span_raises(self):
         I = ideal(RING3, "x", "y", "z")
@@ -1074,6 +1094,122 @@ class TestClosureCore:
 
 # ---------------------------------------------------------------------------
 # the triple candidates of dg_check, against the dense reference
+
+
+def lemma_spans(corpus):
+    """(case, Taylor dg structure, matching span) for every superset-closed
+    matching span: C3's Lyubeznik span in `classify`'s consecutive order,
+    those of `d3_and_cycle_spans` but C5's, and the Lyubeznik spans of the
+    corpus ideals whose sources are closed under supersets."""
+    c3 = build_family("C3")
+    ordered = _cycle_consecutive_ideal(c3, edge_ideal(c3))
+    dg = taylor_dg_structure(ordered)
+    yield c3, dg, matching_span(dg, lyubeznik_matching(ordered))
+    c5 = build_family("C5")
+    for graph, dg, span in d3_and_cycle_spans():
+        if graph != c5:
+            yield graph, dg, span
+    for I in corpus:
+        matching = lyubeznik_matching(I)
+        if is_superset_closed(I, matching)[0]:
+            dg = taylor_dg_structure(I)
+            yield I, dg, matching_span(dg, matching)
+
+
+def mask_formula(span: SubmoduleSpan, t: int) -> int:
+    """sum over the sources V of 2^(t-|V|) (2 + |V|): the U disjoint from V
+    (e_U e_V != 0) and those meeting V in at most one index
+    (e_U d(e_V) != 0)."""
+    return sum(2 ** (t - len(V)) * (2 + len(V)) for V in span.sources)
+
+
+@pytest.fixture
+def exhaustive_passes(monkeypatch) -> list:
+    """The spans `quotient_dg` sends through `closure_products`, the
+    exhaustive pass, as it calls it."""
+    passes = []
+    closure = dg_module.closure_products
+
+    def recorded(dg, span):
+        passes.append(span)
+        return closure(dg, span)
+
+    monkeypatch.setattr(dg_module, "closure_products", recorded)
+    return passes
+
+
+class TestSupersetClosureLemma:
+    """`quotient_dg` decides a superset-closed matching span of a Taylor
+    algebra by the lemma, and every other span by the exhaustive pass."""
+
+    def test_lemma_spans_against_the_exhaustive_pass(self, corpus, exhaustive_passes):
+        cases = 0
+        for case, dg, span in lemma_spans(corpus):
+            t = len(dg.complex.labels(1))
+            assert dg_module.superset_closed(span.sources, t), case
+            q = quotient_dg(dg, span)
+            assert exhaustive_passes == [], case
+            # the fallback, run on its own: every product in J, counted alike
+            assert dg_module._closure_pass(dg, span) == mask_formula(span, t) == q.closure_products_checked, case
+            assert exhaustive_passes == [span], case
+            exhaustive_passes.clear()
+            cases += 1
+        assert cases > 1 + 12 + 1  # C3, the diameter-3 trees, C4, and some corpus spans
+
+    def test_c5_takes_the_exhaustive_pass(self, dg5, exhaustive_passes):
+        span = matching_span(dg5, C5_MATCHING)
+        assert not dg_module.superset_closed(span.sources, 5)
+        assert quotient_dg(dg5, span).closure_products_checked == 155
+        assert exhaustive_passes == [span]
+
+    def test_a_structure_not_built_as_taylor_takes_the_exhaustive_pass(self, exhaustive_passes):
+        """The same complex, products and span, but a structure that
+        `taylor_dg_structure` did not build, or a span without sources:
+        the lemma does not apply, and the exhaustive pass counts alike."""
+        graph = build_family("L(2,2,0)")
+        ordered = edge_ideal(graph).reorder(_d3_order(_tree_path(graph), edge_ideal(graph)))
+        dg = taylor_dg_structure(ordered)
+        span = matching_span(dg, lyubeznik_matching(ordered))
+        bare = SubmoduleSpan(dg.complex, span.generators)
+        assert bare.sources is None
+        other = DGStructure(dg.complex, dg.table)
+        assert not other.taylor
+        for structure, s in ((other, span), (dg, bare)):
+            assert quotient_dg(structure, s).closure_products_checked == 135
+        assert exhaustive_passes == [span, bare]
+
+    def test_a_span_on_another_complex_takes_the_exhaustive_pass(self, exhaustive_passes):
+        """A matching span on a second build of the same Taylor complex,
+        not the structure's own complex, is decided product by product."""
+        I = edge_ideal(build_family("C3"))
+        dg = taylor_dg_structure(I)
+        span = span_from_matching_sources(taylor_resolution(I), matching_sources(lyubeznik_matching(I)))
+        assert span.complex is not dg.complex
+        assert quotient_dg(dg, span).closure_products_checked == 5
+        assert exhaustive_passes == [span]
+
+    def test_one_rule_against_every_superset(self):
+        """`superset_closed`'s one-element rule against the definition (every
+        superset of every member), and `is_superset_closed`'s witness
+        against the first superset outside the family, on random families
+        over up to five indices."""
+        rng = random.Random(31)
+        for _ in range(400):
+            t = rng.randint(1, 5)
+            subsets = [V for k in range(t + 1) for V in itertools.combinations(range(t), k)]
+            family = {V for V in subsets if rng.random() < 0.5}
+            if rng.random() < 0.5:  # close it upwards
+                family = {W for W in subsets if any(set(V) <= set(W) for V in family)}
+            missing = [
+                (V, W) for V in sorted(family, key=lambda v: (len(v), v))
+                for W in sorted(subsets, key=lambda w: (len(w), w)) if set(V) < set(W) and W not in family
+            ]
+            assert dg_module.superset_closed(family, t) == (not missing)
+            ring = VariableSet(tuple(f"x{i}" for i in range(t)))
+            I = MonomialIdeal.from_strings(ring, list(ring.names))
+            closed, witness = is_superset_closed(I, [(V, ()) for V in family])
+            assert closed == (not missing)
+            assert witness == (None if closed else {"source": list(missing[0][0]), "superset": list(missing[0][1])})
 
 
 def random_tampering(dg: DGStructure, rng) -> DGStructure:

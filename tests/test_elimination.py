@@ -140,17 +140,20 @@ class TestEliminationOracle:
         assert kills == [k for z in kills[1::2] for k in ((), z)] and all(kills[1::2])
 
     def test_no_unit_pivot_witness(self):
+        """x*T, the span of x*e_U over every label U, is a dg ideal with no
+        unit pivot, so `quotient_dg` reaches the elimination and refuses
+        there, with the reference elimination's witness."""
         ring = VariableSet(("x", "y", "z"))
         ideal = MonomialIdeal.from_strings(ring, ["x", "y", "z"])
         dgT = taylor_dg_structure(ideal)
         T = dgT.complex
-        e0 = T.find_label(("e", 0))
-        span = SubmoduleSpan(T, [SpanGenerator(("g",), element(T, 1, {e0: parse_polynomial(ring, "x")}))])
+        x = parse_polynomial(ring, "x")
+        span = SubmoduleSpan(T, [SpanGenerator(("x",) + l.tag, element(T, T.degree_of(l), {l: x})) for l in T.degree])
         with pytest.raises(DGError, match="^no unit pivot") as got:
             quotient_dg(dgT, span)
         with pytest.raises(DGError, match="^no unit pivot") as want:
             quotient_dg_elimination(dgT, span)
-        assert got.value.witness == want.value.witness == [{"gen": ["g"], "pivot": ["e", 0], "entry": "x"}]
+        assert got.value.witness == want.value.witness == [{"gen": ["x", "e"], "pivot": ["e"], "entry": "x"}]
 
     def test_morse_stuck_witness(self):
         ring = VariableSet(("x", "y", "z", "w"))
