@@ -19,16 +19,16 @@ Lyubeznik quotients of their 512- and 8192-label Taylor algebras.  Their
 matching sources are closed under supersets, so `quotient_dg` decides each
 span a dg ideal by the superset-closure lemma and counts its 26715 and
 3265815 nonzero products e_u * g from masks; `dg_check` then checks the
-62- and 254-label quotients on every pair and triple.  L(6,6,0) has 14
-active variables, at `classify.STRAND_VAR_CAP`, so its resolution is
-swept too.  The verdict, ranks and check counts must match frozen values.
+62- and 254-label quotients on every pair and triple.  Each certificate
+checks its resolution on the lcm lattice, whatever the number of active
+variables.  The verdict, ranks and check counts must match frozen values.
 Then it makes 100 `classify` + `verify_certificate` round trips on P10,
 whose not-dg certificate prunes the path to its first 5-edge window: every
 certificate must equal the first and verify, with the frozen verdict, kind
 and 5-path Betti vector.
-Last it runs the strand sweep of `is_resolution_of` on the Lyubeznik
-resolution of P13, 2^14 strands on 14 active variables, the most the
-certificates sweep (`classify.STRAND_VAR_CAP`): it must report a
+Last it runs the strand check of `is_resolution_of` on the Lyubeznik
+resolutions of P13 and P16, on 14 and 17 active variables, which walks
+the lcm lattice of each, 1,897 and 10,252 strands: each must report a
 resolution with no strand failure.
 Each stage is timed in the reference-kernel units (`ref`) of
 `perfbench/meter.py`, which correct for the host's drifting speed, and in
@@ -137,9 +137,10 @@ ROUND_TRIPS = {
 }
 
 
-# the strand sweep on a Lyubeznik resolution at the variable cap
+# the strand check on Lyubeznik resolutions, by number of active variables
 SWEEPS = {
-    "P13": {"ok": True, "strand_failures": []},
+    "P13": {"variables": 14, "ok": True, "strand_failures": []},
+    "P16": {"variables": 17, "ok": True, "strand_failures": []},
 }
 
 
@@ -200,7 +201,7 @@ def sweep_case(name: str) -> dict:
     L = lyubeznik_resolution(ideal)
     with Meter() as meter:
         ok, report = meter.call("is_resolution_of", L.is_resolution_of, ideal)
-    got = {"ok": ok, "strand_failures": report.get("strand_failures")}
+    got = {"variables": len(ideal.ring.active_names()), "ok": ok, "strand_failures": report.get("strand_failures")}
     return {**checked(got, SWEEPS[name]), **timed(meter)}
 
 

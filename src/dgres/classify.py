@@ -70,9 +70,6 @@ from .taylor import taylor_dg_structure, taylor_resolution
 
 VERSION = "0.1.0"
 
-# size guard: above it the strand sweep is recorded as skipped
-STRAND_VAR_CAP = 14  # is_resolution_of enumerates 2^vars strands
-
 
 class UnsupportedGraphError(GraphError):
     """The classification covers trees and cycles only."""
@@ -253,8 +250,6 @@ def _dg_check_summary(dg) -> dict:
 
 
 def _resolution_summary(cx, ideal) -> dict:
-    if len(ideal.ring.active_names()) > STRAND_VAR_CAP:
-        return {"checked": False, "reason": "ring too large for strand sweep"}
     ok, rep = cx.is_resolution_of(ideal)
     if not ok:
         raise GraphError(f"{cx.name} is not a resolution of {ideal}: {rep}")

@@ -28,7 +28,6 @@ import json
 import sys
 
 from .classify import (
-    STRAND_VAR_CAP,
     VERSION,
     classify,
     kruskal_katona_is_fvector,
@@ -220,12 +219,9 @@ def _complex_result(cx: LabeledFreeComplex, ideal: MonomialIdeal) -> tuple[dict,
         "verify": rep.to_json(),
         "is_minimal": cx.is_minimal(),
     }
-    ok = rep.ok
-    if len(ideal.ring.active_names()) <= STRAND_VAR_CAP:
-        resolves, res = cx.is_resolution_of(ideal)
-        out["is_resolution"] = {"ok": resolves, **({} if resolves else {"detail": res})}
-        ok = ok and resolves
-    return out, ok
+    resolves, res = cx.is_resolution_of(ideal)
+    out["is_resolution"] = {"ok": resolves, **({} if resolves else {"detail": res})}
+    return out, rep.ok and resolves
 
 
 # ---------------------------------------------------------------------------

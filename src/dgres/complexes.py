@@ -46,18 +46,20 @@ coefficient on a surviving row).  Each call states why its columns hold.
 Strands: for a monomial b, the labels whose multidegree divides b span a
 subcomplex; evaluating entries at x=1 gives a complex of Q-vector spaces
 whose homology computes the multigraded pieces Tor-style.  This is how
-`is_resolution_of` works.  It indexes the complex once per call
-(`strands.StrandIndex`), after `verify()`: a strand is then one bitmask of
-label positions per degree, strands with the same masks share one
-computation, and the sweep walks the masks of every squarefree strand,
-and the generators dividing b for H_0, without building a monomial.
+`is_resolution_of` works.  It indexes the complex and the ideal's
+generators once per call (`strands.StrandIndex`), after `verify()`: a
+strand is then one bitmask of label positions per degree, and strands with
+the same masks share one computation.  It walks the lcm lattice L of the
+generators and label multidegrees, 1 included, which decides every strand
+b in N^n: the labels and generators dividing b are those dividing b',
+their lcm, so b and b' have the same strand and expected H_0, and b' lies
+in L (Bayer-Sturmfels 1998; Gasharov-Peeva-Welker 1999).  L has at most
+2^n elements when the labels are squarefree.
 Ranks mod 2 on those bitmasks prove a strand's homology over Q when the
 complex verified and the mod-2 homology is nonzero in at most one degree
 (h^Q <= h^(2) in every degree, and both have the strand's Euler
 characteristic); every other strand takes exact sparse ranks over Q, so
-the answer is always the homology over Q.  For complexes whose label
-multidegrees are all squarefree, vanishing on all squarefree strands is
-conclusive; `is_resolution_of` records whether that hypothesis held.
+the answer is always the homology over Q.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from .poly import (
     _monomial,
     exact,
 )
-from .strands import Divisors, StrandIndex, scalar_columns
+from .strands import StrandIndex, scalar_columns
 
 
 class ComplexError(ValueError):
@@ -333,9 +335,9 @@ class LabeledFreeComplex:
 
         Checks: complex axioms; degree 0 = Q; degree-1 columns are +-1 times
         the generator monomials and the degree-1 multidegrees equal G(I) as a
-        multiset; H_0 and H_i vanishing on every squarefree strand of the
-        active variables.  Conclusive when all label multidegrees are
-        squarefree (recorded in the report).
+        multiset; H_0 = (Q/I)_b and H_i = 0 on the b-strand for every b of
+        the lcm lattice, in increasing exponent order, which is conclusive
+        for every monomial complex (module docstring).
         """
         report: dict = {}
         ver = self.verify()
@@ -358,18 +360,16 @@ class LabeledFreeComplex:
         report["labels_squarefree"] = self.labels_squarefree()
         if ideal.generators and ideal.ring != self.ring:
             raise PolyError("monomials over different rings")
-        index = StrandIndex(self, verified=True)
+        index = StrandIndex(self, True, ideal.generators)
         failures = []
-        # one walk gives each strand's label masks and, first, the generators
-        # dividing b, so H_0 = 0 exactly when that mask is nonzero
-        for t, generators, masks in index.sweep(Divisors(ideal.generators, self.ring)):
+        # H_0 = 0 exactly when some generator divides b
+        for b, generators, masks in index.lattice():
             h = index.homology(masks)
             want_h0 = 0 if generators else 1
             if h[0] != want_h0:
-                failures.append({"strand": str(index.monomial(t)), "H": list(h), "H0_expected": want_h0})
-                continue
-            if any(h[1:]):
-                failures.append({"strand": str(index.monomial(t)), "H": list(h)})
+                failures.append({"strand": str(index.divisors.code.monomial(b)), "H": list(h), "H0_expected": want_h0})
+            elif any(h[1:]):
+                failures.append({"strand": str(index.divisors.code.monomial(b)), "H": list(h)})
         report["strand_failures"] = failures
         ok = (
             report["degree1_matches_generators"]

@@ -482,8 +482,8 @@ class SubmoduleSpan:
     Element (b, {l: c}) on basis labels of its degree (DGError otherwise).
     Indexed once: `columns[k]` is generator k as {position of l: c}, by
     the complex's `position`, and per homological degree a
-    `strands.Divisors` over the multidegrees of the nonzero generators
-    finds those dividing b (`dividing`).  `sources` is the family of Taylor
+    `strands.Divisors` over the multidegrees of the nonzero generators,
+    built on that degree's first `dividing` call, finds those dividing b.  `sources` is the family of Taylor
     index sets V of a span {e_V, d(e_V)} that `span_from_matching_sources`
     builds, in generator order, and None for any other span."""
 
@@ -503,15 +503,19 @@ class SubmoduleSpan:
             self.columns.append({position[l]: c for l, c in el.vec.items()})
             if el.vec:
                 of_degree.setdefault(el.degree, []).append(k)
-        self._of_degree = {
-            i: (ks, Divisors([self.generators[k].element.b for k in ks], cx.ring)) for i, ks in of_degree.items()
-        }
+        self._of_degree = of_degree
+        self._divisors: dict[int, Divisors] = {}
 
     def dividing(self, degree: int, b: Monomial) -> list[int]:
         """The positions, in order, of the nonzero generators of homological
         degree `degree` whose multidegree divides b."""
-        ks, divisors = self._of_degree.get(degree, ((), None))
-        found = divisors.of(b) if divisors is not None else 0
+        ks = self._of_degree.get(degree)
+        if not ks:
+            return []
+        divisors = self._divisors.get(degree)
+        if divisors is None:
+            divisors = self._divisors[degree] = Divisors([[self.generators[k].element.b for k in ks]], self.complex.ring)
+        found = divisors.of(b)[0]
         out = []
         while found:
             low = found & -found

@@ -44,7 +44,7 @@ from .dg import (
     quotient_dg,
     superset_closed,
 )
-from .poly import MonomialIdeal, PolyError
+from .poly import MonomialIdeal, PolyError, UnaryCode
 from .taylor import taylor_complex, taylor_dg_structure
 
 Arc = tuple[tuple[int, ...], tuple[int, ...]]  # (source subset, target subset)
@@ -194,20 +194,17 @@ def is_superset_closed(ideal: MonomialIdeal, matching) -> tuple[bool, dict | Non
 
 
 def _divisor_masks(ideal: MonomialIdeal) -> list[int]:
-    """The generators as unary int bitmasks: x_k^e sets the low e bits of a
-    field as wide as the largest exponent of x_k among the generators.  Then
-    u | m iff `not u & ~m`, and lcm(u, m) is `u | m`, for every monomial
-    ideal; a squarefree ideal gets one bit per variable that occurs.
+    """The generators as unary int bitmasks (`poly.UnaryCode`): u | m iff
+    `not u & ~m`, and lcm(u, m) is `u | m`, for every monomial ideal; a
+    squarefree ideal gets one bit per variable that occurs.
 
     The Taylor graph, the matching A(<) and the Lyubeznik survivors are
     defined on G(I) only, and each reads these masks before it enumerates
     a subset: PolyError unless the generators are a minimal system."""
     if not ideal.is_minimal_system():
         raise PolyError("generators are not a minimal system; minimalize first")
-    gens = ideal.generators
-    widths = [max(col) for col in zip(*(g.exponents for g in gens))]
-    offsets = [0, *accumulate(widths)]
-    return [sum(((1 << e) - 1) << off for e, off in zip(g.exponents, offsets)) for g in gens]
+    code = UnaryCode(ideal.generators, ideal.ring)
+    return [code.mask(g.exponents) for g in ideal.generators]
 
 
 def _min_divisor_index(masks: list[int], sigma: tuple[int, ...]) -> int | None:

@@ -15,7 +15,8 @@ are all checked.  Products, lcms, quotients
 their results with `_monomial`, which skips the checks: sums, maxima and
 differences of valid exponents over one ring are again valid, and a
 variable inactive in both operands stays 0.  A monomial hashes its
-exponent tuple once, at construction.
+exponent tuple once, at construction.  `UnaryCode` writes monomials as
+unary int bitmasks, on which divisibility and lcms are bit operations.
 
 Text format for monomials: ``x1^2*x3`` (``1`` for the unit monomial).
 Ideals serialize as a JSON object with an ordered variable list and a list of
@@ -28,8 +29,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import product as iproduct
-from operator import add, le, sub
+from itertools import accumulate, product as iproduct
+from operator import add, getitem, le, sub
 from typing import Iterable, Iterator, Sequence
 
 
@@ -216,6 +217,30 @@ def lcm_of(ms: Iterable[Monomial], ring: VariableSet) -> Monomial:
     return reduce(monomial_lcm, ms) if ms else ring.one()
 
 
+class UnaryCode:
+    """Monomials as unary int bitmasks, fitted to a list of them: x_k^e sets
+    the low e bits of a field as wide as the largest exponent of x_k in the
+    list, the field of x_0 highest.  For masks of listed monomials, u | m
+    iff `not u & ~m`, and lcm(u, m) is `u | m`; and masks compare as their
+    exponent tuples do.  A squarefree list gets one bit per variable that
+    occurs in it.  `fields[k][e]` is the mask of x_k^e."""
+
+    def __init__(self, monomials: Iterable[Monomial], ring: VariableSet):
+        self.ring = ring
+        self.widths = list(map(max, zip((0,) * len(ring), *(m.exponents for m in monomials))))
+        shifts = list(accumulate(reversed(self.widths), initial=0))[-2::-1]
+        self.fields = [[((1 << e) - 1) << s for e in range(w + 1)] for w, s in zip(self.widths, shifts)]
+
+    def mask(self, exponents: Iterable[int]) -> int:
+        """The mask of the monomial with these exponents, which must fit the
+        fields, as those of the listed monomials and their lcms do."""
+        return sum(map(getitem, self.fields, exponents))
+
+    def monomial(self, mask: int) -> Monomial:
+        """The monomial of a mask that is an lcm of listed masks."""
+        return _monomial(self.ring, tuple((mask & f[-1]).bit_count() for f in self.fields))
+
+
 def exact(c: int | Fraction) -> int | Fraction:
     """c as an int when it is integral (`linalg`'s integer path)."""
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
@@ -314,18 +339,12 @@ def minimalize(ideal: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(ideal.ring, tuple(kept))
 
 
-def _squarefree_variables(ring: VariableSet) -> list[int]:
-    """The positions of the active variables, which span the squarefree
-    monomials enumerated; PolyError beyond 22 of them."""
+def squarefree_monomials(ring: VariableSet) -> Iterator[Monomial]:
+    """All 0/1 exponent monomials in the active variables (2^n of them), in
+    increasing exponent order; PolyError beyond 22 active variables."""
     act = [i for i, a in enumerate(ring.active) if a]
     if len(act) > 22:
         raise PolyError(f"refusing to enumerate 2^{len(act)} squarefree monomials")
-    return act
-
-
-def squarefree_monomials(ring: VariableSet) -> Iterator[Monomial]:
-    """All 0/1 exponent monomials in the active variables (2^n of them)."""
-    act = _squarefree_variables(ring)
     for bits in iproduct((0, 1), repeat=len(act)):
         exps = [0] * len(ring)
         for i, b in zip(act, bits):

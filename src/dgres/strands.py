@@ -1,13 +1,13 @@
-"""The index a complex's strand sweep reads (see `complexes`).
+"""The index a complex's strand check reads (see `complexes`).
 
-`Divisors` decides which monomials of a fixed list divide b with a few
-integer operations (`dg.SubmoduleSpan` finds its generators by it too).
-`StrandIndex` holds one `Divisors` per degree of a complex, over its label
-multidegrees, so the b-strand is one int per degree: the positions of the
-labels whose multidegree divides b.  `masks(b)` reads them for one b, and
-`sweep` walks them over every squarefree b of the active variables without
-building a monomial, ANDing each mask with a variable's `avoid` mask as it
-excludes that variable.
+`Divisors` decides which members of fixed lists of monomials divide b with
+a few integer operations on unary masks (`poly.UnaryCode`); `dg.SubmoduleSpan`
+finds its generators by it too.  `StrandIndex` holds one `Divisors` over
+the generators of an ideal and the label multidegrees of a complex, degree
+by degree, so the b-strand is one int per degree: the positions of the
+labels whose multidegree divides b.  `masks(b)` reads them for one
+monomial b, and `lattice` walks them over the lcm lattice of the
+generators and labels, 1 included, without building a monomial.
 
 Ranks.  The index keeps each column of d_i mod 2 as an int over the row
 positions of degree i-1, so a strand's matrix mod 2 is `column & rows` and
@@ -33,52 +33,59 @@ coefficient c, the only form a complex stores.
 
 from __future__ import annotations
 
-from operator import and_, le
+from itertools import chain
+from operator import and_
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import linalg
-from .poly import Monomial, PolyError, VariableSet, _squarefree_variables
+from .poly import Monomial, PolyError, UnaryCode, VariableSet
 
 if TYPE_CHECKING:
     from .complexes import BasisLabel, LabeledFreeComplex
 
 
 class Divisors:
-    """Which monomials of a fixed list divide b, as a bitset of positions:
-    the AND of `avoid[j]` (the monomials without variable j) over the
-    variables j that b lacks, then the exponent test on the non-squarefree
-    monomials left.  This is `Monomial.divides`, multiplicity included."""
+    """Which members of fixed lists of monomials divide b, one bitset of
+    positions per list.  The members are written as unary masks
+    (`poly.UnaryCode`; `distinct` holds each mask once, the first list's
+    first), and `avoid[p]` holds, per list, the members whose mask lacks
+    bit p.  The members dividing b are then the AND of `avoid[p]` over the
+    bits p that b's mask lacks (`within`).  This is `Monomial.divides`,
+    multiplicity included."""
 
-    def __init__(self, monomials: Sequence[Monomial], ring: VariableSet):
-        self.ring, self.every = ring, (1 << len(monomials)) - 1
-        self.avoid = [0] * len(ring)
-        self.powers = [(k, m.exponents) for k, m in enumerate(monomials) if not m.is_squarefree()]
-        for k, m in enumerate(monomials):
-            for j, e in enumerate(m.exponents):
-                if not e:
-                    self.avoid[j] |= 1 << k
+    def __init__(self, lists: Sequence[Sequence[Monomial]], ring: VariableSet):
+        distinct = dict.fromkeys(chain.from_iterable(lists))
+        self.code = UnaryCode(distinct, ring)
+        mask_of = {m: self.code.mask(m.exponents) for m in distinct}
+        self.distinct = list(mask_of.values())
+        self.every = tuple((1 << len(ms)) - 1 for ms in lists)
+        full = (1 << sum(self.code.widths)) - 1
+        avoid = []  # per list, per bit p, the members whose mask lacks p
+        for ms in lists:
+            row = [0] * full.bit_length()
+            for k, m in enumerate(ms):
+                lacks, member = full & ~mask_of[m], 1 << k
+                while lacks:
+                    low = lacks & -lacks
+                    row[low.bit_length() - 1] |= member
+                    lacks ^= low
+            avoid.append(row)
+        self.avoid = list(zip(*avoid))
 
-    def of(self, b: Monomial) -> int:
-        if self.every and b.ring != self.ring:
+    def of(self, b: Monomial) -> tuple[int, ...]:
+        if b.ring is not self.code.ring and b.ring != self.code.ring:
             raise PolyError("monomials over different rings")
-        found = self.every
-        for j, e in enumerate(b.exponents):
-            if not e:
-                found &= self.avoid[j]
-        for k, exps in self.powers:
-            if found >> k & 1 and not all(map(le, exps, b.exponents)):
-                found ^= 1 << k
-        return found
+        # a member divides b iff it divides b cut to the fields' widths
+        return self.within(self.code.mask(map(min, b.exponents, self.code.widths)))
 
-    def squarefree(self) -> int:
-        """The monomials that can divide a squarefree b of the active
-        variables: squarefree, without an inactive variable."""
+    def within(self, b: int) -> tuple[int, ...]:
+        """Per list, the members whose mask lies within the mask b."""
         found = self.every
-        for k, _ in self.powers:
-            found &= ~(1 << k)
-        for j, active in enumerate(self.ring.active):
-            if not active:
-                found &= self.avoid[j]
+        missing = (1 << len(self.avoid)) - 1 & ~b
+        while missing:
+            low = missing & -missing
+            found = tuple(map(and_, found, self.avoid[low.bit_length() - 1]))
+            missing ^= low
         return found
 
 
@@ -114,18 +121,17 @@ def rank_mod2(columns: Sequence[int], cols: int, rows: int) -> int:
 
 
 class StrandIndex:
-    """What the strand sweep reads, built once per complex: `divisors[i]`,
-    a `Divisors` over the multidegrees of the degree-i labels; when the
-    complex verified, `odd[i]`, each column of d_i mod 2 over the row
-    positions, and `inexact[i]`, the (column, rows) of entries that are not
-    ints; and `cache`, the homology over Q of each strand computed so far,
-    keyed by its masks."""
+    """What the strand check reads, built once per complex and generator
+    list: `divisors`, a `Divisors` over the generators and then each
+    degree's label multidegrees; when the complex verified, `odd[i]`,
+    each column of d_i mod 2 over the row positions, and `inexact[i]`, the
+    (column, rows) of entries that are not ints; and `cache`, the homology
+    over Q of each strand computed so far, keyed by its masks."""
 
-    def __init__(self, cx: LabeledFreeComplex, verified: bool):
-        self.ring = cx.ring
+    def __init__(self, cx: LabeledFreeComplex, verified: bool, generators: Sequence[Monomial]):
         self.bases = [cx.labels(i) for i in cx.degrees()]
         self.diff = cx.diff
-        self.divisors = [Divisors([l.multidegree for l in ls], cx.ring) for ls in self.bases]
+        self.divisors = Divisors([generators, *([l.multidegree for l in ls] for ls in self.bases)], cx.ring)
         self.verified = verified
         self.odd: dict[int, list[int]] = {}
         self.inexact: dict[int, list[tuple[int, int]]] = {}
@@ -149,37 +155,19 @@ class StrandIndex:
 
     def masks(self, b: Monomial) -> tuple[int, ...]:
         """The b-strand: per degree, the labels whose multidegree divides b."""
-        return tuple(d.of(b) for d in self.divisors)
+        return self.divisors.of(b)[1:]
 
-    def sweep(self, extra: Divisors) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-        """(t, extra's mask, the strand's masks) for every squarefree b of
-        the active variables, in `squarefree_monomials` order: b holds the
-        k-th active variable when bit n-1-k of t is set.  A depth-first walk
-        that keeps only the current chain of masks, one tuple per variable
-        decided, `extra`'s mask first."""
-        act = _squarefree_variables(self.ring)
-        divisors = [extra, *self.divisors]
-        avoid = [tuple(d.avoid[j] for d in divisors) for j in act]
-        n = len(act)
-        chain = [tuple(d.squarefree() for d in divisors)]
-        for k in range(n):  # t = 0 excludes every variable
-            chain.append(tuple(map(and_, chain[k], avoid[k])))
-        yield 0, chain[n][0], chain[n][1:]
-        for t in range(1, 1 << n):
-            # the variable at level k turns on and every later one off
-            k = n - (t ^ (t - 1)).bit_length()
-            chain[k + 1] = chain[k]
-            for m in range(k + 1, n):
-                chain[m + 1] = tuple(map(and_, chain[m], avoid[m]))
-            yield t, chain[n][0], chain[n][1:]
-
-    def monomial(self, t: int) -> Monomial:
-        """The b of the sweep's strand t."""
-        act = _squarefree_variables(self.ring)
-        exps = [0] * len(self.ring)
-        for k, j in enumerate(act):
-            exps[j] = t >> (len(act) - 1 - k) & 1
-        return Monomial(self.ring, tuple(exps))
+    def lattice(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        """(b, the generators dividing b, the b-strand) for each mask b of
+        L, the lcms of the generators and label multidegrees with 1
+        included, in increasing order, which is that of exponent tuples."""
+        lattice = {0}
+        for u in self.divisors.distinct:
+            if u not in lattice:
+                lattice |= {x | u for x in lattice}
+        for b in sorted(lattice):
+            generators, *masks = self.divisors.within(b)
+            yield b, generators, tuple(masks)
 
     def homology(self, masks: tuple[int, ...]) -> tuple[int, ...]:
         """Dimensions over Q of the homology of the strand, degree 0..top."""

@@ -5,7 +5,7 @@
 - `equal_up_to_basis_scaling`, equality after rescaling basis elements by
   units, which criterion 3 and the Morse tests compare with;
 - `strand_labels` and `strand_homology` of one strand, read from the
-  `strands.StrandIndex` that `is_resolution_of` sweeps, built once per
+  `strands.StrandIndex` that `is_resolution_of` walks, built once per
   complex on the first strand read.
 """
 
@@ -108,7 +108,7 @@ def _index(F: LabeledFreeComplex) -> StrandIndex:
     rest on d^2 = 0, so it records whether F verifies."""
     index = _INDEX.get(F)
     if index is None:
-        index = _INDEX[F] = StrandIndex(F, F.verify().ok)
+        index = _INDEX[F] = StrandIndex(F, F.verify().ok, ())
     return index
 
 

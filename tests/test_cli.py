@@ -94,14 +94,13 @@ class TestTaylorCommand:
         assert out.startswith("# taylor")
         assert "ranks: [1, 2, 1]" in out
 
-    @pytest.mark.parametrize("nvars, swept", [(14, True), (15, False)])
-    def test_strand_sweep_cap(self, nvars, swept):
+    @pytest.mark.parametrize("nvars", [14, 15])
+    def test_strand_sweep_cap(self, nvars):
+        # the check once stopped at 14 active variables
         names = [f"x{k}" for k in range(nvars)]
         gens = ["*".join(names[k::4]) for k in range(4)]
         _, payload = run_json(["taylor", "--vars", ",".join(names), "--gens", ",".join(gens)])
-        assert ("is_resolution" in payload["result"]) == swept
-        if swept:
-            assert payload["result"]["is_resolution"] == {"ok": True}
+        assert payload["result"]["is_resolution"] == {"ok": True}
 
     def test_order_flag(self):
         _, payload = run_json(

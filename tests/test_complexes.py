@@ -7,7 +7,7 @@ import inspect
 import json
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -51,7 +51,7 @@ from dgres.complexes import entry_str
 from dgres.dg import DGStructure, Elimination, ScalarProduct
 from dgres.diam4 import build_psi
 from dgres.morse import matching_sources
-from dgres.poly import exact
+from dgres.poly import exact, lcm_of
 from dgres.strands import StrandIndex, rank_mod2
 
 from dense_linalg import rref
@@ -615,7 +615,7 @@ class TestComparisons:
 
 
 # ---------------------------------------------------------------------------
-# the strand sweep against the dense reference
+# the strand check against the dense reference
 
 
 def dense_strand_labels(F, b):
@@ -638,9 +638,22 @@ def dense_strand_homology(F, b):
     )
 
 
+def lattice_strands(F, I):
+    """Reference lcm lattice: every b in the exponent box of the labels and
+    generators that equals the lcm of the labels and generators dividing it
+    (by `Monomial.divides`), in increasing exponent order."""
+    members = [l.multidegree for l in F.degree] + list(I.generators)
+    box = [range(max(col) + 1) for col in zip((0,) * len(F.ring), *(m.exponents for m in members))]
+    for exps in product(*box):
+        b = Monomial(F.ring, exps)
+        if lcm_of((m for m in members if m.divides(b)), F.ring) == b:
+            yield b
+
+
 def dense_is_resolution_of(F, I):
     """Reference `is_resolution_of`: the same report, with the strands of
-    `dense_strand_homology` and H_0 decided by `Monomial.divides`."""
+    `lattice_strands` decided by `dense_strand_homology` and H_0 by
+    `Monomial.divides`."""
     report = {}
     ver = F.verify()
     report["complex_ok"] = ver.ok
@@ -668,7 +681,7 @@ def dense_is_resolution_of(F, I):
     report["d1_plus_minus_generators"] = d1_ok
     report["labels_squarefree"] = F.labels_squarefree()
     failures = []
-    for b in squarefree_monomials(F.ring):
+    for b in lattice_strands(F, I):
         h = dense_strand_homology(F, b)
         want_h0 = 0 if any(g.divides(b) for g in I.generators) else 1
         if h[0] != want_h0:
@@ -785,6 +798,34 @@ class TestStrandsMatchDense:
             {"strand": "x*y*z*w", "H": [0, 0, 3]},
         ]
 
+    def test_mutation_breaks_one_strand(self, corpus):
+        # the column of the top Taylor label, at the lcm of all generators,
+        # set to 0: only the largest strand of the lattice contains it, and
+        # there H gains 1 in the top two degrees
+        for I in corpus:
+            T = taylor_resolution(I)
+            top = T.top_degree()
+            if top < 2:
+                continue
+            (c,) = T.labels(top)
+            mutant = LabeledFreeComplex(T.ring, T.basis, {**T.diff, top: {c: {}}})
+            h = [0] * (top + 1)
+            h[top - 1] = h[top] = 1
+            report = assert_strands_match_dense(mutant, I)
+            assert report["strand_failures"] == [{"strand": str(c.multidegree), "H": h}]
+
+    def test_non_squarefree_strand_beyond_the_squarefree_ones(self):
+        # Q <- Q(-x^2) <- Q(-x^2) with d_2 = 0: every squarefree strand is
+        # exact, and H_2 = 1 at x^2
+        ring = VariableSet(("x",))
+        x, x2 = ring.variable("x"), parse_monomial(ring, "x^2")
+        u, a, c = BasisLabel(("u",), ring.one()), BasisLabel(("a",), x2), BasisLabel(("c",), x2)
+        F = LabeledFreeComplex(ring, {0: [u], 1: [a], 2: [c]}, {1: {a: {u: 1}}, 2: {c: {}}})
+        assert F.verify().ok
+        report = assert_strands_match_dense(F, ideal(ring, "x^2"), [x, x2])
+        assert report["strand_failures"] == [{"strand": "x^2", "H": [0, 0, 1]}]
+        assert not report["ok"]
+
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_path_lyubeznik_and_morse(self, n):
         I, complexes = path_resolutions(n)
@@ -877,7 +918,7 @@ class TestModTwoRoute:
         u, a = BasisLabel(("u",), ring.one()), BasisLabel(("a",), x)
         F = LabeledFreeComplex(ring, {0: [u], 1: [a]}, {1: {a: {u: 2}}})
         assert F.verify().ok
-        index = StrandIndex(F, verified=True)
+        index = StrandIndex(F, True, ())
         masks = index.masks(x)
         assert rank_mod2(index.odd[1], masks[1], masks[0]) == 0
         calls = count_rank_calls(monkeypatch)
