@@ -8,13 +8,14 @@ returns a `Certificate` whose evidence is recomputable:
   * d <= 2 trees: the Taylor resolution is already minimal (no proper
     subset of the generators has full lcm), and Taylor resolutions are dg
     (Gemeda).
-  * d = 3 trees (and the 3-cycle): a Lyubeznik resolution for a total
-    order starting at the central edge is minimal; the matching sources
-    form a superset-closed family, so the span of their two-term
-    subcomplexes is a dg ideal and the Taylor quotient is dg
+  * d = 3 trees (and the 3-cycle): for a total order starting at the
+    central edge, the Lyubeznik matching sources form a superset-closed
+    family, so the span J of their two-term subcomplexes is a dg ideal
     (`dg.quotient_dg` decides it by this lemma, stated and proved in the
     `dg` module docstring, and counts the products it decides).  The
-    quotient is built and all dg axioms are machine-checked.
+    quotient T/J, the Lyubeznik resolution up to a change of basis, is
+    built and shown minimal and resolving, and all dg axioms are
+    machine-checked on it.
   * d = 4 trees: the mapping-cone resolution glued from the Taylor
     resolutions of the star ideal I = (z x_i) and the leaf ideal
     J = (x_i y_{i,j}), with its explicit product; all axioms checked.
@@ -61,7 +62,6 @@ from .diam4 import (
 from .morse import (
     is_superset_closed,
     lyubeznik_matching,
-    lyubeznik_resolution,
     matching_quotient,
 )
 from .poly import MonomialIdeal, lcm_of
@@ -280,20 +280,21 @@ def _taylor_minimal_evidence(ideal: MonomialIdeal) -> tuple[dict, list[int]]:
 def _quotient_evidence(kind: str, ideal: MonomialIdeal, matching) -> tuple[dict, list[int]]:
     """T/J for a matching (`morse.matching_quotient`: validity, then the
     dg-ideal check), with all dg axioms checked on it, and the ranks,
-    minimality, resolution and Betti numbers of one complex: for
-    *lyubeznik-quotient* the Lyubeznik resolution L of the ideal in its
-    given order, whose matching sources must be superset-closed; for
-    *morse-quotient* the quotient itself.  `morse_reduce` is the quotient by
-    the same span, so that is the Morse complex up to a change of basis, and
-    the recorded numbers do not depend on the basis."""
+    minimality, resolution and Betti numbers of that one complex.  For
+    *lyubeznik-quotient* the matching sources must be superset-closed.
+    `morse_reduce` is the quotient by the same span, so T/J is the Morse
+    (for a Lyubeznik matching, the Lyubeznik) complex up to a change of
+    basis, and the recorded numbers do not depend on the basis.
+    `quotient_ranks` equals `ranks`; it is kept for the certificate bytes."""
     lyubeznik = kind == "lyubeznik-quotient"
     closed, witness = is_superset_closed(ideal, matching)
     if lyubeznik and not closed:
         raise GraphError(f"matching sources not superset-closed: {witness}")
     val, q = matching_quotient(ideal, matching)
-    cx = lyubeznik_resolution(ideal) if lyubeznik else q.structure.complex
+    cx = q.structure.complex
     if not cx.is_minimal():
         raise GraphError(f"{cx.name} is not minimal")
+    ranks = cx.ranks()
     evidence: dict = {"kind": kind}
     if lyubeznik:
         evidence["generator_order"] = [str(g) for g in ideal.generators]
@@ -301,8 +302,8 @@ def _quotient_evidence(kind: str, ideal: MonomialIdeal, matching) -> tuple[dict,
         "matching": [[list(s), list(t)] for s, t in matching],
         "matching_valid": val,
         "superset_closed": closed,
-        "ranks": list(cx.ranks()),
-        "quotient_ranks": list(q.structure.complex.ranks()),
+        "ranks": list(ranks),
+        "quotient_ranks": list(ranks),
         "resolution": _resolution_summary(cx, ideal),
         "dg_check": _dg_check_summary(q.structure),
         "closure_products_checked": q.closure_products_checked,
@@ -312,20 +313,17 @@ def _quotient_evidence(kind: str, ideal: MonomialIdeal, matching) -> tuple[dict,
             "source": list(witness["source"]),
             "superset": list(witness["superset"]),
         }
-    return evidence, list(total_betti(cx))
+    return evidence, list(ranks)
 
 
 def _cone_evidence(graph: Graph) -> tuple[dict, list[int], dict]:
     res = build_cone_resolution(graph)
     dec = res.decomposition
-    rep = res.cone.verify()
-    if not rep.ok:
-        raise GraphError(f"cone complex invalid: {rep.to_json()}")
     if not res.cone.is_minimal():
         raise GraphError("cone resolution is not minimal")
     counts = [len(dec.leaves[s]) for s in dec.spokes]
     formula = list(diam4_betti(dec.n, counts))
-    betti = list(total_betti(res.cone))
+    betti = list(res.cone.ranks())
     if betti != formula:
         raise GraphError(f"Betti mismatch: computed {betti}, formula {formula}")
     lemmas = {
@@ -406,15 +404,6 @@ def _tree_evidence(graph: Graph) -> tuple[int, dict, list[int] | None, dict]:
     d = len(path) - 1
     ideal = edge_ideal(graph)
     if d <= 2:
-        if ideal.is_zero():
-            return d, {}, [1], {
-                "kind": "taylor-minimal",
-                "ranks": [1],
-                "is_minimal": True,
-                "drop_one_lcms": [],
-                "resolution": {"checked": True, "ok": True},
-                "dg_check": {"ok": True, "note": "zero ideal"},
-            }
         evidence, betti = _taylor_minimal_evidence(ideal)
         return d, {}, betti, evidence
     if d == 3:

@@ -34,7 +34,7 @@ from .classify import (
     verify_certificate,
 )
 from .combin import Graph, GraphError, build_family, edge_ideal
-from .complexes import ComplexError, LabeledFreeComplex, betti_totals, graded_betti
+from .complexes import ComplexError, ComplexReport, LabeledFreeComplex, betti_totals, graded_betti
 from .dg import DGError, DGIdealError, dg_check
 from .diam4 import (
     build_cone_resolution,
@@ -211,17 +211,17 @@ def _refused_span(exc: DGIdealError) -> dict:
 
 
 def _complex_result(cx: LabeledFreeComplex, ideal: MonomialIdeal) -> tuple[dict, bool]:
-    """The report on cx, and whether its verify and is_resolution passed."""
-    rep = cx.verify()
+    """The report on cx, and whether it resolves Q/I.  `is_resolution_of`
+    verifies cx first and carries the `verify` report only when it fails."""
+    resolves, res = cx.is_resolution_of(ideal)
     out = {
         "complex": cx.to_json(),
         "ranks": list(cx.ranks()),
-        "verify": rep.to_json(),
+        "verify": res.get("verify", ComplexReport(ok=True).to_json()),
         "is_minimal": cx.is_minimal(),
+        "is_resolution": {"ok": resolves, **({} if resolves else {"detail": res})},
     }
-    resolves, res = cx.is_resolution_of(ideal)
-    out["is_resolution"] = {"ok": resolves, **({} if resolves else {"detail": res})}
-    return out, rep.ok and resolves
+    return out, resolves
 
 
 # ---------------------------------------------------------------------------

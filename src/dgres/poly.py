@@ -141,9 +141,6 @@ class Monomial:
         self._check_ring(other)
         return all(map(le, self.exponents, other.exponents))
 
-    def degree(self) -> int:
-        return sum(self.exponents)
-
     def is_one(self) -> bool:
         return not any(self.exponents)
 

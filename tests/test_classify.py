@@ -35,6 +35,9 @@ from dgres.classify import (
     verify_certificate,
 )
 from dgres.combin import Graph, build_family
+from dgres.complexes import LabeledFreeComplex
+from dgres.morse import lyubeznik_matching, lyubeznik_resolution, matching_quotient
+from reference_complexes import equal_up_to_basis_scaling
 
 
 def nx_to_graph(T) -> Graph:
@@ -170,8 +173,15 @@ class TestTreeClassification:
         assert seen == 24
 
     def test_singleton(self):
+        # the zero ideal takes the Taylor branch: dg_check runs on the unit
         cert = classify(Graph.build(("a",), ()))
         assert (cert.verdict, cert.betti, cert.diameter) == ("dg", [1], 0)
+        assert cert.evidence["kind"] == "taylor-minimal"
+        assert cert.evidence["ranks"] == [1]
+        check = cert.evidence["dg_check"]
+        assert (check["ok"], check["checked_pairs"], check["checked_triples"]) == (True, 1, 1)
+        assert check["triples_checked"] is True
+        assert verify_certificate(cert.to_json()) == {"ok": True, "mismatches": []}
 
     def test_single_edge(self):
         cert = classify(path_graph(1))
@@ -206,6 +216,29 @@ class TestTreeClassification:
             "katthan-5path",
             "avramov-obstruction",
         }
+
+
+class TestQuotientIsLyubeznik:
+    """A lyubeznik-quotient certificate records everything on T/J; T/J is
+    the Lyubeznik resolution in the certificate's generator order, up to
+    the signs of basis elements (Batzies-Welker)."""
+
+    GRAPHS = [cycle_graph(3)] + [
+        nx_to_graph(T) for n in range(4, 10) for T in nx.nonisomorphic_trees(n) if nx.diameter(T) == 3
+    ]
+
+    def test_graph_count(self):
+        assert len(self.GRAPHS) == 13
+
+    @pytest.mark.parametrize("graph", GRAPHS, ids=lambda g: f"{len(g.vertices)}v-{len(g.edges)}e")
+    def test_quotient_equals_lyubeznik_resolution(self, graph):
+        ev = classify(graph).evidence
+        assert ev["kind"] == "lyubeznik-quotient"
+        assert ev["ranks"] == ev["quotient_ranks"]
+        ideal = edge_ideal(graph).reorder(ev["generator_order"])
+        _, q = matching_quotient(ideal, lyubeznik_matching(ideal))
+        ok, _ = equal_up_to_basis_scaling(q.structure.complex, lyubeznik_resolution(ideal))
+        assert ok
 
 
 class TestCycleClassification:
@@ -485,6 +518,14 @@ class TestShapeChecks:
         classify(graph)
         assert calls.count("is_cycle") == 1
         assert calls.count("is_tree") == tree_checks
+
+
+def test_cone_is_verified_once(monkeypatch):
+    verified = []
+    verify = LabeledFreeComplex.verify
+    monkeypatch.setattr(LabeledFreeComplex, "verify", lambda self: verified.append(self) or verify(self))
+    assert classify(t4_tree(2, (1, 1))).evidence["kind"] == "cone-product"
+    assert len(verified) == 1
 
 
 class TestStrandCap:

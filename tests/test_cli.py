@@ -273,7 +273,8 @@ class TestCone4Command:
         assert "error:" in err
 
 
-@pytest.mark.parametrize(
+# every command that prints a complex with its is_resolution report
+RESOLUTION_COMMANDS = pytest.mark.parametrize(
     "argv",
     [
         ["taylor", "--family", "C4"],
@@ -284,6 +285,9 @@ class TestCone4Command:
     ],
     ids=["taylor", "lyubeznik", "reduce", "cone4", "cone4-check"],
 )
+
+
+@RESOLUTION_COMMANDS
 def test_failed_is_resolution_exits_1(monkeypatch, argv):
     # every command that prints is_resolution exits from it
     from dgres.complexes import LabeledFreeComplex
@@ -293,6 +297,32 @@ def test_failed_is_resolution_exits_1(monkeypatch, argv):
     assert code == 1
     assert payload["result"]["is_resolution"] == {"ok": False, "detail": {"injected": True}}
     assert payload["result"]["verify"]["ok"] is True
+
+
+@RESOLUTION_COMMANDS
+def test_complex_is_verified_once(monkeypatch, argv):
+    # the printed verify block is the one is_resolution_of ran
+    from dgres.complexes import LabeledFreeComplex
+
+    verified = []
+    verify = LabeledFreeComplex.verify
+    monkeypatch.setattr(LabeledFreeComplex, "verify", lambda self: verified.append(self) or verify(self))
+    code, payload = run_json(argv)
+    assert code == 0
+    assert len(verified) == 1
+    assert payload["result"]["verify"] == {"ok": True, "d2_failures": [], "homogeneity_failures": [], "degree_zero_ok": True}
+
+
+def test_failed_verify_is_printed_and_exits_1(monkeypatch):
+    from dgres.complexes import ComplexReport, LabeledFreeComplex
+
+    failed = ComplexReport(ok=False, d2_failures=[[2, "injected"]])
+    monkeypatch.setattr(LabeledFreeComplex, "verify", lambda self: failed)
+    code, payload = run_json(["taylor", "--family", "C4"])
+    assert code == 1
+    result = payload["result"]
+    assert result["verify"] == failed.to_json()
+    assert result["is_resolution"] == {"ok": False, "detail": {"complex_ok": False, "verify": failed.to_json()}}
 
 
 class TestDgcheckCommand:
