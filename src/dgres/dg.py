@@ -9,17 +9,43 @@ machine-verifies the other axioms on all basis pairs and triples:
   odd-degree elements vanish, associativity, and the Leibniz rule
   d(ab) = d(a) b + (-1)^{|a|} a d(b).
 
-Commutativity, squares, and Leibniz are checked on both orientations /
-directly from the stored products, not derived from one another.
+Graded commutativity and odd squares are read off the stored products.
+Where commutativity holds on basis pairs, and so, by bilinearity, on all
+homogeneous elements, Leibniz and associativity are symmetric.  Write
+L(a, b) = d(ab) - d(a) b - (-1)^{|a|} a d(b) and A(a, b, c) = (ab)c - a(bc),
+and move factors past each other by commutativity:
+  * L(b, a) = (-1)^{|a||b|} L(a, b): ba = (-1)^{|a||b|} ab,
+    d(b) a = (-1)^{(|b|-1)|a|} a d(b) and b d(a) = (-1)^{|b|(|a|-1)} d(a) b,
+    so each term of L(b, a) is (-1)^{|a||b|} times one of L(a, b);
+  * A(c, b, a) = -s A(a, b, c), s = (-1)^{|a||b| + |a||c| + |b||c|}:
+    (cb)a = s a(bc) and c(ba) = s (ab)c;
+  * (-1)^{|a||c|} A(a, b, c) + (-1)^{|a||b|} A(b, c, a)
+    + (-1)^{|b||c|} A(c, a, b) = 0: (bc)a, b(ca) and c(ab) are
+    (-1)^{|a|(|b|+|c|)} a(bc), (-1)^{|b|(|a|+|c|)} (ca)b and
+    (-1)^{|c|(|a|+|b|)} (ab)c, and the six terms cancel in pairs.
+So, with labels numbered by position, Leibniz on the pairs (i, j) with
+j >= i decides it on every pair, and associativity on the triples
+(i, j, k) with i <= j and i <= k decides it on every triple, repeated
+labels included: reversal gives (k, j, i) and (j, k, i) from (i, j, k) and
+(i, k, j), and the cyclic sum then gives (j, i, k) and (k, i, j).
 
-Every pair and triple is decided and counted (`checked_pairs` = n^2,
-`checked_triples` = n^3), but arithmetic runs only where a stored product
-can be nonzero.  Unitality, commutativity and odd squares read only the
-stored, nonzero products.  Leibniz runs on (a, b)
-only if ab != 0, or l*b != 0 for some l in supp(d a), or a*l != 0 for some
-l in supp(d b); associativity runs on (a, b, c) only if l*c != 0 for some l
-in supp(ab), or a*l != 0 for some l in supp(bc).  Everywhere else both
-sides are 0.  The second kind of each is found from inverted indices, built
+`dg_check` therefore runs one loop with a lower bound lo on the second and
+third label of each pair and triple.  When unitality holds it runs first
+with lo = i, the first label.  That loop also decides commutativity, on
+the pairs j >= i, which is complete because ab = +-ba is symmetric in a and
+b; if it records nothing, every axiom holds on every pair and triple.  If
+it records anything, or unitality failed, the loop runs with lo = 0 on a
+fresh report, so every witness, their order and the key order of
+`failures` are those of the exhaustive loop.  Either way every pair and
+triple is decided and counted (`checked_pairs` = n^2, `checked_triples` =
+n^3).
+
+Arithmetic runs only where a stored product can be nonzero.  Unitality,
+commutativity and odd squares read only the stored, nonzero products.
+Leibniz runs on (a, b) only if ab != 0, or l*b != 0 for some l in
+supp(d a), or a*l != 0 for some l in supp(d b); associativity runs on
+(a, b, c) only if l*c != 0 for some l in supp(ab), or a*l != 0 for some l
+in supp(bc).  Everywhere else both sides are 0.  The second kind of each is found from inverted indices, built
 once: the b with l in supp(d b), and the (b, c) with l in supp(bc), for
 each label l.  Candidates are visited in label order, so failure witnesses
 come out as a loop over all of them would record them.
@@ -108,6 +134,7 @@ stored column d(e_sigma), with each pivot fixed to a matched target.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, le
@@ -342,10 +369,15 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
 
     Every pair and triple is decided and counted; exact arithmetic runs only
     where some stored product can be nonzero, summing each identity's
-    difference in place on scalar tables (see the module docstring).
+    difference in place on scalar tables.  When unitality holds, one loop
+    first decides graded commutativity on the pairs (a, b) with b not
+    before a, Leibniz on those pairs, and associativity on the triples
+    whose first label comes first; if it records nothing, they decide every
+    pair and triple.  Otherwise, and whenever unitality fails, the loop runs
+    on every pair and triple and returns the witnesses an exhaustive loop
+    records, in its order (see the module docstring).
     """
     cx = dg.complex
-    report = DGReport()
     # the basis labels by position, in the complex's degree order
     labels, degree, pos = list(dg.degree), list(dg.degree.values()), cx.position
     n = len(labels)
@@ -356,11 +388,10 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
         the basis, in the degree it must have."""
         return {pos[l]: c for l, c in vec.items()}
 
-    basis = [Element.basis(cx, l) for l in labels]
     # dtab[k]: the table of d(labels[k]), read off the stored column
     dtab = [table(cx.diff.get(d, ZERO).get(l, ZERO)) for l, d in zip(labels, degree)]
     # tab[i][j]: the table of labels[i] * labels[j], nonzero products only;
-    # tabT[j]: the i with labels[i] * labels[j] != 0
+    # tabT[j]: the i with labels[i] * labels[j] != 0, ascending
     tab = [{pos[b]: table(p) for b, p in dg.row(a).items()} for a in labels]
     tabT: list[list[int]] = [[] for _ in range(n)]
     for i, row in enumerate(tab):
@@ -374,96 +405,117 @@ def dg_check(dg: DGStructure, triples: bool = True) -> DGReport:
     one = dg.unit
     u = pos[one]
 
+    def axioms(report: DGReport, reduced: bool) -> None:
+        """Commutativity, Leibniz, odd squares and associativity, recorded
+        in label order, on the pairs and triples whose second and third
+        labels are not before lo: the first label when `reduced`, else 0."""
+        for i, a in enumerate(labels):
+            lo = i if reduced else 0
+            row, da = tab[i], dtab[i]
+            s = -1 if degree[i] % 2 else 1
+            # diffs[j]: d(ab) - d(a) b - (-1)^{|a|} a d(b), b = labels[j],
+            # summed in place over the terms that can be nonzero: ab, l*b
+            # with l in supp(da), a*l with l in supp(db).  Its keys are the
+            # j >= lo where Leibniz is not 0 = 0 outright; every other
+            # check needs ab or ba
+            diffs: dict[int, dict] = {}
+            for j, ab in row.items():
+                if j >= lo:
+                    acc = diffs[j] = {}
+                    for l, c in ab.items():
+                        for m, x in dtab[l].items():
+                            acc[m] = acc.get(m, 0) + c * x
+            for k, c in da.items():
+                for j, kb in tab[k].items():
+                    if j >= lo:
+                        acc = diffs.setdefault(j, {})
+                        for m, x in kb.items():
+                            acc[m] = acc.get(m, 0) - c * x
+            for k, ak in row.items():
+                for j in dinv[k]:
+                    if j >= lo:
+                        acc, c = diffs.setdefault(j, {}), s * dtab[j][k]
+                        for m, x in ak.items():
+                            acc[m] = acc.get(m, 0) - c * x
+            report.checked_pairs += n
+            for j in sorted(diffs.keys() | set(tabT[i][bisect_left(tabT[i], lo):])):
+                b = labels[j]
+                ab = row.get(j, ZERO)
+                # graded commutativity, both orientations computed directly:
+                # ab = sign * ba as tables, compared entry by entry
+                ba = tab[j].get(i, ZERO)
+                sign = -1 if degree[i] & degree[j] & 1 else 1
+                if len(ab) != len(ba) or any(ba.get(k) != sign * c for k, c in ab.items()):
+                    report.record(
+                        "graded_commutativity", _witness(a, b, ab=str(dg.basis_product(a, b)), ba=str(dg.basis_product(b, a)))
+                    )
+                if (acc := diffs.get(j)) and any(acc.values()):
+                    ea, eb = Element.basis(cx, a), Element.basis(cx, b)
+                    lhs = dg.basis_product(a, b).diff()
+                    rhs = dg.multiply(ea.diff(), eb) + dg.multiply(ea, eb.diff()).scale(s)
+                    report.record("leibniz", _witness(a, b, d_ab=str(lhs), da_b_plus_a_db=str(rhs)))
+            if degree[i] % 2 == 1 and i in row:
+                sq = dg.basis_product(a, a)
+                if not sq.is_zero():
+                    report.record("odd_squares", {"a": tag_to_json(a.tag), "a2": str(sq)})
+
+        if not triples:
+            return
+        # occ[l]: the (j, c) with l in supp(labels[j] * labels[c])
+        occ: dict[int, list] = {}
+        for j, row in enumerate(tab):
+            for c, t in row.items():
+                for l in t:
+                    occ.setdefault(l, []).append((j, c))
+        for i, a in enumerate(labels):
+            lo = i if reduced else 0
+            row = tab[i]
+            report.checked_triples += n * n
+            # cands[j], j >= lo: the c where (ab)c = a(bc) is not 0 = 0
+            # outright: some l in supp(ab) has l*c != 0, or some l in
+            # supp(bc) has a*l != 0; the c >= lo of them are checked
+            cands: dict[int, set] = {}
+            for j, ab in row.items():
+                if j >= lo:
+                    got = cands[j] = set()
+                    for l in ab:
+                        got.update(tab[l])
+            for l in row:
+                for j, c in occ.get(l, ()):
+                    if j >= lo:
+                        cands.setdefault(j, set()).add(c)
+            for j in sorted(cands):
+                b, ab, bj = labels[j], row.get(j, ZERO), tab[j]
+                ks = sorted(cands[j])
+                for k in ks[bisect_left(ks, lo):]:
+                    # (ab)c - a(bc), summed in place
+                    acc: dict = {}
+                    for l, c in ab.items():
+                        for m, x in tab[l].get(k, ZERO).items():
+                            acc[m] = acc.get(m, 0) + c * x
+                    for l, c in bj.get(k, ZERO).items():
+                        for m, x in row.get(l, ZERO).items():
+                            acc[m] = acc.get(m, 0) - c * x
+                    if any(acc.values()):
+                        lhs = dg.multiply(dg.basis_product(a, b), Element.basis(cx, labels[k]))
+                        rhs = dg.multiply(Element.basis(cx, a), dg.basis_product(b, labels[k]))
+                        report.record(
+                            "associativity", _witness(a, b, c=tag_to_json(labels[k].tag), ab_c=str(lhs), a_bc=str(rhs))
+                        )
+
+    report = DGReport()
     for i, a in enumerate(labels):
         want = {i: 1}
         if tab[u].get(i) == want and tab[i].get(u) == want:
             continue
         for got in (dg.basis_product(one, a), dg.basis_product(a, one)):
-            if got != basis[i]:
+            if got != Element.basis(cx, a):
                 report.record("unital", {"a": tag_to_json(a.tag), "got": str(got)})
-
-    for i, a in enumerate(labels):
-        row, da = tab[i], dtab[i]
-        s = -1 if degree[i] % 2 else 1
-        # diffs[j]: d(ab) - d(a) b - (-1)^{|a|} a d(b), b = labels[j], summed
-        # in place over the terms that can be nonzero: ab, l*b with l in
-        # supp(da), a*l with l in supp(db).  Its keys are the b where
-        # Leibniz is not 0 = 0 outright; every other check needs ab or ba
-        diffs: dict[int, dict] = {}
-        for j, ab in row.items():
-            acc = diffs[j] = {}
-            for l, c in ab.items():
-                for m, x in dtab[l].items():
-                    acc[m] = acc.get(m, 0) + c * x
-        for k, c in da.items():
-            for j, kb in tab[k].items():
-                acc = diffs.setdefault(j, {})
-                for m, x in kb.items():
-                    acc[m] = acc.get(m, 0) - c * x
-        for k, ak in row.items():
-            for j in dinv[k]:
-                acc, c = diffs.setdefault(j, {}), s * dtab[j][k]
-                for m, x in ak.items():
-                    acc[m] = acc.get(m, 0) - c * x
-        report.checked_pairs += n
-        for j in sorted(diffs.keys() | set(tabT[i])):
-            b = labels[j]
-            ab = row.get(j, ZERO)
-            # graded commutativity, both orientations computed directly:
-            # ab = sign * ba as tables, compared entry by entry
-            ba = tab[j].get(i, ZERO)
-            sign = -1 if degree[i] & degree[j] & 1 else 1
-            if len(ab) != len(ba) or any(ba.get(k) != sign * c for k, c in ab.items()):
-                report.record(
-                    "graded_commutativity", _witness(a, b, ab=str(dg.basis_product(a, b)), ba=str(dg.basis_product(b, a)))
-                )
-            if (acc := diffs.get(j)) and any(acc.values()):
-                lhs = dg.basis_product(a, b).diff()
-                rhs = dg.multiply(basis[i].diff(), basis[j]) + dg.multiply(basis[i], basis[j].diff()).scale(s)
-                report.record("leibniz", _witness(a, b, d_ab=str(lhs), da_b_plus_a_db=str(rhs)))
-        if degree[i] % 2 == 1 and i in row:
-            sq = dg.basis_product(a, a)
-            if not sq.is_zero():
-                report.record("odd_squares", {"a": tag_to_json(a.tag), "a2": str(sq)})
-
-    if not triples:
-        return report
-    # occ[l]: the (j, c) with l in supp(labels[j] * labels[c])
-    occ: dict[int, list] = {}
-    for j, row in enumerate(tab):
-        for c, t in row.items():
-            for l in t:
-                occ.setdefault(l, []).append((j, c))
-    for i, a in enumerate(labels):
-        row = tab[i]
-        report.checked_triples += n * n
-        # cands[j]: the c where (ab)c = a(bc) is not 0 = 0 outright: some l
-        # in supp(ab) has l*c != 0, or some l in supp(bc) has a*l != 0
-        cands: dict[int, set] = {}
-        for j, ab in row.items():
-            got = cands[j] = set()
-            for l in ab:
-                got.update(tab[l])
-        for l in row:
-            for j, c in occ.get(l, ()):
-                cands.setdefault(j, set()).add(c)
-        for j in sorted(cands):
-            b, ab, bj = labels[j], row.get(j, ZERO), tab[j]
-            for k in sorted(cands[j]):
-                # (ab)c - a(bc), summed in place
-                acc: dict = {}
-                for l, c in ab.items():
-                    for m, x in tab[l].get(k, ZERO).items():
-                        acc[m] = acc.get(m, 0) + c * x
-                for l, c in bj.get(k, ZERO).items():
-                    for m, x in row.get(l, ZERO).items():
-                        acc[m] = acc.get(m, 0) - c * x
-                if any(acc.values()):
-                    lhs = dg.multiply(dg.basis_product(a, b), basis[k])
-                    rhs = dg.multiply(basis[i], dg.basis_product(b, labels[k]))
-                    report.record(
-                        "associativity", _witness(a, b, c=tag_to_json(labels[k].tag), ab_c=str(lhs), a_bc=str(rhs))
-                    )
+    reduced = report.ok
+    axioms(report, reduced)
+    if reduced and not report.ok:
+        report = DGReport()  # unitality recorded nothing
+        axioms(report, False)
     return report
 
 

@@ -8,12 +8,14 @@ import random
 import pytest
 
 from dgres import (
+    Graph,
     MonomialIdeal,
     VariableSet,
     build_family,
     edge_ideal,
     minimalize,
 )
+from dgres.combin import graph_diameter
 
 VARS6 = ("x", "y", "z", "u", "v", "w")
 
@@ -34,6 +36,18 @@ def ideal_from_subsets(subsets, names=VARS6) -> MonomialIdeal:
 def matching_targets(matching) -> set[tuple[int, ...]]:
     """The target subsets of a matching's arcs (source, target)."""
     return {tuple(t) for _, t in matching}
+
+
+def trees_of_diameter_3_and_4(max_vertices: int = 9):
+    """Every tree of diameter 3 or 4 on 3 to `max_vertices` vertices, in
+    the order networkx enumerates them."""
+    import networkx as nx
+
+    for n in range(3, max_vertices + 1):
+        for T in nx.nonisomorphic_trees(n):
+            g = Graph.build([f"v{i}" for i in sorted(T.nodes())], [(f"v{a}", f"v{b}") for a, b in T.edges()])
+            if graph_diameter(g) in (3, 4):
+                yield g
 
 
 def _random_squarefree(rng: random.Random) -> MonomialIdeal | None:

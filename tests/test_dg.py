@@ -47,7 +47,7 @@ from dgres import (
     validate_matching,
 )
 from dgres.classify import C4_MATCHING, C5_MATCHING, _cycle_consecutive_ideal, _d3_order, classify
-from dgres.combin import _tree_path
+from dgres.combin import _tree_path, graph_diameter
 from dgres.complexes import ComplexError, tag_to_json
 from dgres import dg as dg_module
 from dgres.dg import DGIdealError, DGReport, ScalarProduct, boundary_closed, closure_products
@@ -55,7 +55,7 @@ from dgres.morse import is_superset_closed, matching_sources
 from dgres.poly import exact, monomial_divide
 
 from dense_linalg import solve
-from conftest import matching_targets
+from conftest import matching_targets, trees_of_diameter_3_and_4
 from reference_products import taylor_table
 from reference_poly import constant, coords, element, entry, entry_polynomial, parse_polynomial, single_term
 
@@ -484,6 +484,18 @@ def tampered(dg: DGStructure, product) -> DGStructure:
     return DGStructure(dg.complex, lambda a, b: product(a, b, dg.table(a, b)))
 
 
+def rescaled_pairs(dg: DGStructure, pairs, c) -> DGStructure:
+    """dg with the product of each ordered pair (a, b) in `pairs` times c."""
+    return tampered(dg, lambda a, b, honest: scaled(honest, c) if (a, b) in pairs else honest)
+
+
+def zero_differential(dg: DGStructure) -> DGStructure:
+    """dg's products on its basis with the differential 0, where Leibniz
+    holds whatever the products are."""
+    cx = dg.complex
+    return DGStructure(LabeledFreeComplex(cx.ring, cx.basis, {}), dg.table)
+
+
 def rescaled(dg: DGStructure) -> DGStructure:
     """dg on the basis e'_l = lam_l e_l, lam_l = (2k + 1)/2 for the k-th
     label and 1 for the unit: the same dg algebra, with Fraction entries
@@ -767,6 +779,94 @@ class TestDenseOracle:
         for triples in (False, True):
             with pytest.raises(DGError, match=refused):
                 dg_check(tampered(dg, shifted), triples=triples)
+
+    def test_cones_and_quotients_of_diameter_3_and_4_trees(self):
+        # the cone of every diameter-3/4 tree on 3-8 vertices, and the
+        # Lyubeznik quotient of each diameter-3 one in the generator order
+        # `classify` uses: all dg, so the loop on the pairs and triples
+        # whose first label comes first decides each
+        cones = quotients = 0
+        for graph in trees_of_diameter_3_and_4(8):
+            assert assert_matches_dense(build_cone_resolution(graph).dg).ok
+            cones += 1
+            if graph_diameter(graph) == 3:
+                I = edge_ideal(graph)
+                ordered = I.reorder(_d3_order(_tree_path(graph), I))
+                assert assert_matches_dense(matching_quotient(ordered, lyubeznik_matching(ordered))).ok
+                quotients += 1
+        assert (cones, quotients) == (25, 9)
+
+    def test_symmetric_product_change_breaks_only_associativity(self, taylor_fixture_ideal):
+        # with d = 0, e0*e1 and e1*e0 both doubled: graded commutativity
+        # and Leibniz still hold, so the first loop runs on the triples
+        # whose first label comes first, finds associativity broken, and
+        # the report is the one on every triple, with witnesses whose
+        # first label does not come first among them
+        dg = zero_differential(taylor_dg_structure(taylor_fixture_ideal))
+        e0, e1 = label(dg, 0), label(dg, 1)
+        report = assert_matches_dense(rescaled_pairs(dg, [(e0, e1), (e1, e0)], 2))
+        assert set(report.failures) == {"associativity"}
+        pos = {str(tag_to_json(l.tag)): k for k, l in enumerate(dg.degree)}
+        first = {pos[str(w["a"])] < min(pos[str(w["b"])], pos[str(w["c"])]) for w in report.failures["associativity"]}
+        assert first == {True, False}
+
+    def test_associativity_broken_only_on_a_repeated_even_label(self):
+        # d = 0, a and b of degree 2, ab = ba = w and aw = wa = v, every
+        # other product of non-units 0, so a*a = 0: graded commutativity
+        # and Leibniz hold, and associativity fails only on (a, a, b) and
+        # (b, a, a), where a(ab) = v and (ba)a = v against 0.  On (a, a, b)
+        # only a*l, l in supp(ab), is nonzero, so the candidate index must
+        # bring the triple whose first two labels are equal
+        ring = VariableSet(("x", "y"))
+        x, y = ring.variable("x"), ring.variable("y")
+        unit, a, b = BasisLabel(("1",), ring.one()), BasisLabel(("a",), x), BasisLabel(("b",), y)
+        w, v = BasisLabel(("w",), x * y), BasisLabel(("v",), x * x * y)
+        cx = LabeledFreeComplex(ring, {0: [unit], 2: [a, b], 4: [w], 6: [v]}, {})
+        table = {(a, b): w, (b, a): w, (a, w): v, (w, a): v}
+
+        def product(p, q):
+            if unit in (p, q):
+                return ScalarProduct({q if p == unit else p: 1})
+            return ScalarProduct({table[p, q]: 1} if (p, q) in table else {})
+
+        report = assert_matches_dense(DGStructure(cx, product))
+        assert set(report.failures) == {"associativity"}
+        assert [(f["a"], f["b"], f["c"]) for f in report.failures["associativity"]] == [
+            (["a"], ["a"], ["b"]),
+            (["b"], ["a"], ["a"]),
+        ]
+
+    def test_one_orientation_breaks_only_commutativity(self):
+        # with d = 0 on the Taylor algebra of (x, y), e1*e0 stored as
+        # e0*e1: both orders of the pair fail graded commutativity, and
+        # every Leibniz and associativity identity still holds
+        dg = zero_differential(taylor_dg_structure(ideal(RING3, "x", "y")))
+        e0, e1 = label(dg, 0), label(dg, 1)
+        report = assert_matches_dense(rescaled_pairs(dg, [(e1, e0)], -1))
+        assert set(report.failures) == {"graded_commutativity"}
+        pairs = [(w["a"], w["b"]) for w in report.failures["graded_commutativity"]]
+        assert pairs == [(["e", 0], ["e", 1]), (["e", 1], ["e", 0])]
+
+    def test_every_pair_and_triple_runs_again_only_after_a_failure(self, monkeypatch, taylor_fixture_ideal):
+        # one report for an honest structure, and for one whose unit
+        # fails, where every pair and triple runs at once; two, the first
+        # dropped, when unitality holds and the loop on the pairs and
+        # triples whose first label comes first finds a failure
+        made = []
+
+        class Counted(DGReport):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(dg_module, "DGReport", Counted)
+        dg = zero_differential(taylor_dg_structure(taylor_fixture_ideal))
+        e0, e1 = label(dg, 0), label(dg, 1)
+        cases = [([], 1, 1), ([(dg.unit, e0)], 2, 1), ([(e0, e1), (e1, e0)], 2, 2), ([(e1, e0)], -1, 2)]
+        for pairs, c, reports in cases:
+            made.clear()
+            report = dg_check(rescaled_pairs(dg, pairs, c))
+            assert (len(made), made[-1], report.ok) == (reports, report, not pairs)
 
     def test_one_label_in_two_degrees_is_rejected(self):
         # u (tag and multidegree xy) as a basis label of degrees 1 and 2,

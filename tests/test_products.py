@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-import networkx as nx
 import pytest
 
 from dgres import (
@@ -21,7 +20,6 @@ from dgres import (
     DGError,
     DGStructure,
     Element,
-    Graph,
     MonomialIdeal,
     VariableSet,
     build_cone_resolution,
@@ -36,7 +34,6 @@ from dgres import (
 )
 from dgres import morse, prune
 from dgres.classify import C4_MATCHING, C5_MATCHING
-from dgres.combin import graph_diameter
 from dgres.dg import ScalarProduct, closure_products, matching_span
 from dgres.diam4 import (
     build_g_prime,
@@ -51,7 +48,7 @@ from dgres.prune import prune_ideal
 from dgres.taylor import below_mask, index_mask, mask_index, mask_product, taylor_resolution
 
 import reference_products
-from conftest import matching_targets
+from conftest import matching_targets, trees_of_diameter_3_and_4
 from reference_poly import Polynomial, coords, element, entry_polynomial
 
 
@@ -83,14 +80,6 @@ def matching_quotient(ideal: MonomialIdeal, matching):
     sources = matching_sources(matching)
     prefer = {("e",) + tuple(t) for t in matching_targets(matching)} | {("e",) + tuple(s) for s in sources}
     return dgT, quotient_dg(dgT, span_from_matching_sources(dgT.complex, sources), prefer_eliminate=prefer)
-
-
-def trees_of_diameter_3_and_4():
-    for n in range(3, 10):
-        for T in nx.nonisomorphic_trees(n):
-            g = Graph.build([f"v{i}" for i in sorted(T.nodes())], [(f"v{a}", f"v{b}") for a, b in T.edges()])
-            if graph_diameter(g) in (3, 4):
-                yield g
 
 
 class TestStoredProducts:
