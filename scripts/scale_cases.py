@@ -26,10 +26,17 @@ Then it makes 100 `classify` + `verify_certificate` round trips on P10,
 whose not-dg certificate prunes the path to its first 5-edge window: every
 certificate must equal the first and verify, with the frozen verdict, kind
 and 5-path Betti vector.
-Last it runs the strand check of `is_resolution_of` on the Lyubeznik
+Then it runs the strand check of `is_resolution_of` on the Lyubeznik
 resolutions of P13 and P16, on 14 and 17 active variables, which walks
 the lcm lattice of each, 1,897 and 10,252 strands: each must report a
 resolution with no strand failure.
+Last, the "L(6,6,0) descent" row runs `prune_dg` on L(6,6,0), its
+generators in central-edge-first order as its certificate takes them, by
+x1: F, the Lyubeznik quotient of the 8192-label Taylor algebra, descends
+to P(F, {x1}), F restricted to its 190 labels without x1.  F and P must be
+minimal, P must equal Boocher's pruning of the Lyubeznik resolution, and
+`dg_check` on P must pass on all 190^2 pairs and 190^3 triples; the ranks
+and check counts must match frozen values.
 Each stage is timed in the reference-kernel units (`ref`) of
 `perfbench/meter.py`, which correct for the host's drifting speed, and in
 seconds.
@@ -54,13 +61,17 @@ from dgres import (  # noqa: E402
     LabeledFreeComplex,
     build_family,
     classify,
+    dg_check,
     edge_ideal,
     lyubeznik_matching,
     lyubeznik_resolution,
     morse_reduce,
+    prune_dg,
     taylor_resolution,
     verify_certificate,
 )
+from dgres.classify import _d3_order  # noqa: E402
+from dgres.combin import _tree_path  # noqa: E402
 
 # ranks of the Taylor and Lyubeznik (= Morse) complexes, and matched pairs
 FROZEN = {
@@ -144,6 +155,21 @@ SWEEPS = {
 }
 
 
+# prune_dg on a diameter-3 tree in central-edge-first order, by one variable
+DESCENTS = {
+    "L(6,6,0)": {
+        "by": "x1",
+        "ranks": [1, 12, 36, 55, 50, 27, 8, 1],
+        "F_minimal": True,
+        "P_minimal": True,
+        "matches_boocher": True,
+        "dg_check_ok": True,
+        "checked_pairs": 36100,
+        "checked_triples": 6859000,
+    },
+}
+
+
 def timed(meter: Meter) -> dict:
     keys = [k for k in meter.ref if k != "pass"]
     return {
@@ -205,6 +231,27 @@ def sweep_case(name: str) -> dict:
     return {**checked(got, SWEEPS[name]), **timed(meter)}
 
 
+def descent_case(name: str) -> dict:
+    graph = build_family(name)
+    ideal = edge_ideal(graph)
+    ordered = ideal.reorder(_d3_order(_tree_path(graph), ideal))
+    want = DESCENTS[name]
+    with Meter() as meter:
+        pd = meter.call("prune_dg", prune_dg, ordered, [want["by"]])
+        report = meter.call("dg_check", dg_check, pd.descended)
+    got = {
+        "by": want["by"],
+        "ranks": list(pd.descended.complex.ranks()),
+        "F_minimal": pd.resolution_quotient.structure.complex.is_minimal(),
+        "P_minimal": pd.descended.complex.is_minimal(),
+        "matches_boocher": pd.matches_boocher,
+        "dg_check_ok": report.ok,
+        "checked_pairs": report.checked_pairs,
+        "checked_triples": report.checked_triples,
+    }
+    return {**checked(got, want), **timed(meter)}
+
+
 def stored_form(cx: LabeledFreeComplex) -> tuple:
     """The ring, name, bases and columns of cx in order, each entry with its
     type (1 == Fraction(1), but a stored entry is an int when integral)."""
@@ -263,6 +310,7 @@ def main() -> int:
     cases.update({name: classify_case(name) for name in CLASSIFY})
     cases.update({f"{name} round trips": round_trip_case(name) for name in ROUND_TRIPS})
     cases.update({f"{name} strand sweep": sweep_case(name) for name in SWEEPS})
+    cases.update({f"{name} descent": descent_case(name) for name in DESCENTS})
     ok = all(case["ok"] for case in cases.values())
     print(json.dumps({"ok": ok, "cases": cases}, sort_keys=True))
     return 0 if ok else 1

@@ -361,11 +361,9 @@ def cmd_prune(args) -> int:
             "pruned": pd.boocher.pruned.to_json(),
             "pruned_ranks": list(pd.boocher.pruned.ranks()),
             "verify": pd.boocher.report.to_json(),
-            "quotient_ranks": list(pd.pruned_quotient.structure.complex.ranks()),
+            "quotient_ranks": list(pd.descended.complex.ranks()),
             "matches_boocher": pd.matches_boocher,
-            "dg_check": dg_check(
-                pd.pruned_quotient.structure, triples=not args.skip_triples
-            ).to_json(),
+            "dg_check": dg_check(pd.descended, triples=not args.skip_triples).to_json(),
         }
         ok = (
             result["verify"]["ok"]

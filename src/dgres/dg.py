@@ -119,16 +119,15 @@ reaches, since every other product is 0.  `dg_ideal_closure` writes the
 same check out as a report (`closure_entry`).
 
 `Elimination` forms the quotient of a complex by the span of some of its
-elements, by per-degree unit-pivot elimination on coefficients, optionally
-over Q/<kill>.  As in the complexes, an element of multidegree b is {l: c}
-for sum c*(b/m_l) e_l: l is a unit pivot iff m_l = b, and a term survives
-Q/<kill> iff b and m_l agree on the kill exponents; a projected element
-keeps b, read over the smaller ring.  `quotient_dg` wraps it for a dg
-algebra and a dg ideal given as a span, preferring caller-designated
-pivots, and stores each product of survivors as the parent's stored product
-(read off the parent's row: survivors are its basis labels) substituted at
-b = m_a m_b; `morse.morse_reduce` passes each e_sigma and its
-stored column d(e_sigma), with each pivot fixed to a matched target.
+elements, by per-degree unit-pivot elimination on coefficients.  As in the
+complexes, an element of multidegree b is {l: c} for sum c*(b/m_l) e_l,
+and l is a unit pivot iff m_l = b.  The quotient keeps the survivors, the
+labels no rule eliminates.  `quotient_dg` wraps it for a dg algebra and a
+dg ideal given as a span, preferring caller-designated pivots, and stores
+each product of survivors as the parent's stored product (read off the
+parent's row: survivors are its basis labels) substituted at b = m_a m_b;
+`morse.morse_reduce` passes each e_sigma and its stored column
+d(e_sigma), with each pivot fixed to a matched target.
 """
 
 from __future__ import annotations
@@ -141,8 +140,8 @@ from operator import add, le
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg
-from .complexes import BasisLabel, LabeledFreeComplex, combine, entry_str, killed, tag_to_json
-from .poly import Monomial, _monomial, exact, monomial_divide
+from .complexes import BasisLabel, LabeledFreeComplex, combine, entry_str, tag_to_json
+from .poly import Monomial, exact, monomial_divide
 from .strands import Divisors
 
 
@@ -734,10 +733,9 @@ class Elimination:
 
     Generators are (gen_id, homological degree, {label: c}, b, pivot): the
     element sum c*(b/m_l) e_l, pivot a basis label or None.  Per degree, in
-    the given order, each generator is reduced by the rules found so far (and
-    by setting `kill` to zero, which drops each term whose b/m_l has a kill
-    variable) and then eliminated at a unit pivot l (m_l = b), giving the
-    rule l = -(rest)/c.  That label is the given pivot; without one, the
+    the given order, each generator is reduced by the rules found so far and
+    then eliminated at a unit pivot l (m_l = b), giving the rule
+    l = -(rest)/c.  That label is the given pivot; without one, the
     least by tag string among the candidates in `prefer`, or else among all.
     A generator without its pivot waits for the next pass; when a whole pass
     makes no progress the quotient is not free, and DGError is raised with
@@ -750,11 +748,9 @@ class Elimination:
         self,
         cx: LabeledFreeComplex,
         generators: Iterable[tuple[tuple, int, dict, Monomial | None, BasisLabel | None]],
-        kill: Sequence[str] = (),
         prefer: Iterable[tuple] = (),
     ):
-        self.source, self.kill = cx, tuple(kill)
-        self._kill = [cx.ring.index(nm) for nm in self.kill]
+        self.source = cx
         prefer = set(prefer)
         # rules[i]: (pivot, {label: c}) in elimination order; _at[i]: pivot -> index
         self.rules: dict[int, list[tuple[BasisLabel, dict]]] = {}
@@ -798,10 +794,10 @@ class Elimination:
         self.survivors = {i: [l for l in cx.labels(i) if l not in self._at.get(i, ())] for i in cx.degrees()}
 
     def substitute(self, vec: dict, b: Monomial | None, i: int) -> dict:
-        """sum c*(b/m_l) e_l in degree i, given as {l: c}, with the kill
-        variables set to 0 and every pivot replaced by its rule.  Taking the
-        pivots in rule order replaces each at most once."""
-        out = {l: c for l, c in vec.items() if not killed(l.multidegree, b, self._kill)} if self._kill else dict(vec)
+        """sum c*(b/m_l) e_l in degree i, given as {l: c}, with every pivot
+        replaced by its rule.  Taking the pivots in rule order replaces each
+        at most once."""
+        out = dict(vec)
         at, rules = self._at.get(i), self.rules.get(i)
         if not at:
             return out
@@ -824,56 +820,30 @@ class Elimination:
                     del out[l]
         return out
 
-    def quotient(self, name: str) -> tuple[LabeledFreeComplex, Callable[[Element], Element]]:
-        """The quotient complex on the survivors, over Q/<kill>, and the
-        projection of a multigraded element onto it."""
-        cx, kill, survivors = self.source, self.kill, self.survivors
-        ring = cx.ring.deactivate(kill) if kill else cx.ring
-
-        def relabel(l: BasisLabel) -> BasisLabel:
-            for nm, j in zip(kill, self._kill):
-                if l.multidegree.exponents[j]:
-                    raise DGError(f"surviving label {l} has multidegree divisible by {nm}; "
-                                  "the span does not kill everything it must")
-            # valid over `ring`: l is valid over cx.ring, and the check above
-            # leaves no kill variable in it
-            return BasisLabel(l.tag, _monomial(ring, l.multidegree.exponents)) if kill else l
-
-        # survivor -> its label in the quotient, per degree
-        new_labels = {i: {l: relabel(l) for l in survivors[i]} for i in cx.degrees()}
-
-        def reduce(vec: dict, b: Monomial | None, i: int) -> dict:
-            at = new_labels.get(i, {})
-            return {at[l]: c for l, c in self.substitute(vec, b, i).items()}
-
-        basis = {i: list(new_labels[i].values()) for i in cx.degrees() if survivors[i]}
+    def quotient(self, name: str) -> LabeledFreeComplex:
+        """The quotient complex on the survivors."""
+        cx, survivors = self.source, self.survivors
+        basis = {i: survivors[i] for i in cx.degrees() if survivors[i]}
         diff = {
             i: {
-                new: {r: exact(c) for r, c in reduce(cx.diff.get(i, {}).get(l, {}), l.multidegree, i - 1).items()}
-                for l, new in new_labels[i].items()
+                l: {r: exact(c) for r, c in self.substitute(cx.diff.get(i, {}).get(l, {}), l.multidegree, i - 1).items()}
+                for l in survivors[i]
             }
             for i in cx.degrees()
             if i and survivors[i]
         }
         # stored by construction: every entry is a coefficient, `substitute`
-        # drops every zero, each row is a survivor of degree i-1 (`reduce` raises
-        # KeyError otherwise), and a unit pivot has m_pivot = b, so a rule's
-        # labels divide m_pivot and every row multidegree divides its
-        # column's, also once the kill variables are set to zero
-        qcx = LabeledFreeComplex._from_stored(ring, basis, diff, name=name)
-
-        def project(el: Element) -> Element:
-            vec = reduce(el.vec, el.b, el.degree)
-            return Element.stored(qcx, el.degree, Monomial(ring, el.b.exponents) if vec else None, vec)
-
-        return qcx, project
+        # drops every zero and replaces every pivot, so each row is a
+        # survivor of degree i-1, and a unit pivot has m_pivot = b, so a
+        # rule's labels divide m_pivot and every row multidegree divides its
+        # column's
+        return LabeledFreeComplex._from_stored(cx.ring, basis, diff, name=name)
 
 
 @dataclass
 class QuotientDG:
     structure: DGStructure
     elimination: Elimination
-    project: Callable[[Element], Element]
     closure_products_checked: int  # the nonzero products e_u * g, all in the span
 
 
@@ -915,9 +885,7 @@ def _closure_pass(dg: DGStructure, span: SubmoduleSpan) -> int:
 def quotient_dg(
     dg: DGStructure,
     span: SubmoduleSpan,
-    kill_vars: Sequence[str] = (),
     prefer_eliminate: Iterable[tuple] = (),
-    name: str = "",
 ) -> QuotientDG:
     """Quotient of a dg algebra by the dg ideal spanned by `span`.
 
@@ -933,12 +901,12 @@ def quotient_dg(
     Either way the nonzero products are counted as
     `closure_products_checked`.
 
-    Only a dg ideal is then eliminated, per degree by `Elimination`, over
-    Q/<kill_vars> when kill_vars are given, preferring as pivots the labels
-    whose tags are in `prefer_eliminate` (e.g. to keep the Morse-critical
-    cells); a span without unit pivots raises its DGError.  A product of
-    two survivors is the parent's stored product with the elimination's
-    rules substituted.
+    Only a dg ideal is then eliminated, per degree by `Elimination`,
+    preferring as pivots the labels whose tags are in `prefer_eliminate`
+    (e.g. to keep the Morse-critical cells); a span without unit pivots
+    raises its DGError.  The quotient's labels are the survivors, and a
+    product of two survivors is the parent's stored product with the
+    elimination's rules substituted.
     """
     cx = dg.complex
     checked = _lemma_products(dg, span)
@@ -947,23 +915,14 @@ def quotient_dg(
     elim = Elimination(
         cx,
         ((g.gen_id, g.element.degree, g.element.vec, g.element.b, None) for g in span.generators),
-        kill_vars,
         prefer_eliminate,
     )
-    name = name or f"{dg.name}/span"
-    qcx, project = elim.quotient(name)
-    back, fwd = {}, {}
-    for i in cx.degrees():
-        for old, new in zip(elim.survivors[i], qcx.labels(i)):
-            back[new], fwd[old] = old, new
 
     def qproduct(a: BasisLabel, b: BasisLabel) -> ScalarProduct:
         # survivors are basis labels of the parent, so its row is read directly
-        pa, pb = back[a], back[b]
-        prod = dg.row(pa).get(pb)
+        prod = dg.row(a).get(b)
         if prod is None:
             return ZERO
-        got = elim.substitute(prod, pa.multidegree * pb.multidegree, dg.degree[pa] + dg.degree[pb])
-        return ScalarProduct({fwd[l]: c for l, c in got.items()})
+        return ScalarProduct(elim.substitute(prod, a.multidegree * b.multidegree, dg.degree[a] + dg.degree[b]))
 
-    return QuotientDG(DGStructure(qcx, qproduct), elim, project, checked)
+    return QuotientDG(DGStructure(elim.quotient(f"{dg.name}/span"), qproduct), elim, checked)

@@ -334,4 +334,4 @@ def morse_reduce(T: LabeledFreeComplex, matching) -> LabeledFreeComplex:
         err = MorseError("stuck: no matched pair has a unit pivot (matching not acyclic?)")
         err.witness = exc.witness
         raise err from None
-    return elim.quotient(f"morse({T.name})")[0]
+    return elim.quotient(f"morse({T.name})")

@@ -22,8 +22,24 @@ matching), the dg structure descends to P(F, Z): the span
     I_Z = < e_V, d(e_V) : V contains a generator divisible by some z in Z >
 
 is a dg ideal of T, its image under T ->> T/J = F is a dg ideal of F, and
-F / im(I_Z) tensored down to Q/(Z) is P(F, Z).  `prune_dg` carries out the
-whole pipeline with machine checks at each stage.
+F / im(I_Z) tensored down to Q/(Z) is P(F, Z).  That quotient is F
+restricted to its labels whose multidegree has no Z-variable, relabelled
+over Q/(Z) (`descend`; for a multigraded F this is the restriction lemma
+of Gasharov-Hibi-Peeva 2002, and it agrees with Boocher's pruning):
+  * each label of F is a Taylor cell e_V; its multidegree m_V has a
+    variable of Z exactly when V contains a Z-divisible generator;
+  * d(e_c) has terms only on labels whose multidegree divides m_c, and
+    e_a e_b only on labels dividing m_a m_b, so the labels without a
+    Z-variable span a sub-dg-algebra F' of F;
+  * over Q/(Z), im(I_Z) is spanned by the other labels: each is e_V for a
+    Z-divisible V, and any other term of a generator of I_Z lies on a
+    label l without a Z-variable, so its monomial m_V / m_l carries one
+    and vanishes over Q/(Z);
+  * hence F / im(I_Z) tensor Q/(Z) = F' tensor Q/(Z) as dg algebras, and
+    F' keeps its entries and products, whose monomials have no
+    Z-variable.
+`prune_dg` builds F, descends it, and compares the result with Boocher's
+pruning of the Lyubeznik resolution.
 
 Entries are stored coefficients whose monomials the labels imply (see
 `complexes`), so step (a) reads only labels: the entry c * (m_c / m_r)
@@ -34,7 +50,6 @@ Z-exponent.  A surviving entry keeps its coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .complexes import (
     BasisLabel,
@@ -45,7 +60,7 @@ from .complexes import (
     killed,
     tag_to_json,
 )
-from .dg import QuotientDG, SpanGenerator, SubmoduleSpan, quotient_dg, span_from_matching_sources
+from .dg import ZERO, DGStructure, QuotientDG, ScalarProduct
 from .morse import lyubeznik_matching, lyubeznik_resolution, matching_quotient
 from .poly import MonomialIdeal, _monomial
 
@@ -185,22 +200,34 @@ def prune_complex(F: LabeledFreeComplex, znames) -> PruneResult:
 # dg descent
 
 
-def z_divisible_subsets(ideal: MonomialIdeal, znames) -> list[tuple[int, ...]]:
-    """Index subsets V of G(I) containing a generator divisible by some
-    variable in Z (the index sets spanning the dg ideal I_Z)."""
-    idx = [ideal.ring.index(n) for n in znames]
-    zgens = {
-        j
-        for j, g in enumerate(ideal.generators)
-        if any(g.exponents[i] for i in idx)
+def descend(F: DGStructure, znames) -> DGStructure:
+    """The dg structure F restricted to its labels whose multidegree has no
+    Z-variable, relabelled over Q/(Z): P(F, Z) with F's stored products
+    (see the module docstring).  A column or product of such labels has
+    its terms on such labels, so both are F's, relabelled."""
+    znames = tuple(znames)
+    cx = F.complex
+    idx = [cx.ring.index(n) for n in znames]
+    ring2 = cx.ring.deactivate(znames)
+    # valid over ring2: a label valid over cx.ring with no Z-variable
+    new = {
+        l: BasisLabel(l.tag, _monomial(ring2, l.multidegree.exponents))
+        for l in cx.degree
+        if not any(l.multidegree.exponents[j] for j in idx)
     }
-    t = len(ideal.generators)
-    out = []
-    for size in range(1, t + 1):
-        for V in combinations(range(t), size):
-            if set(V) & zgens:
-                out.append(V)
-    return out
+    back = {p: l for l, p in new.items()}
+    basis = {i: [new[l] for l in cx.labels(i) if l in new] for i in cx.degrees()}
+    diff = {
+        i: {new[c]: {new[r]: v for r, v in col.items()} for c, col in cols.items() if c in new}
+        for i, cols in cx.diff.items()
+    }
+    P = LabeledFreeComplex(ring2, basis, diff, name=f"P({cx.name}, {{{', '.join(znames)}}})")
+
+    def product(a: BasisLabel, b: BasisLabel) -> ScalarProduct:
+        prod = F.row(back[a]).get(back[b])
+        return ZERO if prod is None else ScalarProduct({new[l]: c for l, c in prod.items()})
+
+    return DGStructure(P, product)
 
 
 @dataclass
@@ -209,51 +236,32 @@ class PrunedDG:
     pruned_ideal: MonomialIdeal
     matching: list
     resolution_quotient: QuotientDG  # F = T/J
-    pruned_quotient: QuotientDG  # (F / im(I_Z)) tensor Q/(Z)
-    boocher: PruneResult  # direct pruning of the same F
+    descended: DGStructure  # P(F, Z) with F's products, `descend`
+    boocher: PruneResult  # Boocher pruning of the Lyubeznik resolution
     matches_boocher: bool
 
 
 def prune_dg(ideal: MonomialIdeal, znames) -> PrunedDG:
     """Descend the Lyubeznik-quotient dg structure along pruning by Z.
 
-    Pipeline: F = T/J for the Lyubeznik matching (`morse.matching_quotient`),
-    then F modulo the image of I_Z over Q/(Z), compared entry-by-entry with
-    Boocher pruning of the Lyubeznik resolution.  Both quotients are formed
-    by `dg.quotient_dg`; its refusal of a span that is not a dg ideal
-    (`DGIdealError`, or DGError for one not closed under d) propagates.
+    F = T/J for the Lyubeznik matching (`morse.matching_quotient`, whose
+    refusal of an invalid matching or of a J that is not a dg ideal
+    propagates), then `descend`: F restricted to its labels off Z over
+    Q/(Z), which is F / im(I_Z) over Q/(Z) (module docstring).  It is
+    compared entry by entry with Boocher's pruning of the Lyubeznik
+    resolution.
     """
     znames = tuple(znames)
     matching = lyubeznik_matching(ideal)
     qF = matching_quotient(ideal, matching)[1]
-    T = qF.elimination.source
-
-    # I_Z is the span of e_V and d(e_V) over the V meeting a Z-divisible
-    # generator; its image in F drops the generators projecting to zero
-    z_span = span_from_matching_sources(T, z_divisible_subsets(ideal, znames))
-    projected = ((g.gen_id, qF.project(g.element)) for g in z_span.generators)
-    span_image = SubmoduleSpan(
-        qF.structure.complex, [SpanGenerator(gen_id, p) for gen_id, p in projected if not p.is_zero()]
-    )
-
-    fcx = qF.structure.complex
-    zidx = [fcx.ring.index(n) for n in znames]
-    prefer2 = {l.tag for l in fcx.degree if any(l.multidegree.exponents[j] for j in zidx)}
-    qP = quotient_dg(
-        qF.structure,
-        span_image,
-        kill_vars=znames,
-        prefer_eliminate=prefer2,
-        name=f"P(F{ideal}, {{{', '.join(znames)}}})",
-    )
-
+    P = descend(qF.structure, znames)
     boocher = prune_complex(lyubeznik_resolution(ideal), znames)
     return PrunedDG(
         ideal=ideal,
         pruned_ideal=prune_ideal(ideal, znames),
         matching=matching,
         resolution_quotient=qF,
-        pruned_quotient=qP,
+        descended=P,
         boocher=boocher,
-        matches_boocher=complexes_equal(qP.structure.complex, boocher.pruned),
+        matches_boocher=complexes_equal(P.complex, boocher.pruned),
     )

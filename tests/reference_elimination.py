@@ -6,7 +6,13 @@ nonzero constant polynomial, and projects onto Q/<kill> by reinterpreting
 each polynomial over the smaller ring.  `quotient_dg_elimination` and
 `morse_elimination` feed it the generators `quotient_dg` and `morse_reduce`
 build, in the same order.  The tests compare the scalar kernel against it:
-quotient complexes, rules, survivors and projections.
+quotient complexes, rules and survivors; and a quotient's products against
+the parent's, projected (`reference_products.quotient_product`).
+
+`descent_elimination` is the paper's route to the pruning P(F, Z) of
+F = T/J: F / im(I_Z) over Q/(Z), by a second elimination with kill
+variables.  The tests compare `prune.descend`, which restricts F to its
+labels without a Z-variable, against it.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from dgres.complexes import BasisLabel, LabeledFreeComplex, tag_to_json
-from dgres.dg import DGError, DGStructure, SubmoduleSpan
+from dgres.dg import DGError, DGStructure, SubmoduleSpan, matching_span, span_from_matching_sources
 from dgres.poly import Monomial
 
 from reference_element import vec_scale
@@ -147,11 +153,11 @@ class ReferenceElimination:
 
 
 def quotient_dg_elimination(
-    dg: DGStructure, span: SubmoduleSpan, kill_vars: Sequence[str] = (), prefer_eliminate: Iterable[tuple] = ()
+    dg: DGStructure, span: SubmoduleSpan, prefer_eliminate: Iterable[tuple] = ()
 ) -> ReferenceElimination:
     """The elimination `quotient_dg` runs: the span's generators, no fixed pivots."""
     gens = ((g.gen_id, g.element.degree, coords(g.element), None) for g in span.generators)
-    return ReferenceElimination(dg.complex, gens, kill_vars, prefer_eliminate)
+    return ReferenceElimination(dg.complex, gens, prefer=prefer_eliminate)
 
 
 def morse_elimination(T: LabeledFreeComplex, matching, tag_prefix: str = "e") -> ReferenceElimination:
@@ -167,3 +173,31 @@ def morse_elimination(T: LabeledFreeComplex, matching, tag_prefix: str = "e") ->
     generators = [(sigma.tag, i, {sigma: one}, sigma) for i, sigma, _, _ in pairs]
     generators += [(pair, i - 1, column(T, i, sigma), tau) for i, sigma, tau, pair in pairs]
     return ReferenceElimination(T, generators)
+
+
+def descent_elimination(
+    dgT: DGStructure, matching, znames: Sequence[str]
+) -> tuple[ReferenceElimination, ReferenceElimination]:
+    """The two eliminations of the paper's route to P(F, Z): J from the
+    Taylor algebra T, J the span of e_V and d(e_V) over the matching's
+    sources with the matched cells preferred as pivots, giving F = T/J;
+    then, over Q/(Z), the image in F of I_Z, the span of e_V and d(e_V) over
+    the index sets V that contain a generator divisible by a variable of Z,
+    with F's labels that have a Z-variable preferred as pivots.  The
+    second one's `quotient` is F / im(I_Z) tensor Q/(Z)."""
+    T = dgT.complex
+    span, prefer = matching_span(T, matching)
+    to_F = quotient_dg_elimination(dgT, span, prefer)
+    F, project = to_F.quotient("F")
+    idx = [T.ring.index(z) for z in znames]
+
+    def has_z(l: BasisLabel) -> bool:
+        return any(l.multidegree.exponents[j] for j in idx)
+
+    zgens = {l.tag[1] for l in T.labels(1) if has_z(l)}
+    sources = [l.tag[1:] for l in T.degree if zgens & set(l.tag[1:])]
+    gens = []
+    for g in span_from_matching_sources(T, sources).generators:
+        if vec := project(coords(g.element), g.element.degree):
+            gens.append((g.gen_id, g.element.degree, vec, None))
+    return to_F, ReferenceElimination(F, gens, znames, {l.tag for l in F.degree if has_z(l)})

@@ -2,11 +2,12 @@
 
 These are the product functions the dg structures had before they stored
 coefficients: the Taylor product, the mapping-cone product of `diam4` and
-the product of a `quotient_dg` quotient, each returning an `Element` built
-in `Polynomial` arithmetic.  The cone product divides by z with
-`divide_by_monomial`; the quotient product projects the parent
-product with `QuotientDG.project`.  The tests compare every stored product
-table, formatted with `reference_poly.entry_polynomial`, against them.
+the product of a quotient, each returning an `Element` built in
+`Polynomial` arithmetic.  The cone product divides by z with
+`divide_by_monomial`; the quotient product projects the parent product
+with the projection of a `reference_elimination` quotient.  The tests
+compare every stored product table, formatted with
+`reference_poly.entry_polynomial`, against them.
 `taylor_table` is the Taylor product as a `ScalarProduct` from index
 tuples, the oracle for the bitmask products of `taylor.mask_product`.
 
@@ -22,11 +23,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from dgres.complexes import BasisLabel, LabeledFreeComplex
-from dgres.dg import DGStructure, Element, QuotientDG, ScalarProduct
+from dgres.dg import DGStructure, Element, ScalarProduct
 from dgres.diam4 import StarDecomposition
 from dgres.poly import Monomial, MonomialIdeal, lcm_of, monomial_divide, monomial_lcm
 
-from reference_poly import Polynomial, VecT, element
+from reference_poly import Polynomial, VecT, coords, element
 
 
 def taylor_sign(V: Sequence[int], W: Sequence[int]) -> int:
@@ -196,19 +197,14 @@ def cone_product(dec: StarDecomposition, cone: LabeledFreeComplex):
     return product
 
 
-def quotient_product(parent: DGStructure, q: QuotientDG):
-    """The parent's product of the matching survivors, projected."""
-    qcx, degree = q.structure.complex, q.structure.degree
-    back = {
-        new: old
-        for i in parent.complex.degrees()
-        for old, new in zip(q.elimination.survivors[i], qcx.labels(i))
-    }
+def quotient_product(parent: DGStructure, quotient: DGStructure, project):
+    """The parent's product of the labels with the quotient's tags,
+    projected by `project`, the projection of the reference elimination
+    that builds the quotient from the parent."""
+    qcx, degree, find = quotient.complex, quotient.degree, parent.complex.find_label
 
     def product(a: BasisLabel, b: BasisLabel) -> Element:
-        prod = parent.basis_product(back[a], back[b])
-        if prod.is_zero():
-            return Element.zero(qcx, degree[a] + degree[b])
-        return q.project(prod)
+        deg = degree[a] + degree[b]
+        return element(qcx, deg, project(coords(parent.basis_product(find(a.tag), find(b.tag))), deg))
 
     return product

@@ -232,10 +232,8 @@ def test_criterion_06_pruning_descends_stage_exactly(two_triangles_ideal):
     assert result.report.ok
     descended = prune_dg(two_triangles_ideal, ("y1",))
     assert descended.matches_boocher
-    assert complexes_equal(
-        descended.pruned_quotient.structure.complex, result.pruned
-    )
-    assert dg_check(descended.pruned_quotient.structure).ok
+    assert complexes_equal(descended.descended.complex, result.pruned)
+    assert dg_check(descended.descended).ok
 
 
 def test_criterion_07_negative_controls(taylor_fixture_ideal):

@@ -20,7 +20,6 @@ from dgres import (
     Monomial,
     MonomialIdeal,
     PolyError,
-    SubmoduleSpan,
     VariableSet,
     build_cone_resolution,
     build_family,
@@ -1240,7 +1239,7 @@ class TestStoredWriters:
         a, b, c, e = (BasisLabel((t,), x) for t in "abce")
         F = LabeledFreeComplex(ring, {0: [u], 1: [a, b], 2: [c, e]}, {2: {c: {a: 2, b: 1}, e: {a: 2}}})
         elim = Elimination(F, [(("c",), 2, {c: 1}, x, c), (("dc",), 1, F.diff[2][c], x, a)])
-        Q, _ = elim.quotient("Q")
+        Q = elim.quotient("Q")
         assert Q.diff[2] == {e: {b: -1}} and type(Q.diff[2][e][b]) is int
         assert_stored_as_validated(Q)
 
@@ -1250,8 +1249,8 @@ class TestStoredWriters:
         for I, z in cases:
             result = prune_dg(I, (z,))
             assert_stored_as_validated(result.resolution_quotient.structure.complex)
-            # the quotient over Q/(z), whose ring has z deactivated
-            P = result.pruned_quotient.structure.complex
+            # the descent over Q/(z), whose ring has z deactivated
+            P = result.descended.complex
             assert not P.ring.active[P.ring.index(z)]
             assert_stored_as_validated(P)
 
@@ -1297,12 +1296,6 @@ class TestBasisLabelValueType:
                 assert l.multidegree.exponents[3] == 0
         with pytest.raises(PolyError):
             Monomial(P.ring, (0, 0, 0, 1))
-
-    def test_quotient_relabel_rejects_a_killed_variable(self):
-        I = ideal(RING3, "x*y", "y*z")
-        dg = taylor_dg_structure(I)
-        with pytest.raises(DGError, match="divisible by y"):
-            quotient_dg(dg, SubmoduleSpan(dg.complex, []), kill_vars=["y"])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ On the Taylor structures of the corpus, the cones of the trees of diameter
 3 and 4 on up to 7 vertices and the C4/C5 and Lyubeznik quotients, every
 basis element, its boundary and their products must agree with the oracle
 in string, multidegree, coordinates (in order) and degree; so must span
-membership witnesses and projections onto quotients over Q/<kill>.  Mixed,
+membership witnesses.  Mixed,
 non-homogeneous and inhomogeneous input, which the oracle takes, is refused
 where it is stored; Polynomial coordinates become an Element only through
 the test-side reader `reference_poly.element`, which refuses the mixed and
@@ -30,24 +30,19 @@ from dgres import (
     SubmoduleSpan,
     VariableSet,
     build_cone_resolution,
-    build_family,
-    edge_ideal,
     lyubeznik_matching,
-    prune_dg,
     quotient_dg,
     span_from_matching_sources,
     submodule_membership,
     taylor_dg_structure,
     taylor_resolution,
 )
-from dgres import morse, prune
 from dgres.classify import C4_MATCHING, C5_MATCHING
 from dgres.combin import graph_diameter
 from dgres.dg import ScalarProduct
 from dgres.morse import matching_sources
 
 from reference_element import ReferenceElement, reference_membership, reference_multiply
-from reference_elimination import quotient_dg_elimination
 from reference_poly import Polynomial, constant, coords, element, entry, entry_polynomial, parse_polynomial
 from conftest import matching_targets
 
@@ -150,31 +145,6 @@ class TestElementOracle:
             dgT, span, q = matching_span_and_quotient(I, lyubeznik_matching(I))
             assert_structure_matches(q.structure)
             assert_span_matches(dgT, span)
-
-    def test_projections_over_a_smaller_ring(self, monkeypatch):
-        # both quotients of `prune_dg` on P5, the second over Q/(v2): each
-        # basis element and boundary projected, against the Polynomial
-        # elimination; a projected multidegree lives in the quotient's ring
-        made = []
-
-        def recorded(dgs, span, *args, **kwargs):
-            made.append((dgs, span, args, kwargs, quotient_dg(dgs, span, *args, **kwargs)))
-            return made[-1][-1]
-
-        monkeypatch.setattr(morse, "quotient_dg", recorded)
-        monkeypatch.setattr(prune, "quotient_dg", recorded)
-        prune_dg(edge_ideal(build_family("P5")), ("v2",))
-        assert [kw.get("kill_vars", ()) for *_, kw, _ in made] == [(), ("v2",)]
-        for dgs, span, args, kwargs, q in made:
-            kwargs.pop("name", None)
-            _, rproject = quotient_dg_elimination(dgs, span, *args, **kwargs).quotient("ref")
-            cx, qcx = dgs.complex, q.structure.complex
-            for i in cx.degrees():
-                for l in cx.labels(i):
-                    for el in (Element.basis(cx, l), Element.basis(cx, l).diff()):
-                        got = q.project(el)
-                        assert_same(got, ReferenceElement(qcx, el.degree, rproject(coords(el), el.degree)))
-                        assert got.is_zero() or got.multidegree().ring == qcx.ring
 
 
 @pytest.fixture(scope="module")

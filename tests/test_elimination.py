@@ -2,8 +2,8 @@
 (`reference_elimination`); inhomogeneous input is refused before it
 reaches an elimination, when its complex is built.
 
-Every comparison covers the quotient complex, the rules entry by entry, the
-survivors and the projection of each basis element and its boundary.
+Every comparison covers the quotient complex, the rules entry by entry and
+the survivors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 from dgres import (
     ComplexError,
     DGError,
-    Element,
     LabeledFreeComplex,
     MonomialIdeal,
     SpanGenerator,
@@ -33,22 +32,22 @@ from dgres import (
     taylor_dg_structure,
     taylor_resolution,
 )
-from dgres import dg, morse, prune
+from dgres import dg, morse
 from dgres.morse import MorseError, matching_sources
 from dgres.prune import prune_ideal
 
 from reference_elimination import morse_elimination, quotient_dg_elimination
-from reference_poly import Polynomial, constant, coords, element, entry, entry_polynomial, parse_polynomial
+from reference_poly import Polynomial, constant, element, entry, entry_polynomial, parse_polynomial
 from conftest import matching_targets
 
 WHISKER_RING = VariableSet(("x", "y", "x1", "y1", "z"))
 WHISKER = MonomialIdeal.from_strings(WHISKER_RING, ["x*y", "x*z", "y*z", "x*x1", "y*y1"])
 
 
-def assert_matches_reference(qcx, project, elim, ref):
-    """`qcx`, `project` and the rules and survivors of `elim` against the
-    reference elimination `ref` run on the same input."""
-    rcx, rproject = ref.quotient(qcx.name)
+def assert_matches_reference(qcx, elim, ref):
+    """`qcx` and the rules and survivors of `elim` against the reference
+    elimination `ref` run on the same input."""
+    rcx, _ = ref.quotient(qcx.name)
     assert complexes_equal(qcx, rcx)
     # each rule's entries read as Polynomials at its pivot's multidegree
     assert {
@@ -56,20 +55,12 @@ def assert_matches_reference(qcx, project, elim, ref):
         for i, rules in elim.rules.items()
     } == ref.rules
     assert elim.survivors == ref.survivors
-    cx = ref.source
-    for i in cx.degrees():
-        for l in cx.labels(i):
-            e = Element.basis(cx, l)
-            for el in (e, e.diff()):
-                got = project(el)
-                assert (got.complex, got.degree) == (qcx, el.degree)
-                assert coords(got) == rproject(coords(el), el.degree)
 
 
-def assert_quotient_matches(dgs, span, kill_vars=(), prefer_eliminate=()):
-    q = quotient_dg(dgs, span, kill_vars, prefer_eliminate)
-    ref = quotient_dg_elimination(dgs, span, kill_vars, prefer_eliminate)
-    assert_matches_reference(q.structure.complex, q.project, q.elimination, ref)
+def assert_quotient_matches(dgs, span, prefer_eliminate=()):
+    q = quotient_dg(dgs, span, prefer_eliminate)
+    ref = quotient_dg_elimination(dgs, span, prefer_eliminate)
+    assert_matches_reference(q.structure.complex, q.elimination, ref)
     return q
 
 
@@ -102,9 +93,9 @@ class TestEliminationOracle:
         matching = lyubeznik_matching(ideal)
         M = morse_reduce(T, matching)
         elim = eliminations.pop()
-        qcx, project = elim.quotient(M.name)
+        qcx = elim.quotient(M.name)
         assert complexes_equal(M, qcx)
-        assert_matches_reference(qcx, project, elim, morse_elimination(T, matching))
+        assert_matches_reference(qcx, elim, morse_elimination(T, matching))
 
     def test_whisker_ideal_in_all_orders(self, eliminations):
         for perm in permutations(range(5)):
@@ -121,23 +112,22 @@ class TestEliminationOracle:
             assert_quotient_matches(dgT, span)
 
     def test_prune_dg_with_kill_variables(self, monkeypatch):
-        # both quotients of prune_dg, F = T/J and its quotient over Q/(Z)
-        kills, runs = [], 0
+        # the one quotient of prune_dg, F = T/J, which it then descends
+        runs = []
 
-        def checked(dgs, span, kill_vars=(), prefer_eliminate=(), name=""):
-            kills.append(tuple(kill_vars))
-            return assert_quotient_matches(dgs, span, kill_vars, prefer_eliminate)
+        def checked(dgs, span, prefer_eliminate=()):
+            runs.append(span)
+            return assert_quotient_matches(dgs, span, prefer_eliminate)
 
         monkeypatch.setattr(morse, "quotient_dg", checked)
-        monkeypatch.setattr(prune, "quotient_dg", checked)
+        pruned = 0
         for fam in ("P5", "P6", "P7"):
             ideal = edge_ideal(build_family(fam))
             for z in ideal.ring.names:
                 if prune_ideal(ideal, (z,)).generators:
                     assert prune_dg(ideal, (z,)).matches_boocher
-                    runs += 1
-        assert runs == 6 + 7 + 8
-        assert kills == [k for z in kills[1::2] for k in ((), z)] and all(kills[1::2])
+                    pruned += 1
+        assert pruned == len(runs) == 6 + 7 + 8
 
     def test_no_unit_pivot_witness(self):
         """x*T, the span of x*e_U over every label U, is a dg ideal with no

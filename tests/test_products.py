@@ -4,8 +4,10 @@ Every product a structure stores is a `ScalarProduct` {l: c} of
 coefficients; formatted with `reference_poly.entry_polynomial` at m_a m_b
 it must equal the oracle's Element, for the Taylor structures of the
 corpus, the cones of all trees of diameter 3 and 4 on 3 to 9 vertices,
-Lyubeznik and C4/C5 Morse quotients and both quotients of `prune_dg` with
-one kill variable.
+Lyubeznik and C4/C5 Morse quotients, and `prune_dg`'s quotient and its
+descent by one variable.  A quotient's oracle is its parent's product,
+projected by the `reference_elimination` quotient; a descent's is the
+paper's second quotient over Q/(Z) (`descent_elimination`).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from dgres import (
     span_from_matching_sources,
     taylor_dg_structure,
 )
-from dgres import morse, prune
 from dgres.classify import C4_MATCHING, C5_MATCHING
 from dgres.dg import ScalarProduct, closure_products, matching_span
 from dgres.diam4 import (
@@ -48,6 +49,7 @@ from dgres.prune import prune_ideal
 from dgres.taylor import below_mask, index_mask, mask_index, mask_product, taylor_resolution
 
 import reference_products
+from reference_elimination import descent_elimination, quotient_dg_elimination
 from conftest import matching_targets, trees_of_diameter_3_and_4
 from reference_poly import Polynomial, coords, element, entry_polynomial
 
@@ -76,10 +78,14 @@ def cycle_ideal(n: int) -> MonomialIdeal:
 
 
 def matching_quotient(ideal: MonomialIdeal, matching):
+    """T, T/J and the oracle of T/J's products."""
     dgT = taylor_dg_structure(ideal)
     sources = matching_sources(matching)
     prefer = {("e",) + tuple(t) for t in matching_targets(matching)} | {("e",) + tuple(s) for s in sources}
-    return dgT, quotient_dg(dgT, span_from_matching_sources(dgT.complex, sources), prefer_eliminate=prefer)
+    span = span_from_matching_sources(dgT.complex, sources)
+    q = quotient_dg(dgT, span, prefer_eliminate=prefer)
+    _, project = quotient_dg_elimination(dgT, span, prefer).quotient("ref")
+    return dgT, q, reference_products.quotient_product(dgT, q.structure, project)
 
 
 class TestStoredProducts:
@@ -98,37 +104,31 @@ class TestStoredProducts:
 
     def test_lyubeznik_quotients_of_the_corpus(self, corpus):
         for I in corpus:
-            dgT, q = matching_quotient(I, lyubeznik_matching(I))
-            assert assert_products_match(q.structure, reference_products.quotient_product(dgT, q))
+            _, q, oracle = matching_quotient(I, lyubeznik_matching(I))
+            assert assert_products_match(q.structure, oracle)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_cycle_morse_quotients(self, n):
-        dgT, q = matching_quotient(cycle_ideal(n), C4_MATCHING if n == 4 else C5_MATCHING)
+        _, q, oracle = matching_quotient(cycle_ideal(n), C4_MATCHING if n == 4 else C5_MATCHING)
         assert q.structure.complex.ranks() == ((1, 4, 4, 1) if n == 4 else (1, 5, 5, 1))
-        assert assert_products_match(q.structure, reference_products.quotient_product(dgT, q))
+        assert assert_products_match(q.structure, oracle)
 
-    def test_prune_dg_quotients_with_one_kill_variable(self, monkeypatch):
-        # F = T/J over Q, then F / im(I_Z) over Q/(Z); each against the
-        # projection of its parent's product
-        made = []
-
-        def recorded(dgs, span, *args, **kwargs):
-            q = quotient_dg(dgs, span, *args, **kwargs)
-            made.append((dgs, q))
-            return q
-
-        monkeypatch.setattr(morse, "quotient_dg", recorded)
-        monkeypatch.setattr(prune, "quotient_dg", recorded)
+    def test_prune_dg_quotients_with_one_kill_variable(self):
+        # F = T/J over Q against the projection of T's product, and its
+        # descent P(F, z) against F's product projected onto
+        # F / im(I_Z) over Q/(z)
         runs = 0
         for fam in ("P5", "P6", "P7"):
             ideal = edge_ideal(build_family(fam))
             for z in ideal.ring.names:
                 if prune_ideal(ideal, (z,)).generators:
-                    prune_dg(ideal, (z,))
+                    result = prune_dg(ideal, (z,))
+                    dgT, F, P = taylor_dg_structure(ideal), result.resolution_quotient.structure, result.descended
+                    to_F, to_P = descent_elimination(dgT, result.matching, (z,))
+                    assert assert_products_match(F, reference_products.quotient_product(dgT, F, to_F.quotient("F")[1]))
+                    assert assert_products_match(P, reference_products.quotient_product(F, P, to_P.quotient("P")[1]))
                     runs += 1
-        assert runs == 21 and len(made) == 42
-        for parent, q in made:
-            assert assert_products_match(q.structure, reference_products.quotient_product(parent, q))
+        assert runs == 21
 
 
 def subsets(n: int):

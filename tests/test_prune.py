@@ -7,11 +7,17 @@ produce, stage by stage, the exact matrices recorded here, ending in the
 minimal resolution (1, 4, 4, 1) of (xy, yz1, xz1, xx1).
 """
 
+import networkx as nx
 import pytest
 
 from dgres import (
+    Graph,
+    build_cone_resolution,
+    build_family,
     complexes_equal,
     dg_check,
+    edge_ideal,
+    lyubeznik_matching,
     lyubeznik_resolution,
     prune_complex,
     prune_dg,
@@ -21,9 +27,13 @@ from dgres import (
     taylor_resolution,
     total_betti,
 )
+from dgres.classify import C4_MATCHING, C5_MATCHING, _cycle_consecutive_ideal, _d3_order
+from dgres.combin import _tree_path
 from dgres.dg import dg_ideal_closure
-from dgres.prune import z_divisible_subsets
+from dgres.morse import matching_quotient
+from dgres.prune import descend
 
+from reference_elimination import descent_elimination
 from reference_poly import matrix
 
 
@@ -181,14 +191,16 @@ class TestPruneIdeal:
         small2 = prune_ideal(two_triangles_ideal, ("z1",))
         assert [str(g) for g in small2.generators] == ["x*y", "x*x1", "y*y1"]
 
-    def test_subsets_spanning_the_ideal(self, two_triangles_ideal):
-        subs = z_divisible_subsets(two_triangles_ideal, ("y1",))
-        assert len(subs) == 16
-        assert all(4 in V for V in subs)
-
     def test_principal_span_is_dg_ideal_of_taylor(self, two_triangles_ideal):
+        # I_Z for Z = {y1}: y1 divides only the generator y*y1, index 4, so
+        # I_Z is spanned by e_V and d(e_V) over the 16 V that contain 4
         dgT = taylor_dg_structure(two_triangles_ideal)
-        span = span_from_matching_sources(dgT.complex, z_divisible_subsets(two_triangles_ideal, ("y1",)))
+        subsets = [
+            (4,), (0, 4), (1, 4), (2, 4), (3, 4),
+            (0, 1, 4), (0, 2, 4), (0, 3, 4), (1, 2, 4), (1, 3, 4), (2, 3, 4),
+            (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4), (0, 1, 2, 3, 4),
+        ]
+        span = span_from_matching_sources(dgT.complex, subsets)
         ok, detail = dg_ideal_closure(dgT, span)
         assert ok, detail["failures"]
 
@@ -197,23 +209,20 @@ class TestPruneDG:
     def test_y1_descent(self, two_triangles_ideal):
         result = prune_dg(two_triangles_ideal, ("y1",))
         assert result.matches_boocher
-        # every nonzero product e_u * g with g in the image of I_Z lies in it
-        assert result.pruned_quotient.closure_products_checked == 97
-        P = result.pruned_quotient.structure.complex
+        P = result.descended.complex
         assert P.ranks() == (1, 4, 4, 1)
         assert P.is_minimal()
         ok, _ = P.is_resolution_of(result.pruned_ideal)
         assert ok
-        report = dg_check(result.pruned_quotient.structure)
+        report = dg_check(result.descended)
         assert report.ok, report.to_json()
 
     def test_z1_descent(self, two_triangles_ideal):
         result = prune_dg(two_triangles_ideal, ("z1",))
         assert result.matches_boocher
-        assert result.pruned_quotient.closure_products_checked == 167
-        P = result.pruned_quotient.structure.complex
+        P = result.descended.complex
         assert P.ranks() == (1, 3, 2)
-        assert dg_check(result.pruned_quotient.structure).ok
+        assert dg_check(result.descended).ok
 
     def test_intermediate_quotient_is_minimal_resolution(
         self, two_triangles_ideal, minres
@@ -245,6 +254,62 @@ class TestPruneDG:
                 continue
             result = prune_dg(ideal, (z,))
             assert result.matches_boocher, (str(ideal), z)
-            assert dg_check(result.pruned_quotient.structure).ok
+            assert dg_check(result.descended).ok
             checked += 1
         assert checked >= 4
+
+
+def certified_structures():
+    """(name, ideal, structure) for the structure each certificate checks,
+    on every tree with 3 to 8 vertices and on C3, C4 and C5: the Taylor
+    algebra for diameter <= 2, the Lyubeznik quotient in central-edge-first
+    order for diameter 3, the cone for diameter 4, the Lyubeznik quotient
+    of C3 and the C4/C5 Morse quotients, each cycle's generators in cycle
+    order."""
+    for n in range(3, 9):
+        for T in nx.nonisomorphic_trees(n):
+            g = Graph.build([f"v{i}" for i in sorted(T.nodes())], [(f"v{a}", f"v{b}") for a, b in T.edges()])
+            path, I = _tree_path(g), edge_ideal(g)
+            d = len(path) - 1
+            if d <= 2:
+                yield "taylor", I, taylor_dg_structure(I)
+            elif d == 3:
+                ordered = I.reorder(_d3_order(path, I))
+                yield "lyubeznik", ordered, matching_quotient(ordered, lyubeznik_matching(ordered))[1].structure
+            elif d == 4:
+                yield "cone", I, build_cone_resolution(g).dg
+    for fam, matching in (("C3", None), ("C4", C4_MATCHING), ("C5", C5_MATCHING)):
+        g = build_family(fam)
+        I = _cycle_consecutive_ideal(g, edge_ideal(g))
+        yield fam, I, matching_quotient(I, matching or lyubeznik_matching(I))[1].structure
+
+
+class TestDescend:
+    def test_every_certified_structure_by_each_vertex(self):
+        """P(F, z) with F's products is Boocher's pruning of F, minimal,
+        a resolution of the pruned ideal, and a dg algebra (the paper's
+        first theorem, on each certified minimal structure)."""
+        kinds = {}
+        for kind, I, F in certified_structures():
+            for z in I.ring.names:
+                P = descend(F, (z,))
+                assert complexes_equal(P.complex, prune_complex(F.complex, (z,)).pruned), (kind, str(I), z)
+                assert P.complex.is_minimal(), (kind, str(I), z)
+                assert P.complex.is_resolution_of(prune_ideal(I, (z,)))[0], (kind, str(I), z)
+                assert dg_check(P).ok, (kind, str(I), z)
+                kinds[kind] = kinds.get(kind, 0) + 1
+        assert kinds == {"taylor": 33, "lyubeznik": 59, "cone": 116, "C3": 3, "C4": 4, "C5": 5}
+
+    @pytest.mark.parametrize(
+        "ideal, znames",
+        [("two_triangles", ["y1", "z1"])] + [(fam, None) for fam in ("P5", "C4")],
+    )
+    def test_equals_the_quotient_by_the_image_of_i_z(self, ideal, znames, two_triangles_ideal):
+        """F / im(I_Z) tensor Q/(Z), built by the reference elimination, is
+        `descend`'s complex, for F the Lyubeznik quotient."""
+        I = two_triangles_ideal if ideal == "two_triangles" else edge_ideal(build_family(ideal))
+        dgT, matching = taylor_dg_structure(I), lyubeznik_matching(I)
+        F = matching_quotient(I, matching)[1].structure
+        for z in znames or I.ring.names:
+            _, to_P = descent_elimination(dgT, matching, (z,))
+            assert complexes_equal(to_P.quotient("P")[0], descend(F, (z,)).complex), (ideal, z)
