@@ -14,12 +14,15 @@ multidegrees, entries and entry types, and for every label the same
 Then it classifies the diameter-4 trees T4(3;2,2,2) and T4(3;3,3,3), whose
 certificates rest on the cone product, checked by `dg_check` on all 134^2
 pairs and 134^3 triples and on all 1030^2 pairs and 1030^3 triples, and the
-diameter-3 trees L(4,4,0) and L(6,6,0), whose certificates rest on the
-Lyubeznik quotients of their 512- and 8192-label Taylor algebras.  Their
-matching sources are closed under supersets, so `quotient_dg` decides each
-span a dg ideal by the superset-closure lemma and counts its 26715 and
-3265815 nonzero products e_u * g from masks; `dg_check` then checks the
-62- and 254-label quotients on every pair and triple.  Each certificate
+diameter-3 trees L(4,4,0), L(6,6,0) and L(7,7,0), whose certificates rest
+on the Lyubeznik quotients of their 512-, 8192- and 32768-label Taylor
+algebras.  Their matching sources are closed under supersets, so
+`quotient_dg` decides each span a dg ideal by the superset-closure lemma
+and counts its 26715, 3265815 and 33732597 nonzero products e_u * g from
+masks; `dg_check` then checks the 62-, 254- and 510-label quotients on
+every pair and triple.  A product of two survivors is formed from the one
+Taylor product of the pair (`DGStructure.product`), so the quotient rows
+read no whole Taylor row.  Each certificate
 checks its resolution on the lcm lattice, whatever the number of active
 variables.  The verdict, ranks and check counts must match frozen values.
 Then it makes 100 `classify` + `verify_certificate` round trips on P10,
@@ -130,6 +133,17 @@ CLASSIFY = {
         "closure_products_checked": 3265815,
         "checked_pairs": 64516,
         "checked_triples": 16387064,
+        "triples_checked": True,
+        "resolution_checked": True,
+    },
+    "L(7,7,0)": {
+        "verdict": "dg",
+        "kind": "lyubeznik-quotient",
+        "ranks": [1, 15, 56, 112, 140, 112, 56, 16, 2],
+        "quotient_ranks": [1, 15, 56, 112, 140, 112, 56, 16, 2],
+        "closure_products_checked": 33732597,
+        "checked_pairs": 260100,
+        "checked_triples": 132651000,
         "triples_checked": True,
         "resolution_checked": True,
     },

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb
 
-from .combin import Graph, GraphError, _tree_path, edge_ideal, path_graph
+from .combin import Graph, GraphError, _tree_path, edge_ideal, edge_monomial, path_graph
 from .complexes import total_betti
 from .dg import dg_check
 from .diam4 import (
@@ -360,10 +360,7 @@ def _path_window_evidence(graph: Graph, ideal: MonomialIdeal, window: list[str])
     six consecutive vertices."""
     zvars = [v for v in graph.non_isolated() if v not in set(window)]
     pruned = prune_ideal(ideal, zvars)
-    expected = {
-        pruned.ring.variable(a) * pruned.ring.variable(b)
-        for a, b in zip(window, window[1:])
-    }
+    expected = {edge_monomial(pruned.ring, a, b) for a, b in zip(window, window[1:])}
     if set(pruned.generators) != expected:
         raise GraphError("window does not prune to the 5-edge path")
     # the check above makes `pruned` the 5-edge path up to renaming variables
@@ -390,7 +387,7 @@ def _d3_order(path: list[str], ideal: MonomialIdeal) -> list[str]:
     the middle edge of its longest path."""
     a, b = path[1], path[2]
     ring = ideal.ring
-    first = ring.variable(a) * ring.variable(b)
+    first = edge_monomial(ring, a, b)
     rest = sorted(
         (str(g) for g in ideal.generators if g != first),
     )
@@ -463,7 +460,7 @@ def _cycle_consecutive_ideal(graph: Graph, ideal: MonomialIdeal) -> MonomialIdea
     verts = _cycle_order(graph)
     ring = ideal.ring
     order = [
-        str(ring.variable(a) * ring.variable(b))
+        str(edge_monomial(ring, a, b))
         for a, b in zip(verts, verts[1:] + verts[:1])
     ]
     return ideal.reorder(order)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .poly import MonomialIdeal, VariableSet
+from .poly import Monomial, MonomialIdeal, PolyError, VariableSet, _monomial
 
 
 class GraphError(ValueError):
@@ -154,6 +154,19 @@ def graph_diameter(graph: Graph) -> int:
     raise GraphError("graph_diameter needs a tree or a cycle")
 
 
+def edge_monomial(ring: VariableSet, a: str, b: str) -> Monomial:
+    """x_a x_b, the generator of the edge ab, built as one monomial over
+    `ring`.  An unknown or inactive name raises PolyError, as
+    `VariableSet.variable` does."""
+    exps = [0] * len(ring)
+    for name in (a, b):
+        i = ring.index(name)
+        if not ring.active[i]:
+            raise PolyError(f"variable {name!r} is inactive in this ring")
+        exps[i] += 1
+    return _monomial(ring, tuple(exps))
+
+
 def edge_ideal(graph: Graph) -> MonomialIdeal:
     """Edge ideal I_G; generators in sorted-edge order.
 
@@ -161,10 +174,8 @@ def edge_ideal(graph: Graph) -> MonomialIdeal:
     are the non-isolated vertices (in graph order).
     """
     ring = VariableSet(graph.non_isolated())
-    gens = []
-    for e in sorted(sorted(e) for e in graph.edges):
-        gens.append(ring.variable(e[0]) * ring.variable(e[1]))
-    return MonomialIdeal(ring, tuple(gens))
+    edges = sorted(sorted(e) for e in graph.edges)
+    return MonomialIdeal(ring, tuple(edge_monomial(ring, a, b) for a, b in edges))
 
 
 # ---------------------------------------------------------------------------

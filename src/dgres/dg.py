@@ -123,9 +123,11 @@ elements, by per-degree unit-pivot elimination on coefficients.  As in the
 complexes, an element of multidegree b is {l: c} for sum c*(b/m_l) e_l,
 and l is a unit pivot iff m_l = b.  The quotient keeps the survivors, the
 labels no rule eliminates.  `quotient_dg` wraps it for a dg algebra and a
-dg ideal given as a span, preferring caller-designated pivots, and stores
-each product of survivors as the parent's stored product (read off the
-parent's row: survivors are its basis labels) substituted at b = m_a m_b;
+dg ideal given as a span, preferring caller-designated pivots, and forms
+each product of two survivors, which are basis labels of the parent, as
+the parent's product of the pair (`DGStructure.product`) with the rules
+substituted, so a quotient row asks the parent for the pairs of survivors
+only, not for the parent's whole row;
 `morse.morse_reduce` passes each e_sigma and its stored column
 d(e_sigma), with each pivot fixed to a matched target.
 """
@@ -252,7 +254,11 @@ class DGStructure:
 
     Products are stored by rows: `row(a)` is {b: e_a e_b} over the basis
     labels b with e_a e_b != 0, computed in full (one product-function call
-    per b) on first read and stored only when complete.  The product
+    per b) on first read and stored only when complete.  `product(a, b)`
+    reads one product: the entry of the row of a when that row is stored,
+    else one product-function call, validated and not stored; a quotient
+    or a descent forms its products through its parent's `product`, so it
+    asks the parent only for the pairs it needs.  The product
     function returns a `ScalarProduct` (the form of the complex's columns),
     and a nonzero one is validated: every label a basis label of degree
     |a| + |b|, every entry an int or a Fraction, and a coefficient on l
@@ -294,9 +300,7 @@ class DGStructure:
             product, got = self._product, {}
             for b in self.degree:
                 prod = product(a, b)
-                if type(prod) is not ScalarProduct:
-                    raise DGError(f"product {a}*{b} is not a ScalarProduct: {type(prod).__name__}")
-                if prod:
+                if prod or type(prod) is not ScalarProduct:  # `_store` refuses the second
                     got[b] = self._store(a, b, prod)
             self._rows[a] = got
         return got
@@ -307,8 +311,25 @@ class DGStructure:
             raise DGError(f"{b} is not a basis label of {self.name}")
         return self.row(a).get(b, ZERO)
 
+    def product(self, a: BasisLabel, b: BasisLabel) -> ScalarProduct:
+        """e_a e_b of two basis labels: the entry of the stored row of a
+        when that row is stored, else one call of the product function,
+        validated as `row` validates it and not stored."""
+        degree = self.degree
+        if a not in degree or b not in degree:
+            raise DGError(f"{b if a in degree else a} is not a basis label of {self.name}")
+        got = self._rows.get(a)
+        if got is None:
+            return self._store(a, b, self._product(a, b))
+        return got.get(b, ZERO)
+
     def _store(self, a: BasisLabel, b: BasisLabel, prod: ScalarProduct) -> ScalarProduct:
-        """The nonzero product e_a e_b, validated (see the class docstring)."""
+        """The product e_a e_b the product function returned, validated (see
+        the class docstring); ZERO for a zero one."""
+        if type(prod) is not ScalarProduct:
+            raise DGError(f"product {a}*{b} is not a ScalarProduct: {type(prod).__name__}")
+        if not prod:
+            return ZERO
         deg, degree = self.degree[a] + self.degree[b], self.degree
         want = tuple(map(add, a.multidegree.exponents, b.multidegree.exponents))
         for l, c in prod.items():
@@ -766,7 +787,7 @@ class Elimination:
                 retry, waiting = [], []
                 for gen in queue:
                     gen_id, vec, b, pivot = gen
-                    vec = self.substitute(vec, b, i)
+                    vec = self.substitute(vec, i)
                     if not vec:
                         continue
                     if pivot is None:
@@ -793,10 +814,10 @@ class Elimination:
                 del self.rules[i], self._at[i]
         self.survivors = {i: [l for l in cx.labels(i) if l not in self._at.get(i, ())] for i in cx.degrees()}
 
-    def substitute(self, vec: dict, b: Monomial | None, i: int) -> dict:
+    def substitute(self, vec: dict, i: int) -> dict:
         """sum c*(b/m_l) e_l in degree i, given as {l: c}, with every pivot
-        replaced by its rule.  Taking the pivots in rule order replaces each
-        at most once."""
+        replaced by its rule.  A rule is scalar, so b is not needed.  Taking
+        the pivots in rule order replaces each at most once."""
         out = dict(vec)
         at, rules = self._at.get(i), self.rules.get(i)
         if not at:
@@ -826,7 +847,7 @@ class Elimination:
         basis = {i: survivors[i] for i in cx.degrees() if survivors[i]}
         diff = {
             i: {
-                l: {r: exact(c) for r, c in self.substitute(cx.diff.get(i, {}).get(l, {}), l.multidegree, i - 1).items()}
+                l: {r: exact(c) for r, c in self.substitute(cx.diff.get(i, {}).get(l, {}), i - 1).items()}
                 for l in survivors[i]
             }
             for i in cx.degrees()
@@ -905,7 +926,8 @@ def quotient_dg(
     preferring as pivots the labels whose tags are in `prefer_eliminate`
     (e.g. to keep the Morse-critical cells); a span without unit pivots
     raises its DGError.  The quotient's labels are the survivors, and a
-    product of two survivors is the parent's stored product with the
+    product of two survivors is the parent's product of the pair
+    (`DGStructure.product`, which fills no row of the parent) with the
     elimination's rules substituted.
     """
     cx = dg.complex
@@ -919,10 +941,8 @@ def quotient_dg(
     )
 
     def qproduct(a: BasisLabel, b: BasisLabel) -> ScalarProduct:
-        # survivors are basis labels of the parent, so its row is read directly
-        prod = dg.row(a).get(b)
-        if prod is None:
-            return ZERO
-        return ScalarProduct(elim.substitute(prod, a.multidegree * b.multidegree, dg.degree[a] + dg.degree[b]))
+        # survivors are basis labels of the parent, so it forms their product
+        prod = dg.product(a, b)
+        return ScalarProduct(elim.substitute(prod, dg.degree[a] + dg.degree[b])) if prod else ZERO
 
     return QuotientDG(DGStructure(elim.quotient(f"{dg.name}/span"), qproduct), elim, checked)

@@ -52,7 +52,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from .combin import Graph, GraphError, _bfs_ecc, graph_diameter
+from .combin import Graph, GraphError, _bfs_ecc, edge_monomial, graph_diameter
 from .complexes import (
     BasisLabel,
     ChainMap,
@@ -117,11 +117,8 @@ def star_decompose(graph: Graph) -> StarDecomposition:
         s: tuple(w for w in adj[s] if w != center) for s in spokes
     }
     ring = VariableSet(graph.non_isolated())
-    z = ring.variable(center)
-    gens_i = tuple(z * ring.variable(s) for s in spokes)
-    gens_j = tuple(
-        ring.variable(s) * ring.variable(y) for s in spokes for y in leaves[s]
-    )
+    gens_i = tuple(edge_monomial(ring, center, s) for s in spokes)
+    gens_j = tuple(edge_monomial(ring, s, y) for s in spokes for y in leaves[s])
     return StarDecomposition(
         graph=graph,
         ring=ring,

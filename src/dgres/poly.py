@@ -11,11 +11,15 @@ Where monomials are validated: the public constructor `Monomial(ring, exps)`
 checks the length, that every exponent is an int >= 0, and that no inactive
 variable occurs, so parsing, relabels onto a smaller ring and user input
 are all checked.  Products, lcms, quotients
-(after their divisibility check), `VariableSet.variable` and `one` build
+(after their divisibility check), `VariableSet.variable` and `one`, and
+`combin.edge_monomial` (after the name checks of `variable`) build
 their results with `_monomial`, which skips the checks: sums, maxima and
 differences of valid exponents over one ring are again valid, and a
 variable inactive in both operands stays 0.  A monomial hashes its
-exponent tuple once, at construction.  `UnaryCode` writes monomials as
+exponent tuple once, at construction.  Variable names are validated once,
+when `VariableSet(names)` builds its name index; `deactivate` keeps the
+names, so its ring shares that index and checks only that the names it
+deactivates are known.  `UnaryCode` writes monomials as
 unary int bitmasks, on which divisibility and lcms are bit operations.
 
 Text format for monomials: ``x1^2*x3`` (``1`` for the unit monomial).
@@ -81,14 +85,17 @@ class VariableSet:
         return tuple(n for n, a in zip(self.names, self.active) if a)
 
     def deactivate(self, names: Iterable[str]) -> "VariableSet":
+        """This ring with `names` made inactive too.  The names are this
+        ring's, already validated, so the result shares its name index."""
         kill = set(names)
-        unknown = kill - set(self.names)
+        unknown = kill.difference(self._position)
         if unknown:
             raise PolyError(f"unknown variables: {sorted(unknown)}")
-        return VariableSet(
-            self.names,
-            tuple(a and (n not in kill) for n, a in zip(self.names, self.active)),
-        )
+        ring = object.__new__(VariableSet)
+        object.__setattr__(ring, "names", self.names)
+        object.__setattr__(ring, "active", tuple(a and (n not in kill) for n, a in zip(self.names, self.active)))
+        object.__setattr__(ring, "_position", self._position)
+        return ring
 
     def variable(self, name: str) -> "Monomial":
         i = self.index(name)
@@ -256,7 +263,7 @@ class MonomialIdeal:
 
     def __post_init__(self):
         for g in self.generators:
-            if g.ring != self.ring:
+            if g.ring is not self.ring and g.ring != self.ring:
                 raise PolyError("generator over wrong ring")
 
     @staticmethod

@@ -202,9 +202,11 @@ def prune_complex(F: LabeledFreeComplex, znames) -> PruneResult:
 
 def descend(F: DGStructure, znames) -> DGStructure:
     """The dg structure F restricted to its labels whose multidegree has no
-    Z-variable, relabelled over Q/(Z): P(F, Z) with F's stored products
-    (see the module docstring).  A column or product of such labels has
-    its terms on such labels, so both are F's, relabelled."""
+    Z-variable, relabelled over Q/(Z): P(F, Z) with F's products (see the
+    module docstring).  A column or product of such labels has its terms
+    on such labels, so both are F's, relabelled.  A product is read by
+    `DGStructure.product`, so F is asked only for pairs of labels off Z
+    and fills no row."""
     znames = tuple(znames)
     cx = F.complex
     idx = [cx.ring.index(n) for n in znames]
@@ -224,8 +226,8 @@ def descend(F: DGStructure, znames) -> DGStructure:
     P = LabeledFreeComplex(ring2, basis, diff, name=f"P({cx.name}, {{{', '.join(znames)}}})")
 
     def product(a: BasisLabel, b: BasisLabel) -> ScalarProduct:
-        prod = F.row(back[a]).get(back[b])
-        return ZERO if prod is None else ScalarProduct({new[l]: c for l, c in prod.items()})
+        prod = F.product(back[a], back[b])
+        return ScalarProduct({new[l]: c for l, c in prod.items()}) if prod else ZERO
 
     return DGStructure(P, product)
 

@@ -1,12 +1,16 @@
 """Graphs, families and diameters: checked against brute-force oracles and
 networkx's tree enumeration."""
 
+import re
+
 import networkx as nx
 import pytest
 
 from dgres import (
     Graph,
     GraphError,
+    PolyError,
+    VariableSet,
     build_family,
     cycle_graph,
     edge_ideal,
@@ -16,7 +20,7 @@ from dgres import (
     t4_tree,
 )
 from dgres.classify import UnsupportedGraphError, classify
-from dgres.combin import _tree_path
+from dgres.combin import _tree_path, edge_monomial
 
 
 def from_networkx(g: "nx.Graph") -> Graph:
@@ -158,3 +162,35 @@ class TestFamilies:
         # isolated vertices are dropped from the ring
         g = Graph.build(["a", "b", "c"], [("a", "b")])
         assert edge_ideal(g).ring.names == ("a", "b")
+
+    def test_edge_ideal_is_variable_times_variable(self):
+        """Each generator, built as one monomial, is x_a * x_b built from
+        `VariableSet.variable`, on every tree on at most 8 vertices and on
+        C3-C8."""
+        graphs = [from_networkx(T) for n in range(1, 9) for T in nx.nonisomorphic_trees(n)]
+        graphs += [cycle_graph(n) for n in range(3, 9)]
+        for g in graphs:
+            I = edge_ideal(g)
+            ring = I.ring
+            want = tuple(ring.variable(a) * ring.variable(b) for a, b in sorted(sorted(e) for e in g.edges))
+            assert I.generators == want, g.to_json()
+            assert all(m.ring is ring and hash(m) == hash(w) for m, w in zip(I.generators, want))
+        assert len(graphs) == 54
+
+    def test_edge_monomial_refuses_as_variable_does(self):
+        """`edge_monomial` is `variable(a) * variable(b)` on every pair of
+        names, and raises its PolyError on an unknown or inactive one."""
+        ring = VariableSet(("a", "b", "c", "d")).deactivate(["d"])
+        names = ("a", "b", "c", "d", "e")
+        refused = 0
+        for a in names:
+            for b in names:
+                try:
+                    want = ring.variable(a) * ring.variable(b)
+                except PolyError as err:
+                    refused += 1
+                    with pytest.raises(PolyError, match=f"^{re.escape(str(err))}$"):
+                        edge_monomial(ring, a, b)
+                else:
+                    assert edge_monomial(ring, a, b) == want, (a, b)
+        assert refused == 16

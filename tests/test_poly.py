@@ -61,6 +61,33 @@ class TestVariableSet:
         assert variable_set_from_json(killed.to_json()) == killed
 
 
+    def test_deactivate_is_the_validated_constructor(self):
+        """A deactivated ring equals the one `VariableSet(names, active)`
+        validates, in value, hash, repr and JSON, and answers `index`,
+        `variable` and `Monomial` as it does, errors included; it shares
+        the parent's name index."""
+
+        def outcome(f, *args):
+            try:
+                return f(*args)
+            except PolyError as err:
+                return str(err)
+
+        for kill in ([], ["y"], ["x", "w"], ["w", "x", "x"], list(R4.names)):
+            got = R4.deactivate(kill)
+            want = VariableSet(R4.names, tuple(n not in kill for n in R4.names))
+            assert (got, hash(got), repr(got), got.to_json()) == (want, hash(want), repr(want), want.to_json())
+            assert got._position is R4._position
+            for name in (*R4.names, "v", "", ["x"]):
+                assert outcome(got.index, name) == outcome(want.index, name)
+                assert outcome(got.variable, name) == outcome(want.variable, name)
+            for exps in product((0, 1), repeat=4):
+                assert outcome(Monomial, got, exps) == outcome(Monomial, want, exps)
+        assert R4.deactivate(["x"]).deactivate(["y"]) == R4.deactivate(["x", "y"])
+        with pytest.raises(PolyError, match=r"^unknown variables: \['v'\]$"):
+            R4.deactivate(["x", "v"])
+
+
 class TestMonomial:
     def test_mul_adds_exponents(self):
         a, b = mono(RING, (1, 0, 2)), mono(RING, (0, 3, 1))

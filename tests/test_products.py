@@ -34,8 +34,9 @@ from dgres import (
     span_from_matching_sources,
     taylor_dg_structure,
 )
-from dgres.classify import C4_MATCHING, C5_MATCHING
-from dgres.dg import ScalarProduct, closure_products, matching_span
+from dgres.classify import C4_MATCHING, C5_MATCHING, _d3_order
+from dgres.combin import _tree_path
+from dgres.dg import ZERO, ScalarProduct, closure_products, matching_span
 from dgres.diam4 import (
     build_g_prime,
     build_psi,
@@ -44,7 +45,7 @@ from dgres.diam4 import (
     check_sigma_zification,
     star_decompose,
 )
-from dgres.morse import matching_sources
+from dgres.morse import is_superset_closed, matching_quotient, matching_sources
 from dgres.prune import prune_ideal
 from dgres.taylor import below_mask, index_mask, mask_index, mask_product, taylor_resolution
 
@@ -186,8 +187,9 @@ class TestProductStorage:
         T = dg.complex
         e0, e1, e012 = T.find_label(("e", 0)), T.find_label(("e", 1)), T.find_label(("e", 0, 1, 2))
         bad = DGStructure(T, lambda a, b: ScalarProduct({e012: 1}) if (a, b) == (e0, e1) else dg.table(a, b))
-        with pytest.raises(DGError, match=r"^product entry 1 of .* does not divide x\*y$"):
-            bad.table(e0, e1)
+        for read in (bad.table, bad.product):
+            with pytest.raises(DGError, match=r"^product entry 1 of .* does not divide x\*y$"):
+                read(e0, e1)
         with pytest.raises(DGError, match="does not divide"):
             dg_check(bad, triples=False)
 
@@ -197,8 +199,9 @@ class TestProductStorage:
         T = taylor_dg_structure(MonomialIdeal.from_strings(VariableSet(("x", "y", "z")), ["x*y", "y*z"])).complex
         dg = DGStructure(T, reference_products.taylor_product(T))
         e0 = T.find_label(("e", 0))
-        with pytest.raises(DGError, match=r"^product .* is not a ScalarProduct: Element$"):
-            dg.table(e0, e0)
+        for read in (dg.table, dg.product):
+            with pytest.raises(DGError, match=r"^product .* is not a ScalarProduct: Element$"):
+                read(e0, e0)
         with pytest.raises(DGError, match="is not a ScalarProduct"):
             dg_check(dg, triples=False)
 
@@ -214,10 +217,22 @@ class TestProductStorage:
         # a label outside the basis has no row and no table, and nothing is
         # computed for it
         ghost = BasisLabel(("ghost",), e1.multidegree)
-        for read in (lambda: counted.row(ghost), lambda: counted.table(e0, ghost), lambda: counted.table(ghost, e0)):
+        for read in (
+            lambda: counted.row(ghost),
+            lambda: counted.table(e0, ghost),
+            lambda: counted.table(ghost, e0),
+            lambda: counted.product(e1, ghost),
+            lambda: counted.product(ghost, e1),
+        ):
             with pytest.raises(DGError, match=r"^\(ghost\)\[y\] is not a basis label of "):
                 read()
         assert calls == row
+        # one product reads the stored row of e0, and forms e1 e0 by one
+        # call without storing the row of e1
+        assert counted.product(e0, e1) is counted.row(e0)[e1]
+        assert counted.product(e1, e0) == dg.table(e1, e0) and calls == row + [(e1, e0)]
+        assert counted.product(e1, e1) is ZERO and calls == row + [(e1, e0), (e1, e1)]
+        assert counted.row(e1) == dg.row(e1) and calls == row + [(e1, e0), (e1, e1)] + [(e1, b) for b in counted.degree]
 
     def test_each_basis_pair_is_computed_once(self, corpus, monkeypatch):
         """Across dg_check, closure_products and quotient_dg on the Taylor
@@ -250,6 +265,42 @@ class TestProductStorage:
             assert seen == Counter((a, b) for a in basis for b in basis), dg.name
             for a in basis:
                 assert not any(prod.is_zero() for prod in dg.row(a).values()), (dg.name, a)
+
+
+    def test_lemma_route_forms_each_survivor_pair_once(self, monkeypatch):
+        """When the superset-closure lemma decides J, nothing reads a row of
+        the Taylor parent T: the rows of T/J, all filled by `dg_check`, ask T
+        for each pair of survivors exactly once, and T stores no row."""
+        made = []
+        init = DGStructure.__init__
+
+        def counting_init(self, cx, product_fn):
+            seen = Counter()
+            made.append((self, seen))
+
+            def product(a, b):
+                seen[a, b] += 1
+                return product_fn(a, b)
+
+            init(self, cx, product)
+
+        monkeypatch.setattr(DGStructure, "__init__", counting_init)
+        cases = [edge_ideal(build_family("C3"))]
+        for fam in ("L(2,2,0)", "L(4,4,0)"):
+            g = build_family(fam)
+            I = edge_ideal(g)
+            cases.append(I.reorder(_d3_order(_tree_path(g), I)))
+        for I in cases:
+            made.clear()
+            matching = lyubeznik_matching(I)
+            assert is_superset_closed(I, matching)[0], str(I)
+            q = matching_quotient(I, matching)[1]
+            assert dg_check(q.structure).ok
+            (T, seen_T), (Q, seen_Q) = made
+            survivors = list(Q.degree)
+            assert seen_T == Counter((a, b) for a in survivors for b in survivors), str(I)
+            assert not T._rows, str(I)
+            assert seen_Q == seen_T
 
 
 def test_psi_matches_the_tuple_oracle():

@@ -7,10 +7,13 @@ produce, stage by stage, the exact matrices recorded here, ending in the
 minimal resolution (1, 4, 4, 1) of (xy, yz1, xz1, xx1).
 """
 
+from collections import Counter
+
 import networkx as nx
 import pytest
 
 from dgres import (
+    DGStructure,
     Graph,
     build_cone_resolution,
     build_family,
@@ -299,6 +302,22 @@ class TestDescend:
                 assert dg_check(P).ok, (kind, str(I), z)
                 kinds[kind] = kinds.get(kind, 0) + 1
         assert kinds == {"taylor": 33, "lyubeznik": 59, "cone": 116, "C3": 3, "C4": 4, "C5": 5}
+
+    def test_asks_f_only_for_pairs_off_z(self, two_triangles_ideal):
+        """Filling every row of P(F, z) asks F once for each pair of its
+        labels without a z-variable, and for nothing else; F stores no row.
+        F is the Taylor algebra and the Lyubeznik quotient of the
+        two-triangles ideal, P5 and C4, by each vertex."""
+        for I in (two_triangles_ideal, edge_ideal(build_family("P5")), edge_ideal(build_family("C4"))):
+            for G in (taylor_dg_structure(I), matching_quotient(I, lyubeznik_matching(I))[1].structure):
+                for z in I.ring.names:
+                    asked = Counter()
+                    F = DGStructure(G.complex, lambda a, b: asked.update([(a, b)]) or G.product(a, b))
+                    P = descend(F, (z,))
+                    assert dg_check(P).ok
+                    off_z = [l for l in F.degree if not l.multidegree.exponents[I.ring.index(z)]]
+                    assert asked == Counter((a, b) for a in off_z for b in off_z), (str(I), G.name, z)
+                    assert not F._rows
 
     @pytest.mark.parametrize(
         "ideal, znames",
