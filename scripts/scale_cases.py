@@ -74,7 +74,7 @@ from dgres import (  # noqa: E402
     verify_certificate,
 )
 from dgres.classify import _d3_order  # noqa: E402
-from dgres.combin import _tree_path  # noqa: E402
+from dgres.combin import graph_shape  # noqa: E402
 
 # ranks of the Taylor and Lyubeznik (= Morse) complexes, and matched pairs
 FROZEN = {
@@ -248,7 +248,7 @@ def sweep_case(name: str) -> dict:
 def descent_case(name: str) -> dict:
     graph = build_family(name)
     ideal = edge_ideal(graph)
-    ordered = ideal.reorder(_d3_order(_tree_path(graph), ideal))
+    ordered = ideal.reorder(_d3_order(graph_shape(graph).walk, ideal))
     want = DESCENTS[name]
     with Meter() as meter:
         pd = meter.call("prune_dg", prune_dg, ordered, [want["by"]])

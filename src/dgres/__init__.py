@@ -77,7 +77,6 @@ from .poly import (
     lcm_of,
     minimalize,
     parse_monomial,
-    squarefree_monomials,
 )
 from .prune import PruneResult, PrunedDG, prune_complex, prune_dg, prune_ideal
 from .taylor import taylor_dg_structure, taylor_resolution

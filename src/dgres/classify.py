@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb
 
-from .combin import Graph, GraphError, _tree_path, edge_ideal, edge_monomial, path_graph
+from .combin import Graph, GraphError, GraphShape, edge_ideal, edge_monomial, graph_shape, path_graph
 from .complexes import total_betti
 from .dg import dg_check
 from .diam4 import (
@@ -355,7 +355,7 @@ def _five_path_betti() -> tuple[int, ...]:
     return total_betti(taylor_resolution(edge_ideal(path_graph(5))))
 
 
-def _path_window_evidence(graph: Graph, ideal: MonomialIdeal, window: list[str]) -> dict:
+def _path_window_evidence(graph: Graph, ideal: MonomialIdeal, window: tuple[str, ...]) -> dict:
     """Prune the edge ideal of the graph down to the 5-edge path spanned by
     six consecutive vertices."""
     zvars = [v for v in graph.non_isolated() if v not in set(window)]
@@ -382,7 +382,7 @@ def _path_window_evidence(graph: Graph, ideal: MonomialIdeal, window: list[str])
 # trees
 
 
-def _d3_order(path: list[str], ideal: MonomialIdeal) -> list[str]:
+def _d3_order(path: tuple[str, ...], ideal: MonomialIdeal) -> list[str]:
     """Generator order starting with the central edge of a diameter-3 tree,
     the middle edge of its longest path."""
     a, b = path[1], path[2]
@@ -394,29 +394,28 @@ def _d3_order(path: list[str], ideal: MonomialIdeal) -> list[str]:
     return [str(first)] + rest
 
 
-def _tree_evidence(graph: Graph) -> tuple[int, dict, list[int] | None, dict]:
-    """(diameter, parameters, Betti vector, evidence) of a graph its caller
-    has found to be a tree."""
-    path = _tree_path(graph)
-    d = len(path) - 1
+def _tree_evidence(graph: Graph, shape: GraphShape) -> tuple[dict, list[int] | None, dict]:
+    """(parameters, Betti vector, evidence) of a tree, read off its shape:
+    the longest path's middle edge, its window of six vertices."""
+    path, d = shape.walk, shape.diameter
     ideal = edge_ideal(graph)
     if d <= 2:
         evidence, betti = _taylor_minimal_evidence(ideal)
-        return d, {}, betti, evidence
+        return {}, betti, evidence
     if d == 3:
         ordered = ideal.reorder(_d3_order(path, ideal))
         evidence, betti = _quotient_evidence("lyubeznik-quotient", ordered, lyubeznik_matching(ordered))
-        a = graph.degree(path[1]) - 1
-        b = graph.degree(path[2]) - 1
+        a = len(shape.adjacency[path[1]]) - 1
+        b = len(shape.adjacency[path[2]]) - 1
         formula = list(lyubeznik_betti(a, b, 0))
         if betti != formula:
             raise GraphError(f"Betti mismatch: {betti} vs formula {formula}")
         evidence["betti_formula"] = formula
-        return d, {"a": a, "b": b, "c": 0}, betti, evidence
+        return {"a": a, "b": b, "c": 0}, betti, evidence
     if d == 4:
         evidence, betti, params = _cone_evidence(graph)
-        return d, params, betti, evidence
-    return d, {}, None, _path_window_evidence(graph, ideal, path[:6])
+        return params, betti, evidence
+    return {}, None, _path_window_evidence(graph, ideal, path[:6])
 
 
 # ---------------------------------------------------------------------------
@@ -444,34 +443,23 @@ C5_MATCHING: list[tuple[tuple[int, ...], tuple[int, ...]]] = [
 ]
 
 
-def _cycle_order(graph: Graph) -> list[str]:
-    """The vertices of a cycle in cycle order: from the first vertex towards
-    whichever of its two neighbours comes first in the vertex list, so a
-    list already in cycle order comes back unchanged."""
-    adj, first = graph.adjacency(), graph.vertices[0]
-    walk = [first, min(adj[first], key=graph.vertices.index)]
-    while len(walk) < len(graph.vertices):
-        walk.append(next(w for w in adj[walk[-1]] if w != walk[-2]))
-    return walk
-
-
-def _cycle_consecutive_ideal(graph: Graph, ideal: MonomialIdeal) -> MonomialIdeal:
-    """The edge ideal of the cycle with its generators in cycle order."""
-    verts = _cycle_order(graph)
+def _cycle_consecutive_ideal(walk: tuple[str, ...], ideal: MonomialIdeal) -> MonomialIdeal:
+    """The edge ideal of the cycle with its generators in the order of its
+    walk."""
     ring = ideal.ring
     order = [
         str(edge_monomial(ring, a, b))
-        for a, b in zip(verts, verts[1:] + verts[:1])
+        for a, b in zip(walk, walk[1:] + walk[:1])
     ]
     return ideal.reorder(order)
 
 
-def _cycle_evidence(graph: Graph) -> tuple[dict, list[int] | None]:
-    """(evidence, Betti vector) of a graph its caller has found to be a
-    cycle."""
-    n = len(graph.vertices)
+def _cycle_evidence(graph: Graph, walk: tuple[str, ...]) -> tuple[dict, list[int] | None]:
+    """(evidence, Betti vector) of a cycle, read off its walk: the
+    generator order and, on seven or more vertices, the window of six."""
+    n = len(walk)
     edges = edge_ideal(graph)
-    ideal = _cycle_consecutive_ideal(graph, edges)
+    ideal = _cycle_consecutive_ideal(walk, edges)
     if n == 3:
         return _quotient_evidence("lyubeznik-quotient", ideal, lyubeznik_matching(ideal))
     if n == 4 or n == 5:
@@ -484,24 +472,28 @@ def _cycle_evidence(graph: Graph) -> tuple[dict, list[int] | None]:
                 f"expected Kruskal-Katona failure for Betti vector {betti}"
             )
         return {"kind": "betti-not-f-vector", "betti": betti, "f_vector_test": kk}, betti
-    return _path_window_evidence(graph, edges, _cycle_order(graph)[:6]), None
+    return _path_window_evidence(graph, edges, walk[:6]), None
 
 
 def classify(graph: Graph) -> Certificate:
-    """Classify a tree or cycle; raise UnsupportedGraphError otherwise.  The
-    shape is checked once, here; the branch builds the evidence, and the
-    verdict and cited facts are its row of `CERTIFICATE_TABLE`."""
-    if graph.is_cycle():
-        family, d = "cycle", len(graph.vertices)  # C_n counts as a closed path of length n
-        params = {"n": d}
-        evidence, betti = _cycle_evidence(graph)
-    elif graph.is_tree():
-        family = "tree"
-        d, params, betti, evidence = _tree_evidence(graph)
+    """Classify a tree or cycle; raise UnsupportedGraphError otherwise.  One
+    `graph_shape` pass decides the family and walks the graph, and the
+    branch reads its walk and adjacency; only a diameter-4 tree is walked
+    again, by `star_decompose`, which validates its input as a public entry.
+    The branch builds the evidence, and the verdict and cited facts are its
+    row of `CERTIFICATE_TABLE`."""
+    shape = graph_shape(graph)
+    if shape.family == "cycle":
+        params = {"n": shape.diameter}
+        evidence, betti = _cycle_evidence(graph, shape.walk)
+    elif shape.family == "tree":
+        params, betti, evidence = _tree_evidence(graph, shape)
     else:
         raise UnsupportedGraphError("classification covers trees and cycles only")
-    verdict, cited = CERTIFICATE_TABLE[family, evidence["kind"]]
-    return Certificate(family, verdict, d, params, betti, evidence, list(cited), graph.to_json())
+    verdict, cited = CERTIFICATE_TABLE[shape.family, evidence["kind"]]
+    return Certificate(
+        shape.family, verdict, shape.diameter, params, betti, evidence, list(cited), graph.to_json()
+    )
 
 
 def verify_certificate(cert: dict) -> dict:

@@ -55,36 +55,9 @@ class Graph:
             adj[b].append(a)
         return {v: sorted(ns) for v, ns in adj.items()}
 
-    def degree(self, v: str) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def non_isolated(self) -> tuple[str, ...]:
         touched = set().union(*self.edges) if self.edges else set()
         return tuple(v for v in self.vertices if v in touched)
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj = self.adjacency()
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
-
-    def is_tree(self) -> bool:
-        return self.is_connected() and len(self.edges) == len(self.vertices) - 1
-
-    def is_cycle(self) -> bool:
-        return (
-            len(self.vertices) >= 3
-            and len(self.edges) == len(self.vertices)
-            and all(len(ns) == 2 for ns in self.adjacency().values())
-            and self.is_connected()
-        )
 
     def to_json(self) -> dict:
         return {
@@ -101,57 +74,79 @@ class Graph:
         return Graph.build(d["vertices"], es)
 
 
-def _bfs_ecc(adj: dict[str, list[str]], start: str) -> tuple[str, int]:
-    """Farthest vertex from start and its distance."""
-    dist = {start: 0}
-    frontier = [start]
-    far, fd = start, 0
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    if dist[w] > fd:
-                        far, fd = w, dist[w]
-                    nxt.append(w)
-        frontier = nxt
-    return far, fd
+def _distances(adj: dict[str, list[str]], start: str) -> dict[str, int]:
+    """BFS distances from start, keyed in the order BFS reaches them."""
+    dist, queue = {start: 0}, [start]
+    for v in queue:
+        for w in adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
 
 
-def _tree_path(graph: Graph) -> list[str]:
-    """A longest path, as its vertex list, of a graph its caller has found to
-    be a tree, by double BFS."""
-    if len(graph.vertices) == 1:
-        return [graph.vertices[0]]
-    adj = graph.adjacency()
-    u, _ = _bfs_ecc(adj, graph.vertices[0])
-    w, _ = _bfs_ecc(adj, u)
-    # recover the u-w path by parents
-    parent = {u: None}
-    stack = [u]
-    while stack:
-        v = stack.pop()
-        for t in adj[v]:
-            if t not in parent:
-                parent[t] = v
-                stack.append(t)
-    path = [w]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return path[::-1]
+@dataclass(frozen=True)
+class GraphShape:
+    """What one pass over a graph finds, from one adjacency.
+
+    - ``family`` is "tree", "cycle" or None for any other graph.
+    - ``walk`` is, for a tree, a longest path u..w: u is the first vertex
+      BFS from the first vertex reaches at its largest distance, w the first
+      such vertex from u.  For a cycle it is the vertices in cycle order,
+      from the first vertex towards whichever of its two neighbours comes
+      first in the vertex list, so a list already in cycle order comes back
+      unchanged.  Empty for any other graph.
+    - ``ends`` holds, for a tree, the distances of every vertex from u and
+      from w; None otherwise.
+    """
+
+    family: str | None
+    walk: tuple[str, ...]
+    adjacency: dict[str, list[str]]
+    ends: tuple[dict[str, int], dict[str, int]] | None
+
+    @property
+    def diameter(self) -> int:
+        """Edges of a longest path; the cycle C_n counts as a closed path of
+        length n."""
+        return len(self.walk) - 1 if self.family == "tree" else len(self.walk)
+
+
+def graph_shape(graph: Graph) -> GraphShape:
+    """Decide whether the graph is a tree or a cycle and walk it (see
+    `GraphShape`).  A tree has |E| = |V| - 1 and the first BFS reaches every
+    vertex; a cycle has |E| = |V| >= 3, every degree 2, and the walk from the
+    first vertex does not return to it before it has visited every vertex."""
+    adj, vs = graph.adjacency(), graph.vertices
+    if vs and len(graph.edges) == len(vs) - 1:
+        first = _distances(adj, vs[0])
+        if len(first) == len(vs):
+            # BFS reaches vertices in order of distance, so max keeps the
+            # first of the farthest
+            du = _distances(adj, max(first, key=first.get))
+            w = max(du, key=du.get)
+            path = [w]
+            while du[path[-1]]:
+                path.append(next(t for t in adj[path[-1]] if du[t] == du[path[-1]] - 1))
+            return GraphShape("tree", tuple(reversed(path)), adj, (du, _distances(adj, w)))
+    elif len(vs) >= 3 and len(graph.edges) == len(vs) and all(len(ns) == 2 for ns in adj.values()):
+        walk = [vs[0], min(adj[vs[0]], key=vs.index)]
+        while walk[-1] != vs[0]:
+            walk.append(next(w for w in adj[walk[-1]] if w != walk[-2]))
+        if len(walk) == len(vs) + 1:
+            return GraphShape("cycle", tuple(walk[:-1]), adj, None)
+    return GraphShape(None, (), adj, None)
 
 
 def graph_diameter(graph: Graph) -> int:
     """Length (edge count) of the longest path of a tree or a cycle; cycles
-    count as closed paths, so C_n has diameter n.  Trees use double BFS.
-    Any other graph, the empty one included, raises GraphError.
+    count as closed paths, so C_n has diameter n.  Any other graph, the empty
+    one included, raises GraphError.
     """
-    if graph.is_tree():
-        return len(_tree_path(graph)) - 1
-    if graph.is_cycle():
-        return len(graph.vertices)
-    raise GraphError("graph_diameter needs a tree or a cycle")
+    shape = graph_shape(graph)
+    if shape.family is None:
+        raise GraphError("graph_diameter needs a tree or a cycle")
+    return shape.diameter
 
 
 def edge_monomial(ring: VariableSet, a: str, b: str) -> Monomial:

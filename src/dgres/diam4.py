@@ -52,7 +52,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from .combin import Graph, GraphError, _bfs_ecc, edge_monomial, graph_diameter
+from .combin import Graph, GraphError, edge_monomial, graph_shape
 from .complexes import (
     BasisLabel,
     ChainMap,
@@ -98,19 +98,28 @@ def star_decompose(graph: Graph) -> StarDecomposition:
     The center is a vertex of eccentricity <= 2 (the middle of a longest
     path); ties are broken by degree and then vertex order, so the result
     is deterministic.  Raises for non-trees and diameter >= 5.
+
+    One `graph_shape` pass gives a longest path u..w and every vertex's
+    distances from u and w, and in a tree ecc(v) = max(d(v,u), d(v,w)).
+    Proof: let D = d(u,w), p the vertex of the u..w path nearest v, and x
+    any vertex, q the path vertex nearest x and h = d(x,q).  The paths x..q..w
+    and x..q..u are no longer than D, so h <= d(q,u) and h <= d(q,w).  If q
+    lies on the w side of p, d(v,x) = d(v,p) + d(p,q) + h <= d(v,p) + d(p,w)
+    = d(v,w); on the u side, symmetrically, d(v,x) <= d(v,u); if q = p,
+    d(v,x) <= d(v,p) + h <= d(v,p) + d(p,u) = d(v,u).  So no vertex is
+    farther from v than u or w.  The middle vertex of the path has
+    eccentricity ceil(D/2) <= 2, so a center exists.
     """
-    if not graph.is_tree():
+    shape = graph_shape(graph)
+    if shape.family != "tree":
         raise GraphError("star_decompose needs a tree")
     if len(graph.vertices) < 2:
         raise GraphError("star_decompose needs at least one edge")
-    d = graph_diameter(graph)
-    if d > 4:
-        raise GraphError(f"tree has diameter {d} > 4")
-    adj = graph.adjacency()
-    candidates = [v for v in graph.vertices if _bfs_ecc(adj, v)[1] <= 2]
-    if not candidates:
-        raise GraphError("no eccentricity-2 center; diameter bookkeeping is off")
-    center = max(candidates, key=lambda v: (graph.degree(v), -graph.vertices.index(v)))
+    if shape.diameter > 4:
+        raise GraphError(f"tree has diameter {shape.diameter} > 4")
+    adj, (du, dw) = shape.adjacency, shape.ends
+    # max keeps the first vertex of the largest degree
+    center = max((v for v in graph.vertices if max(du[v], dw[v]) <= 2), key=lambda v: len(adj[v]))
 
     spokes = tuple(adj[center])
     leaves = {

@@ -33,9 +33,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, product as iproduct
+from itertools import accumulate
 from operator import add, getitem, le, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class PolyError(ValueError):
@@ -342,15 +342,3 @@ def minimalize(ideal: MonomialIdeal) -> MonomialIdeal:
             kept.append(g)
     return MonomialIdeal(ideal.ring, tuple(kept))
 
-
-def squarefree_monomials(ring: VariableSet) -> Iterator[Monomial]:
-    """All 0/1 exponent monomials in the active variables (2^n of them), in
-    increasing exponent order; PolyError beyond 22 active variables."""
-    act = [i for i, a in enumerate(ring.active) if a]
-    if len(act) > 22:
-        raise PolyError(f"refusing to enumerate 2^{len(act)} squarefree monomials")
-    for bits in iproduct((0, 1), repeat=len(act)):
-        exps = [0] * len(ring)
-        for i, b in zip(act, bits):
-            exps[i] = b
-        yield Monomial(ring, tuple(exps))

@@ -18,15 +18,18 @@ its coefficient c of m_c / m_r (an int or a Fraction) and is printed with
   `LabeledFreeComplex.to_json` back;
 - small helpers: constants, single terms, the common multidegree of the
   terms, evaluation at all ones, setting variables to zero and moving to a
-  ring with other inactive variables.
+  ring with other inactive variables;
+- `squarefree_monomials`, every 0/1 exponent monomial of a ring, the
+  strands the tests sweep by hand.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import product
 from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from dgres.complexes import BasisLabel, ComplexError, LabeledFreeComplex
 from dgres.dg import DGError, Element
@@ -323,3 +326,16 @@ def multidegree(p: Polynomial) -> Monomial | None:
     """If all terms share one monomial, return it; else None."""
     ms = set(p.terms)
     return next(iter(ms)) if len(ms) == 1 else None
+
+
+def squarefree_monomials(ring: VariableSet) -> Iterator[Monomial]:
+    """All 0/1 exponent monomials in the active variables (2^n of them), in
+    increasing exponent order; PolyError beyond 22 active variables."""
+    act = [i for i, a in enumerate(ring.active) if a]
+    if len(act) > 22:
+        raise PolyError(f"refusing to enumerate 2^{len(act)} squarefree monomials")
+    for bits in product((0, 1), repeat=len(act)):
+        exps = [0] * len(ring)
+        for i, b in zip(act, bits):
+            exps[i] = b
+        yield Monomial(ring, tuple(exps))

@@ -34,8 +34,10 @@ from dgres.classify import (
     kruskal_katona_is_fvector,
     verify_certificate,
 )
+from dgres import combin
 from dgres.combin import Graph, build_family
 from dgres.complexes import LabeledFreeComplex
+from dgres.diam4 import star_decompose
 from dgres.morse import lyubeznik_matching, lyubeznik_resolution, matching_quotient
 from reference_complexes import equal_up_to_basis_scaling
 
@@ -509,15 +511,30 @@ class TestUnsupported:
 
 
 class TestShapeChecks:
-    @pytest.mark.parametrize("graph, tree_checks", [(path_graph(10), 1), (cycle_graph(7), 0)])
-    def test_classify_checks_the_shape_once(self, graph, tree_checks, monkeypatch):
-        calls = []
-        for name in ("is_tree", "is_cycle"):
-            check = getattr(Graph, name)
-            monkeypatch.setattr(Graph, name, lambda g, check=check, name=name: calls.append(name) or check(g))
+    """One `graph_shape` pass per `classify`: one adjacency build, and a
+    second only where the diameter-4 branch calls `star_decompose`, which
+    validates its input as a public entry."""
+
+    @pytest.mark.parametrize(
+        "family, builds",
+        [("P10", 1), ("C7", 1), ("L(2,1,0)", 1), ("T4(2;1,1)", 2)],
+        ids=["P10", "C7", "L(2,1,0)", "T4(2;1,1)"],
+    )
+    def test_classify_builds_one_adjacency(self, family, builds, monkeypatch):
+        graph, built = build_family(family), []
+        adjacency = Graph.adjacency
+        monkeypatch.setattr(Graph, "adjacency", lambda g: built.append(g) or adjacency(g))
         classify(graph)
-        assert calls.count("is_cycle") == 1
-        assert calls.count("is_tree") == tree_checks
+        assert len(built) == builds
+
+    def test_star_decompose_runs_no_bfs_per_vertex(self, monkeypatch):
+        starts = []
+        distances = combin._distances
+        monkeypatch.setattr(combin, "_distances", lambda adj, v: starts.append(v) or distances(adj, v))
+        graph = t4_tree(3, (3, 3, 3))
+        assert star_decompose(graph).center == "z"
+        # from the first vertex, then from the two ends of a longest path
+        assert starts == ["z", "y1_1", "y2_1"]
 
 
 def test_cone_is_verified_once(monkeypatch):

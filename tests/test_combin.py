@@ -20,7 +20,9 @@ from dgres import (
     t4_tree,
 )
 from dgres.classify import UnsupportedGraphError, classify
-from dgres.combin import _tree_path, edge_monomial
+from dgres.combin import edge_monomial, graph_shape
+
+import reference_graphs
 
 
 def from_networkx(g: "nx.Graph") -> Graph:
@@ -64,19 +66,19 @@ class TestGraph:
             Graph.build(["a", "b"], [("a", "b"), ("b", "a")])
 
     def test_tree_and_cycle_predicates(self):
-        assert path_graph(3).is_tree()
-        assert not path_graph(3).is_cycle()
-        assert cycle_graph(4).is_cycle()
-        assert not cycle_graph(4).is_tree()
+        assert graph_shape(path_graph(3)).family == "tree"
+        assert graph_shape(cycle_graph(4)).family == "cycle"
+        # |E| = |V| - 1 but the first BFS misses c
         disconnected = Graph.build(["a", "b", "c"], [("a", "b")])
-        assert not disconnected.is_tree()
+        assert graph_shape(disconnected).family is None
+        assert graph_shape(Graph.build([], [])).family is None
 
     def test_two_triangles_are_neither_cycle_nor_tree(self):
-        # 2-regular with |E| = |V|, so only the connectivity walk rejects it
+        # 2-regular with |E| = |V|, so only the walk's early return rejects it
         g = Graph.build("abcdef", ["ab", "bc", "ca", "de", "ef", "fd"])
         assert all(len(ns) == 2 for ns in g.adjacency().values())
         assert len(g.edges) == len(g.vertices)
-        assert not g.is_cycle() and not g.is_tree()
+        assert graph_shape(g).family is None
         with pytest.raises(UnsupportedGraphError):
             classify(g)
         with pytest.raises(GraphError, match="^graph_diameter needs a tree or a cycle$"):
@@ -94,7 +96,8 @@ class TestGraph:
         ids=["star", "path", "K3", "paw"],
     )
     def test_shape_predicates(self, graph, cycle, tree):
-        assert (graph.is_cycle(), graph.is_tree()) == (cycle, tree)
+        family = graph_shape(graph).family
+        assert (family == "cycle", family == "tree") == (cycle, tree)
 
     def test_json_roundtrip(self):
         g = t4_tree(2, [1, 0])
@@ -117,7 +120,7 @@ class TestGraph:
         for n in range(2, 8):
             for t in nx.nonisomorphic_trees(n):
                 g = from_networkx(t)
-                path = _tree_path(g)
+                path = graph_shape(g).walk
                 assert len(path) - 1 == graph_diameter(g)
                 assert len(set(path)) == len(path)
                 adj = g.adjacency()
@@ -125,17 +128,73 @@ class TestGraph:
                     assert b in adj[a]
 
 
+class TestGraphShape:
+    """`graph_shape` against the walks it replaced (`reference_graphs`), on
+    every tree with 1-10 vertices and C3-C11, each under three relabellings
+    of its names and vertex order besides its own."""
+
+    @staticmethod
+    def relabelled_trees():
+        for n in range(1, 11):
+            for t in reference_graphs.trees(n):
+                yield from reference_graphs.relabellings(t)
+
+    def test_tree_walk_matches_the_double_bfs(self):
+        count = 0
+        for g in self.relabelled_trees():
+            shape = graph_shape(g)
+            assert shape.family == "tree"
+            assert list(shape.walk) == reference_graphs.tree_path(g), g
+            assert shape.adjacency == g.adjacency()
+            count += 1
+        assert count == 4 * 201
+
+    def test_cycle_walk_matches_the_cycle_order(self):
+        for n in range(3, 12):
+            for g in reference_graphs.relabellings(cycle_graph(n)):
+                shape = graph_shape(g)
+                assert shape.family == "cycle" and shape.ends is None
+                assert list(shape.walk) == reference_graphs.cycle_order(g), g
+                assert shape.diameter == n
+
+    def test_end_distances_give_every_eccentricity(self):
+        for g in self.relabelled_trees():
+            shape = graph_shape(g)
+            du, dw = shape.ends
+            assert (du[shape.walk[0]], dw[shape.walk[-1]]) == (0, 0)
+            assert du[shape.walk[-1]] == shape.diameter
+            for v in g.vertices:
+                assert max(du[v], dw[v]) == reference_graphs.eccentricity(g, v), (g, v)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Graph.build([], []),
+            # |E| = |V| - 1 with a triangle and an isolated vertex
+            Graph.build("abcd", ["ab", "bc", "ca"]),
+            # |E| = |V| with a vertex of degree 3: a triangle and a pendant edge
+            Graph.build("abcd", ["ab", "bc", "ca", "cd"]),
+            # C3 and C4 side by side, the walk from a closes after three
+            Graph.build("abcdefg", ["ab", "bc", "ca", "de", "ef", "fg", "gd"]),
+        ],
+        ids=["empty", "K3+K1", "paw", "C3+C4"],
+    )
+    def test_other_graphs_are_neither(self, graph):
+        shape = graph_shape(graph)
+        assert (shape.family, shape.walk, shape.ends) == (None, (), None)
+
+
 class TestFamilies:
     def test_lyubeznik_graph_shape(self):
         g = lyubeznik_graph(2, 1, 1)
         assert len(g.edges) == 1 + 2 + 1 + 2
-        assert g.degree("x") == 1 + 2 + 1
+        assert len(g.adjacency()["x"]) == 1 + 2 + 1
         # longest-path diameter: x1-x-z1-y-y1 has 4 edges
         assert brute_longest_path(g) == 4
         # the tree member of the family has diameter 3
         assert graph_diameter(lyubeznik_graph(2, 1, 0)) == 3
-        assert lyubeznik_graph(2, 1, 0).is_tree()
-        assert not g.is_tree() and not g.is_cycle()
+        assert graph_shape(lyubeznik_graph(2, 1, 0)).family == "tree"
+        assert graph_shape(g).family is None
         # graph_diameter is defined on trees and cycles only
         with pytest.raises(GraphError, match="^graph_diameter needs a tree or a cycle$"):
             graph_diameter(g)

@@ -39,7 +39,6 @@ from dgres import (
     prune_ideal,
     quotient_dg,
     span_from_matching_sources,
-    squarefree_monomials,
     taylor_dg_structure,
     taylor_resolution,
     total_betti,
@@ -67,6 +66,7 @@ from reference_poly import (
     is_monomial_multiple,
     parse_polynomial,
     single_term,
+    squarefree_monomials,
 )
 
 RING3 = VariableSet(("x", "y", "z"))

@@ -47,7 +47,7 @@ from dgres import (
     validate_matching,
 )
 from dgres.classify import C4_MATCHING, C5_MATCHING, _cycle_consecutive_ideal, _d3_order, classify
-from dgres.combin import _tree_path, graph_diameter
+from dgres.combin import graph_diameter, graph_shape
 from dgres.complexes import ComplexError, tag_to_json
 from dgres import dg as dg_module
 from dgres.dg import DGIdealError, DGReport, ScalarProduct, boundary_closed, closure_products
@@ -789,7 +789,7 @@ class TestDenseOracle:
             cones += 1
             if graph_diameter(graph) == 3:
                 I = edge_ideal(graph)
-                ordered = I.reorder(_d3_order(_tree_path(graph), I))
+                ordered = I.reorder(_d3_order(graph_shape(graph).walk, I))
                 assert assert_matches_dense(matching_quotient(ordered, lyubeznik_matching(ordered))).ok
                 quotients += 1
         assert (cones, quotients) == (25, 9)
@@ -1122,12 +1122,12 @@ def d3_and_cycle_spans():
     for n in range(4, 10):
         for b in range(1, (n - 2) // 2 + 1):
             graph = build_family(f"L({n - 2 - b},{b},0)")
-            ordered = edge_ideal(graph).reorder(_d3_order(_tree_path(graph), edge_ideal(graph)))
+            ordered = edge_ideal(graph).reorder(_d3_order(graph_shape(graph).walk, edge_ideal(graph)))
             dg = taylor_dg_structure(ordered)
             yield graph, dg, matching_span(dg, lyubeznik_matching(ordered))
     for n, matching in ((4, C4_MATCHING), (5, C5_MATCHING)):
         graph = build_family(f"C{n}")
-        dg = taylor_dg_structure(_cycle_consecutive_ideal(graph, edge_ideal(graph)))
+        dg = taylor_dg_structure(_cycle_consecutive_ideal(graph_shape(graph).walk, edge_ideal(graph)))
         yield graph, dg, matching_span(dg, matching)
 
 
@@ -1200,7 +1200,7 @@ def lemma_spans(corpus):
     those of `d3_and_cycle_spans` but C5's, and the Lyubeznik spans of the
     corpus ideals whose sources are closed under supersets."""
     c3 = build_family("C3")
-    ordered = _cycle_consecutive_ideal(c3, edge_ideal(c3))
+    ordered = _cycle_consecutive_ideal(graph_shape(c3).walk, edge_ideal(c3))
     dg = taylor_dg_structure(ordered)
     yield c3, dg, matching_span(dg, lyubeznik_matching(ordered))
     c5 = build_family("C5")
@@ -1265,7 +1265,7 @@ class TestSupersetClosureLemma:
         `taylor_dg_structure` did not build, or a span without sources:
         the lemma does not apply, and the exhaustive pass counts alike."""
         graph = build_family("L(2,2,0)")
-        ordered = edge_ideal(graph).reorder(_d3_order(_tree_path(graph), edge_ideal(graph)))
+        ordered = edge_ideal(graph).reorder(_d3_order(graph_shape(graph).walk, edge_ideal(graph)))
         dg = taylor_dg_structure(ordered)
         span = matching_span(dg, lyubeznik_matching(ordered))
         bare = SubmoduleSpan(dg.complex, span.generators)

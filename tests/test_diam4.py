@@ -27,7 +27,6 @@ from dgres import (
     lyubeznik_graph,
     parse_monomial,
     path_graph,
-    squarefree_monomials,
     t4_tree,
     taylor_resolution,
     total_betti,
@@ -42,8 +41,10 @@ from dgres.diam4 import (
 from dgres.dg import ScalarProduct
 from dgres.poly import monomial_divide
 
+import reference_graphs
 import reference_products
 from reference_complexes import strand_homology, tensor_complex
+from reference_poly import squarefree_monomials
 
 
 class TestStarDecompose:
@@ -80,12 +81,27 @@ class TestStarDecompose:
         assert dec.center == "x1"
         assert dec.ideal_j.is_zero()
 
+    def test_center_matches_one_bfs_per_vertex(self):
+        """The center read off the two end distances of `graph_shape` is the
+        one the per-vertex BFS picks, on every tree of diameter <= 4 with
+        2-9 vertices under three relabellings besides its own."""
+        checked = 0
+        for n in range(2, 10):
+            for tree in reference_graphs.trees(n):
+                for g in reference_graphs.relabellings(tree):
+                    if reference_graphs.eccentricity(g, reference_graphs.tree_path(g)[0]) <= 4:
+                        assert star_decompose(g).center == reference_graphs.star_center(g), g
+                        checked += 1
+        assert checked == 4 * 50
+
     def test_rejections(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="^star_decompose needs a tree$"):
             star_decompose(cycle_graph(4))
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="^star_decompose needs a tree$"):
+            star_decompose(Graph.build("abcd", ["ab", "cd"]))
+        with pytest.raises(GraphError, match="^tree has diameter 5 > 4$"):
             star_decompose(path_graph(5))
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="^star_decompose needs at least one edge$"):
             star_decompose(Graph.build(["a"], []))
 
     def test_zify_and_y_part(self):

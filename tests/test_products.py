@@ -35,7 +35,7 @@ from dgres import (
     taylor_dg_structure,
 )
 from dgres.classify import C4_MATCHING, C5_MATCHING, _d3_order
-from dgres.combin import _tree_path
+from dgres.combin import graph_shape
 from dgres.dg import ZERO, ScalarProduct, closure_products, matching_span
 from dgres.diam4 import (
     build_g_prime,
@@ -289,7 +289,7 @@ class TestProductStorage:
         for fam in ("L(2,2,0)", "L(4,4,0)"):
             g = build_family(fam)
             I = edge_ideal(g)
-            cases.append(I.reorder(_d3_order(_tree_path(g), I)))
+            cases.append(I.reorder(_d3_order(graph_shape(g).walk, I)))
         for I in cases:
             made.clear()
             matching = lyubeznik_matching(I)

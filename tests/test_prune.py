@@ -31,7 +31,7 @@ from dgres import (
     total_betti,
 )
 from dgres.classify import C4_MATCHING, C5_MATCHING, _cycle_consecutive_ideal, _d3_order
-from dgres.combin import _tree_path
+from dgres.combin import graph_shape
 from dgres.dg import dg_ideal_closure
 from dgres.morse import matching_quotient
 from dgres.prune import descend
@@ -272,7 +272,7 @@ def certified_structures():
     for n in range(3, 9):
         for T in nx.nonisomorphic_trees(n):
             g = Graph.build([f"v{i}" for i in sorted(T.nodes())], [(f"v{a}", f"v{b}") for a, b in T.edges()])
-            path, I = _tree_path(g), edge_ideal(g)
+            path, I = graph_shape(g).walk, edge_ideal(g)
             d = len(path) - 1
             if d <= 2:
                 yield "taylor", I, taylor_dg_structure(I)
@@ -283,7 +283,7 @@ def certified_structures():
                 yield "cone", I, build_cone_resolution(g).dg
     for fam, matching in (("C3", None), ("C4", C4_MATCHING), ("C5", C5_MATCHING)):
         g = build_family(fam)
-        I = _cycle_consecutive_ideal(g, edge_ideal(g))
+        I = _cycle_consecutive_ideal(graph_shape(g).walk, edge_ideal(g))
         yield fam, I, matching_quotient(I, matching or lyubeznik_matching(I))[1].structure
 
 
